@@ -88,8 +88,7 @@ def cmd_run(args) -> int:
         (outdir / "timings.txt").write_text(transcript.timings_text())
         import numpy as np
 
-        np.save(outdir / "aggregate.npy",
-                np.array([float(v) for v in transcript.aggregate]))
+        np.save(outdir / "aggregate.npy", transcript.aggregate.to_floats())
     return 0
 
 

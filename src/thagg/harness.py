@@ -25,6 +25,7 @@ from . import ring as rg
 from . import wire
 from .config import ProtocolConfig, config_text
 from .errors import LengthMismatchError
+from .exact import Ratios, binary_places, scaled_round, scaled_round_array
 from .planner import MBFV, PlanReport, plan
 from .rng import Xof
 from .schemes import (
@@ -130,14 +131,13 @@ class Transcript:
     log2_q: int
     primes: tuple[int, ...]
     messages: list[MessageRecord]
-    aggregate: list[Fraction]
+    aggregate: Ratios
     max_error: Fraction
     timings: dict = field(default_factory=dict)
 
     def aggregate_digest(self) -> str:
         h = hashlib.sha256()
-        for v in self.aggregate:
-            h.update(f"{v.numerator}/{v.denominator}\n".encode())
+        h.update("".join(f"{v}\n" for v in self.aggregate.terms()).encode())
         return h.hexdigest()
 
     def to_text(self) -> str:
@@ -153,8 +153,7 @@ class Transcript:
         ]
         for m in self.messages:
             lines.append(f"{m.seq} {m.kind} {m.sender} {m.size}")
-        head = ",".join(
-            f"{v.numerator}/{v.denominator}" for v in self.aggregate[:8])
+        head = ",".join(self.aggregate[:8].terms())
         lines += [
             "",
             "[result]",
@@ -242,10 +241,10 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
         if piece.size < n:
             piece = np.concatenate([piece, np.zeros(n - piece.size)])
         if cfg.scheme == MBFV:
-            pt = encode_fixed(piece.tolist(), cfg.fixed_point_bits, params)
+            pt = encode_fixed(piece, cfg.fixed_point_bits, params)
         else:
             # normalize by L up front so the homomorphic sum is the average
-            pt = encode_real((piece / cfg.parties).tolist(), params)
+            pt = encode_real(piece / cfg.parties, params)
         rng = root.child(
             f"round/{round_index}/client/{client.index}/enc/{c}")
         ct = encrypt(params, cpk, pt, rng)
@@ -276,10 +275,10 @@ def aggregator_eval_step(ct_lists: list[list[Ciphertext]]) -> list[Ciphertext]:
 def output_step(cfg: ProtocolConfig, params: SchemeParams,
                 clients: list[ClientState], agg_cts: list[Ciphertext],
                 report: PlanReport, root: Xof, round_index: int,
-                bus: MessageBus) -> list[Fraction]:
+                bus: MessageBus) -> Ratios:
     """Collective decryption of every chunk, then per-scheme finalization."""
     smudge = smudge_bound(cfg.plan_inputs.lam, report.bounds.b_ct)
-    values: list[Fraction] = []
+    parts: list[Ratios] = []
     for c, ct in enumerate(agg_cts):
         partials = []
         for client in clients:
@@ -292,36 +291,41 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
         d = combine_decrypt(params, ct, partials, cfg.parties)
         if cfg.scheme == MBFV:
             pt = finalize_bfv(params, d)
-            values.extend(decode_fixed(pt, cfg.fixed_point_bits, cfg.parties))
+            parts.append(decode_fixed(pt, cfg.fixed_point_bits, cfg.parties))
         else:
             pt = finalize_ckks(params, d,
                                noise_bound=report.bounds.b_ct_mp)
-            values.extend(pt.values)
-    return values[: cfg.model_size]
+            parts.append(pt.values)
+    return Ratios.concat(parts)[: cfg.model_size]
+
+
+def _scaled_sum(updates: list[np.ndarray], d: int) -> np.ndarray:
+    """Sum over clients of floor(w * 2^d + 1/2), exact.
+
+    int64 when the sum provably fits, else Python integers (dtype object).
+    """
+    top = max(Fraction(float(np.abs(w).max(initial=0.0))) for w in updates)
+    if top * (len(updates) << d) < 1 << 61:
+        return sum(scaled_round_array(w, d) for w in updates)
+    return sum(np.array([scaled_round(float(x), d) for x in w], dtype=object)
+               for w in updates)
 
 
 def cleartext_oracle(cfg: ProtocolConfig,
-                     updates: list[np.ndarray]) -> list[Fraction]:
+                     updates: list[np.ndarray]) -> Ratios:
     """What the protocol should open: the cleartext average.
 
     MBFV averages on the fixed-point grid (exact target); MCKKS against the
-    exact rational average of the raw updates.
+    exact rational average of the raw updates. Both are integer sums over
+    one denominator: 2^p * L, or 2^k * L with 2^k the finest binary place
+    of any update.
     """
-    N, L = cfg.model_size, cfg.parties
-    out = []
+    L = cfg.parties
     if cfg.scheme == MBFV:
-        from .exact import scaled_round
-
         p = cfg.fixed_point_bits
-        den = (1 << p) * L
-        for j in range(N):
-            total = sum(scaled_round(float(w[j]), p) for w in updates)
-            out.append(Fraction(total, den))
     else:
-        for j in range(N):
-            total = sum(Fraction(float(w[j])) for w in updates)
-            out.append(total / L)
-    return out
+        p = max(binary_places(w) for w in updates)
+    return Ratios(_scaled_sum(updates, p), (1 << p) * L)
 
 
 def run_protocol(cfg: ProtocolConfig) -> Transcript:
@@ -334,7 +338,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     t_keygen = time.perf_counter() - t0
 
     t_enc = t_agg = t_dec = 0.0
-    aggregate: list[Fraction] = []
+    aggregate = Ratios([], 1)
     max_error = Fraction(0)
     for r in range(cfg.rounds):
         for client in art.clients:
@@ -372,10 +376,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         t_dec += time.perf_counter() - t3
 
         oracle = cleartext_oracle(cfg, [c.update for c in art.clients])
-        round_err = max(
-            (abs(a - b) for a, b in zip(aggregate, oracle)),
-            default=Fraction(0))
-        max_error = max(max_error, round_err)
+        max_error = max(max_error, aggregate.max_abs_diff(oracle))
 
     timings = {
         "collective_keygen": t_keygen,

@@ -116,17 +116,23 @@ def select_primes(n: int, *, min_product: int | None = None,
     return tuple(picked)
 
 
-def _bitrev_indices(n: int) -> list[int]:
-    bits = n.bit_length() - 1
-    out = []
-    for i in range(n):
-        r = 0
-        v = i
-        for _ in range(bits):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        out.append(r)
+def _bitrev_indices(n: int) -> np.ndarray:
+    """Bit-reversal permutation of range(n), n a power of two."""
+    idx = np.arange(n, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
+    for _ in range(n.bit_length() - 1):
+        out = (out << 1) | (idx & 1)
+        idx >>= 1
     return out
+
+
+def _powers(base: int, n: int, p: int) -> np.ndarray:
+    """base^i mod p for i < n: each pass extends the table by doubling."""
+    out = np.ones(1, dtype=np.int64)
+    while out.size < n:
+        step = pow(base, out.size, p)
+        out = np.concatenate([out, out * step % p])
+    return out[:n]
 
 
 def _find_psi(p: int, n: int) -> int:
@@ -149,14 +155,9 @@ class LimbTables:
 @lru_cache(maxsize=None)
 def limb_tables(n: int, p: int) -> LimbTables:
     psi = _find_psi(p, n)
-    inv = pow(psi, -1, p)
-    pw, ipw = [1] * n, [1] * n
-    for i in range(1, n):
-        pw[i] = pw[i - 1] * psi % p
-        ipw[i] = ipw[i - 1] * inv % p
     brv = _bitrev_indices(n)
-    fwd = np.array([pw[brv[i]] for i in range(n)], dtype=np.int64)
-    bwd = np.array([ipw[brv[i]] for i in range(n)], dtype=np.int64)
+    fwd = _powers(psi, n, p)[brv]
+    bwd = _powers(pow(psi, -1, p), n, p)[brv]
     return LimbTables(fwd, bwd, pow(n, -1, p))
 
 

@@ -2,14 +2,18 @@
 
 Elements live as per-prime residue rows (non-negative, branch-free modular
 arithmetic); the centered representatives in (-q/2, q/2] are the canonical
-external view, produced by `crt_lift`. A quadratic schoolbook multiplier is
-kept alongside the NTT path as an independent oracle.
+external view, produced by `crt_lift` as Garner mixed-radix digits. A
+quadratic schoolbook multiplier is kept alongside the NTT path as an
+independent oracle. No per-coefficient Python integer is built on the
+sampling or lifting paths; integers appear only when a caller asks for them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import tau
 
 import numpy as np
@@ -105,15 +109,22 @@ def from_coeffs(params: RingParams, coeffs) -> RingElement:
     n = params.n
     if len(coeffs) != n:
         raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
-    rows = []
     try:
         arr = np.asarray(coeffs, dtype=np.int64)
-        for p in params.primes:
-            rows.append(arr % p)
     except OverflowError:
-        for p in params.primes:
-            rows.append(np.array([c % p for c in coeffs], dtype=np.int64))
-    return RingElement(params, np.stack(rows), COEFF)
+        rows = [[c % p for c in coeffs] for p in params.primes]
+        return RingElement(params, np.array(rows, dtype=np.int64), COEFF)
+    p_col = _prime_column(params.primes)
+    sign = arr >> 63  # -1 where c < 0, else 0
+    if (arr ^ sign).max() < min(params.primes):
+        # every -p <= c < p: adding p to the negative ones reduces them
+        return RingElement(params, arr + (p_col & sign), COEFF)
+    return RingElement(params, arr % p_col, COEFF)
+
+
+@lru_cache(maxsize=None)
+def _prime_column(primes: tuple[int, ...]) -> np.ndarray:
+    return np.array(primes, dtype=np.int64)[:, None]
 
 
 def scalar_residues(params: RingParams, value: int) -> np.ndarray:
@@ -128,40 +139,125 @@ def mul_scalar(a: RingElement, value: int) -> RingElement:
     return RingElement(a.params, res, a.domain)
 
 
-def crt_lift(a: RingElement) -> list[int]:
+def crt_lift(a: RingElement) -> "Lifted":
     """Centered integer representatives in (-q/2, q/2], one per coefficient."""
     if a.domain != COEFF:
         raise DomainMismatchError("crt_lift needs a coefficient-domain element")
-    params = a.params
-    q, half = params.q, params.half_q
-    consts = _crt_consts(params)
-    cols = [((a.residues[j] * inv) % p).tolist() for j, (p, inv, _) in enumerate(consts)]
-    qstars = [qstar for _, _, qstar in consts]
-    out = []
-    for i in range(params.n):
-        v = 0
-        for col, qstar in zip(cols, qstars):
-            v += col[i] * qstar
-        v %= q
-        if v > half:
-            v -= q
-        out.append(v)
-    return out
+    return Lifted(a.params, a.residues)
 
 
-_CRT_CACHE: dict[tuple[int, tuple[int, ...]], list[tuple[int, int, int]]] = {}
+@dataclass(frozen=True)
+class _GarnerConsts:
+    inv: tuple[int, ...]       # (p_0 ... p_{i-1})^-1 mod p_i
+    half: tuple[int, ...]      # mixed-radix digits of floor(q/2)
+    radix64: np.ndarray        # p_0 ... p_{i-1} mod 2^64, uint64
+    q64: np.uint64             # q mod 2^64
 
 
-def _crt_consts(params: RingParams) -> list[tuple[int, int, int]]:
-    key = (params.n, params.primes)
-    got = _CRT_CACHE.get(key)
+_GARNER_CACHE: dict[tuple[int, ...], _GarnerConsts] = {}
+
+
+def _garner_consts(primes: tuple[int, ...]) -> _GarnerConsts:
+    got = _GARNER_CACHE.get(primes)
     if got is None:
-        got = []
-        for p in params.primes:
-            qstar = params.q // p
-            got.append((p, pow(qstar, -1, p), qstar))
-        _CRT_CACHE[key] = got
+        inv, radix, prefix = [], [], 1
+        for p in primes:
+            inv.append(pow(prefix, -1, p))
+            radix.append(prefix % (1 << 64))
+            prefix *= p
+        half, rest = [], prefix // 2
+        for p in primes:
+            rest, digit = divmod(rest, p)
+            half.append(digit)
+        got = _GarnerConsts(tuple(inv), tuple(half),
+                            np.array(radix, dtype=np.uint64),
+                            np.uint64(prefix % (1 << 64)))
+        _GARNER_CACHE[primes] = got
     return got
+
+
+class Lifted(Sequence):
+    """Centered representatives of a coefficient-domain element.
+
+    Kept as the Garner mixed-radix digits of [x]_q in [0, q), so that
+    [x]_q = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), plus a mask of the
+    coefficients above floor(q/2), whose centered value is [x]_q - q. Each
+    digit is below its prime, so every step is int64 arithmetic, and the
+    digits compare lexicographically (most significant first) as the
+    integers do. Python integers are built only on request.
+    """
+
+    def __init__(self, params: RingParams, residues: np.ndarray):
+        self.params = params
+        self.residues = residues
+        primes = params.primes
+        consts = _garner_consts(primes)
+        digits = np.empty_like(residues)
+        for i, p in enumerate(primes):
+            acc = np.zeros(params.n, dtype=np.int64)  # digits so far, mod p
+            for j in range(i - 1, -1, -1):
+                acc = (acc * primes[j] + digits[j]) % p
+            digits[i] = (residues[i] - acc) * consts.inv[i] % p
+        above = np.zeros(params.n, dtype=bool)
+        tied = np.ones(params.n, dtype=bool)
+        for i in range(len(primes) - 1, -1, -1):
+            above |= tied & (digits[i] > consts.half[i])
+            tied &= digits[i] == consts.half[i]
+        self.digits = digits
+        self.neg = above
+
+    def __len__(self) -> int:
+        return self.params.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.tolist()[i]
+        v = 0
+        for d, p in zip(self.digits[::-1, i].tolist(), self.params.primes[::-1]):
+            v = v * p + d
+        return v - self.params.q if self.neg[i] else v
+
+    def __eq__(self, other):
+        if isinstance(other, Lifted):
+            return (self.params == other.params
+                    and np.array_equal(self.residues, other.residues))
+        if isinstance(other, Sequence):
+            return self.tolist() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def ints(self) -> np.ndarray:
+        """The centered integers: int64 when q < 2^62, else Python ints.
+
+        Digits are paired (a pair is below 2^60, so it stays int64) and only
+        the Horner steps across pairs run on Python integers. Subtracting q
+        from [x]_q is subtracting the radix of the top pair from its value.
+        """
+        primes, digits = self.params.primes, self.digits
+        groups, radices = [], []
+        for i in range(0, len(primes), 2):
+            pair = primes[i : i + 2]
+            g = digits[i] if len(pair) == 1 else digits[i] + pair[0] * digits[i + 1]
+            groups.append(g)
+            radices.append(pair[0] * pair[-1] if len(pair) == 2 else pair[0])
+        acc = groups[-1] - radices[-1] * self.neg
+        if self.params.q >= 1 << 62:
+            acc = acc.astype(object)
+        for g, radix in zip(groups[-2::-1], radices[-2::-1]):
+            acc = acc * radix + g
+        return acc
+
+    def tolist(self) -> list[int]:
+        return self.ints().tolist()
+
+    def wrapped64(self) -> np.ndarray:
+        """The centered integers mod 2^64, as uint64 (wrapping arithmetic)."""
+        consts = _garner_consts(self.params.primes)
+        acc = np.zeros(self.params.n, dtype=np.uint64)
+        for d, radix in zip(self.digits, consts.radix64):
+            acc += d.astype(np.uint64) * radix
+        return np.where(self.neg, acc - consts.q64, acc)
 
 
 def inf_norm(coeffs) -> int:
@@ -252,20 +348,73 @@ def ring_mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:
 # samplers
 
 
-def sample_uniform(params: RingParams, rng: Xof) -> RingElement:
-    """Each coefficient uniform mod q: big-integer draw, then RNS decomposition."""
-    q = params.q
-    bits = (q - 1).bit_length()
+_CHUNK = 30  # bits per piece of a wide draw; a piece times a residue fits int64
+
+
+def _uniform_draws(rng: Xof, count: int, top: int) -> list[np.ndarray]:
+    """`count` integers uniform on [0, top], as 30-bit int64 pieces
+    (least significant first).
+
+    A draw reads ceil(bits/8) bytes (bits = bit length of top), masks them
+    to `bits` and is rejected above `top`, compared word by word up from
+    the least significant 64-bit word. Each refill reads one draw per value
+    still missing, so no draw is read past the last accepted one and the
+    stream ends where a one-draw-at-a-time loop ends.
+    """
+    bits = top.bit_length()
     nbytes = (bits + 7) // 8
+    nwords = (nbytes + 7) // 8
     mask = (1 << bits) - 1
-    coeffs = []
-    for _ in range(params.n):
-        while True:
-            v = int.from_bytes(rng.read(nbytes), "little") & mask
-            if v < q:
-                break
-        coeffs.append(v)
-    return from_coeffs(params, coeffs)
+    mask_w = [np.uint64((mask >> (64 * k)) & (2**64 - 1)) for k in range(nwords)]
+    top_w = [np.uint64((top >> (64 * k)) & (2**64 - 1)) for k in range(nwords)]
+    out = np.empty((nwords, count), dtype=np.uint64)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        # word k of every draw, read in place; the pad covers the last draw
+        buf = rng.read(nbytes * need) + bytes(8 * nwords)
+        words = [np.ndarray((need,), "<u8", buf, 8 * k, (nbytes,)) & mask_w[k]
+                 for k in range(nwords)]
+        keep = words[0] <= top_w[0]
+        for k in range(1, nwords):
+            keep = (words[k] < top_w[k]) | ((words[k] == top_w[k]) & keep)
+        for k in range(nwords):
+            kept = words[k][keep]
+            out[k, filled : filled + kept.size] = kept
+        filled += kept.size
+    pieces = []
+    for lo in range(0, max(bits, 1), _CHUNK):
+        k, shift = divmod(lo, 64)
+        piece = out[k] >> np.uint64(shift)
+        if shift > 64 - _CHUNK and k + 1 < nwords:
+            piece |= out[k + 1] << np.uint64(64 - shift)
+        pieces.append((piece & np.uint64((1 << _CHUNK) - 1)).astype(np.int64))
+    return pieces
+
+
+def _pieces_mod(pieces: list[np.ndarray], params: RingParams,
+                offset: int = 0) -> np.ndarray:
+    """Residues of sum(piece_k * 2^(30k)) - offset, shape (limbs, count).
+
+    The two lowest pieces form one value below 2^60; every further term
+    piece_k * (2^(30k) mod p) is below 2^60 too, so six terms add up in
+    int64 before a reduction is due."""
+    low = pieces[0] if len(pieces) == 1 else pieces[0] + (pieces[1] << _CHUNK)
+    res = np.empty((len(params.primes), low.size), dtype=np.int64)
+    for j, p in enumerate(params.primes):
+        acc = low - offset % p
+        for k in range(2, len(pieces)):
+            acc = acc + pieces[k] * pow(2, _CHUNK * k, p)
+            if k % 6 == 0:
+                acc %= p
+        res[j] = acc % p
+    return res
+
+
+def sample_uniform(params: RingParams, rng: Xof) -> RingElement:
+    """Each coefficient uniform mod q, drawn by rejection on (log2 q)-bit draws."""
+    pieces = _uniform_draws(rng, params.n, params.q - 1)
+    return RingElement(params, _pieces_mod(pieces, params), COEFF)
 
 
 def sample_ternary(params: RingParams, rng: Xof) -> RingElement:
@@ -307,23 +456,12 @@ def sample_gaussian(params: RingParams, spec: NoiseSpec, rng: Xof) -> RingElemen
     return from_coeffs(params, vals)
 
 
-def sample_smudging(params: RingParams, b_smg, rng: Xof) -> list[int]:
+def sample_smudging(params: RingParams, b_smg, rng: Xof) -> RingElement:
     """Coefficients uniform on the integer interval [-b_smg, b_smg]."""
     b = int(b_smg)
     if b < 0:
         raise ValueError("smudging bound must be >= 0")
-    n = params.n
     if b == 0:
-        return [0] * n
-    width = 2 * b + 1
-    bits = (width - 1).bit_length()
-    nbytes = (bits + 7) // 8
-    mask = (1 << bits) - 1
-    out: list[int] = []
-    while len(out) < n:
-        block = rng.read(nbytes * (n - len(out)))
-        for i in range(0, len(block), nbytes):
-            v = int.from_bytes(block[i : i + nbytes], "little") & mask
-            if v < width:
-                out.append(v - b)
-    return out
+        return zero(params)
+    pieces = _uniform_draws(rng, params.n, 2 * b)
+    return RingElement(params, _pieces_mod(pieces, params, offset=b), COEFF)

@@ -3,14 +3,19 @@
 Only additions are supported homomorphically; both schemes share key
 generation and encryption shape, sampling encryption randomness u from the
 ternary distribution. No slot packing: plaintext coefficients carry values
-directly. Decryption tails work on exact rationals after full CRT
-reconstruction; nothing in the decrypt path touches floats.
+directly. Decryption tails work on exact integers from the Garner digits of
+the CRT lift; nothing in the decrypt path touches floats. The encoders turn
+float arrays into integers (or RNS residues) with exact vector steps; other
+rational inputs take the scalar exact path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import ring as rg
 from .errors import (
@@ -20,7 +25,17 @@ from .errors import (
     PlaintextRangeError,
     SecretAccessError,
 )
-from .exact import ceil_log2, frac, frac_log2, round_half_up, scaled_round
+from .exact import (
+    Ratios,
+    ceil_log2,
+    frac,
+    frac_log2,
+    int_array,
+    round_half_up,
+    scaled_round,
+    scaled_round_array,
+    scaled_round_residues,
+)
 from .ntt import select_primes
 from .rng import Xof
 
@@ -54,22 +69,32 @@ class PublicKey:
 
 @dataclass
 class Plaintext:
-    """BFV: centered integers mod t. CKKS: rationals plus the scale used."""
+    """Integer plaintext coefficients.
+
+    BFV: centered integers mod t. CKKS: round(scale * value), so the values
+    are coeffs / scale. `coeffs` is an int64 array or a list of Python ints.
+    A CKKS encoding of floats is built straight as its RNS `element`; its
+    integers are lifted from that on request.
+    """
 
     scheme: str
-    values: list
-    scale: int | None = None
+    coeffs: np.ndarray | list | None = None
+    scale: int = 1
     error_bound: Fraction | None = None
-    _encoded: list | None = field(default=None, repr=False)
+    element: rg.RingElement | None = field(default=None, repr=False)
 
-    def encoded_ints(self) -> list[int]:
-        """Ring-level integer coefficients round(scale * value) for CKKS."""
-        if self.scheme != CKKS:
-            raise PlaintextRangeError("encoded_ints is a CKKS facility")
-        if self._encoded is None:
-            d = self.scale
-            self._encoded = [round_half_up(Fraction(v) * d) for v in self.values]
-        return self._encoded
+    def ints(self) -> np.ndarray | list:
+        """The integer coefficients, lifted from `element` on first use."""
+        if self.coeffs is None:
+            self.coeffs = rg.crt_lift(self.element).ints()
+        return self.coeffs
+
+    @property
+    def values(self) -> list | Ratios:
+        """BFV: the integers as a list. CKKS: the rationals coeffs / scale."""
+        if self.scheme == BFV:
+            return [int(v) for v in self.ints()]
+        return Ratios(self.ints(), self.scale)
 
 
 @dataclass
@@ -185,7 +210,32 @@ def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
         vals.append(v)
     if len(vals) != params.ring.n:
         raise PlaintextRangeError(f"need exactly n={params.ring.n} values")
-    return Plaintext(scheme=BFV, values=vals)
+    return Plaintext(scheme=BFV, coeffs=vals)
+
+
+def _float_input(values) -> np.ndarray | None:
+    """The values as a float64 array when they are all floats, else None.
+
+    Rejects NaN and infinities, which have no integer encoding."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        arr = values.astype(np.float64, copy=False)
+        ok = np.isfinite(arr).all()
+    else:
+        arr = None
+        if all(isinstance(x, float) for x in values):
+            arr = np.array(values, dtype=np.float64)
+        ok = all(math.isfinite(x) for x in values if isinstance(x, float))
+    if not ok:
+        raise PlaintextRangeError("cannot encode NaN or an infinite value")
+    return arr
+
+
+def _largest(floats: np.ndarray | None, values) -> Fraction:
+    """max |value|, exact; float comparisons are exact, so only it goes
+    rational."""
+    if floats is not None:
+        return Fraction(float(np.abs(floats).max(initial=0.0)))
+    return max((abs(frac(x)) for x in values), default=Fraction(0))
 
 
 def encode_fixed(values, scale_bits: int, params: SchemeParams) -> Plaintext:
@@ -200,56 +250,68 @@ def encode_fixed(values, scale_bits: int, params: SchemeParams) -> Plaintext:
     if len(values) != n:
         raise PlaintextRangeError(f"need exactly n={n} values")
     two_p = 1 << scale_bits
-    # the wraparound precondition only involves the largest magnitude;
-    # float comparisons are exact, so only that one value goes rational
-    if all(isinstance(x, float) for x in values):
-        biggest = Fraction(max(abs(x) for x in values))
-    else:
-        biggest = max((abs(frac(x)) for x in values), default=Fraction(0))
+    floats = _float_input(values)
+    biggest = _largest(floats, values)
     if width * two_p * biggest >= Fraction(t, 2):
         raise EncodingOverflowError(
             f"{width} * 2^{scale_bits} * |{float(biggest):.4g}| >= t/2; "
             "lower scale_bits or raise t")
+    if floats is not None and t <= 1 << 63:  # so |value| < t/2 fits int64
+        return Plaintext(scheme=BFV,
+                         coeffs=scaled_round_array(floats, scale_bits))
     out = []
     for x in values:
         if isinstance(x, float):
             out.append(scaled_round(x, scale_bits))
         else:
             out.append(round_half_up(frac(x) * two_p))
-    return Plaintext(scheme=BFV, values=out)
+    return Plaintext(scheme=BFV, coeffs=out)
 
 
-def decode_fixed(pt: Plaintext, scale_bits: int, parties: int) -> list[Fraction]:
+def decode_fixed(pt: Plaintext, scale_bits: int, parties: int) -> Ratios:
     """Undo the fixed-point grid and the aggregation width (sum -> average)."""
-    den = (1 << scale_bits) * parties
-    return [Fraction(v, den) for v in pt.values]
+    return Ratios(pt.ints(), (1 << scale_bits) * parties)
 
 
 def encode_real(values, params: SchemeParams) -> Plaintext:
-    """CKKS coefficient-wise encoding: integer coefficients round(delta * v)."""
+    """CKKS coefficient-wise encoding: integer coefficients round(delta * v).
+
+    Rejects kappa * max|v| > 1: setup's headroom check sizes q for an
+    aggregate of kappa messages of at most 1/kappa each, and larger inputs
+    would wrap mod q silently.
+    """
     if params.scheme != CKKS:
         raise PlaintextRangeError("real encoding targets CKKS")
     n, d = params.ring.n, params.delta
     if len(values) != n:
         raise PlaintextRangeError(f"need exactly n={n} values")
+    floats = _float_input(values)
+    biggest = _largest(floats, values)
+    if params.kappa * biggest > 1:
+        raise EncodingOverflowError(
+            f"{params.kappa} * |{float(biggest):.4g}| > 1: the aggregate "
+            "would leave the message space setup sized q for")
     shift = d.bit_length() - 1  # delta is a power of two
-    vals, enc = [], []
+    if floats is not None:
+        res = scaled_round_residues(floats, shift, params.ring.primes)
+        return Plaintext(scheme=CKKS, scale=d,
+                         element=rg.RingElement(params.ring, res, rg.COEFF))
+    enc = []
     for x in values:
         if isinstance(x, float):
-            vals.append(Fraction(x))
             enc.append(scaled_round(x, shift))
         else:
-            fx = frac(x)
-            vals.append(fx)
-            enc.append(round_half_up(fx * d))
-    return Plaintext(scheme=CKKS, values=vals, scale=d, _encoded=enc)
+            enc.append(round_half_up(frac(x) * d))
+    return Plaintext(scheme=CKKS, coeffs=enc, scale=d)
 
 
 def _message_element(params: SchemeParams, pt: Plaintext) -> rg.RingElement:
     """Delta*m as a ring element, without materializing big integers for BFV."""
+    if pt.element is not None:
+        return pt.element
     if params.scheme == BFV:
-        return rg.mul_scalar(rg.from_coeffs(params.ring, pt.values), params.delta)
-    return rg.from_coeffs(params.ring, pt.encoded_ints())
+        return rg.mul_scalar(rg.from_coeffs(params.ring, pt.coeffs), params.delta)
+    return rg.from_coeffs(params.ring, pt.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +353,43 @@ def add(ct: Ciphertext, other: Ciphertext) -> Ciphertext:
 
 
 def decryption_phase(params: SchemeParams, sk: SecretKey,
-                     ct: Ciphertext) -> list[int]:
+                     ct: Ciphertext) -> rg.Lifted:
     """Centered lift of [c0 + c1*s]_q, the shared first decryption stage."""
     return rg.crt_lift(rg.ring_add(ct.c0, rg.ring_mul(ct.c1, sk.s)))
 
 
-def bfv_round(params: SchemeParams, lifted: list[int]) -> Plaintext:
-    """[round_half_up(t*x/q)]_t, exact rational scaling, centered output."""
+def bfv_round(params: SchemeParams, lifted) -> Plaintext:
+    """[round_half_up(t*x/q)]_t, exact, centered output.
+
+    For power-of-two t <= 2^62, write t*x = q*k + r with r the centered
+    [t*x]_q. Since q is odd, |r| < q/2, so k = round(t*x/q) and
+    k = -r * q^-1 mod t. Only r mod t is needed: the Garner digits of [t*x]_q
+    give it mod 2^64 without big integers. Other t (or lifted values given
+    as plain integers) take the rational form below, the reference.
+    """
     t, q = params.t, params.ring.q
+    if isinstance(lifted, rg.Lifted) and t & (t - 1) == 0 and t <= 1 << 62:
+        ring = params.ring
+        tx = rg.Lifted(ring, rg.mul_scalar(
+            rg.RingElement(ring, lifted.residues), t).residues)
+        k = (np.uint64(0) - tx.wrapped64()) * np.uint64(pow(q, -1, t))
+        m = (k & np.uint64(t - 1)).astype(np.int64)
+        return Plaintext(scheme=BFV, coeffs=np.where(m > t // 2, m - t, m))
     out = []
     for x in lifted:
         m = ((2 * t * x + q) // (2 * q)) % t
         if m > t // 2:
             m -= t
         out.append(m)
-    return Plaintext(scheme=BFV, values=out)
+    return Plaintext(scheme=BFV, coeffs=out)
 
 
-def ckks_scale_down(params: SchemeParams, lifted: list[int],
+def ckks_scale_down(params: SchemeParams, lifted,
                     noise_bound: Fraction | None = None) -> Plaintext:
-    values = [Fraction(x, params.delta) for x in lifted]
-    return Plaintext(scheme=CKKS, values=values, scale=params.delta,
-                     error_bound=noise_bound, _encoded=list(lifted))
+    """The lifted integers over delta; the values are their quotients."""
+    coeffs = lifted.ints() if isinstance(lifted, rg.Lifted) else int_array(lifted)
+    return Plaintext(scheme=CKKS, coeffs=coeffs, scale=params.delta,
+                     error_bound=noise_bound)
 
 
 def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
@@ -341,9 +418,9 @@ def noise_of(params: SchemeParams, sk: SecretKey, ct: Ciphertext,
         raise SecretAccessError("noise_of reads the secret key; pass debug=True")
     lifted = decryption_phase(params, sk, ct)
     if params.scheme == BFV:
-        target = [params.delta * v for v in reference_pt.values]
+        target = [params.delta * int(v) for v in reference_pt.ints()]
     else:
-        target = reference_pt.encoded_ints()
+        target = [int(v) for v in reference_pt.ints()]
     q, half = params.ring.q, params.ring.half_q
     worst = 0
     for x, m in zip(lifted, target):

@@ -135,8 +135,9 @@ def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
     """
     _check_smudge_fits(params, smudge)
     if e_smg is None:
-        e_smg = rg.sample_smudging(params.ring, smudge.b_smg, rng)
-    noise = rg.from_coeffs(params.ring, e_smg)
+        noise = rg.sample_smudging(params.ring, smudge.b_smg, rng)
+    else:
+        noise = rg.from_coeffs(params.ring, e_smg)
     h = rg.ring_add(rg.ring_mul(share.s, ct.c1), noise)
     return PartialDecryption(index=share.index, h=h)
 
@@ -159,7 +160,7 @@ def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
 
 def combine_decrypt(params: SchemeParams, ct: Ciphertext,
                     partials: list[PartialDecryption],
-                    parties: int) -> list[int]:
+                    parties: int) -> rg.Lifted:
     """d = [c0 + sum h_i]_q as centered coefficients."""
     _check_indices(partials, parties, "partial decryption")
     acc = ct.c0
@@ -168,13 +169,13 @@ def combine_decrypt(params: SchemeParams, ct: Ciphertext,
     return rg.crt_lift(acc)
 
 
-def finalize_bfv(params: SchemeParams, d: list[int]) -> Plaintext:
+def finalize_bfv(params: SchemeParams, d) -> Plaintext:
     if params.scheme != BFV:
         raise ShareSetError("finalize_bfv needs BFV parameters")
     return bfv_round(params, d)
 
 
-def finalize_ckks(params: SchemeParams, d: list[int],
+def finalize_ckks(params: SchemeParams, d,
                   noise_bound=None) -> Plaintext:
     if params.scheme != CKKS:
         raise ShareSetError("finalize_ckks needs CKKS parameters")

@@ -319,7 +319,7 @@ def test_noise_subadditivity():
     # mod-t reduction, so no range check applies here
     from thagg.schemes import Plaintext
 
-    sum_pt = Plaintext(scheme=BFV, values=[a + b for a, b in
+    sum_pt = Plaintext(scheme=BFV, coeffs=[a + b for a, b in
                                            zip(pts[0].values, pts[1].values)])
     lhs = noise_of(params, sk, summed, sum_pt, debug=True)
     rhs = sum(noise_of(params, sk, ct, pt, debug=True)
