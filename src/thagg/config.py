@@ -16,7 +16,7 @@ from .planner import MBFV, MCKKS, PlanInputs
 
 _PROTOCOL_KEYS = {
     "scheme", "model_size", "root_seed", "fixed_point_bits", "rounds",
-    "enforce_security", "parallel_clients",
+    "enforce_security",
 }
 _PLAN_KEYS = {
     "n", "parties", "sigma", "noise_bound", "lambda", "t_bits",
@@ -33,7 +33,6 @@ class ProtocolConfig:
     fixed_point_bits: int = 8
     rounds: int = 1
     enforce_security: bool = True
-    parallel_clients: bool = False
     security_table: dict | None = field(default=None, hash=False)
 
     @property
@@ -136,7 +135,6 @@ def parse_config(text: str) -> ProtocolConfig:
         fixed_point_bits=_get_int(proto, "fixed_point_bits", 8),
         rounds=_get_int(proto, "rounds", 1),
         enforce_security=_get_bool(proto, "enforce_security", True),
-        parallel_clients=_get_bool(proto, "parallel_clients", False),
         security_table=security_table,
     )
     _validate(cfg)

@@ -158,6 +158,20 @@ def _times(a: np.ndarray, k: int) -> np.ndarray:
     return a.astype(object) * k
 
 
+def _gcd_pow2(num: np.ndarray, den: int) -> np.ndarray:
+    """gcd(num, den) for Python-int numerators and den a power of two.
+
+    It is the lowest set bit of num (sign aside), capped at den. Unless
+    num = 0 mod 2^64 that bit lies in the low 64-bit word, where uint64
+    arithmetic isolates it; the rest take np.gcd.
+    """
+    low = (num & (2**64 - 1)).astype(np.uint64)
+    g = (low & (~low + np.uint64(1))).astype(object)
+    wide = low == 0
+    g[wide] = np.gcd(num[wide], den)
+    return np.minimum(g, den)
+
+
 class Ratios(Sequence):
     """Rationals numerators[i] / denominator over one positive denominator.
 
@@ -213,7 +227,10 @@ class Ratios(Sequence):
         num, den = self.numerators, self.denominator
         if num.dtype != object and den > INT64_MAX:
             num = num.astype(object)
-        g = np.gcd(num, den)
+        if num.dtype == object and den & (den - 1) == 0:
+            g = _gcd_pow2(num, den)
+        else:
+            g = np.gcd(num, den)
         return [f"{a}/{b}" for a, b in zip((num // g).tolist(),
                                            (den // g).tolist())]
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -100,17 +99,24 @@ class ClientState:
 
 
 class Aggregator:
-    """Holds only the collective public key and received ciphertexts."""
+    """Holds only public parameters and the running chunk-wise sum.
+
+    Each submission is added in as it arrives, so at most one client's
+    ciphertexts are held besides the sum.
+    """
 
     def __init__(self, params: SchemeParams):
         self.params = params
-        self.received: dict[int, list[Ciphertext]] = {}
+        self.total: list[Ciphertext] | None = None
 
     def receive(self, sender: int, cts: list[Ciphertext]) -> None:
-        self.received[sender] = cts
+        self.total = (cts if self.total is None
+                      else aggregator_eval_step([self.total, cts]))
 
     def evaluate(self) -> list[Ciphertext]:
-        return aggregator_eval_step(list(self.received.values()))
+        if self.total is None:
+            raise LengthMismatchError("no client submissions")
+        return self.total
 
 
 @dataclass
@@ -280,6 +286,8 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
     smudge = smudge_bound(cfg.plan_inputs.lam, report.bounds.b_ct)
     parts: list[Ratios] = []
     for c, ct in enumerate(agg_cts):
+        # every party multiplies by the same c1: transform it once
+        ct = replace(ct, c1=rg.to_ntt(ct.c1))
         partials = []
         for client in clients:
             rng = root.child(
@@ -344,31 +352,17 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         for client in art.clients:
             client.update = synthesize_update(cfg, root, client.index, r)
 
-        t1 = time.perf_counter()
-        if cfg.parallel_clients:
-            with ThreadPoolExecutor(max_workers=min(8, cfg.parties)) as pool:
-                futures = [
-                    pool.submit(client_input_step, cfg, art.params, client,
-                                art.cpk_ntt, root, r, bus)
-                    for client in art.clients
-                ]
-                submissions = [f.result() for f in futures]
-        else:
-            submissions = [
-                client_input_step(cfg, art.params, client, art.cpk_ntt,
-                                  root, r, bus)
-                for client in art.clients
-            ]
-        t_enc += time.perf_counter() - t1
-
         agg = Aggregator(art.params)
-        for client, cts in zip(art.clients, submissions):
+        for client in art.clients:
+            t1 = time.perf_counter()
+            cts = client_input_step(cfg, art.params, client, art.cpk_ntt,
+                                    root, r, bus)
+            t2 = time.perf_counter()
             agg.receive(client.index, cts)
-        del submissions
-        t2 = time.perf_counter()
+            t_agg += time.perf_counter() - t2
+            t_enc += t2 - t1
+            del cts  # folded into the sum; free it before the next client
         summed = agg.evaluate()
-        t_agg += time.perf_counter() - t2
-        agg.received.clear()
 
         t3 = time.perf_counter()
         aggregate = output_step(cfg, art.params, art.clients, summed,

@@ -2,7 +2,9 @@
 
 Transforms are batched over RNS limbs: a residue matrix of shape
 (limbs, n) is transformed in place of n separate calls. Primes are kept
-below 2**30 so that butterfly products of two residues fit in int64.
+below 2**30: the butterflies reduce lazily, keeping values below
+4p < 2**32 between stages, and every product they form stays below 2**64
+in uint64. Inputs and outputs are canonical int64 residues in [0, p).
 """
 
 from __future__ import annotations
@@ -161,64 +163,173 @@ def limb_tables(n: int, p: int) -> LimbTables:
     return LimbTables(fwd, bwd, pow(n, -1, p))
 
 
+# Shortest twiddle tile: a stage with m < _TILE butterfly groups repeats its
+# m twiddles to _TILE entries, so its ufuncs broadcast over long rows. Of
+# 64 ... 1024, 256 was fastest at both 5 x 16384 and 2 x 2048.
+_TILE = 256
+
+
+def _tiles(n: int) -> tuple[slice, ...]:
+    """Where each stage's twiddle tile sits in a kernel table, stage m = 1
+    first; the tile of stage m has max(m, _TILE) entries (at most n/2)."""
+    out, start, m = [], 0, 1
+    while m < n:
+        width = max(m, min(_TILE, n // 2))
+        out.append(slice(start, start + width))
+        start += width
+        m *= 2
+    return tuple(out)
+
+
+def _kernel_layout(table: np.ndarray, n: int) -> np.ndarray:
+    """Stage twiddles table[:, m:2m], each repeated to its tile, end to end."""
+    tiles = []
+    for i, tile in enumerate(_tiles(n)):
+        m = 1 << i
+        tiles.append(np.tile(table[:, m : 2 * m], (tile.stop - tile.start) // m))
+    return np.concatenate(tiles, axis=1).astype(np.uint64)
+
+
 @dataclass(frozen=True)
 class TransformPlan:
-    """Per-parameter-set transform context, batched over limbs."""
+    """Per-parameter-set transform context, batched over limbs.
+
+    The kernel tables are uint64, laid out by `_kernel_layout`: for each
+    stage, the twiddles psi^bitrev(m + j) of its m groups, as a tile. Each
+    twiddle w comes with its Shoup companion w' = floor(w * 2^32 / p).
+    """
 
     n: int
     primes: tuple[int, ...]
-    p_col: np.ndarray        # shape (limbs, 1)
-    psi: np.ndarray          # shape (limbs, n)
-    psi_inv: np.ndarray      # shape (limbs, n)
-    n_inv_col: np.ndarray    # shape (limbs, 1)
+    p_col: np.ndarray        # int64, shape (limbs, 1)
+    p: np.ndarray            # uint64, shape (limbs, 1)
+    tiles: tuple[slice, ...]
+    w: np.ndarray            # uint64, shape (limbs, sum of tile widths)
+    w_shoup: np.ndarray
+    w_inv: np.ndarray        # the same for psi^-1
+    w_inv_shoup: np.ndarray
+    n_inv: np.ndarray        # uint64, shape (limbs, 1)
+    n_inv_shoup: np.ndarray
+
+
+def _shoup(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return (w << np.uint64(32)) // p
 
 
 @lru_cache(maxsize=None)
 def transform_plan(n: int, primes: tuple[int, ...]) -> TransformPlan:
     tabs = [limb_tables(n, p) for p in primes]
+    p = np.array(primes, dtype=np.uint64)[:, None]
+    w = _kernel_layout(np.stack([t.psi_brv for t in tabs]), n)
+    w_inv = _kernel_layout(np.stack([t.psi_inv_brv for t in tabs]), n)
+    n_inv = np.array([t.n_inv for t in tabs], dtype=np.uint64)[:, None]
     return TransformPlan(
-        n=n,
-        primes=primes,
-        p_col=np.array(primes, dtype=np.int64)[:, None],
-        psi=np.stack([t.psi_brv for t in tabs]),
-        psi_inv=np.stack([t.psi_inv_brv for t in tabs]),
-        n_inv_col=np.array([t.n_inv for t in tabs], dtype=np.int64)[:, None],
-    )
+        n=n, primes=primes, p_col=p.astype(np.int64), p=p, tiles=_tiles(n),
+        w=w, w_shoup=_shoup(w, p), w_inv=w_inv, w_inv_shoup=_shoup(w_inv, p),
+        n_inv=n_inv, n_inv_shoup=_shoup(n_inv, p))
+
+
+# The kernel: Harvey's lazy butterflies on uint64, with no division and no
+# float. With p < 2^30 every value stays below 4p < 2^32 between stages, a
+# Shoup product w*y - floor(w'*y / 2^32)*p of y < 2^32 lies in [0, 2p), and
+# every intermediate product is below 2^64.
+#
+# Data flow (Pease's constant geometry): before stage s (m = 2^s groups)
+# the residue of natural index i sits at position rotl(i, s) of log2(n)
+# bits. Each butterfly's inputs are then the two contiguous halves x = a[i],
+# y = a[i + n/2], its group is i mod m, and its outputs go to b[2i] and
+# b[2i + 1], which is position rotl(i, s + 1). After log2(n) stages the
+# order is natural again.
+
+
+def _mul_shoup(y, w, ws, p, out, tmp):
+    """out = w*y - floor(ws*y / 2^32)*p, in [0, 2p) for y < 2^32.
+
+    out may be y itself; tmp must be a separate buffer.
+    """
+    np.multiply(y, ws, out=tmp)
+    tmp >>= np.uint64(32)
+    tmp *= p
+    np.multiply(y, w, out=out)
+    out -= tmp
+
+
+def _by_tile(half: np.ndarray, tile: slice) -> np.ndarray:
+    """A (limbs, n/2) half as rows of one tile's width."""
+    k, h = half.shape
+    return half.reshape(k, h // (tile.stop - tile.start), -1)
 
 
 def forward(res: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    """Forward negacyclic NTT of all limbs; output in bit-reversed order."""
+    """Forward negacyclic NTT of all limbs; output in bit-reversed order.
+
+    Cooley-Tukey butterflies x, y -> x + wy, x - wy with inputs in [0, 4p):
+    x drops to [0, 2p) by one conditional subtraction of 2p, wy is a Shoup
+    product in [0, 2p), and x - wy is formed as x + 2p - wy. The result is
+    reduced to canonical residues in [0, p). The input is not modified.
+    """
     k, n = res.shape
-    a = res.copy()
-    p3 = plan.p_col[:, :, None]
-    t, m = n, 1
-    while m < n:
-        t //= 2
-        view = a.reshape(k, m, 2 * t)
-        u = view[:, :, :t].copy()
-        v = (view[:, :, t:] * plan.psi[:, m : 2 * m, None]) % p3
-        view[:, :, :t] = (u + v) % p3
-        view[:, :, t:] = (u - v) % p3
-        m *= 2
-    return a
+    h = n // 2
+    a = res.astype(np.uint64, order="C")
+    b = np.empty_like(a)
+    wy = np.empty((k, h), dtype=np.uint64)
+    tmp = np.empty_like(wy)
+    p = plan.p
+    two_p = p + p
+    p_rows = p[:, :, None]
+    for tile in plan.tiles:
+        x, y = a[:, :h], a[:, h:]
+        _mul_shoup(_by_tile(y, tile), plan.w[:, None, tile],
+                   plan.w_shoup[:, None, tile], p_rows,
+                   _by_tile(wy, tile), _by_tile(tmp, tile))
+        np.subtract(x, two_p, out=tmp)
+        np.minimum(x, tmp, out=x)
+        pairs = b.reshape(k, h, 2)
+        np.add(x, wy, out=pairs[:, :, 0])
+        x += two_p
+        np.subtract(x, wy, out=pairs[:, :, 1])
+        a, b = b, a
+    np.subtract(a, two_p, out=b)
+    np.minimum(a, b, out=a)
+    np.subtract(a, p, out=b)
+    np.minimum(a, b, out=a)
+    return a.view(np.int64)
 
 
 def inverse(res: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    """Inverse of `forward`; input bit-reversed, output natural order."""
+    """Inverse of `forward`; input bit-reversed, output natural order.
+
+    Gentleman-Sande butterflies x, y -> x + y, w(x - y), the stages of
+    `forward` undone in reverse order, keep values in [0, 2p): x + y by one
+    conditional subtraction of 2p, w(x + 2p - y) as a Shoup product. The
+    input is not modified.
+    """
     k, n = res.shape
-    a = res.copy()
-    p3 = plan.p_col[:, :, None]
-    t, m = 1, n
-    while m > 1:
-        h = m // 2
-        view = a.reshape(k, h, 2 * t)
-        u = view[:, :, :t].copy()
-        v = view[:, :, t:].copy()
-        view[:, :, :t] = (u + v) % p3
-        view[:, :, t:] = ((u - v) * plan.psi_inv[:, h : 2 * h, None]) % p3
-        t *= 2
-        m = h
-    return (a * plan.n_inv_col) % plan.p_col
+    h = n // 2
+    a = res.astype(np.uint64, order="C")
+    b = np.empty_like(a)
+    tmp = np.empty((k, h), dtype=np.uint64)
+    p = plan.p
+    two_p = p + p
+    p_rows = p[:, :, None]
+    for tile in reversed(plan.tiles):
+        pairs = a.reshape(k, h, 2)
+        x, y = pairs[:, :, 0], pairs[:, :, 1]
+        s, d = b[:, :h], b[:, h:]
+        np.add(x, y, out=s)
+        np.subtract(x, y, out=d)
+        d += two_p
+        np.subtract(s, two_p, out=tmp)
+        np.minimum(s, tmp, out=s)
+        d_rows = _by_tile(d, tile)
+        _mul_shoup(d_rows, plan.w_inv[:, None, tile],
+                   plan.w_inv_shoup[:, None, tile], p_rows,
+                   d_rows, _by_tile(tmp, tile))
+        a, b = b, a
+    _mul_shoup(a, plan.n_inv, plan.n_inv_shoup, p, a, b)
+    np.subtract(a, p, out=b)
+    np.minimum(a, b, out=a)
+    return a.view(np.int64)
 
 
 def pointwise(a: np.ndarray, b: np.ndarray, plan: TransformPlan) -> np.ndarray:

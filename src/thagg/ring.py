@@ -109,6 +109,8 @@ def from_coeffs(params: RingParams, coeffs) -> RingElement:
     n = params.n
     if len(coeffs) != n:
         raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
+    if getattr(coeffs, "dtype", None) == np.uint64 and coeffs.max() >> 63:
+        coeffs = coeffs.tolist()  # int64 would wrap these; take the exact path
     try:
         arr = np.asarray(coeffs, dtype=np.int64)
     except OverflowError:

@@ -1,8 +1,8 @@
 """Vectorized per-round paths against the scalar code they replaced.
 
-Each reference below is the per-coefficient Python implementation the fast
-path must reproduce exactly: same integers, and for samplers the same bytes
-read from the stream.
+Each reference below is the per-coefficient Python implementation (or, for
+the NTT, the `%` kernel) the fast path must reproduce exactly: same
+integers, and for samplers the same bytes read from the stream.
 """
 
 import math
@@ -122,6 +122,49 @@ def ref_limb_tables(n, p):
         ipw[i] = ipw[i - 1] * inv % p
     brv = ref_bitrev(n)
     return [pw[brv[i]] for i in range(n)], [ipw[brv[i]] for i in range(n)]
+
+
+def _ref_tables(plan):
+    tabs = [ntt.limb_tables(plan.n, p) for p in plan.primes]
+    return (np.stack([t.psi_brv for t in tabs]),
+            np.stack([t.psi_inv_brv for t in tabs]),
+            np.array([t.n_inv for t in tabs], dtype=np.int64)[:, None])
+
+
+def ref_forward(res, plan):
+    """Negacyclic NTT with one int64 `%` per product, sum and difference."""
+    k, n = res.shape
+    psi = _ref_tables(plan)[0]
+    a = res.copy()
+    p3 = plan.p_col[:, :, None]
+    t, m = n, 1
+    while m < n:
+        t //= 2
+        view = a.reshape(k, m, 2 * t)
+        u = view[:, :, :t].copy()
+        v = (view[:, :, t:] * psi[:, m : 2 * m, None]) % p3
+        view[:, :, :t] = (u + v) % p3
+        view[:, :, t:] = (u - v) % p3
+        m *= 2
+    return a
+
+
+def ref_inverse(res, plan):
+    k, n = res.shape
+    _, psi_inv, n_inv = _ref_tables(plan)
+    a = res.copy()
+    p3 = plan.p_col[:, :, None]
+    t, m = 1, n
+    while m > 1:
+        h = m // 2
+        view = a.reshape(k, h, 2 * t)
+        u = view[:, :, :t].copy()
+        v = view[:, :, t:].copy()
+        view[:, :, :t] = (u + v) % p3
+        view[:, :, t:] = ((u - v) * psi_inv[:, h : 2 * h, None]) % p3
+        t *= 2
+        m = h
+    return (a * n_inv) % plan.p_col
 
 
 def ring_with(n, count, bits=30):
@@ -286,6 +329,17 @@ def test_from_coeffs_matches_python_reduction(params, data):
     assert got == [[c % q for c in coeffs] for q in params.primes]
 
 
+def test_from_coeffs_uint64_above_int64_max():
+    # uint64 values >= 2^63 used to wrap to negative int64 silently
+    params = rg.RingParams.create(8, (4193633, 4193569))
+    coeffs = np.array([2**63 + 5, 2**64 - 1, 2**63, 7, 0, 0, 0, 0],
+                      dtype=np.uint64)
+    got = rg.from_coeffs(params, coeffs).residues
+    assert got[:, 0].tolist() == [545476, 4028114]
+    assert got.tolist() == [[c % p for c in coeffs.tolist()]
+                            for p in params.primes]
+
+
 # ---------------------------------------------------------------------------
 # CRT lift and BFV rounding
 
@@ -369,6 +423,18 @@ def test_ratios_terms_floats_match_fractions(nums, den):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.builds(lambda v, s: v << s, BIG_INTS,
+                                                 st.integers(0, 70))),
+                min_size=1, max_size=10),
+       st.integers(0, 80))
+def test_ratios_terms_power_of_two_denominator(nums, k):
+    # zero, negative and > 2^64 numerators, on both sides of den = 2^62
+    want = [Fraction(v, 1 << k) for v in nums]
+    assert Ratios(nums, 1 << k).terms() == [
+        f"{f.numerator}/{f.denominator}" for f in want]
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(BIG_INTS, BIG_INTS), min_size=1, max_size=10),
        st.integers(1, 2**64), st.integers(1, 2**64))
 def test_ratios_max_abs_diff_matches_fractions(pairs, da, db):
@@ -384,7 +450,7 @@ def oracle_cfg(scheme, parties):
                                t_bits=16, eps_inv_bits=12)
     return ProtocolConfig(scheme=scheme, plan_inputs=inputs, model_size=16,
                           root_seed=1, fixed_point_bits=8, rounds=1,
-                          enforce_security=False, parallel_clients=False)
+                          enforce_security=False)
 
 
 @settings(max_examples=80, deadline=None)
@@ -417,3 +483,70 @@ def test_transform_tables_match_loop_version(n):
         assert tabs.psi_brv.tolist() == fwd
         assert tabs.psi_inv_brv.tolist() == bwd
 
+
+
+# ---------------------------------------------------------------------------
+# lazy NTT kernel
+
+
+def ntt_plan(n, bits, limbs):
+    """The `limbs` largest primes = 1 mod 2n below 2^bits."""
+    primes = []
+    while len(primes) < limbs:
+        primes.append(ntt.prime_below(1 << bits, n, frozenset(primes)))
+    return ntt.transform_plan(n, tuple(primes))
+
+
+def residues(plan, fill, seed):
+    rng = np.random.default_rng(seed)
+    p = plan.p_col
+    shape = (len(plan.primes), plan.n)
+    if fill == "top":
+        return np.broadcast_to(p - 1, shape).copy()
+    if fill == "edges":
+        return np.choose(rng.integers(0, 3, shape), [0 * p, 0 * p + 1, p - 1])
+    return rng.integers(0, p, shape)
+
+
+def check_transforms(plan, res):
+    kept = res.copy()
+    fwd = ntt.forward(res, plan)
+    assert np.array_equal(res, kept), "forward wrote to its input"
+    assert fwd.dtype == np.int64
+    assert np.array_equal(fwd, ref_forward(res, plan))
+    inv = ntt.inverse(res, plan)
+    assert np.array_equal(res, kept), "inverse wrote to its input"
+    assert inv.dtype == np.int64
+    assert np.array_equal(inv, ref_inverse(res, plan))
+    assert np.array_equal(ntt.inverse(fwd, plan), res)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]),
+       st.sampled_from([17, 30]), st.integers(1, 3),
+       st.sampled_from(["uniform", "top", "edges"]), st.integers(0, 2**32))
+@example(4, 30, 1, "top", 0)
+@example(16, 30, 3, "top", 0)
+@example(4096, 30, 3, "top", 0)
+@example(4096, 17, 2, "edges", 1)
+def test_lazy_ntt_matches_reference(n, bits, limbs, fill, seed):
+    plan = ntt_plan(n, bits, limbs)
+    check_transforms(plan, residues(plan, fill, seed))
+
+
+@pytest.mark.parametrize("fill", ["uniform", "top"])
+def test_lazy_ntt_matches_reference_at_full_size(fill):
+    plan = ntt_plan(16384, 30, 5)
+    check_transforms(plan, residues(plan, fill, 5))
+
+
+@pytest.mark.parametrize("n", [4, 2048])
+def test_kernel_tables_hold_shoup_pairs(n):
+    plan = ntt_plan(n, 30, 2)
+    for table, shoup in ((plan.w, plan.w_shoup),
+                         (plan.w_inv, plan.w_inv_shoup),
+                         (plan.n_inv, plan.n_inv_shoup)):
+        assert table.dtype == shoup.dtype == np.uint64
+        for row, srow, p in zip(table.tolist(), shoup.tolist(), plan.primes):
+            assert all(w < p for w in row)
+            assert srow == [(w << 32) // p for w in row]

@@ -35,14 +35,14 @@ from thagg import wire
 
 def make_cfg(scheme="mbfv", n=1024, parties=2, lam=16, model_size=None,
              seed=7, t_bits=12, eps_inv_bits=12, fixed_point_bits=8,
-             rounds=1, parallel=False):
+             rounds=1):
     inputs = PlanInputs.create(n, parties, "3.2", lam, bound="19.2",
                                t_bits=t_bits, eps_inv_bits=eps_inv_bits)
     return ProtocolConfig(
         scheme=scheme, plan_inputs=inputs,
         model_size=n if model_size is None else model_size,
         root_seed=seed, fixed_point_bits=fixed_point_bits, rounds=rounds,
-        enforce_security=False, parallel_clients=parallel)
+        enforce_security=False)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +100,29 @@ def test_eval_step_identity_and_mismatch():
     assert aggregator_eval_step([lists[0]]) == lists[0]  # single list: identity
     with pytest.raises(LengthMismatchError):
         aggregator_eval_step([lists[0], lists[1][:1]])
+
+
+def test_aggregator_folds_submissions_as_they_arrive():
+    cfg = make_cfg(parties=3, model_size=2048)
+    art = run_setup(cfg)
+    bus = MessageBus()
+    root = Xof.from_seed(5)
+    agg = Aggregator(art.params)
+    with pytest.raises(LengthMismatchError):
+        agg.evaluate()
+    lists = []
+    for c in art.clients:
+        c.update = synthesize_update(cfg, root, c.index, 0)
+        lists.append(client_input_step(cfg, art.params, c, art.cpk_ntt, root,
+                                       0, bus))
+        agg.receive(c.index, lists[-1])
+    assert vars(agg).keys() == {"params", "total"}  # no per-client store
+    want = aggregator_eval_step(lists)
+    got = agg.evaluate()
+    assert [ct.adds_consumed for ct in got] == [2, 2]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.c0.residues, b.c0.residues)
+        assert np.array_equal(a.c1.residues, b.c1.residues)
 
 
 def test_aggregation_order_does_not_change_opened_value():
@@ -183,14 +206,6 @@ def test_multiround_reuses_keys_and_stays_exact():
     assert len(pk_msgs) == 2  # setup once, rounds reuse the keys
     ct_msgs = [m for m in transcript.messages if m.kind == "ciphertext"]
     assert len(ct_msgs) == 2 * 3 * chunk_count(cfg.model_size, cfg.n)
-
-
-def test_parallel_clients_mode_matches_serial_results():
-    serial = run_protocol(make_cfg(parties=2, seed=77))
-    parallel = run_protocol(make_cfg(parties=2, seed=77, parallel=True))
-    assert serial.aggregate == parallel.aggregate
-    # message interleaving may differ; totals must not
-    assert len(serial.messages) == len(parallel.messages)
 
 
 def test_aggregator_never_holds_share_typed_state():
@@ -328,6 +343,17 @@ def test_parse_config_rejects_unknown_keys():
         parse_config(GOOD_CONFIG + "typo_key = 3\n")
     with pytest.raises(ConfigError, match="unknown config sections"):
         parse_config(GOOD_CONFIG + "\n[mystery]\nx = 1\n")
+
+
+def test_removed_parallel_clients_key_is_rejected(tmp_path, capsys):
+    text = GOOD_CONFIG.replace("root_seed = 9\n",
+                               "root_seed = 9\nparallel_clients = true\n")
+    with pytest.raises(ConfigError, match="parallel_clients"):
+        parse_config(text)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    assert cli.main(["run", "-c", str(cfg_path)]) == 2
+    assert "parallel_clients" in capsys.readouterr().err
 
 
 def test_parse_config_requires_precision_for_scheme():
