@@ -55,6 +55,9 @@ from .threshold import (
     smudge_bound,
 )
 
+# Values per slice when the aggregate digest is hashed.
+DIGEST_SLICE = 4096
+
 PHASES = ("collective_keygen", "encryption", "aggregation",
           "collective_decryption", "total")
 
@@ -142,8 +145,12 @@ class Transcript:
     timings: dict = field(default_factory=dict)
 
     def aggregate_digest(self) -> str:
-        h = hashlib.sha256()
-        h.update("".join(f"{v}\n" for v in self.aggregate.terms()).encode())
+        """sha256 of every term followed by a newline, hashed slice by slice
+        so that the terms of the whole aggregate are never held at once."""
+        h, agg = hashlib.sha256(), self.aggregate
+        for lo in range(0, len(agg), DIGEST_SLICE):
+            terms = agg[lo : lo + DIGEST_SLICE].terms()
+            h.update("".join(f"{v}\n" for v in terms).encode())
         return h.hexdigest()
 
     def to_text(self) -> str:

@@ -43,6 +43,9 @@ class RingParams:
         if len(set(primes)) != len(primes):
             raise ValueError("primes must be pairwise distinct")
         for p in primes:
+            if p >> ntt.MAX_PRIME_BITS:
+                raise ValueError(
+                    f"prime {p} is not below 2^{ntt.MAX_PRIME_BITS}")
             if p % (2 * n) != 1:
                 raise ValueError(f"prime {p} is not 1 mod 2n (n={n})")
             if not ntt.is_prime(p):
@@ -283,21 +286,29 @@ def _check_pair(a: RingElement, b: RingElement, *, same_domain: bool) -> None:
         raise DomainMismatchError(f"domains differ: {a.domain} vs {b.domain}")
 
 
+def _reduce_once(s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Canonical int64 residues of s in [0, 2p), a uint64 array the caller
+    owns. Where s < p, s - p wraps above 2^63, so the minimum keeps s."""
+    return np.minimum(s, s - p, out=s).view(np.int64)
+
+
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _check_pair(a, b, same_domain=True)
-    p_col = _plan(a.params).p_col
-    return RingElement(a.params, (a.residues + b.residues) % p_col, a.domain)
+    s = a.residues.view(np.uint64) + b.residues.view(np.uint64)
+    return RingElement(a.params, _reduce_once(s, _plan(a.params).p), a.domain)
 
 
 def ring_sub(a: RingElement, b: RingElement) -> RingElement:
     _check_pair(a, b, same_domain=True)
-    p_col = _plan(a.params).p_col
-    return RingElement(a.params, (a.residues - b.residues) % p_col, a.domain)
+    p = _plan(a.params).p
+    s = a.residues.view(np.uint64) + (p - b.residues.view(np.uint64))
+    return RingElement(a.params, _reduce_once(s, p), a.domain)
 
 
 def ring_neg(a: RingElement) -> RingElement:
-    p_col = _plan(a.params).p_col
-    return RingElement(a.params, (-a.residues) % p_col, a.domain)
+    p = _plan(a.params).p
+    return RingElement(a.params, _reduce_once(p - a.residues.view(np.uint64), p),
+                       a.domain)
 
 
 def to_ntt(a: RingElement) -> RingElement:

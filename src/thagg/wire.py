@@ -1,14 +1,20 @@
-"""Binary wire formats.
+"""Binary wire formats, version 2.
 
 Ciphertext: magic "THAG", version u16, scheme tag u8, n u32, prime count
-u8, primes as u64 list, then c0 then c1 as little-endian u64 residues in
-prime-major coefficient-minor order, and adds_consumed u32.
+u8, primes as u64 list, then c0 then c1 as little-endian u32 residues in
+prime-major coefficient-minor order, and adds_consumed u32. With k primes
+that is 16 + 8k + 8kn bytes.
 
 Protocol shares reuse the ring-element block of that format, prefixed by a
-one-byte message-kind tag and a u16 party index.
+one-byte message-kind tag and a u16 party index: 8 + 8k + 4kn bytes.
+
+u32 residues are exact because `RingParams.create` admits only primes
+below 2^MAX_PRIME_BITS = 2^30. Version 1 (u64 residues) is not read.
 
 All integers are little-endian; elements are serialized in coefficient
-domain.
+domain. A decoder accepts only the receiver's own ring (n and primes as in
+`expected.ring`), residues below their primes, adds_consumed <= kappa and
+party indices >= 1; anything else raises `WireFormatError`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .schemes import BFV, CKKS, Ciphertext, SchemeParams
 from .threshold import PartialDecryption, PkShare
 
 MAGIC = b"THAG"
-VERSION = 1
+VERSION = 2
+RESIDUE = np.dtype("<u4")
 
 SCHEME_TAGS = {BFV: 1, CKKS: 2}
 TAG_SCHEMES = {v: k for k, v in SCHEME_TAGS.items()}
@@ -33,25 +40,25 @@ KIND_PARTIAL_DEC = 2
 
 
 def _element_header(params: rg.RingParams) -> bytes:
-    return struct.pack("<IB", params.n, len(params.primes)) + struct.pack(
-        f"<{len(params.primes)}Q", *params.primes)
+    return struct.pack(f"<IB{len(params.primes)}Q", params.n,
+                       len(params.primes), *params.primes)
 
 
 def _residue_block(el: rg.RingElement) -> bytes:
     if el.domain != rg.COEFF:
         el = rg.from_ntt(el)
-    return el.residues.astype("<u8").tobytes()
+    return el.residues.astype(RESIDUE).tobytes()
 
 
 class _Reader:
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.view = memoryview(blob)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def take(self, n: int) -> memoryview:
+        if self.pos + n > len(self.view):
             raise WireFormatError("message truncated")
-        out = self.blob[self.pos : self.pos + n]
+        out = self.view[self.pos : self.pos + n]
         self.pos += n
         return out
 
@@ -59,39 +66,33 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def done(self) -> None:
-        if self.pos != len(self.blob):
+        if self.pos != len(self.view):
             raise WireFormatError("trailing bytes in message")
 
 
-def _read_element_header(rd: _Reader) -> rg.RingParams:
+def _read_element_header(rd: _Reader, ring: rg.RingParams) -> None:
     n, count = rd.unpack("<IB")
     primes = rd.unpack(f"<{count}Q")
-    try:
-        return rg.RingParams.create(n, primes)
-    except ValueError as exc:
-        raise WireFormatError(f"bad ring header: {exc}") from exc
-
-
-def _read_residues(rd: _Reader, params: rg.RingParams) -> rg.RingElement:
-    count, n = len(params.primes), params.n
-    raw = rd.take(8 * count * n)
-    res = np.frombuffer(raw, dtype="<u8").astype(np.int64).reshape(count, n)
-    for j, p in enumerate(params.primes):
-        if (res[j] >= p).any():
-            raise WireFormatError(f"residue out of range for prime {p}")
-    return rg.RingElement(params, res, rg.COEFF)
-
-
-def _check_ring(params: rg.RingParams, expected: SchemeParams | None) -> None:
-    if expected is not None and params != expected.ring:
+    if n != ring.n or primes != ring.primes:
         raise WireFormatError("ring parameters do not match receiver's")
 
 
+def _read_residues(rd: _Reader, ring: rg.RingParams) -> rg.RingElement:
+    shape = (len(ring.primes), ring.n)
+    res = np.frombuffer(rd.take(RESIDUE.itemsize * shape[0] * shape[1]),
+                        dtype=RESIDUE).reshape(shape).astype(np.int64)
+    bad = (res >= np.array(ring.primes)[:, None]).any(axis=1)
+    if bad.any():
+        p = ring.primes[int(bad.argmax())]
+        raise WireFormatError(f"residue out of range for prime {p}")
+    return rg.RingElement(ring, res, rg.COEFF)
+
+
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    params = ct.c0.params
-    head = MAGIC + struct.pack("<HB", VERSION, SCHEME_TAGS[ct.scheme])
-    return (head + _element_header(params) + _residue_block(ct.c0)
-            + _residue_block(ct.c1) + struct.pack("<I", ct.adds_consumed))
+    return b"".join((
+        MAGIC, struct.pack("<HB", VERSION, SCHEME_TAGS[ct.scheme]),
+        _element_header(ct.c0.params), _residue_block(ct.c0),
+        _residue_block(ct.c1), struct.pack("<I", ct.adds_consumed)))
 
 
 def deserialize_ciphertext(blob: bytes, expected: SchemeParams) -> Ciphertext:
@@ -107,19 +108,21 @@ def deserialize_ciphertext(blob: bytes, expected: SchemeParams) -> Ciphertext:
     if scheme != expected.scheme:
         raise WireFormatError(
             f"ciphertext is {scheme}, receiver expects {expected.scheme}")
-    params = _read_element_header(rd)
-    _check_ring(params, expected)
-    c0 = _read_residues(rd, params)
-    c1 = _read_residues(rd, params)
+    _read_element_header(rd, expected.ring)
+    c0 = _read_residues(rd, expected.ring)
+    c1 = _read_residues(rd, expected.ring)
     (adds,) = rd.unpack("<I")
     rd.done()
+    if adds > expected.kappa:
+        raise WireFormatError(
+            f"adds_consumed {adds} exceeds capacity kappa={expected.kappa}")
     return Ciphertext(c0=c0, c1=c1, scheme=scheme, adds_consumed=adds,
                       kappa=expected.kappa)
 
 
 def _serialize_share(kind: int, index: int, el: rg.RingElement) -> bytes:
-    return (struct.pack("<BH", kind, index) + _element_header(el.params)
-            + _residue_block(el))
+    return b"".join((struct.pack("<BH", kind, index),
+                     _element_header(el.params), _residue_block(el)))
 
 
 def serialize_pk_share(share: PkShare) -> bytes:
@@ -130,15 +133,15 @@ def serialize_partial_dec(part: PartialDecryption) -> bytes:
     return _serialize_share(KIND_PARTIAL_DEC, part.index, part.h)
 
 
-def _deserialize_share(blob: bytes, want_kind: int,
-                       expected: SchemeParams | None):
+def _deserialize_share(blob: bytes, want_kind: int, expected: SchemeParams):
     rd = _Reader(blob)
     kind, index = rd.unpack("<BH")
     if kind != want_kind:
         raise WireFormatError(f"message kind {kind}, expected {want_kind}")
-    params = _read_element_header(rd)
-    _check_ring(params, expected)
-    el = _read_residues(rd, params)
+    if index == 0:
+        raise WireFormatError("party index 0; parties are numbered from 1")
+    _read_element_header(rd, expected.ring)
+    el = _read_residues(rd, expected.ring)
     rd.done()
     return index, el
 

@@ -503,6 +503,8 @@ def residues(plan, fill, seed):
     shape = (len(plan.primes), plan.n)
     if fill == "top":
         return np.broadcast_to(p - 1, shape).copy()
+    if fill == "zero":
+        return np.zeros(shape, dtype=np.int64)
     if fill == "edges":
         return np.choose(rng.integers(0, 3, shape), [0 * p, 0 * p + 1, p - 1])
     return rng.integers(0, p, shape)
@@ -550,3 +552,41 @@ def test_kernel_tables_hold_shoup_pairs(n):
         for row, srow, p in zip(table.tolist(), shoup.tolist(), plan.primes):
             assert all(w < p for w in row)
             assert srow == [(w << 32) // p for w in row]
+
+
+# ---------------------------------------------------------------------------
+# ring addition, subtraction and negation
+
+
+def ref_add(a, b, p_col):
+    return (a + b) % p_col
+
+
+def ref_sub(a, b, p_col):
+    return (a - b) % p_col
+
+
+def ref_neg(a, p_col):
+    return (-a) % p_col
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([ONE_PRIME, TWO_PRIMES, FIVE_PRIMES]),
+       st.sampled_from(["uniform", "top", "edges", "zero"]),
+       st.sampled_from(["uniform", "top", "edges", "zero"]),
+       st.integers(0, 2**32))
+@example(FIVE_PRIMES, "top", "top", 0)
+@example(FIVE_PRIMES, "zero", "top", 0)
+@example(TWO_PRIMES, "zero", "zero", 0)
+def test_ring_add_sub_neg_match_modulo(params, fill_a, fill_b, seed):
+    plan = ntt.transform_plan(params.n, params.primes)
+    p_col = plan.p_col
+    a = rg.RingElement(params, residues(plan, fill_a, seed))
+    b = rg.RingElement(params, residues(plan, fill_b, seed + 1))
+    kept_a, kept_b = a.residues.copy(), b.residues.copy()
+    for got, want in ((rg.ring_add(a, b), ref_add(kept_a, kept_b, p_col)),
+                      (rg.ring_sub(a, b), ref_sub(kept_a, kept_b, p_col)),
+                      (rg.ring_neg(a), ref_neg(kept_a, p_col))):
+        assert got.residues.dtype == np.int64
+        assert np.array_equal(got.residues, want)
+    assert np.array_equal(a.residues, kept_a) and np.array_equal(b.residues, kept_b)

@@ -1,11 +1,14 @@
 """Protocol harness, wire formats, config parsing, CLI plumbing."""
 
 import dataclasses
+import hashlib
 import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thagg import cli
 from thagg.config import ProtocolConfig, parse_config
@@ -14,9 +17,12 @@ from thagg.errors import (
     LengthMismatchError,
     WireFormatError,
 )
+from thagg.exact import Ratios
 from thagg.harness import (
+    DIGEST_SLICE,
     Aggregator,
     MessageBus,
+    Transcript,
     aggregator_eval_step,
     chunk_count,
     cleartext_oracle,
@@ -28,8 +34,10 @@ from thagg.harness import (
     synthesize_update,
 )
 from thagg.planner import PlanInputs
+from thagg.ring import sample_uniform
 from thagg.rng import Xof
-from thagg.threshold import SecretShare
+from thagg.schemes import BFV, Ciphertext, setup
+from thagg.threshold import PartialDecryption, PkShare, SecretShare
 from thagg import wire
 
 
@@ -268,6 +276,14 @@ def _session_ct():
     return art, ct
 
 
+def ct_len(k, n):
+    return 16 + 8 * k + 8 * k * n
+
+
+def share_len(k, n):
+    return 8 + 8 * k + 4 * k * n
+
+
 def test_ciphertext_wire_roundtrip():
     art, ct = _session_ct()
     blob = wire.serialize_ciphertext(ct)
@@ -277,8 +293,7 @@ def test_ciphertext_wire_roundtrip():
     assert np.array_equal(back.c1.residues, ct.c1.residues)
     assert back.adds_consumed == ct.adds_consumed
     k, n = len(art.params.ring.primes), art.params.ring.n
-    expect_len = 4 + 2 + 1 + 4 + 1 + 8 * k + 2 * 8 * k * n + 4
-    assert len(blob) == expect_len
+    assert len(blob) == ct_len(k, n)
 
 
 def test_wire_rejects_tampering():
@@ -301,11 +316,153 @@ def test_share_wire_roundtrip():
                      Xof.from_seed("w"))
     blob = wire.serialize_pk_share(piece)
     assert blob[0] == wire.KIND_PK_SHARE
+    assert len(blob) == share_len(len(art.params.ring.primes), art.params.ring.n)
     back = wire.deserialize_pk_share(blob, art.params)
     assert back.index == piece.index
     assert np.array_equal(back.p0.residues, piece.p0.residues)
     with pytest.raises(WireFormatError):
         wire.deserialize_partial_dec(blob, art.params)  # wrong kind tag
+
+
+# Small messages for the decoder properties: n = 16, two primes, kappa = 3.
+WIRE_PARAMS = setup(BFV, 16, sigma="3.2", t=17, log2_q=50, kappa=3)
+
+
+def wire_messages():
+    ring = WIRE_PARAMS.ring
+    rng = Xof.from_seed("wire")
+    el = lambda: sample_uniform(ring, rng)
+    ct = Ciphertext(c0=el(), c1=el(), scheme=BFV, adds_consumed=2,
+                    kappa=WIRE_PARAMS.kappa)
+    return {
+        "ciphertext": (wire.serialize_ciphertext(ct),
+                       wire.deserialize_ciphertext),
+        "pk_share": (wire.serialize_pk_share(PkShare(index=2, p0=el())),
+                     wire.deserialize_pk_share),
+        "partial_dec": (wire.serialize_partial_dec(
+            PartialDecryption(index=3, h=el())), wire.deserialize_partial_dec),
+    }
+
+
+WIRE_MESSAGES = wire_messages()
+
+
+def test_wire_v2_message_lengths():
+    k, n = len(WIRE_PARAMS.ring.primes), WIRE_PARAMS.ring.n
+    assert k == 2
+    for kind, (blob, _) in WIRE_MESSAGES.items():
+        want = ct_len(k, n) if kind == "ciphertext" else share_len(k, n)
+        assert len(blob) == want, kind
+
+
+def v1_blob(kind):
+    """The message in version 1: u64 residues, version field 1."""
+    blob, _ = WIRE_MESSAGES[kind]
+    head = 7 if kind == "ciphertext" else 3  # bytes before n
+    head += 5 + 8 * len(WIRE_PARAMS.ring.primes)
+    tail = 4 if kind == "ciphertext" else 0
+    body = np.frombuffer(blob[head : len(blob) - tail], dtype="<u4")
+    out = blob[:head] + body.astype("<u8").tobytes() + blob[len(blob) - tail :]
+    if kind == "ciphertext":
+        out = out[:4] + (1).to_bytes(2, "little") + out[6:]
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(WIRE_MESSAGES))
+def test_wire_rejects_version_1(kind):
+    _, decode = WIRE_MESSAGES[kind]
+    with pytest.raises(WireFormatError):
+        decode(v1_blob(kind), WIRE_PARAMS)
+
+
+def test_wire_rejects_adds_above_kappa_and_party_zero():
+    ct_blob, _ = WIRE_MESSAGES["ciphertext"]
+    at_kappa = ct_blob[:-4] + (3).to_bytes(4, "little")
+    assert wire.deserialize_ciphertext(at_kappa, WIRE_PARAMS).adds_consumed == 3
+    with pytest.raises(WireFormatError, match="kappa"):
+        wire.deserialize_ciphertext(ct_blob[:-4] + (4).to_bytes(4, "little"),
+                                    WIRE_PARAMS)
+    for kind in ("pk_share", "partial_dec"):
+        blob, decode = WIRE_MESSAGES[kind]
+        with pytest.raises(WireFormatError, match="index 0"):
+            decode(blob[:1] + bytes(2) + blob[3:], WIRE_PARAMS)
+
+
+def test_wire_rejects_residue_at_its_prime():
+    blob, decode = WIRE_MESSAGES["pk_share"]
+    ring = WIRE_PARAMS.ring
+    at = 8 + 8 * len(ring.primes) + 4 * ring.n  # first residue of prime 1
+    bad = blob[:at] + ring.primes[1].to_bytes(4, "little") + blob[at + 4 :]
+    with pytest.raises(WireFormatError, match=f"prime {ring.primes[1]}$"):
+        decode(bad, WIRE_PARAMS)
+
+
+def mutations(size):
+    """A single-byte overwrite, a truncation, or appended bytes. Overwrites
+    hit the header (28 bytes for a ciphertext, 24 for a share: the n, count
+    and prime fields) and a ciphertext's trailing adds_consumed as often as
+    the residues."""
+    pos = st.one_of(st.integers(0, 27), st.integers(size - 4, size - 1),
+                    st.integers(0, size - 1))
+    return st.one_of(
+        st.tuples(st.just("set"), pos, st.integers(0, 255)),
+        st.tuples(st.just("cut"), st.integers(0, size - 1), st.just(0)),
+        st.tuples(st.just("add"), st.binary(min_size=1, max_size=9), st.just(0)),
+    )
+
+
+def mutate(blob, how):
+    op, arg, value = how
+    if op == "set":
+        return blob[:arg] + bytes([value]) + blob[arg + 1 :]
+    if op == "cut":
+        return blob[:arg]
+    return blob + arg
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_wire_decoders_survive_mutation(data):
+    kind = data.draw(st.sampled_from(sorted(WIRE_MESSAGES)))
+    blob, decode = WIRE_MESSAGES[kind]
+    bad = mutate(blob, data.draw(mutations(len(blob))))
+    try:
+        out = decode(bad, WIRE_PARAMS)
+    except WireFormatError:
+        return
+    ring = WIRE_PARAMS.ring
+    els = [out.c0, out.c1] if kind == "ciphertext" else [
+        out.p0 if kind == "pk_share" else out.h]
+    for el in els:
+        assert el.params == ring and el.residues.shape == (2, ring.n)
+        assert (el.residues < np.array(ring.primes)[:, None]).all()
+        assert (el.residues >= 0).all()
+    if kind == "ciphertext":
+        assert 0 <= out.adds_consumed <= WIRE_PARAMS.kappa
+    else:
+        assert out.index >= 1
+    # an accepted message is canonical: header, lengths and fields intact
+    encode = {"ciphertext": wire.serialize_ciphertext,
+              "pk_share": wire.serialize_pk_share,
+              "partial_dec": wire.serialize_partial_dec}[kind]
+    assert encode(out) == bad
+
+
+def test_aggregate_digest_hashes_slices_like_one_join():
+    def one_shot(agg):
+        text = "".join(f"{v}\n" for v in agg.terms())
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    size = 2 * DIGEST_SLICE + 5
+    rng = np.random.default_rng(4)
+    small = Ratios(rng.integers(-(2**40), 2**40, size), 2**9 * 3)
+    big = Ratios(np.array([int(v) << 70 | 12345 for v in
+                           rng.integers(-(2**40), 2**40, size)], dtype=object),
+                 2**135)
+    for agg in (small, big, small[:7], Ratios(np.zeros(0, np.int64), 1)):
+        tr = Transcript(cfg=None, log2_q=0, primes=(), messages=[],
+                        aggregate=agg, max_error=Fraction(0))
+        assert tr.aggregate_digest() == one_shot(agg)
 
 
 # ---------------------------------------------------------------------------

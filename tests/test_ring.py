@@ -351,6 +351,16 @@ def test_ring_params_validation():
         RingParams.create(4, (17, 17))
 
 
+def test_ring_params_rejects_primes_from_2_to_the_30():
+    # 2147483713 = 1 mod 16 is prime, but above 2^30 the lazy NTT's values
+    # leave 32 bits, so its products would be silently wrong.
+    assert ntt.is_prime(2147483713) and 2147483713 % 16 == 1
+    with pytest.raises(ValueError, match="2\\^30"):
+        RingParams.create(8, (2147483713,))
+    largest = ntt.prime_below(1 << 30, 8, frozenset())
+    assert RingParams.create(8, (largest,)).primes == (largest,)
+
+
 def test_sub():
     params = params_for(8)
     a, b = rand_element(params, 1), rand_element(params, 2)
