@@ -41,9 +41,9 @@ from .schemes import (
     setup,
 )
 from .threshold import (
-    CollectivePublicKey,
     Crs,
     SecretShare,
+    SmudgeParams,
     combine_decrypt,
     combine_pk,
     crs_expand,
@@ -52,7 +52,6 @@ from .threshold import (
     gen_share,
     partial_decrypt,
     pk_share,
-    smudge_bound,
 )
 
 # Values per slice when the aggregate digest is hashed.
@@ -93,11 +92,10 @@ class MessageBus:
 
 @dataclass
 class ClientState:
-    """One client: its share, a transform-domain copy, and its update."""
+    """One client: its key share and its update."""
 
     index: int
     share: SecretShare
-    share_ntt: SecretShare
     update: np.ndarray | None = None
 
 
@@ -128,8 +126,7 @@ class SetupArtifacts:
     params: SchemeParams
     crs: Crs
     clients: list[ClientState]
-    cpk: CollectivePublicKey
-    cpk_ntt: PublicKey  # transform-domain copy for fast encryption
+    cpk: PublicKey
 
 
 @dataclass
@@ -217,17 +214,14 @@ def run_setup(cfg: ProtocolConfig, bus: MessageBus | None = None,
     pk_blobs = []
     for i in range(1, cfg.parties + 1):
         share = gen_share(params, i, root.child(f"client/{i}/share"))
-        clients.append(ClientState(
-            index=i, share=share,
-            share_ntt=SecretShare(index=i, s=rg.to_ntt(share.s))))
+        clients.append(ClientState(index=i, share=share))
         piece = pk_share(params, share, crs, root.child(f"client/{i}/pk"))
         pk_blobs.append(bus.post("pk_share", f"client{i}",
                                  wire.serialize_pk_share(piece)))
     shares_rx = [wire.deserialize_pk_share(blob, params) for blob in pk_blobs]
     cpk = combine_pk(params, shares_rx, crs, cfg.parties)
-    cpk_ntt = PublicKey(p0=rg.to_ntt(cpk.p0), p1=rg.to_ntt(cpk.p1))
     return SetupArtifacts(report=report, params=params, crs=crs,
-                          clients=clients, cpk=cpk, cpk_ntt=cpk_ntt)
+                          clients=clients, cpk=cpk)
 
 
 def chunk_count(model_size: int, n: int) -> int:
@@ -290,7 +284,8 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
                 report: PlanReport, root: Xof, round_index: int,
                 bus: MessageBus) -> Ratios:
     """Collective decryption of every chunk, then per-scheme finalization."""
-    smudge = smudge_bound(cfg.plan_inputs.lam, report.bounds.b_ct)
+    b = report.bounds
+    smudge = SmudgeParams(parties=cfg.parties, b_ct=b.b_ct, b_smg=b.b_smg)
     parts: list[Ratios] = []
     for c, ct in enumerate(agg_cts):
         # every party multiplies by the same c1: transform it once
@@ -299,7 +294,7 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
         for client in clients:
             rng = root.child(
                 f"round/{round_index}/client/{client.index}/pdec/{c}")
-            part = partial_decrypt(params, client.share_ntt, ct, smudge, rng)
+            part = partial_decrypt(params, client.share, ct, smudge, rng)
             blob = bus.post("partial_dec", f"client{client.index}",
                             wire.serialize_partial_dec(part))
             partials.append(wire.deserialize_partial_dec(blob, params))
@@ -362,7 +357,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         agg = Aggregator(art.params)
         for client in art.clients:
             t1 = time.perf_counter()
-            cts = client_input_step(cfg, art.params, client, art.cpk_ntt,
+            cts = client_input_step(cfg, art.params, client, art.cpk,
                                     root, r, bus)
             t2 = time.perf_counter()
             agg.receive(client.index, cts)

@@ -104,11 +104,18 @@ def fresh_bound(n: int, bound) -> Fraction:
     return (2 * n + 1) * frac(bound)
 
 
+def smudge_bound(lam: int, b_ct) -> Fraction:
+    """b_smg = 2^ceil(lam/2) * b_ct; odd lam rounds the exponent up."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    return (1 << ((lam + 1) // 2)) * frac(b_ct)
+
+
 def mp_bounds(inputs: PlanInputs) -> MpBounds:
     n, L, B = inputs.n, inputs.parties, inputs.bound
     b_fresh_mp = B * (2 * n * L + 1)
     b_ct = L * b_fresh_mp
-    b_smg = (1 << ((inputs.lam + 1) // 2)) * b_ct
+    b_smg = smudge_bound(inputs.lam, b_ct)
     return MpBounds(
         b_fresh=fresh_bound(n, B),
         b_fresh_mp=b_fresh_mp,

@@ -68,9 +68,6 @@ class RingElement:
     residues: np.ndarray
     domain: str = COEFF
 
-    def copy(self) -> "RingElement":
-        return RingElement(self.params, self.residues.copy(), self.domain)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -99,12 +96,6 @@ def _plan(params: RingParams) -> ntt.TransformPlan:
 def zero(params: RingParams, domain: str = COEFF) -> RingElement:
     res = np.zeros((len(params.primes), params.n), dtype=np.int64)
     return RingElement(params, res, domain)
-
-
-def one(params: RingParams) -> RingElement:
-    el = zero(params)
-    el.residues[:, 0] = 1
-    return el
 
 
 def from_coeffs(params: RingParams, coeffs) -> RingElement:

@@ -56,6 +56,8 @@ class SchemeParams:
     eps_inv: int | None = None  # CKKS target inverse error margin
 
 
+# Keys are stored in the NTT domain only: every use of a key is a ring
+# product. Ciphertexts and messages stay in the coefficient domain.
 @dataclass(frozen=True)
 class SecretKey:
     s: rg.RingElement
@@ -181,7 +183,7 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
 
 
 def seckeygen(params: SchemeParams, rng: Xof) -> SecretKey:
-    return SecretKey(rg.sample_ternary(params.ring, rng))
+    return SecretKey(rg.to_ntt(rg.sample_ternary(params.ring, rng)))
 
 
 def pubkeygen(params: SchemeParams, sk: SecretKey, rng: Xof, *,
@@ -192,8 +194,9 @@ def pubkeygen(params: SchemeParams, sk: SecretKey, rng: Xof, *,
         p1 = rg.sample_uniform(params.ring, rng)
     if e is None:
         e = rg.sample_gaussian(params.ring, params.noise, rng)
+    p1 = rg.to_ntt(p1)
     p0 = rg.ring_add(rg.ring_neg(rg.ring_mul(sk.s, p1)), e)
-    return PublicKey(p0=p0, p1=p1)
+    return PublicKey(p0=rg.to_ntt(p0), p1=p1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ collective decryption with smudging noise.
 
 The ideal key sum(sk_i) never exists in one place; every partial decryption
 adds noise drawn uniformly from [-b_smg, b_smg], sized so the combined term
-stays below the planner's aggregate bound.
+stays below the planner's aggregate bound. Shares, the CRS polynomial and
+the collective public key are stored in the NTT domain; the messages
+(public-key shares, partial decryptions) are coefficient-domain.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .schemes import (
     CKKS,
     Ciphertext,
     Plaintext,
+    PublicKey,
     SchemeParams,
     bfv_round,
     ckks_scale_down,
@@ -50,12 +53,6 @@ class PkShare:
 
 
 @dataclass(frozen=True)
-class CollectivePublicKey:
-    p0: rg.RingElement
-    p1: rg.RingElement
-
-
-@dataclass(frozen=True)
 class PartialDecryption:
     index: int
     h: rg.RingElement
@@ -63,9 +60,10 @@ class PartialDecryption:
 
 @dataclass(frozen=True)
 class SmudgeParams:
-    """Statistical hiding bound: b_smg = 2^ceil(lambda/2) * b_ct, exact."""
+    """Per-party smudging bound b_smg (`planner.smudge_bound`) for `parties`
+    partial decryptions of a ciphertext with noise at most b_ct."""
 
-    lam: int
+    parties: int
     b_ct: Fraction
     b_smg: Fraction
 
@@ -76,13 +74,14 @@ def crs_expand(seed: bytes, params: rg.RingParams) -> Crs:
     if len(seed) != CRS_SEED_BYTES:
         raise ValueError(f"CRS seed must be {CRS_SEED_BYTES} bytes")
     stream = Xof.from_seed(seed).child("crs/p1")
-    return Crs(seed=seed, p1=rg.sample_uniform(params, stream))
+    return Crs(seed=seed, p1=rg.to_ntt(rg.sample_uniform(params, stream)))
 
 
 def gen_share(params: SchemeParams, index: int, rng: Xof) -> SecretShare:
     if index < 1:
         raise ValueError("party indices start at 1")
-    return SecretShare(index=index, s=rg.sample_ternary(params.ring, rng))
+    return SecretShare(index=index,
+                       s=rg.to_ntt(rg.sample_ternary(params.ring, rng)))
 
 
 def pk_share(params: SchemeParams, share: SecretShare, crs: Crs, rng: Xof, *,
@@ -106,22 +105,13 @@ def _check_indices(items, parties: int, what: str) -> None:
 
 
 def combine_pk(params: SchemeParams, shares: list[PkShare], crs: Crs,
-               parties: int) -> CollectivePublicKey:
+               parties: int) -> PublicKey:
     """cpk = (sum p0_i, p1); valid for the ideal key with noise sum e_i."""
     _check_indices(shares, parties, "public-key share")
     acc = rg.zero(params.ring)
     for sh in shares:
         acc = rg.ring_add(acc, sh.p0)
-    return CollectivePublicKey(p0=acc, p1=crs.p1)
-
-
-def smudge_bound(lam: int, b_ct) -> SmudgeParams:
-    """b_smg = 2^ceil(lam/2) * b_ct; odd lam rounds the exponent up."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    b_ct = frac(b_ct)
-    return SmudgeParams(lam=lam, b_ct=b_ct,
-                        b_smg=(1 << ((lam + 1) // 2)) * b_ct)
+    return PublicKey(p0=rg.to_ntt(acc), p1=crs.p1)
 
 
 def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
@@ -129,9 +119,9 @@ def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
                     e_smg: list[int] | None = None) -> PartialDecryption:
     """h_i = sk_i * c1 + e_smg,i with e_smg,i uniform on [-b_smg, b_smg].
 
-    Rejects configurations where the combined smudging of all kappa parties
-    cannot fit under the modulus; that means the planner and the runtime
-    disagree about q.
+    Rejects configurations where the combined smudging of all parties cannot
+    fit under the modulus; that means the planner and the runtime disagree
+    about q.
     """
     _check_smudge_fits(params, smudge)
     if e_smg is None:
@@ -143,9 +133,9 @@ def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
 
 
 def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
-    # kappa doubles as the party count for threshold use: the opened value
-    # carries kappa smudging terms on top of the ciphertext noise.
-    total = smudge.b_ct + params.kappa * smudge.b_smg
+    # the opened value carries one smudging term per party on top of the
+    # ciphertext noise
+    total = smudge.b_ct + smudge.parties * smudge.b_smg
     q = params.ring.q
     if params.scheme == BFV:
         room = Fraction(q, 2 * params.t) - Fraction(params.t, 2)
@@ -153,7 +143,7 @@ def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
         room = Fraction(q, 2) - params.delta
     if not total < room:
         raise SmudgeBoundError(
-            f"b_ct + {params.kappa}*b_smg = {float(total):.4g} does not fit "
+            f"b_ct + {smudge.parties}*b_smg = {float(total):.4g} does not fit "
             f"under q (room {float(room):.4g}); q was not sized for this "
             "smudging level")
 
@@ -186,7 +176,7 @@ def finalize_ckks(params: SchemeParams, d,
 def reconstruct_ideal_key(params: SchemeParams,
                           shares: list[SecretShare]) -> rg.RingElement:
     """Sum of all shares. Test-only: no protocol party may ever hold this."""
-    acc = rg.zero(params.ring)
+    acc = rg.zero(params.ring, rg.NTT)
     for sh in shares:
         acc = rg.ring_add(acc, sh.s)
     return acc

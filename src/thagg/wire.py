@@ -11,8 +11,9 @@ one-byte message-kind tag and a u16 party index: 8 + 8k + 4kn bytes.
 u32 residues are exact because `RingParams.create` admits only primes
 below 2^MAX_PRIME_BITS = 2^30. Version 1 (u64 residues) is not read.
 
-All integers are little-endian; elements are serialized in coefficient
-domain. A decoder accepts only the receiver's own ring (n and primes as in
+All integers are little-endian. Elements are serialized in the coefficient
+domain; an NTT-domain element (a stored key) raises `DomainMismatchError`.
+A decoder accepts only the receiver's own ring (n and primes as in
 `expected.ring`), residues below their primes, adds_consumed <= kappa and
 party indices >= 1; anything else raises `WireFormatError`.
 """
@@ -24,7 +25,7 @@ import struct
 import numpy as np
 
 from . import ring as rg
-from .errors import WireFormatError
+from .errors import DomainMismatchError, WireFormatError
 from .schemes import BFV, CKKS, Ciphertext, SchemeParams
 from .threshold import PartialDecryption, PkShare
 
@@ -46,7 +47,7 @@ def _element_header(params: rg.RingParams) -> bytes:
 
 def _residue_block(el: rg.RingElement) -> bytes:
     if el.domain != rg.COEFF:
-        el = rg.from_ntt(el)
+        raise DomainMismatchError("messages carry coefficient-domain elements")
     return el.residues.astype(RESIDUE).tobytes()
 
 

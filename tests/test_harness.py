@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thagg import cli
+from thagg import cli, ntt
 from thagg.config import ProtocolConfig, parse_config
 from thagg.errors import (
     ConfigError,
+    DomainMismatchError,
     LengthMismatchError,
     WireFormatError,
 )
@@ -21,7 +22,9 @@ from thagg.exact import Ratios
 from thagg.harness import (
     DIGEST_SLICE,
     Aggregator,
+    ClientState,
     MessageBus,
+    SetupArtifacts,
     Transcript,
     aggregator_eval_step,
     chunk_count,
@@ -76,6 +79,32 @@ def test_run_setup_smoke_and_determinism():
     assert a.report.log2_q == a.params.ring.log2_q
 
 
+@pytest.mark.parametrize("parties", [2, 4])
+def test_run_setup_forward_transforms(parties, monkeypatch):
+    # one per share, one for the CRS polynomial, one for the summed p0
+    calls = 0
+    forward = ntt.forward
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return forward(*args)
+
+    monkeypatch.setattr(ntt, "forward", counted)
+    run_setup(make_cfg(parties=parties))
+    assert calls == parties + 2
+
+
+def test_setup_artifacts_hold_each_key_once():
+    art = run_setup(make_cfg(parties=3))
+    assert art.cpk.p1 is art.crs.p1
+    fields = dataclasses.fields
+    assert [f.name for f in fields(ClientState)] == ["index", "share",
+                                                     "update"]
+    assert [f.name for f in fields(SetupArtifacts)] == [
+        "report", "params", "crs", "clients", "cpk"]
+
+
 def test_input_step_chunk_shapes_and_zero_vector():
     cfg = make_cfg(model_size=4096)
     art = run_setup(cfg)
@@ -83,12 +112,12 @@ def test_input_step_chunk_shapes_and_zero_vector():
     root = Xof.from_seed(cfg.root_seed)
     client = art.clients[0]
     client.update = np.zeros(cfg.model_size)
-    cts = client_input_step(cfg, art.params, client, art.cpk_ntt, root, 0, bus)
+    cts = client_input_step(cfg, art.params, client, art.cpk, root, 0, bus)
     assert len(cts) == 4  # 4096 / 1024
     # a zero vector opens to zero through the full threshold path
     for c in art.clients[1:]:
         c.update = np.zeros(cfg.model_size)
-    other = client_input_step(cfg, art.params, art.clients[1], art.cpk_ntt,
+    other = client_input_step(cfg, art.params, art.clients[1], art.cpk,
                               root, 0, bus)
     summed = aggregator_eval_step([cts, other])
     opened = output_step(cfg, art.params, art.clients, summed, art.report,
@@ -103,7 +132,7 @@ def test_eval_step_identity_and_mismatch():
     root = Xof.from_seed(99)
     for c in art.clients:
         c.update = synthesize_update(cfg, root, c.index, 0)
-    lists = [client_input_step(cfg, art.params, c, art.cpk_ntt, root, 0, bus)
+    lists = [client_input_step(cfg, art.params, c, art.cpk, root, 0, bus)
              for c in art.clients]
     assert aggregator_eval_step([lists[0]]) == lists[0]  # single list: identity
     with pytest.raises(LengthMismatchError):
@@ -121,7 +150,7 @@ def test_aggregator_folds_submissions_as_they_arrive():
     lists = []
     for c in art.clients:
         c.update = synthesize_update(cfg, root, c.index, 0)
-        lists.append(client_input_step(cfg, art.params, c, art.cpk_ntt, root,
+        lists.append(client_input_step(cfg, art.params, c, art.cpk, root,
                                        0, bus))
         agg.receive(c.index, lists[-1])
     assert vars(agg).keys() == {"params", "total"}  # no per-client store
@@ -140,7 +169,7 @@ def test_aggregation_order_does_not_change_opened_value():
     root = Xof.from_seed(5)
     for c in art.clients:
         c.update = synthesize_update(cfg, root, c.index, 0)
-    lists = [client_input_step(cfg, art.params, c, art.cpk_ntt, root, 0, bus)
+    lists = [client_input_step(cfg, art.params, c, art.cpk, root, 0, bus)
              for c in art.clients]
     fwd = output_step(cfg, art.params, art.clients,
                       aggregator_eval_step(lists), art.report,
@@ -225,7 +254,7 @@ def test_aggregator_never_holds_share_typed_state():
     for c in art.clients:
         c.update = synthesize_update(cfg, root, c.index, 0)
         agg.receive(c.index, client_input_step(cfg, art.params, c,
-                                               art.cpk_ntt, root, 0, bus))
+                                               art.cpk, root, 0, bus))
     agg.evaluate()
 
     seen = set()
@@ -271,7 +300,7 @@ def _session_ct():
     root = Xof.from_seed(3)
     client = art.clients[0]
     client.update = synthesize_update(cfg, root, 1, 0)
-    ct = client_input_step(cfg, art.params, client, art.cpk_ntt,
+    ct = client_input_step(cfg, art.params, client, art.cpk,
                            root, 0, bus)[0]
     return art, ct
 
@@ -583,6 +612,24 @@ def test_cli_protocol_failure_maps_to_exit_3(tmp_path, monkeypatch):
         raise LengthMismatchError("simulated mid-protocol failure")
 
     monkeypatch.setattr("thagg.cli.run_protocol", boom)
+    assert cli.main(["run", "-c", str(cfg_path)]) == 3
+
+
+def test_wire_rejects_ntt_domain_elements(tmp_path, monkeypatch):
+    art = run_setup(make_cfg())
+    with pytest.raises(DomainMismatchError):
+        wire.serialize_pk_share(PkShare(index=1, p0=art.cpk.p0))
+    with pytest.raises(DomainMismatchError):
+        wire.serialize_partial_dec(
+            PartialDecryption(index=1, h=art.clients[0].share.s))
+
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(GOOD_CONFIG)
+
+    def send_cpk(cfg):
+        wire.serialize_pk_share(PkShare(index=1, p0=run_setup(cfg).cpk.p0))
+
+    monkeypatch.setattr("thagg.cli.run_protocol", send_cpk)
     assert cli.main(["run", "-c", str(cfg_path)]) == 3
 
 

@@ -121,11 +121,11 @@ def test_pubkey_noise_bound_and_zero_noise_hook():
     rng = Xof.from_seed("pk")
     sk = seckeygen(params, rng.child("sk"))
     pk = pubkeygen(params, sk, rng.child("pk"))
-    resid = rg.ring_add(pk.p0, rg.ring_mul(sk.s, pk.p1))
+    resid = rg.ring_add(rg.from_ntt(pk.p0), rg.ring_mul(sk.s, pk.p1))
     assert rg.inf_norm(rg.crt_lift(resid)) <= int(params.noise.bound)
 
     quiet = pubkeygen(params, sk, rng.child("pk2"), e=rg.zero(params.ring))
-    resid0 = rg.ring_add(quiet.p0, rg.ring_mul(sk.s, quiet.p1))
+    resid0 = rg.ring_add(rg.from_ntt(quiet.p0), rg.ring_mul(sk.s, quiet.p1))
     assert not resid0.residues.any()
 
 
@@ -136,7 +136,7 @@ def test_pubkey_p1_is_uniformish():
         rng = Xof.from_seed(f"pk-uniform-{i}")
         sk = seckeygen(params, rng.child("sk"))
         pk = pubkeygen(params, sk, rng.child("pk"))
-        for v in rg.crt_lift(pk.p1):
+        for v in rg.crt_lift(rg.from_ntt(pk.p1)):
             total += v % params.ring.q
             count += 1
     q = params.ring.q

@@ -1,14 +1,17 @@
 """Threshold protocol pieces: CRS, shared keys, collective decryption."""
 
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thagg import ring as rg
 from thagg.errors import ShareSetError, SmudgeBoundError
-from thagg.planner import MBFV, MCKKS, PlanInputs, plan
+from thagg.planner import MBFV, MCKKS, PlanInputs, plan, smudge_bound
 from thagg.rng import Xof
 from thagg.schemes import (
     BFV,
@@ -20,10 +23,12 @@ from thagg.schemes import (
     decryption_phase,
     encode_real,
     encrypt,
+    pubkeygen,
+    seckeygen,
 )
 from thagg.threshold import (
-    CollectivePublicKey,
     SecretShare,
+    SmudgeParams,
     combine_decrypt,
     combine_pk,
     crs_expand,
@@ -33,7 +38,6 @@ from thagg.threshold import (
     partial_decrypt,
     pk_share,
     reconstruct_ideal_key,
-    smudge_bound,
 )
 from thagg.schemes import setup
 
@@ -62,10 +66,15 @@ def mk_session(scheme, n, parties, lam, *, t_bits=8, eps_inv_bits=10,
     pkshares = [pk_share(params, sh, crs, root.child(f"pkshare/{sh.index}"))
                 for sh in shares]
     cpk = combine_pk(params, pkshares, crs, parties)
-    smudge = smudge_bound(lam, report.bounds.b_ct)
+    b = report.bounds
+    smudge = SmudgeParams(parties=parties, b_ct=b.b_ct, b_smg=b.b_smg)
     return SimpleNamespace(params=params, report=report, root=root, crs=crs,
                            shares=shares, pkshares=pkshares, cpk=cpk,
                            smudge=smudge, parties=parties)
+
+
+def no_smudging(sess):
+    return replace(sess.smudge, b_ct=Fraction(0), b_smg=Fraction(0))
 
 
 def open_ciphertext(sess, ct, label="dec"):
@@ -102,7 +111,7 @@ def test_crs_p1_uniformish():
     total, count = 0, 0
     for i in range(300):
         crs = crs_expand(Xof.from_seed(f"crs-{i}").read(32), params)
-        for v in rg.crt_lift(crs.p1):
+        for v in rg.crt_lift(rg.from_ntt(crs.p1)):
             total += v % params.q
             count += 1
     se = params.q / (12**0.5) / count**0.5
@@ -134,14 +143,16 @@ def test_pk_share_noise_bound():
 def test_combined_pk_noise_scales_with_parties(parties):
     sess = mk_session(MBFV, 64, parties, 0, seed=f"combine-{parties}")
     ideal = reconstruct_ideal_key(sess.params, sess.shares)
-    resid = rg.ring_add(sess.cpk.p0, rg.ring_mul(ideal, sess.cpk.p1))
+    resid = rg.ring_add(rg.from_ntt(sess.cpk.p0),
+                        rg.ring_mul(ideal, sess.cpk.p1))
     assert rg.inf_norm(rg.crt_lift(resid)) <= parties * int(sess.params.noise.bound)
 
 
 def test_combine_pk_single_party_degenerates_to_single_key():
     sess = mk_session(MBFV, 64, 1, 0, seed="solo")
-    assert isinstance(sess.cpk, CollectivePublicKey)
-    assert np.array_equal(sess.cpk.p0.residues, sess.pkshares[0].p0.residues)
+    assert isinstance(sess.cpk, PublicKey)
+    assert np.array_equal(rg.from_ntt(sess.cpk.p0).residues,
+                          sess.pkshares[0].p0.residues)
     assert np.array_equal(sess.cpk.p1.residues, sess.crs.p1.residues)
 
 
@@ -166,12 +177,64 @@ def test_encrypt_under_cpk_ideal_key_roundtrip():
     params = sess.params
     vals = [9, -4] + [0] * (params.ring.n - 2)
     pt = bfv_plaintext(params, vals)
-    pk = PublicKey(p0=sess.cpk.p0, p1=sess.cpk.p1)
-    ct = encrypt(params, pk, pt, sess.root.child("enc"))
+    ct = encrypt(params, sess.cpk, pt, sess.root.child("enc"))
     ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
     from thagg.schemes import dec_bfv
 
     assert dec_bfv(params, ideal, ct).values == vals
+
+
+def test_every_key_is_returned_in_ntt_domain():
+    sess = mk_session(MBFV, 64, 2, 0, seed="domains")
+    params = sess.params
+    sk = seckeygen(params, sess.root.child("sk"))
+    pk = pubkeygen(params, sk, sess.root.child("pk"))
+    keys = [sk.s, pk.p0, pk.p1, sess.crs.p1, sess.cpk.p0, sess.cpk.p1]
+    keys += [sh.s for sh in sess.shares]
+    assert all(k.domain == rg.NTT for k in keys)
+    assert sess.cpk.p1 is sess.crs.p1
+    # the messages stay in the coefficient domain
+    assert all(pks.p0.domain == rg.COEFF for pks in sess.pkshares)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scheme=st.sampled_from([MBFV, MCKKS]))
+def test_ntt_keys_match_their_coefficient_copies(seed, scheme):
+    """Encryption, partial decryption and decryption give the same residues
+    with the stored NTT-domain keys as with their coefficient-domain copies,
+    which serve as the oracle."""
+    sess = mk_session(scheme, 64, 2, 8, seed=f"copies-{seed}")
+    params, rng = sess.params, Xof.from_seed(seed)
+    sk = seckeygen(params, rng.child("sk"))
+    pk = pubkeygen(params, sk, rng.child("pk"))
+    if scheme == MBFV:
+        t = params.t
+        pt = bfv_plaintext(params, [rng.uniform_below(t) - t // 2 + 1
+                                    for _ in range(params.ring.n)])
+    else:
+        pt = encode_real(rng.child("w").float_open01(params.ring.n) - 0.5,
+                         params)
+
+    def encrypt_both(key):
+        ct = encrypt(params, key, pt, rng.child("e"))
+        copy = PublicKey(p0=rg.from_ntt(key.p0), p1=rg.from_ntt(key.p1))
+        want = encrypt(params, copy, pt, rng.child("e"))
+        assert np.array_equal(ct.c0.residues, want.c0.residues)
+        assert np.array_equal(ct.c1.residues, want.c1.residues)
+        return ct
+
+    ct = encrypt_both(pk)
+    assert decryption_phase(params, sk, ct) == decryption_phase(
+        params, SecretKey(rg.from_ntt(sk.s)), ct)
+    ct = encrypt_both(sess.cpk)
+    ct_ntt = replace(ct, c1=rg.to_ntt(ct.c1))  # as output_step uses it
+    for sh in sess.shares:
+        label = f"pdec/{sh.index}"
+        got = partial_decrypt(params, sh, ct_ntt, sess.smudge,
+                              rng.child(label))
+        copy = SecretShare(index=sh.index, s=rg.from_ntt(sh.s))
+        want = partial_decrypt(params, copy, ct, sess.smudge, rng.child(label))
+        assert np.array_equal(got.h.residues, want.h.residues)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +242,15 @@ def test_encrypt_under_cpk_ideal_key_roundtrip():
 
 
 def test_smudge_bound_examples():
-    assert smudge_bound(0, 100).b_smg == 100
-    assert smudge_bound(32, Fraction(7)).b_smg == 65536 * 7
+    assert smudge_bound(0, 100) == 100
+    assert smudge_bound(32, Fraction(7)) == 65536 * 7
     b_ct = 16 * B192 * (2 * 16384 * 16 + 1)
-    sp = smudge_bound(128, b_ct)
-    assert sp.b_ct == Fraction(805307904, 5)
-    assert sp.b_smg == 2**64 * b_ct
-    assert float(sp.b_smg) == pytest.approx(2.971e27, rel=1e-3)
+    assert b_ct == Fraction(805307904, 5)
+    b_smg = smudge_bound(128, b_ct)
+    assert b_smg == 2**64 * b_ct
+    assert float(b_smg) == pytest.approx(2.971e27, rel=1e-3)
     # odd lambda rounds the exponent up
-    assert smudge_bound(31, 1).b_smg == 2**16
+    assert smudge_bound(31, 1) == 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +262,9 @@ def test_partial_decrypt_zero_hook():
     params = sess.params
     zero_share = SecretShare(index=1, s=rg.zero(params.ring))
     pt = bfv_plaintext(params, [0] * params.ring.n)
-    pk = PublicKey(p0=sess.cpk.p0, p1=sess.cpk.p1)
-    ct = encrypt(params, pk, pt, sess.root.child("e"))
-    quiet = smudge_bound(0, 0)
-    h = partial_decrypt(params, zero_share, ct, quiet, Xof.from_seed("z"))
+    ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
+    h = partial_decrypt(params, zero_share, ct, no_smudging(sess),
+                        Xof.from_seed("z"))
     assert not h.h.residues.any()
 
 
@@ -210,20 +272,41 @@ def test_partial_decrypt_rejects_oversized_smudging():
     sess = mk_session(MBFV, 64, 2, 0)
     params = sess.params
     pt = bfv_plaintext(params, [0] * params.ring.n)
-    pk = PublicKey(p0=sess.cpk.p0, p1=sess.cpk.p1)
-    ct = encrypt(params, pk, pt, sess.root.child("e"))
-    huge = smudge_bound(4 * params.ring.log2_q, sess.smudge.b_ct)
+    ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
+    huge = replace(sess.smudge, b_smg=smudge_bound(4 * params.ring.log2_q,
+                                                   sess.smudge.b_ct))
     with pytest.raises(SmudgeBoundError):
         partial_decrypt(params, sess.shares[0], ct, huge, Xof.from_seed("s"))
+
+
+def test_partial_decrypt_counts_parties_not_kappa():
+    # kappa = 1, four shares, b_smg = 3/5 of the room under q: one smudging
+    # term fits, four do not, so the check must count the parties
+    params = setup(BFV, 64, sigma="3.2", t=257, log2_q=40, kappa=1)
+    root = Xof.from_seed("four-shares")
+    crs = crs_expand(root.child("crs").read(32), params.ring)
+    shares = [gen_share(params, i, root.child(f"share/{i}"))
+              for i in range(1, 5)]
+    cpk = combine_pk(params, [pk_share(params, sh, crs, root.child(f"pk/{i}"))
+                              for i, sh in enumerate(shares, 1)], crs, 4)
+    ct = encrypt(params, cpk, bfv_plaintext(params, [0] * 64),
+                 root.child("e"))
+    room = Fraction(params.ring.q, 2 * params.t) - Fraction(params.t, 2)
+    smudge = SmudgeParams(parties=4, b_ct=Fraction(0), b_smg=room * 3 / 5)
+    for sh in shares:
+        with pytest.raises(SmudgeBoundError, match="4\\*b_smg"):
+            partial_decrypt(params, sh, ct, smudge, root.child("p"))
+    alone = replace(smudge, parties=1)
+    partial_decrypt(params, shares[0], ct, alone, root.child("p"))
 
 
 def test_combine_decrypt_single_party_no_smudging_matches_single_key():
     sess = mk_session(MBFV, 64, 1, 0, seed="collapse")
     params = sess.params
     vals = [3] + [0] * (params.ring.n - 1)
-    pk = PublicKey(p0=sess.cpk.p0, p1=sess.cpk.p1)
-    ct = encrypt(params, pk, bfv_plaintext(params, vals), sess.root.child("e"))
-    part = partial_decrypt(params, sess.shares[0], ct, smudge_bound(0, 0),
+    ct = encrypt(params, sess.cpk, bfv_plaintext(params, vals),
+                 sess.root.child("e"))
+    part = partial_decrypt(params, sess.shares[0], ct, no_smudging(sess),
                            Xof.from_seed("p"), e_smg=[0] * params.ring.n)
     d = combine_decrypt(params, ct, [part], 1)
     single = decryption_phase(params, SecretKey(sess.shares[0].s), ct)
@@ -234,8 +317,7 @@ def test_combine_decrypt_order_invariant_and_checked():
     sess = mk_session(MBFV, 64, 3, 8, seed="order")
     params = sess.params
     pt = bfv_plaintext(params, [1] * params.ring.n)
-    pk = PublicKey(p0=sess.cpk.p0, p1=sess.cpk.p1)
-    ct = encrypt(params, pk, pt, sess.root.child("e"))
+    ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
     d, partials = open_ciphertext(sess, ct)
     d_rev = combine_decrypt(params, ct, list(reversed(partials)), 3)
     assert d == d_rev
@@ -248,7 +330,7 @@ def test_combine_decrypt_order_invariant_and_checked():
 def test_opened_noise_within_aggregate_bound():
     sess = mk_session(MBFV, 64, 4, 8, seed="noise-bound")
     params = sess.params
-    pk = PublicKey(p0=sess.cpk.p0, p1=sess.cpk.p1)
+    pk = sess.cpk
     t, n = params.t, params.ring.n
     rng = sess.root.child("msgs")
     cts, total = [], [0] * n
@@ -285,7 +367,7 @@ def test_ideal_functionality_equivalence():
     sess = mk_session(MBFV, 64, 3, 8, seed="ideal-eq")
     params = sess.params
     n, q, half = params.ring.n, params.ring.q, params.ring.half_q
-    pk = PublicKey(p0=sess.cpk.p0, p1=sess.cpk.p1)
+    pk = sess.cpk
     pt = bfv_plaintext(params, [2] * n)
     ct = encrypt(params, pk, pt, sess.root.child("e"))
     d, partials = open_ciphertext(sess, ct)
@@ -301,7 +383,7 @@ def test_ideal_functionality_equivalence():
         diff = (x - y - s) % q
         assert diff == 0
 
-    quiet = [partial_decrypt(params, sh, ct, smudge_bound(0, 0),
+    quiet = [partial_decrypt(params, sh, ct, no_smudging(sess),
                              Xof.from_seed("q"), e_smg=[0] * n)
              for sh in sess.shares]
     assert combine_decrypt(params, ct, quiet, 3) == base
@@ -348,7 +430,7 @@ def test_threshold_bfv_exact_small_sweep():
     # lam=16, n=1024, L=2: opened plaintext is exactly the mod-t sum
     sess = mk_session(MBFV, 1024, 2, 16, seed="bfv-e2e")
     params = sess.params
-    pk = PublicKey(p0=sess.cpk.p0, p1=sess.cpk.p1)
+    pk = sess.cpk
     t, n = params.t, params.ring.n
     def centered(r):
         return r - t if r > t // 2 else r
@@ -380,7 +462,7 @@ def test_threshold_ckks_accuracy_small_sweep():
     sess = mk_session(MCKKS, 1024, parties, 16, eps_inv_bits=10,
                       seed="ckks-e2e")
     params = sess.params
-    pk = PublicKey(p0=sess.cpk.p0, p1=sess.cpk.p1)
+    pk = sess.cpk
     n = params.ring.n
     eps = sess.report.bounds.b_ct_mp / params.delta
     for run in range(10):
