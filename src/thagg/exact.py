@@ -34,11 +34,6 @@ def floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def round_half_up(x: Fraction) -> int:
-    """floor(x + 1/2), exact; ties go toward +infinity."""
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
 def pow2_ge(k: int, x: Fraction) -> bool:
     """2^k >= x, exact for any integer k."""
     num, den = x.numerator, x.denominator

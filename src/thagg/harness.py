@@ -303,8 +303,7 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
             pt = finalize_bfv(params, d)
             parts.append(decode_fixed(pt, cfg.fixed_point_bits, cfg.parties))
         else:
-            pt = finalize_ckks(params, d,
-                               noise_bound=report.bounds.b_ct_mp)
+            pt = finalize_ckks(params, d)
             parts.append(pt.values)
     return Ratios.concat(parts)[: cfg.model_size]
 

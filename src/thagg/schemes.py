@@ -5,13 +5,12 @@ generation and encryption shape, sampling encryption randomness u from the
 ternary distribution. No slot packing: plaintext coefficients carry values
 directly. Decryption tails work on exact integers from the Garner digits of
 the CRT lift; nothing in the decrypt path touches floats. The encoders turn
-float arrays into integers (or RNS residues) with exact vector steps; other
-rational inputs take the scalar exact path.
+float64 arrays, and only those, into integers (or RNS residues) with exact
+vector steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,8 +30,6 @@ from .exact import (
     frac,
     frac_log2,
     int_array,
-    round_half_up,
-    scaled_round,
     scaled_round_array,
     scaled_round_residues,
 )
@@ -74,18 +71,18 @@ class Plaintext:
     """Integer plaintext coefficients.
 
     BFV: centered integers mod t. CKKS: round(scale * value), so the values
-    are coeffs / scale. `coeffs` is an int64 array or a list of Python ints.
-    A CKKS encoding of floats is built straight as its RNS `element`; its
-    integers are lifted from that on request.
+    are coeffs / scale. `coeffs` is an int64 array, or Python ints
+    (dtype object) when some value does not fit. An encoding of floats
+    beyond int64 (always, for CKKS) is built straight as its RNS `element`;
+    its integers are lifted from that on request.
     """
 
     scheme: str
-    coeffs: np.ndarray | list | None = None
+    coeffs: np.ndarray | None = None
     scale: int = 1
-    error_bound: Fraction | None = None
     element: rg.RingElement | None = field(default=None, repr=False)
 
-    def ints(self) -> np.ndarray | list:
+    def ints(self) -> np.ndarray:
         """The integer coefficients, lifted from `element` on first use."""
         if self.coeffs is None:
             self.coeffs = rg.crt_lift(self.element).ints()
@@ -204,71 +201,53 @@ def pubkeygen(params: SchemeParams, sk: SecretKey, rng: Xof, *,
 
 
 def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
-    t = params.t
-    vals = []
-    for v in values:
-        v = int(v)
-        if not (-t < 2 * v <= t):  # centered window (-t/2, t/2]
-            raise PlaintextRangeError(f"value {v} outside (-t/2, t/2] for t={t}")
-        vals.append(v)
-    if len(vals) != params.ring.n:
-        raise PlaintextRangeError(f"need exactly n={params.ring.n} values")
+    t, n = params.t, params.ring.n
+    vals = int_array(values)
+    if vals.shape != (n,):
+        raise PlaintextRangeError(f"need exactly n={n} values")
+    outside = (vals <= -t // 2) | (vals > t // 2)  # centered window (-t/2, t/2]
+    if outside.any():
+        v = int(vals[outside.argmax()])
+        raise PlaintextRangeError(f"value {v} outside (-t/2, t/2] for t={t}")
     return Plaintext(scheme=BFV, coeffs=vals)
 
 
-def _float_input(values) -> np.ndarray | None:
-    """The values as a float64 array when they are all floats, else None.
-
-    Rejects NaN and infinities, which have no integer encoding."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        arr = values.astype(np.float64, copy=False)
-        ok = np.isfinite(arr).all()
-    else:
-        arr = None
-        if all(isinstance(x, float) for x in values):
-            arr = np.array(values, dtype=np.float64)
-        ok = all(math.isfinite(x) for x in values if isinstance(x, float))
-    if not ok:
-        raise PlaintextRangeError("cannot encode NaN or an infinite value")
-    return arr
-
-
-def _largest(floats: np.ndarray | None, values) -> Fraction:
-    """max |value|, exact; float comparisons are exact, so only it goes
+def _largest(values: np.ndarray, n: int) -> Fraction:
+    """max |value|, exact, of an encoder input: a length-n float64 array
+    of finite values. Float comparisons are exact, so only the maximum goes
     rational."""
-    if floats is not None:
-        return Fraction(float(np.abs(floats).max(initial=0.0)))
-    return max((abs(frac(x)) for x in values), default=Fraction(0))
+    if getattr(values, "dtype", None) != np.float64:
+        raise TypeError("the encoders take a float64 numpy array")
+    if values.shape != (n,):
+        raise PlaintextRangeError(f"need exactly n={n} values")
+    if not np.isfinite(values).all():
+        raise PlaintextRangeError("cannot encode NaN or an infinite value")
+    return Fraction(float(np.abs(values).max(initial=0.0)))
 
 
-def encode_fixed(values, scale_bits: int, params: SchemeParams) -> Plaintext:
+def encode_fixed(values: np.ndarray, scale_bits: int,
+                 params: SchemeParams) -> Plaintext:
     """Quantize reals onto the grid 2^-scale_bits as BFV plaintext integers.
 
     Rejects inputs that could wrap mod t once kappa clients' contributions
-    are aggregated.
+    are aggregated. Values whose scaled magnitude does not fit int64 are
+    built straight as their RNS `element`.
     """
     if params.scheme != BFV:
         raise PlaintextRangeError("fixed-point encoding targets BFV")
-    n, t, width = params.ring.n, params.t, params.kappa
-    if len(values) != n:
-        raise PlaintextRangeError(f"need exactly n={n} values")
+    t, width = params.t, params.kappa
     two_p = 1 << scale_bits
-    floats = _float_input(values)
-    biggest = _largest(floats, values)
+    biggest = _largest(values, params.ring.n)
     if width * two_p * biggest >= Fraction(t, 2):
         raise EncodingOverflowError(
             f"{width} * 2^{scale_bits} * |{float(biggest):.4g}| >= t/2; "
             "lower scale_bits or raise t")
-    if floats is not None and t <= 1 << 63:  # so |value| < t/2 fits int64
+    if two_p * biggest < 1 << 62:  # the range scaled_round_array needs
         return Plaintext(scheme=BFV,
-                         coeffs=scaled_round_array(floats, scale_bits))
-    out = []
-    for x in values:
-        if isinstance(x, float):
-            out.append(scaled_round(x, scale_bits))
-        else:
-            out.append(round_half_up(frac(x) * two_p))
-    return Plaintext(scheme=BFV, coeffs=out)
+                         coeffs=scaled_round_array(values, scale_bits))
+    res = scaled_round_residues(values, scale_bits, params.ring.primes)
+    return Plaintext(scheme=BFV,
+                     element=rg.RingElement(params.ring, res, rg.COEFF))
 
 
 def decode_fixed(pt: Plaintext, scale_bits: int, parties: int) -> Ratios:
@@ -276,7 +255,7 @@ def decode_fixed(pt: Plaintext, scale_bits: int, parties: int) -> Ratios:
     return Ratios(pt.ints(), (1 << scale_bits) * parties)
 
 
-def encode_real(values, params: SchemeParams) -> Plaintext:
+def encode_real(values: np.ndarray, params: SchemeParams) -> Plaintext:
     """CKKS coefficient-wise encoding: integer coefficients round(delta * v).
 
     Rejects kappa * max|v| > 1: setup's headroom check sizes q for an
@@ -285,36 +264,25 @@ def encode_real(values, params: SchemeParams) -> Plaintext:
     """
     if params.scheme != CKKS:
         raise PlaintextRangeError("real encoding targets CKKS")
-    n, d = params.ring.n, params.delta
-    if len(values) != n:
-        raise PlaintextRangeError(f"need exactly n={n} values")
-    floats = _float_input(values)
-    biggest = _largest(floats, values)
+    biggest = _largest(values, params.ring.n)
     if params.kappa * biggest > 1:
         raise EncodingOverflowError(
             f"{params.kappa} * |{float(biggest):.4g}| > 1: the aggregate "
             "would leave the message space setup sized q for")
-    shift = d.bit_length() - 1  # delta is a power of two
-    if floats is not None:
-        res = scaled_round_residues(floats, shift, params.ring.primes)
-        return Plaintext(scheme=CKKS, scale=d,
-                         element=rg.RingElement(params.ring, res, rg.COEFF))
-    enc = []
-    for x in values:
-        if isinstance(x, float):
-            enc.append(scaled_round(x, shift))
-        else:
-            enc.append(round_half_up(frac(x) * d))
-    return Plaintext(scheme=CKKS, coeffs=enc, scale=d)
+    shift = params.delta.bit_length() - 1  # delta is a power of two
+    res = scaled_round_residues(values, shift, params.ring.primes)
+    return Plaintext(scheme=CKKS, scale=params.delta,
+                     element=rg.RingElement(params.ring, res, rg.COEFF))
 
 
 def _message_element(params: SchemeParams, pt: Plaintext) -> rg.RingElement:
     """Delta*m as a ring element, without materializing big integers for BFV."""
-    if pt.element is not None:
-        return pt.element
+    msg = pt.element
+    if msg is None:
+        msg = rg.from_coeffs(params.ring, pt.coeffs)
     if params.scheme == BFV:
-        return rg.mul_scalar(rg.from_coeffs(params.ring, pt.coeffs), params.delta)
-    return rg.from_coeffs(params.ring, pt.coeffs)
+        return rg.mul_scalar(msg, params.delta)
+    return msg
 
 
 # ---------------------------------------------------------------------------
@@ -361,38 +329,31 @@ def decryption_phase(params: SchemeParams, sk: SecretKey,
     return rg.crt_lift(rg.ring_add(ct.c0, rg.ring_mul(ct.c1, sk.s)))
 
 
-def bfv_round(params: SchemeParams, lifted) -> Plaintext:
-    """[round_half_up(t*x/q)]_t, exact, centered output.
+def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
+    """[floor(t*x/q + 1/2)]_t, exact, centered output.
 
     For power-of-two t <= 2^62, write t*x = q*k + r with r the centered
     [t*x]_q. Since q is odd, |r| < q/2, so k = round(t*x/q) and
     k = -r * q^-1 mod t. Only r mod t is needed: the Garner digits of [t*x]_q
-    give it mod 2^64 without big integers. Other t (or lifted values given
-    as plain integers) take the rational form below, the reference.
+    give it mod 2^64 without big integers. Other t take the rational form
+    below, on Python integers.
     """
     t, q = params.t, params.ring.q
-    if isinstance(lifted, rg.Lifted) and t & (t - 1) == 0 and t <= 1 << 62:
+    if t & (t - 1) == 0 and t <= 1 << 62:
         ring = params.ring
         tx = rg.Lifted(ring, rg.mul_scalar(
             rg.RingElement(ring, lifted.residues), t).residues)
         k = (np.uint64(0) - tx.wrapped64()) * np.uint64(pow(q, -1, t))
         m = (k & np.uint64(t - 1)).astype(np.int64)
         return Plaintext(scheme=BFV, coeffs=np.where(m > t // 2, m - t, m))
-    out = []
-    for x in lifted:
-        m = ((2 * t * x + q) // (2 * q)) % t
-        if m > t // 2:
-            m -= t
-        out.append(m)
-    return Plaintext(scheme=BFV, coeffs=out)
+    m = (2 * t * lifted.ints().astype(object) + q) // (2 * q) % t
+    m = np.where(m > t // 2, m - t, m)
+    return Plaintext(scheme=BFV, coeffs=m if t > 1 << 63 else m.astype(np.int64))
 
 
-def ckks_scale_down(params: SchemeParams, lifted,
-                    noise_bound: Fraction | None = None) -> Plaintext:
+def ckks_scale_down(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
     """The lifted integers over delta; the values are their quotients."""
-    coeffs = lifted.ints() if isinstance(lifted, rg.Lifted) else int_array(lifted)
-    return Plaintext(scheme=CKKS, coeffs=coeffs, scale=params.delta,
-                     error_bound=noise_bound)
+    return Plaintext(scheme=CKKS, coeffs=lifted.ints(), scale=params.delta)
 
 
 def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
@@ -404,10 +365,7 @@ def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
 def dec_ckks(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
     if ct.scheme != CKKS or params.scheme != CKKS:
         raise PlaintextRangeError("dec_ckks needs a CKKS ciphertext")
-    n = params.ring.n
-    bound = Fraction(ct.adds_consumed + 1) * (2 * n + 1) * params.noise.bound
-    return ckks_scale_down(params, decryption_phase(params, sk, ct),
-                           noise_bound=bound / params.delta)
+    return ckks_scale_down(params, decryption_phase(params, sk, ct))
 
 
 # ---------------------------------------------------------------------------

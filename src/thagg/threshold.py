@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import ring as rg
 from .errors import ShareSetError, SmudgeBoundError
-from .exact import frac
 from .rng import Xof
 from .schemes import (
     BFV,
@@ -159,18 +158,16 @@ def combine_decrypt(params: SchemeParams, ct: Ciphertext,
     return rg.crt_lift(acc)
 
 
-def finalize_bfv(params: SchemeParams, d) -> Plaintext:
+def finalize_bfv(params: SchemeParams, d: rg.Lifted) -> Plaintext:
     if params.scheme != BFV:
         raise ShareSetError("finalize_bfv needs BFV parameters")
     return bfv_round(params, d)
 
 
-def finalize_ckks(params: SchemeParams, d,
-                  noise_bound=None) -> Plaintext:
+def finalize_ckks(params: SchemeParams, d: rg.Lifted) -> Plaintext:
     if params.scheme != CKKS:
         raise ShareSetError("finalize_ckks needs CKKS parameters")
-    bound = None if noise_bound is None else frac(noise_bound) / params.delta
-    return ckks_scale_down(params, d, noise_bound=bound)
+    return ckks_scale_down(params, d)
 
 
 def reconstruct_ideal_key(params: SchemeParams,

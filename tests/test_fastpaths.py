@@ -35,6 +35,7 @@ from thagg.schemes import (
     BFV,
     CKKS,
     SchemeParams,
+    _message_element,
     bfv_round,
     encode_fixed,
     encode_real,
@@ -99,6 +100,25 @@ def ref_cleartext_oracle(cfg, updates):
         return [Fraction(sum(scaled_round(float(w[j]), p) for w in updates),
                          (1 << p) * L) for j in range(N)]
     return [sum(Fraction(float(w[j])) for w in updates) / L for j in range(N)]
+
+
+def ref_round_half_up(x):
+    """floor(x + 1/2) of a Fraction, exact; ties go toward +infinity."""
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+def ref_encode(xs, scale):
+    """round(x * scale) per value, on the exact rational value of each float."""
+    return [ref_round_half_up(Fraction(x) * scale) for x in xs]
+
+
+def ref_bfv_round(t, q, lifted):
+    """[round(t * x / q)]_t, centered, one Python integer at a time."""
+    out = []
+    for x in lifted:
+        m = ((2 * t * x + q) // (2 * q)) % t
+        out.append(m - t if m > t // 2 else m)
+    return out
 
 
 def ref_bitrev(n):
@@ -222,8 +242,8 @@ def test_scaled_round_residues_matches_scalar(xs, d, params):
     assert got.tolist() == want
 
 
-def bfv_params(kappa=1, t=2**16):
-    return setup(BFV, 16, sigma="3.2", t=t, log2_q=60, kappa=kappa)
+def bfv_params(kappa=1, t=2**16, log2_q=60):
+    return setup(BFV, 16, sigma="3.2", t=t, log2_q=log2_q, kappa=kappa)
 
 
 def ckks_params(kappa=1):
@@ -236,49 +256,74 @@ def ckks_params(kappa=1):
 def test_encode_fixed_matches_scalar_path(xs, p):
     params = bfv_params()
     assume(max(abs(x) for x in xs) * 2.0**p < 2.0**14)
-    fast = encode_fixed(xs, p, params)
-    slow = encode_fixed([Fraction(x) for x in xs], p, params)  # scalar path
-    assert isinstance(fast.coeffs, np.ndarray)
-    assert fast.values == slow.values == [scaled_round(x, p) for x in xs]
+    pt = encode_fixed(np.array(xs), p, params)
+    assert pt.coeffs.dtype == np.int64
+    assert pt.values == ref_encode(xs, 1 << p) == [
+        scaled_round(x, p) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(dyadic_floats(top=8), min_size=16, max_size=16),
+       st.integers(0, 90))
+@example([1.0 - 2.0**-53, -(1.0 - 2.0**-53)] + [0.0] * 14, 62)  # < 2^62
+@example([1.0, -1.0] + [0.0] * 14, 62)  # scaled to 2^62: the residue route
+@example([1.0 - 2.0**-53, -1.0] + [0.5] * 14, 90)
+def test_encode_fixed_beyond_int64_matches_reference(xs, p):
+    params = bfv_params(t=2**100, log2_q=240)
+    assume(max(abs(x) for x in xs) * 2.0**p < 2.0**98)
+    pt = encode_fixed(np.array(xs), p, params)
+    want = ref_encode(xs, 1 << p)
+    assert pt.values == want
+    ref = rg.mul_scalar(rg.from_coeffs(params.ring, want), params.delta)
+    assert np.array_equal(_message_element(params, pt).residues, ref.residues)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(dyadic_floats(top=0), min_size=16, max_size=16))
 def test_encode_real_matches_scalar_path(xs):
     params = ckks_params()
-    fast = encode_real(np.array(xs), params)
-    slow = encode_real([Fraction(x) for x in xs], params)  # scalar path
-    shift = params.delta.bit_length() - 1
-    assert fast.element is not None and slow.element is None
-    assert fast.ints().tolist() == list(slow.ints()) == [
-        scaled_round(x, shift) for x in xs]
-    ref = rg.from_coeffs(params.ring, slow.ints())
-    assert np.array_equal(fast.element.residues, ref.residues)
+    pt = encode_real(np.array(xs), params)
+    want = ref_encode(xs, params.delta)
+    assert pt.ints().tolist() == want == [
+        scaled_round(x, params.delta.bit_length() - 1) for x in xs]
+    ref = rg.from_coeffs(params.ring, want)
+    assert np.array_equal(pt.element.residues, ref.residues)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_encoders_reject_non_finite_with_typed_error(bad):
-    xs = [0.0] * 15 + [bad]
+    xs = np.array([0.0] * 15 + [bad])
     for call in (lambda v: encode_fixed(v, 4, bfv_params()),
                  lambda v: encode_real(v, ckks_params())):
-        for values in (xs, np.array(xs)):
-            with pytest.raises(PlaintextRangeError):
-                call(values)
+        with pytest.raises(PlaintextRangeError):
+            call(xs)
     assert issubclass(PlaintextRangeError, ProtocolFailure)  # CLI exit 3
+
+
+def test_encoders_take_only_float64_arrays():
+    floats = [0.25] * 16
+    for call in (lambda v: encode_fixed(v, 4, bfv_params()),
+                 lambda v: encode_real(v, ckks_params())):
+        for values in (floats, np.ones(16, dtype=np.int64),
+                       np.array([Fraction(1, 4)] * 16, dtype=object)):
+            with pytest.raises(TypeError):
+                call(values)
+        for size in (15, 17):
+            with pytest.raises(PlaintextRangeError):
+                call(np.full(size, 0.25))
+        call(np.array(floats))
 
 
 def test_encode_real_rejects_wraparound():
     params = setup(CKKS, 64, sigma="3.2", eps_inv=2**10, log2_q=60)
     with pytest.raises(EncodingOverflowError):
-        encode_real([5.2e10] + [0.0] * 63, params)
+        encode_real(np.array([5.2e10] + [0.0] * 63), params)
     # the bound is kappa * max|x| <= 1, compared exactly
     four = setup(CKKS, 64, sigma="3.2", eps_inv=2**10, log2_q=60, kappa=4)
-    encode_real([0.25, -0.25] + [0.0] * 62, four)
+    encode_real(np.array([0.25, -0.25] + [0.0] * 62), four)
     for too_big in (math.nextafter(0.25, 1.0), -math.nextafter(0.25, 1.0)):
         with pytest.raises(EncodingOverflowError):
-            encode_real([too_big] + [0.0] * 63, four)
-        with pytest.raises(EncodingOverflowError):
-            encode_real([Fraction(too_big)] + [0] * 63, four)
+            encode_real(np.array([too_big] + [0.0] * 63), four)
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +436,17 @@ def test_bfv_round_matches_lifted_reference(data):
     lifted = rg.crt_lift(rg.from_coeffs(params, values))
     fast = bfv_round(scheme, lifted)
     assert isinstance(fast.coeffs, np.ndarray)
-    slow = bfv_round(scheme, ref_crt_lift(params, lifted.residues))
-    assert fast.values == slow.values
+    slow = ref_bfv_round(t, params.q, ref_crt_lift(params, lifted.residues))
+    assert fast.values == slow
 
 
 def test_bfv_round_other_t_uses_reference():
-    scheme = bfv_scheme(FIVE_PRIMES, 257)
     values = (edge_values(FIVE_PRIMES.q) * 4)[: FIVE_PRIMES.n]
     lifted = rg.crt_lift(rg.from_coeffs(FIVE_PRIMES, values))
-    assert (bfv_round(scheme, lifted).values
-            == bfv_round(scheme, lifted.tolist()).values)
+    for t in (257, 4097, 2**70, 2**100 + 1):
+        got = bfv_round(bfv_scheme(FIVE_PRIMES, t), lifted)
+        assert got.values == ref_bfv_round(t, FIVE_PRIMES.q, lifted.tolist())
+        assert got.coeffs.dtype == (np.int64 if t < 2**63 else object)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Cross-version determinism: `thagg run` reproduces checked-in artifacts.
 
-The files under tests/data were written by `thagg run` on the two configs
-there (n = 1024, L = 3, q above 2^64). A fixed root seed must keep giving
-the same transcript and aggregate bytes as the code changes underneath.
+The files under tests/data were written by `thagg run` on the configs there
+(n = 1024, q above 2^64). A fixed root seed must keep giving the same
+transcript and aggregate bytes as the code changes underneath. `mbfv_bigt`
+has t = 2^70 and 66 fixed-point bits, so its encoded values, its BFV
+rounding and its cleartext oracle all leave int64.
 """
 
 from pathlib import Path
@@ -14,7 +16,7 @@ from thagg import cli
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("scheme", ["mbfv", "mckks"])
+@pytest.mark.parametrize("scheme", ["mbfv", "mckks", "mbfv_bigt"])
 def test_run_reproduces_golden_artifacts(scheme, tmp_path, capsys):
     out = tmp_path / scheme
     assert cli.main(["run", "-c", str(DATA / f"golden_{scheme}.ini"),

@@ -397,7 +397,8 @@ def test_finalize_bfv_noiseless_and_scheme_guard():
     sess = mk_session(MBFV, 64, 2, 0)
     params = sess.params
     vals = [7, -7] + [0] * (params.ring.n - 2)
-    d = [params.delta * v for v in vals]
+    d = rg.crt_lift(rg.from_coeffs(params.ring,
+                                   [params.delta * v for v in vals]))
     assert finalize_bfv(params, d).values == vals
     with pytest.raises(ShareSetError):
         finalize_ckks(params, d)
@@ -406,22 +407,26 @@ def test_finalize_bfv_noiseless_and_scheme_guard():
 def test_finalize_ckks_noiseless_exact():
     sess = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=12)
     params = sess.params
-    d = [params.delta * 3, -params.delta] + [0] * (params.ring.n - 2)
+    # setup's headroom covers |m| <= 1, so +-delta is a value d can take
+    d = rg.crt_lift(rg.from_coeffs(
+        params.ring, [params.delta, -params.delta] + [0] * (params.ring.n - 2)))
     pt = finalize_ckks(params, d)
-    assert pt.values[0] == 3 and pt.values[1] == -1
+    assert pt.values[0] == 1 and pt.values[1] == -1
 
 
 def test_finalize_ckks_doubling_delta_halves_residual():
     sess = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=12)
     params = sess.params
     noise = list(range(1000, 1000 + params.ring.n))
-    d1 = [params.delta * 1 + e for e in noise]
+    d1 = rg.crt_lift(rg.from_coeffs(params.ring,
+                                    [params.delta * 1 + e for e in noise]))
     err1 = max(abs(v - 1) for v in finalize_ckks(params, d1).values)
     # same additive noise at twice the scale
     sess2 = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=13)
     params2 = sess2.params
     assert params2.delta == 2 * params.delta
-    d2 = [params2.delta * 1 + e for e in noise]
+    d2 = rg.crt_lift(rg.from_coeffs(params2.ring,
+                                    [params2.delta * 1 + e for e in noise]))
     err2 = max(abs(v - 1) for v in finalize_ckks(params2, d2).values)
     assert err2 == err1 / 2
 
@@ -471,7 +476,7 @@ def test_threshold_ckks_accuracy_small_sweep():
                    for i in range(parties)]
         cts = []
         for i, w in enumerate(streams):
-            pt = encode_real([x / parties for x in w], params)
+            pt = encode_real(w / parties, params)
             cts.append(encrypt(params, pk, pt, rng.child(f"e{i}")))
         acc = cts[0]
         for ct in cts[1:]:
@@ -480,8 +485,7 @@ def test_threshold_ckks_accuracy_small_sweep():
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
         d = combine_decrypt(params, acc, partials, parties)
-        got = finalize_ckks(params, d, noise_bound=sess.report.bounds.b_ct_mp)
-        assert got.error_bound == eps
+        got = finalize_ckks(params, d)
         for j in range(n):
             truth = sum(Fraction(w[j]) for w in streams) / parties
             assert abs(got.values[j] - truth) < eps
