@@ -71,21 +71,9 @@ def frac_log2(x: Fraction | int) -> float:
     return (math.log2(num >> a) + a) - (math.log2(den >> b) + b)
 
 
-def scaled_round(x: float, d: int) -> int:
-    """floor(x * 2^d + 1/2) exactly, treating x as its exact binary value."""
-    if x == 0.0:
-        return 0
-    m, e = math.frexp(x)
-    big = int(m * (1 << 53))  # exact: x = big * 2^(e-53)
-    s = e - 53 + d
-    if s >= 0:
-        return big << s
-    k = -s
-    return (2 * big + (1 << k)) >> (k + 1)
-
-
 def scaled_round_array(x: np.ndarray, d: int) -> np.ndarray:
-    """`scaled_round` of every element of a finite float64 array, as int64.
+    """floor(x * 2^d + 1/2) of every element of a finite float64 array,
+    exact (x taken as its binary value), as int64.
 
     Needs d >= 0 and |x| * 2^d < 2^62. Multiplying by 2^d only moves the
     exponent, so y = x * 2^d is exact; y - floor(y) is exact too, so the
@@ -96,20 +84,39 @@ def scaled_round_array(x: np.ndarray, d: int) -> np.ndarray:
     return low.astype(np.int64) + (y - low >= 0.5)
 
 
-def scaled_round_residues(x: np.ndarray, d: int,
-                          primes: tuple[int, ...]) -> np.ndarray:
-    """Residues mod each prime of `scaled_round(x, d)`, shape (limbs, len(x)).
+def _mantissa_shift(x: np.ndarray, d: int):
+    """Each finite float64 x as M * 2^s with an integer |M| < 2^53 (frexp).
 
-    Finite float64 x, d >= 0, no size limit. Each x is M * 2^s with an
-    integer |M| < 2^53 (frexp). Where s + d >= 0 the rounded value is
-    M * 2^(s+d) and its residue is (M mod p) * (2^(s+d) mod p); elsewhere it
-    is below 2^53 and `scaled_round_array` gives it as int64.
+    Returns M, s + d, the mask where s + d >= 0 (the rounded value is then
+    M * 2^(s+d)), and floor(x * 2^d + 1/2) as int64 elsewhere, where it is
+    below 2^53.
     """
     frac_part, exp = np.frexp(x)
     mant = np.ldexp(frac_part, 53).astype(np.int64)
     shift = exp.astype(np.int64) + (d - 53)
     whole = shift >= 0
     small = scaled_round_array(np.where(whole, 0.0, x), d)
+    return mant, shift, whole, small
+
+
+def scaled_round_ints(x: np.ndarray, d: int) -> np.ndarray:
+    """floor(x * 2^d + 1/2) of every element of a finite float64 array, as
+    Python ints (dtype object). d >= 0, no size limit."""
+    mant, shift, whole, small = _mantissa_shift(x, d)
+    out = small.astype(object)
+    out[whole] = mant[whole].astype(object) << shift[whole].astype(object)
+    return out
+
+
+def scaled_round_residues(x: np.ndarray, d: int,
+                          primes: tuple[int, ...]) -> np.ndarray:
+    """Residues mod each prime of floor(x * 2^d + 1/2), shape
+    (limbs, len(x)). Finite float64 x, d >= 0, no size limit.
+
+    Where the value is M * 2^(s+d) its residue is (M mod p) * (2^(s+d)
+    mod p); elsewhere it is the int64 `scaled_round_array` value mod p.
+    """
+    mant, shift, whole, small = _mantissa_shift(x, d)
     shifts, index = np.unique(np.where(whole, shift, 0), return_inverse=True)
     rows = np.empty((len(primes), x.size), dtype=np.int64)
     for j, p in enumerate(primes):
@@ -144,7 +151,7 @@ def _max_abs(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _times(a: np.ndarray, k: int) -> np.ndarray:
+def int_times(a: np.ndarray, k: int) -> np.ndarray:
     """Exact a * k; int64 while the product fits, Python ints beyond."""
     if k == 1:
         return a
@@ -210,8 +217,8 @@ class Ratios(Sequence):
         if len(self) != len(other):
             raise ValueError("ratio vectors differ in length")
         den = math.lcm(self.denominator, other.denominator)
-        a = _times(self.numerators, den // self.denominator)
-        b = _times(other.numerators, den // other.denominator)
+        a = int_times(self.numerators, den // self.denominator)
+        b = int_times(other.numerators, den // other.denominator)
         if (a.dtype != object and b.dtype != object
                 and _max_abs(a) + _max_abs(b) > INT64_MAX):
             a = a.astype(object)

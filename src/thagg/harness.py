@@ -24,7 +24,7 @@ from . import ring as rg
 from . import wire
 from .config import ProtocolConfig, config_text
 from .errors import LengthMismatchError
-from .exact import Ratios, binary_places, scaled_round, scaled_round_array
+from .exact import Ratios, binary_places, scaled_round_array, scaled_round_ints
 from .planner import MBFV, PlanReport, plan
 from .rng import Xof
 from .schemes import (
@@ -191,14 +191,13 @@ def derive_scheme_params(cfg: ProtocolConfig) -> tuple[PlanReport, SchemeParams]
                   enforce_security=cfg.enforce_security,
                   security_table=cfg.security_table)
     i = cfg.plan_inputs
+    common = dict(sigma=i.sigma, bound=i.bound, primes=report.primes,
+                  kappa=i.parties, mp_noise_bound=report.bounds.b_ct_mp,
+                  dec_limbs=len(report.dec_primes))
     if cfg.scheme == MBFV:
-        params = setup(BFV, i.n, sigma=i.sigma, bound=i.bound,
-                       t=1 << i.t_bits, primes=report.primes,
-                       kappa=i.parties, mp_noise_bound=report.bounds.b_ct_mp)
+        params = setup(BFV, i.n, t=1 << i.t_bits, **common)
     else:
-        params = setup(CKKS, i.n, sigma=i.sigma, bound=i.bound,
-                       eps_inv=1 << i.eps_inv_bits, primes=report.primes,
-                       kappa=i.parties, mp_noise_bound=report.bounds.b_ct_mp)
+        params = setup(CKKS, i.n, eps_inv=1 << i.eps_inv_bits, **common)
     return report, params
 
 
@@ -283,7 +282,11 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
                 clients: list[ClientState], agg_cts: list[Ciphertext],
                 report: PlanReport, root: Xof, round_index: int,
                 bus: MessageBus) -> Ratios:
-    """Collective decryption of every chunk, then per-scheme finalization."""
+    """Collective decryption of every chunk, then per-scheme finalization.
+
+    Partial decryptions travel and are combined at the plan's decryption
+    modulus q' (`report.dec_primes`), not at q.
+    """
     b = report.bounds
     smudge = SmudgeParams(parties=cfg.parties, b_ct=b.b_ct, b_smg=b.b_smg)
     parts: list[Ratios] = []
@@ -316,8 +319,7 @@ def _scaled_sum(updates: list[np.ndarray], d: int) -> np.ndarray:
     top = max(Fraction(float(np.abs(w).max(initial=0.0))) for w in updates)
     if top * (len(updates) << d) < 1 << 61:
         return sum(scaled_round_array(w, d) for w in updates)
-    return sum(np.array([scaled_round(float(x), d) for x in w], dtype=object)
-               for w in updates)
+    return sum(scaled_round_ints(w, d) for w in updates)
 
 
 def cleartext_oracle(cfg: ProtocolConfig,

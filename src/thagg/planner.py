@@ -13,6 +13,13 @@ modulus for both scheme variants:
 Minimum-q conditions:  MBFV  q > 2 t b_ct_mp + t^2
                        MCKKS q > 2 (delta b_m + b_ct_mp)
 
+Collective decryption then runs at q' = the product of the fewest leading
+primes of q whose rounding still passes the same conditions at the same q:
+rounding c0 and the L partial decryptions from q to q' = q/D adds at most
+(L+1)/2 in q' units, so the plan's b_ct_mp becomes
+
+    b_ct_mp'    = b_ct_mp + (L+1)/2 D      (D > 1; b_ct_mp when D = 1)
+
 The comparison verdict uses the normalized precision inequality
 t^2/(2 b_ct_mp) + t - 1 > 1/eps, which is equivalent (for b_m = 1 and
 delta = b_ct_mp/eps) to MCKKS needing the smaller modulus.
@@ -21,8 +28,9 @@ delta = b_ct_mp/eps) to MCKKS needing the smaller modulus.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import prod
 
 from .errors import ConfigError, UnknownRingDegreeError
 from .exact import ceil_log2, frac, frac_log2, floor_frac, min_q_bits
@@ -123,6 +131,13 @@ def mp_bounds(inputs: PlanInputs) -> MpBounds:
         b_smg=b_smg,
         b_ct_mp=b_ct + L * b_smg,
     )
+
+
+def switch_noise(parties: int, drop: int) -> Fraction:
+    """Opened-noise term, at full-q scale, of rounding c0 and each of the
+    `parties` partial decryptions from q to q/drop: (L+1)/2 * D, or 0 when
+    no prime is dropped (D = 1, nothing is rounded)."""
+    return Fraction((parties + 1) * drop, 2) if drop > 1 else Fraction(0)
 
 
 def qmin_mbfv_bound(t: int, b_ct_mp) -> Fraction:
@@ -290,6 +305,7 @@ class PlanReport:
     winner: str | None
     primes: tuple[int, ...]
     log2_q: int
+    dec_primes: tuple[int, ...]   # leading primes collective decryption keeps
     security_ok: bool
     security_required: bool
     reference: dict | None
@@ -309,7 +325,7 @@ class PlanReport:
 
         i, b = self.inputs, self.bounds
         lines = [
-            "format = thagg-plan-v1",
+            "format = thagg-plan-v2",
             f"scheme = {self.scheme}",
             f"n = {i.n}",
             f"parties = {i.parties}",
@@ -335,6 +351,9 @@ class PlanReport:
             f"primes = {','.join(str(p) for p in self.primes)}",
             f"limbs = {len(self.primes)}",
             f"log2_q = {self.log2_q}",
+            f"dec_primes = {','.join(str(p) for p in self.dec_primes)}",
+            f"dec_limbs = {len(self.dec_primes)}",
+            f"log2_q_dec = {prod(self.dec_primes).bit_length()}",
             f"security_ok = {'true' if self.security_ok else 'false'}",
             f"security_required = "
             f"{'true' if self.security_required else 'false'}",
@@ -343,6 +362,27 @@ class PlanReport:
             for k in sorted(self.reference):
                 lines.append(f"reference.{k} = {self.reference[k]}")
         return "\n".join(lines) + "\n"
+
+
+def _decryption_primes(inputs: PlanInputs, scheme: str,
+                      primes: tuple[int, ...], b_ct_mp,
+                      delta: int | None) -> tuple[int, ...]:
+    """Fewest leading primes q' such that, with b_ct_mp + `switch_noise`,
+    every minimum-q check still holds at q = prod(primes) (MCKKS: with the
+    same delta). Keeping all of them adds no noise, so that always holds.
+    """
+    q = prod(primes)
+    for k in range(1, len(primes)):
+        b = frac(b_ct_mp) + switch_noise(inputs.parties,
+                                         q // prod(primes[:k]))
+        if scheme == MBFV:
+            fits = q > qmin_mbfv_bound(1 << inputs.t_bits, b)
+        else:
+            fits = (scale_from_eps(1 << inputs.eps_inv_bits, b) == delta
+                    and q > qmin_mckks_bound(delta, inputs.b_m, b))
+        if fits:
+            return primes[:k]
+    return primes
 
 
 def _reference_note(inputs: PlanInputs) -> dict | None:
@@ -356,8 +396,11 @@ def _reference_note(inputs: PlanInputs) -> dict | None:
 
 def plan(inputs: PlanInputs, scheme: str, *, enforce_security: bool = True,
          security_table: dict | None = None) -> PlanReport:
-    """Evaluate all bounds, select the RNS basis, and check security.
+    """Evaluate all bounds, select the RNS basis and the decryption
+    sub-basis, and check security.
 
+    The report's b_ct_mp includes the decryption rounding (`switch_noise`);
+    the minimum-q columns and the verdict use the bound before it.
     Deterministic: identical inputs give an identical report.
     """
     if scheme not in (MBFV, MCKKS):
@@ -387,10 +430,11 @@ def plan(inputs: PlanInputs, scheme: str, *, enforce_security: bool = True,
         target = qmin_mckks_bound(delta, inputs.b_m, b)
 
     primes = select_primes(inputs.n, min_product=floor_frac(target))
-    q = 1
-    for p in primes:
-        q *= p
+    q = prod(primes)
     log2_q = q.bit_length()
+    dec_primes = _decryption_primes(inputs, scheme, primes, b, delta)
+    bounds = replace(bounds, b_ct_mp=b + switch_noise(
+        inputs.parties, q // prod(dec_primes)))
 
     try:
         sec_ok = security_check(inputs.n, log2_q, security_table)
@@ -406,6 +450,7 @@ def plan(inputs: PlanInputs, scheme: str, *, enforce_security: bool = True,
     return PlanReport(scheme=scheme, inputs=inputs, bounds=bounds,
                       qmin_mbfv_bits=mbfv_bits, qmin_mckks_bits=mckks_bits,
                       delta_ckks=delta, winner=verdict, primes=primes,
-                      log2_q=log2_q, security_ok=sec_ok,
+                      log2_q=log2_q, dec_primes=dec_primes,
+                      security_ok=sec_ok,
                       security_required=enforce_security,
                       reference=_reference_note(inputs))

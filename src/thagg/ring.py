@@ -4,8 +4,10 @@ Elements live as per-prime residue rows (non-negative, branch-free modular
 arithmetic); the centered representatives in (-q/2, q/2] are the canonical
 external view, produced by `crt_lift` as Garner mixed-radix digits. A
 quadratic schoolbook multiplier is kept alongside the NTT path as an
-independent oracle. No per-coefficient Python integer is built on the
-sampling or lifting paths; integers appear only when a caller asks for them.
+independent oracle. `scale_down` rounds an element to a leading sub-basis
+(modulus switching) exactly, through the Garner digits of the dropped
+limbs. No per-coefficient Python integer is built on the sampling, lifting
+or switching paths; integers appear only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import tau
+from math import prod, tau
 
 import numpy as np
 
@@ -135,6 +137,57 @@ def mul_scalar(a: RingElement, value: int) -> RingElement:
     return RingElement(a.params, res, a.domain)
 
 
+@dataclass(frozen=True)
+class _SwitchConsts:
+    target: RingParams       # the first k primes, q' = p_0 ... p_{k-1}
+    dropped: RingParams      # the rest, D = q / q'
+    d_inv: np.ndarray        # D^-1 mod each kept prime, shape (k, 1)
+
+
+@lru_cache(maxsize=None)
+def _switch_consts(params: RingParams, k: int) -> _SwitchConsts:
+    def basis(primes):
+        q = prod(primes)
+        return RingParams(n=params.n, primes=primes, q=q, log2_q=q.bit_length())
+
+    kept, dropped = basis(params.primes[:k]), basis(params.primes[k:])
+    d_inv = np.array([pow(dropped.q, -1, p) for p in kept.primes],
+                     dtype=np.int64)[:, None]
+    return _SwitchConsts(kept, dropped, d_inv)
+
+
+def leading_ring(params: RingParams, k: int) -> RingParams:
+    """The ring of the first k primes of `params`, where `scale_down` lands."""
+    if not 1 <= k <= len(params.primes):
+        raise ValueError(f"need 1 <= k <= {len(params.primes)} limbs, got {k}")
+    return params if k == len(params.primes) else _switch_consts(params, k).target
+
+
+def scale_down(a: RingElement, target: RingParams) -> RingElement:
+    """round(a * q'/q) mod q', exact, for q' = the product of the first k
+    primes of a's basis (`target`, from `leading_ring`).
+
+    With D = q/q' the product of the dropped primes and [a]_D the centered
+    residue of a mod D, a - [a]_D is a multiple of D. D is odd, so
+    |[a]_D| < D/2 and (a - [a]_D)/D is a/D rounded, with no ties. Per kept
+    prime p that is (a_p - [a]_D mod p) * D^-1 mod p, with [a]_D from the
+    Garner digits of the dropped limbs. With no limb dropped it returns a.
+    """
+    if a.domain != COEFF:
+        raise DomainMismatchError("scale_down needs a coefficient-domain element")
+    k = len(target.primes)
+    if target.n != a.params.n or target.primes != a.params.primes[:k]:
+        raise ParamsMismatchError("target basis is not a prefix of a's basis")
+    if k == len(a.params.primes):
+        return a
+    consts = _switch_consts(a.params, k)
+    low = Lifted(consts.dropped, a.residues[k:]).mod(target.primes)
+    p_col = _prime_column(target.primes)
+    # a_p + p - low lies in (0, 2p), so its product with D^-1 is below 2^61
+    res = (a.residues[:k] + p_col - low) * consts.d_inv % p_col
+    return RingElement(target, res, COEFF)
+
+
 def crt_lift(a: RingElement) -> "Lifted":
     """Centered integer representatives in (-q/2, q/2], one per coefficient."""
     if a.domain != COEFF:
@@ -246,6 +299,22 @@ class Lifted(Sequence):
 
     def tolist(self) -> list[int]:
         return self.ints().tolist()
+
+    def mod(self, primes: tuple[int, ...]) -> np.ndarray:
+        """The centered integers mod each of `primes`, shape (len, n) int64:
+        sum_i d_i * (p_0 ... p_{i-1}) + neg * (-q mod p). Every term is
+        below 2^60, so six of them add up in int64 before a reduction."""
+        out = np.empty((len(primes), self.params.n), dtype=np.int64)
+        for j, p in enumerate(primes):
+            acc = self.neg * (-self.params.q % p)
+            radix = 1
+            for i, (d, prime) in enumerate(zip(self.digits, self.params.primes)):
+                acc = acc + d * (radix % p)
+                if i % 6 == 5:
+                    acc %= p
+                radix *= prime
+            out[j] = acc % p
+        return out
 
     def wrapped64(self) -> np.ndarray:
         """The centered integers mod 2^64, as uint64 (wrapping arithmetic)."""

@@ -30,6 +30,7 @@ from .exact import (
     frac,
     frac_log2,
     int_array,
+    int_times,
     scaled_round_array,
     scaled_round_residues,
 )
@@ -51,6 +52,13 @@ class SchemeParams:
     delta: int                # BFV: floor(q/t); CKKS: power-of-two scale
     t: int | None = None      # BFV plaintext modulus
     eps_inv: int | None = None  # CKKS target inverse error margin
+    # the ring partial decryptions are rounded to, sent in and combined in:
+    # the first limbs of `ring` (`ring.scale_down`); all of them by default
+    dec_ring: rg.RingParams | None = None
+
+    def __post_init__(self):
+        if self.dec_ring is None:
+            object.__setattr__(self, "dec_ring", self.ring)
 
 
 # Keys are stored in the NTT domain only: every use of a key is a ring
@@ -120,13 +128,16 @@ def _fail(name: str, lhs: Fraction, rhs: Fraction) -> BoundViolationError:
 
 def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
           eps_inv: int | None = None, log2_q: int | None = None,
-          primes=None, kappa: int = 1, mp_noise_bound=None) -> SchemeParams:
+          primes=None, kappa: int = 1, mp_noise_bound=None,
+          dec_limbs: int | None = None) -> SchemeParams:
     """Validate a parameter set and pin the RNS basis.
 
     Correctness preconditions are enforced exactly: the fresh-ciphertext
     bound, the kappa-addition capacity bound, and (when a multiparty
     aggregate-noise bound is supplied by the planner) the threshold variant
-    of the same inequality.
+    of the same inequality. `dec_limbs` keeps that many leading primes for
+    collective decryption; the planner's bound must already carry the
+    rounding it costs (`planner.switch_noise`).
     """
     if scheme not in (BFV, CKKS):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -139,6 +150,8 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
         if log2_q is None:
             raise ValueError("need log2_q or an explicit prime list")
         ring_params = rg.RingParams.create(n, select_primes(n, min_bits=log2_q))
+    dec_ring = rg.leading_ring(
+        ring_params, len(ring_params.primes) if dec_limbs is None else dec_limbs)
     q = ring_params.q
     b = noise.bound
     fresh = (2 * n + 1) * b
@@ -158,7 +171,7 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
         if mp is not None and not mp < rhs:
             raise _fail("multiparty aggregate bound", mp, rhs)
         return SchemeParams(scheme=BFV, ring=ring_params, noise=noise,
-                            kappa=kappa, delta=q // t, t=t)
+                            kappa=kappa, delta=q // t, t=t, dec_ring=dec_ring)
 
     if eps_inv is None or eps_inv < 1:
         raise ValueError("CKKS needs eps_inv >= 1")
@@ -172,7 +185,8 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
     if mp is not None and not delta + mp < rhs:
         raise _fail("multiparty message headroom", delta + mp, rhs)
     return SchemeParams(scheme=CKKS, ring=ring_params, noise=noise,
-                        kappa=kappa, delta=delta, eps_inv=eps_inv)
+                        kappa=kappa, delta=delta, eps_inv=eps_inv,
+                        dec_ring=dec_ring)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +215,12 @@ def pubkeygen(params: SchemeParams, sk: SecretKey, rng: Xof, *,
 
 
 def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
+    """Integers (Python or numpy) as a BFV plaintext; anything else, a float
+    included, raises TypeError rather than being truncated."""
     t, n = params.t, params.ring.n
+    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if not all(isinstance(v, (int, np.integer)) for v in items):
+        raise TypeError("BFV plaintext values must be integers")
     vals = int_array(values)
     if vals.shape != (n,):
         raise PlaintextRangeError(f"need exactly n={n} values")
@@ -330,7 +349,8 @@ def decryption_phase(params: SchemeParams, sk: SecretKey,
 
 
 def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
-    """[floor(t*x/q + 1/2)]_t, exact, centered output.
+    """[floor(t*x/q + 1/2)]_t, exact, centered output, with q the modulus
+    the lift was taken at (a collective decryption's switched q').
 
     For power-of-two t <= 2^62, write t*x = q*k + r with r the centered
     [t*x]_q. Since q is odd, |r| < q/2, so k = round(t*x/q) and
@@ -338,9 +358,9 @@ def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
     give it mod 2^64 without big integers. Other t take the rational form
     below, on Python integers.
     """
-    t, q = params.t, params.ring.q
+    t, ring = params.t, lifted.params
+    q = ring.q
     if t & (t - 1) == 0 and t <= 1 << 62:
-        ring = params.ring
         tx = rg.Lifted(ring, rg.mul_scalar(
             rg.RingElement(ring, lifted.residues), t).residues)
         k = (np.uint64(0) - tx.wrapped64()) * np.uint64(pow(q, -1, t))
@@ -352,8 +372,14 @@ def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
 
 
 def ckks_scale_down(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
-    """The lifted integers over delta; the values are their quotients."""
-    return Plaintext(scheme=CKKS, coeffs=lifted.ints(), scale=params.delta)
+    """The lifted integers over delta; the values are their quotients.
+
+    A lift at a switched q' = q/D is scaled back by D first: the value is
+    x * D / delta, an integer numerator over the power-of-two delta.
+    """
+    drop = params.ring.q // lifted.params.q
+    return Plaintext(scheme=CKKS, coeffs=int_times(lifted.ints(), drop),
+                     scale=params.delta)
 
 
 def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:

@@ -3,10 +3,15 @@ collective public key under a common reference polynomial, and two-phase
 collective decryption with smudging noise.
 
 The ideal key sum(sk_i) never exists in one place; every partial decryption
-adds noise drawn uniformly from [-b_smg, b_smg], sized so the combined term
-stays below the planner's aggregate bound. Shares, the CRS polynomial and
-the collective public key are stored in the NTT domain; the messages
-(public-key shares, partial decryptions) are coefficient-domain.
+adds noise drawn uniformly from [-b_smg, b_smg] at the full modulus q, sized
+so the combined term stays below the planner's aggregate bound. The
+smudged share is then rounded from q to the decryption modulus q' of
+`SchemeParams.dec_ring` (modulus switching, `ring.scale_down`): public
+post-processing of an already smudged value, so it costs no security, and
+the share is sent on the limbs of q' only. The combiner rounds c0 the same
+way and sums and lifts at q'. Shares, the CRS polynomial and the collective
+public key are stored in the NTT domain; the messages (public-key shares,
+partial decryptions) are coefficient-domain.
 """
 
 from __future__ import annotations
@@ -116,7 +121,8 @@ def combine_pk(params: SchemeParams, shares: list[PkShare], crs: Crs,
 def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
                     smudge: SmudgeParams, rng: Xof, *,
                     e_smg: list[int] | None = None) -> PartialDecryption:
-    """h_i = sk_i * c1 + e_smg,i with e_smg,i uniform on [-b_smg, b_smg].
+    """h_i = round((sk_i * c1 + e_smg,i) * q'/q) with e_smg,i uniform on
+    [-b_smg, b_smg], in `params.dec_ring`.
 
     Rejects configurations where the combined smudging of all parties cannot
     fit under the modulus; that means the planner and the runtime disagree
@@ -128,7 +134,8 @@ def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
     else:
         noise = rg.from_coeffs(params.ring, e_smg)
     h = rg.ring_add(rg.ring_mul(share.s, ct.c1), noise)
-    return PartialDecryption(index=share.index, h=h)
+    return PartialDecryption(index=share.index,
+                             h=rg.scale_down(h, params.dec_ring))
 
 
 def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
@@ -150,9 +157,9 @@ def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
 def combine_decrypt(params: SchemeParams, ct: Ciphertext,
                     partials: list[PartialDecryption],
                     parties: int) -> rg.Lifted:
-    """d = [c0 + sum h_i]_q as centered coefficients."""
+    """d' = [round(c0 * q'/q) + sum h_i]_q' as centered coefficients."""
     _check_indices(partials, parties, "partial decryption")
-    acc = ct.c0
+    acc = rg.scale_down(ct.c0, params.dec_ring)
     for part in partials:
         acc = rg.ring_add(acc, part.h)
     return rg.crt_lift(acc)

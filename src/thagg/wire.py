@@ -6,7 +6,10 @@ prime-major coefficient-minor order, and adds_consumed u32. With k primes
 that is 16 + 8k + 8kn bytes.
 
 Protocol shares reuse the ring-element block of that format, prefixed by a
-one-byte message-kind tag and a u16 party index: 8 + 8k + 4kn bytes.
+one-byte message-kind tag and a u16 party index: 8 + 8k + 4kn bytes. A
+public-key share has the k primes of q; a partial decryption has only the
+k' leading primes of the decryption modulus q' (`SchemeParams.dec_ring`),
+so it is 8 + 8k' + 4k'n bytes.
 
 u32 residues are exact because `RingParams.create` admits only primes
 below 2^MAX_PRIME_BITS = 2^30. Version 1 (u64 residues) is not read.
@@ -14,8 +17,10 @@ below 2^MAX_PRIME_BITS = 2^30. Version 1 (u64 residues) is not read.
 All integers are little-endian. Elements are serialized in the coefficient
 domain; an NTT-domain element (a stored key) raises `DomainMismatchError`.
 A decoder accepts only the receiver's own ring (n and primes as in
-`expected.ring`), residues below their primes, adds_consumed <= kappa and
-party indices >= 1; anything else raises `WireFormatError`.
+`expected.ring`, or `expected.dec_ring` for a partial decryption, so a
+share left at the full q is refused), residues below their primes,
+adds_consumed <= kappa and party indices >= 1; anything else raises
+`WireFormatError`.
 """
 
 from __future__ import annotations
@@ -134,25 +139,26 @@ def serialize_partial_dec(part: PartialDecryption) -> bytes:
     return _serialize_share(KIND_PARTIAL_DEC, part.index, part.h)
 
 
-def _deserialize_share(blob: bytes, want_kind: int, expected: SchemeParams):
+def _deserialize_share(blob: bytes, want_kind: int, ring: rg.RingParams):
     rd = _Reader(blob)
     kind, index = rd.unpack("<BH")
     if kind != want_kind:
         raise WireFormatError(f"message kind {kind}, expected {want_kind}")
     if index == 0:
         raise WireFormatError("party index 0; parties are numbered from 1")
-    _read_element_header(rd, expected.ring)
-    el = _read_residues(rd, expected.ring)
+    _read_element_header(rd, ring)
+    el = _read_residues(rd, ring)
     rd.done()
     return index, el
 
 
 def deserialize_pk_share(blob: bytes, expected: SchemeParams) -> PkShare:
-    index, el = _deserialize_share(blob, KIND_PK_SHARE, expected)
+    index, el = _deserialize_share(blob, KIND_PK_SHARE, expected.ring)
     return PkShare(index=index, p0=el)
 
 
 def deserialize_partial_dec(blob: bytes,
                             expected: SchemeParams) -> PartialDecryption:
-    index, el = _deserialize_share(blob, KIND_PARTIAL_DEC, expected)
+    index, el = _deserialize_share(blob, KIND_PARTIAL_DEC,
+                                   expected.dec_ring)
     return PartialDecryption(index=index, h=el)

@@ -24,11 +24,11 @@ from thagg.errors import (
 from thagg.exact import (
     Ratios,
     binary_places,
-    scaled_round,
     scaled_round_array,
+    scaled_round_ints,
     scaled_round_residues,
 )
-from thagg.harness import cleartext_oracle
+from thagg.harness import _scaled_sum, cleartext_oracle
 from thagg.planner import PlanInputs
 from thagg.rng import Xof
 from thagg.schemes import (
@@ -91,6 +91,19 @@ def ref_crt_lift(params, residues):
         x %= q
         out.append(x - q if x > half else x)
     return out
+
+
+def scaled_round(x, d):
+    """floor(x * 2^d + 1/2) exactly, treating x as its exact binary value."""
+    if x == 0.0:
+        return 0
+    m, e = math.frexp(x)
+    big = int(m * (1 << 53))  # exact: x = big * 2^(e-53)
+    s = e - 53 + d
+    if s >= 0:
+        return big << s
+    k = -s
+    return (2 * big + (1 << k)) >> (k + 1)
 
 
 def ref_cleartext_oracle(cfg, updates):
@@ -239,6 +252,32 @@ def test_scaled_round_array_matches_scalar(xs, d):
 def test_scaled_round_residues_matches_scalar(xs, d, params):
     got = scaled_round_residues(np.array(xs), d, params.primes)
     want = [[scaled_round(x, d) % p for x in xs] for p in params.primes]
+    assert got.tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(dyadic_floats(top=900), min_size=1, max_size=12),
+       st.integers(0, 140))
+@example([0.5, -0.5, 1.5, -1.5, 0.0, -0.0, 5e-324], 0)  # ties, shift < 0
+@example([1.0, -1.0, 2.0**52, -(2.0**52)], 53)  # shift 0 and > 0
+def test_scaled_round_ints_matches_scalar(xs, d):
+    got = scaled_round_ints(np.array(xs), d)
+    assert got.dtype == object
+    assert got.tolist() == [scaled_round(x, d) for x in xs]
+    assert all(type(v) is int for v in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([20, 61, 66, 90]), st.data())
+def test_scaled_sum_matches_scalar_loop(clients, p, data):
+    # p = 20 stays on the int64 path; 61, 66 and 90 exceed 2^61 in total
+    values = st.lists(dyadic_floats(top=0), min_size=1, max_size=12)
+    xs = data.draw(values)
+    updates = [np.array(data.draw(st.permutations(xs)))
+               for _ in range(clients)]
+    got = _scaled_sum(updates, p)
+    want = [sum(scaled_round(float(w[j]), p) for w in updates)
+            for j in range(len(xs))]
     assert got.tolist() == want
 
 
@@ -417,6 +456,62 @@ def test_crt_lift_matches_reference(data):
     values = data.draw(lifted_cases(params))
     el = rg.from_coeffs(params, values)
     assert rg.crt_lift(el).tolist() == ref_crt_lift(params, el.residues)
+
+
+# Leading primes 30-bit, then a 17-bit prime, then 30-bit: dropping 1 to 3
+# limbs covers a dropped 17-bit prime alone, with others, and not at all.
+MIXED = rg.RingParams.create(
+    16, FIVE_PRIMES.primes[:2] + ONE_PRIME.primes + FIVE_PRIMES.primes[2:3])
+SHORT_TAIL = rg.RingParams.create(16, FIVE_PRIMES.primes[:1] + ONE_PRIME.primes)
+SWITCH_CASES = [(MIXED, 1), (MIXED, 2), (MIXED, 3), (SHORT_TAIL, 1),
+                (FIVE_PRIMES, 2), (TWO_PRIMES, 1)]
+
+
+def ref_scale_down(params, k, values):
+    """round(x * q'/q) mod each kept prime, x the centered lift of each
+    value in [0, q), one Python integer at a time."""
+    q, kept = params.q, params.primes[:k]
+    qk = math.prod(kept)
+    out = []
+    for x in values:
+        x = x - q if x > q // 2 else x
+        out.append((2 * x * qk + q) // (2 * q))
+    return [[v % p for v in out] for p in kept]
+
+
+def switch_inputs(params, fill, data):
+    q = params.q
+    if fill == "zero":
+        return [0] * params.n
+    if fill == "top":  # every residue p - 1: the value q - 1
+        return [q - 1] * params.n
+    edges = st.sampled_from([1, q // 2, q // 2 + 1, q - 1])
+    return data.draw(st.lists(st.one_of(edges, st.integers(0, q - 1)),
+                              min_size=params.n, max_size=params.n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SWITCH_CASES),
+       st.sampled_from(["zero", "top", "uniform"]), st.data())
+def test_scale_down_matches_python_rounding(case, fill, data):
+    params, k = case
+    values = switch_inputs(params, fill, data)
+    target = rg.leading_ring(params, k)
+    assert target.primes == params.primes[:k]
+    got = rg.scale_down(rg.from_coeffs(params, values), target)
+    assert got.params == target and got.domain == rg.COEFF
+    assert got.residues.tolist() == ref_scale_down(params, k, values)
+
+
+def test_scale_down_keeps_everything_when_no_limb_is_dropped():
+    values = list(range(FIVE_PRIMES.n))
+    el = rg.from_coeffs(FIVE_PRIMES, values)
+    assert rg.leading_ring(FIVE_PRIMES, 5) is FIVE_PRIMES
+    assert rg.scale_down(el, FIVE_PRIMES) is el
+    with pytest.raises(ValueError):
+        rg.leading_ring(FIVE_PRIMES, 0)
+    with pytest.raises(ProtocolFailure):  # not a prefix of the basis
+        rg.scale_down(el, SHORT_TAIL)
 
 
 def bfv_scheme(params, t):

@@ -16,6 +16,7 @@ from thagg.errors import (
     ConfigError,
     DomainMismatchError,
     LengthMismatchError,
+    ProtocolFailure,
     WireFormatError,
 )
 from thagg.exact import Ratios
@@ -40,7 +41,13 @@ from thagg.planner import PlanInputs
 from thagg.ring import sample_uniform
 from thagg.rng import Xof
 from thagg.schemes import BFV, Ciphertext, setup
-from thagg.threshold import PartialDecryption, PkShare, SecretShare
+from thagg.threshold import (
+    PartialDecryption,
+    PkShare,
+    SecretShare,
+    SmudgeParams,
+    partial_decrypt,
+)
 from thagg import wire
 
 
@@ -353,6 +360,48 @@ def test_share_wire_roundtrip():
         wire.deserialize_partial_dec(blob, art.params)  # wrong kind tag
 
 
+def test_switched_partial_dec_length_and_full_q_share_rejected():
+    art, ct = _session_ct()
+    params = art.params
+    ring, dec = params.ring, params.dec_ring
+    assert len(dec.primes) == 1 < len(ring.primes) == 2
+    assert dec.primes == ring.primes[:1]
+    b = art.report.bounds
+    smudge = SmudgeParams(parties=2, b_ct=b.b_ct, b_smg=b.b_smg)
+    part = partial_decrypt(params, art.clients[0].share, ct, smudge,
+                           Xof.from_seed("pd"))
+    blob = wire.serialize_partial_dec(part)
+    assert len(blob) == share_len(1, ring.n) == 8 + 8 + 4 * ring.n
+    back = wire.deserialize_partial_dec(blob, params)
+    assert np.array_equal(back.h.residues, part.h.residues)
+    # the same share left at the full q: the header lists q's two primes
+    full = wire.serialize_partial_dec(
+        PartialDecryption(index=1, h=sample_uniform(ring, Xof.from_seed("h"))))
+    assert len(full) == share_len(2, ring.n)
+    with pytest.raises(WireFormatError, match="ring parameters"):
+        wire.deserialize_partial_dec(full, params)
+    # a receiver that keeps every limb takes it, and rejects the switched one
+    unswitched = dataclasses.replace(params, dec_ring=ring)
+    assert wire.deserialize_partial_dec(full, unswitched).h.params == ring
+    with pytest.raises(WireFormatError):
+        wire.deserialize_partial_dec(blob, unswitched)
+
+
+def test_full_q_partial_dec_maps_to_exit_3(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(GOOD_CONFIG)
+
+    def send_full_q_share(cfg):
+        art = run_setup(cfg)
+        el = sample_uniform(art.params.ring, Xof.from_seed("h"))
+        blob = wire.serialize_partial_dec(PartialDecryption(index=1, h=el))
+        wire.deserialize_partial_dec(blob, art.params)
+
+    monkeypatch.setattr("thagg.cli.run_protocol", send_full_q_share)
+    assert issubclass(WireFormatError, ProtocolFailure)
+    assert cli.main(["run", "-c", str(cfg_path)]) == 3
+
+
 # Small messages for the decoder properties: n = 16, two primes, kappa = 3.
 WIRE_PARAMS = setup(BFV, 16, sigma="3.2", t=17, log2_q=50, kappa=3)
 
@@ -590,6 +639,39 @@ def test_cli_plan_and_run_and_exit_codes(tmp_path, capsys):
 
     missing = tmp_path / "nope.ini"
     assert cli.main(["plan", "-c", str(missing)]) == 2
+
+
+# Edge configs, each GOOD_CONFIG with one line changed; every one of them
+# decrypts at 1 of its 2 limbs.
+EDGE_CONFIGS = {
+    "one_party": ("parties = 2", "parties = 1"),
+    "lambda_zero": ("lambda = 16", "lambda = 0"),
+    "odd_lambda": ("lambda = 16", "lambda = 17"),
+    "model_below_n": ("model_size = 2048", "model_size = 700"),
+    "model_not_multiple_of_n": ("model_size = 2048", "model_size = 1500"),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
+def test_cli_edge_configs_run_exact(edge, tmp_path, capsys):
+    old, new = EDGE_CONFIGS[edge]
+    assert old in GOOD_CONFIG
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(GOOD_CONFIG.replace(old, new))
+    assert cli.main(["plan", "-c", str(cfg_path)]) == 0
+    plan_lines = capsys.readouterr().out.splitlines()
+    assert "dec_limbs = 1" in plan_lines and "limbs = 2" in plan_lines
+
+    outdir = tmp_path / "run"
+    assert cli.main(["run", "-c", str(cfg_path), "-o", str(outdir)]) == 0
+    capsys.readouterr()
+    text = (outdir / "transcript.txt").read_text()
+    assert "max_error = 0/1" in text.splitlines()
+    sizes = {int(line.split()[3]) for line in text.splitlines()
+             if " partial_dec " in line}
+    assert sizes == {share_len(1, 1024)}
+    cfg = parse_config(cfg_path.read_text())
+    assert np.load(outdir / "aggregate.npy").shape == (cfg.model_size,)
 
 
 def test_cli_region_csv(tmp_path, capsys):

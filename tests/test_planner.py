@@ -1,11 +1,14 @@
 """Planner bounds, verdicts, grids, and security checks."""
 
 import io
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from thagg.config import parse_config
 from thagg.errors import ConfigError, UnknownRingDegreeError
 from thagg.planner import (
     MBFV,
@@ -25,6 +28,7 @@ from thagg.planner import (
     region_grid,
     scale_from_eps,
     security_check,
+    switch_noise,
     winner,
 )
 
@@ -266,7 +270,7 @@ def test_plan_deterministic_and_golden_text():
     assert a == b
     text = a.to_text()
     assert text == b.to_text()
-    assert "format = thagg-plan-v1" in text
+    assert "format = thagg-plan-v2" in text
     assert "b_ct = 786624/5" in text  # 157324.8 exactly
     assert f"qmin_mbfv_bits = {a.qmin_mbfv_bits}" in text
     assert "winner = " in text
@@ -323,3 +327,91 @@ def test_plan_mckks_path():
     for p in report.primes:
         q *= p
     assert q > qmin_mckks_bound(report.delta_ckks, 1, report.bounds.b_ct_mp)
+
+
+# ---------------------------------------------------------------------------
+# decryption sub-basis (modulus switching)
+
+
+def workload_inputs(scheme, n, parties, lam, bits):
+    key = "t_bits" if scheme == MBFV else "eps_inv_bits"
+    return PlanInputs.create(n, parties, "3.2", lam, bound="19.2",
+                             **{key: bits})
+
+
+def golden_plan(name):
+    path = Path(__file__).parent / "data" / f"golden_{name}.ini"
+    cfg = parse_config(path.read_text())
+    return plan(cfg.plan_inputs, cfg.scheme,
+                enforce_security=cfg.enforce_security)
+
+
+# the benchmark workloads' plan inputs (deep-mbfv, deep-mckks, wide-mbfv)
+WORKLOAD_PLANS = {
+    "deep-mbfv": (MBFV, 16384, 4, 128, 45),
+    "deep-mckks": (MCKKS, 16384, 4, 128, 45),
+    "wide-mbfv": (MBFV, 2048, 16, 16, 16),
+}
+
+
+def workload_plan(name):
+    scheme, *rest = WORKLOAD_PLANS[name]
+    return plan(workload_inputs(scheme, *rest), scheme)
+
+
+def passes_checks(report, b):
+    """Every minimum-q check of `plan` at the report's q, with bound b."""
+    i, q = report.inputs, math.prod(report.primes)
+    if report.scheme == MBFV:
+        return q > qmin_mbfv_bound(1 << i.t_bits, b)
+    return (scale_from_eps(1 << i.eps_inv_bits, b) == report.delta_ckks
+            and q > qmin_mckks_bound(report.delta_ckks, i.b_m, b))
+
+
+ALL_PLANS = [("workload", name, want) for name, want in
+             (("deep-mbfv", (2, 5)), ("deep-mckks", (2, 5)),
+              ("wide-mbfv", (2, 2)))] + [
+    ("golden", name, want) for name, want in
+    (("mbfv", (1, 3)), ("mckks", (1, 3)), ("mbfv_bigt", (3, 5)))]
+
+
+def plan_of(kind, name):
+    return workload_plan(name) if kind == "workload" else golden_plan(name)
+
+
+@pytest.mark.parametrize("kind,name,want", ALL_PLANS)
+def test_dec_limbs_pinned(kind, name, want):
+    report = plan_of(kind, name)
+    assert (len(report.dec_primes), len(report.primes)) == want
+    assert report.dec_primes == report.primes[: want[0]]
+    text = report.to_text()
+    assert f"dec_limbs = {want[0]}" in text
+    q_dec = math.prod(report.dec_primes)
+    assert f"log2_q_dec = {q_dec.bit_length()}" in text
+    assert "dec_primes = " + ",".join(map(str, report.dec_primes)) in text
+
+
+@pytest.mark.parametrize("kind,name,want", ALL_PLANS)
+def test_dec_limbs_minimal_and_rounding_term_exact(kind, name, want):
+    report = plan_of(kind, name)
+    L, q = report.inputs.parties, math.prod(report.primes)
+    base = mp_bounds(report.inputs).b_ct_mp
+    drop = q // math.prod(report.dec_primes)
+    added = report.bounds.b_ct_mp - base
+    assert added == (Fraction((L + 1) * drop, 2) if drop > 1 else 0)
+    assert added == switch_noise(L, drop)
+    assert passes_checks(report, report.bounds.b_ct_mp)
+    k = len(report.dec_primes)
+    if k > 1:  # one limb fewer fails a check
+        fewer = q // math.prod(report.primes[: k - 1])
+        assert not passes_checks(report, base + switch_noise(L, fewer))
+
+
+def test_deep_workload_bounds_and_switched_share_bytes():
+    report = workload_plan("deep-mbfv")
+    assert math.prod(report.dec_primes).bit_length() == 60
+    # 32 switched shares of 8 + 8k' + 4k'n bytes
+    k, n = len(report.dec_primes), report.inputs.n
+    assert 32 * (8 + 8 * k + 4 * k * n) == 4_195_072
+    wide = workload_plan("wide-mbfv")
+    assert wide.bounds.b_ct_mp == mp_bounds(wide.inputs).b_ct_mp

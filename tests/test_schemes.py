@@ -402,6 +402,17 @@ def test_plaintext_range_checked():
         bfv_plaintext(params, [params.t] + [0] * (params.ring.n - 1))
 
 
+def test_bfv_plaintext_rejects_non_integers():
+    params = small_bfv(n=16, t=257, log2_q=26)
+    for bad in ([2.7] * 16, np.full(16, 2.7), np.zeros(16),
+                [Fraction(1, 2)] + [0] * 15, [2] * 15 + [2.0]):
+        with pytest.raises(TypeError):
+            bfv_plaintext(params, bad)
+    ints = [2, -3, np.int64(128), 2**70 % 5] + [0] * 12
+    assert bfv_plaintext(params, ints).values == [2, -3, 128, 4] + [0] * 12
+    assert bfv_plaintext(params, np.arange(16)).values == list(range(16))
+
+
 # ---------------------------------------------------------------------------
 # probe gating
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from thagg import ring as rg
 from thagg.errors import ShareSetError, SmudgeBoundError
-from thagg.planner import MBFV, MCKKS, PlanInputs, plan, smudge_bound
+from thagg.planner import MBFV, MCKKS, PlanInputs, mp_bounds, plan, smudge_bound
 from thagg.rng import Xof
 from thagg.schemes import (
     BFV,
@@ -45,20 +45,24 @@ B192 = Fraction("19.2")
 
 
 def mk_session(scheme, n, parties, lam, *, t_bits=8, eps_inv_bits=10,
-               seed="session"):
+               seed="session", switched=False):
     kwargs = {"t_bits": t_bits} if scheme == MBFV else {}
     if scheme == MCKKS:
         kwargs["eps_inv_bits"] = eps_inv_bits
     inputs = PlanInputs.create(n, parties, "3.2", lam, bound="19.2", **kwargs)
     report = plan(inputs, scheme, enforce_security=False)
+    # switched: partial decryptions at the plan's q', as the harness runs them
+    dec_limbs = len(report.dec_primes) if switched else None
     if scheme == MBFV:
         params = setup(BFV, n, sigma="3.2", bound="19.2", t=1 << t_bits,
                        primes=report.primes, kappa=parties,
-                       mp_noise_bound=report.bounds.b_ct_mp)
+                       mp_noise_bound=report.bounds.b_ct_mp,
+                       dec_limbs=dec_limbs)
     else:
         params = setup(CKKS, n, sigma="3.2", bound="19.2",
                        eps_inv=1 << eps_inv_bits, primes=report.primes,
-                       kappa=parties, mp_noise_bound=report.bounds.b_ct_mp)
+                       kappa=parties, mp_noise_bound=report.bounds.b_ct_mp,
+                       dec_limbs=dec_limbs)
     root = Xof.from_seed(seed)
     crs = crs_expand(root.child("crs").read(32), params.ring)
     shares = [gen_share(params, i, root.child(f"share/{i}"))
@@ -489,3 +493,65 @@ def test_threshold_ckks_accuracy_small_sweep():
         for j in range(n):
             truth = sum(Fraction(w[j]) for w in streams) / parties
             assert abs(got.values[j] - truth) < eps
+
+
+def centered_mod(v, q):
+    v = v % q
+    return np.where(v > q // 2, v - q, v)
+
+
+@pytest.mark.parametrize("scheme", [MBFV, MCKKS])
+def test_switched_session_opens_within_switched_bound(scheme):
+    # n = 1024, L = 3, lam = 16: the plan keeps 1 of 2 limbs for decryption
+    parties, n = 3, 1024
+    sess = mk_session(scheme, n, parties, 16, eps_inv_bits=10,
+                      seed=f"switch-{scheme}", switched=True)
+    params, b = sess.params, sess.report.bounds
+    q, drop = params.ring.q, params.ring.q // params.dec_ring.q
+    assert len(params.dec_ring.primes) == 1 < len(params.ring.primes)
+    rounding = Fraction((parties + 1) * drop, 2)
+    assert b.b_ct_mp == mp_bounds(sess.report.inputs).b_ct_mp + rounding
+
+    rng = sess.root.child("msgs")
+    if scheme == MBFV:
+        msgs = [[rng.uniform_below(params.t // (2 * parties))
+                 for _ in range(n)] for _ in range(parties)]
+        pts = [bfv_plaintext(params, m) for m in msgs]
+    else:
+        streams = [rng.child(f"w{i}").float_open01(n) * 2.0 - 1.0
+                   for i in range(parties)]
+        pts = [encode_real(w / parties, params) for w in streams]
+    acc = None
+    for i, pt in enumerate(pts):
+        ct = encrypt(params, sess.cpk, pt, rng.child(f"e{i}"))
+        acc = ct if acc is None else add(acc, ct)
+    smudging = [rg.crt_lift(rg.sample_smudging(
+        params.ring, b.b_smg, rng.child(f"s{sh.index}"))).ints()
+        for sh in sess.shares]
+    partials = [partial_decrypt(params, sh, acc, sess.smudge, rng, e_smg=e)
+                for sh, e in zip(sess.shares, smudging)]
+    assert all(part.h.params == params.dec_ring for part in partials)
+    d = combine_decrypt(params, acc, partials, parties)
+    assert d.params == params.dec_ring
+
+    # the full-q opened value, through the test-only ideal key
+    ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
+    full = decryption_phase(params, ideal, acc).ints().astype(object)
+    full = full + sum(e.astype(object) for e in smudging)
+    message = sum(pt.ints().astype(object) for pt in pts)
+    if scheme == MBFV:
+        message = message * params.delta
+    opened = d.ints().astype(object) * drop  # d' read back at q
+    assert max(abs(centered_mod(opened - full, q))) <= rounding
+    # opened noise at q' within b_ct_mp' * q'/q, i.e. within b_ct_mp' at q
+    assert max(abs(centered_mod(opened - message, q))) <= b.b_ct_mp
+
+    if scheme == MBFV:
+        got = finalize_bfv(params, d).values
+        assert got == [sum(col) for col in zip(*msgs)]
+    else:
+        got = finalize_ckks(params, d).values
+        eps = b.b_ct_mp / params.delta
+        for j in range(n):
+            truth = sum(Fraction(w[j]) for w in streams) / parties
+            assert abs(got[j] - truth) < eps
