@@ -20,7 +20,7 @@ _PROTOCOL_KEYS = {
 }
 _PLAN_KEYS = {
     "n", "parties", "sigma", "noise_bound", "lambda", "t_bits",
-    "eps_inv_bits", "b_m",
+    "eps_inv_bits",
 }
 
 
@@ -107,7 +107,6 @@ def parse_config(text: str) -> ProtocolConfig:
                     if plan_sec.get("t_bits") else None),
             eps_inv_bits=(_get_int(plan_sec, "eps_inv_bits")
                           if plan_sec.get("eps_inv_bits") else None),
-            b_m=plan_sec.get("b_m", "1"),
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad [plan] values: {exc}") from exc
@@ -175,7 +174,6 @@ def config_text(cfg: ProtocolConfig) -> str:
         f"lambda = {i.lam}",
         f"t_bits = {i.t_bits if i.t_bits is not None else '-'}",
         f"eps_inv_bits = {i.eps_inv_bits if i.eps_inv_bits is not None else '-'}",
-        f"b_m = {fr(i.b_m)}",
         f"model_size = {cfg.model_size}",
         f"root_seed = {cfg.root_seed}",
         f"fixed_point_bits = {cfg.fixed_point_bits}",

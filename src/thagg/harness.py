@@ -34,6 +34,8 @@ from .schemes import (
     PublicKey,
     SchemeParams,
     add,
+    bfv_round,
+    ckks_scale_down,
     decode_fixed,
     encode_fixed,
     encode_real,
@@ -47,8 +49,6 @@ from .threshold import (
     combine_decrypt,
     combine_pk,
     crs_expand,
-    finalize_bfv,
-    finalize_ckks,
     gen_share,
     partial_decrypt,
     pk_share,
@@ -154,7 +154,7 @@ class Transcript:
         """Canonical transcript; replaying the seed reproduces it exactly."""
         err = self.max_error
         lines = [
-            "format = thagg-transcript-v1",
+            "format = thagg-transcript-v2",
             config_text(self.cfg),
             f"log2_q = {self.log2_q}",
             f"primes = {','.join(str(p) for p in self.primes)}",
@@ -303,11 +303,10 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
             partials.append(wire.deserialize_partial_dec(blob, params))
         d = combine_decrypt(params, ct, partials, cfg.parties)
         if cfg.scheme == MBFV:
-            pt = finalize_bfv(params, d)
+            pt = bfv_round(params, d)
             parts.append(decode_fixed(pt, cfg.fixed_point_bits, cfg.parties))
         else:
-            pt = finalize_ckks(params, d)
-            parts.append(pt.values)
+            parts.append(ckks_scale_down(params, d).values)
     return Ratios.concat(parts)[: cfg.model_size]
 
 
@@ -504,7 +503,7 @@ def selftest() -> SelfTestReport:
         for tb in range(8, 32, 3):
             for eb in range(8, 32, 3):
                 v = winner(1 << tb, 1 << eb, b) == MCKKS_SMALLER
-                direct = (qmin_mckks_bound(b * (1 << eb), 1, b)
+                direct = (qmin_mckks_bound(b * (1 << eb), b)
                           < qmin_mbfv_bound(1 << tb, b))
                 if v != direct:
                     raise AssertionError("verdict and bound order disagree")

@@ -11,7 +11,12 @@ modulus for both scheme variants:
     b_ct_mp     = b_ct + L b_smg       what collective decryption must absorb
 
 Minimum-q conditions:  MBFV  q > 2 t b_ct_mp + t^2
-                       MCKKS q > 2 (delta b_m + b_ct_mp)
+                       MCKKS q > 2 (delta + b_ct_mp)
+
+These are the only statement of the decode condition (`qmin_mbfv_bound`,
+`qmin_mckks_bound`): `schemes.setup` and the smudging check of
+`threshold.partial_decrypt` evaluate the same two functions. MCKKS messages
+are normalized to |m| <= 1 (`schemes.encode_real` enforces it).
 
 Collective decryption then runs at q' = the product of the fewest leading
 primes of q whose rounding still passes the same conditions at the same q:
@@ -21,7 +26,7 @@ rounding c0 and the L partial decryptions from q to q' = q/D adds at most
     b_ct_mp'    = b_ct_mp + (L+1)/2 D      (D > 1; b_ct_mp when D = 1)
 
 The comparison verdict uses the normalized precision inequality
-t^2/(2 b_ct_mp) + t - 1 > 1/eps, which is equivalent (for b_m = 1 and
+t^2/(2 b_ct_mp) + t - 1 > 1/eps, which is equivalent (for
 delta = b_ct_mp/eps) to MCKKS needing the smaller modulus.
 """
 
@@ -82,20 +87,16 @@ class PlanInputs:
     lam: int
     t_bits: int | None = None
     eps_inv_bits: int | None = None
-    b_m: Fraction = Fraction(1)
 
     @classmethod
     def create(cls, n, parties, sigma, lam, *, bound=None, t_bits=None,
-               eps_inv_bits=None, b_m=1) -> "PlanInputs":
+               eps_inv_bits=None) -> "PlanInputs":
         sigma = frac(sigma)
         bound = 6 * sigma if bound is None else frac(bound)
         if n < 4 or parties < 1 or sigma < 0 or bound <= 0 or lam < 0:
             raise ConfigError("plan inputs must be positive")
-        b_m = frac(b_m)
-        if b_m <= 0:
-            raise ConfigError("b_m must be positive")
         return cls(n=n, parties=parties, sigma=sigma, bound=bound, lam=lam,
-                   t_bits=t_bits, eps_inv_bits=eps_inv_bits, b_m=b_m)
+                   t_bits=t_bits, eps_inv_bits=eps_inv_bits)
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,14 @@ def qmin_mbfv(t: int, b_ct_mp) -> int:
     return min_q_bits(qmin_mbfv_bound(t, b_ct_mp))
 
 
-def qmin_mckks_bound(delta, b_m, b_ct_mp) -> Fraction:
-    """Exact lower bound on q for threshold-CKKS message headroom."""
-    return 2 * (frac(delta) * frac(b_m) + frac(b_ct_mp))
+def qmin_mckks_bound(delta, b_ct_mp) -> Fraction:
+    """Exact lower bound on q for threshold-CKKS message headroom, for
+    messages of magnitude at most 1."""
+    return 2 * (frac(delta) + frac(b_ct_mp))
 
 
-def qmin_mckks(delta, b_m, b_ct_mp) -> int:
-    return min_q_bits(qmin_mckks_bound(delta, b_m, b_ct_mp))
+def qmin_mckks(delta, b_ct_mp) -> int:
+    return min_q_bits(qmin_mckks_bound(delta, b_ct_mp))
 
 
 def scale_from_eps(eps_inv: int, b_ct_mp) -> int:
@@ -171,7 +173,7 @@ def scale_from_eps(eps_inv: int, b_ct_mp) -> int:
 
 
 def winner(t: int, eps_inv: int, b_ct_mp) -> str:
-    """Scheme with the smaller modulus at equal bit precision (b_m = 1).
+    """Scheme with the smaller modulus at equal bit precision.
 
     Exact evaluation of t^2/(2 b) + t - 1 > eps_inv; strictly greater means
     MCKKS gets away with a smaller q than MBFV.
@@ -189,10 +191,9 @@ def winner(t: int, eps_inv: int, b_ct_mp) -> str:
 class RegionGrid:
     """Winner verdicts over an integer grid of (log2 t, log2 eps_inv).
 
-    The grid works in the normalized setting b_m = 1, matching the verdict
-    inequality; both minimum-q columns use the exact scale delta =
-    b_ct_mp * eps_inv so the verdict and the direct comparison agree cell
-    by cell.
+    Both minimum-q columns use the exact scale delta = b_ct_mp * eps_inv,
+    matching the verdict inequality, so the verdict and the direct
+    comparison agree cell by cell.
     """
 
     n: int
@@ -222,7 +223,7 @@ def region_grid(inputs: PlanInputs, t_bits_range, eps_bits_range) -> RegionGrid:
     for tb in t_bits:
         grid.mbfv_bits[tb] = qmin_mbfv(1 << tb, b)
     for eb in eps_bits:
-        grid.mckks_bits[eb] = qmin_mckks(b * (1 << eb), 1, b)
+        grid.mckks_bits[eb] = qmin_mckks(b * (1 << eb), b)
     for tb in t_bits:
         t = 1 << tb
         # the verdict threshold in eps is monotone per column; still evaluate
@@ -310,14 +311,6 @@ class PlanReport:
     security_required: bool
     reference: dict | None
 
-    def t(self) -> int | None:
-        return None if self.inputs.t_bits is None else 1 << self.inputs.t_bits
-
-    def eps_inv(self) -> int | None:
-        if self.inputs.eps_inv_bits is None:
-            return None
-        return 1 << self.inputs.eps_inv_bits
-
     def to_text(self) -> str:
         def fr(x: Fraction) -> str:
             return str(x.numerator) if x.denominator == 1 else \
@@ -325,7 +318,7 @@ class PlanReport:
 
         i, b = self.inputs, self.bounds
         lines = [
-            "format = thagg-plan-v2",
+            "format = thagg-plan-v3",
             f"scheme = {self.scheme}",
             f"n = {i.n}",
             f"parties = {i.parties}",
@@ -335,7 +328,6 @@ class PlanReport:
             f"t_bits = {i.t_bits if i.t_bits is not None else '-'}",
             f"eps_inv_bits = "
             f"{i.eps_inv_bits if i.eps_inv_bits is not None else '-'}",
-            f"b_m = {fr(i.b_m)}",
             f"b_fresh = {fr(b.b_fresh)}",
             f"b_fresh_mp = {fr(b.b_fresh_mp)}",
             f"b_ct = {fr(b.b_ct)}",
@@ -379,7 +371,7 @@ def _decryption_primes(inputs: PlanInputs, scheme: str,
             fits = q > qmin_mbfv_bound(1 << inputs.t_bits, b)
         else:
             fits = (scale_from_eps(1 << inputs.eps_inv_bits, b) == delta
-                    and q > qmin_mckks_bound(delta, inputs.b_m, b))
+                    and q > qmin_mckks_bound(delta, b))
         if fits:
             return primes[:k]
     return primes
@@ -405,8 +397,6 @@ def plan(inputs: PlanInputs, scheme: str, *, enforce_security: bool = True,
     """
     if scheme not in (MBFV, MCKKS):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    if scheme == MCKKS and inputs.b_m > 1:
-        raise ConfigError("MCKKS inputs must be normalized to b_m <= 1")
     bounds = mp_bounds(inputs)
     b = bounds.b_ct_mp
 
@@ -416,7 +406,7 @@ def plan(inputs: PlanInputs, scheme: str, *, enforce_security: bool = True,
         mbfv_bits = qmin_mbfv(1 << inputs.t_bits, b)
     if inputs.eps_inv_bits is not None:
         delta = scale_from_eps(1 << inputs.eps_inv_bits, b)
-        mckks_bits = qmin_mckks(delta, inputs.b_m, b)
+        mckks_bits = qmin_mckks(delta, b)
     if inputs.t_bits is not None and inputs.eps_inv_bits is not None:
         verdict = winner(1 << inputs.t_bits, 1 << inputs.eps_inv_bits, b)
 
@@ -427,7 +417,7 @@ def plan(inputs: PlanInputs, scheme: str, *, enforce_security: bool = True,
     else:
         if inputs.eps_inv_bits is None:
             raise ConfigError("MCKKS plan needs eps_inv_bits")
-        target = qmin_mckks_bound(delta, inputs.b_m, b)
+        target = qmin_mckks_bound(delta, b)
 
     primes = select_primes(inputs.n, min_product=floor_frac(target))
     q = prod(primes)

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .exact import (
     Ratios,
-    ceil_log2,
     frac,
     frac_log2,
     int_array,
@@ -35,6 +34,8 @@ from .exact import (
     scaled_round_residues,
 )
 from .ntt import select_primes
+from .planner import (fresh_bound, qmin_mbfv_bound, qmin_mckks_bound,
+                      scale_from_eps)
 from .rng import Xof
 
 BFV = "bfv"
@@ -51,7 +52,6 @@ class SchemeParams:
     kappa: int                # homomorphic addition capacity
     delta: int                # BFV: floor(q/t); CKKS: power-of-two scale
     t: int | None = None      # BFV plaintext modulus
-    eps_inv: int | None = None  # CKKS target inverse error margin
     # the ring partial decryptions are rounded to, sent in and combined in:
     # the first limbs of `ring` (`ring.scale_down`); all of them by default
     dec_ring: rg.RingParams | None = None
@@ -118,12 +118,17 @@ class Ciphertext:
 
 
 def _fail(name: str, lhs: Fraction, rhs: Fraction) -> BoundViolationError:
-    if rhs <= 0:
-        gap = "right side is not positive"
-    else:
-        gap = f"short by {frac_log2(lhs / rhs):.2f} bits"
     return BoundViolationError(
-        f"{name}: need {float(lhs):.6g} < {float(rhs):.6g}; {gap}")
+        f"{name}: need {float(lhs):.6g} < {float(rhs):.6g}; "
+        f"short by {frac_log2(lhs / rhs):.2f} bits")
+
+
+def decode_qmin(params: SchemeParams, b) -> Fraction:
+    """The planner's exact minimum q at which a value opened with noise at
+    most b still decodes under `params`; q must exceed it."""
+    if params.scheme == BFV:
+        return qmin_mbfv_bound(params.t, b)
+    return qmin_mckks_bound(params.delta, b)
 
 
 def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
@@ -132,12 +137,13 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
           dec_limbs: int | None = None) -> SchemeParams:
     """Validate a parameter set and pin the RNS basis.
 
-    Correctness preconditions are enforced exactly: the fresh-ciphertext
-    bound, the kappa-addition capacity bound, and (when a multiparty
-    aggregate-noise bound is supplied by the planner) the threshold variant
-    of the same inequality. `dec_limbs` keeps that many leading primes for
-    collective decryption; the planner's bound must already carry the
-    rounding it costs (`planner.switch_noise`).
+    Correctness preconditions are enforced exactly, each as q above the
+    planner's minimum q for a noise bound (`decode_qmin`): the fresh
+    ciphertext bound, the kappa-addition capacity bound, and (when the
+    planner supplies it) the multiparty aggregate-noise bound, which also
+    sets the CKKS scale (`planner.scale_from_eps`). `dec_limbs` keeps that
+    many leading primes for collective decryption; the planner's bound must
+    already carry the rounding it costs (`planner.switch_noise`).
     """
     if scheme not in (BFV, CKKS):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -153,8 +159,7 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
     dec_ring = rg.leading_ring(
         ring_params, len(ring_params.primes) if dec_limbs is None else dec_limbs)
     q = ring_params.q
-    b = noise.bound
-    fresh = (2 * n + 1) * b
+    fresh = fresh_bound(n, noise.bound)
     capacity = (kappa + 1) * fresh
     mp = None if mp_noise_bound is None else frac(mp_noise_bound)
 
@@ -163,30 +168,22 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
             raise ValueError("BFV needs plaintext modulus t >= 2")
         if q <= t:
             raise _fail("modulus ordering (t < q)", Fraction(t), Fraction(q))
-        rhs = Fraction(q, 2 * t) - Fraction(t, 2)
-        if not fresh < rhs:
-            raise _fail("fresh decryptability (kappa=1)", fresh, rhs)
-        if not capacity < rhs:
-            raise _fail(f"addition capacity (kappa={kappa})", capacity, rhs)
-        if mp is not None and not mp < rhs:
-            raise _fail("multiparty aggregate bound", mp, rhs)
-        return SchemeParams(scheme=BFV, ring=ring_params, noise=noise,
-                            kappa=kappa, delta=q // t, t=t, dec_ring=dec_ring)
-
-    if eps_inv is None or eps_inv < 1:
-        raise ValueError("CKKS needs eps_inv >= 1")
-    ref = mp if mp is not None else capacity
-    delta = 1 << ceil_log2(ref * eps_inv)
-    if delta < 1:
-        raise _fail("scale (delta >= 1)", Fraction(delta), Fraction(1))
-    rhs = Fraction(q, 2)
-    if not delta + capacity < rhs:
-        raise _fail(f"message headroom (kappa={kappa})", delta + capacity, rhs)
-    if mp is not None and not delta + mp < rhs:
-        raise _fail("multiparty message headroom", delta + mp, rhs)
-    return SchemeParams(scheme=CKKS, ring=ring_params, noise=noise,
-                        kappa=kappa, delta=delta, eps_inv=eps_inv,
-                        dec_ring=dec_ring)
+        delta = q // t
+    else:
+        if eps_inv is None or eps_inv < 1:
+            raise ValueError("CKKS needs eps_inv >= 1")
+        t, delta = None, scale_from_eps(eps_inv, capacity if mp is None else mp)
+    params = SchemeParams(scheme=scheme, ring=ring_params, noise=noise,
+                          kappa=kappa, delta=delta, t=t, dec_ring=dec_ring)
+    checks = [("fresh decryptability (kappa=1)", fresh),
+              (f"addition capacity (kappa={kappa})", capacity)]
+    if mp is not None:
+        checks.append(("multiparty aggregate bound", mp))
+    for name, b in checks:
+        need = decode_qmin(params, b)
+        if not q > need:
+            raise _fail(name, need, Fraction(q))
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +355,8 @@ def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
     give it mod 2^64 without big integers. Other t take the rational form
     below, on Python integers.
     """
+    if params.scheme != BFV:
+        raise PlaintextRangeError("bfv_round needs BFV parameters")
     t, ring = params.t, lifted.params
     q = ring.q
     if t & (t - 1) == 0 and t <= 1 << 62:
@@ -377,6 +376,8 @@ def ckks_scale_down(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
     A lift at a switched q' = q/D is scaled back by D first: the value is
     x * D / delta, an integer numerator over the power-of-two delta.
     """
+    if params.scheme != CKKS:
+        raise PlaintextRangeError("ckks_scale_down needs CKKS parameters")
     drop = params.ring.q // lifted.params.q
     return Plaintext(scheme=CKKS, coeffs=int_times(lifted.ints(), drop),
                      scale=params.delta)

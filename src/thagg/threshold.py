@@ -22,16 +22,7 @@ from fractions import Fraction
 from . import ring as rg
 from .errors import ShareSetError, SmudgeBoundError
 from .rng import Xof
-from .schemes import (
-    BFV,
-    CKKS,
-    Ciphertext,
-    Plaintext,
-    PublicKey,
-    SchemeParams,
-    bfv_round,
-    ckks_scale_down,
-)
+from .schemes import Ciphertext, PublicKey, SchemeParams, decode_qmin
 
 CRS_SEED_BYTES = 32
 
@@ -142,15 +133,12 @@ def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
     # the opened value carries one smudging term per party on top of the
     # ciphertext noise
     total = smudge.b_ct + smudge.parties * smudge.b_smg
-    q = params.ring.q
-    if params.scheme == BFV:
-        room = Fraction(q, 2 * params.t) - Fraction(params.t, 2)
-    else:
-        room = Fraction(q, 2) - params.delta
-    if not total < room:
+    need = decode_qmin(params, total)
+    if not params.ring.q > need:
         raise SmudgeBoundError(
             f"b_ct + {smudge.parties}*b_smg = {float(total):.4g} does not fit "
-            f"under q (room {float(room):.4g}); q was not sized for this "
+            f"under q (needs q > {float(need):.4g}, q = "
+            f"{float(params.ring.q):.4g}); q was not sized for this "
             "smudging level")
 
 
@@ -163,18 +151,6 @@ def combine_decrypt(params: SchemeParams, ct: Ciphertext,
     for part in partials:
         acc = rg.ring_add(acc, part.h)
     return rg.crt_lift(acc)
-
-
-def finalize_bfv(params: SchemeParams, d: rg.Lifted) -> Plaintext:
-    if params.scheme != BFV:
-        raise ShareSetError("finalize_bfv needs BFV parameters")
-    return bfv_round(params, d)
-
-
-def finalize_ckks(params: SchemeParams, d: rg.Lifted) -> Plaintext:
-    if params.scheme != CKKS:
-        raise ShareSetError("finalize_ckks needs CKKS parameters")
-    return ckks_scale_down(params, d)
 
 
 def reconstruct_ideal_key(params: SchemeParams,

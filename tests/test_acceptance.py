@@ -211,7 +211,7 @@ def test_c6_verdict_equals_direct_comparison_on_full_grid(fig_grids):
             for tb in GRID_RANGE:
                 mbfv = qmin_mbfv_bound(1 << tb, b)
                 for eb in GRID_RANGE:
-                    mckks = qmin_mckks_bound(b * (1 << eb), 1, b)
+                    mckks = qmin_mckks_bound(b * (1 << eb), b)
                     direct = mckks < mbfv
                     verdict = grid.winners[(tb, eb)] == MCKKS_SMALLER
                     assert verdict == direct, (lam, tb, eb)
@@ -265,7 +265,7 @@ def test_c9a_reference_set_ordering_consistent():
                                    t_bits=45, eps_inv_bits=45)
         report = plan(inputs, MBFV, enforce_security=True)
         b = report.bounds.b_ct_mp
-        direct = (qmin_mckks_bound(b * (1 << 45), 1, b)
+        direct = (qmin_mckks_bound(b * (1 << 45), b)
                   < qmin_mbfv_bound(1 << 45, b))
         assert (report.winner == MCKKS_SMALLER) == direct
         assert report.reference is not None  # reported figures as annotation

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from thagg.harness import (
     chunk_count,
     cleartext_oracle,
     client_input_step,
+    derive_scheme_params,
     output_step,
     run_protocol,
     run_setup,
@@ -591,6 +593,48 @@ def test_removed_parallel_clients_key_is_rejected(tmp_path, capsys):
     assert "parallel_clients" in capsys.readouterr().err
 
 
+def test_removed_b_m_key_is_rejected(tmp_path, capsys):
+    # at b_m = 1/2 this config once planned (exit 0) but failed setup
+    text = """\
+[protocol]
+scheme = mckks
+enforce_security = false
+
+[plan]
+n = 1024
+parties = 2
+lambda = 0
+eps_inv_bits = 8
+b_m = 1/2
+"""
+    with pytest.raises(ConfigError, match="b_m"):
+        parse_config(text)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    for command in ("plan", "run"):
+        assert cli.main([command, "-c", str(cfg_path)]) == 2
+        assert "b_m" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(["mbfv", "mckks"]),
+       n=st.sampled_from([64, 128, 256, 512, 1024, 2048, 4096]),
+       parties=st.integers(1, 16), lam=st.integers(0, 130),
+       bits=st.integers(1, 60))
+def test_every_plan_passes_setup(scheme, n, parties, lam, bits):
+    """`thagg plan` and `thagg run` agree: setup accepts what plan chose."""
+    key = "t_bits" if scheme == "mbfv" else "eps_inv_bits"
+    inputs = PlanInputs.create(n, parties, "3.2", lam, bound="19.2",
+                               **{key: bits})
+    cfg = ProtocolConfig(scheme=scheme, plan_inputs=inputs, model_size=n,
+                         root_seed=1, enforce_security=False)
+    report, params = derive_scheme_params(cfg)
+    assert params.ring.primes == report.primes
+    assert params.dec_ring.primes == report.dec_primes
+    if scheme == "mckks":
+        assert params.delta == report.delta_ckks
+
+
 def test_parse_config_requires_precision_for_scheme():
     broken = GOOD_CONFIG.replace("t_bits = 12\n", "")
     with pytest.raises(ConfigError, match="t_bits"):
@@ -639,6 +683,27 @@ def test_cli_plan_and_run_and_exit_codes(tmp_path, capsys):
 
     missing = tmp_path / "nope.ini"
     assert cli.main(["plan", "-c", str(missing)]) == 2
+
+
+def readme_config() -> str:
+    """The `ini` block of the README's CLI section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("scheme", ["mbfv", "mckks"])
+def test_readme_config_example_plans_and_runs(scheme, tmp_path, capsys):
+    text = readme_config()
+    assert "scheme = mbfv\n" in text
+    cfg_path = tmp_path / "readme.ini"
+    cfg_path.write_text(text.replace("scheme = mbfv\n", f"scheme = {scheme}\n"))
+    assert cli.main(["plan", "-c", str(cfg_path)]) == 0
+    outdir = tmp_path / "run"
+    assert cli.main(["run", "-c", str(cfg_path), "-o", str(outdir)]) == 0
+    capsys.readouterr()
+    if scheme == "mbfv":
+        lines = (outdir / "transcript.txt").read_text().splitlines()
+        assert "max_error = 0/1" in lines
 
 
 # Edge configs, each GOOD_CONFIG with one line changed; every one of them

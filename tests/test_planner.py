@@ -117,9 +117,9 @@ def test_qmin_monotone_nondecreasing():
 
 def test_qmin_mckks_formula_collapse():
     b = Fraction(1000)
-    assert qmin_mckks_bound(0, 1, b) == 2 * b
+    assert qmin_mckks_bound(0, b) == 2 * b
     # eps_inv = 1, b_m = 1: delta = b, so q > 4b
-    assert qmin_mckks_bound(b, 1, b) == 4 * b
+    assert qmin_mckks_bound(b, b) == 4 * b
 
 
 def test_scale_from_eps():
@@ -153,7 +153,7 @@ def test_precision_inequality_matches_modulus_ordering():
         via_bound_algebra = (b > (2 * delta * 1 - t * t) / (2 * (t - 1))
                              if t > 1 else False)
         via_precision = winner(t, eps_inv, b) == MCKKS_SMALLER
-        direct = qmin_mckks_bound(delta, 1, b) < qmin_mbfv_bound(t, b)
+        direct = qmin_mckks_bound(delta, b) < qmin_mbfv_bound(t, b)
         assert via_bound_algebra == via_precision == direct
 
 
@@ -170,7 +170,7 @@ def test_grid_verdict_matches_direct_bound_comparison():
     grid = small_grid(lam=8)
     b = grid.b_ct_mp
     for (tb, eb), verdict in grid.winners.items():
-        direct = qmin_mckks_bound(b * (1 << eb), 1, b) < qmin_mbfv_bound(1 << tb, b)
+        direct = qmin_mckks_bound(b * (1 << eb), b) < qmin_mbfv_bound(1 << tb, b)
         assert (verdict == MCKKS_SMALLER) == direct
 
 
@@ -270,7 +270,7 @@ def test_plan_deterministic_and_golden_text():
     assert a == b
     text = a.to_text()
     assert text == b.to_text()
-    assert "format = thagg-plan-v2" in text
+    assert "format = thagg-plan-v3" in text
     assert "b_ct = 786624/5" in text  # 157324.8 exactly
     assert f"qmin_mbfv_bits = {a.qmin_mbfv_bits}" in text
     assert "winner = " in text
@@ -305,7 +305,7 @@ def test_plan_known_set_winner_matches_direct_ordering():
                         eps_inv_bits=45)
     report = plan(inputs, MBFV, enforce_security=True)
     b = report.bounds.b_ct_mp
-    direct = qmin_mckks_bound(b * 2**45, 1, b) < qmin_mbfv_bound(2**45, b)
+    direct = qmin_mckks_bound(b * 2**45, b) < qmin_mbfv_bound(2**45, b)
     assert (report.winner == MCKKS_SMALLER) == direct
     assert report.reference is not None
 
@@ -326,7 +326,7 @@ def test_plan_mckks_path():
     q = 1
     for p in report.primes:
         q *= p
-    assert q > qmin_mckks_bound(report.delta_ckks, 1, report.bounds.b_ct_mp)
+    assert q > qmin_mckks_bound(report.delta_ckks, report.bounds.b_ct_mp)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +365,7 @@ def passes_checks(report, b):
     if report.scheme == MBFV:
         return q > qmin_mbfv_bound(1 << i.t_bits, b)
     return (scale_from_eps(1 << i.eps_inv_bits, b) == report.delta_ckks
-            and q > qmin_mckks_bound(report.delta_ckks, i.b_m, b))
+            and q > qmin_mckks_bound(report.delta_ckks, b))
 
 
 ALL_PLANS = [("workload", name, want) for name, want in

@@ -1,9 +1,12 @@
 """Single-key BFV/CKKS: setup validation, round-trips, noise accounting."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thagg import ring as rg
 from thagg.errors import (
@@ -13,6 +16,7 @@ from thagg.errors import (
     PlaintextRangeError,
     SecretAccessError,
 )
+from thagg.ntt import prime_below
 from thagg.rng import Xof
 from thagg.schemes import (
     BFV,
@@ -111,6 +115,80 @@ def test_ckks_delta_from_eps_inv():
 def test_ckks_rejects_when_scale_eats_modulus():
     with pytest.raises(BoundViolationError):
         setup(CKKS, 64, sigma="3.2", eps_inv=2**40, log2_q=30)
+
+
+def old_setup_verdict(scheme, n, bound, q, kappa, *, t=None, eps_inv=None,
+                      mp=None):
+    """The room inequalities setup used to state itself, kept as the
+    reference: delta if they accept, else None."""
+    fresh = (2 * n + 1) * bound
+    capacity = (kappa + 1) * fresh
+    if scheme == BFV:
+        if q <= t:
+            return None
+        rhs = Fraction(q, 2 * t) - Fraction(t, 2)
+        ok = fresh < rhs and capacity < rhs and (mp is None or mp < rhs)
+        return q // t if ok else None
+    delta = 1
+    while delta < (capacity if mp is None else mp) * eps_inv:
+        delta *= 2
+    rhs = Fraction(q, 2)
+    ok = delta + capacity < rhs and (mp is None or delta + mp < rhs)
+    return delta if ok else None
+
+
+# NTT-friendly primes of 10 to 29 bits for each degree the property draws
+SMALL_PRIMES = {n: sorted({prime_below(1 << bits, n) for bits in range(10, 30)})
+                for n in (4, 16, 64)}
+
+
+@st.composite
+def setup_cases(draw):
+    """A small-prime modulus, a scheme and its precision, and noise bounds
+    drawn relative to the old room, so that both verdicts and the equality
+    edge (ratio 1) come up."""
+    scheme = draw(st.sampled_from([BFV, CKKS]))
+    n = draw(st.sampled_from(sorted(SMALL_PRIMES)))
+    primes = draw(st.lists(st.sampled_from(SMALL_PRIMES[n]), min_size=1,
+                           max_size=3, unique=True))
+    q = math.prod(primes)
+    kappa = draw(st.integers(1, 8))
+    ratio = st.builds(Fraction, st.integers(1, 64), st.just(32))
+    if scheme == BFV:
+        t = draw(st.integers(2, 1 << draw(st.integers(1, 40))))
+        eps_inv = None
+        room = Fraction(q, 2 * t) - Fraction(t, 2)
+    else:
+        t = None
+        eps_inv = 1 << draw(st.integers(0, 20))
+        room = Fraction(q, 2) / (eps_inv + 1)
+    if room <= 0:
+        room = Fraction(q)
+    bound = max(Fraction(1, 2),
+                room / ((kappa + 1) * (2 * n + 1)) * draw(ratio))
+    mp = draw(st.one_of(st.none(), ratio.map(lambda r: room * r)))
+    return scheme, n, tuple(primes), q, kappa, t, eps_inv, bound, mp
+
+
+@settings(max_examples=400, deadline=None)
+@given(setup_cases())
+# BFV with the multiparty bound exactly at the old room: both reject
+@example((BFV, 4, (193,), 193, 1, 4, None, Fraction(1, 2), Fraction(177, 8)))
+# CKKS with delta + mp exactly q/2: both reject
+@example((CKKS, 4, (193,), 193, 1, None, 1, Fraction(1, 2), Fraction(65, 2)))
+def test_setup_verdict_matches_old_room_inequalities(case):
+    scheme, n, primes, q, kappa, t, eps_inv, bound, mp = case
+    want = old_setup_verdict(scheme, n, bound, q, kappa, t=t,
+                             eps_inv=eps_inv, mp=mp)
+    try:
+        params = setup(scheme, n, sigma="0.5", bound=bound, t=t,
+                       eps_inv=eps_inv, primes=primes, kappa=kappa,
+                       mp_noise_bound=mp)
+    except BoundViolationError as exc:
+        assert want is None, exc
+        assert "short by" in str(exc)
+        return
+    assert want == params.delta
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thagg import ring as rg
-from thagg.errors import ShareSetError, SmudgeBoundError
+from thagg.errors import (
+    PlaintextRangeError,
+    ProtocolFailure,
+    ShareSetError,
+    SmudgeBoundError,
+)
+from thagg.ntt import prime_below
 from thagg.planner import MBFV, MCKKS, PlanInputs, mp_bounds, plan, smudge_bound
 from thagg.rng import Xof
 from thagg.schemes import (
     BFV,
     CKKS,
     PublicKey,
+    SchemeParams,
     SecretKey,
     add,
     bfv_plaintext,
+    bfv_round,
+    ckks_scale_down,
     decryption_phase,
     encode_real,
     encrypt,
@@ -29,11 +38,10 @@ from thagg.schemes import (
 from thagg.threshold import (
     SecretShare,
     SmudgeParams,
+    _check_smudge_fits,
     combine_decrypt,
     combine_pk,
     crs_expand,
-    finalize_bfv,
-    finalize_ckks,
     gen_share,
     partial_decrypt,
     pk_share,
@@ -304,6 +312,41 @@ def test_partial_decrypt_counts_parties_not_kappa():
     partial_decrypt(params, shares[0], ct, alone, root.child("p"))
 
 
+SMUDGE_PRIMES = sorted({prime_below(1 << bits, 16) for bits in range(8, 30)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_smudge_check_matches_old_room_inequality(data):
+    # reference: the per-scheme room the check used to state itself
+    scheme = data.draw(st.sampled_from([BFV, CKKS]))
+    primes = tuple(data.draw(st.lists(st.sampled_from(SMUDGE_PRIMES),
+                                      min_size=1, max_size=3, unique=True)))
+    ring = rg.RingParams.create(16, primes)
+    q = ring.q
+    if scheme == BFV:
+        t = data.draw(st.integers(2, 1 << data.draw(st.integers(1, 40))))
+        delta = q // t
+        room = Fraction(q, 2 * t) - Fraction(t, 2)
+    else:
+        t = None
+        delta = 1 << data.draw(st.integers(0, q.bit_length()))
+        room = Fraction(q, 2) - delta
+    params = SchemeParams(scheme=scheme, ring=ring,
+                          noise=rg.NoiseSpec.create("3.2"), kappa=1,
+                          delta=delta, t=t)
+    parties = data.draw(st.integers(1, 16))
+    scale = room if room > 0 else Fraction(q)
+    b_ct = scale * Fraction(data.draw(st.integers(0, 64)), 64)
+    b_smg = scale * Fraction(data.draw(st.integers(0, 64)), 64 * parties)
+    smudge = SmudgeParams(parties=parties, b_ct=b_ct, b_smg=b_smg)
+    if b_ct + parties * b_smg < room:
+        _check_smudge_fits(params, smudge)
+    else:
+        with pytest.raises(SmudgeBoundError, match=f"{parties}\\*b_smg"):
+            _check_smudge_fits(params, smudge)
+
+
 def test_combine_decrypt_single_party_no_smudging_matches_single_key():
     sess = mk_session(MBFV, 64, 1, 0, seed="collapse")
     params = sess.params
@@ -403,9 +446,17 @@ def test_finalize_bfv_noiseless_and_scheme_guard():
     vals = [7, -7] + [0] * (params.ring.n - 2)
     d = rg.crt_lift(rg.from_coeffs(params.ring,
                                    [params.delta * v for v in vals]))
-    assert finalize_bfv(params, d).values == vals
-    with pytest.raises(ShareSetError):
-        finalize_ckks(params, d)
+    assert bfv_round(params, d).values == vals
+    with pytest.raises(PlaintextRangeError):
+        ckks_scale_down(params, d)
+
+
+def test_bfv_round_rejects_ckks_params():
+    sess = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=12)
+    d = rg.crt_lift(rg.zero(sess.params.ring))
+    with pytest.raises(PlaintextRangeError) as info:
+        bfv_round(sess.params, d)
+    assert isinstance(info.value, ProtocolFailure)  # exit 3
 
 
 def test_finalize_ckks_noiseless_exact():
@@ -414,7 +465,7 @@ def test_finalize_ckks_noiseless_exact():
     # setup's headroom covers |m| <= 1, so +-delta is a value d can take
     d = rg.crt_lift(rg.from_coeffs(
         params.ring, [params.delta, -params.delta] + [0] * (params.ring.n - 2)))
-    pt = finalize_ckks(params, d)
+    pt = ckks_scale_down(params, d)
     assert pt.values[0] == 1 and pt.values[1] == -1
 
 
@@ -424,14 +475,14 @@ def test_finalize_ckks_doubling_delta_halves_residual():
     noise = list(range(1000, 1000 + params.ring.n))
     d1 = rg.crt_lift(rg.from_coeffs(params.ring,
                                     [params.delta * 1 + e for e in noise]))
-    err1 = max(abs(v - 1) for v in finalize_ckks(params, d1).values)
+    err1 = max(abs(v - 1) for v in ckks_scale_down(params, d1).values)
     # same additive noise at twice the scale
     sess2 = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=13)
     params2 = sess2.params
     assert params2.delta == 2 * params.delta
     d2 = rg.crt_lift(rg.from_coeffs(params2.ring,
                                     [params2.delta * 1 + e for e in noise]))
-    err2 = max(abs(v - 1) for v in finalize_ckks(params2, d2).values)
+    err2 = max(abs(v - 1) for v in ckks_scale_down(params2, d2).values)
     assert err2 == err1 / 2
 
 
@@ -457,7 +508,7 @@ def test_threshold_bfv_exact_small_sweep():
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
         d = combine_decrypt(params, agg, partials, 2)
-        got = finalize_bfv(params, d).values
+        got = bfv_round(params, d).values
         for j in range(n):
             expect = (msgs[0][j] + msgs[1][j]) % t
             if expect > t // 2:
@@ -489,7 +540,7 @@ def test_threshold_ckks_accuracy_small_sweep():
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
         d = combine_decrypt(params, acc, partials, parties)
-        got = finalize_ckks(params, d)
+        got = ckks_scale_down(params, d)
         for j in range(n):
             truth = sum(Fraction(w[j]) for w in streams) / parties
             assert abs(got.values[j] - truth) < eps
@@ -547,10 +598,10 @@ def test_switched_session_opens_within_switched_bound(scheme):
     assert max(abs(centered_mod(opened - message, q))) <= b.b_ct_mp
 
     if scheme == MBFV:
-        got = finalize_bfv(params, d).values
+        got = bfv_round(params, d).values
         assert got == [sum(col) for col in zip(*msgs)]
     else:
-        got = finalize_ckks(params, d).values
+        got = ckks_scale_down(params, d).values
         eps = b.b_ct_mp / params.delta
         for j in range(n):
             truth = sum(Fraction(w[j]) for w in streams) / parties
