@@ -147,6 +147,13 @@ def _validate(cfg: ProtocolConfig) -> None:
         raise ConfigError("rounds must be >= 1")
     if cfg.root_seed < 0:
         raise ConfigError("root_seed must be non-negative")
+    n, i = cfg.n, cfg.plan_inputs
+    if n < 4 or n & (n - 1):
+        raise ConfigError(f"n must be a power of two >= 4, got {n}")
+    for key, bits in (("t_bits", i.t_bits), ("eps_inv_bits", i.eps_inv_bits),
+                      ("fixed_point_bits", cfg.fixed_point_bits)):
+        if bits is not None and bits < 0:
+            raise ConfigError(f"{key} must be non-negative, got {bits}")
     if cfg.scheme == MBFV:
         p, t_bits, parties = (cfg.fixed_point_bits, cfg.plan_inputs.t_bits,
                               cfg.parties)

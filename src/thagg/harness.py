@@ -52,6 +52,7 @@ from .threshold import (
     gen_share,
     partial_decrypt,
     pk_share,
+    switch_c0,
 )
 
 # Values per slice when the aggregate digest is hashed.
@@ -237,7 +238,8 @@ def synthesize_update(cfg: ProtocolConfig, root: Xof, client_index: int,
 def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
                       client: ClientState, cpk: PublicKey, root: Xof,
                       round_index: int, bus: MessageBus) -> list[Ciphertext]:
-    """Chunk the update into ceil(N/n) ciphertexts under the collective key."""
+    """Chunk the update into ceil(N/n) ciphertexts under the collective key,
+    each sent with c0 already rounded to the decryption modulus q'."""
     n = params.ring.n
     w = client.update
     chunks = chunk_count(cfg.model_size, n)
@@ -253,7 +255,7 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
             pt = encode_real(piece / cfg.parties, params)
         rng = root.child(
             f"round/{round_index}/client/{client.index}/enc/{c}")
-        ct = encrypt(params, cpk, pt, rng)
+        ct = switch_c0(params, encrypt(params, cpk, pt, rng))
         blob = bus.post("ciphertext", f"client{client.index}",
                         wire.serialize_ciphertext(ct))
         out.append(wire.deserialize_ciphertext(blob, params))
@@ -284,8 +286,8 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
                 bus: MessageBus) -> Ratios:
     """Collective decryption of every chunk, then per-scheme finalization.
 
-    Partial decryptions travel and are combined at the plan's decryption
-    modulus q' (`report.dec_primes`), not at q.
+    Partial decryptions travel and are combined, with the clients' summed
+    c0, at the plan's decryption modulus q' (`report.dec_primes`), not at q.
     """
     b = report.bounds
     smudge = SmudgeParams(parties=cfg.parties, b_ct=b.b_ct, b_smg=b.b_smg)

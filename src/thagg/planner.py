@@ -19,11 +19,13 @@ These are the only statement of the decode condition (`qmin_mbfv_bound`,
 are normalized to |m| <= 1 (`schemes.encode_real` enforces it).
 
 Collective decryption then runs at q' = the product of the fewest leading
-primes of q whose rounding still passes the same conditions at the same q:
-rounding c0 and the L partial decryptions from q to q' = q/D adds at most
-(L+1)/2 in q' units, so the plan's b_ct_mp becomes
+primes of q whose rounding still passes the same conditions at the same q.
+Each of the L clients rounds its c0 from q to q' = q/D before sending it,
+and each of the L partial decryptions is rounded the same way; every
+rounding adds at most 1/2 in q' units, L in all, so the plan's b_ct_mp
+becomes
 
-    b_ct_mp'    = b_ct_mp + (L+1)/2 D      (D > 1; b_ct_mp when D = 1)
+    b_ct_mp'    = b_ct_mp + L D            (D > 1; b_ct_mp when D = 1)
 
 The comparison verdict uses the normalized precision inequality
 t^2/(2 b_ct_mp) + t - 1 > 1/eps, which is equivalent (for
@@ -135,10 +137,11 @@ def mp_bounds(inputs: PlanInputs) -> MpBounds:
 
 
 def switch_noise(parties: int, drop: int) -> Fraction:
-    """Opened-noise term, at full-q scale, of rounding c0 and each of the
-    `parties` partial decryptions from q to q/drop: (L+1)/2 * D, or 0 when
-    no prime is dropped (D = 1, nothing is rounded)."""
-    return Fraction((parties + 1) * drop, 2) if drop > 1 else Fraction(0)
+    """Opened-noise term, at full-q scale, of rounding from q to q/drop the
+    c0 of each of the `parties` clients and each of their partial
+    decryptions: 2L roundings of at most 1/2 in q/drop units, L * D in all,
+    or 0 when no prime is dropped (D = 1, nothing is rounded)."""
+    return Fraction(parties * drop) if drop > 1 else Fraction(0)
 
 
 def qmin_mbfv_bound(t: int, b_ct_mp) -> Fraction:

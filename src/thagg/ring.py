@@ -137,11 +137,34 @@ def mul_scalar(a: RingElement, value: int) -> RingElement:
     return RingElement(a.params, res, a.domain)
 
 
+def _reduce(x: np.ndarray, p) -> np.ndarray:
+    """x mod p for int64 x and p a scalar or a column, as x - (x // p) * p:
+    numpy divides by a divisor that is constant along a row with a
+    precomputed multiplier, at less than half the cost of its `%`."""
+    quot = x // p
+    quot *= p
+    return np.subtract(x, quot, out=quot)
+
+
+def _dot_mod(rows, consts: tuple[int, ...], p: int) -> np.ndarray:
+    """sum(row * c) mod p, for rows of int64 (or bool) entries below 2^30
+    and constants 0 <= c < p. Each product is below 2^60, so seven of them
+    add up in int64 before a reduction is due."""
+    acc = rows[0] * consts[0]
+    for i in range(1, len(consts)):
+        acc += rows[i] * consts[i]
+        if i % 7 == 6:
+            acc = _reduce(acc, p)
+    return _reduce(acc, p)
+
+
 @dataclass(frozen=True)
 class _SwitchConsts:
     target: RingParams       # the first k primes, q' = p_0 ... p_{k-1}
     dropped: RingParams      # the rest, D = q / q'
-    d_inv: np.ndarray        # D^-1 mod each kept prime, shape (k, 1)
+    # per kept prime p: D^-1, then -r_i * D^-1 for the radix r_i of each
+    # dropped digit, then 1 for the sign mask, all mod p
+    rows: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -151,9 +174,14 @@ def _switch_consts(params: RingParams, k: int) -> _SwitchConsts:
         return RingParams(n=params.n, primes=primes, q=q, log2_q=q.bit_length())
 
     kept, dropped = basis(params.primes[:k]), basis(params.primes[k:])
-    d_inv = np.array([pow(dropped.q, -1, p) for p in kept.primes],
-                     dtype=np.int64)[:, None]
-    return _SwitchConsts(kept, dropped, d_inv)
+    rows = []
+    for p in kept.primes:
+        d_inv, radix, row = pow(dropped.q, -1, p), 1, []
+        for prime in dropped.primes:
+            row.append(-radix * d_inv % p)
+            radix *= prime
+        rows.append((d_inv, *row, 1))
+    return _SwitchConsts(kept, dropped, tuple(rows))
 
 
 def leading_ring(params: RingParams, k: int) -> RingParams:
@@ -169,9 +197,11 @@ def scale_down(a: RingElement, target: RingParams) -> RingElement:
 
     With D = q/q' the product of the dropped primes and [a]_D the centered
     residue of a mod D, a - [a]_D is a multiple of D. D is odd, so
-    |[a]_D| < D/2 and (a - [a]_D)/D is a/D rounded, with no ties. Per kept
-    prime p that is (a_p - [a]_D mod p) * D^-1 mod p, with [a]_D from the
-    Garner digits of the dropped limbs. With no limb dropped it returns a.
+    |[a]_D| < D/2 and (a - [a]_D)/D is a/D rounded, with no ties. From the
+    Garner digits d_i (radices r_i) of the dropped limbs,
+    [a]_D = sum d_i r_i - D * neg, so per kept prime p the result is
+    a_p D^-1 - sum d_i r_i D^-1 + neg mod p: one dot product and one
+    reduction. With no limb dropped it returns a.
     """
     if a.domain != COEFF:
         raise DomainMismatchError("scale_down needs a coefficient-domain element")
@@ -181,10 +211,11 @@ def scale_down(a: RingElement, target: RingParams) -> RingElement:
     if k == len(a.params.primes):
         return a
     consts = _switch_consts(a.params, k)
-    low = Lifted(consts.dropped, a.residues[k:]).mod(target.primes)
-    p_col = _prime_column(target.primes)
-    # a_p + p - low lies in (0, 2p), so its product with D^-1 is below 2^61
-    res = (a.residues[:k] + p_col - low) * consts.d_inv % p_col
+    low = Lifted(consts.dropped, a.residues[k:])
+    res = np.empty((k, a.params.n), dtype=np.int64)
+    for j, p in enumerate(target.primes):
+        res[j] = _dot_mod((a.residues[j], *low.digits, low.neg),
+                          consts.rows[j], p)
     return RingElement(target, res, COEFF)
 
 
@@ -197,7 +228,9 @@ def crt_lift(a: RingElement) -> "Lifted":
 
 @dataclass(frozen=True)
 class _GarnerConsts:
-    inv: tuple[int, ...]       # (p_0 ... p_{i-1})^-1 mod p_i
+    # per prime p_i: r_i^-1, then -r_j * r_i^-1 for j < i, all mod p_i, where
+    # r_j = p_0 ... p_{j-1} is the radix of digit j
+    mix: tuple[tuple[int, ...], ...]
     half: tuple[int, ...]      # mixed-radix digits of floor(q/2)
     radix64: np.ndarray        # p_0 ... p_{i-1} mod 2^64, uint64
     q64: np.uint64             # q mod 2^64
@@ -209,17 +242,19 @@ _GARNER_CACHE: dict[tuple[int, ...], _GarnerConsts] = {}
 def _garner_consts(primes: tuple[int, ...]) -> _GarnerConsts:
     got = _GARNER_CACHE.get(primes)
     if got is None:
-        inv, radix, prefix = [], [], 1
+        mix, radix, prefix = [], [], 1
         for p in primes:
-            inv.append(pow(prefix, -1, p))
-            radix.append(prefix % (1 << 64))
+            inv = pow(prefix, -1, p)
+            mix.append((inv, *(-r * inv % p for r in radix)))
+            radix.append(prefix)
             prefix *= p
         half, rest = [], prefix // 2
         for p in primes:
             rest, digit = divmod(rest, p)
             half.append(digit)
-        got = _GarnerConsts(tuple(inv), tuple(half),
-                            np.array(radix, dtype=np.uint64),
+        got = _GarnerConsts(tuple(mix), tuple(half),
+                            np.array([r % (1 << 64) for r in radix],
+                                     dtype=np.uint64),
                             np.uint64(prefix % (1 << 64)))
         _GARNER_CACHE[primes] = got
     return got
@@ -230,10 +265,11 @@ class Lifted(Sequence):
 
     Kept as the Garner mixed-radix digits of [x]_q in [0, q), so that
     [x]_q = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), plus a mask of the
-    coefficients above floor(q/2), whose centered value is [x]_q - q. Each
-    digit is below its prime, so every step is int64 arithmetic, and the
-    digits compare lexicographically (most significant first) as the
-    integers do. Python integers are built only on request.
+    coefficients above floor(q/2), whose centered value is [x]_q - q. Digit
+    i is (x_i - sum_{j<i} d_j r_j) * r_i^-1 mod p_i for the radices
+    r_j = p_0 ... p_{j-1}: one dot product over int64 rows and one
+    reduction. The digits compare lexicographically (most significant
+    first) as the integers do. Python integers are built only on request.
     """
 
     def __init__(self, params: RingParams, residues: np.ndarray):
@@ -242,11 +278,10 @@ class Lifted(Sequence):
         primes = params.primes
         consts = _garner_consts(primes)
         digits = np.empty_like(residues)
-        for i, p in enumerate(primes):
-            acc = np.zeros(params.n, dtype=np.int64)  # digits so far, mod p
-            for j in range(i - 1, -1, -1):
-                acc = (acc * primes[j] + digits[j]) % p
-            digits[i] = (residues[i] - acc) * consts.inv[i] % p
+        digits[0] = residues[0]
+        for i in range(1, len(primes)):
+            digits[i] = _dot_mod((residues[i], *digits[:i]), consts.mix[i],
+                                 primes[i])
         above = np.zeros(params.n, dtype=bool)
         tied = np.ones(params.n, dtype=bool)
         for i in range(len(primes) - 1, -1, -1):
@@ -299,22 +334,6 @@ class Lifted(Sequence):
 
     def tolist(self) -> list[int]:
         return self.ints().tolist()
-
-    def mod(self, primes: tuple[int, ...]) -> np.ndarray:
-        """The centered integers mod each of `primes`, shape (len, n) int64:
-        sum_i d_i * (p_0 ... p_{i-1}) + neg * (-q mod p). Every term is
-        below 2^60, so six of them add up in int64 before a reduction."""
-        out = np.empty((len(primes), self.params.n), dtype=np.int64)
-        for j, p in enumerate(primes):
-            acc = self.neg * (-self.params.q % p)
-            radix = 1
-            for i, (d, prime) in enumerate(zip(self.digits, self.params.primes)):
-                acc = acc + d * (radix % p)
-                if i % 6 == 5:
-                    acc %= p
-                radix *= prime
-            out[j] = acc % p
-        return out
 
     def wrapped64(self) -> np.ndarray:
         """The centered integers mod 2^64, as uint64 (wrapping arithmetic)."""

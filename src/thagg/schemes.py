@@ -106,6 +106,8 @@ class Plaintext:
 
 @dataclass
 class Ciphertext:
+    # c0 at q, or at the decryption modulus q' once a client switched it
+    # for collective decryption (`threshold.switch_c0`); c1 always at q
     c0: rg.RingElement
     c1: rg.RingElement
     scheme: str
@@ -118,8 +120,9 @@ class Ciphertext:
 
 
 def _fail(name: str, lhs: Fraction, rhs: Fraction) -> BoundViolationError:
+    # log2 of the sides, never float(): a side may exceed the float range
     return BoundViolationError(
-        f"{name}: need {float(lhs):.6g} < {float(rhs):.6g}; "
+        f"{name}: need 2^{frac_log2(lhs):.2f} < 2^{frac_log2(rhs):.2f}; "
         f"short by {frac_log2(lhs / rhs):.2f} bits")
 
 

@@ -8,19 +8,24 @@ so the combined term stays below the planner's aggregate bound. The
 smudged share is then rounded from q to the decryption modulus q' of
 `SchemeParams.dec_ring` (modulus switching, `ring.scale_down`): public
 post-processing of an already smudged value, so it costs no security, and
-the share is sent on the limbs of q' only. The combiner rounds c0 the same
-way and sums and lifts at q'. Shares, the CRS polynomial and the collective
-public key are stored in the NTT domain; the messages (public-key shares,
-partial decryptions) are coefficient-domain.
+the share is sent on the limbs of q' only.
+
+c0 is only ever used at q', so each client rounds its fresh c0 there
+(`switch_c0`) before sending it; c1 stays at q, where s_i * c1 and the
+smudging are computed. The aggregator sums c0 at q' and the combiner adds
+the shares to it and lifts at q'. Shares, the CRS polynomial and the
+collective public key are stored in the NTT domain; the messages
+(public-key shares, partial decryptions, ciphertexts) are coefficient-domain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import ring as rg
-from .errors import ShareSetError, SmudgeBoundError
+from .errors import ParamsMismatchError, ShareSetError, SmudgeBoundError
+from .exact import frac_log2
 from .rng import Xof
 from .schemes import Ciphertext, PublicKey, SchemeParams, decode_qmin
 
@@ -109,6 +114,14 @@ def combine_pk(params: SchemeParams, shares: list[PkShare], crs: Crs,
     return PublicKey(p0=rg.to_ntt(acc), p1=crs.p1)
 
 
+def switch_c0(params: SchemeParams, ct: Ciphertext) -> Ciphertext:
+    """The ciphertext with c0 rounded from q to q' (`params.dec_ring`), as a
+    client sends it; c1 stays at q. Public post-processing of the
+    ciphertext: the rounding adds at most 1/2 in q' units to what it opens
+    to (`planner.switch_noise`)."""
+    return replace(ct, c0=rg.scale_down(ct.c0, params.dec_ring))
+
+
 def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
                     smudge: SmudgeParams, rng: Xof, *,
                     e_smg: list[int] | None = None) -> PartialDecryption:
@@ -136,18 +149,23 @@ def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
     need = decode_qmin(params, total)
     if not params.ring.q > need:
         raise SmudgeBoundError(
-            f"b_ct + {smudge.parties}*b_smg = {float(total):.4g} does not fit "
-            f"under q (needs q > {float(need):.4g}, q = "
-            f"{float(params.ring.q):.4g}); q was not sized for this "
-            "smudging level")
+            f"b_ct + {smudge.parties}*b_smg does not fit under q (needs "
+            f"q > 2^{frac_log2(need):.2f}, q = 2^{frac_log2(params.ring.q):.2f}"
+            "); q was not sized for this smudging level")
 
 
 def combine_decrypt(params: SchemeParams, ct: Ciphertext,
                     partials: list[PartialDecryption],
                     parties: int) -> rg.Lifted:
-    """d' = [round(c0 * q'/q) + sum h_i]_q' as centered coefficients."""
+    """d' = [c0 + sum h_i]_q' as centered coefficients, for a c0 the
+    clients already rounded to q' (`switch_c0`)."""
     _check_indices(partials, parties, "partial decryption")
-    acc = rg.scale_down(ct.c0, params.dec_ring)
+    if ct.c0.params != params.dec_ring:
+        raise ParamsMismatchError(
+            f"c0 is on {len(ct.c0.params.primes)} limbs; collective "
+            f"decryption needs it rounded to the {len(params.dec_ring.primes)} "
+            "limbs of q' (switch_c0)")
+    acc = ct.c0
     for part in partials:
         acc = rg.ring_add(acc, part.h)
     return rg.crt_lift(acc)

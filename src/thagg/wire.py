@@ -1,24 +1,27 @@
-"""Binary wire formats, version 2.
+"""Binary wire formats, version 3.
 
 Ciphertext: magic "THAG", version u16, scheme tag u8, n u32, prime count
-u8, primes as u64 list, then c0 then c1 as little-endian u32 residues in
-prime-major coefficient-minor order, and adds_consumed u32. With k primes
-that is 16 + 8k + 8kn bytes.
+k u8, the k primes of q as a u64 list, the count k' u8 of leading primes
+c0 is sent on, then c0 on those k' primes (the decryption modulus q',
+`SchemeParams.dec_ring`: clients round c0 there before sending it) and c1
+on all k primes, as little-endian u32 residues in prime-major
+coefficient-minor order, and adds_consumed u32. That is
+17 + 8k + 4(k + k')n bytes.
 
 Protocol shares reuse the ring-element block of that format, prefixed by a
 one-byte message-kind tag and a u16 party index: 8 + 8k + 4kn bytes. A
 public-key share has the k primes of q; a partial decryption has only the
-k' leading primes of the decryption modulus q' (`SchemeParams.dec_ring`),
-so it is 8 + 8k' + 4k'n bytes.
+k' leading primes of q', so it is 8 + 8k' + 4k'n bytes.
 
 u32 residues are exact because `RingParams.create` admits only primes
-below 2^MAX_PRIME_BITS = 2^30. Version 1 (u64 residues) is not read.
+below 2^MAX_PRIME_BITS = 2^30. Versions 1 (u64 residues) and 2 (c0 at the
+full q) are not read.
 
 All integers are little-endian. Elements are serialized in the coefficient
 domain; an NTT-domain element (a stored key) raises `DomainMismatchError`.
-A decoder accepts only the receiver's own ring (n and primes as in
-`expected.ring`, or `expected.dec_ring` for a partial decryption, so a
-share left at the full q is refused), residues below their primes,
+A decoder accepts only the receiver's own rings (n and primes as in
+`expected.ring`; c0 and a partial decryption on `expected.dec_ring`, so a
+c0 or share left at the full q is refused), residues below their primes,
 adds_consumed <= kappa and party indices >= 1; anything else raises
 `WireFormatError`.
 """
@@ -30,12 +33,12 @@ import struct
 import numpy as np
 
 from . import ring as rg
-from .errors import DomainMismatchError, WireFormatError
+from .errors import DomainMismatchError, ParamsMismatchError, WireFormatError
 from .schemes import BFV, CKKS, Ciphertext, SchemeParams
 from .threshold import PartialDecryption, PkShare
 
 MAGIC = b"THAG"
-VERSION = 2
+VERSION = 3
 RESIDUE = np.dtype("<u4")
 
 SCHEME_TAGS = {BFV: 1, CKKS: 2}
@@ -95,10 +98,15 @@ def _read_residues(rd: _Reader, ring: rg.RingParams) -> rg.RingElement:
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
+    ring, dec = ct.c1.params, ct.c0.params
+    k_dec = len(dec.primes)
+    if dec.n != ring.n or dec.primes != ring.primes[:k_dec]:
+        raise ParamsMismatchError("c0's primes are not a prefix of c1's")
     return b"".join((
         MAGIC, struct.pack("<HB", VERSION, SCHEME_TAGS[ct.scheme]),
-        _element_header(ct.c0.params), _residue_block(ct.c0),
-        _residue_block(ct.c1), struct.pack("<I", ct.adds_consumed)))
+        _element_header(ring), struct.pack("<B", k_dec),
+        _residue_block(ct.c0), _residue_block(ct.c1),
+        struct.pack("<I", ct.adds_consumed)))
 
 
 def deserialize_ciphertext(blob: bytes, expected: SchemeParams) -> Ciphertext:
@@ -115,7 +123,14 @@ def deserialize_ciphertext(blob: bytes, expected: SchemeParams) -> Ciphertext:
         raise WireFormatError(
             f"ciphertext is {scheme}, receiver expects {expected.scheme}")
     _read_element_header(rd, expected.ring)
-    c0 = _read_residues(rd, expected.ring)
+    (k_dec,) = rd.unpack("<B")
+    want = len(expected.dec_ring.primes)
+    if k_dec != want:
+        where = ("at the full q" if k_dec == len(expected.ring.primes)
+                 else f"on {k_dec} limbs")
+        raise WireFormatError(
+            f"c0 sent {where}; receiver expects it on the {want} limbs of q'")
+    c0 = _read_residues(rd, expected.dec_ring)
     c1 = _read_residues(rd, expected.ring)
     (adds,) = rd.unpack("<I")
     rd.done()

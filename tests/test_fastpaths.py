@@ -458,6 +458,49 @@ def test_crt_lift_matches_reference(data):
     assert rg.crt_lift(el).tolist() == ref_crt_lift(params, el.residues)
 
 
+# One prime = 1 mod 32 per size from 17 to 30 bits. With eight of them,
+# digit 7 and a switch that drops seven limbs each sum more than seven
+# products, so their dot products reduce midway.
+GARNER_PRIMES = sorted({ntt.prime_below(1 << bits, 16) for bits in range(17, 31)})
+
+
+def ref_garner_digits(primes, x):
+    """Mixed-radix digits of 0 <= x < q, least significant first."""
+    out = []
+    for p in primes:
+        x, digit = divmod(x, p)
+        out.append(digit)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_garner_digits_match_python_integers(data):
+    primes = tuple(data.draw(st.lists(st.sampled_from(GARNER_PRIMES),
+                                      min_size=1, max_size=8, unique=True)))
+    params = rg.RingParams.create(16, primes)
+    q = params.q
+    edge = st.sampled_from([0, 1, q // 2 - 1, q // 2, q // 2 + 1, q - 1])
+    # random residues per prime, or an edge value's residues
+    residues = st.tuples(*(st.integers(0, p - 1) for p in primes))
+    cols = data.draw(st.lists(
+        st.one_of(residues, edge.map(lambda v: tuple(v % p for p in primes))),
+        min_size=16, max_size=16))
+    res = np.array(cols, dtype=np.int64).T.copy()
+    lifted = rg.crt_lift(rg.RingElement(params, res))
+    want = ref_crt_lift(params, res)  # the Python-integer CRT oracle
+    for i, v in enumerate(want):
+        x = v % q
+        assert lifted.digits[:, i].tolist() == ref_garner_digits(primes, x)
+        assert bool(lifted.neg[i]) == (x > q // 2)
+        assert lifted[i] == v
+    assert lifted.tolist() == want
+    k = data.draw(st.integers(1, len(primes)))
+    got = rg.scale_down(rg.RingElement(params, res), rg.leading_ring(params, k))
+    assert got.residues.tolist() == ref_scale_down(
+        params, k, [v % q for v in want])
+
+
 # Leading primes 30-bit, then a 17-bit prime, then 30-bit: dropping 1 to 3
 # limbs covers a dropped 17-bit prime alone, with others, and not at all.
 MIXED = rg.RingParams.create(

@@ -17,6 +17,7 @@ from thagg.errors import (
     ConfigError,
     DomainMismatchError,
     LengthMismatchError,
+    ParamsMismatchError,
     ProtocolFailure,
     WireFormatError,
 )
@@ -40,7 +41,7 @@ from thagg.harness import (
     synthesize_update,
 )
 from thagg.planner import PlanInputs
-from thagg.ring import sample_uniform
+from thagg.ring import RingParams, sample_uniform
 from thagg.rng import Xof
 from thagg.schemes import BFV, Ciphertext, setup
 from thagg.threshold import (
@@ -314,8 +315,10 @@ def _session_ct():
     return art, ct
 
 
-def ct_len(k, n):
-    return 16 + 8 * k + 8 * k * n
+def ct_len(k, n, k_dec=None):
+    """Ciphertext bytes: c1 on k primes, c0 on k_dec (default all k)."""
+    k_dec = k if k_dec is None else k_dec
+    return 17 + 8 * k + 4 * (k + k_dec) * n
 
 
 def share_len(k, n):
@@ -326,12 +329,76 @@ def test_ciphertext_wire_roundtrip():
     art, ct = _session_ct()
     blob = wire.serialize_ciphertext(ct)
     assert blob[:4] == b"THAG"
+    assert int.from_bytes(blob[4:6], "little") == wire.VERSION == 3
     back = wire.deserialize_ciphertext(blob, art.params)
     assert np.array_equal(back.c0.residues, ct.c0.residues)
     assert np.array_equal(back.c1.residues, ct.c1.residues)
     assert back.adds_consumed == ct.adds_consumed
+    # the client sent c0 at q' (1 of 2 limbs), c1 at q
+    assert back.c0.params == art.params.dec_ring != art.params.ring
+    assert back.c1.params == art.params.ring
     k, n = len(art.params.ring.primes), art.params.ring.n
+    assert len(blob) == ct_len(k, n, 1) == 33 + 12 * n
+
+
+def full_q_ct(art, ct):
+    """A client's ciphertext with c0 left at the full q."""
+    return dataclasses.replace(
+        ct, c0=sample_uniform(art.params.ring, Xof.from_seed("c0")))
+
+
+def test_wire_v3_rejects_v2_full_q_c0_and_wrong_k_dec():
+    art, ct = _session_ct()
+    params, ring = art.params, art.params.ring
+    k, n = len(ring.primes), ring.n
+    full = full_q_ct(art, ct)
+    blob = wire.serialize_ciphertext(full)
     assert len(blob) == ct_len(k, n)
+    with pytest.raises(WireFormatError, match="c0 sent at the full q"):
+        wire.deserialize_ciphertext(blob, params)
+    # a receiver that decrypts on every limb takes it
+    unswitched = dataclasses.replace(params, dec_ring=ring)
+    back = wire.deserialize_ciphertext(blob, unswitched)
+    assert np.array_equal(back.c0.residues, full.c0.residues)
+    # version 2: no k' byte, c0 at the full q
+    v2 = b"".join((blob[:4], (2).to_bytes(2, "little"), blob[6 : 12 + 8 * k],
+                   blob[13 + 8 * k :]))
+    assert len(v2) == 16 + 8 * k + 8 * k * n
+    for receiver in (params, unswitched):
+        with pytest.raises(WireFormatError, match="unsupported version 2"):
+            wire.deserialize_ciphertext(v2, receiver)
+    # k' that is neither the receiver's dec_limbs nor k
+    switched = wire.serialize_ciphertext(ct)
+    at = 12 + 8 * k  # the k' byte
+    assert switched[at] == len(params.dec_ring.primes) == 1
+    for k_dec in (0, 3, 255):
+        bad = switched[:at] + bytes([k_dec]) + switched[at + 1 :]
+        with pytest.raises(WireFormatError, match=f"on {k_dec} limbs"):
+            wire.deserialize_ciphertext(bad, params)
+    with pytest.raises(WireFormatError, match="on 1 limbs"):
+        wire.deserialize_ciphertext(switched, unswitched)
+    # truncated inside the c0 block
+    with pytest.raises(WireFormatError, match="truncated"):
+        wire.deserialize_ciphertext(switched[: at + 1 + 4 * n - 4], params)
+    # the header can only state c0 on leading primes of c1's ring
+    tail = RingParams.create(n, ring.primes[1:])
+    off_prefix = dataclasses.replace(
+        ct, c0=sample_uniform(tail, Xof.from_seed("tail")))
+    with pytest.raises(ParamsMismatchError, match="prefix"):
+        wire.serialize_ciphertext(off_prefix)
+
+
+def test_full_q_c0_maps_to_exit_3(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(GOOD_CONFIG)
+
+    def send_full_q_c0(cfg):
+        art, ct = _session_ct()
+        blob = wire.serialize_ciphertext(full_q_ct(art, ct))
+        wire.deserialize_ciphertext(blob, art.params)
+
+    monkeypatch.setattr("thagg.cli.run_protocol", send_full_q_c0)
+    assert cli.main(["run", "-c", str(cfg_path)]) == 3
 
 
 def test_wire_rejects_tampering():
@@ -427,7 +494,7 @@ def wire_messages():
 WIRE_MESSAGES = wire_messages()
 
 
-def test_wire_v2_message_lengths():
+def test_wire_v3_message_lengths():
     k, n = len(WIRE_PARAMS.ring.primes), WIRE_PARAMS.ring.n
     assert k == 2
     for kind, (blob, _) in WIRE_MESSAGES.items():
@@ -438,7 +505,7 @@ def test_wire_v2_message_lengths():
 def v1_blob(kind):
     """The message in version 1: u64 residues, version field 1."""
     blob, _ = WIRE_MESSAGES[kind]
-    head = 7 if kind == "ciphertext" else 3  # bytes before n
+    head = 8 if kind == "ciphertext" else 3  # bytes before n, plus k'
     head += 5 + 8 * len(WIRE_PARAMS.ring.primes)
     tail = 4 if kind == "ciphertext" else 0
     body = np.frombuffer(blob[head : len(blob) - tail], dtype="<u4")
@@ -479,10 +546,10 @@ def test_wire_rejects_residue_at_its_prime():
 
 def mutations(size):
     """A single-byte overwrite, a truncation, or appended bytes. Overwrites
-    hit the header (28 bytes for a ciphertext, 24 for a share: the n, count
-    and prime fields) and a ciphertext's trailing adds_consumed as often as
-    the residues."""
-    pos = st.one_of(st.integers(0, 27), st.integers(size - 4, size - 1),
+    hit the header (29 bytes for a ciphertext, 24 for a share: the n, count
+    and prime fields, and a ciphertext's k') and a ciphertext's trailing
+    adds_consumed as often as the residues."""
+    pos = st.one_of(st.integers(0, 28), st.integers(size - 4, size - 1),
                     st.integers(0, size - 1))
     return st.one_of(
         st.tuples(st.just("set"), pos, st.integers(0, 255)),
@@ -614,6 +681,35 @@ b_m = 1/2
     for command in ("plan", "run"):
         assert cli.main([command, "-c", str(cfg_path)]) == 2
         assert "b_m" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("golden,key,value,message", [
+    ("mbfv", "n", "1000", "n must be a power of two >= 4, got 1000"),
+    ("mbfv", "n", "12", "n must be a power of two >= 4, got 12"),
+    ("mbfv", "t_bits", "-1", "t_bits must be non-negative, got -1"),
+    ("mbfv", "fixed_point_bits", "-1", "fixed_point_bits must be non-negative"),
+    ("mckks", "eps_inv_bits", "-3", "eps_inv_bits must be non-negative"),
+])
+def test_bad_degree_and_negative_bits_are_config_errors(golden, key, value,
+                                                         message, tmp_path,
+                                                         capsys):
+    # once: n = 1000 planned (exit 0) and failed in run (exit 1, bare
+    # ValueError); a negative bit count failed both with exit 1
+    lines = (DATA / f"golden_{golden}.ini").read_text().splitlines()
+    hits = [i for i, line in enumerate(lines) if line.startswith(f"{key} =")]
+    assert len(hits) == 1
+    lines[hits[0]] = f"{key} = {value}"
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    for command in ("plan", "run"):
+        assert cli.main([command, "-c", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 @settings(max_examples=150, deadline=None)

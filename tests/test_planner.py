@@ -398,7 +398,7 @@ def test_dec_limbs_minimal_and_rounding_term_exact(kind, name, want):
     base = mp_bounds(report.inputs).b_ct_mp
     drop = q // math.prod(report.dec_primes)
     added = report.bounds.b_ct_mp - base
-    assert added == (Fraction((L + 1) * drop, 2) if drop > 1 else 0)
+    assert added == (L * drop if drop > 1 else 0)
     assert added == switch_noise(L, drop)
     assert passes_checks(report, report.bounds.b_ct_mp)
     k = len(report.dec_primes)
@@ -407,11 +407,23 @@ def test_dec_limbs_minimal_and_rounding_term_exact(kind, name, want):
         assert not passes_checks(report, base + switch_noise(L, fewer))
 
 
+@pytest.mark.parametrize("parties", [1, 2, 4, 16])
+def test_switch_noise_is_one_unit_per_client(parties):
+    # L client c0 roundings plus L share roundings, each at most D/2
+    for drop in (3, 12289, 2**60 + 1):
+        assert switch_noise(parties, drop) == parties * drop
+    assert switch_noise(parties, 1) == 0
+
+
 def test_deep_workload_bounds_and_switched_share_bytes():
     report = workload_plan("deep-mbfv")
     assert math.prod(report.dec_primes).bit_length() == 60
     # 32 switched shares of 8 + 8k' + 4k'n bytes
     k, n = len(report.dec_primes), report.inputs.n
     assert 32 * (8 + 8 * k + 4 * k * n) == 4_195_072
+    # 32 ciphertexts of 17 + 8k + 4(k + k')n bytes: c1 on the k limbs of q,
+    # c0 on the k' limbs of q'
+    k_all = len(report.primes)
+    assert 32 * (17 + 8 * k_all + 4 * (k_all + k) * n) == 14_681_888
     wide = workload_plan("wide-mbfv")
     assert wide.bounds.b_ct_mp == mp_bounds(wide.inputs).b_ct_mp

@@ -191,6 +191,13 @@ def test_setup_verdict_matches_old_room_inequalities(case):
     assert want == params.delta
 
 
+def test_bound_messages_take_values_beyond_the_float_range():
+    # t = 2^1100 above q: float(t) would overflow; the message uses log2
+    with pytest.raises(BoundViolationError,
+                       match=r"need 2\^1100\.00 < 2\^\d+\.\d\d; short by"):
+        setup(BFV, 64, sigma="3.2", t=2**1100, log2_q=20)
+
+
 # ---------------------------------------------------------------------------
 # keys
 

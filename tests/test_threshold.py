@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from thagg import ring as rg
 from thagg.errors import (
+    ParamsMismatchError,
     PlaintextRangeError,
     ProtocolFailure,
     ShareSetError,
     SmudgeBoundError,
 )
 from thagg.ntt import prime_below
-from thagg.planner import MBFV, MCKKS, PlanInputs, mp_bounds, plan, smudge_bound
+from thagg.planner import (MBFV, MCKKS, PlanInputs, mp_bounds, plan,
+                           smudge_bound, switch_noise)
 from thagg.rng import Xof
 from thagg.schemes import (
     BFV,
@@ -46,6 +48,7 @@ from thagg.threshold import (
     partial_decrypt,
     pk_share,
     reconstruct_ideal_key,
+    switch_c0,
 )
 from thagg.schemes import setup
 
@@ -312,6 +315,17 @@ def test_partial_decrypt_counts_parties_not_kappa():
     partial_decrypt(params, shares[0], ct, alone, root.child("p"))
 
 
+def test_smudge_message_takes_values_beyond_the_float_range():
+    # t = 2^1100: the decode bound 2 t b + t^2 is far beyond a float
+    ring = setup(BFV, 16, sigma="3.2", t=257, log2_q=40).ring
+    params = SchemeParams(scheme=BFV, ring=ring,
+                          noise=rg.NoiseSpec.create("3.2"), kappa=1,
+                          delta=1, t=2**1100)
+    smudge = SmudgeParams(parties=2, b_ct=Fraction(0), b_smg=Fraction(1))
+    with pytest.raises(SmudgeBoundError, match=r"2\*b_smg .*q > 2\^2200\.00"):
+        _check_smudge_fits(params, smudge)
+
+
 SMUDGE_PRIMES = sorted({prime_below(1 << bits, 16) for bits in range(8, 30)})
 
 
@@ -551,20 +565,17 @@ def centered_mod(v, q):
     return np.where(v > q // 2, v - q, v)
 
 
-@pytest.mark.parametrize("scheme", [MBFV, MCKKS])
-def test_switched_session_opens_within_switched_bound(scheme):
-    # n = 1024, L = 3, lam = 16: the plan keeps 1 of 2 limbs for decryption
-    parties, n = 3, 1024
-    sess = mk_session(scheme, n, parties, 16, eps_inv_bits=10,
-                      seed=f"switch-{scheme}", switched=True)
-    params, b = sess.params, sess.report.bounds
-    q, drop = params.ring.q, params.ring.q // params.dec_ring.q
-    assert len(params.dec_ring.primes) == 1 < len(params.ring.primes)
-    rounding = Fraction((parties + 1) * drop, 2)
+def open_switched_session(sess, rng):
+    """Clients encrypt, round c0 to q' and are summed; the sum is opened
+    collectively. Checks the opened value against the full-q value through
+    the test-only ideal key, and the decoded result; returns D = q/q'."""
+    params, b, parties = sess.params, sess.report.bounds, sess.parties
+    q, n = params.ring.q, params.ring.n
+    drop = q // params.dec_ring.q
+    rounding = switch_noise(parties, drop)
     assert b.b_ct_mp == mp_bounds(sess.report.inputs).b_ct_mp + rounding
 
-    rng = sess.root.child("msgs")
-    if scheme == MBFV:
+    if params.scheme == BFV:
         msgs = [[rng.uniform_below(params.t // (2 * parties))
                  for _ in range(n)] for _ in range(parties)]
         pts = [bfv_plaintext(params, m) for m in msgs]
@@ -572,10 +583,14 @@ def test_switched_session_opens_within_switched_bound(scheme):
         streams = [rng.child(f"w{i}").float_open01(n) * 2.0 - 1.0
                    for i in range(parties)]
         pts = [encode_real(w / parties, params) for w in streams]
-    acc = None
+    acc = full_acc = None
     for i, pt in enumerate(pts):
         ct = encrypt(params, sess.cpk, pt, rng.child(f"e{i}"))
-        acc = ct if acc is None else add(acc, ct)
+        sent = switch_c0(params, ct)
+        assert sent.c0.params == params.dec_ring
+        assert sent.c1 is ct.c1
+        acc = sent if acc is None else add(acc, sent)
+        full_acc = ct if full_acc is None else add(full_acc, ct)
     smudging = [rg.crt_lift(rg.sample_smudging(
         params.ring, b.b_smg, rng.child(f"s{sh.index}"))).ints()
         for sh in sess.shares]
@@ -587,17 +602,18 @@ def test_switched_session_opens_within_switched_bound(scheme):
 
     # the full-q opened value, through the test-only ideal key
     ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
-    full = decryption_phase(params, ideal, acc).ints().astype(object)
+    full = decryption_phase(params, ideal, full_acc).ints().astype(object)
     full = full + sum(e.astype(object) for e in smudging)
     message = sum(pt.ints().astype(object) for pt in pts)
-    if scheme == MBFV:
+    if params.scheme == BFV:
         message = message * params.delta
     opened = d.ints().astype(object) * drop  # d' read back at q
+    # L c0 roundings and L share roundings, each at most D/2
     assert max(abs(centered_mod(opened - full, q))) <= rounding
     # opened noise at q' within b_ct_mp' * q'/q, i.e. within b_ct_mp' at q
     assert max(abs(centered_mod(opened - message, q))) <= b.b_ct_mp
 
-    if scheme == MBFV:
+    if params.scheme == BFV:
         got = bfv_round(params, d).values
         assert got == [sum(col) for col in zip(*msgs)]
     else:
@@ -606,3 +622,41 @@ def test_switched_session_opens_within_switched_bound(scheme):
         for j in range(n):
             truth = sum(Fraction(w[j]) for w in streams) / parties
             assert abs(got[j] - truth) < eps
+    return drop
+
+
+@pytest.mark.parametrize("scheme", [MBFV, MCKKS])
+def test_switched_session_opens_within_switched_bound(scheme):
+    # n = 1024, L = 3, lam = 16: the plan keeps 1 of 2 limbs for decryption
+    sess = mk_session(scheme, 1024, 3, 16, eps_inv_bits=10,
+                      seed=f"switch-{scheme}", switched=True)
+    assert len(sess.params.dec_ring.primes) == 1 < len(sess.params.ring.primes)
+    assert sess.report.bounds.b_ct_mp == (
+        mp_bounds(sess.report.inputs).b_ct_mp + 3 * sess.params.ring.primes[1])
+    assert open_switched_session(sess, sess.root.child("msgs")) > 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(scheme=st.sampled_from([MBFV, MCKKS]), parties=st.integers(1, 5),
+       lam=st.sampled_from([0, 7, 16, 30, 61]), seed=st.integers(0, 2**32))
+def test_switched_sessions_open_within_plan_bound(scheme, parties, lam, seed):
+    # n = 256: plans keep 1 to all of their limbs for decryption
+    sess = mk_session(scheme, 256, parties, lam, t_bits=10, eps_inv_bits=10,
+                      seed=f"switch-prop-{seed}", switched=True)
+    open_switched_session(sess, Xof.from_seed(f"msgs-{seed}"))
+
+
+def test_combine_decrypt_refuses_full_q_c0():
+    sess = mk_session(MBFV, 1024, 3, 16, seed="full-q-c0", switched=True)
+    params = sess.params
+    assert params.dec_ring != params.ring
+    ct = encrypt(params, sess.cpk, bfv_plaintext(params, [1] * 1024),
+                 sess.root.child("e"))
+    partials = [partial_decrypt(params, sh, ct, sess.smudge,
+                                sess.root.child(f"p{sh.index}"))
+                for sh in sess.shares]
+    with pytest.raises(ParamsMismatchError, match="c0 is on 2 limbs") as info:
+        combine_decrypt(params, ct, partials, 3)
+    assert isinstance(info.value, ProtocolFailure)  # exit 3
+    d = combine_decrypt(params, switch_c0(params, ct), partials, 3)
+    assert bfv_round(params, d).values == [1] * 1024
