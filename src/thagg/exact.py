@@ -110,19 +110,22 @@ def scaled_round_ints(x: np.ndarray, d: int) -> np.ndarray:
 
 def scaled_round_residues(x: np.ndarray, d: int,
                           primes: tuple[int, ...]) -> np.ndarray:
-    """Residues mod each prime of floor(x * 2^d + 1/2), shape
-    (limbs, len(x)). Finite float64 x, d >= 0, no size limit.
+    """Residues mod each prime of floor(x * 2^d + 1/2): shape (limbs, n)
+    for x of shape (n,), (..., limbs, n) for x of shape (..., n). Finite
+    float64 x, d >= 0, no size limit.
 
     Where the value is M * 2^(s+d) its residue is (M mod p) * (2^(s+d)
     mod p); elsewhere it is the int64 `scaled_round_array` value mod p.
     """
     mant, shift, whole, small = _mantissa_shift(x, d)
     shifts, index = np.unique(np.where(whole, shift, 0), return_inverse=True)
-    rows = np.empty((len(primes), x.size), dtype=np.int64)
+    index = index.reshape(x.shape)
+    res = np.empty(x.shape[:-1] + (len(primes), x.shape[-1]), dtype=np.int64)
+    rows = np.moveaxis(res, -2, 0)  # limbs first, a view
     for j, p in enumerate(primes):
         pow2 = np.array([pow(2, int(k), p) for k in shifts], dtype=np.int64)
         rows[j] = np.where(whole, (mant % p) * pow2[index] % p, small % p)
-    return rows
+    return res
 
 
 def binary_places(x: np.ndarray) -> int:

@@ -58,6 +58,12 @@ from .threshold import (
 # Values per slice when the aggregate digest is hashed.
 DIGEST_SLICE = 4096
 
+# Most int64 residue bytes per batched ring operation (`chunk_groups`). A
+# transform call has a fixed cost that a batch of small chunks shares, while
+# stacking large ones only slows them (measurements in the `ntt` notes):
+# 8 chunks of 2 x 2048 per call, one chunk of 5 x 16384.
+BATCH_BYTES = 256 << 10
+
 PHASES = ("collective_keygen", "encryption", "aggregation",
           "collective_decryption", "total")
 
@@ -235,30 +241,54 @@ def synthesize_update(cfg: ProtocolConfig, root: Xof, client_index: int,
     return stream.float_open01(cfg.model_size) * 2.0 - 1.0
 
 
+def chunk_groups(chunks: int, ring: rg.RingParams) -> list[range]:
+    """Consecutive chunk indices in groups of as many whole chunks as fit in
+    BATCH_BYTES of residues on `ring`, and at least one."""
+    per = max(1, BATCH_BYTES // (8 * len(ring.primes) * ring.n))
+    return [range(lo, min(lo + per, chunks)) for lo in range(0, chunks, per)]
+
+
 def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
                       client: ClientState, cpk: PublicKey, root: Xof,
                       round_index: int, bus: MessageBus) -> list[Ciphertext]:
     """Chunk the update into ceil(N/n) ciphertexts under the collective key,
-    each sent with c0 already rounded to the decryption modulus q'."""
-    n = params.ring.n
-    w = client.update
+    each sent with c0 already rounded to the decryption modulus q'.
+
+    Each group of chunks (`chunk_groups`) is encoded and encrypted as one
+    batch. Every chunk still draws its randomness from its own stream and
+    goes out as its own message, in chunk order.
+    """
+    ring = params.ring
+    n = ring.n
     chunks = chunk_count(cfg.model_size, n)
+    w = client.update
+    if w.size < chunks * n:
+        w = np.concatenate([w, np.zeros(chunks * n - w.size)])
+    w = w.reshape(chunks, n)
     out = []
-    for c in range(chunks):
-        piece = w[c * n : (c + 1) * n]
-        if piece.size < n:
-            piece = np.concatenate([piece, np.zeros(n - piece.size)])
+    for group in chunk_groups(chunks, ring):
+        block = w[group.start : group.stop]
         if cfg.scheme == MBFV:
-            pt = encode_fixed(piece, cfg.fixed_point_bits, params)
+            pt = encode_fixed(block, cfg.fixed_point_bits, params)
         else:
             # normalize by L up front so the homomorphic sum is the average
-            pt = encode_real(piece / cfg.parties, params)
-        rng = root.child(
-            f"round/{round_index}/client/{client.index}/enc/{c}")
-        ct = switch_c0(params, encrypt(params, cpk, pt, rng))
-        blob = bus.post("ciphertext", f"client{client.index}",
-                        wire.serialize_ciphertext(ct))
-        out.append(wire.deserialize_ciphertext(blob, params))
+            pt = encode_real(block / cfg.parties, params)
+        draws = []
+        for c in group:
+            rng = root.child(
+                f"round/{round_index}/client/{client.index}/enc/{c}")
+            # u, e0 and e1 of the chunk, read from its stream in that order
+            draws.append((rg.sample_ternary(ring, rng),
+                          rg.sample_gaussian(ring, params.noise, rng),
+                          rg.sample_gaussian(ring, params.noise, rng)))
+        u, e0, e1 = (rg.stack(list(els)) for els in zip(*draws))
+        batch = switch_c0(params,
+                          encrypt(params, cpk, pt, None, u=u, e0=e0, e1=e1))
+        for c0, c1 in zip(rg.unstack(batch.c0), rg.unstack(batch.c1)):
+            blob = bus.post("ciphertext", f"client{client.index}",
+                            wire.serialize_ciphertext(
+                                replace(batch, c0=c0, c1=c1)))
+            out.append(wire.deserialize_ciphertext(blob, params))
     return out
 
 
@@ -288,27 +318,40 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
 
     Partial decryptions travel and are combined, with the clients' summed
     c0, at the plan's decryption modulus q' (`report.dec_primes`), not at q.
+    Each party decrypts a group of chunks (`chunk_groups`) as one batch,
+    with each chunk's smudging drawn from its own stream. Shares still go
+    out one per chunk and party: every party's for a chunk, then the next.
     """
     b = report.bounds
     smudge = SmudgeParams(parties=cfg.parties, b_ct=b.b_ct, b_smg=b.b_smg)
+    ring = params.ring
     parts: list[Ratios] = []
-    for c, ct in enumerate(agg_cts):
-        # every party multiplies by the same c1: transform it once
-        ct = replace(ct, c1=rg.to_ntt(ct.c1))
-        partials = []
+    for group in chunk_groups(len(agg_cts), ring):
+        cts = agg_cts[group.start : group.stop]
+        # every party multiplies by the same c1s: transform them once
+        batch = replace(cts[0], c0=rg.stack([ct.c0 for ct in cts]),
+                        c1=rg.to_ntt(rg.stack([ct.c1 for ct in cts])))
+        blobs = []  # per party, its shares of the group, chunk by chunk
         for client in clients:
-            rng = root.child(
-                f"round/{round_index}/client/{client.index}/pdec/{c}")
-            part = partial_decrypt(params, client.share, ct, smudge, rng)
-            blob = bus.post("partial_dec", f"client{client.index}",
-                            wire.serialize_partial_dec(part))
-            partials.append(wire.deserialize_partial_dec(blob, params))
-        d = combine_decrypt(params, ct, partials, cfg.parties)
-        if cfg.scheme == MBFV:
-            pt = bfv_round(params, d)
-            parts.append(decode_fixed(pt, cfg.fixed_point_bits, cfg.parties))
-        else:
-            parts.append(ckks_scale_down(params, d).values)
+            e_smg = rg.stack([
+                rg.sample_smudging(ring, smudge.b_smg, root.child(
+                    f"round/{round_index}/client/{client.index}/pdec/{c}"))
+                for c in group])
+            part = partial_decrypt(params, client.share, batch, smudge, None,
+                                   e_smg=e_smg)
+            blobs.append([wire.serialize_partial_dec(replace(part, h=h))
+                          for h in rg.unstack(part.h)])
+        for i, ct in enumerate(cts):
+            partials = [wire.deserialize_partial_dec(
+                bus.post("partial_dec", f"client{client.index}", shares[i]),
+                params) for client, shares in zip(clients, blobs)]
+            d = combine_decrypt(params, ct, partials, cfg.parties)
+            if cfg.scheme == MBFV:
+                pt = bfv_round(params, d)
+                parts.append(decode_fixed(pt, cfg.fixed_point_bits,
+                                          cfg.parties))
+            else:
+                parts.append(ckks_scale_down(params, d).values)
     return Ratios.concat(parts)[: cfg.model_size]
 
 

@@ -8,6 +8,12 @@ independent oracle. `scale_down` rounds an element to a leading sub-basis
 (modulus switching) exactly, through the Garner digits of the dropped
 limbs. No per-coefficient Python integer is built on the sampling, lifting
 or switching paths; integers appear only when a caller asks for them.
+
+Residues may carry leading batch axes, shape (..., limbs, n): the ring
+operations, the transforms, `from_coeffs` on int64 arrays and `scale_down`
+act on every entry of a batch at once (`stack` builds one, `unstack` takes
+it apart). Lifting, the samplers and the schoolbook oracle take one
+element.
 """
 
 from __future__ import annotations
@@ -64,7 +70,8 @@ class RingParams:
 
 @dataclass
 class RingElement:
-    """Residue matrix of shape (limbs, n) plus the evaluation-domain flag."""
+    """Residues of shape (..., limbs, n) plus the evaluation-domain flag;
+    leading axes, if any, index a batch of elements."""
 
     params: RingParams
     residues: np.ndarray
@@ -101,18 +108,28 @@ def zero(params: RingParams, domain: str = COEFF) -> RingElement:
 
 
 def from_coeffs(params: RingParams, coeffs) -> RingElement:
-    """RNS-decompose integer coefficients (any size, any sign)."""
+    """RNS-decompose integer coefficients (any size, any sign).
+
+    An int64 array of shape (..., n) gives residues of shape
+    (..., limbs, n); values beyond int64 take an exact path for one
+    element only.
+    """
     n = params.n
-    if len(coeffs) != n:
-        raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
+    got = coeffs.shape[-1] if isinstance(coeffs, np.ndarray) else len(coeffs)
+    if got != n:
+        raise ValueError(f"expected {n} coefficients, got {got}")
     if getattr(coeffs, "dtype", None) == np.uint64 and coeffs.max() >> 63:
         coeffs = coeffs.tolist()  # int64 would wrap these; take the exact path
     try:
         arr = np.asarray(coeffs, dtype=np.int64)
     except OverflowError:
+        if np.ndim(coeffs) != 1:
+            raise ValueError("coefficients beyond int64 take one element, "
+                             "not a batch") from None
         rows = [[c % p for c in coeffs] for p in params.primes]
         return RingElement(params, np.array(rows, dtype=np.int64), COEFF)
     p_col = _prime_column(params.primes)
+    arr = arr[..., None, :]  # a limb axis to broadcast against p_col
     sign = arr >> 63  # -1 where c < 0, else 0
     if (arr ^ sign).max() < min(params.primes):
         # every -p <= c < p: adding p to the negative ones reduces them
@@ -201,7 +218,8 @@ def scale_down(a: RingElement, target: RingParams) -> RingElement:
     Garner digits d_i (radices r_i) of the dropped limbs,
     [a]_D = sum d_i r_i - D * neg, so per kept prime p the result is
     a_p D^-1 - sum d_i r_i D^-1 + neg mod p: one dot product and one
-    reduction. With no limb dropped it returns a.
+    reduction. With no limb dropped it returns a. A batch is switched
+    entry by entry.
     """
     if a.domain != COEFF:
         raise DomainMismatchError("scale_down needs a coefficient-domain element")
@@ -211,11 +229,12 @@ def scale_down(a: RingElement, target: RingParams) -> RingElement:
     if k == len(a.params.primes):
         return a
     consts = _switch_consts(a.params, k)
-    low = Lifted(consts.dropped, a.residues[k:])
-    res = np.empty((k, a.params.n), dtype=np.int64)
+    rows = np.moveaxis(a.residues, -2, 0)  # limbs first, a view
+    digits, neg = _garner(consts.dropped.primes, rows[k:])
+    res = np.empty(a.residues.shape[:-2] + (k, a.params.n), dtype=np.int64)
+    out = np.moveaxis(res, -2, 0)
     for j, p in enumerate(target.primes):
-        res[j] = _dot_mod((a.residues[j], *low.digits, low.neg),
-                          consts.rows[j], p)
+        out[j] = _dot_mod((rows[j], *digits, neg), consts.rows[j], p)
     return RingElement(target, res, COEFF)
 
 
@@ -260,6 +279,22 @@ def _garner_consts(primes: tuple[int, ...]) -> _GarnerConsts:
     return got
 
 
+def _garner(primes: tuple[int, ...], rows: np.ndarray):
+    """Garner digits of residue rows (limbs first: shape (limbs, ..., n)),
+    in the same layout, and the mask of values above floor(q/2)."""
+    consts = _garner_consts(primes)
+    digits = np.empty_like(rows)
+    digits[0] = rows[0]
+    for i in range(1, len(primes)):
+        digits[i] = _dot_mod((rows[i], *digits[:i]), consts.mix[i], primes[i])
+    above = np.zeros(rows.shape[1:], dtype=bool)
+    tied = np.ones(rows.shape[1:], dtype=bool)
+    for i in range(len(primes) - 1, -1, -1):
+        above |= tied & (digits[i] > consts.half[i])
+        tied &= digits[i] == consts.half[i]
+    return digits, above
+
+
 class Lifted(Sequence):
     """Centered representatives of a coefficient-domain element.
 
@@ -275,20 +310,7 @@ class Lifted(Sequence):
     def __init__(self, params: RingParams, residues: np.ndarray):
         self.params = params
         self.residues = residues
-        primes = params.primes
-        consts = _garner_consts(primes)
-        digits = np.empty_like(residues)
-        digits[0] = residues[0]
-        for i in range(1, len(primes)):
-            digits[i] = _dot_mod((residues[i], *digits[:i]), consts.mix[i],
-                                 primes[i])
-        above = np.zeros(params.n, dtype=bool)
-        tied = np.ones(params.n, dtype=bool)
-        for i in range(len(primes) - 1, -1, -1):
-            above |= tied & (digits[i] > consts.half[i])
-            tied &= digits[i] == consts.half[i]
-        self.digits = digits
-        self.neg = above
+        self.digits, self.neg = _garner(params.primes, residues)
 
     def __len__(self) -> int:
         return self.params.n
@@ -388,6 +410,22 @@ def ring_neg(a: RingElement) -> RingElement:
     p = _plan(a.params).p
     return RingElement(a.params, _reduce_once(p - a.residues.view(np.uint64), p),
                        a.domain)
+
+
+def stack(elements: list[RingElement]) -> RingElement:
+    """Elements of one ring and domain as one batch, shape (B, limbs, n).
+    A single element gets a batch axis as a view, without a copy."""
+    first = elements[0]
+    for el in elements[1:]:
+        _check_pair(first, el, same_domain=True)
+    res = (first.residues[None] if len(elements) == 1
+           else np.stack([el.residues for el in elements]))
+    return RingElement(first.params, res, first.domain)
+
+
+def unstack(a: RingElement) -> list[RingElement]:
+    """The entries of a batch along its first axis, as views."""
+    return [RingElement(a.params, res, a.domain) for res in a.residues]
 
 
 def to_ntt(a: RingElement) -> RingElement:

@@ -44,7 +44,10 @@ class Xof:
         return Xof(key)
 
     def read(self, n: int) -> bytes:
-        out = bytearray()
+        if self._pos + n <= len(self._buf):  # within the current block
+            self._pos += n
+            return self._buf[self._pos - n : self._pos]
+        pieces = []
         while n > 0:
             if self._pos >= len(self._buf):
                 block = self.key + b"\x01" + self._counter.to_bytes(8, "little")
@@ -52,10 +55,10 @@ class Xof:
                 self._pos = 0
                 self._counter += 1
             take = min(n, len(self._buf) - self._pos)
-            out += self._buf[self._pos : self._pos + take]
+            pieces.append(memoryview(self._buf)[self._pos : self._pos + take])
             self._pos += take
             n -= take
-        return bytes(out)
+        return b"".join(pieces)
 
     def uniform_below(self, m: int) -> int:
         """Uniform integer in [0, m), by rejection; exact for any m >= 1."""

@@ -82,7 +82,9 @@ class Plaintext:
     are coeffs / scale. `coeffs` is an int64 array, or Python ints
     (dtype object) when some value does not fit. An encoding of floats
     beyond int64 (always, for CKKS) is built straight as its RNS `element`;
-    its integers are lifted from that on request.
+    its integers are lifted from that on request. A batch from the encoders
+    has coeffs of shape (B, n) or an element of shape (B, limbs, n); it is
+    input to `encrypt` only.
     """
 
     scheme: str
@@ -107,7 +109,8 @@ class Plaintext:
 @dataclass
 class Ciphertext:
     # c0 at q, or at the decryption modulus q' once a client switched it
-    # for collective decryption (`threshold.switch_c0`); c1 always at q
+    # for collective decryption (`threshold.switch_c0`); c1 always at q.
+    # Both may carry a batch axis, (B, limbs, n): one ciphertext per entry.
     c0: rg.RingElement
     c1: rg.RingElement
     scheme: str
@@ -232,12 +235,12 @@ def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
 
 
 def _largest(values: np.ndarray, n: int) -> Fraction:
-    """max |value|, exact, of an encoder input: a length-n float64 array
-    of finite values. Float comparisons are exact, so only the maximum goes
-    rational."""
+    """max |value|, exact, of an encoder input: a float64 array of finite
+    values, of shape (n,) or (B, n) for a batch of B plaintexts. Float
+    comparisons are exact, so only the maximum goes rational."""
     if getattr(values, "dtype", None) != np.float64:
         raise TypeError("the encoders take a float64 numpy array")
-    if values.shape != (n,):
+    if values.ndim not in (1, 2) or values.shape[-1] != n:
         raise PlaintextRangeError(f"need exactly n={n} values")
     if not np.isfinite(values).all():
         raise PlaintextRangeError("cannot encode NaN or an infinite value")
@@ -250,7 +253,7 @@ def encode_fixed(values: np.ndarray, scale_bits: int,
 
     Rejects inputs that could wrap mod t once kappa clients' contributions
     are aggregated. Values whose scaled magnitude does not fit int64 are
-    built straight as their RNS `element`.
+    built straight as their RNS `element`. A (B, n) array encodes a batch.
     """
     if params.scheme != BFV:
         raise PlaintextRangeError("fixed-point encoding targets BFV")
@@ -279,7 +282,7 @@ def encode_real(values: np.ndarray, params: SchemeParams) -> Plaintext:
 
     Rejects kappa * max|v| > 1: setup's headroom check sizes q for an
     aggregate of kappa messages of at most 1/kappa each, and larger inputs
-    would wrap mod q silently.
+    would wrap mod q silently. A (B, n) array encodes a batch.
     """
     if params.scheme != CKKS:
         raise PlaintextRangeError("real encoding targets CKKS")
@@ -308,11 +311,18 @@ def _message_element(params: SchemeParams, pt: Plaintext) -> rg.RingElement:
 # encrypt / add / decrypt
 
 
-def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext, rng: Xof, *,
+def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext,
+            rng: Xof | None, *,
             u: rg.RingElement | None = None,
             e0: rg.RingElement | None = None,
             e1: rg.RingElement | None = None) -> Ciphertext:
-    """ct = (delta*m + u*p0 + e0, u*p1 + e1); keyword hooks inject randomness."""
+    """ct = (delta*m + u*p0 + e0, u*p1 + e1); keyword hooks inject randomness.
+
+    A batch of plaintexts with a batch of u, e0 and e1 (each of shape
+    (B, limbs, n), one entry per ciphertext, `ring.stack`) gives a batch of
+    ciphertexts: one forward transform, two inverse transforms and the sums
+    for all of them. rng is read only for a hook not given.
+    """
     if pt.scheme != params.scheme:
         raise PlaintextRangeError(
             f"plaintext is {pt.scheme}, params are {params.scheme}")

@@ -123,10 +123,15 @@ def switch_c0(params: SchemeParams, ct: Ciphertext) -> Ciphertext:
 
 
 def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
-                    smudge: SmudgeParams, rng: Xof, *,
-                    e_smg: list[int] | None = None) -> PartialDecryption:
+                    smudge: SmudgeParams, rng: Xof | None, *,
+                    e_smg: rg.RingElement | None = None) -> PartialDecryption:
     """h_i = round((sk_i * c1 + e_smg,i) * q'/q) with e_smg,i uniform on
     [-b_smg, b_smg], in `params.dec_ring`.
+
+    e_smg is drawn from rng unless given. A batch of summed ciphertexts
+    (c1 of shape (B, limbs, n)) with a batch of smudging noise, one entry
+    per ciphertext, gives a batch of shares in one product, one inverse
+    transform and one addition.
 
     Rejects configurations where the combined smudging of all parties cannot
     fit under the modulus; that means the planner and the runtime disagree
@@ -134,10 +139,8 @@ def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
     """
     _check_smudge_fits(params, smudge)
     if e_smg is None:
-        noise = rg.sample_smudging(params.ring, smudge.b_smg, rng)
-    else:
-        noise = rg.from_coeffs(params.ring, e_smg)
-    h = rg.ring_add(rg.ring_mul(share.s, ct.c1), noise)
+        e_smg = rg.sample_smudging(params.ring, smudge.b_smg, rng)
+    h = rg.ring_add(rg.ring_mul(share.s, ct.c1), e_smg)
     return PartialDecryption(index=share.index,
                              h=rg.scale_down(h, params.dec_ring))
 

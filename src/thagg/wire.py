@@ -1,8 +1,9 @@
 """Binary wire formats, version 3.
 
 Ciphertext: magic "THAG", version u16, scheme tag u8, n u32, prime count
-k u8, the k primes of q as a u64 list, the count k' u8 of leading primes
-c0 is sent on, then c0 on those k' primes (the decryption modulus q',
+k u8 (so `ntt.select_primes` picks at most `ntt.MAX_LIMBS` = 255 primes),
+the k primes of q as a u64 list, the count k' u8 of leading primes c0 is
+sent on, then c0 on those k' primes (the decryption modulus q',
 `SchemeParams.dec_ring`: clients round c0 there before sending it) and c1
 on all k primes, as little-endian u32 residues in prime-major
 coefficient-minor order, and adds_consumed u32. That is

@@ -422,6 +422,8 @@ def test_from_coeffs_uint64_above_int64_max():
     assert got[:, 0].tolist() == [545476, 4028114]
     assert got.tolist() == [[c % p for c in coeffs.tolist()]
                             for p in params.primes]
+    with pytest.raises(ValueError, match="not a batch"):
+        rg.from_coeffs(params, np.stack([coeffs, coeffs]))
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +557,39 @@ def test_scale_down_keeps_everything_when_no_limb_is_dropped():
         rg.leading_ring(FIVE_PRIMES, 0)
     with pytest.raises(ProtocolFailure):  # not a prefix of the basis
         rg.scale_down(el, SHORT_TAIL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SWITCH_CASES), st.integers(0, 2**32))
+def test_batched_switch_and_decomposition_match_per_entry(case, seed):
+    params, k = case
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(-(2**62), 2**62, (3, params.n))
+    coeffs[0, :4] = [0, -1, min(params.primes) - 1, -min(params.primes)]
+    batch = rg.from_coeffs(params, coeffs)
+    assert batch.residues.shape == (3, len(params.primes), params.n)
+    target = rg.leading_ring(params, k)
+    switched = rg.scale_down(batch, target)
+    for row, el, sw in zip(coeffs, rg.unstack(batch), rg.unstack(switched)):
+        one = rg.from_coeffs(params, row)
+        assert np.array_equal(el.residues, one.residues)
+        assert np.array_equal(sw.residues, rg.scale_down(one, target).residues)
+
+
+@pytest.mark.parametrize("scheme", [BFV, CKKS])
+def test_batched_encoders_match_per_row(scheme):
+    # BFV at t = 2^100 and p = 90 takes the residue route, as CKKS does
+    params = (bfv_params(t=2**100, log2_q=240) if scheme == BFV
+              else ckks_params())
+    rows = Xof.from_seed("rows").float_open01(3 * 16).reshape(3, 16) - 0.5
+    for p in (8, 90) if scheme == BFV else (None,):
+        encode = ((lambda v: encode_fixed(v, p, params)) if scheme == BFV
+                  else (lambda v: encode_real(v, params)))
+        batch = _message_element(params, encode(rows)).residues
+        assert batch.shape == (3, len(params.ring.primes), 16)
+        for got, row in zip(batch, rows):
+            want = _message_element(params, encode(row)).residues
+            assert np.array_equal(got, want)
 
 
 def bfv_scheme(params, t):
@@ -724,6 +759,25 @@ def test_lazy_ntt_matches_reference(n, bits, limbs, fill, seed):
 def test_lazy_ntt_matches_reference_at_full_size(fill):
     plan = ntt_plan(16384, 30, 5)
     check_transforms(plan, residues(plan, fill, 5))
+
+
+@pytest.mark.parametrize("n,limbs,batch", [
+    (2048, 2, (8,)), (2048, 2, (12,)),  # at and above the protocol's cap
+    (16384, 5, (1,)), (16384, 5, (2,)), (16, 3, (2, 3))])
+def test_batched_transforms_match_per_chunk_calls(n, limbs, batch):
+    plan = ntt_plan(n, 30, limbs)
+    rng = np.random.default_rng(n + limbs)
+    res = rng.integers(0, plan.p_col, (*batch, limbs, n))
+    kept = res.copy()
+    for fn in (ntt.forward, ntt.inverse):
+        got = fn(res, plan)
+        assert np.array_equal(res, kept), "the transform wrote to its input"
+        want = [fn(chunk, plan) for chunk in res.reshape(-1, limbs, n)]
+        assert np.array_equal(got.reshape(-1, limbs, n), np.stack(want))
+    if n == 16:
+        fwd = ntt.forward(res, plan).reshape(-1, limbs, n)
+        for chunk, f in zip(res.reshape(-1, limbs, n), fwd):
+            assert np.array_equal(f, ref_forward(chunk, plan))
 
 
 @pytest.mark.parametrize("n", [4, 2048])

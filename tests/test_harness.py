@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thagg import cli, ntt
+from thagg import cli, harness, ntt
 from thagg.config import ProtocolConfig, parse_config
 from thagg.errors import (
     ConfigError,
+    NoPrimesFoundError,
     DomainMismatchError,
     LengthMismatchError,
     ParamsMismatchError,
@@ -253,6 +254,66 @@ def test_multiround_reuses_keys_and_stays_exact():
     assert len(pk_msgs) == 2  # setup once, rounds reuse the keys
     ct_msgs = [m for m in transcript.messages if m.kind == "ciphertext"]
     assert len(ct_msgs) == 2 * 3 * chunk_count(cfg.model_size, cfg.n)
+
+
+def test_multiround_mckks_stays_within_plan_bound(tmp_path, capsys):
+    # streams are keyed by round: a second MCKKS round must open as well
+    text = (DATA / "golden_mckks.ini").read_text()
+    assert "rounds = 1\n" in text
+    text = text.replace("rounds = 1\n", "rounds = 2\n")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    assert cli.main(["run", "-c", str(cfg_path), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cfg = parse_config(text)
+    report, params = derive_scheme_params(cfg)
+    lines = (tmp_path / "transcript.txt").read_text().splitlines()
+    chunks = chunk_count(cfg.model_size, cfg.n)
+    first, end = lines.index("[messages]") + 1, lines.index("[result]") - 1
+    assert end - first == cfg.parties + 2 * 2 * cfg.parties * chunks
+    error = Fraction(next(line for line in lines
+                          if line.startswith("max_error =")).split()[2])
+    assert 0 < error < report.bounds.b_ct_mp / params.delta
+
+
+def test_chunk_groups_cap_residue_bytes():
+    def ring(n, limbs):
+        primes = []
+        while len(primes) < limbs:
+            primes.append(ntt.prime_below(1 << 30, n, frozenset(primes)))
+        return RingParams.create(n, tuple(primes))
+
+    # 8 chunks of 2 x 2048 per group, and one of 5 x 16384 however big
+    assert harness.chunk_groups(32, ring(2048, 2)) == [
+        range(lo, lo + 8) for lo in range(0, 32, 8)]
+    assert harness.chunk_groups(3, ring(16384, 5)) == [
+        range(0, 1), range(1, 2), range(2, 3)]
+    assert harness.chunk_groups(12, ring(1024, 3)) == [range(0, 10),
+                                                       range(10, 12)]
+
+
+@pytest.mark.parametrize("scheme", ["mbfv", "mckks"])
+def test_groups_of_chunks_leave_the_run_unchanged(scheme, tmp_path,
+                                                   monkeypatch, capsys):
+    # a golden config with 12 chunks: 10 + 2 per group, or one by one
+    text = (DATA / f"golden_{scheme}.ini").read_text()
+    assert "model_size = 2500\n" in text
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text.replace("model_size = 2500\n",
+                                     "model_size = 11764\n"))
+    _, params = derive_scheme_params(parse_config(cfg_path.read_text()))
+    assert len(params.ring.primes) == 3 and len(params.dec_ring.primes) == 1
+    assert len(harness.chunk_groups(12, params.ring)) == 2
+    runs = []
+    for cap in (harness.BATCH_BYTES, 0):
+        monkeypatch.setattr(harness, "BATCH_BYTES", cap)
+        out = tmp_path / f"cap{cap}"
+        assert cli.main(["run", "-c", str(cfg_path), "-o", str(out)]) == 0
+        runs.append([(out / name).read_bytes()
+                     for name in ("transcript.txt", "aggregate.npy")])
+    capsys.readouterr()
+    assert len(harness.chunk_groups(12, params.ring)) == 12
+    assert runs[0] == runs[1]
 
 
 def test_aggregator_never_holds_share_typed_state():
@@ -833,6 +894,23 @@ def test_cli_edge_configs_run_exact(edge, tmp_path, capsys):
     assert sizes == {share_len(1, 1024)}
     cfg = parse_config(cfg_path.read_text())
     assert np.load(outdir / "aggregate.npy").shape == (cfg.model_size,)
+
+
+def test_more_limbs_than_the_wire_counts_is_a_config_error(tmp_path, capsys):
+    # once: `plan` exited 0 on this 337-limb plan and `run` failed after
+    # about 20 s with a bare struct.error from the u8 prime count
+    text = (DATA / "golden_mckks.ini").read_text()
+    text = text.replace("n = 1024\n", "n = 32768\n").replace(
+        "lambda = 64\n", "lambda = 20000\n")
+    assert "n = 32768\n" in text and "lambda = 20000\n" in text
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    for command in ("plan", "run"):
+        assert cli.main([command, "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rejected: ") and "255" in err
+    with pytest.raises(NoPrimesFoundError, match="more than 255 primes"):
+        harness.derive_scheme_params(parse_config(text))
 
 
 def test_cli_region_csv(tmp_path, capsys):

@@ -228,6 +228,23 @@ def test_prime_selection_failure_is_reported():
         select_primes(1 << 28, min_bits=60)
 
 
+def test_prime_selection_stops_at_the_wire_limb_limit():
+    from math import prod
+
+    from thagg.errors import NoPrimesFoundError
+    from thagg.ntt import MAX_LIMBS, prime_below, select_primes
+
+    top = []
+    while len(top) < MAX_LIMBS:
+        top.append(prime_below(1 << 30, 1024, frozenset(top)))
+    # the 255 largest primes clear any product below theirs, and none above
+    assert len(select_primes(1024, min_product=prod(top) - 1)) == MAX_LIMBS
+    with pytest.raises(NoPrimesFoundError, match="more than 255 primes"):
+        select_primes(1024, min_product=prod(top))
+    with pytest.raises(NoPrimesFoundError, match="more than 255 primes"):
+        select_primes(1024, min_bits=30 * MAX_LIMBS + 1)
+
+
 def test_security_table_defaults():
     assert security_check(16384, 240)
     assert not security_check(1024, 1000)

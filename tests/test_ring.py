@@ -1,5 +1,7 @@
 """Ring arithmetic: oracle equivalence, CRT, samplers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,9 @@ from thagg.ring import (
     sample_smudging,
     sample_ternary,
     sample_uniform,
+    stack,
     to_ntt,
+    unstack,
     zero,
 )
 from thagg.rng import Xof
@@ -162,6 +166,37 @@ def test_mul_oracle_property(n_pow, seed_a, seed_b):
     )
 
 
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_batched_ring_ops_match_schoolbook_and_single_calls(n):
+    params = params_for(n, bits=30 if n >= 32 else 17, count=2)
+    rng = Xof.from_seed(f"batched-mul-{n}")
+    a = [sample_uniform(params, rng) for _ in range(3)]
+    b = [sample_uniform(params, rng) for _ in range(3)]
+    got = ring_mul(stack(a), stack(b))
+    assert got.residues.shape == (3, 2, n) and got.domain == COEFF
+    for g, x, y in zip(unstack(got), a, b):
+        assert np.array_equal(g.residues, ring_mul_schoolbook(x, y).residues)
+    # a batch times one transformed element, as every key product is
+    key = to_ntt(b[0])
+    for g, x in zip(unstack(ring_mul(to_ntt(stack(a)), key)), a):
+        want = ring_mul_schoolbook(x, b[0]).residues
+        assert np.array_equal(g.residues, want)
+    for op, args in ((ring_add, (a, b)), (ring_sub, (a, b)), (ring_neg, (a,))):
+        batched = unstack(op(*(stack(els) for els in args)))
+        for g, *els in zip(batched, *args):
+            assert np.array_equal(g.residues, op(*els).residues)
+
+
+def test_stack_of_one_is_a_view():
+    params = params_for(8, count=2)
+    a = rand_element(params, 3)
+    one = stack([a])
+    assert one.residues.shape == (1, 2, 8) and one.residues.base is a.residues
+    assert unstack(one)[0].residues.base is a.residues
+    with pytest.raises(DomainMismatchError):
+        stack([a, to_ntt(a)])
+
+
 def test_ntt_domain_flags_and_roundtrip():
     params = params_for(16, count=2)
     a = rand_element(params, 7)
@@ -234,6 +269,22 @@ def test_inf_norm():
 
 # ---------------------------------------------------------------------------
 # samplers
+
+
+def test_xof_reads_in_pieces_equal_one_read():
+    # pieces inside one 8 KiB block, across block edges, and empty ones
+    sizes = [0, 1, 7, 8184, 1, 3, 8192, 20000, 0, 5, 16383]
+    whole = Xof.from_seed("pieces").read(sum(sizes))
+    rng = Xof.from_seed("pieces")
+    pieces = [rng.read(size) for size in sizes]
+    assert [type(p) for p in pieces] == [bytes] * len(sizes)
+    assert [len(p) for p in pieces] == sizes
+    assert b"".join(pieces) == whole
+    # SHAKE-256 in counter mode over 8 KiB blocks
+    blocks = b"".join(
+        hashlib.shake_256(rng.key + b"\x01" + i.to_bytes(8, "little"))
+        .digest(8192) for i in range(-(-len(whole) // 8192)))
+    assert whole == blocks[: len(whole)]
 
 
 def test_uniform_determinism_and_seed_separation():

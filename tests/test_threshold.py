@@ -368,7 +368,7 @@ def test_combine_decrypt_single_party_no_smudging_matches_single_key():
     ct = encrypt(params, sess.cpk, bfv_plaintext(params, vals),
                  sess.root.child("e"))
     part = partial_decrypt(params, sess.shares[0], ct, no_smudging(sess),
-                           Xof.from_seed("p"), e_smg=[0] * params.ring.n)
+                           Xof.from_seed("p"), e_smg=rg.zero(params.ring))
     d = combine_decrypt(params, ct, [part], 1)
     single = decryption_phase(params, SecretKey(sess.shares[0].s), ct)
     assert d == single
@@ -445,7 +445,7 @@ def test_ideal_functionality_equivalence():
         assert diff == 0
 
     quiet = [partial_decrypt(params, sh, ct, no_smudging(sess),
-                             Xof.from_seed("q"), e_smg=[0] * n)
+                             Xof.from_seed("q"), e_smg=rg.zero(params.ring))
              for sh in sess.shares]
     assert combine_decrypt(params, ct, quiet, 3) == base
 
@@ -591,9 +591,9 @@ def open_switched_session(sess, rng):
         assert sent.c1 is ct.c1
         acc = sent if acc is None else add(acc, sent)
         full_acc = ct if full_acc is None else add(full_acc, ct)
-    smudging = [rg.crt_lift(rg.sample_smudging(
-        params.ring, b.b_smg, rng.child(f"s{sh.index}"))).ints()
-        for sh in sess.shares]
+    smudging = [rg.sample_smudging(params.ring, b.b_smg,
+                                   rng.child(f"s{sh.index}"))
+                for sh in sess.shares]
     partials = [partial_decrypt(params, sh, acc, sess.smudge, rng, e_smg=e)
                 for sh, e in zip(sess.shares, smudging)]
     assert all(part.h.params == params.dec_ring for part in partials)
@@ -603,7 +603,7 @@ def open_switched_session(sess, rng):
     # the full-q opened value, through the test-only ideal key
     ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
     full = decryption_phase(params, ideal, full_acc).ints().astype(object)
-    full = full + sum(e.astype(object) for e in smudging)
+    full = full + sum(rg.crt_lift(e).ints().astype(object) for e in smudging)
     message = sum(pt.ints().astype(object) for pt in pts)
     if params.scheme == BFV:
         message = message * params.delta
