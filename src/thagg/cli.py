@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: plan, region, run, bench, selftest. Exit codes: 0 on success,
-2 when a configuration or bound check rejects the request, 3 on a runtime
-protocol failure.
+Subcommands: plan, region, run, bench. Exit codes: 0 on success, 2 when a
+configuration or bound check rejects the request (a malformed command line
+included), 3 on a runtime protocol failure.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import csv
 import sys
 from pathlib import Path
 
-from .config import parse_config
+from .config import parse_config, with_parties
 from .errors import ConfigRejection, ProtocolFailure
-from .harness import PHASE_LABELS, PHASES, run_protocol, selftest
+from .harness import PHASE_LABELS, PHASES, run_protocol
 from .planner import grid_to_csv, interval_approx_check, plan, region_grid
 
 
@@ -49,12 +49,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_region(args) -> int:
-    cfg = _load_config(args.config)
-    inputs = cfg.plan_inputs
-    if args.lam is not None:
-        from dataclasses import replace
-
-        inputs = replace(inputs, lam=args.lam)
+    inputs = _load_config(args.config).plan_inputs
     grid = region_grid(inputs, _parse_range(args.t_bits),
                        _parse_range(args.eps_bits))
     if args.output:
@@ -73,12 +68,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    if args.rounds is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, rounds=args.rounds)
-    transcript = run_protocol(cfg)
+    transcript = run_protocol(_load_config(args.config))
     sys.stdout.write(transcript.timings_text())
     sys.stdout.write(f"max_error = {float(transcript.max_error):.6e}\n")
     if args.output:
@@ -94,19 +84,25 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
-    parties = [int(x) for x in args.parties.split(",")]
+    try:
+        parties = [int(x) for x in args.parties.split(",")]
+    except ValueError as exc:
+        raise ConfigRejection(
+            f"--parties must be integers like 2,4,8, got {args.parties!r}"
+        ) from exc
+    if args.repeats < 1:
+        raise ConfigRejection(f"--repeats must be >= 1, got {args.repeats}")
+    # check every party count before running any of them
+    sweep = [with_parties(cfg, count) for count in parties]
     rows = []
-    from dataclasses import replace
-
-    for count in parties:
-        run_cfg = replace(
-            cfg, plan_inputs=replace(cfg.plan_inputs, parties=count))
+    for run_cfg in sweep:
         best = None
         for _ in range(args.repeats):
             transcript = run_protocol(run_cfg)
             timings = transcript.timings
             if best is None or timings["total"] < best["total"]:
                 best = timings
+        count = run_cfg.parties
         rows.append([count] + [f"{best[k]:.6f}" for k in PHASES])
         sys.stderr.write(f"parties={count}: total {best['total']:.3f} s\n")
     header = ["parties"] + [PHASE_LABELS[k] for k in PHASES]
@@ -119,12 +115,6 @@ def cmd_bench(args) -> int:
         if args.output:
             fh.close()
     return 0
-
-
-def cmd_selftest(_args) -> int:
-    report = selftest()
-    sys.stdout.write(report.to_text())
-    return 0 if report.ok else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", "--config", required=True)
     p.add_argument("--t-bits", default="8:120")
     p.add_argument("--eps-bits", default="8:120")
-    p.add_argument("--lam", type=int, default=None,
-                   help="override the smudging parameter")
     p.add_argument("--intervals", action="store_true",
                    help="report the piecewise-linear approximation quality")
     p.add_argument("-o", "--output")
@@ -152,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the aggregation protocol once")
     p.add_argument("-c", "--config", required=True)
     p.add_argument("-o", "--output", help="directory for transcript artifacts")
-    p.add_argument("--rounds", type=int, default=None)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("bench", help="timing sweep over party counts")
@@ -161,9 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("selftest", help="run the built-in property suite")
-    p.set_defaults(fn=cmd_selftest)
     return parser
 
 

@@ -8,7 +8,7 @@ shipped maximum-modulus table (keys are ring degrees).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -162,6 +162,17 @@ def _validate(cfg: ProtocolConfig) -> None:
             raise ConfigError(
                 f"fixed_point_bits={p} too large: {parties} * 2^{p} "
                 f">= 2^{t_bits}/2; lower it or raise t_bits")
+
+
+def with_parties(cfg: ProtocolConfig, parties: int) -> ProtocolConfig:
+    """`cfg` with another party count, checked as `parse_config` checks a
+    file: the plan inputs and the fixed-point headroom for that count."""
+    i = cfg.plan_inputs
+    inputs = PlanInputs.create(i.n, parties, i.sigma, i.lam, bound=i.bound,
+                               t_bits=i.t_bits, eps_inv_bits=i.eps_inv_bits)
+    out = replace(cfg, plan_inputs=inputs)
+    _validate(out)
+    return out
 
 
 def config_text(cfg: ProtocolConfig) -> str:

@@ -54,10 +54,6 @@ class SmudgeBoundError(ConfigRejection):
     """Smudging bound too large for the modulus; planner/config mismatch."""
 
 
-class SecretAccessError(ProtocolFailure):
-    """Secret-key-gated debug facility used without the explicit opt-in."""
-
-
 class UnknownRingDegreeError(ConfigRejection):
     """No security table entry for this ring degree and no override given."""
 

@@ -430,151 +430,3 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
                       primes=art.params.ring.primes,
                       messages=bus.records, aggregate=aggregate,
                       max_error=max_error, timings=timings)
-
-
-# ---------------------------------------------------------------------------
-# self-test
-
-
-@dataclass
-class SelfTestEntry:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class SelfTestReport:
-    entries: list[SelfTestEntry]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def to_text(self) -> str:
-        lines = []
-        for e in self.entries:
-            status = "PASS" if e.ok else "FAIL"
-            detail = f" ({e.detail})" if e.detail else ""
-            lines.append(f"{status} {e.name}{detail}")
-        verdict = "all checks passed" if self.ok else "FAILURES PRESENT"
-        lines.append(verdict)
-        return "\n".join(lines) + "\n"
-
-
-def selftest() -> SelfTestReport:
-    """Small-n property suite across all modules; failures become entries."""
-    entries: list[SelfTestEntry] = []
-
-    def check(name: str, fn) -> None:
-        try:
-            fn()
-            entries.append(SelfTestEntry(name=name, ok=True))
-        except Exception as exc:  # report, never raise: failures are content
-            entries.append(SelfTestEntry(name=name, ok=False,
-                                         detail=f"{type(exc).__name__}: {exc}"))
-
-    def mul_oracle():
-        from .ntt import prime_below
-        from .ring import RingParams, ring_mul, ring_mul_schoolbook, sample_uniform
-
-        for n in (4, 8, 16):
-            primes = (prime_below(1 << 17, n),)
-            params = RingParams.create(n, primes)
-            rng = Xof.from_seed(f"selftest-mul-{n}")
-            for _ in range(40):
-                a = sample_uniform(params, rng)
-                b = sample_uniform(params, rng)
-                fast = ring_mul(a, b).residues
-                slow = ring_mul_schoolbook(a, b).residues
-                if not (fast == slow).all():
-                    raise AssertionError(f"NTT != schoolbook at n={n}")
-
-    def crt_roundtrip():
-        from .ntt import prime_below
-        from .ring import RingParams, crt_lift, from_coeffs
-
-        primes = []
-        for bits in (15, 16):
-            primes.append(prime_below(1 << bits, 8, frozenset(primes)))
-        params = RingParams.create(8, tuple(primes))
-        rng = Xof.from_seed("selftest-crt")
-        half = params.half_q
-        for _ in range(50):
-            coeffs = [rng.uniform_below(params.q) - half for _ in range(8)]
-            coeffs = [c + params.q if c <= -half else c for c in coeffs]
-            if crt_lift(from_coeffs(params, coeffs)) != coeffs:
-                raise AssertionError("CRT lift does not invert decomposition")
-
-    def planted_reject():
-        # planted violation: must be reported as a rejection, not accepted
-        from .errors import BoundViolationError
-
-        try:
-            setup(BFV, 1024, sigma="3.2", t=2**20, log2_q=30)
-        except BoundViolationError:
-            return
-        raise AssertionError("expected-reject config was accepted")
-
-    def bfv_roundtrip():
-        from .schemes import bfv_plaintext, dec_bfv, pubkeygen, seckeygen
-
-        params = setup(BFV, 64, sigma="3.2", t=257, log2_q=26)
-        rng = Xof.from_seed("selftest-bfv")
-        sk = seckeygen(params, rng.child("sk"))
-        pk = pubkeygen(params, sk, rng.child("pk"))
-        for i in range(20):
-            vals = [rng.uniform_below(257) - 128 for _ in range(64)]
-            pt = bfv_plaintext(params, vals)
-            ct = encrypt(params, pk, pt, rng.child(f"e{i}"))
-            if dec_bfv(params, sk, ct).values != vals:
-                raise AssertionError("BFV round-trip failed")
-
-    def threshold_smoke():
-        from .config import parse_config
-
-        cfg = parse_config(SMOKE_CONFIG)
-        transcript = run_protocol(cfg)
-        if transcript.max_error != 0:
-            raise AssertionError(
-                f"threshold BFV average not exact: {transcript.max_error}")
-
-    def ordering_consistency():
-        from .planner import (PlanInputs, mp_bounds, qmin_mbfv_bound,
-                              qmin_mckks_bound, winner, MCKKS_SMALLER)
-
-        inputs = PlanInputs.create(256, 4, "3.2", 8, bound="19.2")
-        b = mp_bounds(inputs).b_ct_mp
-        for tb in range(8, 32, 3):
-            for eb in range(8, 32, 3):
-                v = winner(1 << tb, 1 << eb, b) == MCKKS_SMALLER
-                direct = (qmin_mckks_bound(b * (1 << eb), b)
-                          < qmin_mbfv_bound(1 << tb, b))
-                if v != direct:
-                    raise AssertionError("verdict and bound order disagree")
-
-    check("ntt-vs-schoolbook oracle equivalence", mul_oracle)
-    check("crt lift/decompose round-trip", crt_roundtrip)
-    check("planted bound violation is rejected", planted_reject)
-    check("single-key bfv round-trip", bfv_roundtrip)
-    check("threshold bfv smoke run is exact", threshold_smoke)
-    check("minimum-q ordering matches verdict", ordering_consistency)
-    return SelfTestReport(entries=entries)
-
-
-SMOKE_CONFIG = """\
-[protocol]
-scheme = mbfv
-model_size = 1024
-root_seed = 7
-fixed_point_bits = 8
-enforce_security = false
-
-[plan]
-n = 1024
-parties = 2
-sigma = 3.2
-noise_bound = 19.2
-lambda = 16
-t_bits = 12
-"""

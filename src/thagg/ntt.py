@@ -84,56 +84,37 @@ def prime_at_least(lo: int, n: int, exclude: frozenset[int] = frozenset(),
         k += 1
 
 
-def select_primes(n: int, *, min_product: int | None = None,
-                  min_bits: int | None = None,
-                  max_prime_bits: int = MAX_PRIME_BITS) -> tuple[int, ...]:
-    """Fewest distinct NTT-friendly primes whose product clears the target.
+def select_primes(n: int, *, min_product: int) -> tuple[int, ...]:
+    """Fewest distinct NTT-friendly primes whose product exceeds min_product.
 
-    When min_product is given the product must strictly exceed it; when
-    min_bits is given the product's bit length must reach it. Uses the
-    largest admissible primes for the head of the list, then shrinks the
-    last prime to the smallest one that still clears the bound, so the
-    modulus does not overshoot more than necessary. A target that needs
-    more than MAX_LIMBS primes is rejected.
+    Uses the largest admissible primes for the head of the list, then
+    shrinks the last prime to the smallest one that still clears the bound,
+    so the modulus does not overshoot more than necessary. A target that
+    needs more than MAX_LIMBS primes is rejected.
     """
-    if min_product is None and min_bits is None:
-        raise ValueError("need min_product or min_bits")
-    limit = 1 << max_prime_bits
-
-    def met(q: int) -> bool:
-        if min_product is not None and q <= min_product:
-            return False
-        if min_bits is not None and q.bit_length() < min_bits:
-            return False
-        return True
-
+    limit = 1 << MAX_PRIME_BITS
     picked: list[int] = []
     product = 1
-    while not met(product):
+    while product <= min_product:
         if len(picked) == MAX_LIMBS:
             raise NoPrimesFoundError(
                 f"the modulus needs more than {MAX_LIMBS} primes below "
-                f"2^{max_prime_bits}; the wire formats count a ring's "
+                f"2^{MAX_PRIME_BITS}; the wire formats count a ring's "
                 "primes in one byte")
         p = prime_below(limit, n, frozenset(picked))
         if p is None:
             raise NoPrimesFoundError(
-                f"no unused prime = 1 mod {2 * n} below 2^{max_prime_bits}")
+                f"no unused prime = 1 mod {2 * n} below 2^{MAX_PRIME_BITS}")
         picked.append(p)
         product *= p
 
     # Shrink the last prime to the smallest one that still clears the bound.
     if picked:
         head = product // picked[-1]
-        needed = 1
-        if min_product is not None:
-            needed = max(needed, int(min_product) // head + 1)
-        if min_bits is not None:
-            needed = max(needed, -(-(1 << (min_bits - 1)) // head))
         # picked[-1] itself qualifies, so the scan always terminates at or
         # below it.
-        tight = prime_at_least(needed, n, frozenset(picked[:-1]), limit)
-        picked[-1] = tight
+        picked[-1] = prime_at_least(min_product // head + 1, n,
+                                    frozenset(picked[:-1]), limit)
     return tuple(picked)
 
 

@@ -97,6 +97,9 @@ class PlanInputs:
         bound = 6 * sigma if bound is None else frac(bound)
         if n < 4 or parties < 1 or sigma < 0 or bound <= 0 or lam < 0:
             raise ConfigError("plan inputs must be positive")
+        if bound < sigma:  # the sampler's `ring.NoiseSpec` needs it too
+            raise ConfigError(
+                f"noise_bound {bound} must be >= sigma {sigma}")
         return cls(n=n, parties=parties, sigma=sigma, bound=bound, lam=lam,
                    t_bits=t_bits, eps_inv_bits=eps_inv_bits)
 

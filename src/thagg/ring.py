@@ -2,18 +2,18 @@
 
 Elements live as per-prime residue rows (non-negative, branch-free modular
 arithmetic); the centered representatives in (-q/2, q/2] are the canonical
-external view, produced by `crt_lift` as Garner mixed-radix digits. A
-quadratic schoolbook multiplier is kept alongside the NTT path as an
-independent oracle. `scale_down` rounds an element to a leading sub-basis
-(modulus switching) exactly, through the Garner digits of the dropped
-limbs. No per-coefficient Python integer is built on the sampling, lifting
-or switching paths; integers appear only when a caller asks for them.
+external view, produced by `crt_lift` as Garner mixed-radix digits.
+Products go through the NTT; the tests check them against a quadratic
+schoolbook oracle (`tests/oracles.py`). `scale_down` rounds an element to
+a leading sub-basis (modulus switching) exactly, through the Garner digits
+of the dropped limbs. No per-coefficient Python integer is built on the
+sampling, lifting or switching paths; integers appear only when a caller
+asks for them.
 
 Residues may carry leading batch axes, shape (..., limbs, n): the ring
 operations, the transforms, `from_coeffs` on int64 arrays and `scale_down`
 act on every entry of a batch at once (`stack` builds one, `unstack` takes
-it apart). Lifting, the samplers and the schoolbook oracle take one
-element.
+it apart). Lifting and the samplers take one element.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def from_coeffs(params: RingParams, coeffs) -> RingElement:
                              "not a batch") from None
         rows = [[c % p for c in coeffs] for p in params.primes]
         return RingElement(params, np.array(rows, dtype=np.int64), COEFF)
-    p_col = _prime_column(params.primes)
+    p_col = prime_column(params.primes)
     arr = arr[..., None, :]  # a limb axis to broadcast against p_col
     sign = arr >> 63  # -1 where c < 0, else 0
     if (arr ^ sign).max() < min(params.primes):
@@ -138,7 +138,8 @@ def from_coeffs(params: RingParams, coeffs) -> RingElement:
 
 
 @lru_cache(maxsize=None)
-def _prime_column(primes: tuple[int, ...]) -> np.ndarray:
+def prime_column(primes: tuple[int, ...]) -> np.ndarray:
+    """The primes as an int64 column, shape (limbs, 1), built once per basis."""
     return np.array(primes, dtype=np.int64)[:, None]
 
 
@@ -366,16 +367,6 @@ class Lifted(Sequence):
         return np.where(self.neg, acc - consts.q64, acc)
 
 
-def inf_norm(coeffs) -> int:
-    """Max absolute value over centered coefficients."""
-    m = 0
-    for c in coeffs:
-        a = -c if c < 0 else c
-        if a > m:
-            m = a
-    return m
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
@@ -447,31 +438,6 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     fa = a.residues if a.domain == NTT else ntt.forward(a.residues, plan)
     fb = b.residues if b.domain == NTT else ntt.forward(b.residues, plan)
     return RingElement(a.params, ntt.inverse(ntt.pointwise(fa, fb, plan), plan), COEFF)
-
-
-def ring_mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:
-    """O(n^2) negacyclic convolution, no transforms; the independent oracle."""
-    _check_pair(a, b, same_domain=False)
-    if a.domain != COEFF or b.domain != COEFF:
-        raise DomainMismatchError("schoolbook path works on coefficient domain")
-    n = a.params.n
-    rows = []
-    for limb, p in enumerate(a.params.primes):
-        av = [int(x) for x in a.residues[limb]]
-        bv = [int(x) for x in b.residues[limb]]
-        acc = [0] * n
-        for i in range(n):
-            ai = av[i]
-            if ai == 0:
-                continue
-            for j in range(n):
-                k = i + j
-                if k >= n:
-                    acc[k - n] -= ai * bv[j]
-                else:
-                    acc[k] += ai * bv[j]
-        rows.append(np.array([v % p for v in acc], dtype=np.int64))
-    return RingElement(a.params, np.stack(rows), COEFF)
 
 
 # ---------------------------------------------------------------------------

@@ -60,20 +60,6 @@ class Xof:
             n -= take
         return b"".join(pieces)
 
-    def uniform_below(self, m: int) -> int:
-        """Uniform integer in [0, m), by rejection; exact for any m >= 1."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if m == 1:
-            return 0
-        bits = (m - 1).bit_length()
-        nbytes = (bits + 7) // 8
-        mask = (1 << bits) - 1
-        while True:
-            v = int.from_bytes(self.read(nbytes), "little") & mask
-            if v < m:
-                return v
-
     def u64_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.read(8 * count), dtype="<u8").copy()
 

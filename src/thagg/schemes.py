@@ -1,12 +1,16 @@
 """Additive BFV and CKKS over the RNS ring, plus fixed-point encoders.
 
-Only additions are supported homomorphically; both schemes share key
-generation and encryption shape, sampling encryption randomness u from the
+Only additions are supported homomorphically; both schemes share the
+public-key and encryption shape, sampling encryption randomness u from the
 ternary distribution. No slot packing: plaintext coefficients carry values
-directly. Decryption tails work on exact integers from the Garner digits of
-the CRT lift; nothing in the decrypt path touches floats. The encoders turn
-float64 arrays, and only those, into integers (or RNS residues) with exact
-vector steps.
+directly. The decryption tails (`bfv_round`, `ckks_scale_down`) work on
+exact integers from the Garner digits of the CRT lift; nothing in the
+decrypt path touches floats. The encoders turn float64 arrays, and only
+those, into integers (or RNS residues) with exact vector steps.
+
+Keys and the opened value come from the threshold protocol (`threshold`).
+The single-key generation and decryption path is a reference
+implementation kept with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -22,18 +26,15 @@ from .errors import (
     CapacityError,
     EncodingOverflowError,
     PlaintextRangeError,
-    SecretAccessError,
 )
 from .exact import (
     Ratios,
     frac,
     frac_log2,
-    int_array,
     int_times,
     scaled_round_array,
     scaled_round_residues,
 )
-from .ntt import select_primes
 from .planner import (fresh_bound, qmin_mbfv_bound, qmin_mckks_bound,
                       scale_from_eps)
 from .rng import Xof
@@ -63,11 +64,6 @@ class SchemeParams:
 
 # Keys are stored in the NTT domain only: every use of a key is a ring
 # product. Ciphertexts and messages stay in the coefficient domain.
-@dataclass(frozen=True)
-class SecretKey:
-    s: rg.RingElement
-
-
 @dataclass(frozen=True)
 class PublicKey:
     p0: rg.RingElement
@@ -138,9 +134,8 @@ def decode_qmin(params: SchemeParams, b) -> Fraction:
 
 
 def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
-          eps_inv: int | None = None, log2_q: int | None = None,
-          primes=None, kappa: int = 1, mp_noise_bound=None,
-          dec_limbs: int | None = None) -> SchemeParams:
+          eps_inv: int | None = None, primes, kappa: int = 1,
+          mp_noise_bound=None, dec_limbs: int | None = None) -> SchemeParams:
     """Validate a parameter set and pin the RNS basis.
 
     Correctness preconditions are enforced exactly, each as q above the
@@ -156,12 +151,7 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
     noise = rg.NoiseSpec.create(frac(sigma), None if bound is None else frac(bound))
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    if primes is not None:
-        ring_params = rg.RingParams.create(n, tuple(primes))
-    else:
-        if log2_q is None:
-            raise ValueError("need log2_q or an explicit prime list")
-        ring_params = rg.RingParams.create(n, select_primes(n, min_bits=log2_q))
+    ring_params = rg.RingParams.create(n, tuple(primes))
     dec_ring = rg.leading_ring(
         ring_params, len(ring_params.primes) if dec_limbs is None else dec_limbs)
     q = ring_params.q
@@ -193,45 +183,7 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# keys
-
-
-def seckeygen(params: SchemeParams, rng: Xof) -> SecretKey:
-    return SecretKey(rg.to_ntt(rg.sample_ternary(params.ring, rng)))
-
-
-def pubkeygen(params: SchemeParams, sk: SecretKey, rng: Xof, *,
-              p1: rg.RingElement | None = None,
-              e: rg.RingElement | None = None) -> PublicKey:
-    """pk = (-s*p1 + e, p1) with p1 uniform and e from the noise distribution."""
-    if p1 is None:
-        p1 = rg.sample_uniform(params.ring, rng)
-    if e is None:
-        e = rg.sample_gaussian(params.ring, params.noise, rng)
-    p1 = rg.to_ntt(p1)
-    p0 = rg.ring_add(rg.ring_neg(rg.ring_mul(sk.s, p1)), e)
-    return PublicKey(p0=rg.to_ntt(p0), p1=p1)
-
-
-# ---------------------------------------------------------------------------
 # plaintext encoders
-
-
-def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
-    """Integers (Python or numpy) as a BFV plaintext; anything else, a float
-    included, raises TypeError rather than being truncated."""
-    t, n = params.t, params.ring.n
-    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    if not all(isinstance(v, (int, np.integer)) for v in items):
-        raise TypeError("BFV plaintext values must be integers")
-    vals = int_array(values)
-    if vals.shape != (n,):
-        raise PlaintextRangeError(f"need exactly n={n} values")
-    outside = (vals <= -t // 2) | (vals > t // 2)  # centered window (-t/2, t/2]
-    if outside.any():
-        v = int(vals[outside.argmax()])
-        raise PlaintextRangeError(f"value {v} outside (-t/2, t/2] for t={t}")
-    return Plaintext(scheme=BFV, coeffs=vals)
 
 
 def _largest(values: np.ndarray, n: int) -> Fraction:
@@ -308,7 +260,7 @@ def _message_element(params: SchemeParams, pt: Plaintext) -> rg.RingElement:
 
 
 # ---------------------------------------------------------------------------
-# encrypt / add / decrypt
+# encrypt / add / decryption tails
 
 
 def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext,
@@ -352,12 +304,6 @@ def add(ct: Ciphertext, other: Ciphertext) -> Ciphertext:
                       scheme=ct.scheme, adds_consumed=spent, kappa=ct.kappa)
 
 
-def decryption_phase(params: SchemeParams, sk: SecretKey,
-                     ct: Ciphertext) -> rg.Lifted:
-    """Centered lift of [c0 + c1*s]_q, the shared first decryption stage."""
-    return rg.crt_lift(rg.ring_add(ct.c0, rg.ring_mul(ct.c1, sk.s)))
-
-
 def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
     """[floor(t*x/q + 1/2)]_t, exact, centered output, with q the modulus
     the lift was taken at (a collective decryption's switched q').
@@ -394,39 +340,3 @@ def ckks_scale_down(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
     drop = params.ring.q // lifted.params.q
     return Plaintext(scheme=CKKS, coeffs=int_times(lifted.ints(), drop),
                      scale=params.delta)
-
-
-def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
-    if ct.scheme != BFV or params.scheme != BFV:
-        raise PlaintextRangeError("dec_bfv needs a BFV ciphertext")
-    return bfv_round(params, decryption_phase(params, sk, ct))
-
-
-def dec_ckks(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
-    if ct.scheme != CKKS or params.scheme != CKKS:
-        raise PlaintextRangeError("dec_ckks needs a CKKS ciphertext")
-    return ckks_scale_down(params, decryption_phase(params, sk, ct))
-
-
-# ---------------------------------------------------------------------------
-# secret-key-gated probe
-
-
-def noise_of(params: SchemeParams, sk: SecretKey, ct: Ciphertext,
-             reference_pt: Plaintext, *, debug: bool = False) -> int:
-    """Infinity norm of [c0 + c1*s - delta*m]_q; test facility, opt-in only."""
-    if not debug:
-        raise SecretAccessError("noise_of reads the secret key; pass debug=True")
-    lifted = decryption_phase(params, sk, ct)
-    if params.scheme == BFV:
-        target = [params.delta * int(v) for v in reference_pt.ints()]
-    else:
-        target = [int(v) for v in reference_pt.ints()]
-    q, half = params.ring.q, params.ring.half_q
-    worst = 0
-    for x, m in zip(lifted, target):
-        d = (x - m) % q
-        if d > half:
-            d -= q
-        worst = max(worst, abs(d))
-    return worst

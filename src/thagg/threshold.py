@@ -172,12 +172,3 @@ def combine_decrypt(params: SchemeParams, ct: Ciphertext,
     for part in partials:
         acc = rg.ring_add(acc, part.h)
     return rg.crt_lift(acc)
-
-
-def reconstruct_ideal_key(params: SchemeParams,
-                          shares: list[SecretShare]) -> rg.RingElement:
-    """Sum of all shares. Test-only: no protocol party may ever hold this."""
-    acc = rg.zero(params.ring, rg.NTT)
-    for sh in shares:
-        acc = rg.ring_add(acc, sh.s)
-    return acc

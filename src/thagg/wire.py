@@ -91,7 +91,7 @@ def _read_residues(rd: _Reader, ring: rg.RingParams) -> rg.RingElement:
     shape = (len(ring.primes), ring.n)
     res = np.frombuffer(rd.take(RESIDUE.itemsize * shape[0] * shape[1]),
                         dtype=RESIDUE).reshape(shape).astype(np.int64)
-    bad = (res >= np.array(ring.primes)[:, None]).any(axis=1)
+    bad = (res >= rg.prime_column(ring.primes)).any(axis=1)
     if bad.any():
         p = ring.primes[int(bad.argmax())]
         raise WireFormatError(f"residue out of range for prime {p}")

@@ -1,0 +1,194 @@
+"""Reference implementations the tests check the protocol against.
+
+Not a test module (pytest does not collect it); the test modules import it.
+Each oracle takes its own route to its answer:
+
+- the single-key BFV/CKKS path (`SecretKey`, `seckeygen`, `pubkeygen`,
+  `bfv_plaintext`, `decryption_phase`, `dec_bfv`, `dec_ckks`) and the
+  noise probe `noise_of`, which reads the secret key;
+- `ring_mul_schoolbook`, the O(n^2) negacyclic convolution that never
+  calls the NTT, and `inf_norm` over centered coefficients;
+- `reconstruct_ideal_key`, the sum of all key shares, which no protocol
+  party may ever hold;
+- `uniform_below`, one exact rejection draw at a time from an `Xof`.
+
+`primes_for` picks a prime basis by bit length for tests that size q by
+hand.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from thagg import ring as rg
+from thagg.errors import DomainMismatchError, PlaintextRangeError
+from thagg.exact import int_array
+from thagg.ntt import select_primes
+from thagg.ring import _check_pair
+from thagg.rng import Xof
+from thagg.schemes import (
+    BFV,
+    CKKS,
+    Ciphertext,
+    Plaintext,
+    PublicKey,
+    SchemeParams,
+    bfv_round,
+    ckks_scale_down,
+)
+from thagg.threshold import SecretShare
+
+
+def primes_for(n: int, bits: int) -> tuple[int, ...]:
+    """The fewest NTT-friendly primes for degree n whose product has at
+    least `bits` bits."""
+    return select_primes(n, min_product=(1 << (bits - 1)) - 1)
+
+
+def uniform_below(rng: Xof, m: int) -> int:
+    """Uniform integer in [0, m), by rejection; exact for any m >= 1."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m == 1:
+        return 0
+    bits = (m - 1).bit_length()
+    nbytes = (bits + 7) // 8
+    mask = (1 << bits) - 1
+    while True:
+        v = int.from_bytes(rng.read(nbytes), "little") & mask
+        if v < m:
+            return v
+
+
+# ---------------------------------------------------------------------------
+# ring
+
+
+def inf_norm(coeffs) -> int:
+    """Max absolute value over centered coefficients."""
+    m = 0
+    for c in coeffs:
+        a = -c if c < 0 else c
+        if a > m:
+            m = a
+    return m
+
+
+def ring_mul_schoolbook(a: rg.RingElement, b: rg.RingElement) -> rg.RingElement:
+    """O(n^2) negacyclic convolution, no transforms; the independent oracle."""
+    _check_pair(a, b, same_domain=False)
+    if a.domain != rg.COEFF or b.domain != rg.COEFF:
+        raise DomainMismatchError("schoolbook path works on coefficient domain")
+    n = a.params.n
+    rows = []
+    for limb, p in enumerate(a.params.primes):
+        av = [int(x) for x in a.residues[limb]]
+        bv = [int(x) for x in b.residues[limb]]
+        acc = [0] * n
+        for i in range(n):
+            ai = av[i]
+            if ai == 0:
+                continue
+            for j in range(n):
+                k = i + j
+                if k >= n:
+                    acc[k - n] -= ai * bv[j]
+                else:
+                    acc[k] += ai * bv[j]
+        rows.append(np.array([v % p for v in acc], dtype=np.int64))
+    return rg.RingElement(a.params, np.stack(rows), rg.COEFF)
+
+
+# ---------------------------------------------------------------------------
+# single-key schemes
+
+
+# Like every stored key, the secret key is kept in the NTT domain.
+@dataclass(frozen=True)
+class SecretKey:
+    s: rg.RingElement
+
+
+def seckeygen(params: SchemeParams, rng: Xof) -> SecretKey:
+    return SecretKey(rg.to_ntt(rg.sample_ternary(params.ring, rng)))
+
+
+def pubkeygen(params: SchemeParams, sk: SecretKey, rng: Xof, *,
+              p1: rg.RingElement | None = None,
+              e: rg.RingElement | None = None) -> PublicKey:
+    """pk = (-s*p1 + e, p1) with p1 uniform and e from the noise distribution."""
+    if p1 is None:
+        p1 = rg.sample_uniform(params.ring, rng)
+    if e is None:
+        e = rg.sample_gaussian(params.ring, params.noise, rng)
+    p1 = rg.to_ntt(p1)
+    p0 = rg.ring_add(rg.ring_neg(rg.ring_mul(sk.s, p1)), e)
+    return PublicKey(p0=rg.to_ntt(p0), p1=p1)
+
+
+def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
+    """Integers (Python or numpy) as a BFV plaintext; anything else, a float
+    included, raises TypeError rather than being truncated."""
+    t, n = params.t, params.ring.n
+    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if not all(isinstance(v, (int, np.integer)) for v in items):
+        raise TypeError("BFV plaintext values must be integers")
+    vals = int_array(values)
+    if vals.shape != (n,):
+        raise PlaintextRangeError(f"need exactly n={n} values")
+    outside = (vals <= -t // 2) | (vals > t // 2)  # centered window (-t/2, t/2]
+    if outside.any():
+        v = int(vals[outside.argmax()])
+        raise PlaintextRangeError(f"value {v} outside (-t/2, t/2] for t={t}")
+    return Plaintext(scheme=BFV, coeffs=vals)
+
+
+def decryption_phase(params: SchemeParams, sk: SecretKey,
+                     ct: Ciphertext) -> rg.Lifted:
+    """Centered lift of [c0 + c1*s]_q, the shared first decryption stage."""
+    return rg.crt_lift(rg.ring_add(ct.c0, rg.ring_mul(ct.c1, sk.s)))
+
+
+def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
+    if ct.scheme != BFV or params.scheme != BFV:
+        raise PlaintextRangeError("dec_bfv needs a BFV ciphertext")
+    return bfv_round(params, decryption_phase(params, sk, ct))
+
+
+def dec_ckks(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
+    if ct.scheme != CKKS or params.scheme != CKKS:
+        raise PlaintextRangeError("dec_ckks needs a CKKS ciphertext")
+    return ckks_scale_down(params, decryption_phase(params, sk, ct))
+
+
+def noise_of(params: SchemeParams, sk: SecretKey, ct: Ciphertext,
+             reference_pt: Plaintext) -> int:
+    """Infinity norm of [c0 + c1*s - delta*m]_q; reads the secret key."""
+    lifted = decryption_phase(params, sk, ct)
+    if params.scheme == BFV:
+        target = [params.delta * int(v) for v in reference_pt.ints()]
+    else:
+        target = [int(v) for v in reference_pt.ints()]
+    q, half = params.ring.q, params.ring.half_q
+    worst = 0
+    for x, m in zip(lifted, target):
+        d = (x - m) % q
+        if d > half:
+            d -= q
+        worst = max(worst, abs(d))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# threshold
+
+
+def reconstruct_ideal_key(params: SchemeParams,
+                          shares: list[SecretShare]) -> rg.RingElement:
+    """Sum of all shares. Test-only: no protocol party may ever hold this."""
+    acc = rg.zero(params.ring, rg.NTT)
+    for sh in shares:
+        acc = rg.ring_add(acc, sh.s)
+    return acc

@@ -42,6 +42,8 @@ from thagg.schemes import (
     setup,
 )
 
+from oracles import primes_for
+
 # ---------------------------------------------------------------------------
 # scalar references
 
@@ -282,11 +284,13 @@ def test_scaled_sum_matches_scalar_loop(clients, p, data):
 
 
 def bfv_params(kappa=1, t=2**16, log2_q=60):
-    return setup(BFV, 16, sigma="3.2", t=t, log2_q=log2_q, kappa=kappa)
+    return setup(BFV, 16, sigma="3.2", t=t,
+                 primes=primes_for(16, log2_q), kappa=kappa)
 
 
 def ckks_params(kappa=1):
-    return setup(CKKS, 16, sigma="3.2", eps_inv=2**20, log2_q=90, kappa=kappa)
+    return setup(CKKS, 16, sigma="3.2", eps_inv=2**20,
+                 primes=primes_for(16, 90), kappa=kappa)
 
 
 @settings(max_examples=150, deadline=None)
@@ -354,11 +358,13 @@ def test_encoders_take_only_float64_arrays():
 
 
 def test_encode_real_rejects_wraparound():
-    params = setup(CKKS, 64, sigma="3.2", eps_inv=2**10, log2_q=60)
+    params = setup(CKKS, 64, sigma="3.2", eps_inv=2**10,
+                   primes=primes_for(64, 60))
     with pytest.raises(EncodingOverflowError):
         encode_real(np.array([5.2e10] + [0.0] * 63), params)
     # the bound is kappa * max|x| <= 1, compared exactly
-    four = setup(CKKS, 64, sigma="3.2", eps_inv=2**10, log2_q=60, kappa=4)
+    four = setup(CKKS, 64, sigma="3.2", eps_inv=2**10,
+                 primes=primes_for(64, 60), kappa=4)
     encode_real(np.array([0.25, -0.25] + [0.0] * 62), four)
     for too_big in (math.nextafter(0.25, 1.0), -math.nextafter(0.25, 1.0)):
         with pytest.raises(EncodingOverflowError):
@@ -696,7 +702,7 @@ def test_binary_places():
 @pytest.mark.parametrize("n", [4, 16, 1024])
 def test_transform_tables_match_loop_version(n):
     assert ntt._bitrev_indices(n).tolist() == ref_bitrev(n)
-    for p in ntt.select_primes(n, min_bits=60):
+    for p in primes_for(n, 60):
         fwd, bwd = ref_limb_tables(n, p)
         tabs = ntt.limb_tables(n, p)
         assert tabs.psi_brv.tolist() == fwd

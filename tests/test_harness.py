@@ -1,8 +1,8 @@
 """Protocol harness, wire formats, config parsing, CLI plumbing."""
 
+import argparse
 import dataclasses
 import hashlib
-import io
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,7 +38,6 @@ from thagg.harness import (
     output_step,
     run_protocol,
     run_setup,
-    selftest,
     synthesize_update,
 )
 from thagg.planner import PlanInputs
@@ -53,6 +52,8 @@ from thagg.threshold import (
     partial_decrypt,
 )
 from thagg import wire
+
+from oracles import primes_for
 
 
 def make_cfg(scheme="mbfv", n=1024, parties=2, lam=16, model_size=None,
@@ -533,7 +534,8 @@ def test_full_q_partial_dec_maps_to_exit_3(tmp_path, monkeypatch):
 
 
 # Small messages for the decoder properties: n = 16, two primes, kappa = 3.
-WIRE_PARAMS = setup(BFV, 16, sigma="3.2", t=17, log2_q=50, kappa=3)
+WIRE_PARAMS = setup(BFV, 16, sigma="3.2", t=17,
+                    primes=primes_for(16, 50), kappa=3)
 
 
 def wire_messages():
@@ -842,9 +844,12 @@ def test_cli_plan_and_run_and_exit_codes(tmp_path, capsys):
     assert cli.main(["plan", "-c", str(missing)]) == 2
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_config() -> str:
     """The `ini` block of the README's CLI section."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     return text.split("```ini\n", 1)[1].split("```", 1)[0]
 
 
@@ -913,6 +918,35 @@ def test_more_limbs_than_the_wire_counts_is_a_config_error(tmp_path, capsys):
         harness.derive_scheme_params(parse_config(text))
 
 
+def test_ring_degree_without_ntt_primes_is_a_config_error(tmp_path, capsys):
+    # n = 2^28: 2n = 2^29 leaves no prime = 1 mod 2n below 2^30
+    text = GOOD_CONFIG.replace("n = 1024\n", f"n = {1 << 28}\n")
+    assert f"n = {1 << 28}\n" in text
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    for command in ("plan", "run"):
+        assert cli.main([command, "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rejected: ") and "no unused prime" in err
+    with pytest.raises(NoPrimesFoundError, match="no unused prime"):
+        harness.derive_scheme_params(parse_config(text))
+
+
+def test_noise_bound_below_sigma_is_a_config_error(tmp_path, capsys):
+    # once: `plan` exited 0 and `run` exited 1 with a bare ValueError from
+    # the sampler's noise spec
+    text = GOOD_CONFIG.replace("noise_bound = 19.2\n", "noise_bound = 3\n")
+    assert "noise_bound = 3\n" in text
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    for command in ("plan", "run"):
+        assert cli.main([command, "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rejected: ") and "noise_bound 3" in err
+    with pytest.raises(ConfigError, match="must be >= sigma"):
+        parse_config(text)
+
+
 def test_cli_region_csv(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(GOOD_CONFIG)
@@ -967,15 +1001,39 @@ def test_cli_bench_sweep(tmp_path):
     assert lines[1].split(",")[0] == "1"
 
 
-def test_cli_selftest(capsys):
-    assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
+@pytest.mark.parametrize("flags, complaint", [
+    (["--repeats", "0"], "--repeats must be >= 1"),
+    (["--parties", "abc"], "--parties must be integers"),
+    (["--parties", "0"], "plan inputs must be positive"),
+    # 8 parties * 2^8 * 2 >= 2^12: the fixed-point headroom check
+    (["--parties", "2,8"], "fixed_point_bits=8 too large"),
+], ids=["repeats-0", "parties-abc", "parties-0", "parties-2,8"])
+def test_cli_bench_checks_every_sweep_config_first(flags, complaint, tmp_path,
+                                                   capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(GOOD_CONFIG)
+    monkeypatch.setattr("thagg.cli.run_protocol",
+                        lambda cfg: pytest.fail("a sweep config ran"))
+    assert cli.main(["bench", "-c", str(cfg_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: ") and complaint in err
 
 
-def test_selftest_report_structure():
-    report = selftest()
-    assert report.ok
-    names = [e.name for e in report.entries]
-    assert "planted bound violation is rejected" in names
-    assert "ntt-vs-schoolbook oracle equivalence" in names
+def test_cli_offers_exactly_the_protocol_commands(capsys):
+    want = {"plan", "region", "run", "bench"}
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == want
+    block = README.read_text().split("## CLI\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert {line.split()[1] for line in block.splitlines() if line} == want
+    for argv, complaint in (
+            (["selftest"], "invalid choice"),
+            (["run", "-c", "cfg.ini", "--rounds", "2"],
+             "unrecognized arguments: --rounds 2"),
+            (["region", "-c", "cfg.ini", "--lam", "8"],
+             "unrecognized arguments: --lam 8")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert complaint in capsys.readouterr().err

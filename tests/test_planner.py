@@ -225,7 +225,7 @@ def test_prime_selection_failure_is_reported():
 
     # 2n = 2^29 leaves no room for primes = 1 mod 2n below 2^30
     with pytest.raises(NoPrimesFoundError):
-        select_primes(1 << 28, min_bits=60)
+        select_primes(1 << 28, min_product=1 << 59)
 
 
 def test_prime_selection_stops_at_the_wire_limb_limit():
@@ -242,7 +242,7 @@ def test_prime_selection_stops_at_the_wire_limb_limit():
     with pytest.raises(NoPrimesFoundError, match="more than 255 primes"):
         select_primes(1024, min_product=prod(top))
     with pytest.raises(NoPrimesFoundError, match="more than 255 primes"):
-        select_primes(1024, min_bits=30 * MAX_LIMBS + 1)
+        select_primes(1024, min_product=1 << (30 * MAX_LIMBS))
 
 
 def test_security_table_defaults():

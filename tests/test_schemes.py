@@ -14,7 +14,6 @@ from thagg.errors import (
     CapacityError,
     EncodingOverflowError,
     PlaintextRangeError,
-    SecretAccessError,
 )
 from thagg.ntt import prime_below
 from thagg.rng import Xof
@@ -22,17 +21,23 @@ from thagg.schemes import (
     BFV,
     CKKS,
     add,
-    bfv_plaintext,
-    dec_bfv,
-    dec_ckks,
     decode_fixed,
     encode_fixed,
     encode_real,
     encrypt,
+    setup,
+)
+
+from oracles import (
+    bfv_plaintext,
+    dec_bfv,
+    dec_ckks,
+    inf_norm,
     noise_of,
+    primes_for,
     pubkeygen,
     seckeygen,
-    setup,
+    uniform_below,
 )
 
 
@@ -44,11 +49,13 @@ def decryptability_oracle_accepts(n, t, bound, q, kappa=1):
 
 
 def small_bfv(n=64, t=257, log2_q=26, kappa=1):
-    return setup(BFV, n, sigma="3.2", t=t, log2_q=log2_q, kappa=kappa)
+    return setup(BFV, n, sigma="3.2", t=t,
+                 primes=primes_for(n, log2_q), kappa=kappa)
 
 
 def small_ckks(n=64, eps_inv=2**10, log2_q=40, kappa=1):
-    return setup(CKKS, n, sigma="3.2", eps_inv=eps_inv, log2_q=log2_q, kappa=kappa)
+    return setup(CKKS, n, sigma="3.2", eps_inv=eps_inv,
+                 primes=primes_for(n, log2_q), kappa=kappa)
 
 
 def keypair(params, seed="keys"):
@@ -63,7 +70,8 @@ def keypair(params, seed="keys"):
 
 
 def test_setup_accepts_reference_config():
-    params = setup(BFV, 1024, sigma="3.2", bound="19.2", t=257, log2_q=30)
+    params = setup(BFV, 1024, sigma="3.2", bound="19.2", t=257,
+                   primes=primes_for(1024, 30))
     q = params.ring.q
     assert q.bit_length() == 30
     assert params.delta == q // 257
@@ -73,29 +81,26 @@ def test_setup_accepts_reference_config():
 def test_setup_rejects_oversized_plaintext_modulus():
     # t = 2^20 at 30-bit q: the right side of the inequality is negative.
     with pytest.raises(BoundViolationError):
-        setup(BFV, 1024, sigma="3.2", t=2**20, log2_q=30)
+        setup(BFV, 1024, sigma="3.2", t=2**20, primes=primes_for(1024, 30))
 
 
 def test_setup_acceptance_matches_oracle_along_q_sizes():
     # agree with the independent oracle across a range of moduli
     n, t = 64, 257
     for bits in range(18, 30):
+        primes = primes_for(n, bits)
         try:
-            params = setup(BFV, n, sigma="3.2", t=t, log2_q=bits)
-            accepted, q = True, params.ring.q
+            setup(BFV, n, sigma="3.2", t=t, primes=primes)
+            accepted = True
         except BoundViolationError:
             accepted = False
-            from thagg.ntt import select_primes
-
-            q = 1
-            for p in select_primes(n, min_bits=bits):
-                q *= p
+        q = math.prod(primes)
         assert accepted == decryptability_oracle_accepts(n, t, "19.2", q)
 
 
 def test_setup_reports_gap_in_bits():
     with pytest.raises(BoundViolationError, match="bits|not positive"):
-        setup(BFV, 256, sigma="3.2", t=4097, log2_q=20)
+        setup(BFV, 256, sigma="3.2", t=4097, primes=primes_for(256, 20))
 
 
 def test_setup_default_bound_is_six_sigma():
@@ -114,7 +119,7 @@ def test_ckks_delta_from_eps_inv():
 
 def test_ckks_rejects_when_scale_eats_modulus():
     with pytest.raises(BoundViolationError):
-        setup(CKKS, 64, sigma="3.2", eps_inv=2**40, log2_q=30)
+        setup(CKKS, 64, sigma="3.2", eps_inv=2**40, primes=primes_for(64, 30))
 
 
 def old_setup_verdict(scheme, n, bound, q, kappa, *, t=None, eps_inv=None,
@@ -195,7 +200,7 @@ def test_bound_messages_take_values_beyond_the_float_range():
     # t = 2^1100 above q: float(t) would overflow; the message uses log2
     with pytest.raises(BoundViolationError,
                        match=r"need 2\^1100\.00 < 2\^\d+\.\d\d; short by"):
-        setup(BFV, 64, sigma="3.2", t=2**1100, log2_q=20)
+        setup(BFV, 64, sigma="3.2", t=2**1100, primes=primes_for(64, 20))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +213,7 @@ def test_pubkey_noise_bound_and_zero_noise_hook():
     sk = seckeygen(params, rng.child("sk"))
     pk = pubkeygen(params, sk, rng.child("pk"))
     resid = rg.ring_add(rg.from_ntt(pk.p0), rg.ring_mul(sk.s, pk.p1))
-    assert rg.inf_norm(rg.crt_lift(resid)) <= int(params.noise.bound)
+    assert inf_norm(rg.crt_lift(resid)) <= int(params.noise.bound)
 
     quiet = pubkeygen(params, sk, rng.child("pk2"), e=rg.zero(params.ring))
     resid0 = rg.ring_add(rg.from_ntt(quiet.p0), rg.ring_mul(sk.s, quiet.p1))
@@ -249,10 +254,10 @@ def test_fresh_noise_within_worst_case_bound():
     rng = Xof.from_seed("fresh-noise")
     limit = (2 * params.ring.n + 1) * params.noise.bound
     for i in range(50):
-        vals = [rng.uniform_below(params.t) - params.t // 2 for _ in range(params.ring.n)]
+        vals = [uniform_below(rng, params.t) - params.t // 2 for _ in range(params.ring.n)]
         pt = bfv_plaintext(params, vals)
         ct = encrypt(params, pk, pt, rng.child(f"enc{i}"))
-        assert noise_of(params, sk, ct, pt, debug=True) <= limit
+        assert noise_of(params, sk, ct, pt) <= limit
 
 
 def test_bfv_roundtrip():
@@ -260,7 +265,7 @@ def test_bfv_roundtrip():
     sk, pk = keypair(params)
     rng = Xof.from_seed("roundtrip")
     for i in range(50):
-        vals = [rng.uniform_below(params.t) - params.t // 2 for _ in range(params.ring.n)]
+        vals = [uniform_below(rng, params.t) - params.t // 2 for _ in range(params.ring.n)]
         pt = bfv_plaintext(params, vals)
         ct = encrypt(params, pk, pt, rng.child(f"e{i}"))
         assert dec_bfv(params, sk, ct).values == pt.values
@@ -300,7 +305,7 @@ def test_planted_noise_boundary_is_tight():
 def test_bfv_exhaustive_tiny_plaintext_space():
     # every single-coefficient message for t <= 17 at n = 4
     for t in (2, 3, 16, 17):
-        params = setup(BFV, 4, sigma="3.2", t=t, log2_q=16)
+        params = setup(BFV, 4, sigma="3.2", t=t, primes=primes_for(4, 16))
         sk, pk = keypair(params, seed=f"tiny-{t}")
         rng = Xof.from_seed(f"tiny-enc-{t}")
         lo = -(t // 2) + (1 if t % 2 == 0 else 0)
@@ -333,8 +338,8 @@ def test_ckks_noiseless_roundtrip_and_fresh_error():
 
 def test_ckks_doubling_delta_halves_residual():
     # same ring, same keys, same injected randomness; only delta changes
-    p1 = setup(CKKS, 64, sigma="3.2", eps_inv=2**8, log2_q=40)
-    p2 = setup(CKKS, 64, sigma="3.2", eps_inv=2**9, log2_q=40)
+    p1 = setup(CKKS, 64, sigma="3.2", eps_inv=2**8, primes=primes_for(64, 40))
+    p2 = setup(CKKS, 64, sigma="3.2", eps_inv=2**9, primes=primes_for(64, 40))
     assert p2.delta == 2 * p1.delta and p1.ring == p2.ring
     sk, pk = keypair(p1, seed="dd")
     rng = Xof.from_seed("dd-draws")
@@ -376,7 +381,7 @@ def test_sum_of_eight_decrypts_to_mod_t_sum():
     n, t = params.ring.n, params.t
     msgs, cts = [], []
     for i in range(L):
-        vals = [rng.uniform_below(t) - t // 2 for _ in range(n)]
+        vals = [uniform_below(rng, t) - t // 2 for _ in range(n)]
         msgs.append(vals)
         cts.append(encrypt(params, pk, bfv_plaintext(params, vals),
                            rng.child(f"e{i}")))
@@ -396,7 +401,7 @@ def test_noise_subadditivity():
     sk, pk = keypair(params, seed="sub")
     rng = Xof.from_seed("sub-enc")
     n, t = params.ring.n, params.t
-    pts = [bfv_plaintext(params, [rng.uniform_below(t) - t // 2 for _ in range(n)])
+    pts = [bfv_plaintext(params, [uniform_below(rng, t) - t // 2 for _ in range(n)])
            for _ in range(2)]
     cts = [encrypt(params, pk, pt, rng.child(str(i))) for i, pt in enumerate(pts)]
     summed = add(cts[0], cts[1])
@@ -405,8 +410,8 @@ def test_noise_subadditivity():
     from thagg.schemes import Plaintext
 
     sum_pt = Plaintext(scheme=BFV, coeffs=pts[0].coeffs + pts[1].coeffs)
-    lhs = noise_of(params, sk, summed, sum_pt, debug=True)
-    rhs = sum(noise_of(params, sk, ct, pt, debug=True)
+    lhs = noise_of(params, sk, summed, sum_pt)
+    rhs = sum(noise_of(params, sk, ct, pt)
               for ct, pt in zip(cts, pts))
     assert lhs <= rhs
 
@@ -433,7 +438,7 @@ def test_exact_correctness_up_to_capacity():
     for trial in range(10):
         msgs, cts = [], []
         for i in range(kappa + 1):
-            vals = [rng.uniform_below(t) - t // 2 for _ in range(n)]
+            vals = [uniform_below(rng, t) - t // 2 for _ in range(n)]
             msgs.append(vals)
             cts.append(encrypt(params, pk, bfv_plaintext(params, vals),
                                rng.child(f"{trial}/{i}")))
@@ -466,7 +471,7 @@ def test_encode_fixed_zero_and_dyadic():
 def test_encode_fixed_quantization_error_bound():
     params = small_bfv(n=64, t=2**12 + 3, log2_q=28)
     rng = Xof.from_seed("quant")
-    w = np.array([(rng.uniform_below(2_000_001) - 1_000_000) / 1_000_000
+    w = np.array([(uniform_below(rng, 2_000_001) - 1_000_000) / 1_000_000
                   for _ in range(64)])
     p = 9
     pt = encode_fixed(w, p, params)
@@ -499,16 +504,7 @@ def test_bfv_plaintext_rejects_non_integers():
 
 
 # ---------------------------------------------------------------------------
-# probe gating
-
-
-def test_noise_probe_requires_debug_flag():
-    params = small_bfv()
-    sk, pk = keypair(params)
-    pt = bfv_plaintext(params, [0] * params.ring.n)
-    ct = encrypt(params, pk, pt, Xof.from_seed("g"))
-    with pytest.raises(SecretAccessError):
-        noise_of(params, sk, ct, pt)
+# noise probe
 
 
 def test_noise_probe_examples():
@@ -519,7 +515,7 @@ def test_noise_probe_examples():
     zpt = bfv_plaintext(params, [0] * n)
     z = rg.zero(params.ring)
     quiet = encrypt(params, pk, zpt, rng.child("q"), u=z, e0=z, e1=z)
-    assert noise_of(params, sk, quiet, zpt, debug=True) == 0
+    assert noise_of(params, sk, quiet, zpt) == 0
 
     fresh_limit = (2 * n + 1) * params.noise.bound
     L = 4
@@ -527,4 +523,4 @@ def test_noise_probe_examples():
     acc = cts[0]
     for ct in cts[1:]:
         acc = add(acc, ct)
-    assert noise_of(params, sk, acc, zpt, debug=True) <= L * fresh_limit
+    assert noise_of(params, sk, acc, zpt) <= L * fresh_limit

@@ -26,16 +26,12 @@ from thagg.schemes import (
     CKKS,
     PublicKey,
     SchemeParams,
-    SecretKey,
     add,
-    bfv_plaintext,
     bfv_round,
     ckks_scale_down,
-    decryption_phase,
     encode_real,
     encrypt,
-    pubkeygen,
-    seckeygen,
+    setup,
 )
 from thagg.threshold import (
     SecretShare,
@@ -47,10 +43,21 @@ from thagg.threshold import (
     gen_share,
     partial_decrypt,
     pk_share,
-    reconstruct_ideal_key,
     switch_c0,
 )
-from thagg.schemes import setup
+
+from oracles import (
+    SecretKey,
+    bfv_plaintext,
+    dec_bfv,
+    decryption_phase,
+    inf_norm,
+    primes_for,
+    pubkeygen,
+    reconstruct_ideal_key,
+    seckeygen,
+    uniform_below,
+)
 
 B192 = Fraction("19.2")
 
@@ -106,7 +113,7 @@ def open_ciphertext(sess, ct, label="dec"):
 
 
 def test_crs_deterministic_across_parties():
-    params = setup(BFV, 64, sigma="3.2", t=257, log2_q=26).ring
+    params = setup(BFV, 64, sigma="3.2", t=257, primes=primes_for(64, 26)).ring
     seed = Xof.from_seed("crs-test").read(32)
     a = crs_expand(seed, params)
     b = crs_expand(seed, params)  # a second party expands independently
@@ -116,13 +123,13 @@ def test_crs_deterministic_across_parties():
 
 
 def test_crs_seed_length_checked():
-    params = setup(BFV, 64, sigma="3.2", t=257, log2_q=26).ring
+    params = setup(BFV, 64, sigma="3.2", t=257, primes=primes_for(64, 26)).ring
     with pytest.raises(ValueError):
         crs_expand(b"short", params)
 
 
 def test_crs_p1_uniformish():
-    params = setup(BFV, 16, sigma="3.2", t=17, log2_q=22).ring
+    params = setup(BFV, 16, sigma="3.2", t=17, primes=primes_for(16, 22)).ring
     total, count = 0, 0
     for i in range(300):
         crs = crs_expand(Xof.from_seed(f"crs-{i}").read(32), params)
@@ -151,7 +158,7 @@ def test_pk_share_noise_bound():
     bound = int(sess.params.noise.bound)
     for sh, pks in zip(sess.shares, sess.pkshares):
         resid = rg.ring_add(pks.p0, rg.ring_mul(sh.s, sess.crs.p1))
-        assert rg.inf_norm(rg.crt_lift(resid)) <= bound
+        assert inf_norm(rg.crt_lift(resid)) <= bound
 
 
 @pytest.mark.parametrize("parties", [2, 4, 8])
@@ -160,7 +167,7 @@ def test_combined_pk_noise_scales_with_parties(parties):
     ideal = reconstruct_ideal_key(sess.params, sess.shares)
     resid = rg.ring_add(rg.from_ntt(sess.cpk.p0),
                         rg.ring_mul(ideal, sess.cpk.p1))
-    assert rg.inf_norm(rg.crt_lift(resid)) <= parties * int(sess.params.noise.bound)
+    assert inf_norm(rg.crt_lift(resid)) <= parties * int(sess.params.noise.bound)
 
 
 def test_combine_pk_single_party_degenerates_to_single_key():
@@ -194,8 +201,6 @@ def test_encrypt_under_cpk_ideal_key_roundtrip():
     pt = bfv_plaintext(params, vals)
     ct = encrypt(params, sess.cpk, pt, sess.root.child("enc"))
     ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
-    from thagg.schemes import dec_bfv
-
     assert dec_bfv(params, ideal, ct).values == vals
 
 
@@ -224,7 +229,7 @@ def test_ntt_keys_match_their_coefficient_copies(seed, scheme):
     pk = pubkeygen(params, sk, rng.child("pk"))
     if scheme == MBFV:
         t = params.t
-        pt = bfv_plaintext(params, [rng.uniform_below(t) - t // 2 + 1
+        pt = bfv_plaintext(params, [uniform_below(rng, t) - t // 2 + 1
                                     for _ in range(params.ring.n)])
     else:
         pt = encode_real(rng.child("w").float_open01(params.ring.n) - 0.5,
@@ -297,7 +302,8 @@ def test_partial_decrypt_rejects_oversized_smudging():
 def test_partial_decrypt_counts_parties_not_kappa():
     # kappa = 1, four shares, b_smg = 3/5 of the room under q: one smudging
     # term fits, four do not, so the check must count the parties
-    params = setup(BFV, 64, sigma="3.2", t=257, log2_q=40, kappa=1)
+    params = setup(BFV, 64, sigma="3.2", t=257,
+                   primes=primes_for(64, 40), kappa=1)
     root = Xof.from_seed("four-shares")
     crs = crs_expand(root.child("crs").read(32), params.ring)
     shares = [gen_share(params, i, root.child(f"share/{i}"))
@@ -317,7 +323,7 @@ def test_partial_decrypt_counts_parties_not_kappa():
 
 def test_smudge_message_takes_values_beyond_the_float_range():
     # t = 2^1100: the decode bound 2 t b + t^2 is far beyond a float
-    ring = setup(BFV, 16, sigma="3.2", t=257, log2_q=40).ring
+    ring = setup(BFV, 16, sigma="3.2", t=257, primes=primes_for(16, 40)).ring
     params = SchemeParams(scheme=BFV, ring=ring,
                           noise=rg.NoiseSpec.create("3.2"), kappa=1,
                           delta=1, t=2**1100)
@@ -396,7 +402,7 @@ def test_opened_noise_within_aggregate_bound():
     rng = sess.root.child("msgs")
     cts, total = [], [0] * n
     for i in range(sess.parties):
-        vals = [rng.uniform_below(t // 4) for _ in range(n)]
+        vals = [uniform_below(rng, t // 4) for _ in range(n)]
         total = [a + b for a, b in zip(total, vals)]
         cts.append(encrypt(params, pk, bfv_plaintext(params, vals),
                            sess.root.child(f"enc/{i}")))
@@ -513,7 +519,7 @@ def test_threshold_bfv_exact_small_sweep():
         rng = sess.root.child(f"run/{run}")
         msgs, cts = [], []
         for i in range(2):
-            vals = [centered(rng.uniform_below(t)) for _ in range(n)]
+            vals = [centered(uniform_below(rng, t)) for _ in range(n)]
             msgs.append(vals)
             cts.append(encrypt(params, pk, bfv_plaintext(params, vals),
                                rng.child(f"e{i}")))
@@ -576,7 +582,7 @@ def open_switched_session(sess, rng):
     assert b.b_ct_mp == mp_bounds(sess.report.inputs).b_ct_mp + rounding
 
     if params.scheme == BFV:
-        msgs = [[rng.uniform_below(params.t // (2 * parties))
+        msgs = [[uniform_below(rng, params.t // (2 * parties))
                  for _ in range(n)] for _ in range(parties)]
         pts = [bfv_plaintext(params, m) for m in msgs]
     else:
