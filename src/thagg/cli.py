@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import parse_config, with_parties
 from .errors import ConfigRejection, ProtocolFailure
@@ -24,6 +27,18 @@ def _load_config(path: str):
     except OSError as exc:
         raise ConfigRejection(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write an output to the file at path, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigRejection(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_range(spec: str) -> range:
@@ -40,11 +55,7 @@ def cmd_plan(args) -> int:
     report = plan(cfg.plan_inputs, cfg.scheme,
                   enforce_security=cfg.enforce_security,
                   security_table=cfg.security_table)
-    text = report.to_text()
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_text(), args.output)
     return 0
 
 
@@ -52,11 +63,9 @@ def cmd_region(args) -> int:
     inputs = _load_config(args.config).plan_inputs
     grid = region_grid(inputs, _parse_range(args.t_bits),
                        _parse_range(args.eps_bits))
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            grid_to_csv(grid, fh)
-    else:
-        grid_to_csv(grid, sys.stdout)
+    text = io.StringIO()
+    grid_to_csv(grid, text)
+    _emit(text.getvalue(), args.output)
     if args.intervals:
         rep = interval_approx_check(inputs, grid)
         sys.stderr.write(
@@ -68,17 +77,23 @@ def cmd_region(args) -> int:
 
 
 def cmd_run(args) -> int:
-    transcript = run_protocol(_load_config(args.config))
+    cfg = _load_config(args.config)
+    outdir = Path(args.output) if args.output else None
+    if outdir is not None:  # fail before the protocol, not after it
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigRejection(f"cannot create {outdir}: {exc}") from exc
+    transcript = run_protocol(cfg)
     sys.stdout.write(transcript.timings_text())
     sys.stdout.write(f"max_error = {float(transcript.max_error):.6e}\n")
-    if args.output:
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "transcript.txt").write_text(transcript.to_text())
-        (outdir / "timings.txt").write_text(transcript.timings_text())
-        import numpy as np
-
-        np.save(outdir / "aggregate.npy", transcript.aggregate.to_floats())
+    if outdir is not None:
+        try:
+            (outdir / "transcript.txt").write_text(transcript.to_text())
+            (outdir / "timings.txt").write_text(transcript.timings_text())
+            np.save(outdir / "aggregate.npy", transcript.aggregate.to_floats())
+        except OSError as exc:
+            raise ConfigRejection(f"cannot write to {outdir}: {exc}") from exc
     return 0
 
 
@@ -106,14 +121,11 @@ def cmd_bench(args) -> int:
         rows.append([count] + [f"{best[k]:.6f}" for k in PHASES])
         sys.stderr.write(f"parties={count}: total {best['total']:.3f} s\n")
     header = ["parties"] + [PHASE_LABELS[k] for k in PHASES]
-    fh = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        out.writerows(rows)
-    finally:
-        if args.output:
-            fh.close()
+    text = io.StringIO()
+    out = csv.writer(text, lineterminator="\n")
+    out.writerow(header)
+    out.writerows(rows)
+    _emit(text.getvalue(), args.output)
     return 0
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .errors import ConfigError
 from .planner import MBFV, MCKKS, PlanInputs
@@ -176,19 +175,15 @@ def with_parties(cfg: ProtocolConfig, parties: int) -> ProtocolConfig:
 
 
 def config_text(cfg: ProtocolConfig) -> str:
-    """Canonical text form of a config (used in transcripts)."""
+    """Canonical text form of a config (used in transcripts). Rationals
+    print as `Fraction` prints them: `num`, or `num/den` in lowest terms."""
     i = cfg.plan_inputs
-
-    def fr(x: Fraction) -> str:
-        return str(x.numerator) if x.denominator == 1 else \
-            f"{x.numerator}/{x.denominator}"
-
     lines = [
         f"scheme = {cfg.scheme}",
         f"n = {i.n}",
         f"parties = {i.parties}",
-        f"sigma = {fr(i.sigma)}",
-        f"noise_bound = {fr(i.bound)}",
+        f"sigma = {i.sigma}",
+        f"noise_bound = {i.bound}",
         f"lambda = {i.lam}",
         f"t_bits = {i.t_bits if i.t_bits is not None else '-'}",
         f"eps_inv_bits = {i.eps_inv_bits if i.eps_inv_bits is not None else '-'}",

@@ -6,14 +6,14 @@ for reporting and in exact conversions between floats and integers (the
 encoders' rounding, the correctly rounded `Ratios.to_floats`), never in
 accept/reject decisions.
 
-`Ratios` is the one integer form of a vector of rationals: numerators over
-a shared denominator, compared and reduced on integers only.
+`Ratios` is the one integer form of a vector of rationals, an opened
+aggregate included: numerators over a shared denominator, compared and
+reduced on integers only.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -177,7 +177,7 @@ def _gcd_pow2(num: np.ndarray, den: int) -> np.ndarray:
     return np.minimum(g, den)
 
 
-class Ratios(Sequence):
+class Ratios:
     """Rationals numerators[i] / denominator over one positive denominator.
 
     Numerators are int64, or Python ints (dtype object) when they do not
@@ -209,8 +209,6 @@ class Ratios(Sequence):
     def __eq__(self, other):
         if isinstance(other, Ratios):
             return len(self) == len(other) and self.max_abs_diff(other) == 0
-        if isinstance(other, Sequence):
-            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None

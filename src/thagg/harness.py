@@ -347,11 +347,10 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
                 params) for client, shares in zip(clients, blobs)]
             d = combine_decrypt(params, ct, partials, cfg.parties)
             if cfg.scheme == MBFV:
-                pt = bfv_round(params, d)
-                parts.append(decode_fixed(pt, cfg.fixed_point_bits,
-                                          cfg.parties))
+                parts.append(decode_fixed(bfv_round(params, d),
+                                          cfg.fixed_point_bits, cfg.parties))
             else:
-                parts.append(ckks_scale_down(params, d).values)
+                parts.append(ckks_scale_down(params, d))
     return Ratios.concat(parts)[: cfg.model_size]
 
 

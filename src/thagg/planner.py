@@ -222,6 +222,10 @@ def region_grid(inputs: PlanInputs, t_bits_range, eps_bits_range) -> RegionGrid:
     eps_bits = list(eps_bits_range)
     if not t_bits or not eps_bits:
         raise ConfigError("empty grid range")
+    if min(t_bits) < 1:
+        raise ConfigError(f"log2 t must be >= 1 (t >= 2), got {min(t_bits)}")
+    if min(eps_bits) < 0:
+        raise ConfigError(f"log2 eps_inv must be >= 0, got {min(eps_bits)}")
     b = mp_bounds(inputs).b_ct_mp
     grid = RegionGrid(n=inputs.n, parties=inputs.parties, lam=inputs.lam,
                       noise_bound=inputs.bound, b_ct_mp=b,
@@ -318,27 +322,24 @@ class PlanReport:
     reference: dict | None
 
     def to_text(self) -> str:
-        def fr(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else \
-                f"{x.numerator}/{x.denominator}"
-
+        """Canonical plan text; rationals print as `Fraction` prints them."""
         i, b = self.inputs, self.bounds
         lines = [
             "format = thagg-plan-v3",
             f"scheme = {self.scheme}",
             f"n = {i.n}",
             f"parties = {i.parties}",
-            f"sigma = {fr(i.sigma)}",
-            f"noise_bound = {fr(i.bound)}",
+            f"sigma = {i.sigma}",
+            f"noise_bound = {i.bound}",
             f"lambda = {i.lam}",
             f"t_bits = {i.t_bits if i.t_bits is not None else '-'}",
             f"eps_inv_bits = "
             f"{i.eps_inv_bits if i.eps_inv_bits is not None else '-'}",
-            f"b_fresh = {fr(b.b_fresh)}",
-            f"b_fresh_mp = {fr(b.b_fresh_mp)}",
-            f"b_ct = {fr(b.b_ct)}",
-            f"b_smg = {fr(b.b_smg)}",
-            f"b_ct_mp = {fr(b.b_ct_mp)}",
+            f"b_fresh = {b.b_fresh}",
+            f"b_fresh_mp = {b.b_fresh_mp}",
+            f"b_ct = {b.b_ct}",
+            f"b_smg = {b.b_smg}",
+            f"b_ct_mp = {b.b_ct_mp}",
             f"qmin_mbfv_bits = "
             f"{self.qmin_mbfv_bits if self.qmin_mbfv_bits is not None else '-'}",
             f"qmin_mckks_bits = "

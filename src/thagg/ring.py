@@ -1,24 +1,24 @@
 """Exact arithmetic in R_q = Z[x]/(x^n + 1) over an RNS residue basis.
 
 Elements live as per-prime residue rows (non-negative, branch-free modular
-arithmetic); the centered representatives in (-q/2, q/2] are the canonical
-external view, produced by `crt_lift` as Garner mixed-radix digits.
+arithmetic). `from_coeffs` reduces int64 coefficient arrays, and no other
+form; integers leave only through `crt_lift`, which keeps the centered
+representatives in (-q/2, q/2] as Garner mixed-radix digits (`Lifted`).
 Products go through the NTT; the tests check them against a quadratic
 schoolbook oracle (`tests/oracles.py`). `scale_down` rounds an element to
 a leading sub-basis (modulus switching) exactly, through the Garner digits
 of the dropped limbs. No per-coefficient Python integer is built on the
 sampling, lifting or switching paths; integers appear only when a caller
-asks for them.
+asks for them (`Lifted.ints`, `tolist`, `wrapped64`).
 
 Residues may carry leading batch axes, shape (..., limbs, n): the ring
-operations, the transforms, `from_coeffs` on int64 arrays and `scale_down`
-act on every entry of a batch at once (`stack` builds one, `unstack` takes
-it apart). Lifting and the samplers take one element.
+operations, the transforms, `from_coeffs` and `scale_down` act on every
+entry of a batch at once (`stack` builds one, `unstack` takes it apart).
+Lifting and the samplers take one element.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -107,29 +107,16 @@ def zero(params: RingParams, domain: str = COEFF) -> RingElement:
     return RingElement(params, res, domain)
 
 
-def from_coeffs(params: RingParams, coeffs) -> RingElement:
-    """RNS-decompose integer coefficients (any size, any sign).
-
-    An int64 array of shape (..., n) gives residues of shape
-    (..., limbs, n); values beyond int64 take an exact path for one
-    element only.
-    """
-    n = params.n
-    got = coeffs.shape[-1] if isinstance(coeffs, np.ndarray) else len(coeffs)
-    if got != n:
-        raise ValueError(f"expected {n} coefficients, got {got}")
-    if getattr(coeffs, "dtype", None) == np.uint64 and coeffs.max() >> 63:
-        coeffs = coeffs.tolist()  # int64 would wrap these; take the exact path
-    try:
-        arr = np.asarray(coeffs, dtype=np.int64)
-    except OverflowError:
-        if np.ndim(coeffs) != 1:
-            raise ValueError("coefficients beyond int64 take one element, "
-                             "not a batch") from None
-        rows = [[c % p for c in coeffs] for p in params.primes]
-        return RingElement(params, np.array(rows, dtype=np.int64), COEFF)
+def from_coeffs(params: RingParams, coeffs: np.ndarray) -> RingElement:
+    """RNS-decompose an int64 array of coefficients, shape (..., n), into
+    residues of shape (..., limbs, n). Any other input raises TypeError."""
+    if not isinstance(coeffs, np.ndarray) or coeffs.dtype != np.int64:
+        raise TypeError("from_coeffs takes an int64 numpy array")
+    if coeffs.shape[-1:] != (params.n,):
+        raise ValueError(f"expected {params.n} coefficients, got shape "
+                         f"{coeffs.shape}")
     p_col = prime_column(params.primes)
-    arr = arr[..., None, :]  # a limb axis to broadcast against p_col
+    arr = coeffs[..., None, :]  # a limb axis to broadcast against p_col
     sign = arr >> 63  # -1 where c < 0, else 0
     if (arr ^ sign).max() < min(params.primes):
         # every -p <= c < p: adding p to the negative ones reduces them
@@ -256,28 +243,22 @@ class _GarnerConsts:
     q64: np.uint64             # q mod 2^64
 
 
-_GARNER_CACHE: dict[tuple[int, ...], _GarnerConsts] = {}
-
-
+@lru_cache(maxsize=None)
 def _garner_consts(primes: tuple[int, ...]) -> _GarnerConsts:
-    got = _GARNER_CACHE.get(primes)
-    if got is None:
-        mix, radix, prefix = [], [], 1
-        for p in primes:
-            inv = pow(prefix, -1, p)
-            mix.append((inv, *(-r * inv % p for r in radix)))
-            radix.append(prefix)
-            prefix *= p
-        half, rest = [], prefix // 2
-        for p in primes:
-            rest, digit = divmod(rest, p)
-            half.append(digit)
-        got = _GarnerConsts(tuple(mix), tuple(half),
-                            np.array([r % (1 << 64) for r in radix],
-                                     dtype=np.uint64),
-                            np.uint64(prefix % (1 << 64)))
-        _GARNER_CACHE[primes] = got
-    return got
+    mix, radix, prefix = [], [], 1
+    for p in primes:
+        inv = pow(prefix, -1, p)
+        mix.append((inv, *(-r * inv % p for r in radix)))
+        radix.append(prefix)
+        prefix *= p
+    half, rest = [], prefix // 2
+    for p in primes:
+        rest, digit = divmod(rest, p)
+        half.append(digit)
+    return _GarnerConsts(tuple(mix), tuple(half),
+                         np.array([r % (1 << 64) for r in radix],
+                                  dtype=np.uint64),
+                         np.uint64(prefix % (1 << 64)))
 
 
 def _garner(primes: tuple[int, ...], rows: np.ndarray):
@@ -296,7 +277,7 @@ def _garner(primes: tuple[int, ...], rows: np.ndarray):
     return digits, above
 
 
-class Lifted(Sequence):
+class Lifted:
     """Centered representatives of a coefficient-domain element.
 
     Kept as the Garner mixed-radix digits of [x]_q in [0, q), so that
@@ -305,7 +286,8 @@ class Lifted(Sequence):
     i is (x_i - sum_{j<i} d_j r_j) * r_i^-1 mod p_i for the radices
     r_j = p_0 ... p_{j-1}: one dot product over int64 rows and one
     reduction. The digits compare lexicographically (most significant
-    first) as the integers do. Python integers are built only on request.
+    first) as the integers do. Integers are built only on request
+    (`ints`, `tolist`, `wrapped64`).
     """
 
     def __init__(self, params: RingParams, residues: np.ndarray):
@@ -315,24 +297,6 @@ class Lifted(Sequence):
 
     def __len__(self) -> int:
         return self.params.n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.tolist()[i]
-        v = 0
-        for d, p in zip(self.digits[::-1, i].tolist(), self.params.primes[::-1]):
-            v = v * p + d
-        return v - self.params.q if self.neg[i] else v
-
-    def __eq__(self, other):
-        if isinstance(other, Lifted):
-            return (self.params == other.params
-                    and np.array_equal(self.residues, other.residues))
-        if isinstance(other, Sequence):
-            return self.tolist() == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
     def ints(self) -> np.ndarray:
         """The centered integers: int64 when q < 2^62, else Python ints.

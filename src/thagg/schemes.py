@@ -3,10 +3,12 @@
 Only additions are supported homomorphically; both schemes share the
 public-key and encryption shape, sampling encryption randomness u from the
 ternary distribution. No slot packing: plaintext coefficients carry values
-directly. The decryption tails (`bfv_round`, `ckks_scale_down`) work on
-exact integers from the Garner digits of the CRT lift; nothing in the
-decrypt path touches floats. The encoders turn float64 arrays, and only
-those, into integers (or RNS residues) with exact vector steps.
+directly. The encoders turn float64 arrays, and only those, into a
+`Plaintext`: one RNS element, built with exact vector steps. The
+decryption tails work on exact integers from the Garner digits of the CRT
+lift; nothing in the decrypt path touches floats. `bfv_round` gives the
+centered integers mod t, and the opened value comes out as `Ratios`
+(`decode_fixed` for BFV, `ckks_scale_down` for CKKS).
 
 Keys and the opened value come from the threshold protocol (`threshold`).
 The single-key generation and decryption path is a reference
@@ -15,7 +17,7 @@ implementation kept with the tests (`tests/oracles.py`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -72,34 +74,14 @@ class PublicKey:
 
 @dataclass
 class Plaintext:
-    """Integer plaintext coefficients.
+    """The plaintext coefficients as one coefficient-domain RNS element.
 
-    BFV: centered integers mod t. CKKS: round(scale * value), so the values
-    are coeffs / scale. `coeffs` is an int64 array, or Python ints
-    (dtype object) when some value does not fit. An encoding of floats
-    beyond int64 (always, for CKKS) is built straight as its RNS `element`;
-    its integers are lifted from that on request. A batch from the encoders
-    has coeffs of shape (B, n) or an element of shape (B, limbs, n); it is
-    input to `encrypt` only.
+    BFV: centered integers mod t. CKKS: round(delta * value). A batch from
+    the encoders has an element of shape (B, limbs, n).
     """
 
     scheme: str
-    coeffs: np.ndarray | None = None
-    scale: int = 1
-    element: rg.RingElement | None = field(default=None, repr=False)
-
-    def ints(self) -> np.ndarray:
-        """The integer coefficients, lifted from `element` on first use."""
-        if self.coeffs is None:
-            self.coeffs = rg.crt_lift(self.element).ints()
-        return self.coeffs
-
-    @property
-    def values(self) -> list | Ratios:
-        """BFV: the integers as a list. CKKS: the rationals coeffs / scale."""
-        if self.scheme == BFV:
-            return [int(v) for v in self.ints()]
-        return Ratios(self.ints(), self.scale)
+    element: rg.RingElement
 
 
 @dataclass
@@ -204,8 +186,8 @@ def encode_fixed(values: np.ndarray, scale_bits: int,
     """Quantize reals onto the grid 2^-scale_bits as BFV plaintext integers.
 
     Rejects inputs that could wrap mod t once kappa clients' contributions
-    are aggregated. Values whose scaled magnitude does not fit int64 are
-    built straight as their RNS `element`. A (B, n) array encodes a batch.
+    are aggregated. Values whose scaled magnitude does not fit int64 go
+    straight to their residues. A (B, n) array encodes a batch.
     """
     if params.scheme != BFV:
         raise PlaintextRangeError("fixed-point encoding targets BFV")
@@ -217,16 +199,16 @@ def encode_fixed(values: np.ndarray, scale_bits: int,
             f"{width} * 2^{scale_bits} * |{float(biggest):.4g}| >= t/2; "
             "lower scale_bits or raise t")
     if two_p * biggest < 1 << 62:  # the range scaled_round_array needs
-        return Plaintext(scheme=BFV,
-                         coeffs=scaled_round_array(values, scale_bits))
+        return Plaintext(BFV, rg.from_coeffs(
+            params.ring, scaled_round_array(values, scale_bits)))
     res = scaled_round_residues(values, scale_bits, params.ring.primes)
-    return Plaintext(scheme=BFV,
-                     element=rg.RingElement(params.ring, res, rg.COEFF))
+    return Plaintext(BFV, rg.RingElement(params.ring, res, rg.COEFF))
 
 
-def decode_fixed(pt: Plaintext, scale_bits: int, parties: int) -> Ratios:
-    """Undo the fixed-point grid and the aggregation width (sum -> average)."""
-    return Ratios(pt.ints(), (1 << scale_bits) * parties)
+def decode_fixed(coeffs: np.ndarray, scale_bits: int, parties: int) -> Ratios:
+    """Undo the fixed-point grid and the aggregation width (sum -> average)
+    of opened plaintext integers (`bfv_round`)."""
+    return Ratios(coeffs, (1 << scale_bits) * parties)
 
 
 def encode_real(values: np.ndarray, params: SchemeParams) -> Plaintext:
@@ -245,18 +227,7 @@ def encode_real(values: np.ndarray, params: SchemeParams) -> Plaintext:
             "would leave the message space setup sized q for")
     shift = params.delta.bit_length() - 1  # delta is a power of two
     res = scaled_round_residues(values, shift, params.ring.primes)
-    return Plaintext(scheme=CKKS, scale=params.delta,
-                     element=rg.RingElement(params.ring, res, rg.COEFF))
-
-
-def _message_element(params: SchemeParams, pt: Plaintext) -> rg.RingElement:
-    """Delta*m as a ring element, without materializing big integers for BFV."""
-    msg = pt.element
-    if msg is None:
-        msg = rg.from_coeffs(params.ring, pt.coeffs)
-    if params.scheme == BFV:
-        return rg.mul_scalar(msg, params.delta)
-    return msg
+    return Plaintext(CKKS, rg.RingElement(params.ring, res, rg.COEFF))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +249,9 @@ def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext,
     if pt.scheme != params.scheme:
         raise PlaintextRangeError(
             f"plaintext is {pt.scheme}, params are {params.scheme}")
-    msg = _message_element(params, pt)
+    msg = pt.element
+    if params.scheme == BFV:
+        msg = rg.mul_scalar(msg, params.delta)
     if u is None:
         u = rg.sample_ternary(params.ring, rng)
     if e0 is None:
@@ -304,9 +277,10 @@ def add(ct: Ciphertext, other: Ciphertext) -> Ciphertext:
                       scheme=ct.scheme, adds_consumed=spent, kappa=ct.kappa)
 
 
-def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
+def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> np.ndarray:
     """[floor(t*x/q + 1/2)]_t, exact, centered output, with q the modulus
-    the lift was taken at (a collective decryption's switched q').
+    the lift was taken at (a collective decryption's switched q'). The
+    integers are int64, or Python ints (dtype object) for t > 2^63.
 
     For power-of-two t <= 2^62, write t*x = q*k + r with r the centered
     [t*x]_q. Since q is odd, |r| < q/2, so k = round(t*x/q) and
@@ -323,14 +297,14 @@ def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
             rg.RingElement(ring, lifted.residues), t).residues)
         k = (np.uint64(0) - tx.wrapped64()) * np.uint64(pow(q, -1, t))
         m = (k & np.uint64(t - 1)).astype(np.int64)
-        return Plaintext(scheme=BFV, coeffs=np.where(m > t // 2, m - t, m))
+        return np.where(m > t // 2, m - t, m)
     m = (2 * t * lifted.ints().astype(object) + q) // (2 * q) % t
     m = np.where(m > t // 2, m - t, m)
-    return Plaintext(scheme=BFV, coeffs=m if t > 1 << 63 else m.astype(np.int64))
+    return m if t > 1 << 63 else m.astype(np.int64)
 
 
-def ckks_scale_down(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
-    """The lifted integers over delta; the values are their quotients.
+def ckks_scale_down(params: SchemeParams, lifted: rg.Lifted) -> Ratios:
+    """The lifted integers over delta, as the rationals they encode.
 
     A lift at a switched q' = q/D is scaled back by D first: the value is
     x * D / delta, an integer numerator over the power-of-two delta.
@@ -338,5 +312,4 @@ def ckks_scale_down(params: SchemeParams, lifted: rg.Lifted) -> Plaintext:
     if params.scheme != CKKS:
         raise PlaintextRangeError("ckks_scale_down needs CKKS parameters")
     drop = params.ring.q // lifted.params.q
-    return Plaintext(scheme=CKKS, coeffs=int_times(lifted.ints(), drop),
-                     scale=params.delta)
+    return Ratios(int_times(lifted.ints(), drop), params.delta)

@@ -8,6 +8,8 @@ Each oracle takes its own route to its answer:
   noise probe `noise_of`, which reads the secret key;
 - `ring_mul_schoolbook`, the O(n^2) negacyclic convolution that never
   calls the NTT, and `inf_norm` over centered coefficients;
+- `from_ints`, a ring element from Python integers of any size, reduced
+  one `int(c) % p` at a time (`ring.from_coeffs` takes int64 arrays only);
 - `reconstruct_ideal_key`, the sum of all key shares, which no protocol
   party may ever hold;
 - `uniform_below`, one exact rejection draw at a time from an `Xof`.
@@ -24,7 +26,7 @@ import numpy as np
 
 from thagg import ring as rg
 from thagg.errors import DomainMismatchError, PlaintextRangeError
-from thagg.exact import int_array
+from thagg.exact import Ratios, int_array
 from thagg.ntt import select_primes
 from thagg.ring import _check_pair
 from thagg.rng import Xof
@@ -64,6 +66,16 @@ def uniform_below(rng: Xof, m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # ring
+
+
+def from_ints(params: rg.RingParams, values) -> rg.RingElement:
+    """The coefficient-domain element with these n integers (any size, any
+    sign) as its coefficients."""
+    if len(values) != params.n:
+        raise ValueError(
+            f"expected {params.n} coefficients, got {len(values)}")
+    rows = [[int(c) % p for c in values] for p in params.primes]
+    return rg.RingElement(params, np.array(rows, dtype=np.int64), rg.COEFF)
 
 
 def inf_norm(coeffs) -> int:
@@ -142,7 +154,7 @@ def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
     if outside.any():
         v = int(vals[outside.argmax()])
         raise PlaintextRangeError(f"value {v} outside (-t/2, t/2] for t={t}")
-    return Plaintext(scheme=BFV, coeffs=vals)
+    return Plaintext(BFV, from_ints(params.ring, vals.tolist()))
 
 
 def decryption_phase(params: SchemeParams, sk: SecretKey,
@@ -151,13 +163,13 @@ def decryption_phase(params: SchemeParams, sk: SecretKey,
     return rg.crt_lift(rg.ring_add(ct.c0, rg.ring_mul(ct.c1, sk.s)))
 
 
-def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
+def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
     if ct.scheme != BFV or params.scheme != BFV:
         raise PlaintextRangeError("dec_bfv needs a BFV ciphertext")
     return bfv_round(params, decryption_phase(params, sk, ct))
 
 
-def dec_ckks(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
+def dec_ckks(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Ratios:
     if ct.scheme != CKKS or params.scheme != CKKS:
         raise PlaintextRangeError("dec_ckks needs a CKKS ciphertext")
     return ckks_scale_down(params, decryption_phase(params, sk, ct))
@@ -166,11 +178,10 @@ def dec_ckks(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Plaintext:
 def noise_of(params: SchemeParams, sk: SecretKey, ct: Ciphertext,
              reference_pt: Plaintext) -> int:
     """Infinity norm of [c0 + c1*s - delta*m]_q; reads the secret key."""
-    lifted = decryption_phase(params, sk, ct)
+    lifted = decryption_phase(params, sk, ct).tolist()
+    target = rg.crt_lift(reference_pt.element).tolist()
     if params.scheme == BFV:
-        target = [params.delta * int(v) for v in reference_pt.ints()]
-    else:
-        target = [int(v) for v in reference_pt.ints()]
+        target = [params.delta * v for v in target]
     q, half = params.ring.q, params.ring.half_q
     worst = 0
     for x, m in zip(lifted, target):

@@ -55,7 +55,7 @@ def criterion(num, name):
 
 def big_convolution(params, a, b):
     n, q = params.n, params.q
-    av, bv = rg.crt_lift(a), rg.crt_lift(b)
+    av, bv = rg.crt_lift(a).tolist(), rg.crt_lift(b).tolist()
     acc = [0] * n
     for i in range(n):
         ai = av[i]
@@ -83,7 +83,7 @@ def test_c1_oracle_equivalence():
                 fast = rg.ring_mul(a, b)
                 slow = ring_mul_schoolbook(a, b)
                 assert np.array_equal(fast.residues, slow.residues)
-                lifted = [v % params.q for v in rg.crt_lift(fast)]
+                lifted = [v % params.q for v in rg.crt_lift(fast).tolist()]
                 assert lifted == big_convolution(params, a, b)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f} s, budget 10 s"
@@ -127,7 +127,7 @@ def test_c3_single_key_roundtrips():
                     for _ in range(n)]
             pt = bfv_plaintext(params, vals)
             ct = encrypt(params, pk, pt, root.child(f"enc/{i}"))
-            assert dec_bfv(params, sk, ct).values == vals
+            assert dec_bfv(params, sk, ct).tolist() == vals
 
 
 SWEEP = [(n, parties, lam)

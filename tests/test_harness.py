@@ -134,7 +134,7 @@ def test_input_step_chunk_shapes_and_zero_vector():
     summed = aggregator_eval_step([cts, other])
     opened = output_step(cfg, art.params, art.clients, summed, art.report,
                          root, 0, bus)
-    assert opened == [Fraction(0)] * cfg.model_size
+    assert list(opened) == [Fraction(0)] * cfg.model_size
 
 
 def test_eval_step_identity_and_mismatch():
@@ -957,6 +957,58 @@ def test_cli_region_csv(tmp_path, capsys):
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == "log2_t,log2_eps_inv,winner,qmin_mbfv_bits,qmin_mckks_bits"
     assert len(lines) == 1 + 25
+
+
+@pytest.mark.parametrize("flags, complaint", [
+    (["--t-bits", "0:1"], "log2 t must be >= 1"),  # t = 1, which setup refuses
+    (["--t-bits=-2:0"], "log2 t must be >= 1"),
+    (["--eps-bits=-1:0"], "log2 eps_inv must be >= 0"),
+    (["--t-bits", "1:2", "--eps-bits", "0:1"], None),  # the lowest usable
+])
+def test_cli_region_rejects_unusable_grid_bounds(flags, complaint, tmp_path,
+                                                 capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(GOOD_CONFIG)
+    rc = cli.main(["region", "-c", str(cfg_path), *flags])
+    captured = capsys.readouterr()
+    if complaint is None:
+        assert rc == 0 and captured.out.count("\n") == 1 + 4
+    else:
+        assert rc == 2
+        assert captured.err.startswith("rejected: ")
+        assert complaint in captured.err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("plan", []),
+    ("region", ["--t-bits", "8:9", "--eps-bits", "8:9"]),
+    ("run", []),
+    ("bench", ["--parties", "1", "--repeats", "1"]),
+])
+def test_cli_output_write_failure_is_a_rejection(command, flags, tmp_path,
+                                                 capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(GOOD_CONFIG)
+    blocker = tmp_path / "file"  # a regular file, so nothing fits under it
+    blocker.write_text("")
+    if command == "run":  # the output directory is made before the protocol
+        monkeypatch.setattr("thagg.cli.run_protocol",
+                            lambda cfg: pytest.fail("the protocol ran"))
+    rc = cli.main([command, "-c", str(cfg_path), *flags,
+                   "-o", str(blocker / "out")])
+    assert rc == 2
+    last = capsys.readouterr().err.splitlines()[-1]  # bench reports first
+    assert last.startswith("rejected: cannot ") and str(blocker) in last
+
+
+def test_cli_run_artifact_write_failure_is_a_rejection(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(GOOD_CONFIG)
+    outdir = tmp_path / "run"
+    (outdir / "transcript.txt").mkdir(parents=True)  # a directory: no write
+    assert cli.main(["run", "-c", str(cfg_path), "-o", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: cannot write to ")
 
 
 def test_cli_protocol_failure_maps_to_exit_3(tmp_path, monkeypatch):

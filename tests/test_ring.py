@@ -15,7 +15,6 @@ from thagg.ring import (
     NoiseSpec,
     RingParams,
     crt_lift,
-    from_coeffs,
     from_ntt,
     ring_add,
     ring_mul,
@@ -32,7 +31,7 @@ from thagg.ring import (
 )
 from thagg.rng import Xof
 
-from oracles import inf_norm, ring_mul_schoolbook, uniform_below
+from oracles import from_ints, inf_norm, ring_mul_schoolbook, uniform_below
 
 
 def params_for(n, bits=17, count=1):
@@ -52,7 +51,7 @@ def rand_element(params, seed):
 def big_convolution_oracle(params, a, b):
     """Integer negacyclic convolution of lifted representatives, mod (x^n+1, q)."""
     n, q = params.n, params.q
-    av, bv = crt_lift(a), crt_lift(b)
+    av, bv = crt_lift(a).tolist(), crt_lift(b).tolist()
     acc = [0] * n
     for i in range(n):
         for j in range(n):
@@ -79,9 +78,9 @@ def test_add_identity_and_inverse():
 def test_add_matches_bigint_oracle():
     params = params_for(8, bits=17, count=2)
     a, b = rand_element(params, 2), rand_element(params, 3)
-    got = crt_lift(ring_add(a, b))
+    got = crt_lift(ring_add(a, b)).tolist()
     q, half = params.q, params.half_q
-    for g, x, y in zip(got, crt_lift(a), crt_lift(b)):
+    for g, x, y in zip(got, crt_lift(a).tolist(), crt_lift(b).tolist()):
         v = (x + y) % q
         if v > half:
             v -= q
@@ -104,15 +103,15 @@ def test_add_rejects_mismatches():
 def test_mul_identity():
     params = params_for(8)
     a = rand_element(params, 4)
-    identity = from_coeffs(params, [1] + [0] * (params.n - 1))
+    identity = from_ints(params, [1] + [0] * (params.n - 1))
     assert np.array_equal(ring_mul(a, identity).residues, a.residues)
 
 
 def test_negacyclic_wraparound():
     # x^3 * x = x^4 = -1 at n=4: the constant polynomial p-1 in each limb.
     params = params_for(4)
-    x3 = from_coeffs(params, [0, 0, 0, 1])
-    x1 = from_coeffs(params, [0, 1, 0, 0])
+    x3 = from_ints(params, [0, 0, 0, 1])
+    x1 = from_ints(params, [0, 1, 0, 0])
     prod = ring_mul(x3, x1)
     expect = np.zeros_like(prod.residues)
     expect[:, 0] = np.array(params.primes) - 1
@@ -122,8 +121,8 @@ def test_negacyclic_wraparound():
 def test_schoolbook_hand_convolution():
     # (1 + x) * x = x + x^2 at n=4 over the single prime 17.
     params = RingParams.create(4, (17,))
-    a = from_coeffs(params, [1, 1, 0, 0])
-    b = from_coeffs(params, [0, 1, 0, 0])
+    a = from_ints(params, [1, 1, 0, 0])
+    b = from_ints(params, [0, 1, 0, 0])
     c = ring_mul_schoolbook(a, b)
     assert c.residues.tolist() == [[0, 1, 1, 0]]
 
@@ -148,7 +147,7 @@ def test_ntt_equals_schoolbook_and_bigint(n):
         fast = ring_mul(a, b)
         slow = ring_mul_schoolbook(a, b)
         assert np.array_equal(fast.residues, slow.residues)
-        lifted = [v % params.q for v in crt_lift(fast)]
+        lifted = [v % params.q for v in crt_lift(fast).tolist()]
         assert lifted == big_convolution_oracle(params, a, b)
 
 
@@ -221,8 +220,8 @@ def test_expansion_factor_bound():
         a = sample_ternary(params, rng)
         b = sample_gaussian(params, spec, rng)
         prod = ring_mul(a, b)
-        na, nb = inf_norm(crt_lift(a)), inf_norm(crt_lift(b))
-        assert inf_norm(crt_lift(prod)) <= params.n * na * nb
+        na, nb = inf_norm(crt_lift(a).tolist()), inf_norm(crt_lift(b).tolist())
+        assert inf_norm(crt_lift(prod).tolist()) <= params.n * na * nb
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +236,14 @@ def test_crt_lift_roundtrip():
         coeffs = [uniform_below(rng, params.q) - half for _ in range(params.n)]
         # shift into the canonical window (-q/2, q/2]
         coeffs = [c + params.q if c <= -half else c for c in coeffs]
-        assert crt_lift(from_coeffs(params, coeffs)) == coeffs
+        assert crt_lift(from_ints(params, coeffs)).tolist() == coeffs
 
 
 def test_crt_lift_single_prime_is_center_shift():
     params = RingParams.create(4, (17,))
-    el = from_coeffs(params, [0, 5, 9, 16])
+    el = from_ints(params, [0, 5, 9, 16])
     # 9 > 17/2 -> 9-17 = -8; 16 -> -1
-    assert crt_lift(el) == [0, 5, -8, -1]
+    assert crt_lift(el).tolist() == [0, 5, -8, -1]
 
 
 def test_crt_lift_two_prime_hand_case():
@@ -253,7 +252,7 @@ def test_crt_lift_two_prime_hand_case():
     el = zero(params)
     el.residues[0, 0] = 16
     el.residues[1, 0] = 96
-    assert crt_lift(el)[0] == -1
+    assert crt_lift(el).tolist()[0] == -1
 
 
 def test_inf_norm():
@@ -261,7 +260,7 @@ def test_inf_norm():
     assert inf_norm([-3, 2, 1]) == 3
     params = params_for(8)
     t = sample_ternary(params, Xof.from_seed("t"))
-    assert inf_norm(crt_lift(t)) <= 1
+    assert inf_norm(crt_lift(t).tolist()) <= 1
     rng = Xof.from_seed("norm")
     vals = [uniform_below(rng, 10**12) - 5 * 10**11 for _ in range(64)]
     assert inf_norm(vals) == max(abs(v) for v in vals)
@@ -308,7 +307,7 @@ def test_uniform_mean():
     total, count = 0, 0
     for _ in range(10_000 // 16):
         el = sample_uniform(params, rng)
-        for v in crt_lift(el):
+        for v in crt_lift(el).tolist():
             total += v % params.q
             count += 1
     mean = total / count
@@ -321,7 +320,7 @@ def test_ternary_support_and_frequencies():
     rng = Xof.from_seed("ternary-stats")
     counts = {-1: 0, 0: 0, 1: 0}
     for _ in range(100_000 // 1024 + 1):
-        for v in crt_lift(sample_ternary(params, rng)):
+        for v in crt_lift(sample_ternary(params, rng)).tolist():
             assert v in counts
             counts[v] += 1
     total = sum(counts.values())
@@ -335,7 +334,7 @@ def test_gaussian_support_and_variance():
     rng = Xof.from_seed("gauss-stats")
     total_sq, count, seen_max = 0, 0, 0
     for _ in range(100_000 // 1024 + 1):
-        for v in crt_lift(sample_gaussian(params, spec, rng)):
+        for v in crt_lift(sample_gaussian(params, spec, rng)).tolist():
             assert -19 <= v <= 19
             total_sq += v * v
             count += 1
@@ -364,7 +363,7 @@ def test_smudging_support_and_mean():
     rng = Xof.from_seed("smudge-stats")
     total, count = 0, 0
     for _ in range(10_000 // 16):
-        for v in crt_lift(sample_smudging(params, bound, rng)):
+        for v in crt_lift(sample_smudging(params, bound, rng)).tolist():
             assert abs(v) <= bound
             total += v
             count += 1
@@ -375,7 +374,8 @@ def test_smudging_support_and_mean():
 
 def test_smudging_zero_bound():
     params = params_for(8)
-    assert crt_lift(sample_smudging(params, 0, Xof.from_seed(1))) == [0] * 8
+    zeros = sample_smudging(params, 0, Xof.from_seed(1))
+    assert crt_lift(zeros).tolist() == [0] * 8
 
 
 def test_sampler_reproducibility():

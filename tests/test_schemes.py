@@ -32,6 +32,7 @@ from oracles import (
     bfv_plaintext,
     dec_bfv,
     dec_ckks,
+    from_ints,
     inf_norm,
     noise_of,
     primes_for,
@@ -213,7 +214,7 @@ def test_pubkey_noise_bound_and_zero_noise_hook():
     sk = seckeygen(params, rng.child("sk"))
     pk = pubkeygen(params, sk, rng.child("pk"))
     resid = rg.ring_add(rg.from_ntt(pk.p0), rg.ring_mul(sk.s, pk.p1))
-    assert inf_norm(rg.crt_lift(resid)) <= int(params.noise.bound)
+    assert inf_norm(rg.crt_lift(resid).tolist()) <= int(params.noise.bound)
 
     quiet = pubkeygen(params, sk, rng.child("pk2"), e=rg.zero(params.ring))
     resid0 = rg.ring_add(rg.from_ntt(quiet.p0), rg.ring_mul(sk.s, quiet.p1))
@@ -227,7 +228,7 @@ def test_pubkey_p1_is_uniformish():
         rng = Xof.from_seed(f"pk-uniform-{i}")
         sk = seckeygen(params, rng.child("sk"))
         pk = pubkeygen(params, sk, rng.child("pk"))
-        for v in rg.crt_lift(rg.from_ntt(pk.p1)):
+        for v in rg.crt_lift(rg.from_ntt(pk.p1)).tolist():
             total += v % params.ring.q
             count += 1
     q = params.ring.q
@@ -268,19 +269,20 @@ def test_bfv_roundtrip():
         vals = [uniform_below(rng, params.t) - params.t // 2 for _ in range(params.ring.n)]
         pt = bfv_plaintext(params, vals)
         ct = encrypt(params, pk, pt, rng.child(f"e{i}"))
-        assert dec_bfv(params, sk, ct).values == pt.values
+        assert (dec_bfv(params, sk, ct).tolist()
+                == rg.crt_lift(pt.element).tolist())
 
 
 def test_bfv_noiseless_ciphertext_decrypts_exactly():
     params = small_bfv()
     sk, _ = keypair(params)
     vals = [5, -3] + [0] * (params.ring.n - 2)
-    msg = rg.mul_scalar(rg.from_coeffs(params.ring, vals), params.delta)
+    msg = rg.mul_scalar(from_ints(params.ring, vals), params.delta)
     from thagg.schemes import Ciphertext
 
     ct = Ciphertext(c0=msg, c1=rg.zero(params.ring), scheme=BFV,
                     adds_consumed=0, kappa=params.kappa)
-    assert dec_bfv(params, sk, ct).values == vals
+    assert dec_bfv(params, sk, ct).tolist() == vals
 
 
 def test_planted_noise_boundary_is_tight():
@@ -291,10 +293,10 @@ def test_planted_noise_boundary_is_tight():
     from thagg.schemes import Ciphertext
 
     def dec_first(e):
-        c0 = rg.from_coeffs(params.ring, [e] + [0] * (n - 1))
+        c0 = from_ints(params.ring, [e] + [0] * (n - 1))
         ct = Ciphertext(c0=c0, c1=rg.zero(params.ring), scheme=BFV,
                         adds_consumed=0, kappa=params.kappa)
-        return dec_bfv(params, sk, ct).values[0]
+        return dec_bfv(params, sk, ct).tolist()[0]
 
     below = q // (2 * t)          # t*e/q < 1/2 -> still decrypts to 0
     above = q // (2 * t) + 1      # t*e/q >= 1/2 -> rounds away
@@ -312,7 +314,8 @@ def test_bfv_exhaustive_tiny_plaintext_space():
         for m in range(lo, t // 2 + 1):
             pt = bfv_plaintext(params, [m, 0, 0, 0])
             ct = encrypt(params, pk, pt, rng.child(str(m)))
-            assert dec_bfv(params, sk, ct).values == pt.values
+            assert (dec_bfv(params, sk, ct).tolist()
+                    == rg.crt_lift(pt.element).tolist())
 
 
 def test_ckks_noiseless_roundtrip_and_fresh_error():
@@ -325,14 +328,14 @@ def test_ckks_noiseless_roundtrip_and_fresh_error():
     z = rg.zero(params.ring)
     quiet = encrypt(params, pk, pt, rng.child("q"), u=z, e0=z, e1=z)
     got = dec_ckks(params, sk, quiet)
-    for v, x in zip(got.values, w):
+    for v, x in zip(got, w):
         # only quantization remains
         assert abs(v - Fraction(x)) <= Fraction(1, 2 * params.delta)
 
     noisy = encrypt(params, pk, pt, rng.child("n"))
     got = dec_ckks(params, sk, noisy)
     eps = (2 * params.ring.n + 1) * params.noise.bound / params.delta
-    for v, x in zip(got.values, w):
+    for v, x in zip(got, w):
         assert abs(v - Fraction(x)) < eps + Fraction(1, 2 * params.delta)
 
 
@@ -353,7 +356,7 @@ def test_ckks_doubling_delta_halves_residual():
         pt = encode_real(w, params)
         ct = encrypt(params, pk, pt, rng, u=u, e0=e0, e1=e1)
         got = dec_ckks(params, sk, ct)
-        errs.append(max(abs(v - Fraction(1, 4)) for v in got.values))
+        errs.append(max(abs(v - Fraction(1, 4)) for v in got))
     ratio = errs[1] / errs[0]
     assert Fraction(2, 5) < ratio < Fraction(3, 5)
 
@@ -370,7 +373,7 @@ def test_add_identity_at_plaintext_level():
     ct = encrypt(params, pk, bfv_plaintext(params, vals), rng.child("a"))
     zero_ct = encrypt(params, pk, bfv_plaintext(params, [0] * params.ring.n),
                       rng.child("b"))
-    assert dec_bfv(params, sk, add(ct, zero_ct)).values == vals
+    assert dec_bfv(params, sk, add(ct, zero_ct)).tolist() == vals
 
 
 def test_sum_of_eight_decrypts_to_mod_t_sum():
@@ -388,7 +391,7 @@ def test_sum_of_eight_decrypts_to_mod_t_sum():
     acc = cts[0]
     for ct in cts[1:]:
         acc = add(acc, ct)
-    got = dec_bfv(params, sk, acc).values
+    got = dec_bfv(params, sk, acc).tolist()
     for j in range(n):
         expect = sum(m[j] for m in msgs) % t
         if expect > t // 2:
@@ -409,7 +412,7 @@ def test_noise_subadditivity():
     # mod-t reduction, so no range check applies here
     from thagg.schemes import Plaintext
 
-    sum_pt = Plaintext(scheme=BFV, coeffs=pts[0].coeffs + pts[1].coeffs)
+    sum_pt = Plaintext(BFV, rg.ring_add(pts[0].element, pts[1].element))
     lhs = noise_of(params, sk, summed, sum_pt)
     rhs = sum(noise_of(params, sk, ct, pt)
               for ct, pt in zip(cts, pts))
@@ -446,7 +449,7 @@ def test_exact_correctness_up_to_capacity():
         for ct in cts[1:]:
             acc = add(acc, ct)
         assert acc.adds_consumed == kappa
-        got = dec_bfv(params, sk, acc).values
+        got = dec_bfv(params, sk, acc).tolist()
         for j in range(n):
             expect = sum(m[j] for m in msgs) % t
             if expect > t // 2:
@@ -461,11 +464,11 @@ def test_exact_correctness_up_to_capacity():
 def test_encode_fixed_zero_and_dyadic():
     params = small_bfv(n=64, t=2**12 + 3, log2_q=28)
     zpt = encode_fixed(np.zeros(64), 10, params)
-    assert zpt.values == [0] * 64
+    assert rg.crt_lift(zpt.element).tolist() == [0] * 64
     pt = encode_fixed(np.full(64, 0.5), 10, params)
-    assert pt.values == [512] * 64
-    back = decode_fixed(pt, 10, 1)
-    assert back == [Fraction(1, 2)] * 64
+    assert rg.crt_lift(pt.element).tolist() == [512] * 64
+    back = decode_fixed(rg.crt_lift(pt.element).ints(), 10, 1)
+    assert list(back) == [Fraction(1, 2)] * 64
 
 
 def test_encode_fixed_quantization_error_bound():
@@ -475,7 +478,7 @@ def test_encode_fixed_quantization_error_bound():
                   for _ in range(64)])
     p = 9
     pt = encode_fixed(w, p, params)
-    back = decode_fixed(pt, p, 1)
+    back = decode_fixed(rg.crt_lift(pt.element).ints(), p, 1)
     for x, v in zip(w, back):
         assert abs(Fraction(x) - v) <= Fraction(1, 2 ** (p + 1))
 
@@ -499,8 +502,10 @@ def test_bfv_plaintext_rejects_non_integers():
         with pytest.raises(TypeError):
             bfv_plaintext(params, bad)
     ints = [2, -3, np.int64(128), 2**70 % 5] + [0] * 12
-    assert bfv_plaintext(params, ints).values == [2, -3, 128, 4] + [0] * 12
-    assert bfv_plaintext(params, np.arange(16)).values == list(range(16))
+    assert (rg.crt_lift(bfv_plaintext(params, ints).element).tolist()
+            == [2, -3, 128, 4] + [0] * 12)
+    assert (rg.crt_lift(bfv_plaintext(params, np.arange(16)).element).tolist()
+            == list(range(16)))
 
 
 # ---------------------------------------------------------------------------

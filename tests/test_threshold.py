@@ -51,6 +51,7 @@ from oracles import (
     bfv_plaintext,
     dec_bfv,
     decryption_phase,
+    from_ints,
     inf_norm,
     primes_for,
     pubkeygen,
@@ -133,7 +134,7 @@ def test_crs_p1_uniformish():
     total, count = 0, 0
     for i in range(300):
         crs = crs_expand(Xof.from_seed(f"crs-{i}").read(32), params)
-        for v in rg.crt_lift(rg.from_ntt(crs.p1)):
+        for v in rg.crt_lift(rg.from_ntt(crs.p1)).tolist():
             total += v % params.q
             count += 1
     se = params.q / (12**0.5) / count**0.5
@@ -158,7 +159,7 @@ def test_pk_share_noise_bound():
     bound = int(sess.params.noise.bound)
     for sh, pks in zip(sess.shares, sess.pkshares):
         resid = rg.ring_add(pks.p0, rg.ring_mul(sh.s, sess.crs.p1))
-        assert inf_norm(rg.crt_lift(resid)) <= bound
+        assert inf_norm(rg.crt_lift(resid).tolist()) <= bound
 
 
 @pytest.mark.parametrize("parties", [2, 4, 8])
@@ -167,7 +168,8 @@ def test_combined_pk_noise_scales_with_parties(parties):
     ideal = reconstruct_ideal_key(sess.params, sess.shares)
     resid = rg.ring_add(rg.from_ntt(sess.cpk.p0),
                         rg.ring_mul(ideal, sess.cpk.p1))
-    assert inf_norm(rg.crt_lift(resid)) <= parties * int(sess.params.noise.bound)
+    assert (inf_norm(rg.crt_lift(resid).tolist())
+            <= parties * int(sess.params.noise.bound))
 
 
 def test_combine_pk_single_party_degenerates_to_single_key():
@@ -201,7 +203,7 @@ def test_encrypt_under_cpk_ideal_key_roundtrip():
     pt = bfv_plaintext(params, vals)
     ct = encrypt(params, sess.cpk, pt, sess.root.child("enc"))
     ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
-    assert dec_bfv(params, ideal, ct).values == vals
+    assert dec_bfv(params, ideal, ct).tolist() == vals
 
 
 def test_every_key_is_returned_in_ntt_domain():
@@ -244,8 +246,8 @@ def test_ntt_keys_match_their_coefficient_copies(seed, scheme):
         return ct
 
     ct = encrypt_both(pk)
-    assert decryption_phase(params, sk, ct) == decryption_phase(
-        params, SecretKey(rg.from_ntt(sk.s)), ct)
+    assert decryption_phase(params, sk, ct).tolist() == decryption_phase(
+        params, SecretKey(rg.from_ntt(sk.s)), ct).tolist()
     ct = encrypt_both(sess.cpk)
     ct_ntt = replace(ct, c1=rg.to_ntt(ct.c1))  # as output_step uses it
     for sh in sess.shares:
@@ -377,7 +379,7 @@ def test_combine_decrypt_single_party_no_smudging_matches_single_key():
                            Xof.from_seed("p"), e_smg=rg.zero(params.ring))
     d = combine_decrypt(params, ct, [part], 1)
     single = decryption_phase(params, SecretKey(sess.shares[0].s), ct)
-    assert d == single
+    assert d.tolist() == single.tolist()
 
 
 def test_combine_decrypt_order_invariant_and_checked():
@@ -387,7 +389,7 @@ def test_combine_decrypt_order_invariant_and_checked():
     ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
     d, partials = open_ciphertext(sess, ct)
     d_rev = combine_decrypt(params, ct, list(reversed(partials)), 3)
-    assert d == d_rev
+    assert d.tolist() == d_rev.tolist()
     with pytest.raises(ShareSetError):
         combine_decrypt(params, ct, partials[:2], 3)
     with pytest.raises(ShareSetError):
@@ -412,7 +414,7 @@ def test_opened_noise_within_aggregate_bound():
     d, _ = open_ciphertext(sess, acc)
     q, half = params.ring.q, params.ring.half_q
     worst = 0
-    for x, m in zip(d, total):
+    for x, m in zip(d.tolist(), total):
         diff = (x - params.delta * m) % q
         if diff > half:
             diff -= q
@@ -445,15 +447,15 @@ def test_ideal_functionality_equivalence():
     smg_total = [0] * n
     for sh, part in zip(sess.shares, partials):
         e = rg.ring_sub(part.h, rg.ring_mul(sh.s, ct.c1))
-        smg_total = [a + b for a, b in zip(smg_total, rg.crt_lift(e))]
-    for x, y, s in zip(d, base, smg_total):
+        smg_total = [a + b for a, b in zip(smg_total, rg.crt_lift(e).tolist())]
+    for x, y, s in zip(d.tolist(), base.tolist(), smg_total):
         diff = (x - y - s) % q
         assert diff == 0
 
     quiet = [partial_decrypt(params, sh, ct, no_smudging(sess),
                              Xof.from_seed("q"), e_smg=rg.zero(params.ring))
              for sh in sess.shares]
-    assert combine_decrypt(params, ct, quiet, 3) == base
+    assert combine_decrypt(params, ct, quiet, 3).tolist() == base.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +466,9 @@ def test_finalize_bfv_noiseless_and_scheme_guard():
     sess = mk_session(MBFV, 64, 2, 0)
     params = sess.params
     vals = [7, -7] + [0] * (params.ring.n - 2)
-    d = rg.crt_lift(rg.from_coeffs(params.ring,
-                                   [params.delta * v for v in vals]))
-    assert bfv_round(params, d).values == vals
+    d = rg.crt_lift(from_ints(params.ring,
+                              [params.delta * v for v in vals]))
+    assert bfv_round(params, d).tolist() == vals
     with pytest.raises(PlaintextRangeError):
         ckks_scale_down(params, d)
 
@@ -483,26 +485,26 @@ def test_finalize_ckks_noiseless_exact():
     sess = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=12)
     params = sess.params
     # setup's headroom covers |m| <= 1, so +-delta is a value d can take
-    d = rg.crt_lift(rg.from_coeffs(
+    d = rg.crt_lift(from_ints(
         params.ring, [params.delta, -params.delta] + [0] * (params.ring.n - 2)))
-    pt = ckks_scale_down(params, d)
-    assert pt.values[0] == 1 and pt.values[1] == -1
+    got = ckks_scale_down(params, d)
+    assert got[0] == 1 and got[1] == -1
 
 
 def test_finalize_ckks_doubling_delta_halves_residual():
     sess = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=12)
     params = sess.params
     noise = list(range(1000, 1000 + params.ring.n))
-    d1 = rg.crt_lift(rg.from_coeffs(params.ring,
-                                    [params.delta * 1 + e for e in noise]))
-    err1 = max(abs(v - 1) for v in ckks_scale_down(params, d1).values)
+    d1 = rg.crt_lift(from_ints(params.ring,
+                               [params.delta * 1 + e for e in noise]))
+    err1 = max(abs(v - 1) for v in ckks_scale_down(params, d1))
     # same additive noise at twice the scale
     sess2 = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=13)
     params2 = sess2.params
     assert params2.delta == 2 * params.delta
-    d2 = rg.crt_lift(rg.from_coeffs(params2.ring,
-                                    [params2.delta * 1 + e for e in noise]))
-    err2 = max(abs(v - 1) for v in ckks_scale_down(params2, d2).values)
+    d2 = rg.crt_lift(from_ints(params2.ring,
+                               [params2.delta * 1 + e for e in noise]))
+    err2 = max(abs(v - 1) for v in ckks_scale_down(params2, d2))
     assert err2 == err1 / 2
 
 
@@ -528,7 +530,7 @@ def test_threshold_bfv_exact_small_sweep():
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
         d = combine_decrypt(params, agg, partials, 2)
-        got = bfv_round(params, d).values
+        got = bfv_round(params, d).tolist()
         for j in range(n):
             expect = (msgs[0][j] + msgs[1][j]) % t
             if expect > t // 2:
@@ -563,7 +565,7 @@ def test_threshold_ckks_accuracy_small_sweep():
         got = ckks_scale_down(params, d)
         for j in range(n):
             truth = sum(Fraction(w[j]) for w in streams) / parties
-            assert abs(got.values[j] - truth) < eps
+            assert abs(got[j] - truth) < eps
 
 
 def centered_mod(v, q):
@@ -610,7 +612,8 @@ def open_switched_session(sess, rng):
     ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
     full = decryption_phase(params, ideal, full_acc).ints().astype(object)
     full = full + sum(rg.crt_lift(e).ints().astype(object) for e in smudging)
-    message = sum(pt.ints().astype(object) for pt in pts)
+    message = sum(rg.crt_lift(pt.element).ints().astype(object)
+                  for pt in pts)
     if params.scheme == BFV:
         message = message * params.delta
     opened = d.ints().astype(object) * drop  # d' read back at q
@@ -620,10 +623,10 @@ def open_switched_session(sess, rng):
     assert max(abs(centered_mod(opened - message, q))) <= b.b_ct_mp
 
     if params.scheme == BFV:
-        got = bfv_round(params, d).values
+        got = bfv_round(params, d).tolist()
         assert got == [sum(col) for col in zip(*msgs)]
     else:
-        got = ckks_scale_down(params, d).values
+        got = ckks_scale_down(params, d)
         eps = b.b_ct_mp / params.delta
         for j in range(n):
             truth = sum(Fraction(w[j]) for w in streams) / parties
@@ -665,4 +668,4 @@ def test_combine_decrypt_refuses_full_q_c0():
         combine_decrypt(params, ct, partials, 3)
     assert isinstance(info.value, ProtocolFailure)  # exit 3
     d = combine_decrypt(params, switch_c0(params, ct), partials, 3)
-    assert bfv_round(params, d).values == [1] * 1024
+    assert bfv_round(params, d).tolist() == [1] * 1024
