@@ -41,6 +41,16 @@ def _emit(text: str, path: str | None) -> None:
         raise ConfigRejection(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path: str | None) -> None:
+    """Reject an output file that cannot be opened, before any long run.
+    Append mode leaves an existing file as it is."""
+    if path:
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise ConfigRejection(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_range(spec: str) -> range:
     try:
         lo, hi = spec.split(":")
@@ -107,8 +117,9 @@ def cmd_bench(args) -> int:
         ) from exc
     if args.repeats < 1:
         raise ConfigRejection(f"--repeats must be >= 1, got {args.repeats}")
-    # check every party count before running any of them
+    # check every party count and the output before running any of them
     sweep = [with_parties(cfg, count) for count in parties]
+    _check_writable(args.output)
     rows = []
     for run_cfg in sweep:
         best = None

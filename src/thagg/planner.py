@@ -42,6 +42,7 @@ from math import prod
 from .errors import ConfigError, UnknownRingDegreeError
 from .exact import ceil_log2, frac, frac_log2, floor_frac, min_q_bits
 from .ntt import select_primes
+from .ring import MAX_NOISE_BOUND
 
 MBFV = "mbfv"
 MCKKS = "mckks"
@@ -100,6 +101,10 @@ class PlanInputs:
         if bound < sigma:  # the sampler's `ring.NoiseSpec` needs it too
             raise ConfigError(
                 f"noise_bound {bound} must be >= sigma {sigma}")
+        if bound >= MAX_NOISE_BOUND + 1:  # and so does its table
+            raise ConfigError(
+                f"noise_bound {bound} must be below {MAX_NOISE_BOUND + 1}, "
+                f"the Gaussian sampler's table limit")
         return cls(n=n, parties=parties, sigma=sigma, bound=bound, lam=lam,
                    t_bits=t_bits, eps_inv_bits=eps_inv_bits)
 

@@ -12,7 +12,12 @@ Each oracle takes its own route to its answer:
   one `int(c) % p` at a time (`ring.from_coeffs` takes int64 arrays only);
 - `reconstruct_ideal_key`, the sum of all key shares, which no protocol
   party may ever hold;
-- `uniform_below`, one exact rejection draw at a time from an `Xof`.
+- `uniform_below`, one exact rejection draw at a time from an `Xof`;
+- `cdt_gaussian`, the plain 64-bit cumulative-table lookup one sample at
+  a time, in the stream layout of `ring.sample_gaussian`, and
+  `cdt_threshold_bounds`, the table's exact values bracketed by Taylor
+  series in `Fraction`s; `box_muller_gaussian`, the rounded continuous
+  Gaussian the table sampler replaced, kept as a moment reference.
 
 `primes_for` picks a prime basis by bit length for tests that size q by
 hand.
@@ -20,7 +25,10 @@ hand.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from math import tau
 
 import numpy as np
 
@@ -62,6 +70,72 @@ def uniform_below(rng: Xof, m: int) -> int:
         v = int.from_bytes(rng.read(nbytes), "little") & mask
         if v < m:
             return v
+
+
+# ---------------------------------------------------------------------------
+# Gaussian noise
+
+
+def exp_neg_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= e^-x <= hi for x >= 0, each within 2^-128 relative.
+
+    e^x lies in [S, S + R] for the Taylor partial sum S of N terms and the
+    tail R <= x^N/N! / (1 - x/(N+1)), valid once N + 1 > x."""
+    s, term, i = Fraction(0), Fraction(1), 0
+    while i < 2 * x + 2 or term > s / 2**128:
+        s += term
+        i += 1
+        term = term * x / i
+    tail = term / (1 - x / (i + 1))
+    return 1 / (s + tail), 1 / s
+
+
+def cdt_threshold_bounds(sigma, bound) -> list[tuple[Fraction, Fraction]]:
+    """Bounds on 2^64 * P(k <= j - K), j < 2K, for the discrete Gaussian
+    P(k) ~ exp(-k^2 / 2 sigma^2) on |k| <= K = floor(bound), sigma > 0."""
+    sigma, kmax = Fraction(sigma), int(Fraction(bound))
+    ws = [exp_neg_bounds(Fraction(k * k) / (2 * sigma * sigma))
+          for k in range(-kmax, kmax + 1)]
+    z_lo, z_hi = sum(w[0] for w in ws), sum(w[1] for w in ws)
+    out, s_lo, s_hi = [], Fraction(0), Fraction(0)
+    for w_lo, w_hi in ws[:-1]:
+        s_lo, s_hi = s_lo + w_lo, s_hi + w_hi
+        out.append((2**64 * s_lo / z_hi, 2**64 * s_hi / z_lo))
+    return out
+
+
+def cdt_gaussian(n: int, thresholds, kmax: int, rng: Xof) -> list[int]:
+    """n draws of k = #{j : thresholds[j] <= u} - kmax, one 64-bit uniform
+    u per draw: n 2-byte prefixes (the top 16 bits of each u) first, then,
+    in order, 6 bytes (the low 48 bits) for each draw whose prefix alone
+    leaves k open."""
+    table = [int(t) for t in thresholds]
+    prefixes = [int.from_bytes(rng.read(2), "little") for _ in range(n)]
+    out = []
+    for top in prefixes:
+        lo, hi = top << 48, (top << 48) | (2**48 - 1)
+        k = bisect_right(table, lo)
+        if k != bisect_right(table, hi):
+            k = bisect_right(table, lo | int.from_bytes(rng.read(6), "little"))
+        out.append(k - kmax)
+    return out
+
+
+def box_muller_gaussian(n: int, spec: rg.NoiseSpec, rng: Xof) -> np.ndarray:
+    """n draws of the rounded continuous Gaussian: Box-Muller on two 53-bit
+    uniforms per candidate, rounded, resampled until |k| <= floor(bound)."""
+    sigma, kmax = float(spec.sigma), int(spec.bound)
+    vals = np.empty(n, dtype=np.int64)
+    filled = 0
+    while filled < n:
+        need = n - filled
+        u1, u2 = rng.float_open01(need), rng.float_open01(need)
+        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(tau * u2) * sigma
+        k = np.rint(z).astype(np.int64)
+        keep = k[np.abs(k) <= kmax]
+        vals[filled : filled + keep.size] = keep
+        filled += keep.size
+    return vals
 
 
 # ---------------------------------------------------------------------------

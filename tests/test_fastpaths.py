@@ -43,7 +43,7 @@ from thagg.schemes import (
     setup,
 )
 
-from oracles import from_ints, primes_for
+from oracles import cdt_gaussian, from_ints, primes_for
 
 # ---------------------------------------------------------------------------
 # scalar references
@@ -414,6 +414,27 @@ def test_sample_smudging_matches_reference(b, params, seed):
     fast = rg.sample_smudging(params, b, fast_rng)
     ref = from_ints(params, ref_sample_smudging(params.n, b, ref_rng))
     assert np.array_equal(fast.residues, ref.residues)
+    assert fast_rng.read(64) == ref_rng.read(64)
+
+
+GAUSS_RINGS = {n: ring_with(n, 2) for n in (4, 8, 16, 1024, 16384)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 8, 16, 1024]),
+       st.integers(1, 3000).map(lambda x: Fraction(x, 10)),  # sigma
+       st.integers(0, 50).map(lambda x: 1 + Fraction(x, 10)),  # bound/sigma
+       st.binary(min_size=1, max_size=8))
+@example(16384, Fraction(16, 5), Fraction(6), b"open")  # ~7 open buckets
+@example(16, Fraction(1, 2), Fraction(1), b"k0")  # floor(bound) = 0
+def test_sample_gaussian_matches_plain_cdt(n, sigma, ratio, seed):
+    # the guide table only skips work: the values and the bytes read are
+    # those of a plain 64-bit table lookup, at any sigma and bound
+    spec, params = rg.NoiseSpec.create(sigma, sigma * ratio), GAUSS_RINGS[n]
+    fast_rng, ref_rng = Xof.from_seed(seed), Xof.from_seed(seed)
+    fast = rg.sample_gaussian(params, spec, fast_rng)
+    ref = cdt_gaussian(n, rg._cdt(spec).thresholds, int(spec.bound), ref_rng)
+    assert np.array_equal(fast.residues, from_ints(params, ref).residues)
     assert fast_rng.read(64) == ref_rng.read(64)
 
 

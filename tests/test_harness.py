@@ -947,6 +947,31 @@ def test_noise_bound_below_sigma_is_a_config_error(tmp_path, capsys):
         parse_config(text)
 
 
+@pytest.mark.parametrize("plan_lines", [
+    "sigma = 3.2\nnoise_bound = 32768\n",  # floor(bound) = 2^15
+    "sigma = 6000\nnoise_bound = 40000\n",
+    "sigma = 6000\n",  # the default bound, 6 sigma = 36000
+])
+def test_noise_bound_beyond_the_sampler_table_is_a_config_error(
+        plan_lines, tmp_path, capsys):
+    # the Gaussian sampler's table holds |k| <= 32767 (its size and build
+    # time grow with the bound), so plan and run refuse a wider one
+    text = GOOD_CONFIG.replace("sigma = 3.2\nnoise_bound = 19.2\n",
+                               plan_lines)
+    assert plan_lines in text
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    for command in ("plan", "run"):
+        assert cli.main([command, "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rejected: noise_bound ") and "32768" in err
+    with pytest.raises(ConfigError, match="table limit"):
+        parse_config(text)
+    ok = GOOD_CONFIG.replace("noise_bound = 19.2\n",
+                             "noise_bound = 32767.9\n")
+    assert parse_config(ok).plan_inputs.bound == Fraction("32767.9")
+
+
 def test_cli_region_csv(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(GOOD_CONFIG)
@@ -991,14 +1016,15 @@ def test_cli_output_write_failure_is_a_rejection(command, flags, tmp_path,
     cfg_path.write_text(GOOD_CONFIG)
     blocker = tmp_path / "file"  # a regular file, so nothing fits under it
     blocker.write_text("")
-    if command == "run":  # the output directory is made before the protocol
-        monkeypatch.setattr("thagg.cli.run_protocol",
-                            lambda cfg: pytest.fail("the protocol ran"))
+    # run and bench check their output before the protocol
+    monkeypatch.setattr("thagg.cli.run_protocol",
+                        lambda cfg: pytest.fail("the protocol ran"))
     rc = cli.main([command, "-c", str(cfg_path), *flags,
                    "-o", str(blocker / "out")])
     assert rc == 2
-    last = capsys.readouterr().err.splitlines()[-1]  # bench reports first
-    assert last.startswith("rejected: cannot ") and str(blocker) in last
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: cannot ") and str(blocker) in err
+    assert err.count("\n") == 1
 
 
 def test_cli_run_artifact_write_failure_is_a_rejection(tmp_path, capsys):

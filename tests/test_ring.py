@@ -1,6 +1,7 @@
 """Ring arithmetic: oracle equivalence, CRT, samplers."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thagg import ntt
+from thagg import ring as rg
 from thagg.errors import DomainMismatchError, ParamsMismatchError
 from thagg.ring import (
     COEFF,
@@ -31,7 +33,14 @@ from thagg.ring import (
 )
 from thagg.rng import Xof
 
-from oracles import from_ints, inf_norm, ring_mul_schoolbook, uniform_below
+from oracles import (
+    box_muller_gaussian,
+    cdt_threshold_bounds,
+    from_ints,
+    inf_norm,
+    ring_mul_schoolbook,
+    uniform_below,
+)
 
 
 def params_for(n, bits=17, count=1):
@@ -345,8 +354,87 @@ def test_gaussian_support_and_variance():
 
 def test_gaussian_sigma_zero():
     params = params_for(8)
-    el = sample_gaussian(params, NoiseSpec.create(0, 0), Xof.from_seed(1))
+    for bound in (0, 5):
+        rng = Xof.from_seed(1)
+        el = sample_gaussian(params, NoiseSpec.create(0, bound), rng)
+        assert not el.residues.any()
+        assert rng.read(8) == Xof.from_seed(1).read(8)  # reads nothing
+
+
+def test_gaussian_bound_below_one_draws_zeros():
+    # floor(bound) = 0 leaves one value; the n prefixes are still read
+    params = params_for(16)
+    rng = Xof.from_seed(2)
+    el = sample_gaussian(params, NoiseSpec.create("0.5", "0.9"), rng)
     assert not el.residues.any()
+    ref = Xof.from_seed(2)
+    ref.read(2 * params.n)
+    assert rng.read(8) == ref.read(8)
+
+
+@pytest.mark.parametrize("sigma, bound", [
+    ("3.2", "19.2"),  # every config's noise
+    ("0.5", "3"),     # tails below 2^-64: thresholds that round to 0, 2^64
+    ("1.5", "4.7"),   # a bound that is no integer
+])
+def test_cdt_thresholds_match_exact_cdf(sigma, bound):
+    # each threshold is 2^64 * CDF rounded, so within one unit of the exact
+    # value, which Taylor series in Fractions bracket to 2^-128
+    got = rg._cdt(NoiseSpec.create(sigma, bound)).thresholds.tolist()
+    exact = cdt_threshold_bounds(sigma, bound)
+    assert len(got) == len(exact) == 2 * int(Fraction(bound))
+    for t, (lo, hi) in zip(got, exact):
+        assert hi - lo < Fraction(1, 2**40)
+        assert hi - 1 <= t <= lo + 1 and t < 2**64
+
+
+def test_cdt_guide_table_at_sigma_3_2():
+    cdt = rg._cdt(NoiseSpec.create("3.2", "19.2"))
+    assert cdt.guide.shape == (1 << 16,) and cdt.guide.dtype == np.int16
+    assert (cdt.guide == rg._OPEN).sum() == 28
+    # the distribution is symmetric, so u -> 2^64 - 1 - u mirrors the table
+    mirror = cdt.guide[::-1]
+    assert np.array_equal(cdt.guide,
+                          np.where(mirror == rg._OPEN, rg._OPEN, -mirror))
+    closed = cdt.guide[cdt.guide != rg._OPEN]
+    # P(k <= -14) < 2^-16: no bucket lies wholly below k = -13
+    assert closed.min() == -13 and closed.max() == 13
+
+
+def test_gaussian_chi_square_against_table():
+    # 262,144 draws against the table's own probabilities; |k| >= 13 are
+    # pooled so every bin expects > 5. 54.05 is the 0.999 quantile of
+    # chi-square with 26 degrees of freedom.
+    spec = NoiseSpec.create("3.2", "19.2")
+    edges = [0] + rg._cdt(spec).thresholds.tolist() + [2**64]
+    probs = np.array([(b - a) / 2**64 for a, b in zip(edges, edges[1:])])
+    params = params_for(16384)
+    rng = Xof.from_seed("gauss-chi2")
+    draws = np.concatenate([
+        crt_lift(sample_gaussian(params, spec, rng)).wrapped64().view(np.int64)
+        for _ in range(16)])
+    counts = np.bincount(np.clip(draws, -13, 13) + 13, minlength=27)
+    expected = np.concatenate([[probs[:7].sum()], probs[7:32],
+                               [probs[32:].sum()]]) * draws.size
+    assert counts.sum() == draws.size and expected.min() > 5
+    assert ((counts - expected) ** 2 / expected).sum() < 54.05
+
+
+def test_gaussian_moments_match_box_muller():
+    # the rounded continuous Gaussian has variance sigma^2 + 1/12, the
+    # discrete one sigma^2 (to 1e-80 at sigma = 3.2): close moments
+    spec = NoiseSpec.create("3.2", "19.2")
+    params = params_for(16384)
+    rng = Xof.from_seed("gauss-moments")
+    cdt = np.concatenate([
+        crt_lift(sample_gaussian(params, spec, rng)).wrapped64().view(np.int64)
+        for _ in range(8)]).astype(np.float64)
+    bm = box_muller_gaussian(cdt.size, spec,
+                             Xof.from_seed("bm-moments")).astype(np.float64)
+    assert abs(cdt.mean()) < 0.03 and abs(bm.mean()) < 0.03
+    assert abs(cdt.var() - 3.2**2) < 0.02 * 3.2**2
+    assert abs(bm.var() - (3.2**2 + 1 / 12)) < 0.02 * 3.2**2
+    assert abs((cdt**4).mean() / (bm**4).mean() - 1) < 0.05
 
 
 def test_noise_spec_default_bound():
@@ -354,6 +442,20 @@ def test_noise_spec_default_bound():
     assert spec.bound == 6 * spec.sigma
     with pytest.raises(ValueError):
         NoiseSpec.create(2, 1)
+
+
+def test_gaussian_table_cap():
+    # the sampler's table holds |k| <= MAX_NOISE_BOUND; a wider spec is
+    # still a spec (setup takes any bound), but sampling it is refused
+    top = rg.MAX_NOISE_BOUND
+    params = params_for(8)
+    wide = NoiseSpec.create(1, Fraction(2 * top + 1, 2))  # floor = top
+    drawn = crt_lift(sample_gaussian(params, wide, Xof.from_seed(3))).tolist()
+    assert max(map(abs, drawn)) <= 10
+    for sigma, bound in ((1, top + 1), (6000, None)):
+        with pytest.raises(ValueError, match="bound < 32768"):
+            sample_gaussian(params, NoiseSpec.create(sigma, bound),
+                            Xof.from_seed(3))
 
 
 def test_smudging_support_and_mean():
