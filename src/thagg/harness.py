@@ -61,7 +61,9 @@ DIGEST_SLICE = 4096
 # Most int64 residue bytes per batched ring operation (`chunk_groups`). A
 # transform call has a fixed cost that a batch of small chunks shares, while
 # stacking large ones only slows them (measurements in the `ntt` notes):
-# 8 chunks of 2 x 2048 per call, one chunk of 5 x 16384.
+# 8 chunks of 2 x 2048 per call, one chunk of 5 x 16384. With the kernels'
+# ufunc buffer cut to a tile, 16 chunks of 2 x 2048 cost about what 8 do
+# per chunk (0.21 against 0.23 ms per inverse) and 32 cost more (0.30 ms).
 BATCH_BYTES = 256 << 10
 
 PHASES = ("collective_keygen", "encryption", "aggregation",

@@ -9,19 +9,27 @@ reduce lazily, keeping values below 4p < 2**32 between stages, and every
 product they form stays below 2**64 in uint64. Inputs and outputs are
 canonical int64 residues in [0, p).
 
-A call has a fixed cost, about ten ufunc calls per stage whatever the
+The kernels run with numpy's ufunc buffer cut to one twiddle tile
+(`_BUFSIZE`). At numpy's default of 8192 elements, every strided operand
+of a small ring's stages, whose contiguous rows are shorter than that, was
+copied through the buffer, which doubled the cost of a 2 x 2048 stage.
+Rows of 8192 or more residues, as on 5 x 16384, are never buffered.
+
+A call also has a fixed cost, about ten ufunc calls per stage whatever the
 array size, so batching pays on small rings and not on large ones. An
-inverse per chunk (minimum of 9 calls in each of 3 processes, 2 vCPUs):
-0.33 ms alone, 0.27 ms with 8 or 32 chunks per call on 2 x 2048; 3.1 ms
-alone and 4.2 ms with 2 chunks per call on 5 x 16384. The protocol
-therefore stacks at most 256 KiB of residues per call
-(`harness.BATCH_BYTES`): 8 chunks of 2 x 2048, one chunk of 5 x 16384.
+inverse per chunk, default buffer -> tile buffer (5 interleaved rounds of
+the minimum of 9 calls, best of 3 processes, 2 vCPUs): on 2 x 2048,
+0.43 -> 0.37 ms alone and 0.43 -> 0.23, 0.36 -> 0.21 and 0.46 -> 0.30 ms
+with 8, 16 and 32 chunks per call; on 5 x 16384, 5.4 -> 5.3 ms alone and
+5.0-7.0 ms with 2 chunks per call, either way. The protocol therefore
+stacks at most 256 KiB of residues per call (`harness.BATCH_BYTES`): 8
+chunks of 2 x 2048, one chunk of 5 x 16384.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -168,6 +176,15 @@ def limb_tables(n: int, p: int) -> LimbTables:
 # 64 ... 1024, 256 was fastest at both 5 x 16384 and 2 x 2048.
 _TILE = 256
 
+# numpy's ufunc buffer, in elements, while a kernel runs. numpy copies a
+# strided operand through the buffer (8192 by default) when its rows are
+# shorter than the buffer: an add of the two halves of a (R, 2L) uint64
+# array, 16384 elements per half, took 17-24 us for L <= 2048 and 7-13 us
+# for L >= 4096, and 8-14 us at every L with a 256-element buffer (numpy
+# 2.4, 2 vCPUs, two sessions). From n = 512 up no kernel row is shorter
+# than a tile, so a buffer of one tile leaves every operand unbuffered.
+_BUFSIZE = _TILE
+
 
 def _tiles(n: int) -> tuple[slice, ...]:
     """Where each stage's twiddle tile sits in a kernel table, stage m = 1
@@ -260,6 +277,20 @@ def _by_tile(half: np.ndarray, tile: slice) -> np.ndarray:
     return half.reshape(*lead, k, h // (tile.stop - tile.start), -1)
 
 
+def _unbuffered(kernel):
+    """Run kernel with the ufunc buffer at _BUFSIZE, then restore the
+    caller's setting, also when kernel raises."""
+    @wraps(kernel)
+    def run(res: np.ndarray, plan: TransformPlan) -> np.ndarray:
+        old = np.setbufsize(_BUFSIZE)
+        try:
+            return kernel(res, plan)
+        finally:
+            np.setbufsize(old)
+    return run
+
+
+@_unbuffered
 def forward(res: np.ndarray, plan: TransformPlan) -> np.ndarray:
     """Forward negacyclic NTT of all limbs of res, shape (..., limbs, n);
     output in bit-reversed order.
@@ -297,6 +328,7 @@ def forward(res: np.ndarray, plan: TransformPlan) -> np.ndarray:
     return a.view(np.int64)
 
 
+@_unbuffered
 def inverse(res: np.ndarray, plan: TransformPlan) -> np.ndarray:
     """Inverse of `forward`; input bit-reversed, output natural order.
 

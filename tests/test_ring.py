@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 
 from thagg import ntt
 from thagg import ring as rg
-from thagg.errors import DomainMismatchError, ParamsMismatchError
+from thagg.errors import ConfigError, DomainMismatchError, ParamsMismatchError
 from thagg.ring import (
     COEFF,
     NTT,
     NoiseSpec,
     RingParams,
     crt_lift,
-    from_ntt,
     ring_add,
     ring_mul,
     ring_neg,
-    ring_sub,
     sample_gaussian,
     sample_smudging,
     sample_ternary,
@@ -37,8 +35,10 @@ from oracles import (
     box_muller_gaussian,
     cdt_threshold_bounds,
     from_ints,
+    from_ntt,
     inf_norm,
     ring_mul_schoolbook,
+    ring_sub,
     uniform_below,
 )
 
@@ -453,7 +453,8 @@ def test_gaussian_table_cap():
     drawn = crt_lift(sample_gaussian(params, wide, Xof.from_seed(3))).tolist()
     assert max(map(abs, drawn)) <= 10
     for sigma, bound in ((1, top + 1), (6000, None)):
-        with pytest.raises(ValueError, match="bound < 32768"):
+        with pytest.raises(ConfigError, match="below 32768, the Gaussian "
+                           "sampler's table limit"):
             sample_gaussian(params, NoiseSpec.create(sigma, bound),
                             Xof.from_seed(3))
 

@@ -12,6 +12,7 @@ from thagg import ring as rg
 from thagg.errors import (
     BoundViolationError,
     CapacityError,
+    ConfigError,
     EncodingOverflowError,
     PlaintextRangeError,
 )
@@ -33,6 +34,7 @@ from oracles import (
     dec_bfv,
     dec_ckks,
     from_ints,
+    from_ntt,
     inf_norm,
     noise_of,
     primes_for,
@@ -204,6 +206,16 @@ def test_bound_messages_take_values_beyond_the_float_range():
         setup(BFV, 64, sigma="3.2", t=2**1100, primes=primes_for(64, 20))
 
 
+def test_setup_takes_a_bound_above_the_gaussian_table_that_sampling_rejects():
+    # setup sizes q for any bound; the sampler's table stops at 32767, and
+    # drawing from a wider spec is a typed config rejection (exit 2)
+    params = setup(BFV, 64, sigma="3.2", bound=40000, t=16,
+                   primes=primes_for(64, 60))
+    assert params.noise.bound == 40000
+    with pytest.raises(ConfigError, match="the Gaussian sampler's table limit"):
+        rg.sample_gaussian(params.ring, params.noise, Xof.from_seed(1))
+
+
 # ---------------------------------------------------------------------------
 # keys
 
@@ -213,11 +225,11 @@ def test_pubkey_noise_bound_and_zero_noise_hook():
     rng = Xof.from_seed("pk")
     sk = seckeygen(params, rng.child("sk"))
     pk = pubkeygen(params, sk, rng.child("pk"))
-    resid = rg.ring_add(rg.from_ntt(pk.p0), rg.ring_mul(sk.s, pk.p1))
+    resid = rg.ring_add(from_ntt(pk.p0), rg.ring_mul(sk.s, pk.p1))
     assert inf_norm(rg.crt_lift(resid).tolist()) <= int(params.noise.bound)
 
     quiet = pubkeygen(params, sk, rng.child("pk2"), e=rg.zero(params.ring))
-    resid0 = rg.ring_add(rg.from_ntt(quiet.p0), rg.ring_mul(sk.s, quiet.p1))
+    resid0 = rg.ring_add(from_ntt(quiet.p0), rg.ring_mul(sk.s, quiet.p1))
     assert not resid0.residues.any()
 
 
@@ -228,7 +240,7 @@ def test_pubkey_p1_is_uniformish():
         rng = Xof.from_seed(f"pk-uniform-{i}")
         sk = seckeygen(params, rng.child("sk"))
         pk = pubkeygen(params, sk, rng.child("pk"))
-        for v in rg.crt_lift(rg.from_ntt(pk.p1)).tolist():
+        for v in rg.crt_lift(from_ntt(pk.p1)).tolist():
             total += v % params.ring.q
             count += 1
     q = params.ring.q

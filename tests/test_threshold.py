@@ -52,10 +52,12 @@ from oracles import (
     dec_bfv,
     decryption_phase,
     from_ints,
+    from_ntt,
     inf_norm,
     primes_for,
     pubkeygen,
     reconstruct_ideal_key,
+    ring_sub,
     seckeygen,
     uniform_below,
 )
@@ -134,7 +136,7 @@ def test_crs_p1_uniformish():
     total, count = 0, 0
     for i in range(300):
         crs = crs_expand(Xof.from_seed(f"crs-{i}").read(32), params)
-        for v in rg.crt_lift(rg.from_ntt(crs.p1)).tolist():
+        for v in rg.crt_lift(from_ntt(crs.p1)).tolist():
             total += v % params.q
             count += 1
     se = params.q / (12**0.5) / count**0.5
@@ -166,7 +168,7 @@ def test_pk_share_noise_bound():
 def test_combined_pk_noise_scales_with_parties(parties):
     sess = mk_session(MBFV, 64, parties, 0, seed=f"combine-{parties}")
     ideal = reconstruct_ideal_key(sess.params, sess.shares)
-    resid = rg.ring_add(rg.from_ntt(sess.cpk.p0),
+    resid = rg.ring_add(from_ntt(sess.cpk.p0),
                         rg.ring_mul(ideal, sess.cpk.p1))
     assert (inf_norm(rg.crt_lift(resid).tolist())
             <= parties * int(sess.params.noise.bound))
@@ -175,7 +177,7 @@ def test_combined_pk_noise_scales_with_parties(parties):
 def test_combine_pk_single_party_degenerates_to_single_key():
     sess = mk_session(MBFV, 64, 1, 0, seed="solo")
     assert isinstance(sess.cpk, PublicKey)
-    assert np.array_equal(rg.from_ntt(sess.cpk.p0).residues,
+    assert np.array_equal(from_ntt(sess.cpk.p0).residues,
                           sess.pkshares[0].p0.residues)
     assert np.array_equal(sess.cpk.p1.residues, sess.crs.p1.residues)
 
@@ -239,7 +241,7 @@ def test_ntt_keys_match_their_coefficient_copies(seed, scheme):
 
     def encrypt_both(key):
         ct = encrypt(params, key, pt, rng.child("e"))
-        copy = PublicKey(p0=rg.from_ntt(key.p0), p1=rg.from_ntt(key.p1))
+        copy = PublicKey(p0=from_ntt(key.p0), p1=from_ntt(key.p1))
         want = encrypt(params, copy, pt, rng.child("e"))
         assert np.array_equal(ct.c0.residues, want.c0.residues)
         assert np.array_equal(ct.c1.residues, want.c1.residues)
@@ -247,14 +249,14 @@ def test_ntt_keys_match_their_coefficient_copies(seed, scheme):
 
     ct = encrypt_both(pk)
     assert decryption_phase(params, sk, ct).tolist() == decryption_phase(
-        params, SecretKey(rg.from_ntt(sk.s)), ct).tolist()
+        params, SecretKey(from_ntt(sk.s)), ct).tolist()
     ct = encrypt_both(sess.cpk)
     ct_ntt = replace(ct, c1=rg.to_ntt(ct.c1))  # as output_step uses it
     for sh in sess.shares:
         label = f"pdec/{sh.index}"
         got = partial_decrypt(params, sh, ct_ntt, sess.smudge,
                               rng.child(label))
-        copy = SecretShare(index=sh.index, s=rg.from_ntt(sh.s))
+        copy = SecretShare(index=sh.index, s=from_ntt(sh.s))
         want = partial_decrypt(params, copy, ct, sess.smudge, rng.child(label))
         assert np.array_equal(got.h.residues, want.h.residues)
 
@@ -446,7 +448,7 @@ def test_ideal_functionality_equivalence():
     # recover each party's smudging from its message and secret share
     smg_total = [0] * n
     for sh, part in zip(sess.shares, partials):
-        e = rg.ring_sub(part.h, rg.ring_mul(sh.s, ct.c1))
+        e = ring_sub(part.h, rg.ring_mul(sh.s, ct.c1))
         smg_total = [a + b for a, b in zip(smg_total, rg.crt_lift(e).tolist())]
     for x, y, s in zip(d.tolist(), base.tolist(), smg_total):
         diff = (x - y - s) % q
