@@ -830,7 +830,8 @@ def test_batched_transforms_match_per_chunk_calls(n, limbs, batch):
 @st.composite
 def batched_residues(draw):
     """A plan and residues of shape (limbs, n), (B, limbs, n) or
-    (B1, B2, limbs, n), at most 2^15 residues per call beyond one row."""
+    (B1, B2, limbs, n); the batch axes stay short enough that a call holds
+    at most 2^15 residues, or one (limbs, n) entry where that is more."""
     n = 1 << draw(st.integers(2, 14))
     limbs = draw(st.integers(1, 3))
     cap = max(1, (1 << 15) // (limbs * n))
@@ -857,7 +858,7 @@ def test_transforms_keep_the_callers_ufunc_buffer(case, bufsize):
             assert np.array_equal(got, want)
             assert np.array_equal(
                 got.reshape(-1, k, n),
-                np.stack([ref(row, plan) for row in res.reshape(-1, k, n)]))
+                np.stack([ref(chunk, plan) for chunk in res.reshape(-1, k, n)]))
             with pytest.raises(ValueError):
                 fn(np.zeros((*lead, k, n + 2), dtype=np.int64), plan)
             assert np.getbufsize() == bufsize
