@@ -63,8 +63,7 @@ def _parse_range(spec: str) -> range:
 def cmd_plan(args) -> int:
     cfg = _load_config(args.config)
     report = plan(cfg.plan_inputs, cfg.scheme,
-                  enforce_security=cfg.enforce_security,
-                  security_table=cfg.security_table)
+                  enforce_security=cfg.enforce_security)
     _emit(report.to_text(), args.output)
     return 0
 

@@ -1,14 +1,15 @@
 """Config file parsing: INI-style key/value sections, unknown keys rejected.
 
 Two sections drive a run: [plan] carries the planner inputs, [protocol]
-the protocol-level settings. An optional [security] section overrides the
-shipped maximum-modulus table (keys are ring degrees).
+the protocol-level settings. The security verdict comes from the shipped
+table alone (`planner.SECURITY_MAX_Q_BITS`); `enforce_security = false`
+runs past a failing one.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .planner import MBFV, MCKKS, PlanInputs
@@ -32,7 +33,6 @@ class ProtocolConfig:
     fixed_point_bits: int = 8
     rounds: int = 1
     enforce_security: bool = True
-    security_table: dict | None = field(default=None, hash=False)
 
     @property
     def parties(self) -> int:
@@ -74,7 +74,7 @@ def parse_config(text: str) -> ProtocolConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
-    known_sections = {"protocol", "plan", "security"}
+    known_sections = {"protocol", "plan"}
     unknown = set(parser.sections()) - known_sections
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -114,17 +114,6 @@ def parse_config(text: str) -> ProtocolConfig:
     if scheme == MCKKS and plan_inputs.eps_inv_bits is None:
         raise ConfigError("mckks needs eps_inv_bits in [plan]")
 
-    security_table = None
-    if "security" in parser:
-        security_table = {}
-        for key, value in parser["security"].items():
-            try:
-                security_table[int(key)] = int(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"[security] entries must be integers: {key}={value}"
-                ) from exc
-
     cfg = ProtocolConfig(
         scheme=scheme,
         plan_inputs=plan_inputs,
@@ -133,7 +122,6 @@ def parse_config(text: str) -> ProtocolConfig:
         fixed_point_bits=_get_int(proto, "fixed_point_bits", 8),
         rounds=_get_int(proto, "rounds", 1),
         enforce_security=_get_bool(proto, "enforce_security", True),
-        security_table=security_table,
     )
     _validate(cfg)
     return cfg

@@ -55,7 +55,7 @@ class SmudgeBoundError(ConfigRejection):
 
 
 class UnknownRingDegreeError(ConfigRejection):
-    """No security table entry for this ring degree and no override given."""
+    """No security table entry for this ring degree."""
 
 
 class ConfigError(ConfigRejection):
@@ -63,7 +63,7 @@ class ConfigError(ConfigRejection):
 
 
 class WireFormatError(ProtocolFailure):
-    """Malformed serialized message."""
+    """Malformed serialized message, or an element no message can carry."""
 
 
 class LengthMismatchError(ProtocolFailure):

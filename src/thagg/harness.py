@@ -17,6 +17,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -109,7 +110,7 @@ class ClientState:
 
 
 class Aggregator:
-    """Holds only public parameters and the running chunk-wise sum.
+    """Holds only public parameters and the running group-wise sum.
 
     Each submission is added in as it arrives, so at most one client's
     ciphertexts are held besides the sum.
@@ -197,8 +198,7 @@ class Transcript:
 
 def derive_scheme_params(cfg: ProtocolConfig) -> tuple[PlanReport, SchemeParams]:
     report = plan(cfg.plan_inputs, cfg.scheme,
-                  enforce_security=cfg.enforce_security,
-                  security_table=cfg.security_table)
+                  enforce_security=cfg.enforce_security)
     i = cfg.plan_inputs
     common = dict(sigma=i.sigma, bound=i.bound, primes=report.primes,
                   kappa=i.parties, mp_noise_bound=report.bounds.b_ct_mp,
@@ -250,6 +250,12 @@ def chunk_groups(chunks: int, ring: rg.RingParams) -> list[range]:
     return [range(lo, min(lo + per, chunks)) for lo in range(0, chunks, per)]
 
 
+def _chunks(batch: Ciphertext) -> list[Ciphertext]:
+    """The entries of a group batch, one ciphertext per chunk, as views."""
+    return [replace(batch, c0=c0, c1=c1)
+            for c0, c1 in zip(rg.unstack(batch.c0), rg.unstack(batch.c1))]
+
+
 def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
                       client: ClientState, cpk: PublicKey, root: Xof,
                       round_index: int, bus: MessageBus) -> list[Ciphertext]:
@@ -258,7 +264,8 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
 
     Each group of chunks (`chunk_groups`) is encoded and encrypted as one
     batch. Every chunk still draws its randomness from its own stream and
-    goes out as its own message, in chunk order.
+    goes out as its own message, in chunk order, and is received back
+    into the group's batch: one ciphertext per group is returned.
     """
     ring = params.ring
     n = ring.n
@@ -286,30 +293,29 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
         u, e0, e1 = (rg.stack(list(els)) for els in zip(*draws))
         batch = switch_c0(params,
                           encrypt(params, cpk, pt, None, u=u, e0=e0, e1=e1))
-        for c0, c1 in zip(rg.unstack(batch.c0), rg.unstack(batch.c1)):
-            blob = bus.post("ciphertext", f"client{client.index}",
-                            wire.serialize_ciphertext(
-                                replace(batch, c0=c0, c1=c1)))
-            out.append(wire.deserialize_ciphertext(blob, params))
+        rx = [wire.deserialize_ciphertext(
+                  bus.post("ciphertext", f"client{client.index}",
+                           wire.serialize_ciphertext(ct)), params)
+              for ct in _chunks(batch)]
+        out.append(replace(
+            rx[0], c0=rg.stack([ct.c0 for ct in rx]),
+            c1=rg.stack([ct.c1 for ct in rx]),
+            adds_consumed=max(ct.adds_consumed for ct in rx)))
     return out
 
 
 def aggregator_eval_step(ct_lists: list[list[Ciphertext]]) -> list[Ciphertext]:
-    """Chunk-wise homomorphic sum across clients: L-1 additions per chunk."""
+    """Group-wise homomorphic sum across clients: L-1 additions per group
+    batch. Every client's groups must match in number and shape."""
     if not ct_lists:
         raise LengthMismatchError("no client submissions")
-    length = len(ct_lists[0])
+    shapes = [ct.c1.residues.shape for ct in ct_lists[0]]
     for lst in ct_lists:
-        if len(lst) != length:
+        got = [ct.c1.residues.shape for ct in lst]
+        if got != shapes:
             raise LengthMismatchError(
-                f"submission lengths differ: {len(lst)} vs {length}")
-    out = []
-    for c in range(length):
-        acc = ct_lists[0][c]
-        for lst in ct_lists[1:]:
-            acc = add(acc, lst[c])
-        out.append(acc)
-    return out
+                f"submission groups differ: {got} vs {shapes}")
+    return [reduce(add, group) for group in zip(*ct_lists)]
 
 
 def output_step(cfg: ProtocolConfig, params: SchemeParams,
@@ -320,33 +326,33 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
 
     Partial decryptions travel and are combined, with the clients' summed
     c0, at the plan's decryption modulus q' (`report.dec_primes`), not at q.
-    Each party decrypts a group of chunks (`chunk_groups`) as one batch,
-    with each chunk's smudging drawn from its own stream. Shares still go
-    out one per chunk and party: every party's for a chunk, then the next.
+    Each party decrypts a summed group batch as one, with each chunk's
+    smudging drawn from its own stream. Shares go out and are combined one
+    per chunk and party: every party's for a chunk, then the next.
     """
     b = report.bounds
     smudge = SmudgeParams(parties=cfg.parties, b_ct=b.b_ct, b_smg=b.b_smg)
     ring = params.ring
     parts: list[Ratios] = []
-    for group in chunk_groups(len(agg_cts), ring):
-        cts = agg_cts[group.start : group.stop]
+    group = range(0)
+    for batch in agg_cts:
+        group = range(group.stop, group.stop + len(batch.c1.residues))
         # every party multiplies by the same c1s: transform them once
-        batch = replace(cts[0], c0=rg.stack([ct.c0 for ct in cts]),
-                        c1=rg.to_ntt(rg.stack([ct.c1 for ct in cts])))
+        c1_ntt = replace(batch, c1=rg.to_ntt(batch.c1))
         blobs = []  # per party, its shares of the group, chunk by chunk
         for client in clients:
             e_smg = rg.stack([
                 rg.sample_smudging(ring, smudge.b_smg, root.child(
                     f"round/{round_index}/client/{client.index}/pdec/{c}"))
                 for c in group])
-            part = partial_decrypt(params, client.share, batch, smudge, None,
+            part = partial_decrypt(params, client.share, c1_ntt, smudge, None,
                                    e_smg=e_smg)
             blobs.append([wire.serialize_partial_dec(replace(part, h=h))
                           for h in rg.unstack(part.h)])
-        for i, ct in enumerate(cts):
+        for ct, shares in zip(_chunks(batch), zip(*blobs)):
             partials = [wire.deserialize_partial_dec(
-                bus.post("partial_dec", f"client{client.index}", shares[i]),
-                params) for client, shares in zip(clients, blobs)]
+                bus.post("partial_dec", f"client{client.index}", blob),
+                params) for client, blob in zip(clients, shares)]
             d = combine_decrypt(params, ct, partials, cfg.parties)
             if cfg.scheme == MBFV:
                 parts.append(decode_fixed(bfv_round(params, d),

@@ -33,7 +33,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .errors import NoPrimesFoundError
+from .errors import NoPrimesFoundError, ParamsMismatchError
 
 MAX_PRIME_BITS = 30
 # The wire formats carry the prime count of a ring in one byte.
@@ -279,11 +279,16 @@ def _by_tile(half: np.ndarray, tile: slice) -> np.ndarray:
 
 def _unbuffered(kernel):
     """Run kernel with the ufunc buffer at _BUFSIZE, then restore the
-    caller's setting, also when kernel raises."""
+    caller's setting, also when kernel raises. Residues must be shaped
+    (..., limbs, n) for the plan."""
     @wraps(kernel)
     def run(res: np.ndarray, plan: TransformPlan) -> np.ndarray:
         old = np.setbufsize(_BUFSIZE)
         try:
+            if res.shape[-2:] != (len(plan.primes), plan.n):
+                raise ParamsMismatchError(
+                    f"residues of shape {res.shape} do not fit a transform "
+                    f"of {len(plan.primes)} limbs of n = {plan.n}")
             return kernel(res, plan)
         finally:
             np.setbufsize(old)

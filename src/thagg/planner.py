@@ -51,7 +51,7 @@ MCKKS_SMALLER = "MCKKS_smaller_q"
 MBFV_SMALLER_OR_EQUAL = "MBFV_smaller_or_equal"
 
 # Maximum modulus bits per ring degree at 128-bit classical security,
-# following the community HE standard; data, not code. Override via config.
+# following the community HE standard; data, not code.
 SECURITY_MAX_Q_BITS = {
     1024: 27,
     2048: 54,
@@ -301,13 +301,13 @@ def interval_approx_check(inputs: PlanInputs, grid: RegionGrid,
 # security and the full plan
 
 
-def security_check(n: int, log2_q: int, table: dict | None = None) -> bool:
-    """log2 q within the shipped (or overridden) per-degree maximum."""
-    table = SECURITY_MAX_Q_BITS if table is None else table
-    if n not in table:
+def security_check(n: int, log2_q: int) -> bool:
+    """log2 q within the shipped per-degree maximum."""
+    if n not in SECURITY_MAX_Q_BITS:
         raise UnknownRingDegreeError(
-            f"no security entry for n={n}; supply an override table")
-    return log2_q <= table[n]
+            f"no security entry for n={n}; set enforce_security = false "
+            "to run without a security verdict")
+    return log2_q <= SECURITY_MAX_Q_BITS[n]
 
 
 @dataclass(frozen=True)
@@ -398,8 +398,8 @@ def _reference_note(inputs: PlanInputs) -> dict | None:
     return None
 
 
-def plan(inputs: PlanInputs, scheme: str, *, enforce_security: bool = True,
-         security_table: dict | None = None) -> PlanReport:
+def plan(inputs: PlanInputs, scheme: str, *,
+         enforce_security: bool = True) -> PlanReport:
     """Evaluate all bounds, select the RNS basis and the decryption
     sub-basis, and check security.
 
@@ -439,7 +439,7 @@ def plan(inputs: PlanInputs, scheme: str, *, enforce_security: bool = True,
         inputs.parties, q // prod(dec_primes)))
 
     try:
-        sec_ok = security_check(inputs.n, log2_q, security_table)
+        sec_ok = security_check(inputs.n, log2_q)
     except UnknownRingDegreeError:
         if enforce_security:
             raise

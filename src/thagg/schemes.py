@@ -89,6 +89,8 @@ class Ciphertext:
     # c0 at q, or at the decryption modulus q' once a client switched it
     # for collective decryption (`threshold.switch_c0`); c1 always at q.
     # Both may carry a batch axis, (B, limbs, n): one ciphertext per entry.
+    # The protocol holds a group of chunks this way from encryption to the
+    # combine (`harness.chunk_groups`); a message carries one entry.
     c0: rg.RingElement
     c1: rg.RingElement
     scheme: str

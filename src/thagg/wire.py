@@ -19,7 +19,8 @@ below 2^MAX_PRIME_BITS = 2^30. Versions 1 (u64 residues) and 2 (c0 at the
 full q) are not read.
 
 All integers are little-endian. Elements are serialized in the coefficient
-domain; an NTT-domain element (a stored key) raises `DomainMismatchError`.
+domain; an NTT-domain element (a stored key) raises `DomainMismatchError`,
+and a batch of elements (`ring.stack`) raises `WireFormatError`.
 A decoder accepts only the receiver's own rings (n and primes as in
 `expected.ring`; c0 and a partial decryption on `expected.dec_ring`, so a
 c0 or share left at the full q is refused), residues below their primes,
@@ -57,6 +58,10 @@ def _element_header(params: rg.RingParams) -> bytes:
 def _residue_block(el: rg.RingElement) -> bytes:
     if el.domain != rg.COEFF:
         raise DomainMismatchError("messages carry coefficient-domain elements")
+    shape = (len(el.params.primes), el.params.n)
+    if el.residues.shape != shape:
+        raise WireFormatError(f"a message carries one element, residues of "
+                              f"shape {shape}, not {el.residues.shape}")
     return el.residues.astype(RESIDUE).tobytes()
 
 

@@ -6,6 +6,7 @@ integers, and for samplers the same bytes read from the stream.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from thagg import ring as rg
 from thagg.config import ProtocolConfig
 from thagg.errors import (
     EncodingOverflowError,
+    ParamsMismatchError,
     PlaintextRangeError,
     ProtocolFailure,
 )
@@ -859,11 +861,21 @@ def test_transforms_keep_the_callers_ufunc_buffer(case, bufsize):
             assert np.array_equal(
                 got.reshape(-1, k, n),
                 np.stack([ref(chunk, plan) for chunk in res.reshape(-1, k, n)]))
-            with pytest.raises(ValueError):
+            with pytest.raises(ParamsMismatchError):
                 fn(np.zeros((*lead, k, n + 2), dtype=np.int64), plan)
             assert np.getbufsize() == bufsize
     finally:
         np.setbufsize(old)
+
+
+@pytest.mark.parametrize("fn", [ntt.forward, ntt.inverse])
+def test_transforms_reject_residues_off_their_plan(fn):
+    # a length-2n input was once transformed into a meaningless array, and
+    # n + 2 or n - 1 raised a bare ValueError from numpy
+    plan = ntt_plan(2048, 30, 2)
+    for shape in ((2, 4096), (3, 2, 2050), (2, 2047), (1, 2048), (2048,)):
+        with pytest.raises(ParamsMismatchError, match=re.escape(f"{shape} do")):
+            fn(np.zeros(shape, dtype=np.int64), plan)
 
 
 @pytest.mark.parametrize("n", [4, 2048])

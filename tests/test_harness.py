@@ -41,7 +41,7 @@ from thagg.harness import (
     synthesize_update,
 )
 from thagg.planner import PlanInputs
-from thagg.ring import RingParams, sample_uniform
+from thagg.ring import RingParams, sample_uniform, stack, unstack
 from thagg.rng import Xof
 from thagg.schemes import BFV, Ciphertext, setup
 from thagg.threshold import (
@@ -125,7 +125,11 @@ def test_input_step_chunk_shapes_and_zero_vector():
     client = art.clients[0]
     client.update = np.zeros(cfg.model_size)
     cts = client_input_step(cfg, art.params, client, art.cpk, root, 0, bus)
-    assert len(cts) == 4  # 4096 / 1024
+    # 4096 / 1024 chunks, in one group: c1 at q's 2 limbs, c0 at q' (1 limb)
+    assert len(cts) == 1 == len(harness.chunk_groups(4, art.params.ring))
+    assert cts[0].c1.residues.shape == (4, 2, 1024)
+    assert cts[0].c0.residues.shape == (4, 1, 1024)
+    assert sum(m.kind == "ciphertext" for m in bus.records) == 4
     # a zero vector opens to zero through the full threshold path
     for c in art.clients[1:]:
         c.update = np.zeros(cfg.model_size)
@@ -147,8 +151,15 @@ def test_eval_step_identity_and_mismatch():
     lists = [client_input_step(cfg, art.params, c, art.cpk, root, 0, bus)
              for c in art.clients]
     assert aggregator_eval_step([lists[0]]) == lists[0]  # single list: identity
+    # one group of both chunks; a group of one would broadcast against it
+    (group,) = lists[1]
+    first = dataclasses.replace(group, c0=stack(unstack(group.c0)[:1]),
+                                c1=stack(unstack(group.c1)[:1]))
+    for bad in ([], [first]):
+        with pytest.raises(LengthMismatchError, match="groups differ"):
+            aggregator_eval_step([lists[0], bad])
     with pytest.raises(LengthMismatchError):
-        aggregator_eval_step([lists[0], lists[1][:1]])
+        aggregator_eval_step([])
 
 
 def test_aggregator_folds_submissions_as_they_arrive():
@@ -168,7 +179,9 @@ def test_aggregator_folds_submissions_as_they_arrive():
     assert vars(agg).keys() == {"params", "total"}  # no per-client store
     want = aggregator_eval_step(lists)
     got = agg.evaluate()
-    assert [ct.adds_consumed for ct in got] == [2, 2]
+    # both chunks in one group batch, each summed over the 3 clients
+    assert [ct.adds_consumed for ct in got] == [2]
+    assert got[0].c1.residues.shape == (2, 2, 1024)
     for a, b in zip(got, want):
         assert np.array_equal(a.c0.residues, b.c0.residues)
         assert np.array_equal(a.c1.residues, b.c1.residues)
@@ -372,8 +385,11 @@ def _session_ct():
     root = Xof.from_seed(3)
     client = art.clients[0]
     client.update = synthesize_update(cfg, root, 1, 0)
-    ct = client_input_step(cfg, art.params, client, art.cpk,
-                           root, 0, bus)[0]
+    (group,) = client_input_step(cfg, art.params, client, art.cpk, root, 0,
+                                 bus)
+    # the group of the one chunk; messages carry a chunk, not a batch
+    ct = dataclasses.replace(group, c0=unstack(group.c0)[0],
+                             c1=unstack(group.c1)[0])
     return art, ct
 
 
@@ -563,6 +579,34 @@ def test_wire_v3_message_lengths():
     for kind, (blob, _) in WIRE_MESSAGES.items():
         want = ct_len(k, n) if kind == "ciphertext" else share_len(k, n)
         assert len(blob) == want, kind
+
+
+WIRE_ENCODERS = {
+    "ciphertext": lambda c0, c1: wire.serialize_ciphertext(
+        Ciphertext(c0=c0, c1=c1, scheme=BFV, adds_consumed=0,
+                   kappa=WIRE_PARAMS.kappa)),
+    "pk_share": lambda _, el: wire.serialize_pk_share(PkShare(index=1, p0=el)),
+    "partial_dec": lambda _, el: wire.serialize_partial_dec(
+        PartialDecryption(index=1, h=el)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WIRE_ENCODERS))
+def test_wire_encoders_reject_a_batch(kind):
+    # a 2-entry batch was once encoded without error, and the decoder then
+    # refused the bytes as "residue out of range"
+    ring = WIRE_PARAMS.ring
+    rng = Xof.from_seed("wire-batch")
+    one = sample_uniform(ring, rng)
+    pair = stack([one, sample_uniform(ring, rng)])
+    encode = WIRE_ENCODERS[kind]
+    encode(one, one)
+    bad = [(one, pair), (one, stack([one]))]  # a batch of one is a batch
+    if kind == "ciphertext":
+        bad.append((pair, one))
+    for c0, c1 in bad:
+        with pytest.raises(WireFormatError, match="carries one element"):
+            encode(c0, c1)
 
 
 def v1_blob(kind):
@@ -806,14 +850,19 @@ def test_parse_config_rejects_fixed_point_overflow():
         parse_config(bad)
 
 
-def test_parse_config_security_override():
-    text = GOOD_CONFIG.replace("enforce_security = false",
-                               "enforce_security = true")
+def test_parse_config_security_override(tmp_path, capsys):
+    # a [security] table once replaced the shipped one: this config ran at
+    # n = 1024 with log2 q = 74 and its plan read security_ok = true
+    text = (DATA / "golden_mbfv.ini").read_text().replace(
+        "enforce_security = false", "enforce_security = true")
     text += "\n[security]\n1024 = 100\n"
-    cfg = parse_config(text)
-    assert cfg.security_table == {1024: 100}
-    transcript = run_protocol(cfg)  # would be rejected with the shipped table
-    assert transcript.max_error == 0
+    with pytest.raises(ConfigError, match="unknown config sections"):
+        parse_config(text)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    for command in ("plan", "run"):
+        assert cli.main([command, "-c", str(cfg_path)]) == 2
+        assert "['security']" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

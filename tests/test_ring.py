@@ -337,6 +337,19 @@ def test_ternary_support_and_frequencies():
         assert abs(v / total - 1 / 3) < 0.02
 
 
+def test_ternary_chi_square():
+    # 262,144 draws against 1/3 each; 13.82 is the 0.999 quantile of
+    # chi-square with 2 degrees of freedom
+    params = params_for(16384)
+    rng = Xof.from_seed("ternary-chi2")
+    draws = np.concatenate([crt_lift(sample_ternary(params, rng)).ints()
+                            for _ in range(16)])
+    counts = np.bincount(draws + 1)
+    expected = draws.size / 3
+    assert counts.size == 3
+    assert ((counts - expected) ** 2 / expected).sum() < 13.82
+
+
 def test_gaussian_support_and_variance():
     params = params_for(1024)
     spec = NoiseSpec.create("3.2", "19.2")
@@ -473,6 +486,27 @@ def test_smudging_support_and_mean():
     # uniform on [-b, b] has std b/sqrt(3)
     se = bound / (3**0.5) / count**0.5
     assert abs(total / count) <= 3 * se
+
+
+@pytest.mark.parametrize("bound, bins, quantile", [
+    (100, 201, 267.54),   # a bin per value, one-byte draws
+    (2**70, 32, 61.10),   # equal-width bins, draws of two 64-bit words
+])
+def test_smudging_chi_square(bound, bins, quantile):
+    # 65,536 draws uniform on [-b, b] in bins of exactly counted integers;
+    # the quantile is chi-square's 0.999 one with bins - 1 degrees of freedom
+    params = params_for(16384, bits=30, count=3)
+    rng = Xof.from_seed("smudge-chi2")
+    width = 2 * bound + 1
+    values = [v for _ in range(4)
+              for v in crt_lift(sample_smudging(params, bound, rng)).tolist()]
+    counts = np.bincount([(v + bound) * bins // width for v in values])
+    # bin k holds the x in [0, width) with x * bins // width = k
+    edges = [-(-k * width // bins) for k in range(bins + 1)]
+    expected = np.array([float(Fraction(hi - lo, width)) for lo, hi
+                         in zip(edges, edges[1:])]) * len(values)
+    assert counts.size == bins and expected.min() > 5
+    assert ((counts - expected) ** 2 / expected).sum() < quantile
 
 
 def test_smudging_zero_bound():

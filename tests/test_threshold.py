@@ -292,6 +292,39 @@ def test_partial_decrypt_zero_hook():
     assert not h.h.residues.any()
 
 
+def test_unsmudged_share_gives_away_the_key_share():
+    # the premise of smudging: with every limb kept (no modulus switch) and
+    # no smudging noise, h_i = s_i * c1, so anyone holding the share and the
+    # ciphertext divides c1 out pointwise in the NTT domain. With the
+    # planner's b_smg the same division gives no ternary element.
+    sess = mk_session(MBFV, 1024, 2, 16, seed="recover")
+    params, share = sess.params, sess.shares[0]
+    ring = params.ring
+    assert params.dec_ring == ring
+    pt = bfv_plaintext(params, [1] * ring.n)
+    ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
+    c1_hat = rg.to_ntt(ct.c1).residues
+    assert c1_hat.all()  # no NTT value of c1 is zero at this seed
+    c1_inv = np.array([[pow(int(v), -1, p) for v in row]
+                       for row, p in zip(c1_hat, ring.primes)], dtype=np.int64)
+
+    def divide_out_c1(h):
+        h_hat = rg.to_ntt(h).residues
+        quot = rg.RingElement(ring, h_hat * c1_inv % rg.prime_column(ring.primes),
+                              rg.NTT)
+        return rg.crt_lift(from_ntt(quot)).ints()
+
+    bare = partial_decrypt(params, share, ct, sess.smudge, None,
+                           e_smg=rg.zero(ring))
+    s = divide_out_c1(bare.h)
+    assert set(s.tolist()) == {-1, 0, 1}
+    assert np.array_equal(s, rg.crt_lift(from_ntt(share.s)).ints())
+    assert sess.smudge.b_smg > 1
+    smudged = partial_decrypt(params, share, ct, sess.smudge,
+                              sess.root.child("pd"))
+    assert np.abs(divide_out_c1(smudged.h)).max() > 1
+
+
 def test_partial_decrypt_rejects_oversized_smudging():
     sess = mk_session(MBFV, 64, 2, 0)
     params = sess.params
