@@ -47,7 +47,7 @@ class EncodingOverflowError(ConfigRejection):
 
 
 class ShareSetError(ProtocolFailure):
-    """Missing or duplicated party contribution in a combine step."""
+    """A party's contribution missing, duplicated or outside 1..L."""
 
 
 class SmudgeBoundError(ConfigRejection):

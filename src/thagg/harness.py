@@ -17,7 +17,6 @@ import hashlib
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .threshold import (
     Crs,
     SecretShare,
     SmudgeParams,
+    check_parties,
     combine_decrypt,
     combine_pk,
     crs_expand,
@@ -110,23 +110,28 @@ class ClientState:
 
 
 class Aggregator:
-    """Holds only public parameters and the running group-wise sum.
+    """Holds only public data: the senders and the running group-wise sum.
 
     Each submission is added in as it arrives, so at most one client's
-    ciphertexts are held besides the sum.
+    ciphertexts are held besides the sum. `evaluate` releases the sum only
+    if each of the parties 1..L submitted once; a submission beyond L fails
+    at once.
     """
 
-    def __init__(self, params: SchemeParams):
-        self.params = params
+    def __init__(self, parties: int):
+        self.parties = parties
+        self.senders: list[int] = []
         self.total: list[Ciphertext] | None = None
 
     def receive(self, sender: int, cts: list[Ciphertext]) -> None:
+        self.senders.append(sender)
+        if len(self.senders) > self.parties:  # fails before capacity runs out
+            check_parties(self.senders, self.parties, "ciphertext submission")
         self.total = (cts if self.total is None
-                      else aggregator_eval_step([self.total, cts]))
+                      else aggregator_eval_step(self.total, cts))
 
     def evaluate(self) -> list[Ciphertext]:
-        if self.total is None:
-            raise LengthMismatchError("no client submissions")
+        check_parties(self.senders, self.parties, "ciphertext submission")
         return self.total
 
 
@@ -304,18 +309,16 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
     return out
 
 
-def aggregator_eval_step(ct_lists: list[list[Ciphertext]]) -> list[Ciphertext]:
-    """Group-wise homomorphic sum across clients: L-1 additions per group
-    batch. Every client's groups must match in number and shape."""
-    if not ct_lists:
-        raise LengthMismatchError("no client submissions")
-    shapes = [ct.c1.residues.shape for ct in ct_lists[0]]
-    for lst in ct_lists:
-        got = [ct.c1.residues.shape for ct in lst]
-        if got != shapes:
-            raise LengthMismatchError(
-                f"submission groups differ: {got} vs {shapes}")
-    return [reduce(add, group) for group in zip(*ct_lists)]
+def aggregator_eval_step(total: list[Ciphertext],
+                         cts: list[Ciphertext]) -> list[Ciphertext]:
+    """One submission added into the running group sums: one addition per
+    group batch. The groups must match in number and shape."""
+    shapes = [ct.c1.residues.shape for ct in total]
+    got = [ct.c1.residues.shape for ct in cts]
+    if got != shapes:
+        raise LengthMismatchError(
+            f"submission groups differ: {got} vs {shapes}")
+    return [add(acc, ct) for acc, ct in zip(total, cts)]
 
 
 def output_step(cfg: ProtocolConfig, params: SchemeParams,
@@ -406,7 +409,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         for client in art.clients:
             client.update = synthesize_update(cfg, root, client.index, r)
 
-        agg = Aggregator(art.params)
+        agg = Aggregator(cfg.parties)
         for client in art.clients:
             t1 = time.perf_counter()
             cts = client_input_step(cfg, art.params, client, art.cpk,

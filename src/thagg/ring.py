@@ -239,7 +239,7 @@ def crt_lift(a: RingElement) -> "Lifted":
     """Centered integer representatives in (-q/2, q/2], one per coefficient."""
     if a.domain != COEFF:
         raise DomainMismatchError("crt_lift needs a coefficient-domain element")
-    return Lifted(a.params, a.residues)
+    return Lifted(a.params, *_garner(a.params.primes, a.residues))
 
 
 @dataclass(frozen=True)
@@ -286,8 +286,9 @@ def _garner(primes: tuple[int, ...], rows: np.ndarray):
     return digits, above
 
 
+@dataclass(frozen=True)
 class Lifted:
-    """Centered representatives of a coefficient-domain element.
+    """Centered representatives of a coefficient-domain element (`crt_lift`).
 
     Kept as the Garner mixed-radix digits of [x]_q in [0, q), so that
     [x]_q = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), plus a mask of the
@@ -299,10 +300,9 @@ class Lifted:
     (`ints`, `tolist`, `wrapped64`).
     """
 
-    def __init__(self, params: RingParams, residues: np.ndarray):
-        self.params = params
-        self.residues = residues
-        self.digits, self.neg = _garner(params.primes, residues)
+    params: RingParams
+    digits: np.ndarray
+    neg: np.ndarray
 
     def __len__(self) -> int:
         return self.params.n
@@ -310,22 +310,15 @@ class Lifted:
     def ints(self) -> np.ndarray:
         """The centered integers: int64 when q < 2^62, else Python ints.
 
-        Digits are paired (a pair is below 2^60, so it stays int64) and only
-        the Horner steps across pairs run on Python integers. Subtracting q
-        from [x]_q is subtracting the radix of the top pair from its value.
+        Horner over the digits, most significant first; subtracting q from
+        [x]_q is subtracting the top prime from the top digit.
         """
         primes, digits = self.params.primes, self.digits
-        groups, radices = [], []
-        for i in range(0, len(primes), 2):
-            pair = primes[i : i + 2]
-            g = digits[i] if len(pair) == 1 else digits[i] + pair[0] * digits[i + 1]
-            groups.append(g)
-            radices.append(pair[0] * pair[-1] if len(pair) == 2 else pair[0])
-        acc = groups[-1] - radices[-1] * self.neg
+        acc = digits[-1] - primes[-1] * self.neg
         if self.params.q >= 1 << 62:
             acc = acc.astype(object)
-        for g, radix in zip(groups[-2::-1], radices[-2::-1]):
-            acc = acc * radix + g
+        for d, p in zip(digits[-2::-1], primes[-2::-1]):
+            acc = acc * p + d
         return acc
 
     def tolist(self) -> list[int]:

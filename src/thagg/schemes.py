@@ -54,14 +54,10 @@ class SchemeParams:
     noise: rg.NoiseSpec
     kappa: int                # homomorphic addition capacity
     delta: int                # BFV: floor(q/t); CKKS: power-of-two scale
-    t: int | None = None      # BFV plaintext modulus
     # the ring partial decryptions are rounded to, sent in and combined in:
-    # the first limbs of `ring` (`ring.scale_down`); all of them by default
-    dec_ring: rg.RingParams | None = None
-
-    def __post_init__(self):
-        if self.dec_ring is None:
-            object.__setattr__(self, "dec_ring", self.ring)
+    # the first limbs of `ring` (`ring.scale_down`), or all of them
+    dec_ring: rg.RingParams
+    t: int | None = None      # BFV plaintext modulus
 
 
 # Keys are stored in the NTT domain only: every use of a key is a ring
@@ -279,9 +275,9 @@ def add(ct: Ciphertext, other: Ciphertext) -> Ciphertext:
                       scheme=ct.scheme, adds_consumed=spent, kappa=ct.kappa)
 
 
-def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> np.ndarray:
-    """[floor(t*x/q + 1/2)]_t, exact, centered output, with q the modulus
-    the lift was taken at (a collective decryption's switched q'). The
+def bfv_round(params: SchemeParams, d: rg.RingElement) -> np.ndarray:
+    """[floor(t*x/q + 1/2)]_t, exact, centered output, for x the centered
+    lift of d at its modulus q (a collective decryption's switched q'). The
     integers are int64, or Python ints (dtype object) for t > 2^63.
 
     For power-of-two t <= 2^62, write t*x = q*k + r with r the centered
@@ -292,26 +288,24 @@ def bfv_round(params: SchemeParams, lifted: rg.Lifted) -> np.ndarray:
     """
     if params.scheme != BFV:
         raise PlaintextRangeError("bfv_round needs BFV parameters")
-    t, ring = params.t, lifted.params
-    q = ring.q
+    t, q = params.t, d.params.q
     if t & (t - 1) == 0 and t <= 1 << 62:
-        tx = rg.Lifted(ring, rg.mul_scalar(
-            rg.RingElement(ring, lifted.residues), t).residues)
-        k = (np.uint64(0) - tx.wrapped64()) * np.uint64(pow(q, -1, t))
+        r = rg.crt_lift(rg.mul_scalar(d, t)).wrapped64()
+        k = (np.uint64(0) - r) * np.uint64(pow(q, -1, t))
         m = (k & np.uint64(t - 1)).astype(np.int64)
         return np.where(m > t // 2, m - t, m)
-    m = (2 * t * lifted.ints().astype(object) + q) // (2 * q) % t
+    m = (2 * t * rg.crt_lift(d).ints().astype(object) + q) // (2 * q) % t
     m = np.where(m > t // 2, m - t, m)
     return m if t > 1 << 63 else m.astype(np.int64)
 
 
-def ckks_scale_down(params: SchemeParams, lifted: rg.Lifted) -> Ratios:
-    """The lifted integers over delta, as the rationals they encode.
+def ckks_scale_down(params: SchemeParams, d: rg.RingElement) -> Ratios:
+    """The centered lift of d over delta, as the rationals it encodes.
 
     A lift at a switched q' = q/D is scaled back by D first: the value is
     x * D / delta, an integer numerator over the power-of-two delta.
     """
     if params.scheme != CKKS:
         raise PlaintextRangeError("ckks_scale_down needs CKKS parameters")
-    drop = params.ring.q // lifted.params.q
-    return Ratios(int_times(lifted.ints(), drop), params.delta)
+    drop = params.ring.q // d.params.q
+    return Ratios(int_times(rg.crt_lift(d).ints(), drop), params.delta)

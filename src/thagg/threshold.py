@@ -13,9 +13,11 @@ the share is sent on the limbs of q' only.
 c0 is only ever used at q', so each client rounds its fresh c0 there
 (`switch_c0`) before sending it; c1 stays at q, where s_i * c1 and the
 smudging are computed. The aggregator sums c0 at q' and the combiner adds
-the shares to it and lifts at q'. Shares, the CRS polynomial and the
-collective public key are stored in the NTT domain; the messages
-(public-key shares, partial decryptions, ciphertexts) are coefficient-domain.
+the shares to it, and the decoders lift that sum at q'. Shares, the CRS
+polynomial and the collective public key are stored in the NTT domain; the
+messages (public-key shares, partial decryptions, ciphertexts) are
+coefficient-domain. Every combine takes one contribution from each of the
+parties 1..L (`check_parties`).
 """
 
 from __future__ import annotations
@@ -93,21 +95,18 @@ def pk_share(params: SchemeParams, share: SecretShare, crs: Crs, rng: Xof, *,
     return PkShare(index=share.index, p0=p0)
 
 
-def _check_indices(items, parties: int, what: str) -> None:
-    seen = set()
-    for it in items:
-        if it.index in seen:
-            raise ShareSetError(f"duplicate {what} from party {it.index}")
-        seen.add(it.index)
-    if len(seen) != parties:
-        missing = sorted(set(range(1, parties + 1)) - seen)
-        raise ShareSetError(f"expected {parties} {what}s, missing {missing}")
+def check_parties(indices, parties: int, what: str) -> None:
+    """Raise ShareSetError unless `indices` are 1..parties, each once."""
+    got = sorted(indices)
+    if got != list(range(1, parties + 1)):
+        raise ShareSetError(
+            f"need one {what} from each of parties 1..{parties}, got {got}")
 
 
 def combine_pk(params: SchemeParams, shares: list[PkShare], crs: Crs,
                parties: int) -> PublicKey:
     """cpk = (sum p0_i, p1); valid for the ideal key with noise sum e_i."""
-    _check_indices(shares, parties, "public-key share")
+    check_parties([sh.index for sh in shares], parties, "public-key share")
     acc = rg.zero(params.ring)
     for sh in shares:
         acc = rg.ring_add(acc, sh.p0)
@@ -159,10 +158,12 @@ def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
 
 def combine_decrypt(params: SchemeParams, ct: Ciphertext,
                     partials: list[PartialDecryption],
-                    parties: int) -> rg.Lifted:
-    """d' = [c0 + sum h_i]_q' as centered coefficients, for a c0 the
-    clients already rounded to q' (`switch_c0`)."""
-    _check_indices(partials, parties, "partial decryption")
+                    parties: int) -> rg.RingElement:
+    """d' = [c0 + sum h_i]_q', coefficient-domain, for a c0 the clients
+    already rounded to q' (`switch_c0`); `schemes.bfv_round` or
+    `schemes.ckks_scale_down` decodes it."""
+    check_parties([part.index for part in partials], parties,
+                  "partial decryption")
     if ct.c0.params != params.dec_ring:
         raise ParamsMismatchError(
             f"c0 is on {len(ct.c0.params.primes)} limbs; collective "
@@ -171,4 +172,4 @@ def combine_decrypt(params: SchemeParams, ct: Ciphertext,
     acc = ct.c0
     for part in partials:
         acc = rg.ring_add(acc, part.h)
-    return rg.crt_lift(acc)
+    return acc

@@ -248,9 +248,10 @@ def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
 
 
 def decryption_phase(params: SchemeParams, sk: SecretKey,
-                     ct: Ciphertext) -> rg.Lifted:
-    """Centered lift of [c0 + c1*s]_q, the shared first decryption stage."""
-    return rg.crt_lift(rg.ring_add(ct.c0, rg.ring_mul(ct.c1, sk.s)))
+                     ct: Ciphertext) -> rg.RingElement:
+    """[c0 + c1*s]_q, coefficient-domain: the shared first decryption stage,
+    in the form `combine_decrypt` opens."""
+    return rg.ring_add(ct.c0, rg.ring_mul(ct.c1, sk.s))
 
 
 def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
@@ -268,7 +269,7 @@ def dec_ckks(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Ratios:
 def noise_of(params: SchemeParams, sk: SecretKey, ct: Ciphertext,
              reference_pt: Plaintext) -> int:
     """Infinity norm of [c0 + c1*s - delta*m]_q; reads the secret key."""
-    lifted = decryption_phase(params, sk, ct).tolist()
+    lifted = rg.crt_lift(decryption_phase(params, sk, ct)).tolist()
     target = rg.crt_lift(reference_pt.element).tolist()
     if params.scheme == BFV:
         target = [params.delta * v for v in target]

@@ -492,9 +492,10 @@ def lifted_cases(params):
 def test_crt_lift_edges(params):
     q = params.q
     values = (edge_values(q) * params.n)[: params.n]
-    lifted = rg.crt_lift(from_ints(params, values))
+    el = from_ints(params, values)
+    lifted = rg.crt_lift(el)
     want = [v - q if v > q // 2 else v for v in values]
-    assert lifted.tolist() == want == ref_crt_lift(params, lifted.residues)
+    assert lifted.tolist() == want == ref_crt_lift(params, el.residues)
     assert list(lifted.ints()) == want
     assert lifted.ints().dtype == (np.int64 if q < 2**62 else object)
 
@@ -644,7 +645,7 @@ def test_batched_encoders_match_per_row(scheme):
 def bfv_scheme(params, t):
     return SchemeParams(scheme=BFV, ring=params,
                         noise=rg.NoiseSpec.create("3.2"), kappa=1,
-                        delta=params.q // t, t=t)
+                        delta=params.q // t, t=t, dec_ring=params)
 
 
 @settings(max_examples=80, deadline=None)
@@ -655,19 +656,20 @@ def test_bfv_round_matches_lifted_reference(data):
     assume(t < params.q)
     values = data.draw(lifted_cases(params))
     scheme = bfv_scheme(params, t)
-    lifted = rg.crt_lift(from_ints(params, values))
-    fast = bfv_round(scheme, lifted)
+    el = from_ints(params, values)
+    fast = bfv_round(scheme, el)
     assert isinstance(fast, np.ndarray)
-    slow = ref_bfv_round(t, params.q, ref_crt_lift(params, lifted.residues))
+    slow = ref_bfv_round(t, params.q, ref_crt_lift(params, el.residues))
     assert fast.tolist() == slow
 
 
 def test_bfv_round_other_t_uses_reference():
     values = (edge_values(FIVE_PRIMES.q) * 4)[: FIVE_PRIMES.n]
-    lifted = rg.crt_lift(from_ints(FIVE_PRIMES, values))
+    el = from_ints(FIVE_PRIMES, values)
     for t in (257, 4097, 2**70, 2**100 + 1):
-        got = bfv_round(bfv_scheme(FIVE_PRIMES, t), lifted)
-        assert got.tolist() == ref_bfv_round(t, FIVE_PRIMES.q, lifted.tolist())
+        got = bfv_round(bfv_scheme(FIVE_PRIMES, t), el)
+        assert got.tolist() == ref_bfv_round(t, FIVE_PRIMES.q,
+                                             rg.crt_lift(el).tolist())
         assert got.dtype == (np.int64 if t < 2**63 else object)
 
 

@@ -20,6 +20,7 @@ from thagg.errors import (
     LengthMismatchError,
     ParamsMismatchError,
     ProtocolFailure,
+    ShareSetError,
     WireFormatError,
 )
 from thagg.exact import Ratios
@@ -135,7 +136,7 @@ def test_input_step_chunk_shapes_and_zero_vector():
         c.update = np.zeros(cfg.model_size)
     other = client_input_step(cfg, art.params, art.clients[1], art.cpk,
                               root, 0, bus)
-    summed = aggregator_eval_step([cts, other])
+    summed = aggregator_eval_step(cts, other)
     opened = output_step(cfg, art.params, art.clients, summed, art.report,
                          root, 0, bus)
     assert list(opened) == [Fraction(0)] * cfg.model_size
@@ -150,16 +151,18 @@ def test_eval_step_identity_and_mismatch():
         c.update = synthesize_update(cfg, root, c.index, 0)
     lists = [client_input_step(cfg, art.params, c, art.cpk, root, 0, bus)
              for c in art.clients]
-    assert aggregator_eval_step([lists[0]]) == lists[0]  # single list: identity
+    solo = Aggregator(1)  # a single submission: identity
+    solo.receive(1, lists[0])
+    assert solo.evaluate() == lists[0]
     # one group of both chunks; a group of one would broadcast against it
     (group,) = lists[1]
     first = dataclasses.replace(group, c0=stack(unstack(group.c0)[:1]),
                                 c1=stack(unstack(group.c1)[:1]))
     for bad in ([], [first]):
         with pytest.raises(LengthMismatchError, match="groups differ"):
-            aggregator_eval_step([lists[0], bad])
-    with pytest.raises(LengthMismatchError):
-        aggregator_eval_step([])
+            aggregator_eval_step(lists[0], bad)
+    with pytest.raises(ShareSetError):
+        Aggregator(2).evaluate()
 
 
 def test_aggregator_folds_submissions_as_they_arrive():
@@ -167,8 +170,8 @@ def test_aggregator_folds_submissions_as_they_arrive():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(5)
-    agg = Aggregator(art.params)
-    with pytest.raises(LengthMismatchError):
+    agg = Aggregator(cfg.parties)
+    with pytest.raises(ShareSetError):
         agg.evaluate()
     lists = []
     for c in art.clients:
@@ -176,8 +179,10 @@ def test_aggregator_folds_submissions_as_they_arrive():
         lists.append(client_input_step(cfg, art.params, c, art.cpk, root,
                                        0, bus))
         agg.receive(c.index, lists[-1])
-    assert vars(agg).keys() == {"params", "total"}  # no per-client store
-    want = aggregator_eval_step(lists)
+    # no per-client store
+    assert vars(agg).keys() == {"parties", "senders", "total"}
+    want = aggregator_eval_step(aggregator_eval_step(lists[0], lists[1]),
+                                lists[2])
     got = agg.evaluate()
     # both chunks in one group batch, each summed over the 3 clients
     assert [ct.adds_consumed for ct in got] == [2]
@@ -197,12 +202,66 @@ def test_aggregation_order_does_not_change_opened_value():
     lists = [client_input_step(cfg, art.params, c, art.cpk, root, 0, bus)
              for c in art.clients]
     fwd = output_step(cfg, art.params, art.clients,
-                      aggregator_eval_step(lists), art.report,
+                      aggregator_eval_step(*lists), art.report,
                       root.child("d1"), 0, bus)
     rev = output_step(cfg, art.params, art.clients,
-                      aggregator_eval_step(list(reversed(lists))), art.report,
+                      aggregator_eval_step(*reversed(lists)), art.report,
                       root.child("d2"), 0, bus)
     assert fwd == rev
+
+
+def submissions(cfg, art):
+    """Every client's ciphertext groups for round 0, by party index."""
+    bus, root = MessageBus(), Xof.from_seed(cfg.root_seed)
+    subs = {}
+    for c in art.clients:
+        c.update = synthesize_update(cfg, root, c.index, 0)
+        subs[c.index] = client_input_step(cfg, art.params, c, art.cpk, root,
+                                          0, bus)
+    return subs
+
+
+def test_aggregator_takes_each_party_exactly_once():
+    # L = 3: a sender outside 1..3, a missing party, a duplicate (the case
+    # of one party twice and another never is the next test)
+    cfg = make_cfg(parties=3, model_size=1024)
+    art = run_setup(cfg)
+    subs = submissions(cfg, art)
+    for senders in [(1, 2, 4), (1, 2), (3, 1, 2, 2)]:
+        agg = Aggregator(cfg.parties)
+        with pytest.raises(ShareSetError) as info:
+            for i in senders:
+                agg.receive(i, subs[min(i, 3)])
+            agg.evaluate()
+        assert isinstance(info.value, ProtocolFailure)  # exit 3
+    # a submission beyond L fails as it arrives, before kappa = L additions
+    # run out
+    agg = Aggregator(cfg.parties)
+    for _ in range(3):
+        agg.receive(1, subs[1])
+    with pytest.raises(ShareSetError, match=r"got \[1, 1, 1, 1\]"):
+        agg.receive(1, subs[1])
+    agg = Aggregator(cfg.parties)
+    for i in (2, 3, 1):
+        agg.receive(i, subs[i])
+    agg.evaluate()
+
+
+def test_double_submission_raises_before_output_step():
+    # client 1's groups received twice and client 3's never: the sum opens
+    # far off the cleartext average, so evaluate must refuse to release it
+    cfg = make_cfg(parties=3, model_size=1024)
+    art = run_setup(cfg)
+    subs = submissions(cfg, art)
+    agg = Aggregator(cfg.parties)
+    for i in (1, 1, 2):
+        agg.receive(i, subs[i])
+    with pytest.raises(ShareSetError, match=r"submission .* got \[1, 1, 2\]"):
+        agg.evaluate()
+    opened = output_step(cfg, art.params, art.clients, agg.total, art.report,
+                         Xof.from_seed(1), 0, MessageBus())
+    oracle = cleartext_oracle(cfg, [c.update for c in art.clients])
+    assert opened.max_abs_diff(oracle) > Fraction(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +392,7 @@ def test_groups_of_chunks_leave_the_run_unchanged(scheme, tmp_path,
 def test_aggregator_never_holds_share_typed_state():
     cfg = make_cfg()
     art = run_setup(cfg)
-    agg = Aggregator(art.params)
+    agg = Aggregator(cfg.parties)
     bus = MessageBus()
     root = Xof.from_seed(1)
     for c in art.clients:

@@ -37,6 +37,7 @@ from thagg.threshold import (
     SecretShare,
     SmudgeParams,
     _check_smudge_fits,
+    check_parties,
     combine_decrypt,
     combine_pk,
     crs_expand,
@@ -189,13 +190,34 @@ def test_combine_pk_order_invariant():
     assert np.array_equal(swapped.p0.residues, sess.cpk.p0.residues)
 
 
+# Party sets other than {1, 2, 3} for L = 3, by party index: out of range,
+# a duplicate, a missing party, and one too many.
+BAD_PARTY_SETS = [(1, 2, 4), (1, 1, 2), (1, 2), (1, 2, 3, 3)]
+
+
+def pick(items, indices):
+    """The contributions of the parties `indices`, relabelled where an
+    index has no contribution of its own."""
+    by_index = {it.index: it for it in items}
+    return [by_index.get(i, replace(items[-1], index=i)) for i in indices]
+
+
+def test_check_parties_accepts_exactly_one_of_each():
+    check_parties([3, 1, 2], 3, "share")
+    check_parties([1], 1, "share")
+    for bad in BAD_PARTY_SETS + [(0, 1, 2), (), (2, 3, 1, 3)]:
+        with pytest.raises(ShareSetError) as info:
+            check_parties(bad, 3, "share")
+        assert isinstance(info.value, ProtocolFailure)  # exit 3
+        assert str(info.value) == (
+            f"need one share from each of parties 1..3, got {sorted(bad)}")
+
+
 def test_combine_pk_rejects_bad_share_sets():
     sess = mk_session(MBFV, 64, 3, 0, seed="bad")
-    with pytest.raises(ShareSetError):
-        combine_pk(sess.params, sess.pkshares[:2], sess.crs, 3)
-    dup = [sess.pkshares[0], sess.pkshares[0], sess.pkshares[1]]
-    with pytest.raises(ShareSetError):
-        combine_pk(sess.params, dup, sess.crs, 3)
+    for indices in BAD_PARTY_SETS:
+        with pytest.raises(ShareSetError):
+            combine_pk(sess.params, pick(sess.pkshares, indices), sess.crs, 3)
 
 
 def test_encrypt_under_cpk_ideal_key_roundtrip():
@@ -248,8 +270,9 @@ def test_ntt_keys_match_their_coefficient_copies(seed, scheme):
         return ct
 
     ct = encrypt_both(pk)
-    assert decryption_phase(params, sk, ct).tolist() == decryption_phase(
-        params, SecretKey(from_ntt(sk.s)), ct).tolist()
+    stored = decryption_phase(params, sk, ct)
+    copied = decryption_phase(params, SecretKey(from_ntt(sk.s)), ct)
+    assert rg.crt_lift(stored).tolist() == rg.crt_lift(copied).tolist()
     ct = encrypt_both(sess.cpk)
     ct_ntt = replace(ct, c1=rg.to_ntt(ct.c1))  # as output_step uses it
     for sh in sess.shares:
@@ -325,6 +348,32 @@ def test_unsmudged_share_gives_away_the_key_share():
     assert np.abs(divide_out_c1(smudged.h)).max() > 1
 
 
+@pytest.mark.parametrize("switched", [False, True])
+def test_smudging_width_of_a_share(switched):
+    # the same share with and without its smudging e: at q (D = 1) the two
+    # differ by e exactly; rounded to q' = q/D they differ by e/D +- 1, and
+    # somewhere by at least b_smg/(2D) - 1, which fails with probability at
+    # most 2^-n (each |e_j| < b_smg/2 with probability 1/2)
+    sess = mk_session(MBFV, 1024, 3, 16, seed=f"width-{switched}",
+                      switched=switched)
+    params, share, b_smg = sess.params, sess.shares[0], sess.smudge.b_smg
+    drop = params.ring.q // params.dec_ring.q
+    assert (drop > 1) == switched
+    ct = encrypt(params, sess.cpk, bfv_plaintext(params, [1] * 1024),
+                 sess.root.child("e"))
+    e = rg.sample_smudging(params.ring, b_smg, sess.root.child("smg"))
+    h = partial_decrypt(params, share, ct, sess.smudge, None, e_smg=e).h
+    h0 = partial_decrypt(params, share, ct, sess.smudge, None,
+                         e_smg=rg.zero(params.ring)).h
+    diff = rg.crt_lift(ring_sub(h, h0)).tolist()
+    if not switched:
+        assert diff == rg.crt_lift(e).tolist()
+        return
+    assert all(-b_smg / drop - 1 <= Fraction(v) <= b_smg / drop + 1
+               for v in diff)
+    assert max(abs(v) for v in diff) >= b_smg / (2 * drop) - 1
+
+
 def test_partial_decrypt_rejects_oversized_smudging():
     sess = mk_session(MBFV, 64, 2, 0)
     params = sess.params
@@ -363,7 +412,7 @@ def test_smudge_message_takes_values_beyond_the_float_range():
     ring = setup(BFV, 16, sigma="3.2", t=257, primes=primes_for(16, 40)).ring
     params = SchemeParams(scheme=BFV, ring=ring,
                           noise=rg.NoiseSpec.create("3.2"), kappa=1,
-                          delta=1, t=2**1100)
+                          delta=1, t=2**1100, dec_ring=ring)
     smudge = SmudgeParams(parties=2, b_ct=Fraction(0), b_smg=Fraction(1))
     with pytest.raises(SmudgeBoundError, match=r"2\*b_smg .*q > 2\^2200\.00"):
         _check_smudge_fits(params, smudge)
@@ -391,7 +440,7 @@ def test_smudge_check_matches_old_room_inequality(data):
         room = Fraction(q, 2) - delta
     params = SchemeParams(scheme=scheme, ring=ring,
                           noise=rg.NoiseSpec.create("3.2"), kappa=1,
-                          delta=delta, t=t)
+                          delta=delta, t=t, dec_ring=ring)
     parties = data.draw(st.integers(1, 16))
     scale = room if room > 0 else Fraction(q)
     b_ct = scale * Fraction(data.draw(st.integers(0, 64)), 64)
@@ -414,7 +463,7 @@ def test_combine_decrypt_single_party_no_smudging_matches_single_key():
                            Xof.from_seed("p"), e_smg=rg.zero(params.ring))
     d = combine_decrypt(params, ct, [part], 1)
     single = decryption_phase(params, SecretKey(sess.shares[0].s), ct)
-    assert d.tolist() == single.tolist()
+    assert rg.crt_lift(d).tolist() == rg.crt_lift(single).tolist()
 
 
 def test_combine_decrypt_order_invariant_and_checked():
@@ -424,11 +473,14 @@ def test_combine_decrypt_order_invariant_and_checked():
     ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
     d, partials = open_ciphertext(sess, ct)
     d_rev = combine_decrypt(params, ct, list(reversed(partials)), 3)
-    assert d.tolist() == d_rev.tolist()
+    assert rg.crt_lift(d).tolist() == rg.crt_lift(d_rev).tolist()
     with pytest.raises(ShareSetError):
         combine_decrypt(params, ct, partials[:2], 3)
     with pytest.raises(ShareSetError):
         combine_decrypt(params, ct, [partials[0]] * 3, 3)
+    for indices in BAD_PARTY_SETS:
+        with pytest.raises(ShareSetError):
+            combine_decrypt(params, ct, pick(partials, indices), 3)
 
 
 def test_opened_noise_within_aggregate_bound():
@@ -449,7 +501,7 @@ def test_opened_noise_within_aggregate_bound():
     d, _ = open_ciphertext(sess, acc)
     q, half = params.ring.q, params.ring.half_q
     worst = 0
-    for x, m in zip(d.tolist(), total):
+    for x, m in zip(rg.crt_lift(d).tolist(), total):
         diff = (x - params.delta * m) % q
         if diff > half:
             diff -= q
@@ -476,21 +528,22 @@ def test_ideal_functionality_equivalence():
     ct = encrypt(params, pk, pt, sess.root.child("e"))
     d, partials = open_ciphertext(sess, ct)
     ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
-    base = decryption_phase(params, ideal, ct)
+    base = rg.crt_lift(decryption_phase(params, ideal, ct))
 
     # recover each party's smudging from its message and secret share
     smg_total = [0] * n
     for sh, part in zip(sess.shares, partials):
         e = ring_sub(part.h, rg.ring_mul(sh.s, ct.c1))
         smg_total = [a + b for a, b in zip(smg_total, rg.crt_lift(e).tolist())]
-    for x, y, s in zip(d.tolist(), base.tolist(), smg_total):
+    for x, y, s in zip(rg.crt_lift(d).tolist(), base.tolist(), smg_total):
         diff = (x - y - s) % q
         assert diff == 0
 
     quiet = [partial_decrypt(params, sh, ct, no_smudging(sess),
                              Xof.from_seed("q"), e_smg=rg.zero(params.ring))
              for sh in sess.shares]
-    assert combine_decrypt(params, ct, quiet, 3).tolist() == base.tolist()
+    assert (rg.crt_lift(combine_decrypt(params, ct, quiet, 3)).tolist()
+            == base.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +554,7 @@ def test_finalize_bfv_noiseless_and_scheme_guard():
     sess = mk_session(MBFV, 64, 2, 0)
     params = sess.params
     vals = [7, -7] + [0] * (params.ring.n - 2)
-    d = rg.crt_lift(from_ints(params.ring,
-                              [params.delta * v for v in vals]))
+    d = from_ints(params.ring, [params.delta * v for v in vals])
     assert bfv_round(params, d).tolist() == vals
     with pytest.raises(PlaintextRangeError):
         ckks_scale_down(params, d)
@@ -510,7 +562,7 @@ def test_finalize_bfv_noiseless_and_scheme_guard():
 
 def test_bfv_round_rejects_ckks_params():
     sess = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=12)
-    d = rg.crt_lift(rg.zero(sess.params.ring))
+    d = rg.zero(sess.params.ring)
     with pytest.raises(PlaintextRangeError) as info:
         bfv_round(sess.params, d)
     assert isinstance(info.value, ProtocolFailure)  # exit 3
@@ -520,8 +572,8 @@ def test_finalize_ckks_noiseless_exact():
     sess = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=12)
     params = sess.params
     # setup's headroom covers |m| <= 1, so +-delta is a value d can take
-    d = rg.crt_lift(from_ints(
-        params.ring, [params.delta, -params.delta] + [0] * (params.ring.n - 2)))
+    d = from_ints(
+        params.ring, [params.delta, -params.delta] + [0] * (params.ring.n - 2))
     got = ckks_scale_down(params, d)
     assert got[0] == 1 and got[1] == -1
 
@@ -530,15 +582,13 @@ def test_finalize_ckks_doubling_delta_halves_residual():
     sess = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=12)
     params = sess.params
     noise = list(range(1000, 1000 + params.ring.n))
-    d1 = rg.crt_lift(from_ints(params.ring,
-                               [params.delta * 1 + e for e in noise]))
+    d1 = from_ints(params.ring, [params.delta * 1 + e for e in noise])
     err1 = max(abs(v - 1) for v in ckks_scale_down(params, d1))
     # same additive noise at twice the scale
     sess2 = mk_session(MCKKS, 64, 2, 0, eps_inv_bits=13)
     params2 = sess2.params
     assert params2.delta == 2 * params.delta
-    d2 = rg.crt_lift(from_ints(params2.ring,
-                               [params2.delta * 1 + e for e in noise]))
+    d2 = from_ints(params2.ring, [params2.delta * 1 + e for e in noise])
     err2 = max(abs(v - 1) for v in ckks_scale_down(params2, d2))
     assert err2 == err1 / 2
 
@@ -645,13 +695,14 @@ def open_switched_session(sess, rng):
 
     # the full-q opened value, through the test-only ideal key
     ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
-    full = decryption_phase(params, ideal, full_acc).ints().astype(object)
+    full = rg.crt_lift(
+        decryption_phase(params, ideal, full_acc)).ints().astype(object)
     full = full + sum(rg.crt_lift(e).ints().astype(object) for e in smudging)
     message = sum(rg.crt_lift(pt.element).ints().astype(object)
                   for pt in pts)
     if params.scheme == BFV:
         message = message * params.delta
-    opened = d.ints().astype(object) * drop  # d' read back at q
+    opened = rg.crt_lift(d).ints().astype(object) * drop  # d' read back at q
     # L c0 roundings and L share roundings, each at most D/2
     assert max(abs(centered_mod(opened - full, q))) <= rounding
     # opened noise at q' within b_ct_mp' * q'/q, i.e. within b_ct_mp' at q

@@ -24,6 +24,18 @@ DATA = Path(__file__).resolve().parent / "data"
 # driver computes from its pairs of runs; one child cannot report it.
 DRIVER_ONLY = {"trace.overhead_ratio"}
 
+# Exact counts on both golden configs (n = 1024, L = 3, 3 chunks in one
+# group). A change that moves work between counted layers, such as where
+# the opened chunks are lifted, shows up here.
+PINNED_COUNTS = {
+    "ring.crt_lift.coeffs": 3072,
+    "schemes.add.calls": 2,
+    "threshold.partial_decrypt.calls": 3,
+    "wire.messages": 21,
+    "ntt.forward.calls": 9,
+    "ntt.inverse.calls": 12,
+}
+
 
 def declared_layers() -> set[str]:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -47,3 +59,4 @@ def test_traced_child_reports_every_declared_layer(config, tmp_path):
     assert declared_layers() - layers.keys() == set()
     json.dumps(result, allow_nan=False)  # raises on NaN or infinity
     assert all(math.isfinite(value) for value, _unit in layers.values())
+    assert {name: layers[name][0] for name in PINNED_COUNTS} == PINNED_COUNTS
