@@ -2,19 +2,18 @@
 
 Elements live as per-prime residue rows (non-negative, branch-free modular
 arithmetic). `from_coeffs` reduces int64 coefficient arrays, and no other
-form; integers leave only through `crt_lift`, which keeps the centered
-representatives in (-q/2, q/2] as Garner mixed-radix digits (`Lifted`).
+form; integers leave only through `crt_lift`, which returns the centered
+representatives in (-q/2, q/2]: int64 when q < 2^62, Python ints above.
 Products go through the NTT; the tests check them against a quadratic
 schoolbook oracle (`tests/oracles.py`). `scale_down` rounds an element to
 a leading sub-basis (modulus switching) exactly, through the Garner digits
 of the dropped limbs. No per-coefficient Python integer is built on the
-sampling, lifting or switching paths; integers appear only when a caller
-asks for them (`Lifted.ints`, `tolist`, `wrapped64`).
+sampling or switching paths, nor by a lift at q < 2^62.
 
 Residues may carry leading batch axes, shape (..., limbs, n): the ring
 operations, the transforms, `from_coeffs` and `scale_down` act on every
-entry of a batch at once (`stack` builds one, `unstack` takes it apart).
-Lifting and the samplers take one element.
+entry of a batch at once (`stack` builds one, `unstack` takes it apart),
+and so does `crt_lift`. The samplers draw one element.
 """
 
 from __future__ import annotations
@@ -235,11 +234,23 @@ def scale_down(a: RingElement, target: RingParams) -> RingElement:
     return RingElement(target, res, COEFF)
 
 
-def crt_lift(a: RingElement) -> "Lifted":
-    """Centered integer representatives in (-q/2, q/2], one per coefficient."""
+def crt_lift(a: RingElement) -> np.ndarray:
+    """Centered integer representatives in (-q/2, q/2], one per coefficient,
+    shape (..., n): int64 when q < 2^62, else Python ints (dtype object).
+
+    Horner over the Garner digits (`_garner`), most significant first;
+    subtracting q from [x]_q is subtracting the top prime from the top digit.
+    """
     if a.domain != COEFF:
         raise DomainMismatchError("crt_lift needs a coefficient-domain element")
-    return Lifted(a.params, *_garner(a.params.primes, a.residues))
+    primes = a.params.primes
+    digits, neg = _garner(primes, np.moveaxis(a.residues, -2, 0))
+    acc = digits[-1] - primes[-1] * neg
+    if a.params.q >= 1 << 62:
+        acc = acc.astype(object)
+    for d, p in zip(digits[-2::-1], primes[-2::-1]):
+        acc = acc * p + d
+    return acc
 
 
 @dataclass(frozen=True)
@@ -248,8 +259,6 @@ class _GarnerConsts:
     # r_j = p_0 ... p_{j-1} is the radix of digit j
     mix: tuple[tuple[int, ...], ...]
     half: tuple[int, ...]      # mixed-radix digits of floor(q/2)
-    radix64: np.ndarray        # p_0 ... p_{i-1} mod 2^64, uint64
-    q64: np.uint64             # q mod 2^64
 
 
 @lru_cache(maxsize=None)
@@ -264,15 +273,20 @@ def _garner_consts(primes: tuple[int, ...]) -> _GarnerConsts:
     for p in primes:
         rest, digit = divmod(rest, p)
         half.append(digit)
-    return _GarnerConsts(tuple(mix), tuple(half),
-                         np.array([r % (1 << 64) for r in radix],
-                                  dtype=np.uint64),
-                         np.uint64(prefix % (1 << 64)))
+    return _GarnerConsts(tuple(mix), tuple(half))
 
 
 def _garner(primes: tuple[int, ...], rows: np.ndarray):
-    """Garner digits of residue rows (limbs first: shape (limbs, ..., n)),
-    in the same layout, and the mask of values above floor(q/2)."""
+    """Garner mixed-radix digits of residue rows (limbs first: shape
+    (limbs, ..., n)), in the same layout, and the mask of values above
+    floor(q/2), whose centered value is [x]_q - q.
+
+    [x]_q = d_0 + p_0 (d_1 + p_1 (d_2 + ...)). Digit i is
+    (x_i - sum_{j<i} d_j r_j) * r_i^-1 mod p_i for the radices
+    r_j = p_0 ... p_{j-1}: one dot product over int64 rows and one
+    reduction. The digits compare lexicographically (most significant
+    first) as the integers do.
+    """
     consts = _garner_consts(primes)
     digits = np.empty_like(rows)
     digits[0] = rows[0]
@@ -284,53 +298,6 @@ def _garner(primes: tuple[int, ...], rows: np.ndarray):
         above |= tied & (digits[i] > consts.half[i])
         tied &= digits[i] == consts.half[i]
     return digits, above
-
-
-@dataclass(frozen=True)
-class Lifted:
-    """Centered representatives of a coefficient-domain element (`crt_lift`).
-
-    Kept as the Garner mixed-radix digits of [x]_q in [0, q), so that
-    [x]_q = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), plus a mask of the
-    coefficients above floor(q/2), whose centered value is [x]_q - q. Digit
-    i is (x_i - sum_{j<i} d_j r_j) * r_i^-1 mod p_i for the radices
-    r_j = p_0 ... p_{j-1}: one dot product over int64 rows and one
-    reduction. The digits compare lexicographically (most significant
-    first) as the integers do. Integers are built only on request
-    (`ints`, `tolist`, `wrapped64`).
-    """
-
-    params: RingParams
-    digits: np.ndarray
-    neg: np.ndarray
-
-    def __len__(self) -> int:
-        return self.params.n
-
-    def ints(self) -> np.ndarray:
-        """The centered integers: int64 when q < 2^62, else Python ints.
-
-        Horner over the digits, most significant first; subtracting q from
-        [x]_q is subtracting the top prime from the top digit.
-        """
-        primes, digits = self.params.primes, self.digits
-        acc = digits[-1] - primes[-1] * self.neg
-        if self.params.q >= 1 << 62:
-            acc = acc.astype(object)
-        for d, p in zip(digits[-2::-1], primes[-2::-1]):
-            acc = acc * p + d
-        return acc
-
-    def tolist(self) -> list[int]:
-        return self.ints().tolist()
-
-    def wrapped64(self) -> np.ndarray:
-        """The centered integers mod 2^64, as uint64 (wrapping arithmetic)."""
-        consts = _garner_consts(self.params.primes)
-        acc = np.zeros(self.params.n, dtype=np.uint64)
-        for d, radix in zip(self.digits, consts.radix64):
-            acc += d.astype(np.uint64) * radix
-        return np.where(self.neg, acc - consts.q64, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ public-key and encryption shape, sampling encryption randomness u from the
 ternary distribution. No slot packing: plaintext coefficients carry values
 directly. The encoders turn float64 arrays, and only those, into a
 `Plaintext`: one RNS element, built with exact vector steps. The
-decryption tails work on exact integers from the Garner digits of the CRT
-lift; nothing in the decrypt path touches floats. `bfv_round` gives the
-centered integers mod t, and the opened value comes out as `Ratios`
-(`decode_fixed` for BFV, `ckks_scale_down` for CKKS).
+decryption tails work on the exact centered integers of the CRT lift
+(`ring.crt_lift`); nothing in the decrypt path touches floats. Each takes
+an element of its own parameters' ring or decryption ring, and no other.
+`bfv_round` gives the centered integers mod t, and the opened value comes
+out as `Ratios` (`decode_fixed` for BFV, `ckks_scale_down` for CKKS).
 
 Keys and the opened value come from the threshold protocol (`threshold`).
 The single-key generation and decryption path is a reference
@@ -27,6 +28,7 @@ from .errors import (
     BoundViolationError,
     CapacityError,
     EncodingOverflowError,
+    ParamsMismatchError,
     PlaintextRangeError,
 )
 from .exact import (
@@ -275,26 +277,36 @@ def add(ct: Ciphertext, other: Ciphertext) -> Ciphertext:
                       scheme=ct.scheme, adds_consumed=spent, kappa=ct.kappa)
 
 
+def _check_decode_ring(params: SchemeParams, d: rg.RingElement) -> None:
+    # the combine's output lives at dec_ring; a single-key decryption at ring
+    if d.params not in (params.ring, params.dec_ring):
+        raise ParamsMismatchError(
+            "the element to decode is not on the parameters' ring or "
+            "decryption ring")
+
+
 def bfv_round(params: SchemeParams, d: rg.RingElement) -> np.ndarray:
     """[floor(t*x/q + 1/2)]_t, exact, centered output, for x the centered
     lift of d at its modulus q (a collective decryption's switched q'). The
     integers are int64, or Python ints (dtype object) for t > 2^63.
 
-    For power-of-two t <= 2^62, write t*x = q*k + r with r the centered
-    [t*x]_q. Since q is odd, |r| < q/2, so k = round(t*x/q) and
-    k = -r * q^-1 mod t. Only r mod t is needed: the Garner digits of [t*x]_q
-    give it mod 2^64 without big integers. Other t take the rational form
-    below, on Python integers.
+    For power-of-two t, write t*x = q*k + r with r the centered [t*x]_q.
+    Since q is odd, |r| < q/2, so k = round(t*x/q) and k = -r * q^-1 mod t,
+    which the mask t - 1 takes. r is int64 while q < 2^62 and t <= 2^62,
+    else Python ints; int64 products wrap mod 2^64, which t divides, so the
+    mask is exact either way. Other t take the rational form.
     """
     if params.scheme != BFV:
         raise PlaintextRangeError("bfv_round needs BFV parameters")
+    _check_decode_ring(params, d)
     t, q = params.t, d.params.q
-    if t & (t - 1) == 0 and t <= 1 << 62:
-        r = rg.crt_lift(rg.mul_scalar(d, t)).wrapped64()
-        k = (np.uint64(0) - r) * np.uint64(pow(q, -1, t))
-        m = (k & np.uint64(t - 1)).astype(np.int64)
-        return np.where(m > t // 2, m - t, m)
-    m = (2 * t * rg.crt_lift(d).ints().astype(object) + q) // (2 * q) % t
+    if t & (t - 1):
+        m = (2 * t * rg.crt_lift(d).astype(object) + q) // (2 * q) % t
+    else:
+        r = rg.crt_lift(rg.mul_scalar(d, t))
+        if t > 1 << 62:
+            r = r.astype(object)
+        m = -r * pow(q, -1, t) & (t - 1)
     m = np.where(m > t // 2, m - t, m)
     return m if t > 1 << 63 else m.astype(np.int64)
 
@@ -307,5 +319,6 @@ def ckks_scale_down(params: SchemeParams, d: rg.RingElement) -> Ratios:
     """
     if params.scheme != CKKS:
         raise PlaintextRangeError("ckks_scale_down needs CKKS parameters")
+    _check_decode_ring(params, d)
     drop = params.ring.q // d.params.q
-    return Ratios(int_times(rg.crt_lift(d).ints(), drop), params.delta)
+    return Ratios(int_times(rg.crt_lift(d), drop), params.delta)

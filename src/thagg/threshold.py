@@ -38,7 +38,6 @@ CRS_SEED_BYTES = 32
 class Crs:
     """Common reference polynomial, expanded deterministically from a seed."""
 
-    seed: bytes
     p1: rg.RingElement
 
 
@@ -76,7 +75,7 @@ def crs_expand(seed: bytes, params: rg.RingParams) -> Crs:
     if len(seed) != CRS_SEED_BYTES:
         raise ValueError(f"CRS seed must be {CRS_SEED_BYTES} bytes")
     stream = Xof.from_seed(seed).child("crs/p1")
-    return Crs(seed=seed, p1=rg.to_ntt(rg.sample_uniform(params, stream)))
+    return Crs(p1=rg.to_ntt(rg.sample_uniform(params, stream)))
 
 
 def gen_share(params: SchemeParams, index: int, rng: Xof) -> SecretShare:

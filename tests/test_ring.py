@@ -342,7 +342,7 @@ def test_ternary_chi_square():
     # chi-square with 2 degrees of freedom
     params = params_for(16384)
     rng = Xof.from_seed("ternary-chi2")
-    draws = np.concatenate([crt_lift(sample_ternary(params, rng)).ints()
+    draws = np.concatenate([crt_lift(sample_ternary(params, rng))
                             for _ in range(16)])
     counts = np.bincount(draws + 1)
     expected = draws.size / 3
@@ -424,7 +424,7 @@ def test_gaussian_chi_square_against_table():
     params = params_for(16384)
     rng = Xof.from_seed("gauss-chi2")
     draws = np.concatenate([
-        crt_lift(sample_gaussian(params, spec, rng)).wrapped64().view(np.int64)
+        crt_lift(sample_gaussian(params, spec, rng))
         for _ in range(16)])
     counts = np.bincount(np.clip(draws, -13, 13) + 13, minlength=27)
     expected = np.concatenate([[probs[:7].sum()], probs[7:32],
@@ -440,7 +440,7 @@ def test_gaussian_moments_match_box_muller():
     params = params_for(16384)
     rng = Xof.from_seed("gauss-moments")
     cdt = np.concatenate([
-        crt_lift(sample_gaussian(params, spec, rng)).wrapped64().view(np.int64)
+        crt_lift(sample_gaussian(params, spec, rng))
         for _ in range(8)]).astype(np.float64)
     bm = box_muller_gaussian(cdt.size, spec,
                              Xof.from_seed("bm-moments")).astype(np.float64)

@@ -14,6 +14,7 @@ from thagg.errors import (
     CapacityError,
     ConfigError,
     EncodingOverflowError,
+    ParamsMismatchError,
     PlaintextRangeError,
 )
 from thagg.ntt import prime_below
@@ -22,6 +23,8 @@ from thagg.schemes import (
     BFV,
     CKKS,
     add,
+    bfv_round,
+    ckks_scale_down,
     decode_fixed,
     encode_fixed,
     encode_real,
@@ -479,7 +482,7 @@ def test_encode_fixed_zero_and_dyadic():
     assert rg.crt_lift(zpt.element).tolist() == [0] * 64
     pt = encode_fixed(np.full(64, 0.5), 10, params)
     assert rg.crt_lift(pt.element).tolist() == [512] * 64
-    back = decode_fixed(rg.crt_lift(pt.element).ints(), 10, 1)
+    back = decode_fixed(rg.crt_lift(pt.element), 10, 1)
     assert list(back) == [Fraction(1, 2)] * 64
 
 
@@ -490,7 +493,7 @@ def test_encode_fixed_quantization_error_bound():
                   for _ in range(64)])
     p = 9
     pt = encode_fixed(w, p, params)
-    back = decode_fixed(rg.crt_lift(pt.element).ints(), p, 1)
+    back = decode_fixed(rg.crt_lift(pt.element), p, 1)
     for x, v in zip(w, back):
         assert abs(Fraction(x) - v) <= Fraction(1, 2 ** (p + 1))
 
@@ -505,6 +508,25 @@ def test_plaintext_range_checked():
     params = small_bfv()
     with pytest.raises(PlaintextRangeError):
         bfv_plaintext(params, [params.t] + [0] * (params.ring.n - 1))
+
+
+@pytest.mark.parametrize("scheme", [BFV, CKKS])
+def test_decoders_take_only_their_own_rings(scheme):
+    # two limbs, one kept for collective decryption: a decoder takes an
+    # element of either ring, and nothing else. On another ring of the same
+    # n it would read that ring's modulus and open its 5s to garbage.
+    n = 64
+    primes = primes_for(n, 56)
+    kw = {"t": 256} if scheme == BFV else {"eps_inv": 2**10}
+    params = setup(scheme, n, sigma="3.2", primes=primes, dec_limbs=1, **kw)
+    assert len(params.dec_ring.primes) == 1 < len(primes)
+    decode = bfv_round if scheme == BFV else ckks_scale_down
+    for ring in (params.ring, params.dec_ring):
+        assert len(decode(params, from_ints(ring, [5] * n))) == n
+    other = rg.RingParams.create(n, (prime_below(1 << 20, n),))
+    assert other.primes[0] not in primes
+    with pytest.raises(ParamsMismatchError):
+        decode(params, from_ints(other, [5] * n))
 
 
 def test_bfv_plaintext_rejects_non_integers():

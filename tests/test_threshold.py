@@ -335,13 +335,13 @@ def test_unsmudged_share_gives_away_the_key_share():
         h_hat = rg.to_ntt(h).residues
         quot = rg.RingElement(ring, h_hat * c1_inv % rg.prime_column(ring.primes),
                               rg.NTT)
-        return rg.crt_lift(from_ntt(quot)).ints()
+        return rg.crt_lift(from_ntt(quot))
 
     bare = partial_decrypt(params, share, ct, sess.smudge, None,
                            e_smg=rg.zero(ring))
     s = divide_out_c1(bare.h)
     assert set(s.tolist()) == {-1, 0, 1}
-    assert np.array_equal(s, rg.crt_lift(from_ntt(share.s)).ints())
+    assert np.array_equal(s, rg.crt_lift(from_ntt(share.s)))
     assert sess.smudge.b_smg > 1
     smudged = partial_decrypt(params, share, ct, sess.smudge,
                               sess.root.child("pd"))
@@ -696,13 +696,12 @@ def open_switched_session(sess, rng):
     # the full-q opened value, through the test-only ideal key
     ideal = SecretKey(reconstruct_ideal_key(params, sess.shares))
     full = rg.crt_lift(
-        decryption_phase(params, ideal, full_acc)).ints().astype(object)
-    full = full + sum(rg.crt_lift(e).ints().astype(object) for e in smudging)
-    message = sum(rg.crt_lift(pt.element).ints().astype(object)
-                  for pt in pts)
+        decryption_phase(params, ideal, full_acc)).astype(object)
+    full = full + sum(rg.crt_lift(e).astype(object) for e in smudging)
+    message = sum(rg.crt_lift(pt.element).astype(object) for pt in pts)
     if params.scheme == BFV:
         message = message * params.delta
-    opened = rg.crt_lift(d).ints().astype(object) * drop  # d' read back at q
+    opened = rg.crt_lift(d).astype(object) * drop  # d' read back at q
     # L c0 roundings and L share roundings, each at most D/2
     assert max(abs(centered_mod(opened - full, q))) <= rounding
     # opened noise at q' within b_ct_mp' * q'/q, i.e. within b_ct_mp' at q

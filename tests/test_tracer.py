@@ -4,7 +4,7 @@
 around named functions of the package. A renamed or removed function, or a
 counter hook that no longer fits its function's arguments or result, shows
 up there as a missing name or a hook error, and the benchmark's traced run
-loses metrics. This runs the child as the benchmark does, on two small
+loses metrics. This runs the child as the benchmark does, on the golden
 configs, and checks that every per-layer metric `BENCHMARK.json` declares
 comes out, finite.
 """
@@ -24,16 +24,29 @@ DATA = Path(__file__).resolve().parent / "data"
 # driver computes from its pairs of runs; one child cannot report it.
 DRIVER_ONLY = {"trace.overhead_ratio"}
 
-# Exact counts on both golden configs (n = 1024, L = 3, 3 chunks in one
-# group). A change that moves work between counted layers, such as where
-# the opened chunks are lifted, shows up here.
-PINNED_COUNTS = {
+# Exact counts on the golden configs. `golden_mbfv` and `golden_mckks`
+# have n = 1024, L = 3 and 3 chunks in one group; `golden_mbfv_bigt` has
+# n = 1024, L = 2, 2 chunks and t = 2^70. A change that moves work between
+# counted layers, such as where the opened chunks are lifted, shows up here.
+SMALL_COUNTS = {
     "ring.crt_lift.coeffs": 3072,
     "schemes.add.calls": 2,
     "threshold.partial_decrypt.calls": 3,
     "wire.messages": 21,
     "ntt.forward.calls": 9,
     "ntt.inverse.calls": 12,
+}
+PINNED_COUNTS = {
+    "golden_mbfv": SMALL_COUNTS,
+    "golden_mckks": SMALL_COUNTS,
+    "golden_mbfv_bigt": {
+        "ring.crt_lift.coeffs": 2048,
+        "schemes.add.calls": 1,
+        "threshold.partial_decrypt.calls": 2,
+        "wire.messages": 10,
+        "ntt.forward.calls": 7,
+        "ntt.inverse.calls": 8,
+    },
 }
 
 
@@ -42,7 +55,7 @@ def declared_layers() -> set[str]:
     return {m["name"] for m in spec["per_layer"]} - DRIVER_ONLY
 
 
-@pytest.mark.parametrize("config", ["golden_mbfv", "golden_mckks"])
+@pytest.mark.parametrize("config", list(PINNED_COUNTS))
 def test_traced_child_reports_every_declared_layer(config, tmp_path):
     result_path = tmp_path / "result.json"
     proc = subprocess.run(
@@ -59,4 +72,5 @@ def test_traced_child_reports_every_declared_layer(config, tmp_path):
     assert declared_layers() - layers.keys() == set()
     json.dumps(result, allow_nan=False)  # raises on NaN or infinity
     assert all(math.isfinite(value) for value, _unit in layers.values())
-    assert {name: layers[name][0] for name in PINNED_COUNTS} == PINNED_COUNTS
+    pinned = PINNED_COUNTS[config]
+    assert {name: layers[name][0] for name in pinned} == pinned
