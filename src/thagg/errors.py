@@ -66,5 +66,10 @@ class WireFormatError(ProtocolFailure):
     """Malformed serialized message, or an element no message can carry."""
 
 
+class KeystreamError(ProtocolFailure):
+    """ChaCha20 unavailable or failing in libcrypto, or a stream read or
+    sought past its end."""
+
+
 class LengthMismatchError(ProtocolFailure):
     """Clients submitted ciphertext lists of different lengths."""

@@ -287,15 +287,12 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
         else:
             # normalize by L up front so the homomorphic sum is the average
             pt = encode_real(block / cfg.parties, params)
-        draws = []
-        for c in group:
-            rng = root.child(
-                f"round/{round_index}/client/{client.index}/enc/{c}")
-            # u, e0 and e1 of the chunk, read from its stream in that order
-            draws.append((rg.sample_ternary(ring, rng),
-                          rg.sample_gaussian(ring, params.noise, rng),
-                          rg.sample_gaussian(ring, params.noise, rng)))
-        u, e0, e1 = (rg.stack(list(els)) for els in zip(*draws))
+        rngs = [root.child(f"round/{round_index}/client/{client.index}/enc/{c}")
+                for c in group]
+        # u, e0 and e1 of the group: each chunk's stream is read in that order
+        u = rg.sample_ternary(ring, rngs)
+        e0 = rg.sample_gaussian(ring, params.noise, rngs)
+        e1 = rg.sample_gaussian(ring, params.noise, rngs)
         batch = switch_c0(params,
                           encrypt(params, cpk, pt, None, u=u, e0=e0, e1=e1))
         rx = [wire.deserialize_ciphertext(
@@ -344,9 +341,8 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
         c1_ntt = replace(batch, c1=rg.to_ntt(batch.c1))
         blobs = []  # per party, its shares of the group, chunk by chunk
         for client in clients:
-            e_smg = rg.stack([
-                rg.sample_smudging(ring, smudge.b_smg, root.child(
-                    f"round/{round_index}/client/{client.index}/pdec/{c}"))
+            e_smg = rg.sample_smudging(ring, smudge.b_smg, [
+                root.child(f"round/{round_index}/client/{client.index}/pdec/{c}")
                 for c in group])
             part = partial_decrypt(params, client.share, c1_ntt, smudge, None,
                                    e_smg=e_smg)

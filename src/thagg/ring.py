@@ -13,16 +13,18 @@ sampling or switching paths, nor by a lift at q < 2^62.
 Residues may carry leading batch axes, shape (..., limbs, n): the ring
 operations, the transforms, `from_coeffs` and `scale_down` act on every
 entry of a batch at once (`stack` builds one, `unstack` takes it apart),
-and so does `crt_lift`. The samplers draw one element.
+and so does `crt_lift`. A sampler given B streams draws a batch of B, one
+entry per stream, each as a call on that stream alone would draw it.
 """
 
 from __future__ import annotations
 
 import decimal
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -367,15 +369,64 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
 _CHUNK = 30  # bits per piece of a wide draw; a piece times a residue fits int64
 
 
-def _uniform_draws(rng: Xof, count: int, top: int) -> list[np.ndarray]:
-    """`count` integers uniform on [0, top], as 30-bit int64 pieces
-    (least significant first).
+def _streams(rng: Xof | Sequence[Xof]) -> tuple[list[Xof], tuple[int, ...]]:
+    """The streams of a sampler call, one per batch entry, and the leading
+    shape of what it draws: (B,) for B streams, and () for a single stream,
+    a batch of one without its batch axis."""
+    if isinstance(rng, Xof):
+        return [rng], ()
+    rngs = list(rng)
+    return rngs, (len(rngs),)
+
+
+def _first_accepted(rng: Xof | Sequence[Xof], count: int, nbytes: int,
+                    acc: int, span: int, parse) -> np.ndarray:
+    """The first `count` accepted draws of each stream, shape
+    (fields, *lead, count) (`_streams`), as a one-draw-at-a-time loop would
+    keep them.
+
+    A draw is `nbytes` bytes, accepted with probability rho = acc/span
+    exactly. `parse(buf, rows, m)` turns m draws of each of `rows` streams,
+    read back to back (plus 8 bytes of padding), into a list of (rows, m)
+    field arrays and the (rows, m) acceptance mask. Every stream reads
+    ceil(count/rho) draws plus a margin of about four standard deviations,
+    all in one pass. A stream with `count` accepted seeks back to just past
+    the last one kept, so it ends where the loop would end; a stream short
+    of `count` (rare) draws the rest the same way.
+    """
+    rngs, lead = _streams(rng)
+    m = -(-count * span // acc)
+    m += 4 * isqrt(m * (span - acc) // acc) + 1
+    buf = b"".join([*(r.read(nbytes * m) for r in rngs), bytes(8)])
+    fields, keep = parse(buf, len(rngs), m)
+    at = np.flatnonzero(keep)  # accepted draws, stream after stream
+    bounds = np.searchsorted(at, m * np.arange(len(rngs) + 1)).tolist()
+    got = [at[lo : min(hi, lo + count)] for lo, hi in zip(bounds, bounds[1:])]
+    for i, row in enumerate(got):
+        if row.size == count:  # seek back to just past its last kept draw
+            last = int(row[-1]) - i * m
+            rngs[i].seek(rngs[i].tell() - nbytes * (m - 1 - last))
+    pick = np.concatenate(got)
+    kept = np.stack([f.ravel().take(pick) for f in fields])
+    if pick.size < len(rngs) * count:
+        rows = np.split(kept, np.cumsum([row.size for row in got[:-1]]),
+                        axis=1)
+        kept = np.concatenate([
+            row if row.shape[1] == count else np.concatenate(
+                [row, _first_accepted(rng_i, count - row.shape[1], nbytes,
+                                      acc, span, parse)], axis=1)
+            for row, rng_i in zip(rows, rngs)], axis=1)
+    return kept.reshape((-1, *lead, count))
+
+
+def _uniform_draws(rng: Xof | Sequence[Xof], count: int,
+                   top: int) -> list[np.ndarray]:
+    """`count` integers uniform on [0, top] from each stream, as 30-bit
+    int64 pieces of shape (*lead, count), least significant first.
 
     A draw reads ceil(bits/8) bytes (bits = bit length of top), masks them
     to `bits` and is rejected above `top`, compared word by word up from
-    the least significant 64-bit word. Each refill reads one draw per value
-    still missing, so no draw is read past the last accepted one and the
-    stream ends where a one-draw-at-a-time loop ends.
+    the least significant 64-bit word (`_first_accepted`).
     """
     bits = top.bit_length()
     nbytes = (bits + 7) // 8
@@ -383,21 +434,17 @@ def _uniform_draws(rng: Xof, count: int, top: int) -> list[np.ndarray]:
     mask = (1 << bits) - 1
     mask_w = [np.uint64((mask >> (64 * k)) & (2**64 - 1)) for k in range(nwords)]
     top_w = [np.uint64((top >> (64 * k)) & (2**64 - 1)) for k in range(nwords)]
-    out = np.empty((nwords, count), dtype=np.uint64)
-    filled = 0
-    while filled < count:
-        need = count - filled
+
+    def parse(buf, rows, m):
         # word k of every draw, read in place; the pad covers the last draw
-        buf = rng.read(nbytes * need) + bytes(8 * nwords)
-        words = [np.ndarray((need,), "<u8", buf, 8 * k, (nbytes,)) & mask_w[k]
-                 for k in range(nwords)]
+        words = [np.ndarray((rows, m), "<u8", buf, 8 * k, (nbytes * m, nbytes))
+                 & mask_w[k] for k in range(nwords)]
         keep = words[0] <= top_w[0]
         for k in range(1, nwords):
             keep = (words[k] < top_w[k]) | ((words[k] == top_w[k]) & keep)
-        for k in range(nwords):
-            kept = words[k][keep]
-            out[k, filled : filled + kept.size] = kept
-        filled += kept.size
+        return words, keep
+
+    out = _first_accepted(rng, count, nbytes, top + 1, 1 << bits, parse)
     pieces = []
     for lo in range(0, max(bits, 1), _CHUNK):
         k, shift = divmod(lo, 64)
@@ -410,41 +457,49 @@ def _uniform_draws(rng: Xof, count: int, top: int) -> list[np.ndarray]:
 
 def _pieces_mod(pieces: list[np.ndarray], params: RingParams,
                 offset: int = 0) -> np.ndarray:
-    """Residues of sum(piece_k * 2^(30k)) - offset, shape (limbs, count).
+    """Residues of sum(piece_k * 2^(30k)) - offset, shape (..., limbs, count)
+    for pieces of shape (..., count).
 
     The two lowest pieces form one value below 2^60; every further term
     piece_k * (2^(30k) mod p) is below 2^60 too, so six terms add up in
     int64 before a reduction is due."""
     low = pieces[0] if len(pieces) == 1 else pieces[0] + (pieces[1] << _CHUNK)
-    res = np.empty((len(params.primes), low.size), dtype=np.int64)
+    res = np.empty(low.shape[:-1] + (len(params.primes), low.shape[-1]),
+                   dtype=np.int64)
     for j, p in enumerate(params.primes):
         acc = low - offset % p
         for k in range(2, len(pieces)):
             acc = acc + pieces[k] * pow(2, _CHUNK * k, p)
             if k % 6 == 0:
-                acc %= p
-        res[j] = acc % p
+                acc = _reduce(acc, p)
+        res[..., j, :] = _reduce(acc, p)
     return res
 
 
-def sample_uniform(params: RingParams, rng: Xof) -> RingElement:
+def _zeros(params: RingParams, rng: Xof | Sequence[Xof]) -> RingElement:
+    lead = _streams(rng)[1]
+    res = np.zeros((*lead, len(params.primes), params.n), dtype=np.int64)
+    return RingElement(params, res, COEFF)
+
+
+def sample_uniform(params: RingParams, rng: Xof | Sequence[Xof]) -> RingElement:
     """Each coefficient uniform mod q, drawn by rejection on (log2 q)-bit draws."""
     pieces = _uniform_draws(rng, params.n, params.q - 1)
     return RingElement(params, _pieces_mod(pieces, params), COEFF)
 
 
-def sample_ternary(params: RingParams, rng: Xof) -> RingElement:
-    """Coefficients uniform in {-1, 0, 1}, stored centered."""
-    n = params.n
-    vals = np.empty(n, dtype=np.int64)
-    filled = 0
-    while filled < n:
-        raw = rng.bytes_array(n - filled)
-        keep = raw[raw < 255]  # 255 = 85 * 3: rejection keeps the map exact
-        take = keep[: n - filled].astype(np.int64) % 3 - 1
-        vals[filled : filled + take.size] = take
-        filled += take.size
-    return from_coeffs(params, vals)
+_TERNARY = np.arange(256, dtype=np.int64) % 3 - 1  # the value of each byte
+
+
+def sample_ternary(params: RingParams, rng: Xof | Sequence[Xof]) -> RingElement:
+    """Coefficients uniform in {-1, 0, 1}, stored centered: one byte per
+    draw, rejected at 255 = 85 * 3 so that the map c % 3 - 1 is exact."""
+    def parse(buf, rows, m):
+        raw = np.ndarray((rows, m), np.uint8, buf)
+        return [raw], raw < 255
+
+    raw = _first_accepted(rng, params.n, 1, 255, 256, parse)[0]
+    return from_coeffs(params, _TERNARY.take(raw))
 
 
 _OPEN = -(2**15)  # guide entry of a bucket that holds a threshold
@@ -498,7 +553,8 @@ def _cdt(spec: NoiseSpec) -> _Cdt:
     return _Cdt(table, guide)
 
 
-def sample_gaussian(params: RingParams, spec: NoiseSpec, rng: Xof) -> RingElement:
+def sample_gaussian(params: RingParams, spec: NoiseSpec,
+                    rng: Xof | Sequence[Xof]) -> RingElement:
     """Discrete Gaussian of width sigma on |c| <= floor(bound), exactly as a
     64-bit cumulative-table lookup draws it, with no float.
 
@@ -507,29 +563,35 @@ def sample_gaussian(params: RingParams, spec: NoiseSpec, rng: Xof) -> RingElemen
     its value. Then, for each sample whose bucket holds a threshold (28 of
     65,536 buckets at sigma = 3.2, bound 19.2), in index order, 6 more
     little-endian bytes give the low 48 bits of u, which is looked up in
-    the full table: about 2.003 bytes per coefficient.
+    the full table: about 2.003 bytes per coefficient. A batch reads every
+    stream's prefixes, then every stream's low bits, each in one pass.
     """
     if spec.sigma == 0:
-        return zero(params)
+        return _zeros(params, rng)
+    rngs, lead = _streams(rng)
+    n = params.n
     cdt = _cdt(spec)
-    prefix = np.frombuffer(rng.read(2 * params.n), dtype="<u2")
+    prefix = np.frombuffer(b"".join([r.read(2 * n) for r in rngs]), "<u2")
     k = cdt.guide.take(prefix)
-    open_at = np.flatnonzero(k == _OPEN)
+    open_at = np.flatnonzero(k == _OPEN)  # stream by stream, in index order
     if open_at.size:
-        buf = rng.read(6 * open_at.size) + bytes(2)  # pad the last word
+        per_stream = np.bincount(open_at // n, minlength=len(rngs)).tolist()
+        buf = b"".join([*(r.read(6 * c) for r, c in zip(rngs, per_stream) if c),
+                        bytes(2)])  # pad the last word
         low = np.ndarray((open_at.size,), "<u8", buf, 0, (6,)) & _LOW48
         u = prefix[open_at].astype(np.uint64) << np.uint64(48) | low
         j = np.searchsorted(cdt.thresholds, u, side="right")
         k[open_at] = j - int(spec.bound)
-    return from_coeffs(params, k.astype(np.int64))
+    return from_coeffs(params, k.astype(np.int64).reshape(*lead, n))
 
 
-def sample_smudging(params: RingParams, b_smg, rng: Xof) -> RingElement:
+def sample_smudging(params: RingParams, b_smg,
+                    rng: Xof | Sequence[Xof]) -> RingElement:
     """Coefficients uniform on the integer interval [-b_smg, b_smg]."""
     b = int(b_smg)
     if b < 0:
         raise ValueError("smudging bound must be >= 0")
     if b == 0:
-        return zero(params)
+        return _zeros(params, rng)
     pieces = _uniform_draws(rng, params.n, 2 * b)
     return RingElement(params, _pieces_mod(pieces, params, offset=b), COEFF)

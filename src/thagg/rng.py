@@ -1,19 +1,67 @@
 """Deterministic randomness.
 
-One root seed per run; every party and purpose gets its own substream,
-derived by a keyed extendable-output function (SHAKE-256 in counter mode).
-A stream is a pure function of (key, position), so any transcript can be
-replayed byte for byte. Streams are not thread-safe; confine each instance
-to a single caller.
+One root seed per run; every party and purpose gets its own substream.
+Stream keys come from SHAKE-256: the root key from the seed, and a child's
+key from its parent's key and a label. Byte p of a stream is byte p of the
+ChaCha20 keystream (RFC 8439) under the stream's key, with a zero 96-bit
+nonce and block counter p // 64. So a stream is a pure function of
+(key, position): any transcript can be replayed byte for byte, and a stream
+can seek. The 32-bit block counter ends a stream at 2^38 bytes; a read or
+seek past that point raises rather than repeat keystream.
+
+The keystream comes from OpenSSL's EVP_chacha20, in the libcrypto that
+CPython's `_hashlib` already maps, called through ctypes. Streams are not
+thread-safe; confine each instance to a single caller.
 """
 
 from __future__ import annotations
 
+import _hashlib
+import ctypes
 import hashlib
+import weakref
 
 import numpy as np
 
-_BLOCK = 1 << 13
+from .errors import KeystreamError
+
+_END = 64 << 32  # bytes in a stream: 2^32 blocks of 64 bytes
+_PIECE = 1 << 16  # the most keystream bytes one EVP_EncryptUpdate makes
+_ZEROS = bytes(_PIECE)  # the input a piece encrypts: its output is keystream
+
+_VP = ctypes.c_void_p
+# libcrypto's prototypes: name -> (restype, argtypes). A wrong one crashes
+# the process rather than raise, so they are declared here and only here.
+_PROTOTYPES = {
+    "EVP_CIPHER_CTX_new": (_VP, []),
+    "EVP_CIPHER_CTX_free": (None, [_VP]),
+    "EVP_chacha20": (_VP, []),
+    # ctx, cipher, engine, key, iv
+    "EVP_EncryptInit_ex": (ctypes.c_int, [_VP, _VP, _VP, ctypes.c_char_p,
+                                          ctypes.c_char_p]),
+    # ctx, out, &outl, in, inl
+    "EVP_EncryptUpdate": (ctypes.c_int, [_VP, _VP,
+                                         ctypes.POINTER(ctypes.c_int),
+                                         ctypes.c_char_p, ctypes.c_int]),
+}
+
+
+def _bind() -> ctypes.CDLL:
+    try:
+        lib = ctypes.CDLL(_hashlib.__file__)
+        for name, (restype, argtypes) in _PROTOTYPES.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+    except (OSError, AttributeError) as exc:
+        raise KeystreamError(
+            f"ChaCha20 is not available from libcrypto: {exc}") from exc
+    return lib
+
+
+_LIB = _bind()
+_CHACHA20 = _LIB.EVP_chacha20()
+if not _CHACHA20:
+    raise KeystreamError("libcrypto has no ChaCha20 cipher")
 
 
 class Xof:
@@ -23,9 +71,9 @@ class Xof:
         if len(key) != 32:
             raise ValueError("xof key must be 32 bytes")
         self.key = bytes(key)
-        self._counter = 0
-        self._buf = b""
-        self._pos = 0
+        self._pos = 0  # the read position
+        self._ctx = None  # the cipher context, made by the first read
+        self._at = -1  # the position the context's keystream has reached
 
     @classmethod
     def from_seed(cls, seed: int | bytes | str) -> "Xof":
@@ -43,30 +91,54 @@ class Xof:
         key = hashlib.shake_256(self.key + b"\x00" + label.encode()).digest(32)
         return Xof(key)
 
+    def tell(self) -> int:
+        return self._pos
+
+    def seek(self, pos: int) -> None:
+        """Move the read position to byte `pos`, at most 2^38. The next
+        read restarts the keystream at block pos // 64 and skips the first
+        pos % 64 bytes of it."""
+        if not 0 <= pos <= _END:
+            raise KeystreamError(f"seek to {pos} is outside the stream's "
+                                 f"{_END} bytes")
+        self._pos = pos
+
     def read(self, n: int) -> bytes:
-        if self._pos + n <= len(self._buf):  # within the current block
-            self._pos += n
-            return self._buf[self._pos - n : self._pos]
-        pieces = []
-        while n > 0:
-            if self._pos >= len(self._buf):
-                block = self.key + b"\x01" + self._counter.to_bytes(8, "little")
-                self._buf = hashlib.shake_256(block).digest(_BLOCK)
-                self._pos = 0
-                self._counter += 1
-            take = min(n, len(self._buf) - self._pos)
-            pieces.append(memoryview(self._buf)[self._pos : self._pos + take])
-            self._pos += take
-            n -= take
-        return b"".join(pieces)
+        if n < 0 or self._pos + n > _END:
+            raise KeystreamError(f"read of {n} bytes at {self._pos} passes "
+                                 f"the stream's end at {_END}")
+        if n == 0:
+            return b""
+        start = self._pos
+        if self._at != start:  # a fresh or sought stream: restart its block
+            start -= start % 64
+            self._restart(start // 64)
+        out = bytearray(self._pos + n - start)
+        address = ctypes.addressof(ctypes.c_char.from_buffer(out))
+        outl = ctypes.c_int()
+        for lo in range(0, len(out), _PIECE):
+            size = min(_PIECE, len(out) - lo)
+            if (_LIB.EVP_EncryptUpdate(self._ctx, address + lo, outl, _ZEROS,
+                                       size) != 1 or outl.value != size):
+                raise KeystreamError("EVP_EncryptUpdate failed")
+        self._pos = self._at = self._pos + n
+        return bytes(memoryview(out)[len(out) - n :])
 
-    def u64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.read(8 * count), dtype="<u8").copy()
-
-    def bytes_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.read(count), dtype=np.uint8).copy()
+    def _restart(self, block: int) -> None:
+        """Point the context at the start of `block`: the block counter is
+        the first 4 IV bytes, little-endian, and the nonce is zero."""
+        if self._ctx is None:
+            ctx = _LIB.EVP_CIPHER_CTX_new()
+            if not ctx:
+                raise KeystreamError("EVP_CIPHER_CTX_new failed")
+            self._ctx = ctx
+            weakref.finalize(self, _LIB.EVP_CIPHER_CTX_free, ctx)
+        iv = block.to_bytes(4, "little") + bytes(12)
+        if _LIB.EVP_EncryptInit_ex(self._ctx, _CHACHA20, None, self.key,
+                                   iv) != 1:
+            raise KeystreamError("EVP_EncryptInit_ex failed")
 
     def float_open01(self, count: int) -> np.ndarray:
         """Floats in (0, 1]: 53-bit uniforms, zero excluded."""
-        u = self.u64_array(count) >> np.uint64(11)
+        u = np.frombuffer(self.read(8 * count), dtype="<u8") >> np.uint64(11)
         return (u.astype(np.float64) + 1.0) * 2.0**-53

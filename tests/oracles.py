@@ -14,6 +14,9 @@ Each oracle takes its own route to its answer:
   one `int(c) % p` at a time (`ring.from_coeffs` takes int64 arrays only);
 - `reconstruct_ideal_key`, the sum of all key shares, which no protocol
   party may ever hold;
+- `chacha20_block` and `chacha20_keystream`, the ChaCha20 block function
+  of RFC 8439 section 2.3 in plain Python integers, which the `Xof`
+  stream must equal byte for byte;
 - `uniform_below`, one exact rejection draw at a time from an `Xof`;
 - `cdt_gaussian`, the plain 64-bit cumulative-table lookup one sample at
   a time, in the stream layout of `ring.sample_gaussian`, and
@@ -30,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import tau
 
 import numpy as np
@@ -58,6 +62,60 @@ def primes_for(n: int, bits: int) -> tuple[int, ...]:
     """The fewest NTT-friendly primes for degree n whose product has at
     least `bits` bits."""
     return select_primes(n, min_product=(1 << (bits - 1)) - 1)
+
+
+# ---------------------------------------------------------------------------
+# ChaCha20 (RFC 8439, section 2.3)
+
+
+def _rotl32(x: int, k: int) -> int:
+    return ((x << k) | (x >> (32 - k))) & 0xFFFFFFFF
+
+
+def _quarter_round(s: list[int], a: int, b: int, c: int, d: int) -> None:
+    s[a] = (s[a] + s[b]) & 0xFFFFFFFF
+    s[d] = _rotl32(s[d] ^ s[a], 16)
+    s[c] = (s[c] + s[d]) & 0xFFFFFFFF
+    s[b] = _rotl32(s[b] ^ s[c], 12)
+    s[a] = (s[a] + s[b]) & 0xFFFFFFFF
+    s[d] = _rotl32(s[d] ^ s[a], 8)
+    s[c] = (s[c] + s[d]) & 0xFFFFFFFF
+    s[b] = _rotl32(s[b] ^ s[c], 7)
+
+
+def _words(raw: bytes) -> list[int]:
+    return [int.from_bytes(raw[i : i + 4], "little")
+            for i in range(0, len(raw), 4)]
+
+
+def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
+    """The 64-byte ChaCha20 block for a 32-byte key, a 32-bit block counter
+    and a 12-byte nonce: the constants, key, counter and nonce as sixteen
+    little-endian words, twenty rounds (ten column-diagonal pairs), the
+    input added back, serialized little-endian."""
+    init = [*_words(b"expand 32-byte k"), *_words(key), counter,
+            *_words(nonce)]
+    s = list(init)
+    for _ in range(10):
+        _quarter_round(s, 0, 4, 8, 12)
+        _quarter_round(s, 1, 5, 9, 13)
+        _quarter_round(s, 2, 6, 10, 14)
+        _quarter_round(s, 3, 7, 11, 15)
+        _quarter_round(s, 0, 5, 10, 15)
+        _quarter_round(s, 1, 6, 11, 12)
+        _quarter_round(s, 2, 7, 8, 13)
+        _quarter_round(s, 3, 4, 9, 14)
+    return b"".join(((x + y) & 0xFFFFFFFF).to_bytes(4, "little")
+                    for x, y in zip(s, init))
+
+
+@lru_cache(maxsize=None)
+def chacha20_keystream(key: bytes, length: int, nonce: bytes = bytes(12),
+                       counter: int = 0) -> bytes:
+    """The first `length` keystream bytes from block `counter` on."""
+    blocks = (chacha20_block(key, counter + i, nonce)
+              for i in range(-(-length // 64)))
+    return b"".join(blocks)[:length]
 
 
 def uniform_below(rng: Xof, m: int) -> int:

@@ -66,6 +66,15 @@ def ref_sample_uniform(params, rng):
     return coeffs
 
 
+def ref_sample_ternary(n, rng):
+    out = []
+    while len(out) < n:
+        c = rng.read(1)[0]
+        if c < 255:
+            out.append(c % 3 - 1)
+    return out
+
+
 def ref_sample_smudging(n, b, rng):
     if b == 0:
         return [0] * n
@@ -417,6 +426,65 @@ def test_sample_smudging_matches_reference(b, params, seed):
     ref = from_ints(params, ref_sample_smudging(params.n, b, ref_rng))
     assert np.array_equal(fast.residues, ref.residues)
     assert fast_rng.read(64) == ref_rng.read(64)
+
+
+class CountingXof(Xof):
+    """A stream that counts its reads."""
+
+    def __init__(self, key):
+        super().__init__(key)
+        self.reads = 0
+
+    def read(self, n):
+        self.reads += 1
+        return super().read(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 8]), st.sampled_from([ONE_PRIME, FIVE_PRIMES]),
+       st.sampled_from([(0, 0), ("3.2", "19.2"), (100, 600)]),  # sigma, bound
+       SMUDGE_BOUNDS, st.binary(min_size=1, max_size=8))
+def test_batched_samplers_match_stacked_references(batch, params, noise, b,
+                                                   seed):
+    # one stream per entry: each entry is what one call on its stream draws,
+    # and each stream ends where the one-draw-at-a-time reference ends
+    spec = rg.NoiseSpec.create(*noise)
+    n = params.n
+    cases = [
+        (lambda r: rg.sample_uniform(params, r),
+         lambda r: ref_sample_uniform(params, r)),
+        (lambda r: rg.sample_ternary(params, r),
+         lambda r: ref_sample_ternary(n, r)),
+        (lambda r: rg.sample_gaussian(params, spec, r),
+         lambda r: cdt_gaussian(n, rg._cdt(spec).thresholds, int(spec.bound), r)
+         if spec.sigma else [0] * n),
+        (lambda r: rg.sample_smudging(params, b, r),
+         lambda r: ref_sample_smudging(n, b, r)),
+    ]
+    for fast_fn, ref_fn in cases:
+        fast_rngs = [Xof.from_seed(seed + bytes([i])) for i in range(batch)]
+        ref_rngs = [Xof.from_seed(seed + bytes([i])) for i in range(batch)]
+        fast = fast_fn(fast_rngs)
+        ref = np.stack([from_ints(params, ref_fn(r)).residues
+                        for r in ref_rngs])
+        assert fast.residues.shape == (batch, len(params.primes), n)
+        assert np.array_equal(fast.residues, ref)
+        assert [r.read(64) for r in fast_rngs] == [r.read(64) for r in ref_rngs]
+
+
+def test_batched_smudging_refills_a_short_stream():
+    # width 2b + 1 = 257 on 9-bit draws: acceptance 257/512, about 1/2, so
+    # at n = 4 a few of these streams fall short in the first pass
+    params, b = ring_with(4, 1), 128
+    labels = [f"refill-{i}" for i in range(1024)]
+    fast_rngs = [CountingXof.from_seed(label) for label in labels]
+    fast = rg.sample_smudging(params, b, fast_rngs)
+    assert max(r.reads for r in fast_rngs) > 1  # the refill path ran
+    ref_rngs = [Xof.from_seed(label) for label in labels]
+    ref = [from_ints(params, ref_sample_smudging(4, b, r)).residues
+           for r in ref_rngs]
+    assert np.array_equal(fast.residues, np.stack(ref))
+    assert [r.read(64) for r in fast_rngs] == [r.read(64) for r in ref_rngs]
 
 
 GAUSS_RINGS = {n: ring_with(n, 2) for n in (4, 8, 16, 1024, 16384)}

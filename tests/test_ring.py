@@ -1,6 +1,5 @@
 """Ring arithmetic: oracle equivalence, CRT, samplers."""
 
-import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,13 @@ from hypothesis import strategies as st
 
 from thagg import ntt
 from thagg import ring as rg
-from thagg.errors import ConfigError, DomainMismatchError, ParamsMismatchError
+from thagg import rng as rng_module
+from thagg.errors import (
+    ConfigError,
+    DomainMismatchError,
+    KeystreamError,
+    ParamsMismatchError,
+)
 from thagg.ring import (
     COEFF,
     NTT,
@@ -34,6 +39,8 @@ from thagg.rng import Xof
 from oracles import (
     box_muller_gaussian,
     cdt_threshold_bounds,
+    chacha20_block,
+    chacha20_keystream,
     from_ints,
     from_ntt,
     inf_norm,
@@ -288,11 +295,96 @@ def test_xof_reads_in_pieces_equal_one_read():
     assert [type(p) for p in pieces] == [bytes] * len(sizes)
     assert [len(p) for p in pieces] == sizes
     assert b"".join(pieces) == whole
-    # SHAKE-256 in counter mode over 8 KiB blocks
-    blocks = b"".join(
-        hashlib.shake_256(rng.key + b"\x01" + i.to_bytes(8, "little"))
-        .digest(8192) for i in range(-(-len(whole) // 8192)))
-    assert whole == blocks[: len(whole)]
+    # the ChaCha20 keystream under the stream's key
+    assert whole == chacha20_keystream(rng.key, len(whole))
+
+
+RFC_KEY = bytes(range(32))
+
+
+def test_chacha20_oracle_matches_rfc8439_vectors():
+    # section 2.3.2: one block at counter 1
+    block = chacha20_block(RFC_KEY, 1, bytes.fromhex("000000090000004a00000000"))
+    assert block == bytes.fromhex(
+        "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+        "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e")
+    # section 2.4.2: the keystream from counter 1 encrypts the sunscreen text
+    text = (b"Ladies and Gentlemen of the class of '99: If I could offer you "
+            b"only one tip for the future, sunscreen would be it.")
+    stream = chacha20_keystream(RFC_KEY, len(text),
+                                bytes.fromhex("000000000000004a00000000"), 1)
+    assert bytes(a ^ b for a, b in zip(text, stream)) == bytes.fromhex(
+        "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+        "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+        "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+        "5af90bbf74a35be6b40b8eedf2785e42874d")
+
+
+WINDOW = 3 << 16  # three 64 KiB pieces of one stream, held by the oracle
+EDGES = [0, 1, 63, 64, 65, 127, 128, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+         (1 << 16) + 63, (1 << 17) - 64, 1 << 17, (1 << 17) + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["read", "seek"]),
+    st.one_of(st.sampled_from(EDGES), st.integers(0, 1 << 17))),
+    min_size=1, max_size=12))
+def test_xof_reads_and_seeks_equal_the_oracle(ops):
+    rng = Xof.from_seed("seekable")
+    stream = chacha20_keystream(rng.key, WINDOW)
+    pos = 0
+    for op, arg in ops:
+        if op == "seek":
+            rng.seek(arg)
+            pos = arg
+        else:
+            size = min(arg, WINDOW - pos)
+            assert rng.read(size) == stream[pos : pos + size]
+            pos += size
+        assert rng.tell() == pos
+
+
+def test_xof_matches_cryptography_chacha20():
+    ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+
+    def keystream(key, block, size):
+        nonce = block.to_bytes(4, "little") + bytes(12)
+        cipher = ciphers.Cipher(ciphers.algorithms.ChaCha20(key, nonce), None)
+        return cipher.encryptor().update(bytes(size))
+
+    for label in ("a", "b"):
+        rng = Xof.from_seed(label)
+        assert rng.read(200_000) == keystream(rng.key, 0, 200_000)
+        rng.seek(64 * 12345 + 17)
+        assert rng.read(1000) == keystream(rng.key, 12345, 1017)[17:]
+        # the last block of a stream: counter 2^32 - 1
+        rng.seek(2**38 - 64)
+        assert rng.read(64) == keystream(rng.key, 2**32 - 1, 64)
+
+
+def test_missing_libcrypto_symbol_is_a_keystream_error(monkeypatch):
+    monkeypatch.setitem(rng_module._PROTOTYPES, "EVP_no_such_cipher",
+                        (None, []))
+    with pytest.raises(KeystreamError, match="EVP_no_such_cipher"):
+        rng_module._bind()
+
+
+def test_xof_stream_ends_at_2_38_bytes():
+    rng = Xof.from_seed("end")
+    last = chacha20_block(rng.key, 2**32 - 1, bytes(12))
+    rng.seek(2**38 - 10)
+    assert rng.read(10) == last[-10:]
+    assert rng.tell() == 2**38 and rng.read(0) == b""
+    rng.seek(2**38 - 10)
+    with pytest.raises(KeystreamError):
+        rng.read(11)  # would wrap the 32-bit block counter
+    assert rng.tell() == 2**38 - 10
+    for pos in (2**38 + 1, -1):
+        with pytest.raises(KeystreamError):
+            rng.seek(pos)
+    with pytest.raises(KeystreamError):
+        rng.read(-1)
 
 
 def test_uniform_determinism_and_seed_separation():
