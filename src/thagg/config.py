@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .planner import MBFV, MCKKS, PlanInputs
+from .wire import MAX_PARTIES
 
 _PROTOCOL_KEYS = {
     "scheme", "model_size", "root_seed", "fixed_point_bits", "rounds",
@@ -137,6 +138,10 @@ def _validate(cfg: ProtocolConfig) -> None:
     n, i = cfg.n, cfg.plan_inputs
     if n < 4 or n & (n - 1):
         raise ConfigError(f"n must be a power of two >= 4, got {n}")
+    if cfg.parties > MAX_PARTIES:
+        raise ConfigError(f"parties must be at most {MAX_PARTIES}, the "
+                          f"largest party index a message carries, got "
+                          f"{cfg.parties}")
     for key, bits in (("t_bits", i.t_bits), ("eps_inv_bits", i.eps_inv_bits),
                       ("fixed_point_bits", cfg.fixed_point_bits)):
         if bits is not None and bits < 0:

@@ -218,9 +218,6 @@ class RegionGrid:
     mbfv_bits: dict = field(default_factory=dict)    # tb -> int
     mckks_bits: dict = field(default_factory=dict)   # eb -> int
 
-    def mckks_favorable(self) -> set:
-        return {cell for cell, w in self.winners.items() if w == MCKKS_SMALLER}
-
 
 def region_grid(inputs: PlanInputs, t_bits_range, eps_bits_range) -> RegionGrid:
     t_bits = list(t_bits_range)

@@ -14,7 +14,9 @@ Residues may carry leading batch axes, shape (..., limbs, n): the ring
 operations, the transforms, `from_coeffs` and `scale_down` act on every
 entry of a batch at once (`stack` builds one, `unstack` takes it apart),
 and so does `crt_lift`. A sampler given B streams draws a batch of B, one
-entry per stream, each as a call on that stream alone would draw it.
+entry per stream, each as a call on that stream alone would draw it. A
+sampler reads each of its streams front to back (`rng`), in one pass where
+it can, and the stream's next reader continues after the sampler's bytes.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class RingParams:
         for p in primes:
             q *= p
         return cls(n=n, primes=primes, q=q, log2_q=q.bit_length())
-
-    @property
-    def half_q(self) -> int:
-        return self.q // 2
 
 
 @dataclass
@@ -382,17 +380,17 @@ def _streams(rng: Xof | Sequence[Xof]) -> tuple[list[Xof], tuple[int, ...]]:
 def _first_accepted(rng: Xof | Sequence[Xof], count: int, nbytes: int,
                     acc: int, span: int, parse) -> np.ndarray:
     """The first `count` accepted draws of each stream, shape
-    (fields, *lead, count) (`_streams`), as a one-draw-at-a-time loop would
-    keep them.
+    (fields, *lead, count) (`_streams`).
 
     A draw is `nbytes` bytes, accepted with probability rho = acc/span
     exactly. `parse(buf, rows, m)` turns m draws of each of `rows` streams,
     read back to back (plus 8 bytes of padding), into a list of (rows, m)
     field arrays and the (rows, m) acceptance mask. Every stream reads
-    ceil(count/rho) draws plus a margin of about four standard deviations,
-    all in one pass. A stream with `count` accepted seeks back to just past
-    the last one kept, so it ends where the loop would end; a stream short
-    of `count` (rare) draws the rest the same way.
+    m = ceil(count/rho) draws plus a margin of about four standard
+    deviations, all in one pass, and keeps its first `count` accepted ones.
+    The margin is part of the stream layout: whatever the stream is read
+    for next starts after all m draws, kept or not. A stream short of
+    `count` (rare) tops up, drawing the rest the same way after its m.
     """
     rngs, lead = _streams(rng)
     m = -(-count * span // acc)
@@ -402,10 +400,6 @@ def _first_accepted(rng: Xof | Sequence[Xof], count: int, nbytes: int,
     at = np.flatnonzero(keep)  # accepted draws, stream after stream
     bounds = np.searchsorted(at, m * np.arange(len(rngs) + 1)).tolist()
     got = [at[lo : min(hi, lo + count)] for lo, hi in zip(bounds, bounds[1:])]
-    for i, row in enumerate(got):
-        if row.size == count:  # seek back to just past its last kept draw
-            last = int(row[-1]) - i * m
-            rngs[i].seek(rngs[i].tell() - nbytes * (m - 1 - last))
     pick = np.concatenate(got)
     kept = np.stack([f.ravel().take(pick) for f in fields])
     if pick.size < len(rngs) * count:

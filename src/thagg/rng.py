@@ -2,12 +2,13 @@
 
 One root seed per run; every party and purpose gets its own substream.
 Stream keys come from SHAKE-256: the root key from the seed, and a child's
-key from its parent's key and a label. Byte p of a stream is byte p of the
-ChaCha20 keystream (RFC 8439) under the stream's key, with a zero 96-bit
-nonce and block counter p // 64. So a stream is a pure function of
-(key, position): any transcript can be replayed byte for byte, and a stream
-can seek. The 32-bit block counter ends a stream at 2^38 bytes; a read or
-seek past that point raises rather than repeat keystream.
+key from its parent's key and a label. A stream is the ChaCha20 keystream
+(RFC 8439) under the stream's key, with a zero 96-bit nonce, from block 0.
+It is read front to back: each read returns the bytes that follow those of
+the reads before it, and no read goes back. Byte p of a stream depends on
+its key alone, so any transcript can be replayed byte for byte. The 32-bit
+block counter ends a stream at 2^38 bytes; a read past that point raises
+rather than repeat keystream.
 
 The keystream comes from OpenSSL's EVP_chacha20, in the libcrypto that
 CPython's `_hashlib` already maps, called through ctypes. Streams are not
@@ -71,9 +72,8 @@ class Xof:
         if len(key) != 32:
             raise ValueError("xof key must be 32 bytes")
         self.key = bytes(key)
-        self._pos = 0  # the read position
+        self._pos = 0  # bytes read so far
         self._ctx = None  # the cipher context, made by the first read
-        self._at = -1  # the position the context's keystream has reached
 
     @classmethod
     def from_seed(cls, seed: int | bytes | str) -> "Xof":
@@ -91,52 +91,32 @@ class Xof:
         key = hashlib.shake_256(self.key + b"\x00" + label.encode()).digest(32)
         return Xof(key)
 
-    def tell(self) -> int:
-        return self._pos
-
-    def seek(self, pos: int) -> None:
-        """Move the read position to byte `pos`, at most 2^38. The next
-        read restarts the keystream at block pos // 64 and skips the first
-        pos % 64 bytes of it."""
-        if not 0 <= pos <= _END:
-            raise KeystreamError(f"seek to {pos} is outside the stream's "
-                                 f"{_END} bytes")
-        self._pos = pos
-
-    def read(self, n: int) -> bytes:
+    def read(self, n: int) -> bytearray:
+        """The next n bytes of the stream, in a new bytearray."""
         if n < 0 or self._pos + n > _END:
             raise KeystreamError(f"read of {n} bytes at {self._pos} passes "
                                  f"the stream's end at {_END}")
+        out = bytearray(n)
         if n == 0:
-            return b""
-        start = self._pos
-        if self._at != start:  # a fresh or sought stream: restart its block
-            start -= start % 64
-            self._restart(start // 64)
-        out = bytearray(self._pos + n - start)
-        address = ctypes.addressof(ctypes.c_char.from_buffer(out))
-        outl = ctypes.c_int()
-        for lo in range(0, len(out), _PIECE):
-            size = min(_PIECE, len(out) - lo)
-            if (_LIB.EVP_EncryptUpdate(self._ctx, address + lo, outl, _ZEROS,
-                                       size) != 1 or outl.value != size):
-                raise KeystreamError("EVP_EncryptUpdate failed")
-        self._pos = self._at = self._pos + n
-        return bytes(memoryview(out)[len(out) - n :])
-
-    def _restart(self, block: int) -> None:
-        """Point the context at the start of `block`: the block counter is
-        the first 4 IV bytes, little-endian, and the nonce is zero."""
-        if self._ctx is None:
+            return out
+        if self._ctx is None:  # the first read: block counter 0, zero nonce
             ctx = _LIB.EVP_CIPHER_CTX_new()
             if not ctx:
                 raise KeystreamError("EVP_CIPHER_CTX_new failed")
-            self._ctx = ctx
             weakref.finalize(self, _LIB.EVP_CIPHER_CTX_free, ctx)
-        iv = block.to_bytes(4, "little") + bytes(12)
-        if _LIB.EVP_EncryptInit_ex(self._ctx, _CHACHA20, None, self.key,
-                                   iv) != 1:
-            raise KeystreamError("EVP_EncryptInit_ex failed")
+            if _LIB.EVP_EncryptInit_ex(ctx, _CHACHA20, None, self.key,
+                                       bytes(16)) != 1:
+                raise KeystreamError("EVP_EncryptInit_ex failed")
+            self._ctx = ctx
+        address = ctypes.addressof(ctypes.c_char.from_buffer(out))
+        outl = ctypes.c_int()
+        for lo in range(0, n, _PIECE):
+            size = min(_PIECE, n - lo)
+            if (_LIB.EVP_EncryptUpdate(self._ctx, address + lo, outl, _ZEROS,
+                                       size) != 1 or outl.value != size):
+                raise KeystreamError("EVP_EncryptUpdate failed")
+        self._pos += n
+        return out
 
     def float_open01(self, count: int) -> np.ndarray:
         """Floats in (0, 1]: 53-bit uniforms, zero excluded."""

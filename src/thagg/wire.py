@@ -10,7 +10,8 @@ coefficient-minor order, and adds_consumed u32. That is
 17 + 8k + 4(k + k')n bytes.
 
 Protocol shares reuse the ring-element block of that format, prefixed by a
-one-byte message-kind tag and a u16 party index: 8 + 8k + 4kn bytes. A
+one-byte message-kind tag and a u16 party index (so a run has at most
+MAX_PARTIES = 65,535 parties, numbered from 1): 8 + 8k + 4kn bytes. A
 public-key share has the k primes of q; a partial decryption has only the
 k' leading primes of q', so it is 8 + 8k' + 4k'n bytes.
 
@@ -48,6 +49,7 @@ TAG_SCHEMES = {v: k for k, v in SCHEME_TAGS.items()}
 
 KIND_PK_SHARE = 1
 KIND_PARTIAL_DEC = 2
+MAX_PARTIES = 0xFFFF  # the largest u16 party index
 
 
 def _element_header(params: rg.RingParams) -> bytes:

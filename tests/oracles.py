@@ -45,6 +45,7 @@ from thagg.exact import Ratios, int_array
 from thagg.ntt import select_primes
 from thagg.ring import COEFF, RingElement, _check_pair, _plan, _reduce_once
 from thagg.rng import Xof
+from thagg.planner import MCKKS_SMALLER, RegionGrid
 from thagg.schemes import (
     BFV,
     CKKS,
@@ -213,6 +214,11 @@ def from_ints(params: rg.RingParams, values) -> rg.RingElement:
     return rg.RingElement(params, np.array(rows, dtype=np.int64), rg.COEFF)
 
 
+def half_q(params: rg.RingParams) -> int:
+    """floor(q/2): centered representatives lie in (-q/2, q/2]."""
+    return params.q // 2
+
+
 def inf_norm(coeffs) -> int:
     """Max absolute value over centered coefficients."""
     m = 0
@@ -331,7 +337,7 @@ def noise_of(params: SchemeParams, sk: SecretKey, ct: Ciphertext,
     target = rg.crt_lift(reference_pt.element).tolist()
     if params.scheme == BFV:
         target = [params.delta * v for v in target]
-    q, half = params.ring.q, params.ring.half_q
+    q, half = params.ring.q, half_q(params.ring)
     worst = 0
     for x, m in zip(lifted, target):
         d = (x - m) % q
@@ -352,3 +358,12 @@ def reconstruct_ideal_key(params: SchemeParams,
     for sh in shares:
         acc = rg.ring_add(acc, sh.s)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# planner
+
+
+def mckks_favorable(grid: RegionGrid) -> set:
+    """The (log2 t, log2 eps_inv) cells where MCKKS needs the smaller q."""
+    return {cell for cell, w in grid.winners.items() if w == MCKKS_SMALLER}

@@ -34,6 +34,7 @@ from thagg.schemes import BFV, encrypt, setup
 from oracles import (
     bfv_plaintext,
     dec_bfv,
+    mckks_favorable,
     noise_of,
     primes_for,
     pubkeygen,
@@ -227,7 +228,7 @@ def test_c6_verdict_equals_direct_comparison_on_full_grid(fig_grids):
 
 def test_c7_region_shrinks_with_lambda_and_parties(fig_grids):
     with criterion(7, "MCKKS region shrinks in lambda and L; boundary shift"):
-        favorable = {lam: fig_grids[lam].mckks_favorable()
+        favorable = {lam: mckks_favorable(fig_grids[lam])
                      for lam in FIG_LAMBDAS}
         for lo, hi in zip(FIG_LAMBDAS, FIG_LAMBDAS[1:]):
             assert favorable[hi] <= favorable[lo]  # cell-wise non-increasing
@@ -238,8 +239,8 @@ def test_c7_region_shrinks_with_lambda_and_parties(fig_grids):
         for parties in (8, 128):
             inputs = PlanInputs.create(8192, parties, "3.2", 128,
                                        bound="19.2")
-            by_parties[parties] = region_grid(
-                inputs, GRID_RANGE, GRID_RANGE).mckks_favorable()
+            by_parties[parties] = mckks_favorable(region_grid(
+                inputs, GRID_RANGE, GRID_RANGE))
         assert by_parties[128] < by_parties[8]
 
         # interval-2 boundary abscissa moves by (lam2-lam1)/2 +- 2 bits

@@ -45,7 +45,7 @@ from thagg.schemes import (
     setup,
 )
 
-from oracles import cdt_gaussian, from_ints, primes_for, ring_sub
+from oracles import cdt_gaussian, from_ints, half_q, primes_for, ring_sub
 
 # ---------------------------------------------------------------------------
 # scalar references
@@ -93,7 +93,7 @@ def ref_sample_smudging(n, b, rng):
 
 
 def ref_crt_lift(params, residues):
-    q, half = params.q, params.half_q
+    q, half = params.q, half_q(params)
     v = [0] * params.n
     for row, p in zip(residues.tolist(), params.primes):
         qstar = q // p
@@ -398,15 +398,36 @@ def test_encode_real_rejects_wraparound():
 # samplers
 
 
+class CountingXof(Xof):
+    """A stream that counts its reads and the bytes they took."""
+
+    def __init__(self, key):
+        super().__init__(key)
+        self.reads = self.taken = 0
+
+    def read(self, n):
+        self.reads += 1
+        self.taken += n
+        return super().read(n)
+
+
+def continues_after_its_reads(rng: CountingXof) -> bool:
+    """Whether the stream's next read returns the bytes right after those
+    its reads so far took: no read went back."""
+    fresh = Xof(rng.key)
+    fresh.read(rng.taken)
+    return rng.read(64) == fresh.read(64)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([ONE_PRIME, TWO_PRIMES, FIVE_PRIMES]),
        st.binary(min_size=1, max_size=8))
 def test_sample_uniform_matches_reference(params, seed):
-    fast_rng, ref_rng = Xof.from_seed(seed), Xof.from_seed(seed)
+    fast_rng, ref_rng = CountingXof.from_seed(seed), Xof.from_seed(seed)
     fast = rg.sample_uniform(params, fast_rng)
     ref = from_ints(params, ref_sample_uniform(params, ref_rng))
     assert np.array_equal(fast.residues, ref.residues)
-    assert fast_rng.read(64) == ref_rng.read(64)
+    assert continues_after_its_reads(fast_rng)
 
 
 SMUDGE_BOUNDS = st.one_of(
@@ -421,23 +442,11 @@ SMUDGE_BOUNDS = st.one_of(
 @given(SMUDGE_BOUNDS, st.sampled_from([ONE_PRIME, FIVE_PRIMES]),
        st.binary(min_size=1, max_size=8))
 def test_sample_smudging_matches_reference(b, params, seed):
-    fast_rng, ref_rng = Xof.from_seed(seed), Xof.from_seed(seed)
+    fast_rng, ref_rng = CountingXof.from_seed(seed), Xof.from_seed(seed)
     fast = rg.sample_smudging(params, b, fast_rng)
     ref = from_ints(params, ref_sample_smudging(params.n, b, ref_rng))
     assert np.array_equal(fast.residues, ref.residues)
-    assert fast_rng.read(64) == ref_rng.read(64)
-
-
-class CountingXof(Xof):
-    """A stream that counts its reads."""
-
-    def __init__(self, key):
-        super().__init__(key)
-        self.reads = 0
-
-    def read(self, n):
-        self.reads += 1
-        return super().read(n)
+    assert continues_after_its_reads(fast_rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,7 +456,7 @@ class CountingXof(Xof):
 def test_batched_samplers_match_stacked_references(batch, params, noise, b,
                                                    seed):
     # one stream per entry: each entry is what one call on its stream draws,
-    # and each stream ends where the one-draw-at-a-time reference ends
+    # and each stream's next read continues after the sampler's bytes
     spec = rg.NoiseSpec.create(*noise)
     n = params.n
     cases = [
@@ -462,14 +471,15 @@ def test_batched_samplers_match_stacked_references(batch, params, noise, b,
          lambda r: ref_sample_smudging(n, b, r)),
     ]
     for fast_fn, ref_fn in cases:
-        fast_rngs = [Xof.from_seed(seed + bytes([i])) for i in range(batch)]
+        fast_rngs = [CountingXof.from_seed(seed + bytes([i]))
+                     for i in range(batch)]
         ref_rngs = [Xof.from_seed(seed + bytes([i])) for i in range(batch)]
         fast = fast_fn(fast_rngs)
         ref = np.stack([from_ints(params, ref_fn(r)).residues
                         for r in ref_rngs])
         assert fast.residues.shape == (batch, len(params.primes), n)
         assert np.array_equal(fast.residues, ref)
-        assert [r.read(64) for r in fast_rngs] == [r.read(64) for r in ref_rngs]
+        assert all(continues_after_its_reads(r) for r in fast_rngs)
 
 
 def test_batched_smudging_refills_a_short_stream():
@@ -484,7 +494,7 @@ def test_batched_smudging_refills_a_short_stream():
     ref = [from_ints(params, ref_sample_smudging(4, b, r)).residues
            for r in ref_rngs]
     assert np.array_equal(fast.residues, np.stack(ref))
-    assert [r.read(64) for r in fast_rngs] == [r.read(64) for r in ref_rngs]
+    assert all(continues_after_its_reads(r) for r in fast_rngs)
 
 
 GAUSS_RINGS = {n: ring_with(n, 2) for n in (4, 8, 16, 1024, 16384)}

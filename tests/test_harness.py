@@ -44,7 +44,7 @@ from thagg.harness import (
 from thagg.planner import PlanInputs
 from thagg.ring import RingParams, sample_uniform, stack, unstack
 from thagg.rng import Xof
-from thagg.schemes import BFV, Ciphertext, setup
+from thagg.schemes import BFV, Ciphertext, encrypt, setup
 from thagg.threshold import (
     PartialDecryption,
     PkShare,
@@ -387,6 +387,37 @@ def test_groups_of_chunks_leave_the_run_unchanged(scheme, tmp_path,
     capsys.readouterr()
     assert len(harness.chunk_groups(12, params.ring)) == 12
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("scheme", ["mbfv", "mckks"])
+def test_group_encryption_draws_each_chunk_from_its_own_stream(scheme,
+                                                                monkeypatch):
+    # MBFV opens exactly and MCKKS rounds fresh noise away at q', so no
+    # transcript shows u, e0 or e1. Before c0 is switched to q', each entry
+    # of a group's batch is what encrypt draws from its chunk's stream alone.
+    cfg = parse_config((DATA / f"golden_{scheme}.ini").read_text())
+    art = run_setup(cfg)
+    root = Xof.from_seed(cfg.root_seed)
+    client = art.clients[1]
+    client.update = synthesize_update(cfg, root, client.index, 0)
+    batches = []
+
+    def kept(params, pk, pt, rng, **hooks):
+        batches.append((pt, encrypt(params, pk, pt, rng, **hooks)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(harness, "encrypt", kept)
+    client_input_step(cfg, art.params, client, art.cpk, root, 0, MessageBus())
+    ((pt, batch),) = batches  # 2500 values: 3 chunks, in one group
+    assert batch.c0.residues.shape[0] == 3
+    for c, (el, c0, c1) in enumerate(zip(unstack(pt.element),
+                                         unstack(batch.c0),
+                                         unstack(batch.c1))):
+        stream = root.child(f"round/0/client/{client.index}/enc/{c}")
+        want = encrypt(art.params, art.cpk,
+                       dataclasses.replace(pt, element=el), stream)
+        assert np.array_equal(c0.residues, want.c0.residues)
+        assert np.array_equal(c1.residues, want.c1.residues)
 
 
 def test_aggregator_never_holds_share_typed_state():
@@ -1026,6 +1057,24 @@ def test_more_limbs_than_the_wire_counts_is_a_config_error(tmp_path, capsys):
         harness.derive_scheme_params(parse_config(text))
 
 
+def test_more_parties_than_the_wire_numbers_is_a_config_error(tmp_path,
+                                                              capsys):
+    # once: parse_config took parties = 65536, and `run` failed with a bare
+    # struct.error on the u16 index of client 65,536's public-key share
+    text = (DATA / "golden_mckks.ini").read_text()
+    assert "parties = 3\n" in text
+    assert parse_config(text.replace("parties = 3\n", "parties = 65535\n"))
+    text = text.replace("parties = 3\n", "parties = 65536\n")
+    complaint = "parties must be at most 65535"
+    with pytest.raises(ConfigError, match=complaint):
+        parse_config(text)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    for command in ("plan", "run"):
+        assert cli.main([command, "-c", str(cfg_path)]) == 2
+        assert complaint in capsys.readouterr().err
+
+
 def test_ring_degree_without_ntt_primes_is_a_config_error(tmp_path, capsys):
     # n = 2^28: 2n = 2^29 leaves no prime = 1 mod 2n below 2^30
     text = GOOD_CONFIG.replace("n = 1024\n", f"n = {1 << 28}\n")
@@ -1193,7 +1242,10 @@ def test_cli_bench_sweep(tmp_path):
     (["--parties", "0"], "plan inputs must be positive"),
     # 8 parties * 2^8 * 2 >= 2^12: the fixed-point headroom check
     (["--parties", "2,8"], "fixed_point_bits=8 too large"),
-], ids=["repeats-0", "parties-abc", "parties-0", "parties-2,8"])
+    # one more than the u16 party index of a share message can number
+    (["--parties", "2,65536"], "parties must be at most 65535"),
+], ids=["repeats-0", "parties-abc", "parties-0", "parties-2,8",
+        "parties-2,65536"])
 def test_cli_bench_checks_every_sweep_config_first(flags, complaint, tmp_path,
                                                    capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.ini"

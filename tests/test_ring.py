@@ -43,6 +43,7 @@ from oracles import (
     chacha20_keystream,
     from_ints,
     from_ntt,
+    half_q,
     inf_norm,
     ring_mul_schoolbook,
     ring_sub,
@@ -95,7 +96,7 @@ def test_add_matches_bigint_oracle():
     params = params_for(8, bits=17, count=2)
     a, b = rand_element(params, 2), rand_element(params, 3)
     got = crt_lift(ring_add(a, b)).tolist()
-    q, half = params.q, params.half_q
+    q, half = params.q, half_q(params)
     for g, x, y in zip(got, crt_lift(a).tolist(), crt_lift(b).tolist()):
         v = (x + y) % q
         if v > half:
@@ -247,7 +248,7 @@ def test_expansion_factor_bound():
 def test_crt_lift_roundtrip():
     params = params_for(8, count=3)
     rng = Xof.from_seed("crt")
-    half = params.half_q
+    half = half_q(params)
     for _ in range(20):
         coeffs = [uniform_below(rng, params.q) - half for _ in range(params.n)]
         # shift into the canonical window (-q/2, q/2]
@@ -287,12 +288,12 @@ def test_inf_norm():
 
 
 def test_xof_reads_in_pieces_equal_one_read():
-    # pieces inside one 8 KiB block, across block edges, and empty ones
+    # pieces inside one 64-byte block, across block edges, and empty ones
     sizes = [0, 1, 7, 8184, 1, 3, 8192, 20000, 0, 5, 16383]
     whole = Xof.from_seed("pieces").read(sum(sizes))
     rng = Xof.from_seed("pieces")
     pieces = [rng.read(size) for size in sizes]
-    assert [type(p) for p in pieces] == [bytes] * len(sizes)
+    assert [type(p) for p in pieces] == [bytearray] * len(sizes)
     assert [len(p) for p in pieces] == sizes
     assert b"".join(pieces) == whole
     # the ChaCha20 keystream under the stream's key
@@ -326,41 +327,28 @@ EDGES = [0, 1, 63, 64, 65, 127, 128, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(
-    st.sampled_from(["read", "seek"]),
-    st.one_of(st.sampled_from(EDGES), st.integers(0, 1 << 17))),
-    min_size=1, max_size=12))
-def test_xof_reads_and_seeks_equal_the_oracle(ops):
-    rng = Xof.from_seed("seekable")
+@given(st.lists(st.one_of(st.sampled_from(EDGES), st.integers(0, 1 << 17)),
+                min_size=1, max_size=12))
+def test_xof_reads_equal_the_oracle(sizes):
+    # reads front to back, each starting where the one before it ended, at
+    # and across the 64-byte block and 64 KiB piece edges
+    rng = Xof.from_seed("reads")
     stream = chacha20_keystream(rng.key, WINDOW)
     pos = 0
-    for op, arg in ops:
-        if op == "seek":
-            rng.seek(arg)
-            pos = arg
-        else:
-            size = min(arg, WINDOW - pos)
-            assert rng.read(size) == stream[pos : pos + size]
-            pos += size
-        assert rng.tell() == pos
+    for size in sizes:
+        size = min(size, WINDOW - pos)
+        assert rng.read(size) == stream[pos : pos + size]
+        pos += size
 
 
 def test_xof_matches_cryptography_chacha20():
     ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
-
-    def keystream(key, block, size):
-        nonce = block.to_bytes(4, "little") + bytes(12)
-        cipher = ciphers.Cipher(ciphers.algorithms.ChaCha20(key, nonce), None)
-        return cipher.encryptor().update(bytes(size))
-
+    counter_and_nonce = bytes(16)  # block 0, zero nonce
     for label in ("a", "b"):
         rng = Xof.from_seed(label)
-        assert rng.read(200_000) == keystream(rng.key, 0, 200_000)
-        rng.seek(64 * 12345 + 17)
-        assert rng.read(1000) == keystream(rng.key, 12345, 1017)[17:]
-        # the last block of a stream: counter 2^32 - 1
-        rng.seek(2**38 - 64)
-        assert rng.read(64) == keystream(rng.key, 2**32 - 1, 64)
+        algorithm = ciphers.algorithms.ChaCha20(rng.key, counter_and_nonce)
+        stream = ciphers.Cipher(algorithm, None).encryptor()
+        assert rng.read(200_000) == stream.update(bytes(200_000))
 
 
 def test_missing_libcrypto_symbol_is_a_keystream_error(monkeypatch):
@@ -371,18 +359,18 @@ def test_missing_libcrypto_symbol_is_a_keystream_error(monkeypatch):
 
 
 def test_xof_stream_ends_at_2_38_bytes():
+    # the 32-bit block counter would wrap after 2^38 bytes
     rng = Xof.from_seed("end")
-    last = chacha20_block(rng.key, 2**32 - 1, bytes(12))
-    rng.seek(2**38 - 10)
-    assert rng.read(10) == last[-10:]
-    assert rng.tell() == 2**38 and rng.read(0) == b""
-    rng.seek(2**38 - 10)
+    rng._pos = 2**38 - 10
+    assert len(rng.read(10)) == 10
+    assert rng.read(0) == b""
     with pytest.raises(KeystreamError):
-        rng.read(11)  # would wrap the 32-bit block counter
-    assert rng.tell() == 2**38 - 10
-    for pos in (2**38 + 1, -1):
-        with pytest.raises(KeystreamError):
-            rng.seek(pos)
+        rng.read(1)
+    rng = Xof.from_seed("end")
+    rng._pos = 2**38 - 10
+    with pytest.raises(KeystreamError):
+        rng.read(11)
+    assert len(rng.read(10)) == 10  # the refused read took nothing
     with pytest.raises(KeystreamError):
         rng.read(-1)
 

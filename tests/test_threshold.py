@@ -54,6 +54,7 @@ from oracles import (
     decryption_phase,
     from_ints,
     from_ntt,
+    half_q,
     inf_norm,
     primes_for,
     pubkeygen,
@@ -499,7 +500,7 @@ def test_opened_noise_within_aggregate_bound():
     for ct in cts[1:]:
         acc = add(acc, ct)
     d, _ = open_ciphertext(sess, acc)
-    q, half = params.ring.q, params.ring.half_q
+    q, half = params.ring.q, half_q(params.ring)
     worst = 0
     for x, m in zip(rg.crt_lift(d).tolist(), total):
         diff = (x - params.delta * m) % q
@@ -522,7 +523,7 @@ def test_ideal_functionality_equivalence():
     # exactly the sum of the injected smudging terms; zero smudging: equal
     sess = mk_session(MBFV, 64, 3, 8, seed="ideal-eq")
     params = sess.params
-    n, q, half = params.ring.n, params.ring.q, params.ring.half_q
+    n, q, half = params.ring.n, params.ring.q, half_q(params.ring)
     pk = sess.cpk
     pt = bfv_plaintext(params, [2] * n)
     ct = encrypt(params, pk, pt, sess.root.child("e"))
