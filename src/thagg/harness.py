@@ -23,7 +23,7 @@ import numpy as np
 from . import ring as rg
 from . import wire
 from .config import ProtocolConfig, config_text
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, ProtocolFailure
 from .exact import Ratios, binary_places, scaled_round_array, scaled_round_ints
 from .planner import MBFV, PlanReport, plan
 from .rng import Xof
@@ -282,19 +282,11 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
     out = []
     for group in chunk_groups(chunks, ring):
         block = w[group.start : group.stop]
-        if cfg.scheme == MBFV:
-            pt = encode_fixed(block, cfg.fixed_point_bits, params)
-        else:
-            # normalize by L up front so the homomorphic sum is the average
-            pt = encode_real(block / cfg.parties, params)
+        pt = (encode_fixed(block, cfg.fixed_point_bits, params)
+              if cfg.scheme == MBFV else encode_real(block, params))
         rngs = [root.child(f"round/{round_index}/client/{client.index}/enc/{c}")
                 for c in group]
-        # u, e0 and e1 of the group: each chunk's stream is read in that order
-        u = rg.sample_ternary(ring, rngs)
-        e0 = rg.sample_gaussian(ring, params.noise, rngs)
-        e1 = rg.sample_gaussian(ring, params.noise, rngs)
-        batch = switch_c0(params,
-                          encrypt(params, cpk, pt, None, u=u, e0=e0, e1=e1))
+        batch = switch_c0(params, encrypt(params, cpk, pt, rngs))
         rx = [wire.deserialize_ciphertext(
                   bus.post("ciphertext", f"client{client.index}",
                            wire.serialize_ciphertext(ct)), params)
@@ -332,7 +324,6 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
     """
     b = report.bounds
     smudge = SmudgeParams(parties=cfg.parties, b_ct=b.b_ct, b_smg=b.b_smg)
-    ring = params.ring
     parts: list[Ratios] = []
     group = range(0)
     for batch in agg_cts:
@@ -341,11 +332,9 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
         c1_ntt = replace(batch, c1=rg.to_ntt(batch.c1))
         blobs = []  # per party, its shares of the group, chunk by chunk
         for client in clients:
-            e_smg = rg.sample_smudging(ring, smudge.b_smg, [
+            part = partial_decrypt(params, client.share, c1_ntt, smudge, [
                 root.child(f"round/{round_index}/client/{client.index}/pdec/{c}")
                 for c in group])
-            part = partial_decrypt(params, client.share, c1_ntt, smudge, None,
-                                   e_smg=e_smg)
             blobs.append([wire.serialize_partial_dec(replace(part, h=h))
                           for h in rg.unstack(part.h)])
         for ct, shares in zip(_chunks(batch), zip(*blobs)):
@@ -389,6 +378,21 @@ def cleartext_oracle(cfg: ProtocolConfig,
     return Ratios(_scaled_sum(updates, p), (1 << p) * L)
 
 
+def _check_error(cfg: ProtocolConfig, art: SetupArtifacts, error: Fraction,
+                 round_index: int) -> None:
+    """Raise ProtocolFailure unless a round's opened average meets the plan:
+    MBFV exactly, MCKKS within b_ct_mp/delta."""
+    if cfg.scheme == MBFV:
+        ok, want = error == 0, "0"
+    else:
+        bound = art.report.bounds.b_ct_mp / art.params.delta
+        ok, want = error < bound, f"below b_ct_mp/delta = {float(bound):.6e}"
+    if not ok:
+        raise ProtocolFailure(f"round {round_index}: max_error "
+                              f"{float(error):.6e} misses the plan: it must "
+                              f"be {want}")
+
+
 def run_protocol(cfg: ProtocolConfig) -> Transcript:
     """Setup -> (input -> evaluation -> output) x rounds, timed per phase."""
     bus = MessageBus()
@@ -423,7 +427,9 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         t_dec += time.perf_counter() - t3
 
         oracle = cleartext_oracle(cfg, [c.update for c in art.clients])
-        max_error = max(max_error, aggregate.max_abs_diff(oracle))
+        error = aggregate.max_abs_diff(oracle)
+        _check_error(cfg, art, error, r)
+        max_error = max(max_error, error)
 
     timings = {
         "collective_keygen": t_keygen,

@@ -15,8 +15,10 @@ Minimum-q conditions:  MBFV  q > 2 t b_ct_mp + t^2
 
 These are the only statement of the decode condition (`qmin_mbfv_bound`,
 `qmin_mckks_bound`): `schemes.setup` and the smudging check of
-`threshold.partial_decrypt` evaluate the same two functions. MCKKS messages
-are normalized to |m| <= 1 (`schemes.encode_real` enforces it).
+`threshold.partial_decrypt` evaluate the same two functions. An MCKKS
+aggregate is at most delta = L * 2^k: each of the L clients encodes an
+update of magnitude at most 1 at the exact shift 2^k (`scale_from_eps`,
+`schemes.encode_real`), and nothing divides by L.
 
 Collective decryption then runs at q' = the product of the fewest leading
 primes of q whose rounding still passes the same conditions at the same q.
@@ -163,8 +165,8 @@ def qmin_mbfv(t: int, b_ct_mp) -> int:
 
 
 def qmin_mckks_bound(delta, b_ct_mp) -> Fraction:
-    """Exact lower bound on q for threshold-CKKS message headroom, for
-    messages of magnitude at most 1."""
+    """Exact lower bound on q for threshold-CKKS message headroom, for an
+    opened message of at most delta (an average of magnitude at most 1)."""
     return 2 * (frac(delta) + frac(b_ct_mp))
 
 
@@ -172,15 +174,16 @@ def qmin_mckks(delta, b_ct_mp) -> int:
     return min_q_bits(qmin_mckks_bound(delta, b_ct_mp))
 
 
-def scale_from_eps(eps_inv: int, b_ct_mp) -> int:
-    """Power-of-two scale: smallest 2^k >= b_ct_mp * eps_inv.
+def scale_from_eps(eps_inv: int, b_ct_mp, parties: int) -> int:
+    """delta = L * 2^k, for L = `parties` and the smallest k >= 0 with
+    delta >= b_ct_mp * eps_inv: each client encodes at the exact shift k.
 
     The realized error margin b_ct_mp/delta never exceeds the 1/eps_inv
     target because the ceiling only enlarges delta.
     """
     if eps_inv < 1:
         raise ConfigError("eps_inv must be >= 1")
-    return 1 << ceil_log2(frac(b_ct_mp) * eps_inv)
+    return parties << max(0, ceil_log2(frac(b_ct_mp) * eps_inv / parties))
 
 
 def winner(t: int, eps_inv: int, b_ct_mp) -> str:
@@ -372,14 +375,13 @@ def _decryption_primes(inputs: PlanInputs, scheme: str,
     every minimum-q check still holds at q = prod(primes) (MCKKS: with the
     same delta). Keeping all of them adds no noise, so that always holds.
     """
-    q = prod(primes)
+    q, L = prod(primes), inputs.parties
     for k in range(1, len(primes)):
-        b = frac(b_ct_mp) + switch_noise(inputs.parties,
-                                         q // prod(primes[:k]))
+        b = frac(b_ct_mp) + switch_noise(L, q // prod(primes[:k]))
         if scheme == MBFV:
             fits = q > qmin_mbfv_bound(1 << inputs.t_bits, b)
         else:
-            fits = (scale_from_eps(1 << inputs.eps_inv_bits, b) == delta
+            fits = (scale_from_eps(1 << inputs.eps_inv_bits, b, L) == delta
                     and q > qmin_mckks_bound(delta, b))
         if fits:
             return primes[:k]
@@ -414,7 +416,7 @@ def plan(inputs: PlanInputs, scheme: str, *,
     if inputs.t_bits is not None:
         mbfv_bits = qmin_mbfv(1 << inputs.t_bits, b)
     if inputs.eps_inv_bits is not None:
-        delta = scale_from_eps(1 << inputs.eps_inv_bits, b)
+        delta = scale_from_eps(1 << inputs.eps_inv_bits, b, inputs.parties)
         mckks_bits = qmin_mckks(delta, b)
     if inputs.t_bits is not None and inputs.eps_inv_bits is not None:
         verdict = winner(1 << inputs.t_bits, 1 << inputs.eps_inv_bits, b)

@@ -18,6 +18,7 @@ implementation kept with the tests (`tests/oracles.py`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +56,7 @@ class SchemeParams:
     ring: rg.RingParams
     noise: rg.NoiseSpec
     kappa: int                # homomorphic addition capacity
-    delta: int                # BFV: floor(q/t); CKKS: power-of-two scale
+    delta: int                # BFV: floor(q/t); CKKS: scale kappa * 2^k
     # the ring partial decryptions are rounded to, sent in and combined in:
     # the first limbs of `ring` (`ring.scale_down`), or all of them
     dec_ring: rg.RingParams
@@ -150,7 +151,8 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
     else:
         if eps_inv is None or eps_inv < 1:
             raise ValueError("CKKS needs eps_inv >= 1")
-        t, delta = None, scale_from_eps(eps_inv, capacity if mp is None else mp)
+        t, delta = None, scale_from_eps(
+            eps_inv, capacity if mp is None else mp, kappa)
     params = SchemeParams(scheme=scheme, ring=ring_params, noise=noise,
                           kappa=kappa, delta=delta, t=t, dec_ring=dec_ring)
     checks = [("fresh decryptability (kappa=1)", fresh),
@@ -212,20 +214,21 @@ def decode_fixed(coeffs: np.ndarray, scale_bits: int, parties: int) -> Ratios:
 
 
 def encode_real(values: np.ndarray, params: SchemeParams) -> Plaintext:
-    """CKKS coefficient-wise encoding: integer coefficients round(delta * v).
+    """CKKS encoding of one of kappa updates: integer coefficients
+    round(delta/kappa * v), at the exact shift log2(delta/kappa).
 
-    Rejects kappa * max|v| > 1: setup's headroom check sizes q for an
-    aggregate of kappa messages of at most 1/kappa each, and larger inputs
-    would wrap mod q silently. A (B, n) array encodes a batch.
+    Rejects max|v| > 1: setup's headroom check sizes q for a sum of kappa
+    such messages, at most delta, and larger inputs would wrap mod q
+    silently. A (B, n) array encodes a batch.
     """
     if params.scheme != CKKS:
         raise PlaintextRangeError("real encoding targets CKKS")
     biggest = _largest(values, params.ring.n)
-    if params.kappa * biggest > 1:
+    if biggest > 1:
         raise EncodingOverflowError(
-            f"{params.kappa} * |{float(biggest):.4g}| > 1: the aggregate "
-            "would leave the message space setup sized q for")
-    shift = params.delta.bit_length() - 1  # delta is a power of two
+            f"|{float(biggest):.4g}| > 1: the aggregate would leave the "
+            "message space setup sized q for")
+    shift = (params.delta // params.kappa).bit_length() - 1
     res = scaled_round_residues(values, shift, params.ring.primes)
     return Plaintext(CKKS, rg.RingElement(params.ring, res, rg.COEFF))
 
@@ -235,7 +238,7 @@ def encode_real(values: np.ndarray, params: SchemeParams) -> Plaintext:
 
 
 def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext,
-            rng: Xof | None, *,
+            rng: Xof | Sequence[Xof] | None, *,
             u: rg.RingElement | None = None,
             e0: rg.RingElement | None = None,
             e1: rg.RingElement | None = None) -> Ciphertext:
@@ -244,7 +247,8 @@ def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext,
     A batch of plaintexts with a batch of u, e0 and e1 (each of shape
     (B, limbs, n), one entry per ciphertext, `ring.stack`) gives a batch of
     ciphertexts: one forward transform, two inverse transforms and the sums
-    for all of them. rng is read only for a hook not given.
+    for all of them. rng is a stream, or one per batch entry; each is read
+    for u, then e0, then e1, and only for a hook not given.
     """
     if pt.scheme != params.scheme:
         raise PlaintextRangeError(
@@ -315,7 +319,7 @@ def ckks_scale_down(params: SchemeParams, d: rg.RingElement) -> Ratios:
     """The centered lift of d over delta, as the rationals it encodes.
 
     A lift at a switched q' = q/D is scaled back by D first: the value is
-    x * D / delta, an integer numerator over the power-of-two delta.
+    x * D / delta, an integer numerator over delta = kappa * 2^k.
     """
     if params.scheme != CKKS:
         raise PlaintextRangeError("ckks_scale_down needs CKKS parameters")

@@ -22,6 +22,7 @@ parties 1..L (`check_parties`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -121,15 +122,15 @@ def switch_c0(params: SchemeParams, ct: Ciphertext) -> Ciphertext:
 
 
 def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
-                    smudge: SmudgeParams, rng: Xof | None, *,
+                    smudge: SmudgeParams, rng: Xof | Sequence[Xof] | None, *,
                     e_smg: rg.RingElement | None = None) -> PartialDecryption:
     """h_i = round((sk_i * c1 + e_smg,i) * q'/q) with e_smg,i uniform on
     [-b_smg, b_smg], in `params.dec_ring`.
 
-    e_smg is drawn from rng unless given. A batch of summed ciphertexts
-    (c1 of shape (B, limbs, n)) with a batch of smudging noise, one entry
-    per ciphertext, gives a batch of shares in one product, one inverse
-    transform and one addition.
+    e_smg is drawn from rng, a stream or one per batch entry, unless given.
+    A batch of summed ciphertexts (c1 of shape (B, limbs, n)) with a batch
+    of smudging noise, one entry per ciphertext, gives a batch of shares in
+    one product, one inverse transform and one addition.
 
     Rejects configurations where the combined smudging of all parties cannot
     fit under the modulus; that means the planner and the runtime disagree

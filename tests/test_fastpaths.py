@@ -345,13 +345,17 @@ def test_encode_fixed_beyond_int64_matches_reference(xs, p):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(dyadic_floats(top=0), min_size=16, max_size=16))
-def test_encode_real_matches_scalar_path(xs):
-    params = ckks_params()
+@given(st.lists(dyadic_floats(top=0), min_size=16, max_size=16),
+       st.sampled_from([1, 3, 4]))
+def test_encode_real_matches_scalar_path(xs, kappa):
+    # one of kappa updates, at delta/kappa = 2^k
+    params = ckks_params(kappa)
+    step = params.delta // kappa
+    assert step * kappa == params.delta and step & (step - 1) == 0
     pt = encode_real(np.array(xs), params)
-    want = ref_encode(xs, params.delta)
+    want = ref_encode(xs, Fraction(params.delta, kappa))
     assert rg.crt_lift(pt.element).tolist() == want == [
-        scaled_round(x, params.delta.bit_length() - 1) for x in xs]
+        scaled_round(x, step.bit_length() - 1) for x in xs]
     ref = from_ints(params.ring, want)
     assert np.array_equal(pt.element.residues, ref.residues)
 
@@ -385,11 +389,14 @@ def test_encode_real_rejects_wraparound():
                    primes=primes_for(64, 60))
     with pytest.raises(EncodingOverflowError):
         encode_real(np.array([5.2e10] + [0.0] * 63), params)
-    # the bound is kappa * max|x| <= 1, compared exactly
+    # the bound is max|x| <= 1 for each of kappa updates, compared exactly;
+    # each is encoded at delta/kappa, so their sum is the average at delta
     four = setup(CKKS, 64, sigma="3.2", eps_inv=2**10,
                  primes=primes_for(64, 60), kappa=4)
-    encode_real(np.array([0.25, -0.25] + [0.0] * 62), four)
-    for too_big in (math.nextafter(0.25, 1.0), -math.nextafter(0.25, 1.0)):
+    pt = encode_real(np.array([1.0, -1.0] + [0.0] * 62), four)
+    assert rg.crt_lift(pt.element)[:3].tolist() == [
+        four.delta // 4, -four.delta // 4, 0]
+    for too_big in (math.nextafter(1.0, 2.0), -math.nextafter(1.0, 2.0)):
         with pytest.raises(EncodingOverflowError):
             encode_real(np.array([too_big] + [0.0] * 63), four)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thagg import cli, harness, ntt
@@ -347,6 +347,139 @@ def test_multiround_mckks_stays_within_plan_bound(tmp_path, capsys):
     error = Fraction(next(line for line in lines
                           if line.startswith("max_error =")).split()[2])
     assert 0 < error < report.bounds.b_ct_mp / params.delta
+
+
+@st.composite
+def small_protocol_configs(draw):
+    """Both schemes over small rings, 1 to 6 parties, any smudging width
+    and precision, and a fixed-point grid that t has room for."""
+    n = 1 << draw(st.integers(2, 8))
+    parties = draw(st.integers(1, 6))
+    t_bits = draw(st.integers(10, 70))
+    return make_cfg(
+        scheme=draw(st.sampled_from(["mbfv", "mckks"])), n=n,
+        parties=parties, lam=draw(st.integers(0, 200)), t_bits=t_bits,
+        eps_inv_bits=draw(st.integers(1, 70)),
+        model_size=draw(st.integers(1, 3 * n)),
+        seed=draw(st.integers(0, 2**32)), rounds=draw(st.integers(1, 2)),
+        # parties * 2^p must stay below 2^t_bits / 2 (`parse_config`)
+        fixed_point_bits=draw(st.integers(0, t_bits - 1
+                                          - parties.bit_length())))
+
+
+# L = 3 and 2^-52: a float64 division by L before encoding missed the bound
+PINNED_MCKKS = """\
+[protocol]
+scheme = mckks
+root_seed = 3
+enforce_security = false
+
+[plan]
+n = 1024
+parties = 3
+lambda = 40
+eps_inv_bits = 52
+"""
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_protocol_configs())
+@example(parse_config(PINNED_MCKKS))
+def test_every_small_run_opens_within_its_plan(cfg):
+    # MBFV opens exactly and MCKKS within b_ct_mp/delta; a seed replays
+    # byte for byte, whatever the chunk groups
+    report, params = derive_scheme_params(cfg)
+    first = run_protocol(cfg)  # its own check of the plan raises first
+    if cfg.scheme == "mbfv":
+        assert first.max_error == 0
+    else:
+        assert first.max_error < report.bounds.b_ct_mp / params.delta
+    assert run_protocol(cfg).to_text() == first.to_text()
+    cap = harness.BATCH_BYTES
+    harness.BATCH_BYTES = 0  # one chunk per group
+    try:
+        assert run_protocol(cfg).to_text() == first.to_text()
+    finally:
+        harness.BATCH_BYTES = cap
+
+
+def test_pinned_mckks_run_exits_0_within_its_bound(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(PINNED_MCKKS)
+    assert cli.main(["run", "-c", str(cfg_path), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report, params = derive_scheme_params(parse_config(PINNED_MCKKS))
+    assert params.delta == 3 * 2**91
+    lines = (tmp_path / "transcript.txt").read_text().splitlines()
+    error = Fraction(next(line for line in lines
+                          if line.startswith("max_error =")).split()[2])
+    assert 0 < error < report.bounds.b_ct_mp / params.delta
+
+
+@pytest.mark.parametrize("scheme", ["mbfv", "mckks"])
+def test_an_average_that_misses_the_plan_exits_3(scheme, tmp_path,
+                                                 monkeypatch, capsys):
+    # one opened value off by 1: MBFV must open exactly, and MCKKS within
+    # b_ct_mp/delta, far below 1
+    opened = harness.output_step
+
+    def off_by_one(*args):
+        agg = opened(*args)
+        nums = agg.numerators.astype(object)
+        nums[0] += agg.denominator
+        return Ratios(nums, agg.denominator)
+
+    monkeypatch.setattr(harness, "output_step", off_by_one)
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", str(DATA / f"golden_{scheme}.ini"),
+                     "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("protocol failure: round 0: max_error ")
+    assert "misses the plan: it must be " in err
+    assert list(out.iterdir()) == []  # no artifacts
+
+
+def test_error_check_edges():
+    # MBFV fails at any error above 0, MCKKS at b_ct_mp/delta and above
+    tiny = Fraction(1, 2**400)
+    for scheme in ("mbfv", "mckks"):
+        cfg = make_cfg(scheme=scheme, n=64)
+        art = run_setup(cfg)
+        bound = (tiny if scheme == "mbfv"
+                 else art.report.bounds.b_ct_mp / art.params.delta)
+        harness._check_error(cfg, art, bound - tiny, 0)
+        with pytest.raises(ProtocolFailure, match="round 4: max_error"):
+            harness._check_error(cfg, art, bound, 4)
+
+
+def test_scale_below_one_plans_at_delta_1_and_a_missed_bound_exits_3(
+        tmp_path, capsys):
+    # b_ct_mp * eps_inv = 9/500: delta is L * 2^0 = 1, not the 2^-5 that
+    # crashed with a negative shift. Encoding then rounds each value to an
+    # integer, up to 1/2 off, which b_ct_mp has no term for: the run opens
+    # outside the plan and says so with exit 3.
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("""\
+[protocol]
+scheme = mckks
+enforce_security = false
+
+[plan]
+n = 4
+parties = 1
+sigma = 0
+noise_bound = 0.001
+lambda = 0
+eps_inv_bits = 0
+""")
+    out = tmp_path / "plan.txt"
+    assert cli.main(["plan", "-c", str(cfg_path), "-o", str(out)]) == 0
+    assert "b_ct_mp = 9/500\n" in out.read_text()
+    assert "delta_ckks = 1\n" in out.read_text()
+    assert cli.main(["run", "-c", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("protocol failure: round 0: max_error ")
+    assert "below b_ct_mp/delta = 1.800000e-02" in err
 
 
 def test_chunk_groups_cap_residue_bytes():

@@ -125,12 +125,20 @@ def test_qmin_mckks_formula_collapse():
 
 
 def test_scale_from_eps():
-    b = Fraction("471974.4")
-    d = scale_from_eps(1, b)
-    assert d & (d - 1) == 0 and d >= b and d < 2 * b
-    for eps_bits in (0, 7, 33):
-        d = scale_from_eps(1 << eps_bits, b)
-        assert b / d <= Fraction(1, 1 << eps_bits)  # realized <= target
+    # delta = L * 2^k for the smallest k >= 0 with delta >= b * eps_inv
+    for parties in (1, 2, 3, 5, 6, 16):
+        for b in (Fraction("471974.4"), Fraction(9, 500), Fraction(3)):
+            for eps_bits in (0, 1, 7, 33, 70):
+                target = b * (1 << eps_bits)
+                d = scale_from_eps(1 << eps_bits, b, parties)
+                step = d // parties
+                assert d % parties == 0 and step & (step - 1) == 0  # 2^k
+                assert d >= target  # realized b/delta <= 1/eps_inv
+                if step > 1:  # k > 0 is the smallest k
+                    assert d / 2 < target
+    assert scale_from_eps(1, Fraction(9, 500), 1) == 1  # k = 0, no shift < 0
+    assert scale_from_eps(1, Fraction("471974.4"), 1) == 2**19
+    assert scale_from_eps(1, Fraction("471974.4"), 3) == 3 * 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +391,8 @@ def passes_checks(report, b):
     i, q = report.inputs, math.prod(report.primes)
     if report.scheme == MBFV:
         return q > qmin_mbfv_bound(1 << i.t_bits, b)
-    return (scale_from_eps(1 << i.eps_inv_bits, b) == report.delta_ckks
+    return (scale_from_eps(1 << i.eps_inv_bits, b, i.parties)
+            == report.delta_ckks
             and q > qmin_mckks_bound(report.delta_ckks, b))
 
 

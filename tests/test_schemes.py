@@ -140,7 +140,7 @@ def old_setup_verdict(scheme, n, bound, q, kappa, *, t=None, eps_inv=None,
         rhs = Fraction(q, 2 * t) - Fraction(t, 2)
         ok = fresh < rhs and capacity < rhs and (mp is None or mp < rhs)
         return q // t if ok else None
-    delta = 1
+    delta = kappa  # kappa * 2^k, each update encoded at the shift k
     while delta < (capacity if mp is None else mp) * eps_inv:
         delta *= 2
     rhs = Fraction(q, 2)
@@ -374,6 +374,33 @@ def test_ckks_doubling_delta_halves_residual():
         errs.append(max(abs(v - Fraction(1, 4)) for v in got))
     ratio = errs[1] / errs[0]
     assert Fraction(2, 5) < ratio < Fraction(3, 5)
+
+
+@pytest.mark.parametrize("entries", [None, 3])
+def test_encrypt_draws_u_then_e0_then_e1_from_each_stream(entries):
+    # The harness passes encrypt its streams, so encrypt alone fixes the
+    # draw order. No transcript shows it: MBFV opens exactly, and MCKKS
+    # rounds fresh noise away at q'. One stream, or one per batch entry.
+    params = small_bfv()
+    _, pk = keypair(params, seed="order")
+    n = params.ring.n
+    shape = (n,) if entries is None else (entries, n)
+    pt = encode_fixed(np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape),
+                      4, params)
+
+    def streams():
+        root = Xof.from_seed("order-draws")
+        return (root.child("enc") if entries is None
+                else [root.child(f"enc/{c}") for c in range(entries)])
+
+    got = encrypt(params, pk, pt, streams())
+    rng = streams()
+    u = rg.sample_ternary(params.ring, rng)
+    e0 = rg.sample_gaussian(params.ring, params.noise, rng)
+    e1 = rg.sample_gaussian(params.ring, params.noise, rng)
+    want = encrypt(params, pk, pt, None, u=u, e0=e0, e1=e1)
+    assert np.array_equal(got.c0.residues, want.c0.residues)
+    assert np.array_equal(got.c1.residues, want.c1.residues)
 
 
 # ---------------------------------------------------------------------------

@@ -639,7 +639,7 @@ def test_threshold_ckks_accuracy_small_sweep():
                    for i in range(parties)]
         cts = []
         for i, w in enumerate(streams):
-            pt = encode_real(w / parties, params)
+            pt = encode_real(w, params)
             cts.append(encrypt(params, pk, pt, rng.child(f"e{i}")))
         acc = cts[0]
         for ct in cts[1:]:
@@ -676,7 +676,7 @@ def open_switched_session(sess, rng):
     else:
         streams = [rng.child(f"w{i}").float_open01(n) * 2.0 - 1.0
                    for i in range(parties)]
-        pts = [encode_real(w / parties, params) for w in streams]
+        pts = [encode_real(w, params) for w in streams]
     acc = full_acc = None
     for i, pt in enumerate(pts):
         ct = encrypt(params, sess.cpk, pt, rng.child(f"e{i}"))
