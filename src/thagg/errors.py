@@ -72,4 +72,4 @@ class KeystreamError(ProtocolFailure):
 
 
 class LengthMismatchError(ProtocolFailure):
-    """Clients submitted ciphertext lists of different lengths."""
+    """An update, or a submission's ciphertext groups, of the wrong length."""

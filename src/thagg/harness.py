@@ -4,7 +4,9 @@ One run drives Setup / Input / Evaluation / Output over L clients plus an
 aggregator on synthetic model vectors. Every protocol message crosses the
 byte-counted message bus in its wire format, so serialization is exercised
 end to end. The aggregator object only ever holds public material; it has
-no field that could carry a secret share.
+no field that could carry a secret share. A client is its key share: a
+round's update is synthesized for its client's turn and dropped once
+encrypted, and re-derived from the root seed for the cleartext oracle.
 
 Timings are wall-clock and hardware-bound; they are reported next to the
 transcript but kept out of it, so a fixed root seed reproduces the
@@ -43,7 +45,6 @@ from .schemes import (
     setup,
 )
 from .threshold import (
-    Crs,
     SecretShare,
     SmudgeParams,
     check_parties,
@@ -100,22 +101,13 @@ class MessageBus:
         return blob
 
 
-@dataclass
-class ClientState:
-    """One client: its key share and its update."""
-
-    index: int
-    share: SecretShare
-    update: np.ndarray | None = None
-
-
 class Aggregator:
     """Holds only public data: the senders and the running group-wise sum.
 
     Each submission is added in as it arrives, so at most one client's
     ciphertexts are held besides the sum. `evaluate` releases the sum only
     if each of the parties 1..L submitted once; a submission beyond L fails
-    at once.
+    at once. A sender is recorded only once its submission is folded in.
     """
 
     def __init__(self, parties: int):
@@ -124,11 +116,12 @@ class Aggregator:
         self.total: list[Ciphertext] | None = None
 
     def receive(self, sender: int, cts: list[Ciphertext]) -> None:
-        self.senders.append(sender)
-        if len(self.senders) > self.parties:  # fails before capacity runs out
-            check_parties(self.senders, self.parties, "ciphertext submission")
+        senders = self.senders + [sender]
+        if len(senders) > self.parties:  # fails before capacity runs out
+            check_parties(senders, self.parties, "ciphertext submission")
         self.total = (cts if self.total is None
                       else aggregator_eval_step(self.total, cts))
+        self.senders = senders
 
     def evaluate(self) -> list[Ciphertext]:
         check_parties(self.senders, self.parties, "ciphertext submission")
@@ -139,8 +132,8 @@ class Aggregator:
 class SetupArtifacts:
     report: PlanReport
     params: SchemeParams
-    crs: Crs
-    clients: list[ClientState]
+    crs: rg.RingElement
+    shares: list[SecretShare]
     cpk: PublicKey
 
 
@@ -223,18 +216,18 @@ def run_setup(cfg: ProtocolConfig, bus: MessageBus | None = None,
     report, params = derive_scheme_params(cfg)
     crs = crs_expand(root.child("crs").read(32), params.ring)
 
-    clients = []
+    shares = []
     pk_blobs = []
     for i in range(1, cfg.parties + 1):
         share = gen_share(params, i, root.child(f"client/{i}/share"))
-        clients.append(ClientState(index=i, share=share))
+        shares.append(share)
         piece = pk_share(params, share, crs, root.child(f"client/{i}/pk"))
         pk_blobs.append(bus.post("pk_share", f"client{i}",
                                  wire.serialize_pk_share(piece)))
     shares_rx = [wire.deserialize_pk_share(blob, params) for blob in pk_blobs]
     cpk = combine_pk(params, shares_rx, crs, cfg.parties)
     return SetupArtifacts(report=report, params=params, crs=crs,
-                          clients=clients, cpk=cpk)
+                          shares=shares, cpk=cpk)
 
 
 def chunk_count(model_size: int, n: int) -> int:
@@ -261,34 +254,35 @@ def _chunks(batch: Ciphertext) -> list[Ciphertext]:
             for c0, c1 in zip(rg.unstack(batch.c0), rg.unstack(batch.c1))]
 
 
-def client_input_step(cfg: ProtocolConfig, params: SchemeParams,
-                      client: ClientState, cpk: PublicKey, root: Xof,
+def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
+                      update: np.ndarray, cpk: PublicKey, root: Xof,
                       round_index: int, bus: MessageBus) -> list[Ciphertext]:
-    """Chunk the update into ceil(N/n) ciphertexts under the collective key,
-    each sent with c0 already rounded to the decryption modulus q'.
+    """Chunk party `index`'s update of N = `cfg.model_size` values into
+    ceil(N/n) ciphertexts under the collective key, each sent with c0
+    already rounded to the decryption modulus q'.
 
     Each group of chunks (`chunk_groups`) is encoded and encrypted as one
     batch. Every chunk still draws its randomness from its own stream and
     goes out as its own message, in chunk order, and is received back
     into the group's batch: one ciphertext per group is returned.
     """
+    if update.shape != (cfg.model_size,):
+        raise LengthMismatchError(f"update of shape {update.shape}, want "
+                                  f"({cfg.model_size},)")
     ring = params.ring
     n = ring.n
     chunks = chunk_count(cfg.model_size, n)
-    w = client.update
-    if w.size < chunks * n:
-        w = np.concatenate([w, np.zeros(chunks * n - w.size)])
-    w = w.reshape(chunks, n)
+    w = np.pad(update, (0, chunks * n - update.size)).reshape(chunks, n)
     out = []
     for group in chunk_groups(chunks, ring):
         block = w[group.start : group.stop]
         pt = (encode_fixed(block, cfg.fixed_point_bits, params)
               if cfg.scheme == MBFV else encode_real(block, params))
-        rngs = [root.child(f"round/{round_index}/client/{client.index}/enc/{c}")
+        rngs = [root.child(f"round/{round_index}/client/{index}/enc/{c}")
                 for c in group]
         batch = switch_c0(params, encrypt(params, cpk, pt, rngs))
         rx = [wire.deserialize_ciphertext(
-                  bus.post("ciphertext", f"client{client.index}",
+                  bus.post("ciphertext", f"client{index}",
                            wire.serialize_ciphertext(ct)), params)
               for ct in _chunks(batch)]
         out.append(replace(
@@ -311,7 +305,7 @@ def aggregator_eval_step(total: list[Ciphertext],
 
 
 def output_step(cfg: ProtocolConfig, params: SchemeParams,
-                clients: list[ClientState], agg_cts: list[Ciphertext],
+                shares: list[SecretShare], agg_cts: list[Ciphertext],
                 report: PlanReport, root: Xof, round_index: int,
                 bus: MessageBus) -> Ratios:
     """Collective decryption of every chunk, then per-scheme finalization.
@@ -331,16 +325,16 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
         # every party multiplies by the same c1s: transform them once
         c1_ntt = replace(batch, c1=rg.to_ntt(batch.c1))
         blobs = []  # per party, its shares of the group, chunk by chunk
-        for client in clients:
-            part = partial_decrypt(params, client.share, c1_ntt, smudge, [
-                root.child(f"round/{round_index}/client/{client.index}/pdec/{c}")
+        for share in shares:
+            part = partial_decrypt(params, share, c1_ntt, smudge, [
+                root.child(f"round/{round_index}/client/{share.index}/pdec/{c}")
                 for c in group])
             blobs.append([wire.serialize_partial_dec(replace(part, h=h))
                           for h in rg.unstack(part.h)])
-        for ct, shares in zip(_chunks(batch), zip(*blobs)):
+        for ct, chunk_blobs in zip(_chunks(batch), zip(*blobs)):
             partials = [wire.deserialize_partial_dec(
-                bus.post("partial_dec", f"client{client.index}", blob),
-                params) for client, blob in zip(clients, shares)]
+                bus.post("partial_dec", f"client{share.index}", blob),
+                params) for share, blob in zip(shares, chunk_blobs)]
             d = combine_decrypt(params, ct, partials, cfg.parties)
             if cfg.scheme == MBFV:
                 parts.append(decode_fixed(bfv_round(params, d),
@@ -405,28 +399,29 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     t_enc = t_agg = t_dec = 0.0
     aggregate = Ratios([], 1)
     max_error = Fraction(0)
+    parties = range(1, cfg.parties + 1)
     for r in range(cfg.rounds):
-        for client in art.clients:
-            client.update = synthesize_update(cfg, root, client.index, r)
-
         agg = Aggregator(cfg.parties)
-        for client in art.clients:
+        for i in parties:
+            update = synthesize_update(cfg, root, i, r)
             t1 = time.perf_counter()
-            cts = client_input_step(cfg, art.params, client, art.cpk,
+            cts = client_input_step(cfg, art.params, i, update, art.cpk,
                                     root, r, bus)
             t2 = time.perf_counter()
-            agg.receive(client.index, cts)
+            agg.receive(i, cts)
             t_agg += time.perf_counter() - t2
             t_enc += t2 - t1
-            del cts  # folded into the sum; free it before the next client
+            del update, cts  # folded into the sum; free before the next turn
         summed = agg.evaluate()
 
         t3 = time.perf_counter()
-        aggregate = output_step(cfg, art.params, art.clients, summed,
+        aggregate = output_step(cfg, art.params, art.shares, summed,
                                 art.report, root, r, bus)
         t_dec += time.perf_counter() - t3
+        del agg, summed  # opened: the check needs only the updates
 
-        oracle = cleartext_oracle(cfg, [c.update for c in art.clients])
+        oracle = cleartext_oracle(
+            cfg, [synthesize_update(cfg, root, i, r) for i in parties])
         error = aggregate.max_abs_diff(oracle)
         _check_error(cfg, art, error, r)
         max_error = max(max_error, error)

@@ -36,13 +36,6 @@ CRS_SEED_BYTES = 32
 
 
 @dataclass(frozen=True)
-class Crs:
-    """Common reference polynomial, expanded deterministically from a seed."""
-
-    p1: rg.RingElement
-
-
-@dataclass(frozen=True)
 class SecretShare:
     index: int          # party index in 1..L
     s: rg.RingElement   # ternary share of the ideal key
@@ -70,13 +63,14 @@ class SmudgeParams:
     b_smg: Fraction
 
 
-def crs_expand(seed: bytes, params: rg.RingParams) -> Crs:
-    """Pure function of (seed, params); every party derives the same p1."""
+def crs_expand(seed: bytes, params: rg.RingParams) -> rg.RingElement:
+    """The common reference polynomial p1, NTT-domain: a pure function of
+    (seed, params), so every party derives the same p1."""
     seed = bytes(seed)
     if len(seed) != CRS_SEED_BYTES:
         raise ValueError(f"CRS seed must be {CRS_SEED_BYTES} bytes")
     stream = Xof.from_seed(seed).child("crs/p1")
-    return Crs(p1=rg.to_ntt(rg.sample_uniform(params, stream)))
+    return rg.to_ntt(rg.sample_uniform(params, stream))
 
 
 def gen_share(params: SchemeParams, index: int, rng: Xof) -> SecretShare:
@@ -86,12 +80,12 @@ def gen_share(params: SchemeParams, index: int, rng: Xof) -> SecretShare:
                        s=rg.to_ntt(rg.sample_ternary(params.ring, rng)))
 
 
-def pk_share(params: SchemeParams, share: SecretShare, crs: Crs, rng: Xof, *,
-             e: rg.RingElement | None = None) -> PkShare:
+def pk_share(params: SchemeParams, share: SecretShare, p1: rg.RingElement,
+             rng: Xof, *, e: rg.RingElement | None = None) -> PkShare:
     """p0_i = -p1 * sk_i + e_i with fresh noise e_i."""
     if e is None:
         e = rg.sample_gaussian(params.ring, params.noise, rng)
-    p0 = rg.ring_add(rg.ring_neg(rg.ring_mul(crs.p1, share.s)), e)
+    p0 = rg.ring_add(rg.ring_neg(rg.ring_mul(p1, share.s)), e)
     return PkShare(index=share.index, p0=p0)
 
 
@@ -103,14 +97,14 @@ def check_parties(indices, parties: int, what: str) -> None:
             f"need one {what} from each of parties 1..{parties}, got {got}")
 
 
-def combine_pk(params: SchemeParams, shares: list[PkShare], crs: Crs,
-               parties: int) -> PublicKey:
+def combine_pk(params: SchemeParams, shares: list[PkShare],
+               p1: rg.RingElement, parties: int) -> PublicKey:
     """cpk = (sum p0_i, p1); valid for the ideal key with noise sum e_i."""
     check_parties([sh.index for sh in shares], parties, "public-key share")
     acc = rg.zero(params.ring)
     for sh in shares:
         acc = rg.ring_add(acc, sh.p0)
-    return PublicKey(p0=rg.to_ntt(acc), p1=crs.p1)
+    return PublicKey(p0=rg.to_ntt(acc), p1=p1)
 
 
 def switch_c0(params: SchemeParams, ct: Ciphertext) -> Ciphertext:

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from thagg.exact import Ratios
 from thagg.harness import (
     DIGEST_SLICE,
     Aggregator,
-    ClientState,
     MessageBus,
     SetupArtifacts,
     Transcript,
@@ -69,6 +69,13 @@ def make_cfg(scheme="mbfv", n=1024, parties=2, lam=16, model_size=None,
         enforce_security=False)
 
 
+def submit(cfg, art, root, index, bus):
+    """Party `index`'s ciphertext groups of its round-0 update."""
+    return client_input_step(cfg, art.params, index,
+                             synthesize_update(cfg, root, index, 0), art.cpk,
+                             root, 0, bus)
+
+
 # ---------------------------------------------------------------------------
 # chunking
 
@@ -88,7 +95,7 @@ def test_run_setup_smoke_and_determinism():
     a = run_setup(cfg)
     b = run_setup(cfg)
     assert np.array_equal(a.cpk.p0.residues, b.cpk.p0.residues)
-    assert len(a.clients) == 2
+    assert [sh.index for sh in a.shares] == [1, 2]
     assert a.report.log2_q == a.params.ring.log2_q
 
 
@@ -110,12 +117,11 @@ def test_run_setup_forward_transforms(parties, monkeypatch):
 
 def test_setup_artifacts_hold_each_key_once():
     art = run_setup(make_cfg(parties=3))
-    assert art.cpk.p1 is art.crs.p1
-    fields = dataclasses.fields
-    assert [f.name for f in fields(ClientState)] == ["index", "share",
-                                                     "update"]
-    assert [f.name for f in fields(SetupArtifacts)] == [
-        "report", "params", "crs", "clients", "cpk"]
+    assert art.cpk.p1 is art.crs
+    # a client is its key share: no per-client state besides it
+    assert not hasattr(harness, "ClientState")
+    assert [f.name for f in dataclasses.fields(SetupArtifacts)] == [
+        "report", "params", "crs", "shares", "cpk"]
 
 
 def test_input_step_chunk_shapes_and_zero_vector():
@@ -123,23 +129,33 @@ def test_input_step_chunk_shapes_and_zero_vector():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(cfg.root_seed)
-    client = art.clients[0]
-    client.update = np.zeros(cfg.model_size)
-    cts = client_input_step(cfg, art.params, client, art.cpk, root, 0, bus)
+    zeros = np.zeros(cfg.model_size)
+    cts = client_input_step(cfg, art.params, 1, zeros, art.cpk, root, 0, bus)
     # 4096 / 1024 chunks, in one group: c1 at q's 2 limbs, c0 at q' (1 limb)
     assert len(cts) == 1 == len(harness.chunk_groups(4, art.params.ring))
     assert cts[0].c1.residues.shape == (4, 2, 1024)
     assert cts[0].c0.residues.shape == (4, 1, 1024)
     assert sum(m.kind == "ciphertext" for m in bus.records) == 4
     # a zero vector opens to zero through the full threshold path
-    for c in art.clients[1:]:
-        c.update = np.zeros(cfg.model_size)
-    other = client_input_step(cfg, art.params, art.clients[1], art.cpk,
-                              root, 0, bus)
+    other = client_input_step(cfg, art.params, 2, zeros, art.cpk, root, 0,
+                              bus)
     summed = aggregator_eval_step(cts, other)
-    opened = output_step(cfg, art.params, art.clients, summed, art.report,
+    opened = output_step(cfg, art.params, art.shares, summed, art.report,
                          root, 0, bus)
     assert list(opened) == [Fraction(0)] * cfg.model_size
+
+
+@pytest.mark.parametrize("size", [4095, 4097])
+def test_input_step_rejects_an_update_of_the_wrong_length(size):
+    # neither zero-padded nor cut to the model size; exit 3
+    cfg = make_cfg(model_size=4096)
+    art = run_setup(cfg)
+    bus = MessageBus()
+    with pytest.raises(LengthMismatchError, match=r"\(4096,\)") as info:
+        client_input_step(cfg, art.params, 1, np.zeros(size), art.cpk,
+                          Xof.from_seed(1), 0, bus)
+    assert isinstance(info.value, ProtocolFailure)
+    assert bus.records == []
 
 
 def test_eval_step_identity_and_mismatch():
@@ -147,10 +163,7 @@ def test_eval_step_identity_and_mismatch():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(99)
-    for c in art.clients:
-        c.update = synthesize_update(cfg, root, c.index, 0)
-    lists = [client_input_step(cfg, art.params, c, art.cpk, root, 0, bus)
-             for c in art.clients]
+    lists = [submit(cfg, art, root, sh.index, bus) for sh in art.shares]
     solo = Aggregator(1)  # a single submission: identity
     solo.receive(1, lists[0])
     assert solo.evaluate() == lists[0]
@@ -174,11 +187,9 @@ def test_aggregator_folds_submissions_as_they_arrive():
     with pytest.raises(ShareSetError):
         agg.evaluate()
     lists = []
-    for c in art.clients:
-        c.update = synthesize_update(cfg, root, c.index, 0)
-        lists.append(client_input_step(cfg, art.params, c, art.cpk, root,
-                                       0, bus))
-        agg.receive(c.index, lists[-1])
+    for sh in art.shares:
+        lists.append(submit(cfg, art, root, sh.index, bus))
+        agg.receive(sh.index, lists[-1])
     # no per-client store
     assert vars(agg).keys() == {"parties", "senders", "total"}
     want = aggregator_eval_step(aggregator_eval_step(lists[0], lists[1]),
@@ -197,14 +208,11 @@ def test_aggregation_order_does_not_change_opened_value():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(5)
-    for c in art.clients:
-        c.update = synthesize_update(cfg, root, c.index, 0)
-    lists = [client_input_step(cfg, art.params, c, art.cpk, root, 0, bus)
-             for c in art.clients]
-    fwd = output_step(cfg, art.params, art.clients,
+    lists = [submit(cfg, art, root, sh.index, bus) for sh in art.shares]
+    fwd = output_step(cfg, art.params, art.shares,
                       aggregator_eval_step(*lists), art.report,
                       root.child("d1"), 0, bus)
-    rev = output_step(cfg, art.params, art.clients,
+    rev = output_step(cfg, art.params, art.shares,
                       aggregator_eval_step(*reversed(lists)), art.report,
                       root.child("d2"), 0, bus)
     assert fwd == rev
@@ -213,12 +221,8 @@ def test_aggregation_order_does_not_change_opened_value():
 def submissions(cfg, art):
     """Every client's ciphertext groups for round 0, by party index."""
     bus, root = MessageBus(), Xof.from_seed(cfg.root_seed)
-    subs = {}
-    for c in art.clients:
-        c.update = synthesize_update(cfg, root, c.index, 0)
-        subs[c.index] = client_input_step(cfg, art.params, c, art.cpk, root,
-                                          0, bus)
-    return subs
+    return {sh.index: submit(cfg, art, root, sh.index, bus)
+            for sh in art.shares}
 
 
 def test_aggregator_takes_each_party_exactly_once():
@@ -258,14 +262,74 @@ def test_double_submission_raises_before_output_step():
         agg.receive(i, subs[i])
     with pytest.raises(ShareSetError, match=r"submission .* got \[1, 1, 2\]"):
         agg.evaluate()
-    opened = output_step(cfg, art.params, art.clients, agg.total, art.report,
+    opened = output_step(cfg, art.params, art.shares, agg.total, art.report,
                          Xof.from_seed(1), 0, MessageBus())
-    oracle = cleartext_oracle(cfg, [c.update for c in art.clients])
+    root = Xof.from_seed(cfg.root_seed)
+    oracle = cleartext_oracle(cfg, [synthesize_update(cfg, root, i, 0)
+                                    for i in (1, 2, 3)])
     assert opened.max_abs_diff(oracle) > Fraction(1, 4)
+
+
+def test_rejected_submission_does_not_count_as_received():
+    # party 2's groups do not match party 1's: its submission fails, so the
+    # parties 1 and 3 that were folded must not pass the party-set check
+    cfg = make_cfg(parties=3, model_size=2048)
+    art = run_setup(cfg)
+    subs = submissions(cfg, art)
+    (group,) = subs[2]
+    misshaped = [dataclasses.replace(group, c0=stack(unstack(group.c0)[:1]),
+                                     c1=stack(unstack(group.c1)[:1]))]
+    agg = Aggregator(cfg.parties)
+    agg.receive(1, subs[1])
+    with pytest.raises(LengthMismatchError):
+        agg.receive(2, misshaped)
+    agg.receive(3, subs[3])
+    with pytest.raises(ShareSetError, match=r"got \[1, 3\]"):
+        agg.evaluate()
 
 
 # ---------------------------------------------------------------------------
 # full runs
+
+
+def test_updates_and_sums_live_only_as_long_as_their_step(monkeypatch):
+    # weak references to every update a client encrypts and to every summed
+    # group the output step opens: an update is gone once the next client's
+    # turn starts, and none of them nor any sum is alive at the oracle
+    cfg = make_cfg(parties=3, model_size=2048, rounds=2)
+    updates, sums, synthesized, checked = [], [], [], []
+    synthesize = harness.synthesize_update
+    encrypt_step, open_step = harness.client_input_step, harness.output_step
+    oracle = harness.cleartext_oracle
+
+    def counted(cfg, root, index, round_index):
+        synthesized.append(round_index)
+        return synthesize(cfg, root, index, round_index)
+
+    def watched_input(cfg, params, index, update, *rest):
+        assert all(ref() is None for ref in updates)
+        updates.append(weakref.ref(update))
+        return encrypt_step(cfg, params, index, update, *rest)
+
+    def watched_output(cfg, params, shares, agg_cts, *rest):
+        sums.extend(weakref.ref(ct) for ct in agg_cts)
+        return open_step(cfg, params, shares, agg_cts, *rest)
+
+    def watched_oracle(cfg, round_updates):
+        assert len(updates) == cfg.parties * (len(checked) + 1)
+        assert all(ref() is None for ref in updates + sums)
+        checked.append(len(round_updates))
+        return oracle(cfg, round_updates)
+
+    monkeypatch.setattr(harness, "synthesize_update", counted)
+    monkeypatch.setattr(harness, "client_input_step", watched_input)
+    monkeypatch.setattr(harness, "output_step", watched_output)
+    monkeypatch.setattr(harness, "cleartext_oracle", watched_oracle)
+    assert run_protocol(cfg).max_error == 0
+    assert checked == [3, 3]
+    assert len(sums) == 2  # one group per round
+    # 2L syntheses per round: one for the client's turn, one for the oracle
+    assert synthesized == [0] * 6 + [1] * 6
 
 
 def test_smoke_config_runs_quickly():
@@ -531,8 +595,6 @@ def test_group_encryption_draws_each_chunk_from_its_own_stream(scheme,
     cfg = parse_config((DATA / f"golden_{scheme}.ini").read_text())
     art = run_setup(cfg)
     root = Xof.from_seed(cfg.root_seed)
-    client = art.clients[1]
-    client.update = synthesize_update(cfg, root, client.index, 0)
     batches = []
 
     def kept(params, pk, pt, rng, **hooks):
@@ -540,13 +602,13 @@ def test_group_encryption_draws_each_chunk_from_its_own_stream(scheme,
         return batches[-1][1]
 
     monkeypatch.setattr(harness, "encrypt", kept)
-    client_input_step(cfg, art.params, client, art.cpk, root, 0, MessageBus())
+    submit(cfg, art, root, 2, MessageBus())
     ((pt, batch),) = batches  # 2500 values: 3 chunks, in one group
     assert batch.c0.residues.shape[0] == 3
     for c, (el, c0, c1) in enumerate(zip(unstack(pt.element),
                                          unstack(batch.c0),
                                          unstack(batch.c1))):
-        stream = root.child(f"round/0/client/{client.index}/enc/{c}")
+        stream = root.child(f"round/0/client/2/enc/{c}")
         want = encrypt(art.params, art.cpk,
                        dataclasses.replace(pt, element=el), stream)
         assert np.array_equal(c0.residues, want.c0.residues)
@@ -559,10 +621,8 @@ def test_aggregator_never_holds_share_typed_state():
     agg = Aggregator(cfg.parties)
     bus = MessageBus()
     root = Xof.from_seed(1)
-    for c in art.clients:
-        c.update = synthesize_update(cfg, root, c.index, 0)
-        agg.receive(c.index, client_input_step(cfg, art.params, c,
-                                               art.cpk, root, 0, bus))
+    for sh in art.shares:
+        agg.receive(sh.index, submit(cfg, art, root, sh.index, bus))
     agg.evaluate()
 
     seen = set()
@@ -606,10 +666,7 @@ def _session_ct():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(3)
-    client = art.clients[0]
-    client.update = synthesize_update(cfg, root, 1, 0)
-    (group,) = client_input_step(cfg, art.params, client, art.cpk, root, 0,
-                                 bus)
+    (group,) = submit(cfg, art, root, 1, bus)
     # the group of the one chunk; messages carry a chunk, not a batch
     ct = dataclasses.replace(group, c0=unstack(group.c0)[0],
                              c1=unstack(group.c1)[0])
@@ -718,7 +775,7 @@ def test_share_wire_roundtrip():
     art = run_setup(cfg)
     from thagg.threshold import pk_share
 
-    piece = pk_share(art.params, art.clients[0].share, art.crs,
+    piece = pk_share(art.params, art.shares[0], art.crs,
                      Xof.from_seed("w"))
     blob = wire.serialize_pk_share(piece)
     assert blob[0] == wire.KIND_PK_SHARE
@@ -738,7 +795,7 @@ def test_switched_partial_dec_length_and_full_q_share_rejected():
     assert dec.primes == ring.primes[:1]
     b = art.report.bounds
     smudge = SmudgeParams(parties=2, b_ct=b.b_ct, b_smg=b.b_smg)
-    part = partial_decrypt(params, art.clients[0].share, ct, smudge,
+    part = partial_decrypt(params, art.shares[0], ct, smudge,
                            Xof.from_seed("pd"))
     blob = wire.serialize_partial_dec(part)
     assert len(blob) == share_len(1, ring.n) == 8 + 8 + 4 * ring.n
@@ -1344,7 +1401,7 @@ def test_wire_rejects_ntt_domain_elements(tmp_path, monkeypatch):
         wire.serialize_pk_share(PkShare(index=1, p0=art.cpk.p0))
     with pytest.raises(DomainMismatchError):
         wire.serialize_partial_dec(
-            PartialDecryption(index=1, h=art.clients[0].share.s))
+            PartialDecryption(index=1, h=art.shares[0].s))
 
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(GOOD_CONFIG)

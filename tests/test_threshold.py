@@ -122,9 +122,9 @@ def test_crs_deterministic_across_parties():
     seed = Xof.from_seed("crs-test").read(32)
     a = crs_expand(seed, params)
     b = crs_expand(seed, params)  # a second party expands independently
-    assert np.array_equal(a.p1.residues, b.p1.residues)
+    assert np.array_equal(a.residues, b.residues)
     other = crs_expand(Xof.from_seed("other").read(32), params)
-    assert not np.array_equal(a.p1.residues, other.p1.residues)
+    assert not np.array_equal(a.residues, other.residues)
 
 
 def test_crs_seed_length_checked():
@@ -138,7 +138,7 @@ def test_crs_p1_uniformish():
     total, count = 0, 0
     for i in range(300):
         crs = crs_expand(Xof.from_seed(f"crs-{i}").read(32), params)
-        for v in rg.crt_lift(from_ntt(crs.p1)).tolist():
+        for v in rg.crt_lift(from_ntt(crs)).tolist():
             total += v % params.q
             count += 1
     se = params.q / (12**0.5) / count**0.5
@@ -154,7 +154,7 @@ def test_pk_share_zero_noise_hook():
     sh = sess.shares[0]
     quiet = pk_share(sess.params, sh, sess.crs, Xof.from_seed("x"),
                      e=rg.zero(sess.params.ring))
-    expect = rg.ring_neg(rg.ring_mul(sess.crs.p1, sh.s))
+    expect = rg.ring_neg(rg.ring_mul(sess.crs, sh.s))
     assert np.array_equal(quiet.p0.residues, expect.residues)
 
 
@@ -162,7 +162,7 @@ def test_pk_share_noise_bound():
     sess = mk_session(MBFV, 64, 2, 0)
     bound = int(sess.params.noise.bound)
     for sh, pks in zip(sess.shares, sess.pkshares):
-        resid = rg.ring_add(pks.p0, rg.ring_mul(sh.s, sess.crs.p1))
+        resid = rg.ring_add(pks.p0, rg.ring_mul(sh.s, sess.crs))
         assert inf_norm(rg.crt_lift(resid).tolist()) <= bound
 
 
@@ -181,7 +181,7 @@ def test_combine_pk_single_party_degenerates_to_single_key():
     assert isinstance(sess.cpk, PublicKey)
     assert np.array_equal(from_ntt(sess.cpk.p0).residues,
                           sess.pkshares[0].p0.residues)
-    assert np.array_equal(sess.cpk.p1.residues, sess.crs.p1.residues)
+    assert np.array_equal(sess.cpk.p1.residues, sess.crs.residues)
 
 
 def test_combine_pk_order_invariant():
@@ -236,10 +236,10 @@ def test_every_key_is_returned_in_ntt_domain():
     params = sess.params
     sk = seckeygen(params, sess.root.child("sk"))
     pk = pubkeygen(params, sk, sess.root.child("pk"))
-    keys = [sk.s, pk.p0, pk.p1, sess.crs.p1, sess.cpk.p0, sess.cpk.p1]
+    keys = [sk.s, pk.p0, pk.p1, sess.crs, sess.cpk.p0, sess.cpk.p1]
     keys += [sh.s for sh in sess.shares]
     assert all(k.domain == rg.NTT for k in keys)
-    assert sess.cpk.p1 is sess.crs.p1
+    assert sess.cpk.p1 is sess.crs
     # the messages stay in the coefficient domain
     assert all(pks.p0.domain == rg.COEFF for pks in sess.pkshares)
 
