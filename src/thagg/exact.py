@@ -7,8 +7,8 @@ encoders' rounding, the correctly rounded `Ratios.to_floats`), never in
 accept/reject decisions.
 
 `Ratios` is the one integer form of a vector of rationals, an opened
-aggregate included: numerators over a shared denominator, compared and
-reduced on integers only.
+aggregate included: numerators times a shared factor over a shared
+denominator, compared and reduced on integers only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,18 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ring import _reduce
+
 INT64_MAX = (1 << 63) - 1
+
+# Values per slice where `Ratios` multiplies in its factor: big integers
+# exist for one slice at a time, never for a whole aggregate.
+SLICE = 4096
+
+
+def slices(n: int) -> list[slice]:
+    """Indices 0..n-1 in consecutive slices of `SLICE` values."""
+    return [slice(lo, lo + SLICE) for lo in range(0, n, SLICE)]
 
 
 def frac(x) -> Fraction:
@@ -116,6 +127,7 @@ def scaled_round_residues(x: np.ndarray, d: int,
 
     Where the value is M * 2^(s+d) its residue is (M mod p) * (2^(s+d)
     mod p); elsewhere it is the int64 `scaled_round_array` value mod p.
+    Each reduction is a floor division by the scalar prime (`_reduce`).
     """
     mant, shift, whole, small = _mantissa_shift(x, d)
     shifts, index = np.unique(np.where(whole, shift, 0), return_inverse=True)
@@ -124,7 +136,8 @@ def scaled_round_residues(x: np.ndarray, d: int,
     rows = np.moveaxis(res, -2, 0)  # limbs first, a view
     for j, p in enumerate(primes):
         pow2 = np.array([pow(2, int(k), p) for k in shifts], dtype=np.int64)
-        rows[j] = np.where(whole, (mant % p) * pow2[index] % p, small % p)
+        rows[j] = np.where(whole, _reduce(_reduce(mant, p) * pow2[index], p),
+                           _reduce(small, p))
     return res
 
 
@@ -178,33 +191,42 @@ def _gcd_pow2(num: np.ndarray, den: int) -> np.ndarray:
 
 
 class Ratios:
-    """Rationals numerators[i] / denominator over one positive denominator.
+    """Rationals numerators[i] * factor / denominator, over one positive
+    denominator and one positive integer factor.
 
     Numerators are int64, or Python ints (dtype object) when they do not
-    fit. Indexing gives a Fraction; comparison, reduction and the largest
-    gap to another vector work on the integers.
+    fit. The factor keeps a value exact without widening its numerators: an
+    opened CKKS value is its int64 lift times D/delta
+    (`schemes.ckks_scale_down`); elsewhere it is 1. Indexing gives a
+    Fraction; comparison, reduction and the largest gap to another vector
+    work on the integers, with the factor multiplied in one slice of at most
+    `SLICE` values at a time.
     """
 
-    def __init__(self, numerators, denominator: int):
-        if denominator < 1:
-            raise ValueError("denominator must be positive")
+    def __init__(self, numerators, denominator: int, factor: int = 1):
+        if denominator < 1 or factor < 1:
+            raise ValueError("denominator and factor must be positive")
         self.numerators = int_array(numerators)
         self.denominator = int(denominator)
+        self.factor = int(factor)
 
     @classmethod
     def concat(cls, parts: list["Ratios"]) -> "Ratios":
-        dens = {r.denominator for r in parts}
-        if len(dens) != 1:
-            raise ValueError("concatenated ratios need one denominator")
-        return cls(np.concatenate([r.numerators for r in parts]), dens.pop())
+        scales = {(r.denominator, r.factor) for r in parts}
+        if len(scales) != 1:
+            raise ValueError("concatenated ratios need one denominator and "
+                             "one factor")
+        return cls(np.concatenate([r.numerators for r in parts]),
+                   *scales.pop())
 
     def __len__(self) -> int:
         return len(self.numerators)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Ratios(self.numerators[i], self.denominator)
-        return Fraction(int(self.numerators[i]), self.denominator)
+            return Ratios(self.numerators[i], self.denominator, self.factor)
+        return Fraction(int(self.numerators[i]) * self.factor,
+                        self.denominator)
 
     def __eq__(self, other):
         if isinstance(other, Ratios):
@@ -218,29 +240,41 @@ class Ratios:
         if len(self) != len(other):
             raise ValueError("ratio vectors differ in length")
         den = math.lcm(self.denominator, other.denominator)
-        a = int_times(self.numerators, den // self.denominator)
-        b = int_times(other.numerators, den // other.denominator)
-        if (a.dtype != object and b.dtype != object
-                and _max_abs(a) + _max_abs(b) > INT64_MAX):
-            a = a.astype(object)
-        return Fraction(_max_abs(a - b), den)
+        ka = self.factor * (den // self.denominator)
+        kb = other.factor * (den // other.denominator)
+        worst = 0
+        for part in slices(len(self)):
+            a = int_times(self.numerators[part], ka)
+            b = int_times(other.numerators[part], kb)
+            if (a.dtype != object and b.dtype != object
+                    and _max_abs(a) + _max_abs(b) > INT64_MAX):
+                a = a.astype(object)
+            worst = max(worst, _max_abs(a - b))
+        return Fraction(worst, den)
 
     def terms(self) -> list[str]:
         """Each value as `num/den` in lowest terms, as `Fraction` prints it."""
-        num, den = self.numerators, self.denominator
+        common = math.gcd(self.factor, self.denominator)
+        # factor and den coprime: gcd(num * factor, den) = gcd(num, den)
+        factor, den = self.factor // common, self.denominator // common
+        num = self.numerators
         if num.dtype != object and den > INT64_MAX:
             num = num.astype(object)
         if num.dtype == object and den & (den - 1) == 0:
             g = _gcd_pow2(num, den)
         else:
             g = np.gcd(num, den)
-        return [f"{a}/{b}" for a, b in zip((num // g).tolist(),
-                                           (den // g).tolist())]
+        nums = int_times(num // g, factor)
+        return [f"{a}/{b}" for a, b in zip(nums.tolist(), (den // g).tolist())]
 
     def to_floats(self) -> np.ndarray:
         """float64 values, each the correctly rounded quotient."""
-        num, den = self.numerators, self.denominator
+        num, den, factor = self.numerators, self.denominator, self.factor
         limit = 1 << 53  # both sides exact as floats: one rounding, in `/`
-        if num.dtype != object and den <= limit and _max_abs(num) <= limit:
-            return num.astype(np.float64) / den
-        return np.array([v / den for v in num.tolist()], dtype=np.float64)
+        if (num.dtype != object and den <= limit
+                and _max_abs(num) * factor <= limit):
+            return int_times(num, factor).astype(np.float64) / den
+        out = np.empty(len(num))
+        for part in slices(len(self)):
+            out[part] = [v * factor / den for v in num[part].tolist()]
+        return out

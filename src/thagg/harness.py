@@ -6,7 +6,8 @@ byte-counted message bus in its wire format, so serialization is exercised
 end to end. The aggregator object only ever holds public material; it has
 no field that could carry a secret share. A client is its key share: a
 round's update is synthesized for its client's turn and dropped once
-encrypted, and re-derived from the root seed for the cleartext oracle.
+encrypted, and re-derived from the root seed, one at a time, for the
+cleartext oracle.
 
 Timings are wall-clock and hardware-bound; they are reported next to the
 transcript but kept out of it, so a fixed root seed reproduces the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -26,7 +28,8 @@ from . import ring as rg
 from . import wire
 from .config import ProtocolConfig, config_text
 from .errors import LengthMismatchError, ProtocolFailure
-from .exact import Ratios, binary_places, scaled_round_array, scaled_round_ints
+from .exact import (Ratios, binary_places, scaled_round_array,
+                    scaled_round_ints, slices)
 from .planner import MBFV, PlanReport, plan
 from .rng import Xof
 from .schemes import (
@@ -56,9 +59,6 @@ from .threshold import (
     pk_share,
     switch_c0,
 )
-
-# Values per slice when the aggregate digest is hashed.
-DIGEST_SLICE = 4096
 
 # Most int64 residue bytes per batched ring operation (`chunk_groups`). A
 # transform call has a fixed cost that a batch of small chunks shares, while
@@ -102,16 +102,19 @@ class MessageBus:
 
 
 class Aggregator:
-    """Holds only public data: the senders and the running group-wise sum.
+    """Holds only public data: the senders, the expected group shapes and
+    the running group-wise sum.
 
     Each submission is added in as it arrives, so at most one client's
     ciphertexts are held besides the sum. `evaluate` releases the sum only
-    if each of the parties 1..L submitted once; a submission beyond L fails
-    at once. A sender is recorded only once its submission is folded in.
+    if each of the parties 1..L submitted once; a submission beyond L, or
+    one whose groups are not the `group_shapes` given up front, fails at
+    once. A sender is recorded only once its submission is folded in.
     """
 
-    def __init__(self, parties: int):
+    def __init__(self, parties: int, shapes: list[tuple[tuple, tuple]]):
         self.parties = parties
+        self.shapes = shapes
         self.senders: list[int] = []
         self.total: list[Ciphertext] | None = None
 
@@ -119,6 +122,11 @@ class Aggregator:
         senders = self.senders + [sender]
         if len(senders) > self.parties:  # fails before capacity runs out
             check_parties(senders, self.parties, "ciphertext submission")
+        got = [(ct.c0.residues.shape, ct.c1.residues.shape) for ct in cts]
+        if got != self.shapes:
+            raise LengthMismatchError(
+                f"party {sender} submitted groups of shapes {got}, want "
+                f"{self.shapes}")
         self.total = (cts if self.total is None
                       else aggregator_eval_step(self.total, cts))
         self.senders = senders
@@ -153,8 +161,8 @@ class Transcript:
         """sha256 of every term followed by a newline, hashed slice by slice
         so that the terms of the whole aggregate are never held at once."""
         h, agg = hashlib.sha256(), self.aggregate
-        for lo in range(0, len(agg), DIGEST_SLICE):
-            terms = agg[lo : lo + DIGEST_SLICE].terms()
+        for part in slices(len(agg)):
+            terms = agg[part].terms()
             h.update("".join(f"{v}\n" for v in terms).encode())
         return h.hexdigest()
 
@@ -238,7 +246,10 @@ def synthesize_update(cfg: ProtocolConfig, root: Xof, client_index: int,
                       round_index: int) -> np.ndarray:
     """Deterministic stand-in for a local training step: reals in (-1, 1]."""
     stream = root.child(f"round/{round_index}/client/{client_index}/update")
-    return stream.float_open01(cfg.model_size) * 2.0 - 1.0
+    update = stream.float_open01(cfg.model_size)
+    update *= 2.0  # in place: the same values as w * 2 - 1, one array
+    update -= 1.0
+    return update
 
 
 def chunk_groups(chunks: int, ring: rg.RingParams) -> list[range]:
@@ -246,6 +257,16 @@ def chunk_groups(chunks: int, ring: rg.RingParams) -> list[range]:
     BATCH_BYTES of residues on `ring`, and at least one."""
     per = max(1, BATCH_BYTES // (8 * len(ring.primes) * ring.n))
     return [range(lo, min(lo + per, chunks)) for lo in range(0, chunks, per)]
+
+
+def group_shapes(cfg: ProtocolConfig,
+                 params: SchemeParams) -> list[tuple[tuple, tuple]]:
+    """The residue shapes (c0 at q', c1 at q) of each group batch a client
+    submits: (chunks, limbs, n) on each ring."""
+    ring, n = params.ring, params.ring.n
+    return [((len(g), len(params.dec_ring.primes), n),
+             (len(g), len(ring.primes), n))
+            for g in chunk_groups(chunk_count(cfg.model_size, n), ring)]
 
 
 def _chunks(batch: Ciphertext) -> list[Ciphertext]:
@@ -344,32 +365,38 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
     return Ratios.concat(parts)[: cfg.model_size]
 
 
-def _scaled_sum(updates: list[np.ndarray], d: int) -> np.ndarray:
-    """Sum over clients of floor(w * 2^d + 1/2), exact.
-
-    int64 when the sum provably fits, else Python integers (dtype object).
-    """
-    top = max(Fraction(float(np.abs(w).max(initial=0.0))) for w in updates)
-    if top * (len(updates) << d) < 1 << 61:
-        return sum(scaled_round_array(w, d) for w in updates)
-    return sum(scaled_round_ints(w, d) for w in updates)
-
-
 def cleartext_oracle(cfg: ProtocolConfig,
-                     updates: list[np.ndarray]) -> Ratios:
-    """What the protocol should open: the cleartext average.
+                     updates: Iterable[np.ndarray]) -> Ratios:
+    """What the protocol should open: the cleartext average of updates in
+    [-1, 1], folded one update at a time.
 
     MBFV averages on the fixed-point grid (exact target); MCKKS against the
-    exact rational average of the raw updates. Both are integer sums over
-    one denominator: 2^p * L, or 2^k * L with 2^k the finest binary place
-    of any update.
+    exact rational average of the raw updates. Both are sums of
+    floor(w * 2^p + 1/2) over 2^p * L: p is the fixed-point bits, or the
+    finest binary place of any update so far, every term then exact. The
+    running MCKKS sum is rescaled exactly when an update needs a finer
+    place. |sum| <= L * 2^p: int64 below 2^61, Python ints beyond.
     """
     L = cfg.parties
-    if cfg.scheme == MBFV:
-        p = cfg.fixed_point_bits
-    else:
-        p = max(binary_places(w) for w in updates)
-    return Ratios(_scaled_sum(updates, p), (1 << p) * L)
+    p = cfg.fixed_point_bits if cfg.scheme == MBFV else 0
+    total = np.zeros(cfg.model_size, dtype=np.int64)
+    parts = slices(cfg.model_size)
+    for w in updates:
+        if max(w.max(initial=0.0), -w.min(initial=0.0)) > 1:
+            raise ValueError("the cleartext oracle takes updates in [-1, 1]")
+        k = p if cfg.scheme == MBFV else max(
+            [p] + [binary_places(w[part]) for part in parts])
+        if total.dtype != object and L << k >= 1 << 61:
+            total = total.astype(object)
+        if k > p:
+            total <<= k - p
+            p = k
+        wide = total.dtype == object
+        for part in parts:  # temporaries of one slice, not of the update
+            total[part] += (scaled_round_ints if wide
+                            else scaled_round_array)(w[part], p)
+        del w  # one update alive: the next is made once this one is gone
+    return Ratios(total, (1 << p) * L)
 
 
 def _check_error(cfg: ProtocolConfig, art: SetupArtifacts, error: Fraction,
@@ -401,7 +428,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     max_error = Fraction(0)
     parties = range(1, cfg.parties + 1)
     for r in range(cfg.rounds):
-        agg = Aggregator(cfg.parties)
+        agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
         for i in parties:
             update = synthesize_update(cfg, root, i, r)
             t1 = time.perf_counter()
@@ -420,9 +447,8 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         t_dec += time.perf_counter() - t3
         del agg, summed  # opened: the check needs only the updates
 
-        oracle = cleartext_oracle(
-            cfg, [synthesize_update(cfg, root, i, r) for i in parties])
-        error = aggregate.max_abs_diff(oracle)
+        error = aggregate.max_abs_diff(cleartext_oracle(
+            cfg, (synthesize_update(cfg, root, i, r) for i in parties)))
         _check_error(cfg, art, error, r)
         max_error = max(max_error, error)
 

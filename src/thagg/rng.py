@@ -119,6 +119,10 @@ class Xof:
         return out
 
     def float_open01(self, count: int) -> np.ndarray:
-        """Floats in (0, 1]: 53-bit uniforms, zero excluded."""
-        u = np.frombuffer(self.read(8 * count), dtype="<u8") >> np.uint64(11)
-        return (u.astype(np.float64) + 1.0) * 2.0**-53
+        """Floats in (0, 1]: 53-bit uniforms, zero excluded, scaled in place
+        (two arrays of `count` at most at once)."""
+        out = (np.frombuffer(self.read(8 * count), dtype="<u8")
+               >> np.uint64(11)).astype(np.float64)
+        out += 1.0
+        out *= 2.0**-53
+        return out

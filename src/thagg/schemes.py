@@ -36,7 +36,6 @@ from .exact import (
     Ratios,
     frac,
     frac_log2,
-    int_times,
     scaled_round_array,
     scaled_round_residues,
 )
@@ -60,7 +59,7 @@ class SchemeParams:
     # the ring partial decryptions are rounded to, sent in and combined in:
     # the first limbs of `ring` (`ring.scale_down`), or all of them
     dec_ring: rg.RingParams
-    t: int | None = None      # BFV plaintext modulus
+    t: int | None = None      # BFV plaintext modulus, a power of two
 
 
 # Keys are stored in the NTT domain only: every use of a key is a ring
@@ -143,8 +142,8 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
     mp = None if mp_noise_bound is None else frac(mp_noise_bound)
 
     if scheme == BFV:
-        if t is None or t < 2:
-            raise ValueError("BFV needs plaintext modulus t >= 2")
+        if t is None or t < 2 or t & (t - 1):
+            raise ValueError("BFV needs a plaintext modulus t = 2^k >= 2")
         if q <= t:
             raise _fail("modulus ordering (t < q)", Fraction(t), Fraction(q))
         delta = q // t
@@ -294,23 +293,20 @@ def bfv_round(params: SchemeParams, d: rg.RingElement) -> np.ndarray:
     lift of d at its modulus q (a collective decryption's switched q'). The
     integers are int64, or Python ints (dtype object) for t > 2^63.
 
-    For power-of-two t, write t*x = q*k + r with r the centered [t*x]_q.
-    Since q is odd, |r| < q/2, so k = round(t*x/q) and k = -r * q^-1 mod t,
-    which the mask t - 1 takes. r is int64 while q < 2^62 and t <= 2^62,
-    else Python ints; int64 products wrap mod 2^64, which t divides, so the
-    mask is exact either way. Other t take the rational form.
+    t is a power of two (`setup`). Write t*x = q*k + r with r the centered
+    [t*x]_q. Since q is odd, |r| < q/2, so k = round(t*x/q) and
+    k = -r * q^-1 mod t, which the mask t - 1 takes. r is int64 while
+    q < 2^62 and t <= 2^62, else Python ints; int64 products wrap mod 2^64,
+    which t divides, so the mask is exact either way.
     """
     if params.scheme != BFV:
         raise PlaintextRangeError("bfv_round needs BFV parameters")
     _check_decode_ring(params, d)
     t, q = params.t, d.params.q
-    if t & (t - 1):
-        m = (2 * t * rg.crt_lift(d).astype(object) + q) // (2 * q) % t
-    else:
-        r = rg.crt_lift(rg.mul_scalar(d, t))
-        if t > 1 << 62:
-            r = r.astype(object)
-        m = -r * pow(q, -1, t) & (t - 1)
+    r = rg.crt_lift(rg.mul_scalar(d, t))
+    if t > 1 << 62:
+        r = r.astype(object)
+    m = -r * pow(q, -1, t) & (t - 1)
     m = np.where(m > t // 2, m - t, m)
     return m if t > 1 << 63 else m.astype(np.int64)
 
@@ -318,11 +314,11 @@ def bfv_round(params: SchemeParams, d: rg.RingElement) -> np.ndarray:
 def ckks_scale_down(params: SchemeParams, d: rg.RingElement) -> Ratios:
     """The centered lift of d over delta, as the rationals it encodes.
 
-    A lift at a switched q' = q/D is scaled back by D first: the value is
-    x * D / delta, an integer numerator over delta = kappa * 2^k.
+    A lift x at a switched q' = q/D stands for x * D: the value is
+    x * D / delta, kept as the lift (int64 below q' < 2^62) with the
+    factor D over delta = kappa * 2^k, so no numerator widens.
     """
     if params.scheme != CKKS:
         raise PlaintextRangeError("ckks_scale_down needs CKKS parameters")
     _check_decode_ring(params, d)
-    drop = params.ring.q // d.params.q
-    return Ratios(int_times(rg.crt_lift(d), drop), params.delta)
+    return Ratios(rg.crt_lift(d), params.delta, params.ring.q // d.params.q)

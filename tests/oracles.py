@@ -311,6 +311,14 @@ def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
     return Plaintext(BFV, from_ints(params.ring, vals.tolist()))
 
 
+def bfv_round_rational(t: int, q: int, lifted: np.ndarray) -> np.ndarray:
+    """[floor(t*x/q + 1/2)]_t, centered, of centered lifts x at q, as Python
+    ints, for any t >= 2: the rational form `schemes.bfv_round` took for a
+    t that is not a power of two, before setup took only t = 2^k."""
+    m = (2 * t * lifted.astype(object) + q) // (2 * q) % t
+    return np.where(m > t // 2, m - t, m)
+
+
 def decryption_phase(params: SchemeParams, sk: SecretKey,
                      ct: Ciphertext) -> rg.RingElement:
     """[c0 + c1*s]_q, coefficient-domain: the shared first decryption stage,

@@ -92,7 +92,7 @@ def test_c1_oracle_equivalence():
 
 def test_c2_fresh_noise_bound():
     with criterion(2, "1000 fresh BFV ciphertexts, noise <= 39321"):
-        params = setup(BFV, 1024, sigma="3.2", bound="19.2", t=257,
+        params = setup(BFV, 1024, sigma="3.2", bound="19.2", t=256,
                        primes=primes_for(1024, 30))
         root = Xof.from_seed("acceptance-c2")
         sk = seckeygen(params, root.child("sk"))

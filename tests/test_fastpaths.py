@@ -5,6 +5,7 @@ the NTT, the `%` kernel) the fast path must reproduce exactly: same
 integers, and for samplers the same bytes read from the stream.
 """
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from thagg import ntt
+from thagg import exact, ntt
 from thagg import ring as rg
 from thagg.config import ProtocolConfig
 from thagg.errors import (
@@ -30,7 +31,7 @@ from thagg.exact import (
     scaled_round_ints,
     scaled_round_residues,
 )
-from thagg.harness import _scaled_sum, cleartext_oracle
+from thagg.harness import cleartext_oracle
 from thagg.planner import PlanInputs
 from thagg.rng import Xof
 from thagg.schemes import (
@@ -45,7 +46,8 @@ from thagg.schemes import (
     setup,
 )
 
-from oracles import cdt_gaussian, from_ints, half_q, primes_for, ring_sub
+from oracles import (bfv_round_rational, cdt_gaussian, from_ints, half_q,
+                     primes_for, ring_sub)
 
 # ---------------------------------------------------------------------------
 # scalar references
@@ -284,15 +286,20 @@ def test_scaled_round_ints_matches_scalar(xs, d):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.sampled_from([20, 61, 66, 90]), st.data())
 def test_scaled_sum_matches_scalar_loop(clients, p, data):
-    # p = 20 stays on the int64 path; 61, 66 and 90 exceed 2^61 in total
+    # the MBFV oracle's fold, one update at a time from an iterator: p = 20
+    # stays on the int64 path; 61, 66 and 90 exceed 2^61 in total
     values = st.lists(dyadic_floats(top=0), min_size=1, max_size=12)
     xs = data.draw(values)
     updates = [np.array(data.draw(st.permutations(xs)))
                for _ in range(clients)]
-    got = _scaled_sum(updates, p)
+    cfg = dataclasses.replace(oracle_cfg("mbfv", clients), model_size=len(xs),
+                              fixed_point_bits=p)
+    got = cleartext_oracle(cfg, iter(updates))
     want = [sum(scaled_round(float(w[j]), p) for w in updates)
             for j in range(len(xs))]
-    assert got.tolist() == want
+    assert got.numerators.tolist() == want
+    assert got.numerators.dtype == (np.int64 if p == 20 else object)
+    assert (got.denominator, got.factor) == (clients << p, 1)
 
 
 def bfv_params(kappa=1, t=2**16, log2_q=60):
@@ -752,13 +759,20 @@ def test_bfv_round_matches_lifted_reference(data):
 
 
 def test_bfv_round_other_t_uses_reference():
+    # setup takes t = 2^k only; the rational form for any t is the tests'
+    # reference, which agrees with the per-value loop, and with bfv_round
+    # where setup takes t
     values = (edge_values(FIVE_PRIMES.q) * 4)[: FIVE_PRIMES.n]
     el = from_ints(FIVE_PRIMES, values)
-    for t in (257, 4097, 2**100 + 1):
-        got = bfv_round(bfv_scheme(FIVE_PRIMES, t), el)
-        assert got.tolist() == ref_bfv_round(t, FIVE_PRIMES.q,
-                                             rg.crt_lift(el).tolist())
-        assert got.dtype == (np.int64 if t < 2**63 else object)
+    lifted = rg.crt_lift(el)
+    for t in (257, 4097, 2**100 + 1, 256, 2**100):
+        want = ref_bfv_round(t, FIVE_PRIMES.q, lifted.tolist())
+        assert bfv_round_rational(t, FIVE_PRIMES.q, lifted).tolist() == want
+        if t & (t - 1):
+            with pytest.raises(ValueError, match=r"t = 2\^k"):
+                setup(BFV, 16, sigma="3.2", t=t, primes=FIVE_PRIMES.primes)
+        else:
+            assert bfv_round(bfv_scheme(FIVE_PRIMES, t), el).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +817,58 @@ def test_ratios_max_abs_diff_matches_fractions(pairs, da, db):
     assert (a == b) == (want == 0)
 
 
+@st.composite
+def scaled_ratios(draw):
+    """Numerators (zero, negative, int64 or wider), a denominator and a
+    factor that may share a prime, products past 2^64, and power-of-two
+    denominators past 2^1000 as the oracle's binary places of denormal
+    updates give."""
+    nums = draw(st.lists(st.one_of(st.just(0), BIG_INTS), min_size=1,
+                         max_size=12))
+    shared = draw(st.sampled_from([1, 3, 5, 2**61 - 1]))
+    factor = shared * draw(st.one_of(st.integers(1, 2**90),
+                                     st.sampled_from([1, 2**83 + 1])))
+    den = shared * draw(st.one_of(
+        st.integers(1, 2**140),
+        st.builds(lambda k, parties: parties << k, st.integers(1000, 1100),
+                  st.integers(1, 6))))
+    return nums, den, factor
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_ratios(), st.lists(BIG_INTS, min_size=12, max_size=12),
+       st.one_of(st.integers(1, 2**64),
+                 st.builds(lambda k: 3 << k, st.integers(1000, 1100))),
+       st.integers(1, 5), st.integers(0, 12))
+def test_exact_scale_ratios_match_fractions(case, others, other_den,
+                                            slice_len, cut):
+    nums, den, factor = case
+    r = Ratios(nums, den, factor)
+    fr = [Fraction(v * factor, den) for v in nums]
+    terms = [f"{f.numerator}/{f.denominator}" for f in fr]
+    other = Ratios(others[: len(nums)], other_den)
+    gap = max(abs(a - Fraction(b, other_den)) for a, b in zip(fr, others))
+    saved = exact.SLICE
+    exact.SLICE = slice_len  # several slices out of a short vector
+    try:
+        assert list(r) == fr
+        assert r.terms() == terms
+        assert r.to_floats().tobytes() == np.array(
+            [float(f) for f in fr]).tobytes()
+        assert r.max_abs_diff(other) == gap == other.max_abs_diff(r)
+        wide = Ratios([v * factor for v in nums], den)  # factor 1
+        assert r == wide and r.max_abs_diff(wide) == 0
+        head, tail = r[:cut], r[cut:]
+        assert list(head) == fr[:cut] and tail.terms() == terms[cut:]
+        assert tail.to_floats().tobytes() == r.to_floats()[cut:].tobytes()
+        joined = Ratios.concat([head, tail])
+        assert (joined.factor, joined.terms()) == (factor, terms)
+        with pytest.raises(ValueError, match="one factor"):
+            Ratios.concat([r, Ratios(nums, den, factor + 1)])
+    finally:
+        exact.SLICE = saved
+
+
 def oracle_cfg(scheme, parties):
     inputs = PlanInputs.create(16, parties, "3.2", 0, bound="19.2",
                                t_bits=16, eps_inv_bits=12)
@@ -819,6 +885,21 @@ def test_cleartext_oracle_matches_reference(scheme, parties, xs):
     cfg = oracle_cfg(scheme, parties)
     assert list(cleartext_oracle(cfg, updates)) == ref_cleartext_oracle(
         cfg, updates)
+
+
+def test_oracle_fold_rescales_to_a_finer_place():
+    # each update needs a finer place than the last: the running MCKKS sum
+    # is shifted exactly, and past 2^61 it continues in Python ints
+    cfg = oracle_cfg("mckks", 3)
+    updates = [np.full(16, 0.5), np.full(16, -(2.0**-57)), np.full(16, 5e-324)]
+    got = cleartext_oracle(cfg, iter(updates))
+    assert got.denominator == 3 << 1074
+    assert got.numerators.dtype == object
+    assert list(got) == ref_cleartext_oracle(cfg, updates)
+    head = cleartext_oracle(cfg, iter(updates[:2]))
+    assert head.numerators.dtype == np.int64 and head.denominator == 3 << 57
+    with pytest.raises(ValueError, match=r"updates in \[-1, 1\]"):
+        cleartext_oracle(cfg, iter([np.full(16, 1.5)]))
 
 
 def test_binary_places():

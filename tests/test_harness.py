@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -24,9 +25,8 @@ from thagg.errors import (
     ShareSetError,
     WireFormatError,
 )
-from thagg.exact import Ratios
+from thagg.exact import SLICE, Ratios
 from thagg.harness import (
-    DIGEST_SLICE,
     Aggregator,
     MessageBus,
     SetupArtifacts,
@@ -36,6 +36,7 @@ from thagg.harness import (
     cleartext_oracle,
     client_input_step,
     derive_scheme_params,
+    group_shapes,
     output_step,
     run_protocol,
     run_setup,
@@ -164,7 +165,8 @@ def test_eval_step_identity_and_mismatch():
     bus = MessageBus()
     root = Xof.from_seed(99)
     lists = [submit(cfg, art, root, sh.index, bus) for sh in art.shares]
-    solo = Aggregator(1)  # a single submission: identity
+    # a single submission: identity
+    solo = Aggregator(1, group_shapes(cfg, art.params))
     solo.receive(1, lists[0])
     assert solo.evaluate() == lists[0]
     # one group of both chunks; a group of one would broadcast against it
@@ -175,7 +177,7 @@ def test_eval_step_identity_and_mismatch():
         with pytest.raises(LengthMismatchError, match="groups differ"):
             aggregator_eval_step(lists[0], bad)
     with pytest.raises(ShareSetError):
-        Aggregator(2).evaluate()
+        Aggregator(2, group_shapes(cfg, art.params)).evaluate()
 
 
 def test_aggregator_folds_submissions_as_they_arrive():
@@ -183,7 +185,7 @@ def test_aggregator_folds_submissions_as_they_arrive():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(5)
-    agg = Aggregator(cfg.parties)
+    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
     with pytest.raises(ShareSetError):
         agg.evaluate()
     lists = []
@@ -191,7 +193,7 @@ def test_aggregator_folds_submissions_as_they_arrive():
         lists.append(submit(cfg, art, root, sh.index, bus))
         agg.receive(sh.index, lists[-1])
     # no per-client store
-    assert vars(agg).keys() == {"parties", "senders", "total"}
+    assert vars(agg).keys() == {"parties", "shapes", "senders", "total"}
     want = aggregator_eval_step(aggregator_eval_step(lists[0], lists[1]),
                                 lists[2])
     got = agg.evaluate()
@@ -232,7 +234,7 @@ def test_aggregator_takes_each_party_exactly_once():
     art = run_setup(cfg)
     subs = submissions(cfg, art)
     for senders in [(1, 2, 4), (1, 2), (3, 1, 2, 2)]:
-        agg = Aggregator(cfg.parties)
+        agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
         with pytest.raises(ShareSetError) as info:
             for i in senders:
                 agg.receive(i, subs[min(i, 3)])
@@ -240,12 +242,12 @@ def test_aggregator_takes_each_party_exactly_once():
         assert isinstance(info.value, ProtocolFailure)  # exit 3
     # a submission beyond L fails as it arrives, before kappa = L additions
     # run out
-    agg = Aggregator(cfg.parties)
+    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
     for _ in range(3):
         agg.receive(1, subs[1])
     with pytest.raises(ShareSetError, match=r"got \[1, 1, 1, 1\]"):
         agg.receive(1, subs[1])
-    agg = Aggregator(cfg.parties)
+    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
     for i in (2, 3, 1):
         agg.receive(i, subs[i])
     agg.evaluate()
@@ -257,7 +259,7 @@ def test_double_submission_raises_before_output_step():
     cfg = make_cfg(parties=3, model_size=1024)
     art = run_setup(cfg)
     subs = submissions(cfg, art)
-    agg = Aggregator(cfg.parties)
+    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
     for i in (1, 1, 2):
         agg.receive(i, subs[i])
     with pytest.raises(ShareSetError, match=r"submission .* got \[1, 1, 2\]"):
@@ -279,7 +281,7 @@ def test_rejected_submission_does_not_count_as_received():
     (group,) = subs[2]
     misshaped = [dataclasses.replace(group, c0=stack(unstack(group.c0)[:1]),
                                      c1=stack(unstack(group.c1)[:1]))]
-    agg = Aggregator(cfg.parties)
+    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
     agg.receive(1, subs[1])
     with pytest.raises(LengthMismatchError):
         agg.receive(2, misshaped)
@@ -288,48 +290,111 @@ def test_rejected_submission_does_not_count_as_received():
         agg.evaluate()
 
 
+def test_a_misshaped_first_submission_does_not_set_the_shapes():
+    # party 1 sends one chunk where its group has two: it is refused by name
+    # against the shapes the aggregator was given, and the well-formed
+    # submissions of parties 2 and 3 still fold in
+    cfg = make_cfg(parties=3, model_size=2048)
+    art = run_setup(cfg)
+    subs = submissions(cfg, art)
+    shapes = group_shapes(cfg, art.params)
+    assert shapes == [((2, 1, 1024), (2, 2, 1024))]  # c0 at q', c1 at q
+    assert [(ct.c0.residues.shape, ct.c1.residues.shape)
+            for ct in subs[1]] == shapes
+    (group,) = subs[1]
+    short = [dataclasses.replace(group, c0=stack(unstack(group.c0)[:1]),
+                                 c1=stack(unstack(group.c1)[:1]))]
+    agg = Aggregator(cfg.parties, shapes)
+    with pytest.raises(LengthMismatchError, match="party 1 submitted"):
+        agg.receive(1, short)
+    assert agg.senders == [] and agg.total is None
+    agg.receive(2, subs[2])
+    agg.receive(3, subs[3])
+    assert agg.senders == [2, 3]
+    with pytest.raises(ShareSetError, match=r"got \[2, 3\]"):
+        agg.evaluate()
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
 
 def test_updates_and_sums_live_only_as_long_as_their_step(monkeypatch):
-    # weak references to every update a client encrypts and to every summed
-    # group the output step opens: an update is gone once the next client's
-    # turn starts, and none of them nor any sum is alive at the oracle
-    cfg = make_cfg(parties=3, model_size=2048, rounds=2)
-    updates, sums, synthesized, checked = [], [], [], []
+    # weak references to every update synthesized and to every summed group
+    # the output step opens: an update is gone once the next one is made,
+    # for a client's turn or for the oracle, so at most one is alive at a
+    # time; no sum is alive at the oracle; and the opened average reaches
+    # the error check with int64 numerators, MCKKS with its factor D > 1
     synthesize = harness.synthesize_update
-    encrypt_step, open_step = harness.client_input_step, harness.output_step
-    oracle = harness.cleartext_oracle
+    open_step, oracle = harness.output_step, harness.cleartext_oracle
+    check = harness._check_error
+    for scheme in ("mbfv", "mckks"):
+        cfg = make_cfg(scheme=scheme, parties=3, model_size=2048, rounds=2)
+        updates, sums, opened, synthesized, checked = [], [], [], [], []
 
-    def counted(cfg, root, index, round_index):
-        synthesized.append(round_index)
-        return synthesize(cfg, root, index, round_index)
+        def counted(cfg, root, index, round_index):
+            assert all(ref() is None for ref in updates)
+            synthesized.append(round_index)
+            update = synthesize(cfg, root, index, round_index)
+            updates.append(weakref.ref(update))
+            return update
 
-    def watched_input(cfg, params, index, update, *rest):
-        assert all(ref() is None for ref in updates)
-        updates.append(weakref.ref(update))
-        return encrypt_step(cfg, params, index, update, *rest)
+        def watched_output(cfg, params, shares, agg_cts, *rest):
+            sums.extend(weakref.ref(ct) for ct in agg_cts)
+            opened.append(open_step(cfg, params, shares, agg_cts, *rest))
+            return opened[-1]
 
-    def watched_output(cfg, params, shares, agg_cts, *rest):
-        sums.extend(weakref.ref(ct) for ct in agg_cts)
-        return open_step(cfg, params, shares, agg_cts, *rest)
+        def watched_oracle(cfg, round_updates):
+            assert len(updates) == cfg.parties * (2 * len(checked) + 1)
+            assert all(ref() is None for ref in updates + sums)
+            made = len(updates)
+            result = oracle(cfg, round_updates)
+            checked.append(len(updates) - made)
+            return result
 
-    def watched_oracle(cfg, round_updates):
-        assert len(updates) == cfg.parties * (len(checked) + 1)
-        assert all(ref() is None for ref in updates + sums)
-        checked.append(len(round_updates))
-        return oracle(cfg, round_updates)
+        def watched_check(cfg, art, error, round_index):
+            assert opened[-1].numerators.dtype == np.int64
+            assert (opened[-1].factor > 1) == (scheme == "mckks")
+            return check(cfg, art, error, round_index)
 
-    monkeypatch.setattr(harness, "synthesize_update", counted)
-    monkeypatch.setattr(harness, "client_input_step", watched_input)
-    monkeypatch.setattr(harness, "output_step", watched_output)
-    monkeypatch.setattr(harness, "cleartext_oracle", watched_oracle)
-    assert run_protocol(cfg).max_error == 0
-    assert checked == [3, 3]
-    assert len(sums) == 2  # one group per round
-    # 2L syntheses per round: one for the client's turn, one for the oracle
-    assert synthesized == [0] * 6 + [1] * 6
+        monkeypatch.setattr(harness, "synthesize_update", counted)
+        monkeypatch.setattr(harness, "output_step", watched_output)
+        monkeypatch.setattr(harness, "cleartext_oracle", watched_oracle)
+        monkeypatch.setattr(harness, "_check_error", watched_check)
+        transcript = run_protocol(cfg)
+        assert (transcript.max_error == 0) == (scheme == "mbfv")
+        assert checked == [3, 3]  # the oracle synthesized each update once
+        assert len(sums) == 2  # one group per round
+        # 2L syntheses per round: one for the client's turn, one for the
+        # oracle, which folds an MCKKS sum to a finer place in the same pass
+        assert synthesized == [0] * 6 + [1] * 6
+
+
+def test_mckks_verification_tail_holds_about_one_update(monkeypatch):
+    # from the opened average to the error check, the oracle's fold and the
+    # comparison allocate about one update and the int64 oracle sum, plus
+    # the synthesis's second array: not the L updates at once, nor
+    # Python-int copies of the aggregate (14 updates' worth before)
+    cfg = make_cfg(scheme="mckks", parties=8, model_size=16384)
+    open_step, check = harness.output_step, harness._check_error
+    peaks = []
+
+    def traced_output(*args):
+        opened = open_step(*args)
+        tracemalloc.start()
+        return opened
+
+    def traced_check(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        return check(*args)
+
+    monkeypatch.setattr(harness, "output_step", traced_output)
+    monkeypatch.setattr(harness, "_check_error", traced_check)
+    run_protocol(cfg)
+    update_bytes = 8 * cfg.model_size
+    assert len(peaks) == 1
+    assert peaks[0] < 4 * update_bytes, peaks[0] / update_bytes
 
 
 def test_smoke_config_runs_quickly():
@@ -488,8 +553,8 @@ def test_an_average_that_misses_the_plan_exits_3(scheme, tmp_path,
     opened = harness.output_step
 
     def off_by_one(*args):
-        agg = opened(*args)
-        nums = agg.numerators.astype(object)
+        agg = opened(*args)  # values num * factor / den, the factor > 1 at q'
+        nums = agg.numerators.astype(object) * agg.factor
         nums[0] += agg.denominator
         return Ratios(nums, agg.denominator)
 
@@ -618,7 +683,7 @@ def test_group_encryption_draws_each_chunk_from_its_own_stream(scheme,
 def test_aggregator_never_holds_share_typed_state():
     cfg = make_cfg()
     art = run_setup(cfg)
-    agg = Aggregator(cfg.parties)
+    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
     bus = MessageBus()
     root = Xof.from_seed(1)
     for sh in art.shares:
@@ -830,7 +895,7 @@ def test_full_q_partial_dec_maps_to_exit_3(tmp_path, monkeypatch):
 
 
 # Small messages for the decoder properties: n = 16, two primes, kappa = 3.
-WIRE_PARAMS = setup(BFV, 16, sigma="3.2", t=17,
+WIRE_PARAMS = setup(BFV, 16, sigma="3.2", t=16,
                     primes=primes_for(16, 50), kappa=3)
 
 
@@ -987,7 +1052,7 @@ def test_aggregate_digest_hashes_slices_like_one_join():
         text = "".join(f"{v}\n" for v in agg.terms())
         return hashlib.sha256(text.encode()).hexdigest()
 
-    size = 2 * DIGEST_SLICE + 5
+    size = 2 * SLICE + 5
     rng = np.random.default_rng(4)
     small = Ratios(rng.integers(-(2**40), 2**40, size), 2**9 * 3)
     big = Ratios(np.array([int(v) << 70 | 12345 for v in

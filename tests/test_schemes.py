@@ -54,7 +54,7 @@ def decryptability_oracle_accepts(n, t, bound, q, kappa=1):
     return lhs < rhs
 
 
-def small_bfv(n=64, t=257, log2_q=26, kappa=1):
+def small_bfv(n=64, t=256, log2_q=26, kappa=1):
     return setup(BFV, n, sigma="3.2", t=t,
                  primes=primes_for(n, log2_q), kappa=kappa)
 
@@ -76,12 +76,12 @@ def keypair(params, seed="keys"):
 
 
 def test_setup_accepts_reference_config():
-    params = setup(BFV, 1024, sigma="3.2", bound="19.2", t=257,
+    params = setup(BFV, 1024, sigma="3.2", bound="19.2", t=256,
                    primes=primes_for(1024, 30))
     q = params.ring.q
     assert q.bit_length() == 30
-    assert params.delta == q // 257
-    assert decryptability_oracle_accepts(1024, 257, "19.2", q)
+    assert params.delta == q // 256
+    assert decryptability_oracle_accepts(1024, 256, "19.2", q)
 
 
 def test_setup_rejects_oversized_plaintext_modulus():
@@ -92,7 +92,7 @@ def test_setup_rejects_oversized_plaintext_modulus():
 
 def test_setup_acceptance_matches_oracle_along_q_sizes():
     # agree with the independent oracle across a range of moduli
-    n, t = 64, 257
+    n, t = 64, 256
     for bits in range(18, 30):
         primes = primes_for(n, bits)
         try:
@@ -106,7 +106,7 @@ def test_setup_acceptance_matches_oracle_along_q_sizes():
 
 def test_setup_reports_gap_in_bits():
     with pytest.raises(BoundViolationError, match="bits|not positive"):
-        setup(BFV, 256, sigma="3.2", t=4097, primes=primes_for(256, 20))
+        setup(BFV, 256, sigma="3.2", t=4096, primes=primes_for(256, 20))
 
 
 def test_setup_default_bound_is_six_sigma():
@@ -166,7 +166,7 @@ def setup_cases(draw):
     kappa = draw(st.integers(1, 8))
     ratio = st.builds(Fraction, st.integers(1, 64), st.just(32))
     if scheme == BFV:
-        t = draw(st.integers(2, 1 << draw(st.integers(1, 40))))
+        t = 1 << draw(st.integers(1, 40))
         eps_inv = None
         room = Fraction(q, 2 * t) - Fraction(t, 2)
     else:
@@ -270,7 +270,8 @@ def test_fresh_noise_within_worst_case_bound():
     rng = Xof.from_seed("fresh-noise")
     limit = (2 * params.ring.n + 1) * params.noise.bound
     for i in range(50):
-        vals = [uniform_below(rng, params.t) - params.t // 2 for _ in range(params.ring.n)]
+        vals = [uniform_below(rng, params.t) - params.t // 2 + 1
+                for _ in range(params.ring.n)]
         pt = bfv_plaintext(params, vals)
         ct = encrypt(params, pk, pt, rng.child(f"enc{i}"))
         assert noise_of(params, sk, ct, pt) <= limit
@@ -281,7 +282,8 @@ def test_bfv_roundtrip():
     sk, pk = keypair(params)
     rng = Xof.from_seed("roundtrip")
     for i in range(50):
-        vals = [uniform_below(rng, params.t) - params.t // 2 for _ in range(params.ring.n)]
+        vals = [uniform_below(rng, params.t) - params.t // 2 + 1
+                for _ in range(params.ring.n)]
         pt = bfv_plaintext(params, vals)
         ct = encrypt(params, pk, pt, rng.child(f"e{i}"))
         assert (dec_bfv(params, sk, ct).tolist()
@@ -320,8 +322,8 @@ def test_planted_noise_boundary_is_tight():
 
 
 def test_bfv_exhaustive_tiny_plaintext_space():
-    # every single-coefficient message for t <= 17 at n = 4
-    for t in (2, 3, 16, 17):
+    # every single-coefficient message for t <= 32 at n = 4
+    for t in (2, 4, 16, 32):
         params = setup(BFV, 4, sigma="3.2", t=t, primes=primes_for(4, 16))
         sk, pk = keypair(params, seed=f"tiny-{t}")
         rng = Xof.from_seed(f"tiny-enc-{t}")
@@ -420,13 +422,13 @@ def test_add_identity_at_plaintext_level():
 
 def test_sum_of_eight_decrypts_to_mod_t_sum():
     L = 8
-    params = small_bfv(n=64, t=257, log2_q=28, kappa=L)
+    params = small_bfv(n=64, t=256, log2_q=28, kappa=L)
     sk, pk = keypair(params, seed="sum8")
     rng = Xof.from_seed("sum8-enc")
     n, t = params.ring.n, params.t
     msgs, cts = [], []
     for i in range(L):
-        vals = [uniform_below(rng, t) - t // 2 for _ in range(n)]
+        vals = [uniform_below(rng, t) - t // 2 + 1 for _ in range(n)]
         msgs.append(vals)
         cts.append(encrypt(params, pk, bfv_plaintext(params, vals),
                            rng.child(f"e{i}")))
@@ -446,7 +448,8 @@ def test_noise_subadditivity():
     sk, pk = keypair(params, seed="sub")
     rng = Xof.from_seed("sub-enc")
     n, t = params.ring.n, params.t
-    pts = [bfv_plaintext(params, [uniform_below(rng, t) - t // 2 for _ in range(n)])
+    pts = [bfv_plaintext(params, [uniform_below(rng, t) - t // 2 + 1
+                                  for _ in range(n)])
            for _ in range(2)]
     cts = [encrypt(params, pk, pt, rng.child(str(i))) for i, pt in enumerate(pts)]
     summed = add(cts[0], cts[1])
@@ -476,14 +479,14 @@ def test_capacity_enforced():
 def test_exact_correctness_up_to_capacity():
     # any fold of kappa additions over fresh ciphertexts decrypts exactly
     kappa = 4
-    params = small_bfv(n=64, t=257, log2_q=28, kappa=kappa)
+    params = small_bfv(n=64, t=256, log2_q=28, kappa=kappa)
     sk, pk = keypair(params, seed="cap-prop")
     rng = Xof.from_seed("cap-prop-enc")
     n, t = params.ring.n, params.t
     for trial in range(10):
         msgs, cts = [], []
         for i in range(kappa + 1):
-            vals = [uniform_below(rng, t) - t // 2 for _ in range(n)]
+            vals = [uniform_below(rng, t) - t // 2 + 1 for _ in range(n)]
             msgs.append(vals)
             cts.append(encrypt(params, pk, bfv_plaintext(params, vals),
                                rng.child(f"{trial}/{i}")))
@@ -504,7 +507,7 @@ def test_exact_correctness_up_to_capacity():
 
 
 def test_encode_fixed_zero_and_dyadic():
-    params = small_bfv(n=64, t=2**12 + 3, log2_q=28)
+    params = small_bfv(n=64, t=2**12, log2_q=28)
     zpt = encode_fixed(np.zeros(64), 10, params)
     assert rg.crt_lift(zpt.element).tolist() == [0] * 64
     pt = encode_fixed(np.full(64, 0.5), 10, params)
@@ -514,7 +517,7 @@ def test_encode_fixed_zero_and_dyadic():
 
 
 def test_encode_fixed_quantization_error_bound():
-    params = small_bfv(n=64, t=2**12 + 3, log2_q=28)
+    params = small_bfv(n=64, t=2**12, log2_q=28)
     rng = Xof.from_seed("quant")
     w = np.array([(uniform_below(rng, 2_000_001) - 1_000_000) / 1_000_000
                   for _ in range(64)])
@@ -526,9 +529,9 @@ def test_encode_fixed_quantization_error_bound():
 
 
 def test_encode_fixed_overflow_rejected():
-    params = small_bfv(n=64, t=257, log2_q=26, kappa=4)
+    params = small_bfv(n=64, t=256, log2_q=26, kappa=4)
     with pytest.raises(EncodingOverflowError):
-        encode_fixed(np.ones(64), 8, params)  # 4 * 256 * 1 >= 257/2
+        encode_fixed(np.ones(64), 8, params)  # 4 * 256 * 1 >= 256/2
 
 
 def test_plaintext_range_checked():
@@ -557,7 +560,7 @@ def test_decoders_take_only_their_own_rings(scheme):
 
 
 def test_bfv_plaintext_rejects_non_integers():
-    params = small_bfv(n=16, t=257, log2_q=26)
+    params = small_bfv(n=16, t=256, log2_q=26)
     for bad in ([2.7] * 16, np.full(16, 2.7), np.zeros(16),
                 [Fraction(1, 2)] + [0] * 15, [2] * 15 + [2.0]):
         with pytest.raises(TypeError):

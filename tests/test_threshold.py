@@ -118,7 +118,7 @@ def open_ciphertext(sess, ct, label="dec"):
 
 
 def test_crs_deterministic_across_parties():
-    params = setup(BFV, 64, sigma="3.2", t=257, primes=primes_for(64, 26)).ring
+    params = setup(BFV, 64, sigma="3.2", t=256, primes=primes_for(64, 26)).ring
     seed = Xof.from_seed("crs-test").read(32)
     a = crs_expand(seed, params)
     b = crs_expand(seed, params)  # a second party expands independently
@@ -128,13 +128,13 @@ def test_crs_deterministic_across_parties():
 
 
 def test_crs_seed_length_checked():
-    params = setup(BFV, 64, sigma="3.2", t=257, primes=primes_for(64, 26)).ring
+    params = setup(BFV, 64, sigma="3.2", t=256, primes=primes_for(64, 26)).ring
     with pytest.raises(ValueError):
         crs_expand(b"short", params)
 
 
 def test_crs_p1_uniformish():
-    params = setup(BFV, 16, sigma="3.2", t=17, primes=primes_for(16, 22)).ring
+    params = setup(BFV, 16, sigma="3.2", t=16, primes=primes_for(16, 22)).ring
     total, count = 0, 0
     for i in range(300):
         crs = crs_expand(Xof.from_seed(f"crs-{i}").read(32), params)
@@ -389,7 +389,7 @@ def test_partial_decrypt_rejects_oversized_smudging():
 def test_partial_decrypt_counts_parties_not_kappa():
     # kappa = 1, four shares, b_smg = 3/5 of the room under q: one smudging
     # term fits, four do not, so the check must count the parties
-    params = setup(BFV, 64, sigma="3.2", t=257,
+    params = setup(BFV, 64, sigma="3.2", t=256,
                    primes=primes_for(64, 40), kappa=1)
     root = Xof.from_seed("four-shares")
     crs = crs_expand(root.child("crs").read(32), params.ring)
@@ -410,7 +410,7 @@ def test_partial_decrypt_counts_parties_not_kappa():
 
 def test_smudge_message_takes_values_beyond_the_float_range():
     # t = 2^1100: the decode bound 2 t b + t^2 is far beyond a float
-    ring = setup(BFV, 16, sigma="3.2", t=257, primes=primes_for(16, 40)).ring
+    ring = setup(BFV, 16, sigma="3.2", t=256, primes=primes_for(16, 40)).ring
     params = SchemeParams(scheme=BFV, ring=ring,
                           noise=rg.NoiseSpec.create("3.2"), kappa=1,
                           delta=1, t=2**1100, dec_ring=ring)
