@@ -382,8 +382,10 @@ def cleartext_oracle(cfg: ProtocolConfig,
     total = np.zeros(cfg.model_size, dtype=np.int64)
     parts = slices(cfg.model_size)
     for w in updates:
-        if max(w.max(initial=0.0), -w.min(initial=0.0)) > 1:
-            raise ValueError("the cleartext oracle takes updates in [-1, 1]")
+        if (w.shape != total.shape
+                or max(w.max(initial=0.0), -w.min(initial=0.0)) > 1):
+            raise ValueError(f"the cleartext oracle takes updates of "
+                             f"{cfg.model_size} values in [-1, 1]")
         k = p if cfg.scheme == MBFV else max(
             [p] + [binary_places(w[part]) for part in parts])
         if total.dtype != object and L << k >= 1 << 61:

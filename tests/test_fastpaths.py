@@ -898,8 +898,9 @@ def test_oracle_fold_rescales_to_a_finer_place():
     assert list(got) == ref_cleartext_oracle(cfg, updates)
     head = cleartext_oracle(cfg, iter(updates[:2]))
     assert head.numerators.dtype == np.int64 and head.denominator == 3 << 57
-    with pytest.raises(ValueError, match=r"updates in \[-1, 1\]"):
-        cleartext_oracle(cfg, iter([np.full(16, 1.5)]))
+    for bad in (np.full(16, 1.5), np.full(1, 0.5)):  # a short one broadcasts
+        with pytest.raises(ValueError, match=r"16 values in \[-1, 1\]"):
+            cleartext_oracle(cfg, iter([bad]))
 
 
 def test_binary_places():
