@@ -3,15 +3,18 @@
 One run drives Setup / Input / Evaluation / Output over L clients plus an
 aggregator on synthetic model vectors. Every protocol message crosses the
 byte-counted message bus in its wire format, so serialization is exercised
-end to end. The aggregator object only ever holds public material; it has
-no field that could carry a secret share. A client is its key share: a
-round's update is synthesized for its client's turn and dropped once
-encrypted, and re-derived from the root seed, one at a time, for the
-cleartext oracle.
+end to end: a client hands over the messages it posted, and the
+aggregator decodes them, one chunk group at a time, into its running sums.
+The aggregator object only ever holds public material; it has no field
+that could carry a secret share. A client is its key share: a round's
+update is synthesized for its client's turn and dropped once encrypted,
+and re-derived from the root seed, one at a time, for the cleartext
+oracle.
 
 Timings are wall-clock and hardware-bound; they are reported next to the
 transcript but kept out of it, so a fixed root seed reproduces the
-transcript byte for byte.
+transcript byte for byte. Decoding a client's messages is the
+aggregator's work, timed as aggregation, not as encryption.
 """
 
 from __future__ import annotations
@@ -102,33 +105,56 @@ class MessageBus:
 
 
 class Aggregator:
-    """Holds only public data: the senders, the expected group shapes and
-    the running group-wise sum.
+    """Holds only public data: the parameters, the group layout of a
+    submission, the senders and the running group-wise sum.
 
-    Each submission is added in as it arrives, so at most one client's
-    ciphertexts are held besides the sum. `evaluate` releases the sum only
-    if each of the parties 1..L submitted once; a submission beyond L, or
-    one whose groups are not the `group_shapes` given up front, fails at
-    once. A sender is recorded only once its submission is folded in.
+    A submission is a client's ciphertext messages, one per chunk in chunk
+    order. `receive` decodes it one group at a time (`decode_group`) and
+    folds each group into its running sum as it goes, so besides the sum
+    it holds the messages, one decoded group and at most one superseded
+    group sum. `evaluate` releases the sum only if each of the parties
+    1..L submitted once; a submission beyond L, or one of the wrong
+    message count, fails at once. A refused submission leaves the sum and
+    the senders as they were: a group folded before a later one failed is
+    subtracted back out, exactly. A sender is recorded only once its whole
+    submission is folded in.
     """
 
-    def __init__(self, parties: int, shapes: list[tuple[tuple, tuple]]):
+    def __init__(self, parties: int, params: SchemeParams,
+                 groups: list[range]):
         self.parties = parties
-        self.shapes = shapes
+        self.params = params
+        self.groups = groups
         self.senders: list[int] = []
         self.total: list[Ciphertext] | None = None
 
-    def receive(self, sender: int, cts: list[Ciphertext]) -> None:
+    def receive(self, sender: int, messages: list[bytes]) -> None:
         senders = self.senders + [sender]
         if len(senders) > self.parties:  # fails before capacity runs out
             check_parties(senders, self.parties, "ciphertext submission")
-        got = [(ct.c0.residues.shape, ct.c1.residues.shape) for ct in cts]
-        if got != self.shapes:
+        want = self.groups[-1].stop
+        if len(messages) != want:
             raise LengthMismatchError(
-                f"party {sender} submitted groups of shapes {got}, want "
-                f"{self.shapes}")
-        self.total = (cts if self.total is None
-                      else aggregator_eval_step(self.total, cts))
+                f"party {sender} submitted {len(messages)} messages, want "
+                f"{want}")
+
+        def decode(g: range) -> Ciphertext:
+            return decode_group(self.params, messages[g.start : g.stop])
+
+        if self.total is None:
+            self.total = list(map(decode, self.groups))
+        else:
+            folded = 0
+            try:
+                for i, group in enumerate(self.groups):
+                    (self.total[i],) = aggregator_eval_step([self.total[i]],
+                                                            [decode(group)])
+                    folded = i + 1
+            except ProtocolFailure:  # a bad message, or no capacity left
+                # R_q is exact: adding -batch restores the sum bit for bit
+                for i, group in enumerate(self.groups[:folded]):
+                    self.total[i] = _subtract(self.total[i], decode(group))
+                raise
         self.senders = senders
 
     def evaluate(self) -> list[Ciphertext]:
@@ -259,14 +285,11 @@ def chunk_groups(chunks: int, ring: rg.RingParams) -> list[range]:
     return [range(lo, min(lo + per, chunks)) for lo in range(0, chunks, per)]
 
 
-def group_shapes(cfg: ProtocolConfig,
-                 params: SchemeParams) -> list[tuple[tuple, tuple]]:
-    """The residue shapes (c0 at q', c1 at q) of each group batch a client
-    submits: (chunks, limbs, n) on each ring."""
-    ring, n = params.ring, params.ring.n
-    return [((len(g), len(params.dec_ring.primes), n),
-             (len(g), len(ring.primes), n))
-            for g in chunk_groups(chunk_count(cfg.model_size, n), ring)]
+def group_layout(cfg: ProtocolConfig, params: SchemeParams) -> list[range]:
+    """The chunk groups of one client's submission: `chunk_groups` of its
+    ceil(N/n) chunks on the ring of q."""
+    return chunk_groups(chunk_count(cfg.model_size, params.ring.n),
+                        params.ring)
 
 
 def _chunks(batch: Ciphertext) -> list[Ciphertext]:
@@ -277,15 +300,15 @@ def _chunks(batch: Ciphertext) -> list[Ciphertext]:
 
 def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
                       update: np.ndarray, cpk: PublicKey, root: Xof,
-                      round_index: int, bus: MessageBus) -> list[Ciphertext]:
+                      round_index: int, bus: MessageBus) -> list[bytes]:
     """Chunk party `index`'s update of N = `cfg.model_size` values into
     ceil(N/n) ciphertexts under the collective key, each sent with c0
     already rounded to the decryption modulus q'.
 
     Each group of chunks (`chunk_groups`) is encoded and encrypted as one
     batch. Every chunk still draws its randomness from its own stream and
-    goes out as its own message, in chunk order, and is received back
-    into the group's batch: one ciphertext per group is returned.
+    goes out as its own message. The messages posted are returned, one
+    per chunk in chunk order, for the aggregator to decode.
     """
     if update.shape != (cfg.model_size,):
         raise LengthMismatchError(f"update of shape {update.shape}, want "
@@ -302,20 +325,23 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
         rngs = [root.child(f"round/{round_index}/client/{index}/enc/{c}")
                 for c in group]
         batch = switch_c0(params, encrypt(params, cpk, pt, rngs))
-        rx = [wire.deserialize_ciphertext(
-                  bus.post("ciphertext", f"client{index}",
-                           wire.serialize_ciphertext(ct)), params)
-              for ct in _chunks(batch)]
-        out.append(replace(
-            rx[0], c0=rg.stack([ct.c0 for ct in rx]),
-            c1=rg.stack([ct.c1 for ct in rx]),
-            adds_consumed=max(ct.adds_consumed for ct in rx)))
+        out += [bus.post("ciphertext", f"client{index}",
+                         wire.serialize_ciphertext(ct))
+                for ct in _chunks(batch)]
     return out
+
+
+def decode_group(params: SchemeParams, messages: list[bytes]) -> Ciphertext:
+    """A group's messages, one chunk each, decoded into one group batch."""
+    cts = [wire.deserialize_ciphertext(blob, params) for blob in messages]
+    return replace(cts[0], c0=rg.stack([ct.c0 for ct in cts]),
+                   c1=rg.stack([ct.c1 for ct in cts]),
+                   adds_consumed=max(ct.adds_consumed for ct in cts))
 
 
 def aggregator_eval_step(total: list[Ciphertext],
                          cts: list[Ciphertext]) -> list[Ciphertext]:
-    """One submission added into the running group sums: one addition per
+    """Group batches added into the running group sums: one addition per
     group batch. The groups must match in number and shape."""
     shapes = [ct.c1.residues.shape for ct in total]
     got = [ct.c1.residues.shape for ct in cts]
@@ -323,6 +349,13 @@ def aggregator_eval_step(total: list[Ciphertext],
         raise LengthMismatchError(
             f"submission groups differ: {got} vs {shapes}")
     return [add(acc, ct) for acc, ct in zip(total, cts)]
+
+
+def _subtract(total: Ciphertext, batch: Ciphertext) -> Ciphertext:
+    """The group sum before `batch` was added into it (`add` undone)."""
+    return replace(total, c0=rg.ring_add(total.c0, rg.ring_neg(batch.c0)),
+                   c1=rg.ring_add(total.c1, rg.ring_neg(batch.c1)),
+                   adds_consumed=total.adds_consumed - batch.adds_consumed - 1)
 
 
 def output_step(cfg: ProtocolConfig, params: SchemeParams,
@@ -430,17 +463,18 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     max_error = Fraction(0)
     parties = range(1, cfg.parties + 1)
     for r in range(cfg.rounds):
-        agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
+        agg = Aggregator(cfg.parties, art.params,
+                         group_layout(cfg, art.params))
         for i in parties:
             update = synthesize_update(cfg, root, i, r)
             t1 = time.perf_counter()
-            cts = client_input_step(cfg, art.params, i, update, art.cpk,
-                                    root, r, bus)
+            messages = client_input_step(cfg, art.params, i, update, art.cpk,
+                                         root, r, bus)
             t2 = time.perf_counter()
-            agg.receive(i, cts)
+            agg.receive(i, messages)  # decoding counts as aggregation
             t_agg += time.perf_counter() - t2
             t_enc += t2 - t1
-            del update, cts  # folded into the sum; free before the next turn
+            del update, messages  # folded in; free before the next turn
         summed = agg.evaluate()
 
         t3 = time.perf_counter()

@@ -162,7 +162,6 @@ class LimbTables:
     n_inv: int
 
 
-@lru_cache(maxsize=None)
 def limb_tables(n: int, p: int) -> LimbTables:
     psi = _find_psi(p, n)
     brv = _bitrev_indices(n)

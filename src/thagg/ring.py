@@ -145,7 +145,7 @@ def scalar_residues(params: RingParams, value: int) -> np.ndarray:
 
 def mul_scalar(a: RingElement, value: int) -> RingElement:
     """Multiply by a (possibly huge) integer scalar, reduced per limb."""
-    p_col = _plan(a.params).p_col
+    p_col = prime_column(a.params.primes)
     res = (a.residues * scalar_residues(a.params, value)) % p_col
     return RingElement(a.params, res, a.domain)
 
@@ -320,11 +320,12 @@ def _reduce_once(s: np.ndarray, p: np.ndarray) -> np.ndarray:
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _check_pair(a, b, same_domain=True)
     s = a.residues.view(np.uint64) + b.residues.view(np.uint64)
-    return RingElement(a.params, _reduce_once(s, _plan(a.params).p), a.domain)
+    p = prime_column(a.params.primes).view(np.uint64)
+    return RingElement(a.params, _reduce_once(s, p), a.domain)
 
 
 def ring_neg(a: RingElement) -> RingElement:
-    p = _plan(a.params).p
+    p = prime_column(a.params.primes).view(np.uint64)
     return RingElement(a.params, _reduce_once(p - a.residues.view(np.uint64), p),
                        a.domain)
 

@@ -96,13 +96,13 @@ def _read_element_header(rd: _Reader, ring: rg.RingParams) -> None:
 
 def _read_residues(rd: _Reader, ring: rg.RingParams) -> rg.RingElement:
     shape = (len(ring.primes), ring.n)
-    res = np.frombuffer(rd.take(RESIDUE.itemsize * shape[0] * shape[1]),
-                        dtype=RESIDUE).reshape(shape).astype(np.int64)
-    bad = (res >= rg.prime_column(ring.primes)).any(axis=1)
+    raw = np.frombuffer(rd.take(RESIDUE.itemsize * shape[0] * shape[1]),
+                        dtype=RESIDUE).reshape(shape)
+    bad = raw.max(axis=1) >= rg.prime_column(ring.primes)[:, 0]
     if bad.any():
         p = ring.primes[int(bad.argmax())]
         raise WireFormatError(f"residue out of range for prime {p}")
-    return rg.RingElement(ring, res, rg.COEFF)
+    return rg.RingElement(ring, raw.astype(np.int64), rg.COEFF)
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:

@@ -7,8 +7,13 @@ slow part of the suite (several minutes).
 
 import contextlib
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +47,8 @@ from oracles import (
     seckeygen,
     uniform_below,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @contextlib.contextmanager
@@ -276,25 +283,52 @@ def test_c9a_reference_set_ordering_consistent():
         assert report.reference["reported_q_bits"] == 240
 
 
+# The c9b run, in a fresh interpreter so that its peak RSS is its own.
+C9B_RUN = """
+import json, resource
+from thagg.config import ProtocolConfig
+from thagg.harness import run_protocol
+from thagg.planner import MBFV, PlanInputs
+
+inputs = PlanInputs.create(16384, 16, "3.2", 128, bound="19.2", t_bits=45)
+cfg = ProtocolConfig(scheme=MBFV, plan_inputs=inputs, model_size=1_638_400,
+                     root_seed=2024, fixed_point_bits=20,
+                     enforce_security=True)
+transcript = run_protocol(cfg)
+print(json.dumps({
+    "rows": transcript.timings_text().strip().split("\\n"),
+    "coordinates": len(transcript.aggregate),
+    "max_error": str(transcript.max_error),
+    "ciphertexts": sum(m.kind == "ciphertext" for m in transcript.messages),
+    "peak_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+C9B_PEAK_MIB = 250
+
+
 @pytest.mark.slow
 def test_c9b_full_scale_run_emits_timing_rows():
     with criterion(9, "substitute checks (b): full 1.6M-parameter run"):
-        inputs = PlanInputs.create(16384, 16, "3.2", 128, bound="19.2",
-                                   t_bits=45)
-        cfg = ProtocolConfig(scheme=MBFV, plan_inputs=inputs,
-                             model_size=1_638_400, root_seed=2024,
-                             fixed_point_bits=20, enforce_security=True)
-        transcript = run_protocol(cfg)
-        rows = transcript.timings_text().strip().split("\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", C9B_RUN], env=env,
+                              capture_output=True, text=True, timeout=1800)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout)
+        rows = result["rows"]
         assert len(rows) == 5
         for label in ("Col. Key Gen.", "Encryption", "Aggregation",
                       "Col. Dec.", "Total runtime"):
             assert any(r.startswith(label) for r in rows), label
-        assert len(transcript.aggregate) == 1_638_400
-        assert transcript.max_error == 0
-        ct_msgs = [m for m in transcript.messages if m.kind == "ciphertext"]
-        assert len(ct_msgs) == 16 * 100  # ceil(N/n) = 100 chunks per client
-        print("  " + " | ".join(rows), end="")
+        assert result["coordinates"] == 1_638_400
+        assert result["max_error"] == "0"
+        # ceil(N/n) = 100 chunks per client
+        assert result["ciphertexts"] == 16 * 100
+        peak_mib = result["peak_kib"] / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mib <= C9B_PEAK_MIB, f"peak RSS {peak_mib:.1f} MiB"
+        print("  " + " | ".join(rows) + f" | peak {peak_mib:.1f} MiB",
+              end="")
 
 
 def test_c9c_aggregation_time_linear_in_parties():

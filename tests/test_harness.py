@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from thagg import cli, harness, ntt
 from thagg.config import ProtocolConfig, parse_config
 from thagg.errors import (
+    CapacityError,
     ConfigError,
     NoPrimesFoundError,
     DomainMismatchError,
@@ -35,8 +36,9 @@ from thagg.harness import (
     chunk_count,
     cleartext_oracle,
     client_input_step,
+    decode_group,
     derive_scheme_params,
-    group_shapes,
+    group_layout,
     output_step,
     run_protocol,
     run_setup,
@@ -71,10 +73,31 @@ def make_cfg(scheme="mbfv", n=1024, parties=2, lam=16, model_size=None,
 
 
 def submit(cfg, art, root, index, bus):
-    """Party `index`'s ciphertext groups of its round-0 update."""
+    """Party `index`'s ciphertext messages of its round-0 update."""
     return client_input_step(cfg, art.params, index,
                              synthesize_update(cfg, root, index, 0), art.cpk,
                              root, 0, bus)
+
+
+def decoded(cfg, art, messages):
+    """A submission's messages decoded into its group batches, as the
+    aggregator decodes them."""
+    return [decode_group(art.params, messages[g.start : g.stop])
+            for g in group_layout(cfg, art.params)]
+
+
+def same_sums(got, want):
+    """Group batches equal residue for residue, and in adds_consumed."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.c0.residues, b.c0.residues)
+        assert np.array_equal(a.c1.residues, b.c1.residues)
+        assert a.adds_consumed == b.adds_consumed
+
+
+def aggregator(cfg, art, parties=None):
+    return Aggregator(cfg.parties if parties is None else parties, art.params,
+                      group_layout(cfg, art.params))
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +154,16 @@ def test_input_step_chunk_shapes_and_zero_vector():
     bus = MessageBus()
     root = Xof.from_seed(cfg.root_seed)
     zeros = np.zeros(cfg.model_size)
-    cts = client_input_step(cfg, art.params, 1, zeros, art.cpk, root, 0, bus)
+    cts = decoded(cfg, art, client_input_step(cfg, art.params, 1, zeros,
+                                              art.cpk, root, 0, bus))
     # 4096 / 1024 chunks, in one group: c1 at q's 2 limbs, c0 at q' (1 limb)
     assert len(cts) == 1 == len(harness.chunk_groups(4, art.params.ring))
     assert cts[0].c1.residues.shape == (4, 2, 1024)
     assert cts[0].c0.residues.shape == (4, 1, 1024)
     assert sum(m.kind == "ciphertext" for m in bus.records) == 4
     # a zero vector opens to zero through the full threshold path
-    other = client_input_step(cfg, art.params, 2, zeros, art.cpk, root, 0,
-                              bus)
+    other = decoded(cfg, art, client_input_step(cfg, art.params, 2, zeros,
+                                                art.cpk, root, 0, bus))
     summed = aggregator_eval_step(cts, other)
     opened = output_step(cfg, art.params, art.shares, summed, art.report,
                          root, 0, bus)
@@ -164,11 +188,12 @@ def test_eval_step_identity_and_mismatch():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(99)
-    lists = [submit(cfg, art, root, sh.index, bus) for sh in art.shares]
+    subs = [submit(cfg, art, root, sh.index, bus) for sh in art.shares]
+    lists = [decoded(cfg, art, msgs) for msgs in subs]
     # a single submission: identity
-    solo = Aggregator(1, group_shapes(cfg, art.params))
-    solo.receive(1, lists[0])
-    assert solo.evaluate() == lists[0]
+    solo = aggregator(cfg, art, 1)
+    solo.receive(1, subs[0])
+    same_sums(solo.evaluate(), lists[0])
     # one group of both chunks; a group of one would broadcast against it
     (group,) = lists[1]
     first = dataclasses.replace(group, c0=stack(unstack(group.c0)[:1]),
@@ -177,7 +202,7 @@ def test_eval_step_identity_and_mismatch():
         with pytest.raises(LengthMismatchError, match="groups differ"):
             aggregator_eval_step(lists[0], bad)
     with pytest.raises(ShareSetError):
-        Aggregator(2, group_shapes(cfg, art.params)).evaluate()
+        aggregator(cfg, art, 2).evaluate()
 
 
 def test_aggregator_folds_submissions_as_they_arrive():
@@ -185,15 +210,17 @@ def test_aggregator_folds_submissions_as_they_arrive():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(5)
-    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
+    agg = aggregator(cfg, art)
     with pytest.raises(ShareSetError):
         agg.evaluate()
     lists = []
     for sh in art.shares:
-        lists.append(submit(cfg, art, root, sh.index, bus))
-        agg.receive(sh.index, lists[-1])
+        messages = submit(cfg, art, root, sh.index, bus)
+        lists.append(decoded(cfg, art, messages))
+        agg.receive(sh.index, messages)
     # no per-client store
-    assert vars(agg).keys() == {"parties", "shapes", "senders", "total"}
+    assert vars(agg).keys() == {"parties", "params", "groups", "senders",
+                                "total"}
     want = aggregator_eval_step(aggregator_eval_step(lists[0], lists[1]),
                                 lists[2])
     got = agg.evaluate()
@@ -210,7 +237,8 @@ def test_aggregation_order_does_not_change_opened_value():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(5)
-    lists = [submit(cfg, art, root, sh.index, bus) for sh in art.shares]
+    lists = [decoded(cfg, art, submit(cfg, art, root, sh.index, bus))
+             for sh in art.shares]
     fwd = output_step(cfg, art.params, art.shares,
                       aggregator_eval_step(*lists), art.report,
                       root.child("d1"), 0, bus)
@@ -221,7 +249,7 @@ def test_aggregation_order_does_not_change_opened_value():
 
 
 def submissions(cfg, art):
-    """Every client's ciphertext groups for round 0, by party index."""
+    """Every client's ciphertext messages for round 0, by party index."""
     bus, root = MessageBus(), Xof.from_seed(cfg.root_seed)
     return {sh.index: submit(cfg, art, root, sh.index, bus)
             for sh in art.shares}
@@ -234,7 +262,7 @@ def test_aggregator_takes_each_party_exactly_once():
     art = run_setup(cfg)
     subs = submissions(cfg, art)
     for senders in [(1, 2, 4), (1, 2), (3, 1, 2, 2)]:
-        agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
+        agg = aggregator(cfg, art)
         with pytest.raises(ShareSetError) as info:
             for i in senders:
                 agg.receive(i, subs[min(i, 3)])
@@ -242,12 +270,12 @@ def test_aggregator_takes_each_party_exactly_once():
         assert isinstance(info.value, ProtocolFailure)  # exit 3
     # a submission beyond L fails as it arrives, before kappa = L additions
     # run out
-    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
+    agg = aggregator(cfg, art)
     for _ in range(3):
         agg.receive(1, subs[1])
     with pytest.raises(ShareSetError, match=r"got \[1, 1, 1, 1\]"):
         agg.receive(1, subs[1])
-    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
+    agg = aggregator(cfg, art)
     for i in (2, 3, 1):
         agg.receive(i, subs[i])
     agg.evaluate()
@@ -259,7 +287,7 @@ def test_double_submission_raises_before_output_step():
     cfg = make_cfg(parties=3, model_size=1024)
     art = run_setup(cfg)
     subs = submissions(cfg, art)
-    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
+    agg = aggregator(cfg, art)
     for i in (1, 1, 2):
         agg.receive(i, subs[i])
     with pytest.raises(ShareSetError, match=r"submission .* got \[1, 1, 2\]"):
@@ -278,10 +306,8 @@ def test_rejected_submission_does_not_count_as_received():
     cfg = make_cfg(parties=3, model_size=2048)
     art = run_setup(cfg)
     subs = submissions(cfg, art)
-    (group,) = subs[2]
-    misshaped = [dataclasses.replace(group, c0=stack(unstack(group.c0)[:1]),
-                                     c1=stack(unstack(group.c1)[:1]))]
-    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
+    misshaped = subs[2][:1]  # one chunk's message where the group has two
+    agg = aggregator(cfg, art)
     agg.receive(1, subs[1])
     with pytest.raises(LengthMismatchError):
         agg.receive(2, misshaped)
@@ -297,14 +323,12 @@ def test_a_misshaped_first_submission_does_not_set_the_shapes():
     cfg = make_cfg(parties=3, model_size=2048)
     art = run_setup(cfg)
     subs = submissions(cfg, art)
-    shapes = group_shapes(cfg, art.params)
-    assert shapes == [((2, 1, 1024), (2, 2, 1024))]  # c0 at q', c1 at q
+    shapes = [((2, 1, 1024), (2, 2, 1024))]  # c0 at q', c1 at q
+    assert group_layout(cfg, art.params) == [range(0, 2)]
     assert [(ct.c0.residues.shape, ct.c1.residues.shape)
-            for ct in subs[1]] == shapes
-    (group,) = subs[1]
-    short = [dataclasses.replace(group, c0=stack(unstack(group.c0)[:1]),
-                                 c1=stack(unstack(group.c1)[:1]))]
-    agg = Aggregator(cfg.parties, shapes)
+            for ct in decoded(cfg, art, subs[1])] == shapes
+    short = subs[1][:1]  # one chunk's message where the group has two
+    agg = aggregator(cfg, art)
     with pytest.raises(LengthMismatchError, match="party 1 submitted"):
         agg.receive(1, short)
     assert agg.senders == [] and agg.total is None
@@ -313,6 +337,88 @@ def test_a_misshaped_first_submission_does_not_set_the_shapes():
     assert agg.senders == [2, 3]
     with pytest.raises(ShareSetError, match=r"got \[2, 3\]"):
         agg.evaluate()
+
+
+def tampered_last(cfg, art, messages, how):
+    """The submission with its last message made unusable: its last c1
+    residue (on the last prime) set to that prime, or adds_consumed set to
+    kappa, which the wire takes but no fold has room for."""
+    last = messages[-1]
+    if how == "residue":
+        p = art.params.ring.primes[-1]
+        last = last[:-8] + p.to_bytes(4, "little") + last[-4:]
+    else:
+        last = last[:-4] + art.params.kappa.to_bytes(4, "little")
+    return messages[:-1] + [last]
+
+
+@pytest.mark.parametrize("how, error", [("residue", WireFormatError),
+                                        ("adds", CapacityError)])
+def test_a_late_bad_message_leaves_the_sums_bit_for_bit(how, error,
+                                                        monkeypatch):
+    # party 2's last message fails after its first two groups were folded
+    # in: they are subtracted back out, so the sums are those of parties 1
+    # and 3 alone, and party 2 can submit again; the round opens exactly
+    monkeypatch.setattr(harness, "BATCH_BYTES", 0)  # one chunk per group
+    cfg = make_cfg(parties=3, model_size=3072)
+    art = run_setup(cfg)
+    assert len(group_layout(cfg, art.params)) == 3
+    subs = submissions(cfg, art)
+    bad = tampered_last(cfg, art, subs[2], how)
+    agg, others = aggregator(cfg, art), aggregator(cfg, art)
+    for i in (1, 3):
+        agg.receive(i, subs[i])
+        others.receive(i, subs[i])
+    with pytest.raises(error):
+        agg.receive(2, bad)
+    assert agg.senders == [1, 3]
+    same_sums(agg.total, others.total)
+    # a bad message in the first submission sets no sum
+    first = aggregator(cfg, art)
+    with pytest.raises(WireFormatError):
+        first.receive(2, tampered_last(cfg, art, subs[2], "residue"))
+    assert first.senders == [] and first.total is None
+    agg.receive(2, subs[2])
+    opened = output_step(cfg, art.params, art.shares, agg.evaluate(),
+                         art.report, Xof.from_seed(1), 0, MessageBus())
+    root = Xof.from_seed(cfg.root_seed)
+    oracle = cleartext_oracle(cfg, [synthesize_update(cfg, root, i, 0)
+                                    for i in (1, 2, 3)])
+    assert opened.max_abs_diff(oracle) == 0
+
+
+def test_receive_holds_one_decoded_group_and_one_superseded_sum(
+        monkeypatch):
+    # weak references: no ciphertext decoded from a submission outlives its
+    # receive, and while a group is folded in, the sum it replaces is the
+    # only superseded group sum still alive
+    monkeypatch.setattr(harness, "BATCH_BYTES", 0)  # one chunk per group
+    cfg = make_cfg(parties=3, model_size=3072)
+    art = run_setup(cfg)
+    subs = submissions(cfg, art)
+    assert all(type(m) is bytes for msgs in subs.values() for m in msgs)
+    decode, fold = wire.deserialize_ciphertext, harness.aggregator_eval_step
+    received, superseded = [], []
+
+    def watched_decode(blob, params):
+        ct = decode(blob, params)
+        received.append(weakref.ref(ct))
+        return ct
+
+    def watched_fold(total, cts):
+        received.extend(weakref.ref(ct) for ct in cts)
+        superseded.extend(weakref.ref(ct) for ct in total)
+        assert sum(ref() is not None for ref in superseded) <= 1
+        return fold(total, cts)
+
+    monkeypatch.setattr(wire, "deserialize_ciphertext", watched_decode)
+    monkeypatch.setattr(harness, "aggregator_eval_step", watched_fold)
+    agg = aggregator(cfg, art)
+    for i in (1, 2, 3):
+        agg.receive(i, subs[i])
+        assert all(ref() is None for ref in received)
+    assert len(received) == 3 * 3 + 2 * 3  # each message, each folded group
+    assert len(superseded) == 2 * 3  # one add per group after the first
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +789,7 @@ def test_group_encryption_draws_each_chunk_from_its_own_stream(scheme,
 def test_aggregator_never_holds_share_typed_state():
     cfg = make_cfg()
     art = run_setup(cfg)
-    agg = Aggregator(cfg.parties, group_shapes(cfg, art.params))
+    agg = aggregator(cfg, art)
     bus = MessageBus()
     root = Xof.from_seed(1)
     for sh in art.shares:
@@ -731,11 +837,8 @@ def _session_ct():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(3)
-    (group,) = submit(cfg, art, root, 1, bus)
-    # the group of the one chunk; messages carry a chunk, not a batch
-    ct = dataclasses.replace(group, c0=unstack(group.c0)[0],
-                             c1=unstack(group.c1)[0])
-    return art, ct
+    (blob,) = submit(cfg, art, root, 1, bus)  # one chunk, one message
+    return art, wire.deserialize_ciphertext(blob, art.params)
 
 
 def ct_len(k, n, k_dec=None):
