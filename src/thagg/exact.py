@@ -132,7 +132,7 @@ def scaled_round_residues(x: np.ndarray, d: int,
     mant, shift, whole, small = _mantissa_shift(x, d)
     shifts, index = np.unique(np.where(whole, shift, 0), return_inverse=True)
     index = index.reshape(x.shape)
-    res = np.empty(x.shape[:-1] + (len(primes), x.shape[-1]), dtype=np.int64)
+    res = np.empty(x.shape[:-1] + (len(primes), x.shape[-1]), dtype=np.uint32)
     rows = np.moveaxis(res, -2, 0)  # limbs first, a view
     for j, p in enumerate(primes):
         pow2 = np.array([pow(2, int(k), p) for k in shifts], dtype=np.int64)

@@ -63,12 +63,14 @@ from .threshold import (
     switch_c0,
 )
 
-# Most int64 residue bytes per batched ring operation (`chunk_groups`). A
-# transform call has a fixed cost that a batch of small chunks shares, while
-# stacking large ones only slows them (measurements in the `ntt` notes):
-# 8 chunks of 2 x 2048 per call, one chunk of 5 x 16384. With the kernels'
-# ufunc buffer cut to a tile, 16 chunks of 2 x 2048 cost about what 8 do
-# per chunk (0.21 against 0.23 ms per inverse) and 32 cost more (0.30 ms).
+# Most residue bytes per batched ring operation (`chunk_groups`), at 8 bytes
+# a residue. A transform call has a fixed cost that a batch of small chunks
+# shares, while stacking large ones only slows them (measurements in the
+# `ntt` notes): 8 chunks of 2 x 2048 per call, one chunk of 5 x 16384. With
+# the kernels' ufunc buffer cut to a tile, 16 chunks of 2 x 2048 cost about
+# what 8 do per chunk (0.21 against 0.23 ms per inverse) and 32 cost more
+# (0.30 ms). Residues are 4-byte uint32 now; the 8 stays on purpose, so the
+# group layout does not move. Re-tuning it is a separate, measured change.
 BATCH_BYTES = 256 << 10
 
 PHASES = ("collective_keygen", "encryption", "aggregation",
@@ -280,7 +282,8 @@ def synthesize_update(cfg: ProtocolConfig, root: Xof, client_index: int,
 
 def chunk_groups(chunks: int, ring: rg.RingParams) -> list[range]:
     """Consecutive chunk indices in groups of as many whole chunks as fit in
-    BATCH_BYTES of residues on `ring`, and at least one."""
+    BATCH_BYTES of residues on `ring`, at 8 bytes per residue, and at least
+    one."""
     per = max(1, BATCH_BYTES // (8 * len(ring.primes) * ring.n))
     return [range(lo, min(lo + per, chunks)) for lo in range(0, chunks, per)]
 
@@ -305,21 +308,23 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
     ceil(N/n) ciphertexts under the collective key, each sent with c0
     already rounded to the decryption modulus q'.
 
-    Each group of chunks (`chunk_groups`) is encoded and encrypted as one
-    batch. Every chunk still draws its randomness from its own stream and
-    goes out as its own message. The messages posted are returned, one
-    per chunk in chunk order, for the aggregator to decode.
+    Each group of chunks (`group_layout`) is encoded and encrypted as one
+    batch, read as a view of the update: only a group whose last chunk is
+    short of n values is copied, zero-padded. Every chunk still draws its
+    randomness from its own stream and goes out as its own message. The
+    messages posted are returned, one per chunk in chunk order, for the
+    aggregator to decode.
     """
     if update.shape != (cfg.model_size,):
         raise LengthMismatchError(f"update of shape {update.shape}, want "
                                   f"({cfg.model_size},)")
-    ring = params.ring
-    n = ring.n
-    chunks = chunk_count(cfg.model_size, n)
-    w = np.pad(update, (0, chunks * n - update.size)).reshape(chunks, n)
+    n = params.ring.n
     out = []
-    for group in chunk_groups(chunks, ring):
-        block = w[group.start : group.stop]
+    for group in group_layout(cfg, params):
+        block = update[group.start * n : group.stop * n]
+        if block.size < len(group) * n:
+            block = np.pad(block, (0, len(group) * n - block.size))
+        block = block.reshape(len(group), n)
         pt = (encode_fixed(block, cfg.fixed_point_bits, params)
               if cfg.scheme == MBFV else encode_real(block, params))
         rngs = [root.child(f"round/{round_index}/client/{index}/enc/{c}")

@@ -7,7 +7,7 @@ hold one row per limb and broadcast over the leading axes; they are never
 copied per batch entry. Primes are kept below 2**30: the butterflies
 reduce lazily, keeping values below 4p < 2**32 between stages, and every
 product they form stays below 2**64 in uint64. Inputs and outputs are
-canonical int64 residues in [0, p).
+canonical uint32 residues in [0, p).
 
 The kernels run with numpy's ufunc buffer cut to one twiddle tile
 (`_BUFSIZE`). At numpy's default of 8192 elements, every strided operand
@@ -22,8 +22,8 @@ the minimum of 9 calls, best of 3 processes, 2 vCPUs): on 2 x 2048,
 0.43 -> 0.37 ms alone and 0.43 -> 0.23, 0.36 -> 0.21 and 0.46 -> 0.30 ms
 with 8, 16 and 32 chunks per call; on 5 x 16384, 5.4 -> 5.3 ms alone and
 5.0-7.0 ms with 2 chunks per call, either way. The protocol therefore
-stacks at most 256 KiB of residues per call (`harness.BATCH_BYTES`): 8
-chunks of 2 x 2048, one chunk of 5 x 16384.
+stacks at most 256 KiB of residues per call, counted at 8 bytes each
+(`harness.BATCH_BYTES`): 8 chunks of 2 x 2048, one chunk of 5 x 16384.
 """
 
 from __future__ import annotations
@@ -217,7 +217,6 @@ class TransformPlan:
 
     n: int
     primes: tuple[int, ...]
-    p_col: np.ndarray        # int64, shape (limbs, 1)
     p: np.ndarray            # uint64, shape (limbs, 1)
     tiles: tuple[slice, ...]
     w: np.ndarray            # uint64, shape (limbs, sum of tile widths)
@@ -240,7 +239,7 @@ def transform_plan(n: int, primes: tuple[int, ...]) -> TransformPlan:
     w_inv = _kernel_layout(np.stack([t.psi_inv_brv for t in tabs]), n)
     n_inv = np.array([t.n_inv for t in tabs], dtype=np.uint64)[:, None]
     return TransformPlan(
-        n=n, primes=primes, p_col=p.astype(np.int64), p=p, tiles=_tiles(n),
+        n=n, primes=primes, p=p, tiles=_tiles(n),
         w=w, w_shoup=_shoup(w, p), w_inv=w_inv, w_inv_shoup=_shoup(w_inv, p),
         n_inv=n_inv, n_inv_shoup=_shoup(n_inv, p))
 
@@ -328,8 +327,7 @@ def forward(res: np.ndarray, plan: TransformPlan) -> np.ndarray:
     np.subtract(a, two_p, out=b)
     np.minimum(a, b, out=a)
     np.subtract(a, p, out=b)
-    np.minimum(a, b, out=a)
-    return a.view(np.int64)
+    return np.minimum(a, b, out=a).astype(np.uint32)
 
 
 @_unbuffered
@@ -365,10 +363,10 @@ def inverse(res: np.ndarray, plan: TransformPlan) -> np.ndarray:
         a, b = b, a
     _mul_shoup(a, plan.n_inv, plan.n_inv_shoup, p, a, b)
     np.subtract(a, p, out=b)
-    np.minimum(a, b, out=a)
-    return a.view(np.int64)
+    return np.minimum(a, b, out=a).astype(np.uint32)
 
 
 def pointwise(a: np.ndarray, b: np.ndarray, plan: TransformPlan) -> np.ndarray:
     """a * b mod p per limb; shapes (..., limbs, n) broadcast as numpy's do."""
-    return (a * b) % plan.p_col
+    prod = np.multiply(a, b, dtype=np.uint64)
+    return np.remainder(prod, plan.p, out=prod).astype(np.uint32)

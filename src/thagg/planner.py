@@ -8,7 +8,13 @@ modulus for both scheme variants:
     b_fresh_mp  = B (2nL+1)            fresh noise under the collective key
     b_ct        = L B (2nL+1)          after aggregating L inputs
     b_smg       = 2^ceil(lam/2) b_ct   per-party smudging bound
-    b_ct_mp     = b_ct + L b_smg       what collective decryption must absorb
+    b_ct_mp     = b_ct + L b_smg + L/2 what collective decryption must absorb
+
+The L/2 is the MCKKS encoding rounding: each of the L clients rounds
+delta/L times its update to integers, each at most 1/2 off, so the opened
+sum is off by up to L/2 more. It matters only when B is far below 1. MBFV,
+whose oracle is the fixed-point grid itself, has no such error but carries
+the term too: one b_ct_mp serves both schemes.
 
 Minimum-q conditions:  MBFV  q > 2 t b_ct_mp + t^2
                        MCKKS q > 2 (delta + b_ct_mp)
@@ -142,7 +148,7 @@ def mp_bounds(inputs: PlanInputs) -> MpBounds:
         b_fresh_mp=b_fresh_mp,
         b_ct=b_ct,
         b_smg=b_smg,
-        b_ct_mp=b_ct + L * b_smg,
+        b_ct_mp=b_ct + L * b_smg + Fraction(L, 2),
     )
 
 

@@ -1,8 +1,10 @@
 """Exact arithmetic in R_q = Z[x]/(x^n + 1) over an RNS residue basis.
 
 Elements live as per-prime residue rows (non-negative, branch-free modular
-arithmetic). `from_coeffs` reduces int64 coefficient arrays, and no other
-form; integers leave only through `crt_lift`, which returns the centered
+arithmetic) of uint32, the wire's form; a product widens explicitly to 64
+bits, as a uint32 array times a Python int stays uint32 and wraps.
+`from_coeffs` reduces int64 coefficient arrays, and no other form;
+integers leave only through `crt_lift`, which returns the centered
 representatives in (-q/2, q/2]: int64 when q < 2^62, Python ints above.
 Products go through the NTT; the tests check them against a quadratic
 schoolbook oracle (`tests/oracles.py`). `scale_down` rounds an element to
@@ -77,6 +79,9 @@ class RingElement:
     residues: np.ndarray
     domain: str = COEFF
 
+    def __post_init__(self):  # one form: other dtypes in [0, p) narrowed
+        self.residues = self.residues.astype(np.uint32, copy=False)
+
 
 # The largest floor(bound) the Gaussian sampler's table holds: 2^16 - 1
 # values, so each k and the open-bucket mark -2^15 fit the int16 guide.
@@ -108,7 +113,7 @@ def _plan(params: RingParams) -> ntt.TransformPlan:
 
 
 def zero(params: RingParams, domain: str = COEFF) -> RingElement:
-    res = np.zeros((len(params.primes), params.n), dtype=np.int64)
+    res = np.zeros((len(params.primes), params.n), dtype=np.uint32)
     return RingElement(params, res, domain)
 
 
@@ -124,34 +129,31 @@ def from_coeffs(params: RingParams, coeffs: np.ndarray) -> RingElement:
     arr = coeffs[..., None, :]  # a limb axis to broadcast against p_col
     sign = arr >> 63  # -1 where c < 0, else 0
     if (arr ^ sign).max() < min(params.primes):
-        # every -p <= c < p: adding p to the negative ones reduces them,
+        # every -p <= c < p: c mod 2^32, plus p where c < 0, wraps to c mod p;
         # built in place so only one (limbs, n) array is allocated
-        res = p_col & sign
-        res += arr
+        res = p_col & sign.astype(np.uint32)
+        res += arr.astype(np.uint32)
         return RingElement(params, res, COEFF)
-    return RingElement(params, arr % p_col, COEFF)
+    return RingElement(params, arr % p_col, COEFF)  # int64 % uint32: int64
 
 
 @lru_cache(maxsize=None)
 def prime_column(primes: tuple[int, ...]) -> np.ndarray:
-    """The primes as an int64 column, shape (limbs, 1), built once per basis."""
-    return np.array(primes, dtype=np.int64)[:, None]
-
-
-def scalar_residues(params: RingParams, value: int) -> np.ndarray:
-    """Residues of a big scalar, shaped (limbs, 1) for broadcasting."""
-    return np.array([value % p for p in params.primes], dtype=np.int64)[:, None]
+    """The primes as a uint32 column, shape (limbs, 1), built once per basis."""
+    return np.array(primes, dtype=np.uint32)[:, None]
 
 
 def mul_scalar(a: RingElement, value: int) -> RingElement:
     """Multiply by a (possibly huge) integer scalar, reduced per limb."""
     p_col = prime_column(a.params.primes)
-    res = (a.residues * scalar_residues(a.params, value)) % p_col
+    k = np.array([value % p for p in a.params.primes], dtype=np.uint64)
+    res = np.multiply(a.residues, k[:, None], dtype=np.uint64)
+    res %= p_col
     return RingElement(a.params, res, a.domain)
 
 
 def _reduce(x: np.ndarray, p) -> np.ndarray:
-    """x mod p for int64 x and p a scalar or a column, as x - (x // p) * p:
+    """x mod p for 64-bit x >= 0 and p a scalar or a column, x - (x // p) * p:
     numpy divides by a divisor that is constant along a row with a
     precomputed multiplier, at less than half the cost of its `%`."""
     quot = x // p
@@ -160,12 +162,12 @@ def _reduce(x: np.ndarray, p) -> np.ndarray:
 
 
 def _dot_mod(rows, consts: tuple[int, ...], p: int) -> np.ndarray:
-    """sum(row * c) mod p, for rows of int64 (or bool) entries below 2^30
-    and constants 0 <= c < p. Each product is below 2^60, so seven of them
-    add up in int64 before a reduction is due."""
-    acc = rows[0] * consts[0]
+    """sum(row * c) mod p, as int64, for rows of uint32 (or bool) entries
+    below 2^30 and constants 0 <= c < p. Each product is formed in int64
+    and is below 2^60, so seven of them add up before a reduction is due."""
+    acc = np.multiply(rows[0], consts[0], dtype=np.int64)
     for i in range(1, len(consts)):
-        acc += rows[i] * consts[i]
+        acc += np.multiply(rows[i], consts[i], dtype=np.int64)
         if i % 7 == 6:
             acc = _reduce(acc, p)
     return _reduce(acc, p)
@@ -227,7 +229,7 @@ def scale_down(a: RingElement, target: RingParams) -> RingElement:
     consts = _switch_consts(a.params, k)
     rows = np.moveaxis(a.residues, -2, 0)  # limbs first, a view
     digits, neg = _garner(consts.dropped.primes, rows[k:])
-    res = np.empty(a.residues.shape[:-2] + (k, a.params.n), dtype=np.int64)
+    res = np.empty(a.residues.shape[:-2] + (k, a.params.n), dtype=np.uint32)
     out = np.moveaxis(res, -2, 0)
     for j, p in enumerate(target.primes):
         out[j] = _dot_mod((rows[j], *digits, neg), consts.rows[j], p)
@@ -245,7 +247,7 @@ def crt_lift(a: RingElement) -> np.ndarray:
         raise DomainMismatchError("crt_lift needs a coefficient-domain element")
     primes = a.params.primes
     digits, neg = _garner(primes, np.moveaxis(a.residues, -2, 0))
-    acc = digits[-1] - primes[-1] * neg
+    acc = digits[-1].astype(np.int64) - primes[-1] * neg
     if a.params.q >= 1 << 62:
         acc = acc.astype(object)
     for d, p in zip(digits[-2::-1], primes[-2::-1]):
@@ -283,7 +285,7 @@ def _garner(primes: tuple[int, ...], rows: np.ndarray):
 
     [x]_q = d_0 + p_0 (d_1 + p_1 (d_2 + ...)). Digit i is
     (x_i - sum_{j<i} d_j r_j) * r_i^-1 mod p_i for the radices
-    r_j = p_0 ... p_{j-1}: one dot product over int64 rows and one
+    r_j = p_0 ... p_{j-1}: one dot product over the uint32 rows and one
     reduction. The digits compare lexicographically (most significant
     first) as the integers do.
     """
@@ -312,22 +314,21 @@ def _check_pair(a: RingElement, b: RingElement, *, same_domain: bool) -> None:
 
 
 def _reduce_once(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Canonical int64 residues of s in [0, 2p), a uint64 array the caller
-    owns. Where s < p, s - p wraps above 2^63, so the minimum keeps s."""
-    return np.minimum(s, s - p, out=s).view(np.int64)
+    """Canonical residues of s in [0, 2p), a uint32 array the caller owns.
+    Where s < p, s - p wraps above 2^31, so the minimum keeps s."""
+    return np.minimum(s, s - p, out=s)
 
 
 def ring_add(a: RingElement, b: RingElement) -> RingElement:
     _check_pair(a, b, same_domain=True)
-    s = a.residues.view(np.uint64) + b.residues.view(np.uint64)
-    p = prime_column(a.params.primes).view(np.uint64)
-    return RingElement(a.params, _reduce_once(s, p), a.domain)
+    p = prime_column(a.params.primes)
+    return RingElement(a.params, _reduce_once(a.residues + b.residues, p),
+                       a.domain)
 
 
 def ring_neg(a: RingElement) -> RingElement:
-    p = prime_column(a.params.primes).view(np.uint64)
-    return RingElement(a.params, _reduce_once(p - a.residues.view(np.uint64), p),
-                       a.domain)
+    p = prime_column(a.params.primes)
+    return RingElement(a.params, _reduce_once(p - a.residues, p), a.domain)
 
 
 def stack(elements: list[RingElement]) -> RingElement:
@@ -460,7 +461,7 @@ def _pieces_mod(pieces: list[np.ndarray], params: RingParams,
     int64 before a reduction is due."""
     low = pieces[0] if len(pieces) == 1 else pieces[0] + (pieces[1] << _CHUNK)
     res = np.empty(low.shape[:-1] + (len(params.primes), low.shape[-1]),
-                   dtype=np.int64)
+                   dtype=np.uint32)
     for j, p in enumerate(params.primes):
         acc = low - offset % p
         for k in range(2, len(pieces)):
@@ -473,7 +474,7 @@ def _pieces_mod(pieces: list[np.ndarray], params: RingParams,
 
 def _zeros(params: RingParams, rng: Xof | Sequence[Xof]) -> RingElement:
     lead = _streams(rng)[1]
-    res = np.zeros((*lead, len(params.primes), params.n), dtype=np.int64)
+    res = np.zeros((*lead, len(params.primes), params.n), dtype=np.uint32)
     return RingElement(params, res, COEFF)
 
 

@@ -16,8 +16,8 @@ public-key share has the k primes of q; a partial decryption has only the
 k' leading primes of q', so it is 8 + 8k' + 4k'n bytes.
 
 u32 residues are exact because `RingParams.create` admits only primes
-below 2^MAX_PRIME_BITS = 2^30. Versions 1 (u64 residues) and 2 (c0 at the
-full q) are not read.
+below 2^MAX_PRIME_BITS = 2^30; a decoder returns read-only views of them.
+Versions 1 (u64 residues) and 2 (c0 at the full q) are not read.
 
 All integers are little-endian. Elements are serialized in the coefficient
 domain; an NTT-domain element (a stored key) raises `DomainMismatchError`,
@@ -64,7 +64,7 @@ def _residue_block(el: rg.RingElement) -> bytes:
     if el.residues.shape != shape:
         raise WireFormatError(f"a message carries one element, residues of "
                               f"shape {shape}, not {el.residues.shape}")
-    return el.residues.astype(RESIDUE).tobytes()
+    return el.residues.astype(RESIDUE, copy=False).tobytes()
 
 
 class _Reader:
@@ -102,7 +102,7 @@ def _read_residues(rd: _Reader, ring: rg.RingParams) -> rg.RingElement:
     if bad.any():
         p = ring.primes[int(bad.argmax())]
         raise WireFormatError(f"residue out of range for prime {p}")
-    return rg.RingElement(ring, raw.astype(np.int64), rg.COEFF)
+    return rg.RingElement(ring, raw, rg.COEFF)
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:

@@ -256,9 +256,9 @@ def ring_mul_schoolbook(a: rg.RingElement, b: rg.RingElement) -> rg.RingElement:
 
 def ring_sub(a: RingElement, b: RingElement) -> RingElement:
     _check_pair(a, b, same_domain=True)
-    p = _plan(a.params).p
-    s = a.residues.view(np.uint64) + (p - b.residues.view(np.uint64))
-    return RingElement(a.params, _reduce_once(s, p), a.domain)
+    p = rg.prime_column(a.params.primes)
+    return RingElement(a.params, _reduce_once(a.residues + (p - b.residues), p),
+                       a.domain)
 
 
 def from_ntt(a: RingElement) -> RingElement:

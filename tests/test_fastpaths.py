@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from thagg import exact, ntt
+from thagg import exact, ntt, wire
 from thagg import ring as rg
 from thagg.config import ProtocolConfig
 from thagg.errors import (
@@ -34,9 +34,11 @@ from thagg.exact import (
 from thagg.harness import cleartext_oracle
 from thagg.planner import PlanInputs
 from thagg.rng import Xof
+from thagg.threshold import PartialDecryption, PkShare
 from thagg.schemes import (
     BFV,
     CKKS,
+    Ciphertext,
     PublicKey,
     SchemeParams,
     bfv_round,
@@ -47,7 +49,7 @@ from thagg.schemes import (
 )
 
 from oracles import (bfv_round_rational, cdt_gaussian, from_ints, half_q,
-                     primes_for, ring_sub)
+                     primes_for, ring_mul_schoolbook, ring_sub)
 
 # ---------------------------------------------------------------------------
 # scalar references
@@ -173,6 +175,11 @@ def ref_limb_tables(n, p):
     return [pw[brv[i]] for i in range(n)], [ipw[brv[i]] for i in range(n)]
 
 
+def p_col(plan):
+    """The plan's primes as an int64 column, for the signed references."""
+    return plan.p.astype(np.int64)
+
+
 def _ref_tables(plan):
     tabs = [ntt.limb_tables(plan.n, p) for p in plan.primes]
     return (np.stack([t.psi_brv for t in tabs]),
@@ -185,7 +192,7 @@ def ref_forward(res, plan):
     k, n = res.shape
     psi = _ref_tables(plan)[0]
     a = res.copy()
-    p3 = plan.p_col[:, :, None]
+    p3 = p_col(plan)[:, :, None]
     t, m = n, 1
     while m < n:
         t //= 2
@@ -202,7 +209,7 @@ def ref_inverse(res, plan):
     k, n = res.shape
     _, psi_inv, n_inv = _ref_tables(plan)
     a = res.copy()
-    p3 = plan.p_col[:, :, None]
+    p3 = p_col(plan)[:, :, None]
     t, m = 1, n
     while m > 1:
         h = m // 2
@@ -213,7 +220,7 @@ def ref_inverse(res, plan):
         view[:, :, t:] = ((u - v) * psi_inv[:, h : 2 * h, None]) % p3
         t *= 2
         m = h
-    return (a * n_inv) % plan.p_col
+    return (a * n_inv) % p_col(plan)
 
 
 def ring_with(n, count, bits=30):
@@ -939,7 +946,7 @@ def ntt_plan(n, bits, limbs):
 
 def residues(plan, fill, seed):
     rng = np.random.default_rng(seed)
-    p = plan.p_col
+    p = p_col(plan)
     shape = (len(plan.primes), plan.n)
     if fill == "top":
         return np.broadcast_to(p - 1, shape).copy()
@@ -954,11 +961,11 @@ def check_transforms(plan, res):
     kept = res.copy()
     fwd = ntt.forward(res, plan)
     assert np.array_equal(res, kept), "forward wrote to its input"
-    assert fwd.dtype == np.int64
+    assert fwd.dtype == np.uint32
     assert np.array_equal(fwd, ref_forward(res, plan))
     inv = ntt.inverse(res, plan)
     assert np.array_equal(res, kept), "inverse wrote to its input"
-    assert inv.dtype == np.int64
+    assert inv.dtype == np.uint32
     assert np.array_equal(inv, ref_inverse(res, plan))
     assert np.array_equal(ntt.inverse(fwd, plan), res)
 
@@ -988,7 +995,7 @@ def test_lazy_ntt_matches_reference_at_full_size(fill):
 def test_batched_transforms_match_per_chunk_calls(n, limbs, batch):
     plan = ntt_plan(n, 30, limbs)
     rng = np.random.default_rng(n + limbs)
-    res = rng.integers(0, plan.p_col, (*batch, limbs, n))
+    res = rng.integers(0, p_col(plan), (*batch, limbs, n))
     kept = res.copy()
     for fn in (ntt.forward, ntt.inverse):
         got = fn(res, plan)
@@ -1013,7 +1020,7 @@ def batched_residues(draw):
                  for _ in range(draw(st.integers(0, 2))))
     plan = ntt_plan(n, 30, limbs)
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    return plan, rng.integers(0, plan.p_col, (*lead, limbs, n))
+    return plan, rng.integers(0, p_col(plan), (*lead, limbs, n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1088,13 +1095,156 @@ def ref_neg(a, p_col):
 @example(TWO_PRIMES, "zero", "zero", 0)
 def test_ring_add_sub_neg_match_modulo(params, fill_a, fill_b, seed):
     plan = ntt.transform_plan(params.n, params.primes)
-    p_col = plan.p_col
+    p = p_col(plan)
     a = rg.RingElement(params, residues(plan, fill_a, seed))
     b = rg.RingElement(params, residues(plan, fill_b, seed + 1))
-    kept_a, kept_b = a.residues.copy(), b.residues.copy()
-    for got, want in ((rg.ring_add(a, b), ref_add(kept_a, kept_b, p_col)),
-                      (ring_sub(a, b), ref_sub(kept_a, kept_b, p_col)),
-                      (rg.ring_neg(a), ref_neg(kept_a, p_col))):
-        assert got.residues.dtype == np.int64
+    kept_a, kept_b = a.residues.astype(np.int64), b.residues.astype(np.int64)
+    for got, want in ((rg.ring_add(a, b), ref_add(kept_a, kept_b, p)),
+                      (ring_sub(a, b), ref_sub(kept_a, kept_b, p)),
+                      (rg.ring_neg(a), ref_neg(kept_a, p))):
+        assert got.residues.dtype == np.uint32
         assert np.array_equal(got.residues, want)
     assert np.array_equal(a.residues, kept_a) and np.array_equal(b.residues, kept_b)
+
+
+# ---------------------------------------------------------------------------
+# one residue form: uint32 residues, widened where a product is formed
+#
+# Under NumPy 2 promotion a uint32 array times a Python int below 2^32 stays
+# uint32 and wraps without a word, so every product site must widen first.
+# Residues at p - 1 on every limb (the value -1) are the largest factors a
+# site sees; each site is checked against its own Python-integer oracle.
+
+TOP_CASES = [ONE_PRIME, TWO_PRIMES, FIVE_PRIMES, MIXED]
+
+
+def top(params):
+    """The element with every residue at p - 1: the value q - 1 = -1."""
+    return from_ints(params, [params.q - 1] * params.n)
+
+
+def ref_products(a, b, primes):
+    """[[x * y mod p]] per limb, in Python integers."""
+    return [[x * y % p for x, y in zip(ra, rb)]
+            for ra, rb, p in zip(a.tolist(), b.tolist(), primes)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TOP_CASES), st.data())
+def test_product_sites_widen_at_p_minus_1(params, data):
+    q, n, primes = params.q, params.n, params.primes
+    a = top(params)
+    assert (a.residues == rg.prime_column(primes) - 1).all()
+    b = from_ints(params, data.draw(st.lists(
+        st.one_of(st.just(q - 1), st.integers(0, q - 1)),
+        min_size=n, max_size=n)))
+    plan = ntt.transform_plan(n, primes)
+    for x, y in ((a, a), (a, b)):
+        got = ntt.pointwise(x.residues, y.residues, plan)
+        assert got.tolist() == ref_products(x.residues, y.residues, primes)
+        want = ring_mul_schoolbook(x, y).residues
+        assert np.array_equal(rg.ring_mul(x, y).residues, want)
+        assert np.array_equal(rg.ring_mul(rg.to_ntt(x), y).residues, want)
+
+    k = data.draw(st.one_of(st.sampled_from([2**64, 2**64 - 1, q - 1]),
+                            st.integers(0, 2**64)))
+    for x in (a, b):
+        assert rg.mul_scalar(x, k).residues.tolist() == [
+            [r * k % p for r in row]
+            for row, p in zip(x.residues.tolist(), primes)]
+
+    assert rg.crt_lift(a).tolist() == [-1] * n == ref_crt_lift(params,
+                                                               a.residues)
+    digits, neg = rg._garner(primes, a.residues)
+    assert digits.T.tolist() == [ref_garner_digits(primes, q - 1)] * n
+    assert neg.all()
+    assert rg.crt_lift(b).tolist() == ref_crt_lift(params, b.residues)
+    for keep in range(1, len(primes)):
+        got = rg.scale_down(a, rg.leading_ring(params, keep))
+        assert got.residues.tolist() == ref_scale_down(params, keep,
+                                                       [q - 1] * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([1.0, -1.0, 1.0 - 2.0**-53,
+                                 -(1.0 - 2.0**-53), 0.5, -0.5, 0.0]),
+                min_size=16, max_size=16),
+       st.integers(62, 90), st.sampled_from([1, 3, 4]))
+def test_encoder_residue_paths_at_their_widest(xs, p, kappa):
+    # mantissas of 53 bits at shifts past 2^62 take the residue route of
+    # `encode_fixed`; -2^-k at the scale 2^k of `encode_real` is -1, every
+    # residue p - 1
+    bfv = bfv_params(t=2**100, log2_q=240)
+    pt = encode_fixed(np.array(xs), p, bfv)
+    want = ref_encode(xs, 1 << p)
+    assert rg.crt_lift(pt.element).tolist() == want
+    assert np.array_equal(pt.element.residues,
+                          from_ints(bfv.ring, want).residues)
+    ckks = ckks_params(kappa)
+    step = ckks.delta // kappa
+    vals = [x if abs(x) != 0.5 else -1.0 / step for x in xs]
+    pt = encode_real(np.array(vals), ckks)
+    want = ref_encode(vals, Fraction(step))
+    assert rg.crt_lift(pt.element).tolist() == want
+    assert np.array_equal(pt.element.residues,
+                          from_ints(ckks.ring, want).residues)
+
+
+def test_ring_operations_samplers_transforms_and_decoders_are_uint32():
+    params = bfv_params()
+    ring, n = params.ring, params.ring.n
+    rng = Xof.from_seed("uint32")
+    noise = rg.NoiseSpec.create(3)
+    a = rg.sample_uniform(ring, rng)
+    b = rg.from_coeffs(ring, np.arange(-n // 2, n // 2, dtype=np.int64))
+    plan = ntt.transform_plan(n, ring.primes)
+    fa = rg.to_ntt(a)
+    made = {
+        "zero": rg.zero(ring),
+        "from_coeffs": b,
+        "from_coeffs, wide": rg.from_coeffs(ring, np.full(n, -2**62)),
+        "mul_scalar": rg.mul_scalar(a, 2**70 + 1),
+        "ring_add": rg.ring_add(a, b),
+        "ring_neg": rg.ring_neg(a),
+        "ring_mul": rg.ring_mul(fa, b),
+        "to_ntt": fa,
+        "stack": rg.stack([a, b]),
+        "unstack": rg.unstack(rg.stack([a, b]))[1],
+        "scale_down": rg.scale_down(a, rg.leading_ring(ring, 1)),
+        "sample_uniform": a,
+        "sample_ternary": rg.sample_ternary(ring, [rng, rng]),
+        "sample_gaussian": rg.sample_gaussian(ring, noise, rng),
+        "sample_gaussian, sigma 0": rg.sample_gaussian(
+            ring, rg.NoiseSpec.create(0, 1), rng),
+        "sample_smudging": rg.sample_smudging(ring, 2**40, rng),
+        "sample_smudging, b 0": rg.sample_smudging(ring, 0, rng),
+        "encode_fixed": encode_fixed(np.zeros(n), 8, params).element,
+        "encode_fixed, residues": encode_fixed(np.ones(n), 70, bfv_params(
+            t=2**100, log2_q=240)).element,
+        "encode_real": encode_real(np.zeros(n), ckks_params()).element,
+    }
+    for name, el in made.items():
+        assert el.residues.dtype == np.uint32, name
+    for name, arr in (("forward", ntt.forward(a.residues, plan)),
+                      ("inverse", ntt.inverse(a.residues, plan)),
+                      ("pointwise", ntt.pointwise(fa.residues, fa.residues,
+                                                  plan))):
+        assert arr.dtype == np.uint32, name
+
+    ct = Ciphertext(c0=a, c1=b, scheme=BFV, adds_consumed=0,
+                    kappa=params.kappa)
+    blobs = [wire.serialize_ciphertext(ct),
+             wire.serialize_pk_share(PkShare(index=1, p0=a)),
+             wire.serialize_partial_dec(PartialDecryption(index=2, h=b))]
+    got = wire.deserialize_ciphertext(blobs[0], params)
+    decoded = [(blobs[0], got.c0, a), (blobs[0], got.c1, b),
+               (blobs[1], wire.deserialize_pk_share(blobs[1], params).p0, a),
+               (blobs[2], wire.deserialize_partial_dec(blobs[2], params).h,
+                b)]
+    for blob, el, want in decoded:
+        assert el.residues.dtype == np.uint32
+        assert np.array_equal(el.residues, want.residues)
+        # a view into the message, not a copy, and read-only
+        assert np.shares_memory(el.residues, np.frombuffer(blob, np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            el.residues[0, 0] = 0

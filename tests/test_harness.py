@@ -62,8 +62,8 @@ from oracles import primes_for
 
 def make_cfg(scheme="mbfv", n=1024, parties=2, lam=16, model_size=None,
              seed=7, t_bits=12, eps_inv_bits=12, fixed_point_bits=8,
-             rounds=1):
-    inputs = PlanInputs.create(n, parties, "3.2", lam, bound="19.2",
+             rounds=1, sigma="3.2", bound="19.2"):
+    inputs = PlanInputs.create(n, parties, sigma, lam, bound=bound,
                                t_bits=t_bits, eps_inv_bits=eps_inv_bits)
     return ProtocolConfig(
         scheme=scheme, plan_inputs=inputs,
@@ -587,13 +587,18 @@ def test_multiround_mckks_stays_within_plan_bound(tmp_path, capsys):
 @st.composite
 def small_protocol_configs(draw):
     """Both schemes over small rings, 1 to 6 parties, any smudging width
-    and precision, and a fixed-point grid that t has room for."""
+    and precision, noise from none to sigma 4 with a bound from 1/1000 to
+    20, and a fixed-point grid that t has room for."""
     n = 1 << draw(st.integers(2, 8))
     parties = draw(st.integers(1, 6))
     t_bits = draw(st.integers(10, 70))
+    sigma = draw(st.fractions(0, 4, max_denominator=1000))
+    bound = draw(st.fractions(max(sigma, Fraction(1, 1000)), 20,
+                              max_denominator=1000))
     return make_cfg(
         scheme=draw(st.sampled_from(["mbfv", "mckks"])), n=n,
-        parties=parties, lam=draw(st.integers(0, 200)), t_bits=t_bits,
+        sigma=sigma, bound=bound, parties=parties,
+        lam=draw(st.integers(0, 200)), t_bits=t_bits,
         eps_inv_bits=draw(st.integers(1, 70)),
         model_size=draw(st.integers(1, 3 * n)),
         seed=draw(st.integers(0, 2**32)), rounds=draw(st.integers(1, 2)),
@@ -616,10 +621,27 @@ lambda = 40
 eps_inv_bits = 52
 """
 
+# no noise and B = 1/1000: b_ct_mp is all but the encoding rounding's L/2,
+# which a plan once left out, so a run opened 0.44 against 9/500
+SCALE_BELOW_ONE = """\
+[protocol]
+scheme = mckks
+enforce_security = false
+
+[plan]
+n = 4
+parties = 1
+sigma = 0
+noise_bound = 0.001
+lambda = 0
+eps_inv_bits = 0
+"""
+
 
 @settings(max_examples=100, deadline=None)
 @given(small_protocol_configs())
 @example(parse_config(PINNED_MCKKS))
+@example(parse_config(SCALE_BELOW_ONE))
 def test_every_small_run_opens_within_its_plan(cfg):
     # MBFV opens exactly and MCKKS within b_ct_mp/delta; a seed replays
     # byte for byte, whatever the chunk groups
@@ -687,34 +709,24 @@ def test_error_check_edges():
             harness._check_error(cfg, art, bound, 4)
 
 
-def test_scale_below_one_plans_at_delta_1_and_a_missed_bound_exits_3(
+def test_scale_below_one_plans_at_delta_1_and_opens_within_its_bound(
         tmp_path, capsys):
-    # b_ct_mp * eps_inv = 9/500: delta is L * 2^0 = 1, not the 2^-5 that
-    # crashed with a negative shift. Encoding then rounds each value to an
-    # integer, up to 1/2 off, which b_ct_mp has no term for: the run opens
-    # outside the plan and says so with exit 3.
+    # b_ct_mp * eps_inv = 9/500 + 1/2: delta is L * 2^0 = 1, not the 2^-5
+    # that crashed with a negative shift. Encoding then rounds each value
+    # to an integer, up to 1/2 off, which the L/2 of b_ct_mp covers: the
+    # run opens within the plan.
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text("""\
-[protocol]
-scheme = mckks
-enforce_security = false
-
-[plan]
-n = 4
-parties = 1
-sigma = 0
-noise_bound = 0.001
-lambda = 0
-eps_inv_bits = 0
-""")
+    cfg_path.write_text(SCALE_BELOW_ONE)
     out = tmp_path / "plan.txt"
     assert cli.main(["plan", "-c", str(cfg_path), "-o", str(out)]) == 0
-    assert "b_ct_mp = 9/500\n" in out.read_text()
+    assert "b_ct_mp = 259/500\n" in out.read_text()
     assert "delta_ckks = 1\n" in out.read_text()
-    assert cli.main(["run", "-c", str(cfg_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("protocol failure: round 0: max_error ")
-    assert "below b_ct_mp/delta = 1.800000e-02" in err
+    assert cli.main(["run", "-c", str(cfg_path), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "transcript.txt").read_text().splitlines()
+    error = Fraction(next(line for line in lines
+                          if line.startswith("max_error =")).split()[2])
+    assert 0 < error < Fraction(259, 500)
 
 
 def test_chunk_groups_cap_residue_bytes():

@@ -55,19 +55,20 @@ def test_mp_bounds_small_case():
     got = mp_bounds(inputs_for(n=1024, parties=2, lam=0))
     assert got.b_ct == 2 * B192 * 4097 == Fraction("157324.8")
     assert got.b_smg == got.b_ct  # lambda = 0
-    assert got.b_ct_mp == 3 * got.b_ct == Fraction("471974.4")
+    assert got.b_ct_mp == 3 * got.b_ct + 1 == Fraction("471975.4")
 
 
 def test_mp_bounds_collapse_single_party():
     got = mp_bounds(inputs_for(n=512, parties=1, lam=0))
-    assert got.b_ct_mp == 2 * got.b_ct == 2 * B192 * (2 * 512 + 1)
+    assert got.b_ct_mp == 2 * got.b_ct + Fraction(1, 2) == (
+        2 * B192 * (2 * 512 + 1) + Fraction(1, 2))
 
 
 def test_mp_bounds_paper_scale():
     got = mp_bounds(inputs_for(n=16384, parties=16, lam=128))
     assert got.b_ct == 16 * B192 * 524289 == Fraction(805307904, 5)
     assert float(got.b_ct) == pytest.approx(1.611e8, rel=1e-3)
-    assert got.b_ct_mp == (1 + 16 * 2**64) * got.b_ct
+    assert got.b_ct_mp == (1 + 16 * 2**64) * got.b_ct + 8
     assert got.b_smg == 2**64 * got.b_ct
     assert float(got.b_smg) == pytest.approx(2.971e27, rel=1e-3)
 
