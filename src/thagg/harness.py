@@ -4,7 +4,7 @@ One run drives Setup / Input / Evaluation / Output over L clients plus an
 aggregator on synthetic model vectors. Every protocol message crosses the
 byte-counted message bus in its wire format, so serialization is exercised
 end to end: a client hands over the messages it posted, and the
-aggregator decodes them, one chunk group at a time, into its running sums.
+aggregator checks them all, then adds them into its running sums.
 The aggregator object only ever holds public material; it has no field
 that could carry a secret share. A client is its key share: a round's
 update is synthesized for its client's turn and dropped once encrypted,
@@ -41,7 +41,7 @@ from .schemes import (
     Ciphertext,
     PublicKey,
     SchemeParams,
-    add,
+    adds_after,
     bfv_round,
     ckks_scale_down,
     decode_fixed,
@@ -111,15 +111,15 @@ class Aggregator:
     submission, the senders and the running group-wise sum.
 
     A submission is a client's ciphertext messages, one per chunk in chunk
-    order. `receive` decodes it one group at a time (`decode_group`) and
-    folds each group into its running sum as it goes, so besides the sum
-    it holds the messages, one decoded group and at most one superseded
-    group sum. `evaluate` releases the sum only if each of the parties
-    1..L submitted once; a submission beyond L, or one of the wrong
-    message count, fails at once. A refused submission leaves the sum and
-    the senders as they were: a group folded before a later one failed is
-    subtracted back out, exactly. A sender is recorded only once its whole
-    submission is folded in.
+    order. `receive` decodes and checks every message first, as read-only
+    views into the messages, and then the capacity left in the sum; only a
+    submission that passes all checks is added, chunk by chunk, in place
+    into the sum (`aggregator_eval_step`), a fold that cannot fail. So a
+    refused submission leaves the sum and the senders as they were, and no
+    message is decoded twice. The sum is allocated once, zeroed, at the
+    first accepted submission. `evaluate` releases the sum only if each of
+    the parties 1..L submitted once; a submission beyond L, or one of the
+    wrong message count, fails at once.
     """
 
     def __init__(self, parties: int, params: SchemeParams,
@@ -139,25 +139,24 @@ class Aggregator:
             raise LengthMismatchError(
                 f"party {sender} submitted {len(messages)} messages, want "
                 f"{want}")
-
-        def decode(g: range) -> Ciphertext:
-            return decode_group(self.params, messages[g.start : g.stop])
-
+        cts = [wire.deserialize_ciphertext(blob, self.params)
+               for blob in messages]
+        spent = max(ct.adds_consumed for ct in cts)
         if self.total is None:
-            self.total = list(map(decode, self.groups))
-        else:
-            folded = 0
-            try:
-                for i, group in enumerate(self.groups):
-                    (self.total[i],) = aggregator_eval_step([self.total[i]],
-                                                            [decode(group)])
-                    folded = i + 1
-            except ProtocolFailure:  # a bad message, or no capacity left
-                # R_q is exact: adding -batch restores the sum bit for bit
-                for i, group in enumerate(self.groups[:folded]):
-                    self.total[i] = _subtract(self.total[i], decode(group))
-                raise
+            self.total = [self._zero_sum(len(g)) for g in self.groups]
+        else:  # the last check
+            spent = adds_after(self.total[0].adds_consumed, spent,
+                               self.params.kappa)
+        aggregator_eval_step(self.total, cts)
+        for acc in self.total:
+            acc.adds_consumed = spent
         self.senders = senders
+
+    def _zero_sum(self, chunks: int) -> Ciphertext:
+        p = self.params
+        return Ciphertext(c0=rg.zero(p.dec_ring, lead=(chunks,)),
+                          c1=rg.zero(p.ring, lead=(chunks,)),
+                          scheme=p.scheme, adds_consumed=0, kappa=p.kappa)
 
     def evaluate(self) -> list[Ciphertext]:
         check_parties(self.senders, self.parties, "ciphertext submission")
@@ -336,31 +335,16 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
     return out
 
 
-def decode_group(params: SchemeParams, messages: list[bytes]) -> Ciphertext:
-    """A group's messages, one chunk each, decoded into one group batch."""
-    cts = [wire.deserialize_ciphertext(blob, params) for blob in messages]
-    return replace(cts[0], c0=rg.stack([ct.c0 for ct in cts]),
-                   c1=rg.stack([ct.c1 for ct in cts]),
-                   adds_consumed=max(ct.adds_consumed for ct in cts))
-
-
 def aggregator_eval_step(total: list[Ciphertext],
-                         cts: list[Ciphertext]) -> list[Ciphertext]:
-    """Group batches added into the running group sums: one addition per
-    group batch. The groups must match in number and shape."""
-    shapes = [ct.c1.residues.shape for ct in total]
-    got = [ct.c1.residues.shape for ct in cts]
-    if got != shapes:
-        raise LengthMismatchError(
-            f"submission groups differ: {got} vs {shapes}")
-    return [add(acc, ct) for acc, ct in zip(total, cts)]
-
-
-def _subtract(total: Ciphertext, batch: Ciphertext) -> Ciphertext:
-    """The group sum before `batch` was added into it (`add` undone)."""
-    return replace(total, c0=rg.ring_add(total.c0, rg.ring_neg(batch.c0)),
-                   c1=rg.ring_add(total.c1, rg.ring_neg(batch.c1)),
-                   adds_consumed=total.adds_consumed - batch.adds_consumed - 1)
+                         cts: list[Ciphertext]) -> None:
+    """One submission's chunk ciphertexts, in chunk order, added in place
+    into the running group sums: each chunk's c0 and c1 into its row of its
+    group's sum. The caller has checked the rings, count and capacity."""
+    rows = (row for acc in total
+            for row in zip(rg.unstack(acc.c0), rg.unstack(acc.c1)))
+    for (c0, c1), ct in zip(rows, cts):
+        rg.add_into(c0, ct.c0)
+        rg.add_into(c1, ct.c1)
 
 
 def output_step(cfg: ProtocolConfig, params: SchemeParams,

@@ -14,9 +14,10 @@ sampling or switching paths, nor by a lift at q < 2^62.
 
 Residues may carry leading batch axes, shape (..., limbs, n): the ring
 operations, the transforms, `from_coeffs` and `scale_down` act on every
-entry of a batch at once (`stack` builds one, `unstack` takes it apart),
-and so does `crt_lift`. A sampler given B streams draws a batch of B, one
-entry per stream, each as a call on that stream alone would draw it. A
+entry of a batch at once (`unstack` takes one apart into views, which
+`add_into` can add into in place), and so does `crt_lift`. A sampler
+given B streams draws a batch of B, one entry per stream, each as a call
+on that stream alone would draw it. A
 sampler reads each of its streams front to back (`rng`), in one pass where
 it can, and the stream's next reader continues after the sampler's bytes.
 """
@@ -112,8 +113,10 @@ def _plan(params: RingParams) -> ntt.TransformPlan:
     return ntt.transform_plan(params.n, params.primes)
 
 
-def zero(params: RingParams, domain: str = COEFF) -> RingElement:
-    res = np.zeros((len(params.primes), params.n), dtype=np.uint32)
+def zero(params: RingParams, domain: str = COEFF,
+         lead: tuple[int, ...] = ()) -> RingElement:
+    """The zero element, or a batch of zeros of leading shape `lead`."""
+    res = np.zeros((*lead, len(params.primes), params.n), dtype=np.uint32)
     return RingElement(params, res, domain)
 
 
@@ -326,20 +329,16 @@ def ring_add(a: RingElement, b: RingElement) -> RingElement:
                        a.domain)
 
 
+def add_into(acc: RingElement, b: RingElement) -> None:
+    """acc += b in R_q, in place: acc's residues are written, not replaced."""
+    _check_pair(acc, b, same_domain=True)
+    np.add(acc.residues, b.residues, out=acc.residues)
+    _reduce_once(acc.residues, prime_column(acc.params.primes))
+
+
 def ring_neg(a: RingElement) -> RingElement:
     p = prime_column(a.params.primes)
     return RingElement(a.params, _reduce_once(p - a.residues, p), a.domain)
-
-
-def stack(elements: list[RingElement]) -> RingElement:
-    """Elements of one ring and domain as one batch, shape (B, limbs, n).
-    A single element gets a batch axis as a view, without a copy."""
-    first = elements[0]
-    for el in elements[1:]:
-        _check_pair(first, el, same_domain=True)
-    res = (first.residues[None] if len(elements) == 1
-           else np.stack([el.residues for el in elements]))
-    return RingElement(first.params, res, first.domain)
 
 
 def unstack(a: RingElement) -> list[RingElement]:
@@ -472,12 +471,6 @@ def _pieces_mod(pieces: list[np.ndarray], params: RingParams,
     return res
 
 
-def _zeros(params: RingParams, rng: Xof | Sequence[Xof]) -> RingElement:
-    lead = _streams(rng)[1]
-    res = np.zeros((*lead, len(params.primes), params.n), dtype=np.uint32)
-    return RingElement(params, res, COEFF)
-
-
 def sample_uniform(params: RingParams, rng: Xof | Sequence[Xof]) -> RingElement:
     """Each coefficient uniform mod q, drawn by rejection on (log2 q)-bit draws."""
     pieces = _uniform_draws(rng, params.n, params.q - 1)
@@ -562,9 +555,9 @@ def sample_gaussian(params: RingParams, spec: NoiseSpec,
     the full table: about 2.003 bytes per coefficient. A batch reads every
     stream's prefixes, then every stream's low bits, each in one pass.
     """
-    if spec.sigma == 0:
-        return _zeros(params, rng)
     rngs, lead = _streams(rng)
+    if spec.sigma == 0:
+        return zero(params, lead=lead)
     n = params.n
     cdt = _cdt(spec)
     prefix = np.frombuffer(b"".join([r.read(2 * n) for r in rngs]), "<u2")
@@ -588,6 +581,6 @@ def sample_smudging(params: RingParams, b_smg,
     if b < 0:
         raise ValueError("smudging bound must be >= 0")
     if b == 0:
-        return _zeros(params, rng)
+        return zero(params, lead=_streams(rng)[1])
     pieces = _uniform_draws(rng, params.n, 2 * b)
     return RingElement(params, _pieces_mod(pieces, params, offset=b), COEFF)

@@ -244,10 +244,10 @@ def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext,
     """ct = (delta*m + u*p0 + e0, u*p1 + e1); keyword hooks inject randomness.
 
     A batch of plaintexts with a batch of u, e0 and e1 (each of shape
-    (B, limbs, n), one entry per ciphertext, `ring.stack`) gives a batch of
-    ciphertexts: one forward transform, two inverse transforms and the sums
-    for all of them. rng is a stream, or one per batch entry; each is read
-    for u, then e0, then e1, and only for a hook not given.
+    (B, limbs, n), one entry per ciphertext) gives a batch of ciphertexts:
+    one forward transform, two inverse transforms and the sums for all of
+    them. rng is a stream, or one per batch entry; each is read for u, then
+    e0, then e1, and only for a hook not given.
     """
     if pt.scheme != params.scheme:
         raise PlaintextRangeError(
@@ -268,13 +268,19 @@ def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext,
                       adds_consumed=0, kappa=params.kappa)
 
 
+def adds_after(consumed: int, other: int, kappa: int) -> int:
+    """adds_consumed of the sum of ciphertexts that consumed `consumed` and
+    `other` additions: one more than both, or CapacityError above kappa."""
+    spent = consumed + other + 1
+    if spent > kappa:
+        raise CapacityError(f"{spent} additions exceed capacity kappa={kappa}")
+    return spent
+
+
 def add(ct: Ciphertext, other: Ciphertext) -> Ciphertext:
     if ct.scheme != other.scheme:
         raise PlaintextRangeError("cannot add ciphertexts of different schemes")
-    spent = ct.adds_consumed + other.adds_consumed + 1
-    if spent > ct.kappa:
-        raise CapacityError(
-            f"{spent} additions exceed capacity kappa={ct.kappa}")
+    spent = adds_after(ct.adds_consumed, other.adds_consumed, ct.kappa)
     return Ciphertext(c0=rg.ring_add(ct.c0, other.c0),
                       c1=rg.ring_add(ct.c1, other.c1),
                       scheme=ct.scheme, adds_consumed=spent, kappa=ct.kappa)

@@ -103,7 +103,7 @@ def combine_pk(params: SchemeParams, shares: list[PkShare],
     check_parties([sh.index for sh in shares], parties, "public-key share")
     acc = rg.zero(params.ring)
     for sh in shares:
-        acc = rg.ring_add(acc, sh.p0)
+        rg.add_into(acc, sh.p0)
     return PublicKey(p0=rg.to_ntt(acc), p1=p1)
 
 
@@ -163,7 +163,7 @@ def combine_decrypt(params: SchemeParams, ct: Ciphertext,
             f"c0 is on {len(ct.c0.params.primes)} limbs; collective "
             f"decryption needs it rounded to the {len(params.dec_ring.primes)} "
             "limbs of q' (switch_c0)")
-    acc = ct.c0
+    acc = replace(ct.c0, residues=ct.c0.residues.copy())  # the combine's own
     for part in partials:
-        acc = rg.ring_add(acc, part.h)
+        rg.add_into(acc, part.h)
     return acc

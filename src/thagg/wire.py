@@ -21,7 +21,8 @@ Versions 1 (u64 residues) and 2 (c0 at the full q) are not read.
 
 All integers are little-endian. Elements are serialized in the coefficient
 domain; an NTT-domain element (a stored key) raises `DomainMismatchError`,
-and a batch of elements (`ring.stack`) raises `WireFormatError`.
+and a batch of elements (residues of shape (B, limbs, n)) raises
+`WireFormatError`.
 A decoder accepts only the receiver's own rings (n and primes as in
 `expected.ring`; c0 and a partial decryption on `expected.dec_ring`, so a
 c0 or share left at the full q is refused), residues below their primes,

@@ -8,8 +8,9 @@ Each oracle takes its own route to its answer:
   noise probe `noise_of`, which reads the secret key;
 - `ring_mul_schoolbook`, the O(n^2) negacyclic convolution that never
   calls the NTT, and `inf_norm` over centered coefficients;
-- `ring_sub` and `from_ntt`, ring operations beside `ring.ring_add` and
-  `ring.to_ntt` that only the tests need;
+- `ring_sub`, `from_ntt` and `stack`, ring operations beside
+  `ring.ring_add`, `ring.to_ntt` and `ring.unstack` that only the tests
+  need;
 - `from_ints`, a ring element from Python integers of any size, reduced
   one `int(c) % p` at a time (`ring.from_coeffs` takes int64 arrays only);
 - `reconstruct_ideal_key`, the sum of all key shares, which no protocol
@@ -259,6 +260,16 @@ def ring_sub(a: RingElement, b: RingElement) -> RingElement:
     p = rg.prime_column(a.params.primes)
     return RingElement(a.params, _reduce_once(a.residues + (p - b.residues), p),
                        a.domain)
+
+
+def stack(elements: list[RingElement]) -> RingElement:
+    """Elements of one ring and domain as one batch, shape (B, limbs, n),
+    copied: the batches the tests build by hand."""
+    for el in elements[1:]:
+        _check_pair(elements[0], el, same_domain=True)
+    return RingElement(elements[0].params,
+                       np.stack([el.residues for el in elements]),
+                       elements[0].domain)
 
 
 def from_ntt(a: RingElement) -> RingElement:

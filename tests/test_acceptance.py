@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thagg import ntt
+from thagg import ntt, wire
 from thagg import ring as rg
 from thagg.config import ProtocolConfig
-from thagg.harness import aggregator_eval_step, run_protocol
+from thagg.harness import Aggregator, chunk_groups, run_protocol
 from thagg.planner import (
     MBFV,
     MCKKS,
@@ -345,16 +345,17 @@ def test_c9c_aggregation_time_linear_in_parties():
         pt = bfv_plaintext(params, [1] * params.ring.n)
         ct = encrypt(params, pk, pt, root.child("e"))
         chunks = 400
+        messages = [wire.serialize_ciphertext(ct)] * chunks
+        groups = chunk_groups(chunks, params.ring)
         sizes = [2, 4, 8, 16]
         times = []
         for parties in sizes:
-            lists = [[ct] * chunks for _ in range(parties)]
             best = float("inf")
             for _ in range(5):
+                agg = Aggregator(parties, params, groups)
                 t0 = time.perf_counter()
-                total = lists[0]
-                for cts in lists[1:]:
-                    total = aggregator_eval_step(total, cts)
+                for i in range(1, parties + 1):
+                    agg.receive(i, messages)
                 best = min(best, time.perf_counter() - t0)
             times.append(best)
 

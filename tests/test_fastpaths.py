@@ -49,7 +49,7 @@ from thagg.schemes import (
 )
 
 from oracles import (bfv_round_rational, cdt_gaussian, from_ints, half_q,
-                     primes_for, ring_mul_schoolbook, ring_sub)
+                     primes_for, ring_mul_schoolbook, ring_sub, stack)
 
 # ---------------------------------------------------------------------------
 # scalar references
@@ -597,7 +597,7 @@ def test_crt_lift_edges(params):
     assert lifted.tolist() == want == ref_crt_lift(params, el.residues)
     assert list(lifted) == want
     assert lifted.dtype == (np.int64 if q < 2**62 else object)
-    assert rg.crt_lift(rg.stack([el, el])).tolist() == [want, want]
+    assert rg.crt_lift(stack([el, el])).tolist() == [want, want]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1199,6 +1199,8 @@ def test_ring_operations_samplers_transforms_and_decoders_are_uint32():
     b = rg.from_coeffs(ring, np.arange(-n // 2, n // 2, dtype=np.int64))
     plan = ntt.transform_plan(n, ring.primes)
     fa = rg.to_ntt(a)
+    into = rg.zero(ring)
+    rg.add_into(into, b)
     made = {
         "zero": rg.zero(ring),
         "from_coeffs": b,
@@ -1208,8 +1210,8 @@ def test_ring_operations_samplers_transforms_and_decoders_are_uint32():
         "ring_neg": rg.ring_neg(a),
         "ring_mul": rg.ring_mul(fa, b),
         "to_ntt": fa,
-        "stack": rg.stack([a, b]),
-        "unstack": rg.unstack(rg.stack([a, b]))[1],
+        "unstack": rg.unstack(stack([a, b]))[1],
+        "add_into": into,
         "scale_down": rg.scale_down(a, rg.leading_ring(ring, 1)),
         "sample_uniform": a,
         "sample_ternary": rg.sample_ternary(ring, [rng, rng]),

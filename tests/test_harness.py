@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import tracemalloc
 import weakref
@@ -32,11 +33,9 @@ from thagg.harness import (
     MessageBus,
     SetupArtifacts,
     Transcript,
-    aggregator_eval_step,
     chunk_count,
     cleartext_oracle,
     client_input_step,
-    decode_group,
     derive_scheme_params,
     group_layout,
     output_step,
@@ -45,9 +44,9 @@ from thagg.harness import (
     synthesize_update,
 )
 from thagg.planner import PlanInputs
-from thagg.ring import RingParams, sample_uniform, stack, unstack
+from thagg.ring import RingParams, sample_uniform, unstack
 from thagg.rng import Xof
-from thagg.schemes import BFV, Ciphertext, encrypt, setup
+from thagg.schemes import BFV, Ciphertext, add, encrypt, setup
 from thagg.threshold import (
     PartialDecryption,
     PkShare,
@@ -57,7 +56,7 @@ from thagg.threshold import (
 )
 from thagg import wire
 
-from oracles import primes_for
+from oracles import primes_for, stack
 
 
 def make_cfg(scheme="mbfv", n=1024, parties=2, lam=16, model_size=None,
@@ -80,10 +79,23 @@ def submit(cfg, art, root, index, bus):
 
 
 def decoded(cfg, art, messages):
-    """A submission's messages decoded into its group batches, as the
-    aggregator decodes them."""
-    return [decode_group(art.params, messages[g.start : g.stop])
-            for g in group_layout(cfg, art.params)]
+    """A submission's messages decoded into its group batches, copied:
+    the group sums of this one submission."""
+    out = []
+    for g in group_layout(cfg, art.params):
+        cts = [wire.deserialize_ciphertext(blob, art.params)
+               for blob in messages[g.start : g.stop]]
+        out.append(dataclasses.replace(
+            cts[0], c0=stack([ct.c0 for ct in cts]),
+            c1=stack([ct.c1 for ct in cts]),
+            adds_consumed=max(ct.adds_consumed for ct in cts)))
+    return out
+
+
+def summed(*lists):
+    """Group batches added group by group with `schemes.add`, the
+    reference the aggregator's in-place fold is checked against."""
+    return [functools.reduce(add, group) for group in zip(*lists)]
 
 
 def same_sums(got, want):
@@ -164,9 +176,8 @@ def test_input_step_chunk_shapes_and_zero_vector():
     # a zero vector opens to zero through the full threshold path
     other = decoded(cfg, art, client_input_step(cfg, art.params, 2, zeros,
                                                 art.cpk, root, 0, bus))
-    summed = aggregator_eval_step(cts, other)
-    opened = output_step(cfg, art.params, art.shares, summed, art.report,
-                         root, 0, bus)
+    opened = output_step(cfg, art.params, art.shares, summed(cts, other),
+                         art.report, root, 0, bus)
     assert list(opened) == [Fraction(0)] * cfg.model_size
 
 
@@ -194,13 +205,6 @@ def test_eval_step_identity_and_mismatch():
     solo = aggregator(cfg, art, 1)
     solo.receive(1, subs[0])
     same_sums(solo.evaluate(), lists[0])
-    # one group of both chunks; a group of one would broadcast against it
-    (group,) = lists[1]
-    first = dataclasses.replace(group, c0=stack(unstack(group.c0)[:1]),
-                                c1=stack(unstack(group.c1)[:1]))
-    for bad in ([], [first]):
-        with pytest.raises(LengthMismatchError, match="groups differ"):
-            aggregator_eval_step(lists[0], bad)
     with pytest.raises(ShareSetError):
         aggregator(cfg, art, 2).evaluate()
 
@@ -221,15 +225,12 @@ def test_aggregator_folds_submissions_as_they_arrive():
     # no per-client store
     assert vars(agg).keys() == {"parties", "params", "groups", "senders",
                                 "total"}
-    want = aggregator_eval_step(aggregator_eval_step(lists[0], lists[1]),
-                                lists[2])
+    want = summed(*lists)
     got = agg.evaluate()
     # both chunks in one group batch, each summed over the 3 clients
     assert [ct.adds_consumed for ct in got] == [2]
     assert got[0].c1.residues.shape == (2, 2, 1024)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.c0.residues, b.c0.residues)
-        assert np.array_equal(a.c1.residues, b.c1.residues)
+    same_sums(got, want)
 
 
 def test_aggregation_order_does_not_change_opened_value():
@@ -239,12 +240,10 @@ def test_aggregation_order_does_not_change_opened_value():
     root = Xof.from_seed(5)
     lists = [decoded(cfg, art, submit(cfg, art, root, sh.index, bus))
              for sh in art.shares]
-    fwd = output_step(cfg, art.params, art.shares,
-                      aggregator_eval_step(*lists), art.report,
-                      root.child("d1"), 0, bus)
-    rev = output_step(cfg, art.params, art.shares,
-                      aggregator_eval_step(*reversed(lists)), art.report,
-                      root.child("d2"), 0, bus)
+    fwd = output_step(cfg, art.params, art.shares, summed(*lists),
+                      art.report, root.child("d1"), 0, bus)
+    rev = output_step(cfg, art.params, art.shares, summed(*reversed(lists)),
+                      art.report, root.child("d2"), 0, bus)
     assert fwd == rev
 
 
@@ -339,86 +338,125 @@ def test_a_misshaped_first_submission_does_not_set_the_shapes():
         agg.evaluate()
 
 
-def tampered_last(cfg, art, messages, how):
-    """The submission with its last message made unusable: its last c1
-    residue (on the last prime) set to that prime, or adds_consumed set to
-    kappa, which the wire takes but no fold has room for."""
-    last = messages[-1]
-    if how == "residue":
-        p = art.params.ring.primes[-1]
-        last = last[:-8] + p.to_bytes(4, "little") + last[-4:]
-    else:
-        last = last[:-4] + art.params.kappa.to_bytes(4, "little")
-    return messages[:-1] + [last]
-
-
-@pytest.mark.parametrize("how, error", [("residue", WireFormatError),
-                                        ("adds", CapacityError)])
-def test_a_late_bad_message_leaves_the_sums_bit_for_bit(how, error,
-                                                        monkeypatch):
-    # party 2's last message fails after its first two groups were folded
-    # in: they are subtracted back out, so the sums are those of parties 1
-    # and 3 alone, and party 2 can submit again; the round opens exactly
-    monkeypatch.setattr(harness, "BATCH_BYTES", 0)  # one chunk per group
-    cfg = make_cfg(parties=3, model_size=3072)
-    art = run_setup(cfg)
-    assert len(group_layout(cfg, art.params)) == 3
-    subs = submissions(cfg, art)
-    bad = tampered_last(cfg, art, subs[2], how)
-    agg, others = aggregator(cfg, art), aggregator(cfg, art)
-    for i in (1, 3):
-        agg.receive(i, subs[i])
-        others.receive(i, subs[i])
-    with pytest.raises(error):
-        agg.receive(2, bad)
-    assert agg.senders == [1, 3]
-    same_sums(agg.total, others.total)
-    # a bad message in the first submission sets no sum
-    first = aggregator(cfg, art)
-    with pytest.raises(WireFormatError):
-        first.receive(2, tampered_last(cfg, art, subs[2], "residue"))
-    assert first.senders == [] and first.total is None
-    agg.receive(2, subs[2])
-    opened = output_step(cfg, art.params, art.shares, agg.evaluate(),
-                         art.report, Xof.from_seed(1), 0, MessageBus())
+@functools.lru_cache(maxsize=None)
+def three_groups():
+    """A 3-party round of 3 chunks in 3 groups (`BATCH_BYTES` = 0): the
+    config, the setup, the group layout, every party's messages and what
+    the round must open to."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "BATCH_BYTES", 0)  # one chunk per group
+        cfg = make_cfg(parties=3, model_size=3072)
+        art = run_setup(cfg)
+        groups = group_layout(cfg, art.params)
+    assert len(groups) == 3
     root = Xof.from_seed(cfg.root_seed)
     oracle = cleartext_oracle(cfg, [synthesize_update(cfg, root, i, 0)
                                     for i in (1, 2, 3)])
+    return cfg, art, groups, submissions(cfg, art), oracle
+
+
+def tampered(params, blob, fault, draw):
+    """A ciphertext message made unusable: a residue on a drawn limb of c0
+    or c1 set to its prime, its last byte cut off, or its version field
+    changed."""
+    if fault == "residue":
+        ring, k_dec = params.ring, len(params.dec_ring.primes)
+        in_c1 = draw(st.booleans(), label="in c1")
+        limb = draw(st.integers(0, len((ring if in_c1 else params.dec_ring)
+                                       .primes) - 1), label="limb")
+        coeff = draw(st.integers(0, ring.n - 1), label="coefficient")
+        # after the 13 + 8k header bytes, c0 on k' limbs, then c1
+        at = 13 + 8 * len(ring.primes) + 4 * (
+            ring.n * (k_dec * in_c1 + limb) + coeff)
+        return (blob[:at] + ring.primes[limb].to_bytes(4, "little")
+                + blob[at + 4:])
+    if fault == "truncated":
+        return blob[:-1]
+    version = draw(st.integers(0, 0xFFFF).filter(lambda v: v != wire.VERSION),
+                   label="version")
+    return blob[:4] + version.to_bytes(2, "little") + blob[6:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_refused_submission_leaves_the_sums_bit_for_bit(data):
+    # party 2's submission, the first the aggregator gets or one after
+    # parties 1 and 3, has one bad message (first, middle or last). Every
+    # message is checked before any is added, so the refusal leaves the
+    # senders and the sums (the same arrays, bit for bit) as they were, and
+    # party 2 can submit again; the round then opens exactly
+    cfg, art, groups, subs, oracle = three_groups()
+    late = data.draw(st.booleans(), label="late")
+    at = data.draw(st.sampled_from([0, 1, 2]), label="message")
+    fault = data.draw(st.sampled_from(["residue", "adds", "truncated",
+                                       "version"]), label="fault")
+    bad = list(subs[2])
+    if fault == "adds":
+        # what the sum has no room for: kappa after other submissions; a
+        # first one may have consumed kappa, so kappa + 1, which the wire
+        # refuses
+        adds = art.params.kappa + (not late)
+        bad[at] = bad[at][:-4] + adds.to_bytes(4, "little")
+    else:
+        bad[at] = tampered(art.params, bad[at], fault, data.draw)
+    error = CapacityError if fault == "adds" and late else WireFormatError
+    earlier = [1, 3] if late else []
+    agg = Aggregator(cfg.parties, art.params, groups)
+    for i in earlier:
+        agg.receive(i, subs[i])
+    sums = agg.total
+    held = None if sums is None else [
+        (ct, ct.c0.residues, ct.c1.residues, ct.c0.residues.copy(),
+         ct.c1.residues.copy(), ct.adds_consumed) for ct in sums]
+    with pytest.raises(ProtocolFailure) as info:
+        agg.receive(2, bad)
+    assert type(info.value) is error
+    assert agg.senders == earlier
+    assert agg.total is sums
+    for (ct, c0, c1, c0_was, c1_was, adds), now in zip(held or [], sums or []):
+        assert now is ct and ct.c0.residues is c0 and ct.c1.residues is c1
+        assert np.array_equal(c0, c0_was) and np.array_equal(c1, c1_was)
+        assert ct.adds_consumed == adds
+    for i in [2] + ([] if late else [1, 3]):
+        agg.receive(i, subs[i])
+    opened = output_step(cfg, art.params, art.shares, agg.evaluate(),
+                         art.report, Xof.from_seed(1), 0, MessageBus())
     assert opened.max_abs_diff(oracle) == 0
 
 
-def test_receive_holds_one_decoded_group_and_one_superseded_sum(
-        monkeypatch):
-    # weak references: no ciphertext decoded from a submission outlives its
-    # receive, and while a group is folded in, the sum it replaces is the
-    # only superseded group sum still alive
-    monkeypatch.setattr(harness, "BATCH_BYTES", 0)  # one chunk per group
-    cfg = make_cfg(parties=3, model_size=3072)
-    art = run_setup(cfg)
-    subs = submissions(cfg, art)
+def test_receive_folds_in_place(monkeypatch):
+    # the group sums are allocated at the first accepted receive and
+    # written in place from then to evaluate; every message is decoded
+    # once, and (weak references) no decoded ciphertext outlives its receive
+    cfg, art, groups, subs, _ = three_groups()
     assert all(type(m) is bytes for msgs in subs.values() for m in msgs)
-    decode, fold = wire.deserialize_ciphertext, harness.aggregator_eval_step
-    received, superseded = [], []
+    decode = wire.deserialize_ciphertext
+    decoded_from, received = [], []
 
     def watched_decode(blob, params):
         ct = decode(blob, params)
+        decoded_from.append(blob)
         received.append(weakref.ref(ct))
         return ct
 
-    def watched_fold(total, cts):
-        received.extend(weakref.ref(ct) for ct in cts)
-        superseded.extend(weakref.ref(ct) for ct in total)
-        assert sum(ref() is not None for ref in superseded) <= 1
-        return fold(total, cts)
-
     monkeypatch.setattr(wire, "deserialize_ciphertext", watched_decode)
-    monkeypatch.setattr(harness, "aggregator_eval_step", watched_fold)
-    agg = aggregator(cfg, art)
+    agg = Aggregator(cfg.parties, art.params, groups)
+
+    def arrays():
+        return [el.residues for ct in agg.total for el in (ct.c0, ct.c1)]
+
+    first = None
     for i in (1, 2, 3):
         agg.receive(i, subs[i])
         assert all(ref() is None for ref in received)
-    assert len(received) == 3 * 3 + 2 * 3  # each message, each folded group
-    assert len(superseded) == 2 * 3  # one add per group after the first
+        first = first or arrays()
+        assert len(arrays()) == 6
+        assert all(a is b for a, b in zip(arrays(), first))
+    assert all(a is b for a, b in zip(
+        [el.residues for ct in agg.evaluate() for el in (ct.c0, ct.c1)],
+        first))
+    assert list(map(id, decoded_from)) == [id(m) for i in (1, 2, 3)
+                                           for m in subs[i]]
 
 
 # ---------------------------------------------------------------------------

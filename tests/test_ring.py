@@ -21,6 +21,7 @@ from thagg.ring import (
     NTT,
     NoiseSpec,
     RingParams,
+    add_into,
     crt_lift,
     ring_add,
     ring_mul,
@@ -29,7 +30,6 @@ from thagg.ring import (
     sample_smudging,
     sample_ternary,
     sample_uniform,
-    stack,
     to_ntt,
     unstack,
     zero,
@@ -47,6 +47,7 @@ from oracles import (
     inf_norm,
     ring_mul_schoolbook,
     ring_sub,
+    stack,
     uniform_below,
 )
 
@@ -203,14 +204,21 @@ def test_batched_ring_ops_match_schoolbook_and_single_calls(n):
             assert np.array_equal(g.residues, op(*els).residues)
 
 
-def test_stack_of_one_is_a_view():
+def test_add_into_matches_ring_add_in_place():
+    # into a batch entry, as the aggregator folds a chunk into its row: the
+    # batch's own array is written, every other entry is left as it was
     params = params_for(8, count=2)
-    a = rand_element(params, 3)
-    one = stack([a])
-    assert one.residues.shape == (1, 2, 8) and one.residues.base is a.residues
-    assert unstack(one)[0].residues.base is a.residues
+    a, b, c = (rand_element(params, seed) for seed in (3, 4, 5))
+    batch = stack([a, b])
+    res = batch.residues
+    add_into(unstack(batch)[1], c)
+    assert batch.residues is res
+    assert np.array_equal(res[0], a.residues)
+    assert np.array_equal(res[1], ring_add(b, c).residues)
     with pytest.raises(DomainMismatchError):
-        stack([a, to_ntt(a)])
+        add_into(a, to_ntt(c))
+    with pytest.raises(ParamsMismatchError):
+        add_into(a, rand_element(params_for(8, count=1), 6))
 
 
 def test_ntt_domain_flags_and_roundtrip():
