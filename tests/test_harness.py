@@ -377,6 +377,47 @@ def tampered(params, blob, fault, draw):
     return blob[:4] + version.to_bytes(2, "little") + blob[6:]
 
 
+def tampered_last(art, messages, how):
+    """The submission with its last message made unusable: its last c1
+    residue (on the last prime) set to that prime, or adds_consumed set to
+    kappa, which the wire takes but no fold has room for."""
+    last = messages[-1]
+    if how == "residue":
+        p = art.params.ring.primes[-1]
+        last = last[:-8] + p.to_bytes(4, "little") + last[-4:]
+    else:
+        last = last[:-4] + art.params.kappa.to_bytes(4, "little")
+    return messages[:-1] + [last]
+
+
+@pytest.mark.parametrize("how, error", [("residue", WireFormatError),
+                                        ("adds", CapacityError)])
+def test_a_late_bad_message_leaves_the_sums_bit_for_bit(how, error):
+    # party 2's last message is bad, after parties 1 and 3 were folded in:
+    # its first two groups are not added either, so the sums are those of
+    # parties 1 and 3 alone, and party 2 can submit again; the round opens
+    # exactly
+    cfg, art, groups, subs, oracle = three_groups()
+    agg, others = (Aggregator(cfg.parties, art.params, groups)
+                   for _ in range(2))
+    for i in (1, 3):
+        agg.receive(i, subs[i])
+        others.receive(i, subs[i])
+    with pytest.raises(error):
+        agg.receive(2, tampered_last(art, subs[2], how))
+    assert agg.senders == [1, 3]
+    same_sums(agg.total, others.total)
+    # a bad message in the first submission sets no sum
+    first = Aggregator(cfg.parties, art.params, groups)
+    with pytest.raises(WireFormatError):
+        first.receive(2, tampered_last(art, subs[2], "residue"))
+    assert first.senders == [] and first.total is None
+    agg.receive(2, subs[2])
+    opened = output_step(cfg, art.params, art.shares, agg.evaluate(),
+                         art.report, Xof.from_seed(1), 0, MessageBus())
+    assert opened.max_abs_diff(oracle) == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_a_refused_submission_leaves_the_sums_bit_for_bit(data):
