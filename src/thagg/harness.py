@@ -63,15 +63,14 @@ from .threshold import (
     switch_c0,
 )
 
-# Most residue bytes per batched ring operation (`chunk_groups`), at 8 bytes
-# a residue. A transform call has a fixed cost that a batch of small chunks
-# shares, while stacking large ones only slows them (measurements in the
-# `ntt` notes): 8 chunks of 2 x 2048 per call, one chunk of 5 x 16384. With
-# the kernels' ufunc buffer cut to a tile, 16 chunks of 2 x 2048 cost about
-# what 8 do per chunk (0.21 against 0.23 ms per inverse) and 32 cost more
-# (0.30 ms). Residues are 4-byte uint32 now; the 8 stays on purpose, so the
-# group layout does not move. Re-tuning it is a separate, measured change.
-BATCH_BYTES = 256 << 10
+# Most residue bytes per batched ring operation (`group_layout`), at 4 bytes
+# a uint32 residue. A transform call has a fixed cost that a batch of small
+# chunks shares, while stacking large ones only slows them (measurements in
+# the `ntt` notes): 8 chunks of 2 x 2048 per call, one chunk of 5 x 16384.
+# With the kernels' ufunc buffer cut to a tile, 16 chunks of 2 x 2048 cost
+# about what 8 do per chunk (0.21 against 0.23 ms per inverse) and 32 cost
+# more (0.30 ms).
+BATCH_BYTES = 128 << 10
 
 PHASES = ("collective_keygen", "encryption", "aggregation",
           "collective_decryption", "total")
@@ -265,10 +264,6 @@ def run_setup(cfg: ProtocolConfig, bus: MessageBus | None = None,
                           shares=shares, cpk=cpk)
 
 
-def chunk_count(model_size: int, n: int) -> int:
-    return -(-model_size // n)
-
-
 def synthesize_update(cfg: ProtocolConfig, root: Xof, client_index: int,
                       round_index: int) -> np.ndarray:
     """Deterministic stand-in for a local training step: reals in (-1, 1]."""
@@ -279,19 +274,13 @@ def synthesize_update(cfg: ProtocolConfig, root: Xof, client_index: int,
     return update
 
 
-def chunk_groups(chunks: int, ring: rg.RingParams) -> list[range]:
-    """Consecutive chunk indices in groups of as many whole chunks as fit in
-    BATCH_BYTES of residues on `ring`, at 8 bytes per residue, and at least
-    one."""
-    per = max(1, BATCH_BYTES // (8 * len(ring.primes) * ring.n))
+def group_layout(model_size: int, ring: rg.RingParams) -> list[range]:
+    """The chunk groups of a submission of `model_size` values: its
+    ceil(N/n) chunk indices on `ring`, in consecutive groups of as many whole
+    chunks as fit in BATCH_BYTES of uint32 residues, and at least one."""
+    chunks = -(-model_size // ring.n)
+    per = max(1, BATCH_BYTES // (4 * len(ring.primes) * ring.n))
     return [range(lo, min(lo + per, chunks)) for lo in range(0, chunks, per)]
-
-
-def group_layout(cfg: ProtocolConfig, params: SchemeParams) -> list[range]:
-    """The chunk groups of one client's submission: `chunk_groups` of its
-    ceil(N/n) chunks on the ring of q."""
-    return chunk_groups(chunk_count(cfg.model_size, params.ring.n),
-                        params.ring)
 
 
 def _chunks(batch: Ciphertext) -> list[Ciphertext]:
@@ -319,7 +308,7 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
                                   f"({cfg.model_size},)")
     n = params.ring.n
     out = []
-    for group in group_layout(cfg, params):
+    for group in group_layout(cfg.model_size, params.ring):
         block = update[group.start * n : group.stop * n]
         if block.size < len(group) * n:
             block = np.pad(block, (0, len(group) * n - block.size))
@@ -355,30 +344,29 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
 
     Partial decryptions travel and are combined, with the clients' summed
     c0, at the plan's decryption modulus q' (`report.dec_primes`), not at q.
-    Each party decrypts a summed group batch as one, with each chunk's
-    smudging drawn from its own stream. Shares go out and are combined one
-    per chunk and party: every party's for a chunk, then the next.
+    Each party decrypts a summed group batch (`group_layout`) as one, with
+    each chunk's smudging drawn from its own stream. Shares go out and are
+    combined one per chunk and party: every party's for a chunk, then the
+    next.
     """
     b = report.bounds
     smudge = SmudgeParams(parties=cfg.parties, b_ct=b.b_ct, b_smg=b.b_smg)
     parts: list[Ratios] = []
-    group = range(0)
-    for batch in agg_cts:
-        group = range(group.stop, group.stop + len(batch.c1.residues))
-        # every party multiplies by the same c1s: transform them once
-        c1_ntt = replace(batch, c1=rg.to_ntt(batch.c1))
+    groups = group_layout(cfg.model_size, params.ring)
+    for group, batch in zip(groups, agg_cts, strict=True):
+        c1 = rg.to_ntt(batch.c1)  # every party multiplies by it: once
         blobs = []  # per party, its shares of the group, chunk by chunk
         for share in shares:
-            part = partial_decrypt(params, share, c1_ntt, smudge, [
+            part = partial_decrypt(params, share, c1, smudge, [
                 root.child(f"round/{round_index}/client/{share.index}/pdec/{c}")
                 for c in group])
             blobs.append([wire.serialize_partial_dec(replace(part, h=h))
                           for h in rg.unstack(part.h)])
-        for ct, chunk_blobs in zip(_chunks(batch), zip(*blobs)):
+        for c0, chunk_blobs in zip(rg.unstack(batch.c0), zip(*blobs)):
             partials = [wire.deserialize_partial_dec(
                 bus.post("partial_dec", f"client{share.index}", blob),
                 params) for share, blob in zip(shares, chunk_blobs)]
-            d = combine_decrypt(params, ct, partials, cfg.parties)
+            d = combine_decrypt(params, c0, partials, cfg.parties)
             if cfg.scheme == MBFV:
                 parts.append(decode_fixed(bfv_round(params, d),
                                           cfg.fixed_point_bits, cfg.parties))
@@ -453,7 +441,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     parties = range(1, cfg.parties + 1)
     for r in range(cfg.rounds):
         agg = Aggregator(cfg.parties, art.params,
-                         group_layout(cfg, art.params))
+                         group_layout(cfg.model_size, art.params.ring))
         for i in parties:
             update = synthesize_update(cfg, root, i, r)
             t1 = time.perf_counter()

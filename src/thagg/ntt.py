@@ -22,8 +22,8 @@ the minimum of 9 calls, best of 3 processes, 2 vCPUs): on 2 x 2048,
 0.43 -> 0.37 ms alone and 0.43 -> 0.23, 0.36 -> 0.21 and 0.46 -> 0.30 ms
 with 8, 16 and 32 chunks per call; on 5 x 16384, 5.4 -> 5.3 ms alone and
 5.0-7.0 ms with 2 chunks per call, either way. The protocol therefore
-stacks at most 256 KiB of residues per call, counted at 8 bytes each
-(`harness.BATCH_BYTES`): 8 chunks of 2 x 2048, one chunk of 5 x 16384.
+stacks at most 128 KiB of uint32 residues per call (`harness.BATCH_BYTES`,
+`harness.group_layout`): 8 chunks of 2 x 2048, one chunk of 5 x 16384.
 """
 
 from __future__ import annotations

@@ -318,6 +318,13 @@ def security_check(n: int, log2_q: int) -> bool:
 
 @dataclass(frozen=True)
 class PlanReport:
+    """What `plan` found. `winner` compares the schemes at the exact scale
+    delta = b_ct_mp * eps_inv, as `region_grid` does; `qmin_mckks_bits` is
+    the q for the realised `delta_ckks` = L * 2^k >= that scale. So the
+    verdict can favour MCKKS next to a larger MCKKS column: n = 4096,
+    L = 32, lambda = 0, t_bits = 35, eps_inv_bits = 37 gives MCKKS_smaller_q
+    with 71 and 72 bits, where both are 71 bits at the exact scale."""
+
     scheme: str
     inputs: PlanInputs
     bounds: MpBounds

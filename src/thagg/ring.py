@@ -519,7 +519,8 @@ def _cdt(spec: NoiseSpec) -> _Cdt:
         raise ConfigError(
             f"noise bound {spec.bound} must be below {MAX_NOISE_BOUND + 1}, "
             f"the Gaussian sampler's table limit")
-    with decimal.localcontext(prec=90):
+    with decimal.localcontext() as ctx:  # no keyword form before 3.11
+        ctx.prec = 90
         s2 = decimal.Decimal(spec.sigma.numerator) / spec.sigma.denominator
         s2 *= s2
         ratio, step = (-1 / (2 * s2)).exp(), (-1 / s2).exp()

@@ -88,7 +88,7 @@ class Ciphertext:
     # for collective decryption (`threshold.switch_c0`); c1 always at q.
     # Both may carry a batch axis, (B, limbs, n): one ciphertext per entry.
     # The protocol holds a group of chunks this way from encryption to the
-    # combine (`harness.chunk_groups`); a message carries one entry.
+    # combine (`harness.group_layout`); a message carries one entry.
     c0: rg.RingElement
     c1: rg.RingElement
     scheme: str

@@ -115,16 +115,17 @@ def switch_c0(params: SchemeParams, ct: Ciphertext) -> Ciphertext:
     return replace(ct, c0=rg.scale_down(ct.c0, params.dec_ring))
 
 
-def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
-                    smudge: SmudgeParams, rng: Xof | Sequence[Xof] | None, *,
+def partial_decrypt(params: SchemeParams, share: SecretShare,
+                    c1: rg.RingElement, smudge: SmudgeParams,
+                    rng: Xof | Sequence[Xof] | None, *,
                     e_smg: rg.RingElement | None = None) -> PartialDecryption:
-    """h_i = round((sk_i * c1 + e_smg,i) * q'/q) with e_smg,i uniform on
-    [-b_smg, b_smg], in `params.dec_ring`.
+    """h_i = round((sk_i * c1 + e_smg,i) * q'/q) for the summed c1 at q, in
+    either domain, with e_smg,i uniform on [-b_smg, b_smg]; in q' (dec_ring).
 
     e_smg is drawn from rng, a stream or one per batch entry, unless given.
-    A batch of summed ciphertexts (c1 of shape (B, limbs, n)) with a batch
-    of smudging noise, one entry per ciphertext, gives a batch of shares in
-    one product, one inverse transform and one addition.
+    A batch of summed c1s (shape (B, limbs, n)) with a batch of smudging
+    noise, one entry per c1, gives a batch of shares in one product, one
+    inverse transform and one addition.
 
     Rejects configurations where the combined smudging of all parties cannot
     fit under the modulus; that means the planner and the runtime disagree
@@ -133,7 +134,7 @@ def partial_decrypt(params: SchemeParams, share: SecretShare, ct: Ciphertext,
     _check_smudge_fits(params, smudge)
     if e_smg is None:
         e_smg = rg.sample_smudging(params.ring, smudge.b_smg, rng)
-    h = rg.ring_add(rg.ring_mul(share.s, ct.c1), e_smg)
+    h = rg.ring_add(rg.ring_mul(share.s, c1), e_smg)
     return PartialDecryption(index=share.index,
                              h=rg.scale_down(h, params.dec_ring))
 
@@ -150,20 +151,20 @@ def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
             "); q was not sized for this smudging level")
 
 
-def combine_decrypt(params: SchemeParams, ct: Ciphertext,
+def combine_decrypt(params: SchemeParams, c0: rg.RingElement,
                     partials: list[PartialDecryption],
                     parties: int) -> rg.RingElement:
-    """d' = [c0 + sum h_i]_q', coefficient-domain, for a c0 the clients
-    already rounded to q' (`switch_c0`); `schemes.bfv_round` or
-    `schemes.ckks_scale_down` decodes it."""
+    """d' = [c0 + sum h_i]_q', coefficient-domain, for a chunk's summed c0,
+    which the clients already rounded to q' (`switch_c0`);
+    `schemes.bfv_round` or `schemes.ckks_scale_down` decodes it."""
     check_parties([part.index for part in partials], parties,
                   "partial decryption")
-    if ct.c0.params != params.dec_ring:
+    if c0.params != params.dec_ring:
         raise ParamsMismatchError(
-            f"c0 is on {len(ct.c0.params.primes)} limbs; collective "
+            f"c0 is on {len(c0.params.primes)} limbs; collective "
             f"decryption needs it rounded to the {len(params.dec_ring.primes)} "
             "limbs of q' (switch_c0)")
-    acc = replace(ct.c0, residues=ct.c0.residues.copy())  # the combine's own
+    acc = replace(c0, residues=c0.residues.copy())  # the combine's own
     for part in partials:
         rg.add_into(acc, part.h)
     return acc

@@ -22,7 +22,7 @@ import pytest
 from thagg import ntt, wire
 from thagg import ring as rg
 from thagg.config import ProtocolConfig
-from thagg.harness import Aggregator, chunk_groups, run_protocol
+from thagg.harness import Aggregator, group_layout, run_protocol
 from thagg.planner import (
     MBFV,
     MCKKS,
@@ -347,7 +347,7 @@ def test_c9c_aggregation_time_linear_in_parties():
         ct = encrypt(params, pk, pt, root.child("e"))
         chunks = 400
         messages = [wire.serialize_ciphertext(ct)] * chunks
-        groups = chunk_groups(chunks, params.ring)
+        groups = group_layout(chunks * params.ring.n, params.ring)
         sizes = [2, 4, 8, 16]
         best = dict.fromkeys(sizes, float("inf"))
         # best of 7, the sizes interleaved so that a slow spell of the

@@ -33,7 +33,6 @@ from thagg.harness import (
     MessageBus,
     SetupArtifacts,
     Transcript,
-    chunk_count,
     cleartext_oracle,
     client_input_step,
     derive_scheme_params,
@@ -82,7 +81,7 @@ def decoded(cfg, art, messages):
     """A submission's messages decoded into its group batches, copied:
     the group sums of this one submission."""
     out = []
-    for g in group_layout(cfg, art.params):
+    for g in group_layout(cfg.model_size, art.params.ring):
         cts = [wire.deserialize_ciphertext(blob, art.params)
                for blob in messages[g.start : g.stop]]
         out.append(dataclasses.replace(
@@ -109,17 +108,37 @@ def same_sums(got, want):
 
 def aggregator(cfg, art, parties=None):
     return Aggregator(cfg.parties if parties is None else parties, art.params,
-                      group_layout(cfg, art.params))
+                      group_layout(cfg.model_size, art.params.ring))
 
 
 # ---------------------------------------------------------------------------
 # chunking
 
 
+def ring_of(n, limbs):
+    primes = []
+    while len(primes) < limbs:
+        primes.append(ntt.prime_below(1 << 30, n, frozenset(primes)))
+    return RingParams.create(n, tuple(primes))
+
+
 def test_chunk_count_arithmetic():
-    assert chunk_count(1024, 1024) == 1
-    assert chunk_count(1_638_400, 16_384) == 100
-    assert chunk_count(1025, 1024) == 2
+    assert group_layout(1024, ring_of(1024, 1))[-1].stop == 1
+    assert group_layout(1_638_400, ring_of(16_384, 1))[-1].stop == 100
+    assert group_layout(1025, ring_of(1024, 1))[-1].stop == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_n=st.integers(4, 15), limbs=st.integers(1, 8), data=st.data())
+def test_group_layout_matches_the_8_byte_formula(log_n, limbs, data):
+    # the layout as it was stated at 8 bytes a residue in 256 KiB:
+    # ceil(N/n) chunks, max(1, 2^18 // (8kn)) of them per group
+    n = 1 << log_n
+    model_size = data.draw(st.integers(1, 40 * n))
+    chunks = -(-model_size // n)
+    per = max(1, 2**18 // (8 * limbs * n))
+    assert group_layout(model_size, ring_of(n, limbs)) == [
+        range(lo, min(lo + per, chunks)) for lo in range(0, chunks, per)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +188,7 @@ def test_input_step_chunk_shapes_and_zero_vector():
     cts = decoded(cfg, art, client_input_step(cfg, art.params, 1, zeros,
                                               art.cpk, root, 0, bus))
     # 4096 / 1024 chunks, in one group: c1 at q's 2 limbs, c0 at q' (1 limb)
-    assert len(cts) == 1 == len(harness.chunk_groups(4, art.params.ring))
+    assert len(cts) == 1 == len(group_layout(4 * 1024, art.params.ring))
     assert cts[0].c1.residues.shape == (4, 2, 1024)
     assert cts[0].c0.residues.shape == (4, 1, 1024)
     assert sum(m.kind == "ciphertext" for m in bus.records) == 4
@@ -323,7 +342,7 @@ def test_a_misshaped_first_submission_does_not_set_the_shapes():
     art = run_setup(cfg)
     subs = submissions(cfg, art)
     shapes = [((2, 1, 1024), (2, 2, 1024))]  # c0 at q', c1 at q
-    assert group_layout(cfg, art.params) == [range(0, 2)]
+    assert group_layout(cfg.model_size, art.params.ring) == [range(0, 2)]
     assert [(ct.c0.residues.shape, ct.c1.residues.shape)
             for ct in decoded(cfg, art, subs[1])] == shapes
     short = subs[1][:1]  # one chunk's message where the group has two
@@ -347,12 +366,21 @@ def three_groups():
         mp.setattr(harness, "BATCH_BYTES", 0)  # one chunk per group
         cfg = make_cfg(parties=3, model_size=3072)
         art = run_setup(cfg)
-        groups = group_layout(cfg, art.params)
+        groups = group_layout(cfg.model_size, art.params.ring)
     assert len(groups) == 3
     root = Xof.from_seed(cfg.root_seed)
     oracle = cleartext_oracle(cfg, [synthesize_update(cfg, root, i, 0)
                                     for i in (1, 2, 3)])
     return cfg, art, groups, submissions(cfg, art), oracle
+
+
+def open_three_groups(cfg, art, agg):
+    """`output_step` on an aggregator of `three_groups`, under the same
+    layout, as a round opens its sums."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "BATCH_BYTES", 0)
+        return output_step(cfg, art.params, art.shares, agg.evaluate(),
+                           art.report, Xof.from_seed(1), 0, MessageBus())
 
 
 def tampered(params, blob, fault, draw):
@@ -413,9 +441,7 @@ def test_a_late_bad_message_leaves_the_sums_bit_for_bit(how, error):
         first.receive(2, tampered_last(art, subs[2], "residue"))
     assert first.senders == [] and first.total is None
     agg.receive(2, subs[2])
-    opened = output_step(cfg, art.params, art.shares, agg.evaluate(),
-                         art.report, Xof.from_seed(1), 0, MessageBus())
-    assert opened.max_abs_diff(oracle) == 0
+    assert open_three_groups(cfg, art, agg).max_abs_diff(oracle) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -460,9 +486,7 @@ def test_a_refused_submission_leaves_the_sums_bit_for_bit(data):
         assert ct.adds_consumed == adds
     for i in [2] + ([] if late else [1, 3]):
         agg.receive(i, subs[i])
-    opened = output_step(cfg, art.params, art.shares, agg.evaluate(),
-                         art.report, Xof.from_seed(1), 0, MessageBus())
-    assert opened.max_abs_diff(oracle) == 0
+    assert open_three_groups(cfg, art, agg).max_abs_diff(oracle) == 0
 
 
 def test_receive_folds_in_place(monkeypatch):
@@ -640,7 +664,7 @@ def test_multiround_reuses_keys_and_stays_exact():
     pk_msgs = [m for m in transcript.messages if m.kind == "pk_share"]
     assert len(pk_msgs) == 2  # setup once, rounds reuse the keys
     ct_msgs = [m for m in transcript.messages if m.kind == "ciphertext"]
-    assert len(ct_msgs) == 2 * 3 * chunk_count(cfg.model_size, cfg.n)
+    assert len(ct_msgs) == 2 * 3 * -(-cfg.model_size // cfg.n)
 
 
 def test_multiround_mckks_stays_within_plan_bound(tmp_path, capsys):
@@ -655,7 +679,7 @@ def test_multiround_mckks_stays_within_plan_bound(tmp_path, capsys):
     cfg = parse_config(text)
     report, params = derive_scheme_params(cfg)
     lines = (tmp_path / "transcript.txt").read_text().splitlines()
-    chunks = chunk_count(cfg.model_size, cfg.n)
+    chunks = group_layout(cfg.model_size, params.ring)[-1].stop
     first, end = lines.index("[messages]") + 1, lines.index("[result]") - 1
     assert end - first == cfg.parties + 2 * 2 * cfg.parties * chunks
     error = Fraction(next(line for line in lines
@@ -809,19 +833,13 @@ def test_scale_below_one_plans_at_delta_1_and_opens_within_its_bound(
 
 
 def test_chunk_groups_cap_residue_bytes():
-    def ring(n, limbs):
-        primes = []
-        while len(primes) < limbs:
-            primes.append(ntt.prime_below(1 << 30, n, frozenset(primes)))
-        return RingParams.create(n, tuple(primes))
-
     # 8 chunks of 2 x 2048 per group, and one of 5 x 16384 however big
-    assert harness.chunk_groups(32, ring(2048, 2)) == [
+    assert group_layout(32 * 2048, ring_of(2048, 2)) == [
         range(lo, lo + 8) for lo in range(0, 32, 8)]
-    assert harness.chunk_groups(3, ring(16384, 5)) == [
+    assert group_layout(3 * 16384, ring_of(16384, 5)) == [
         range(0, 1), range(1, 2), range(2, 3)]
-    assert harness.chunk_groups(12, ring(1024, 3)) == [range(0, 10),
-                                                       range(10, 12)]
+    assert group_layout(12 * 1024, ring_of(1024, 3)) == [range(0, 10),
+                                                         range(10, 12)]
 
 
 @pytest.mark.parametrize("scheme", ["mbfv", "mckks"])
@@ -835,7 +853,7 @@ def test_groups_of_chunks_leave_the_run_unchanged(scheme, tmp_path,
                                      "model_size = 11764\n"))
     _, params = derive_scheme_params(parse_config(cfg_path.read_text()))
     assert len(params.ring.primes) == 3 and len(params.dec_ring.primes) == 1
-    assert len(harness.chunk_groups(12, params.ring)) == 2
+    assert len(group_layout(12 * params.ring.n, params.ring)) == 2
     runs = []
     for cap in (harness.BATCH_BYTES, 0):
         monkeypatch.setattr(harness, "BATCH_BYTES", cap)
@@ -844,7 +862,7 @@ def test_groups_of_chunks_leave_the_run_unchanged(scheme, tmp_path,
         runs.append([(out / name).read_bytes()
                      for name in ("transcript.txt", "aggregate.npy")])
     capsys.readouterr()
-    assert len(harness.chunk_groups(12, params.ring)) == 12
+    assert len(group_layout(12 * params.ring.n, params.ring)) == 12
     assert runs[0] == runs[1]
 
 
@@ -1054,7 +1072,7 @@ def test_switched_partial_dec_length_and_full_q_share_rejected():
     assert dec.primes == ring.primes[:1]
     b = art.report.bounds
     smudge = SmudgeParams(parties=2, b_ct=b.b_ct, b_smg=b.b_smg)
-    part = partial_decrypt(params, art.shares[0], ct, smudge,
+    part = partial_decrypt(params, art.shares[0], ct.c1, smudge,
                            Xof.from_seed("pd"))
     blob = wire.serialize_partial_dec(part)
     assert len(blob) == share_len(1, ring.n) == 8 + 8 + 4 * ring.n

@@ -328,14 +328,27 @@ def test_plan_set3_reports_reference_alongside_own_bits():
     assert "reference.reported_q_mckks_bits = 259" in text
 
 
-def test_plan_known_set_winner_matches_direct_ordering():
-    inputs = inputs_for(n=16384, parties=16, lam=128, t_bits=45,
-                        eps_inv_bits=45)
+@pytest.mark.parametrize("n, parties, lam, t_bits, eps_inv_bits, columns", [
+    (16384, 16, 128, 45, 45, None),  # a known parameter set
+    # the verdict is taken at the exact scale b_ct_mp * eps_inv, where both
+    # need 71 bits; qmin_mckks_bits at the realised delta_ckks = L * 2^k
+    (4096, 32, 0, 35, 37, (71, 72)),
+], ids=["known-set", "exact-scale"])
+def test_plan_known_set_winner_matches_direct_ordering(
+        n, parties, lam, t_bits, eps_inv_bits, columns):
+    inputs = inputs_for(n=n, parties=parties, lam=lam, t_bits=t_bits,
+                        eps_inv_bits=eps_inv_bits)
     report = plan(inputs, MBFV, enforce_security=True)
     b = report.bounds.b_ct_mp
-    direct = qmin_mckks_bound(b * 2**45, b) < qmin_mbfv_bound(2**45, b)
+    exact = b * 2**eps_inv_bits
+    direct = qmin_mckks_bound(exact, b) < qmin_mbfv_bound(2**t_bits, b)
     assert (report.winner == MCKKS_SMALLER) == direct
-    assert report.reference is not None
+    if columns is None:
+        assert report.reference is not None
+    else:
+        assert report.winner == MCKKS_SMALLER
+        assert qmin_mckks(exact, b) == qmin_mbfv(2**t_bits, b) == columns[0]
+        assert (report.qmin_mbfv_bits, report.qmin_mckks_bits) == columns
 
 
 def test_plan_requires_matching_precision_field():

@@ -106,11 +106,12 @@ def no_smudging(sess):
 
 def open_ciphertext(sess, ct, label="dec"):
     partials = [
-        partial_decrypt(sess.params, sh, ct, sess.smudge,
+        partial_decrypt(sess.params, sh, ct.c1, sess.smudge,
                         sess.root.child(f"{label}/{sh.index}"))
         for sh in sess.shares
     ]
-    return combine_decrypt(sess.params, ct, partials, sess.parties), partials
+    return (combine_decrypt(sess.params, ct.c0, partials, sess.parties),
+            partials)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +276,14 @@ def test_ntt_keys_match_their_coefficient_copies(seed, scheme):
     copied = decryption_phase(params, SecretKey(from_ntt(sk.s)), ct)
     assert rg.crt_lift(stored).tolist() == rg.crt_lift(copied).tolist()
     ct = encrypt_both(sess.cpk)
-    ct_ntt = replace(ct, c1=rg.to_ntt(ct.c1))  # as output_step uses it
+    c1_ntt = rg.to_ntt(ct.c1)  # as output_step uses it
     for sh in sess.shares:
         label = f"pdec/{sh.index}"
-        got = partial_decrypt(params, sh, ct_ntt, sess.smudge,
+        got = partial_decrypt(params, sh, c1_ntt, sess.smudge,
                               rng.child(label))
         copy = SecretShare(index=sh.index, s=from_ntt(sh.s))
-        want = partial_decrypt(params, copy, ct, sess.smudge, rng.child(label))
+        want = partial_decrypt(params, copy, ct.c1, sess.smudge,
+                               rng.child(label))
         assert np.array_equal(got.h.residues, want.h.residues)
 
 
@@ -311,7 +313,7 @@ def test_partial_decrypt_zero_hook():
     zero_share = SecretShare(index=1, s=rg.zero(params.ring))
     pt = bfv_plaintext(params, [0] * params.ring.n)
     ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
-    h = partial_decrypt(params, zero_share, ct, no_smudging(sess),
+    h = partial_decrypt(params, zero_share, ct.c1, no_smudging(sess),
                         Xof.from_seed("z"))
     assert not h.h.residues.any()
 
@@ -338,13 +340,13 @@ def test_unsmudged_share_gives_away_the_key_share():
                               rg.NTT)
         return rg.crt_lift(from_ntt(quot))
 
-    bare = partial_decrypt(params, share, ct, sess.smudge, None,
+    bare = partial_decrypt(params, share, ct.c1, sess.smudge, None,
                            e_smg=rg.zero(ring))
     s = divide_out_c1(bare.h)
     assert set(s.tolist()) == {-1, 0, 1}
     assert np.array_equal(s, rg.crt_lift(from_ntt(share.s)))
     assert sess.smudge.b_smg > 1
-    smudged = partial_decrypt(params, share, ct, sess.smudge,
+    smudged = partial_decrypt(params, share, ct.c1, sess.smudge,
                               sess.root.child("pd"))
     assert np.abs(divide_out_c1(smudged.h)).max() > 1
 
@@ -363,8 +365,8 @@ def test_smudging_width_of_a_share(switched):
     ct = encrypt(params, sess.cpk, bfv_plaintext(params, [1] * 1024),
                  sess.root.child("e"))
     e = rg.sample_smudging(params.ring, b_smg, sess.root.child("smg"))
-    h = partial_decrypt(params, share, ct, sess.smudge, None, e_smg=e).h
-    h0 = partial_decrypt(params, share, ct, sess.smudge, None,
+    h = partial_decrypt(params, share, ct.c1, sess.smudge, None, e_smg=e).h
+    h0 = partial_decrypt(params, share, ct.c1, sess.smudge, None,
                          e_smg=rg.zero(params.ring)).h
     diff = rg.crt_lift(ring_sub(h, h0)).tolist()
     if not switched:
@@ -383,7 +385,8 @@ def test_partial_decrypt_rejects_oversized_smudging():
     huge = replace(sess.smudge, b_smg=smudge_bound(4 * params.ring.log2_q,
                                                    sess.smudge.b_ct))
     with pytest.raises(SmudgeBoundError):
-        partial_decrypt(params, sess.shares[0], ct, huge, Xof.from_seed("s"))
+        partial_decrypt(params, sess.shares[0], ct.c1, huge,
+                        Xof.from_seed("s"))
 
 
 def test_partial_decrypt_counts_parties_not_kappa():
@@ -403,9 +406,9 @@ def test_partial_decrypt_counts_parties_not_kappa():
     smudge = SmudgeParams(parties=4, b_ct=Fraction(0), b_smg=room * 3 / 5)
     for sh in shares:
         with pytest.raises(SmudgeBoundError, match="4\\*b_smg"):
-            partial_decrypt(params, sh, ct, smudge, root.child("p"))
+            partial_decrypt(params, sh, ct.c1, smudge, root.child("p"))
     alone = replace(smudge, parties=1)
-    partial_decrypt(params, shares[0], ct, alone, root.child("p"))
+    partial_decrypt(params, shares[0], ct.c1, alone, root.child("p"))
 
 
 def test_smudge_message_takes_values_beyond_the_float_range():
@@ -460,9 +463,9 @@ def test_combine_decrypt_single_party_no_smudging_matches_single_key():
     vals = [3] + [0] * (params.ring.n - 1)
     ct = encrypt(params, sess.cpk, bfv_plaintext(params, vals),
                  sess.root.child("e"))
-    part = partial_decrypt(params, sess.shares[0], ct, no_smudging(sess),
+    part = partial_decrypt(params, sess.shares[0], ct.c1, no_smudging(sess),
                            Xof.from_seed("p"), e_smg=rg.zero(params.ring))
-    d = combine_decrypt(params, ct, [part], 1)
+    d = combine_decrypt(params, ct.c0, [part], 1)
     single = decryption_phase(params, SecretKey(sess.shares[0].s), ct)
     assert rg.crt_lift(d).tolist() == rg.crt_lift(single).tolist()
 
@@ -473,15 +476,15 @@ def test_combine_decrypt_order_invariant_and_checked():
     pt = bfv_plaintext(params, [1] * params.ring.n)
     ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
     d, partials = open_ciphertext(sess, ct)
-    d_rev = combine_decrypt(params, ct, list(reversed(partials)), 3)
+    d_rev = combine_decrypt(params, ct.c0, list(reversed(partials)), 3)
     assert rg.crt_lift(d).tolist() == rg.crt_lift(d_rev).tolist()
     with pytest.raises(ShareSetError):
-        combine_decrypt(params, ct, partials[:2], 3)
+        combine_decrypt(params, ct.c0, partials[:2], 3)
     with pytest.raises(ShareSetError):
-        combine_decrypt(params, ct, [partials[0]] * 3, 3)
+        combine_decrypt(params, ct.c0, [partials[0]] * 3, 3)
     for indices in BAD_PARTY_SETS:
         with pytest.raises(ShareSetError):
-            combine_decrypt(params, ct, pick(partials, indices), 3)
+            combine_decrypt(params, ct.c0, pick(partials, indices), 3)
 
 
 def test_opened_noise_within_aggregate_bound():
@@ -540,10 +543,10 @@ def test_ideal_functionality_equivalence():
         diff = (x - y - s) % q
         assert diff == 0
 
-    quiet = [partial_decrypt(params, sh, ct, no_smudging(sess),
+    quiet = [partial_decrypt(params, sh, ct.c1, no_smudging(sess),
                              Xof.from_seed("q"), e_smg=rg.zero(params.ring))
              for sh in sess.shares]
-    assert (rg.crt_lift(combine_decrypt(params, ct, quiet, 3)).tolist()
+    assert (rg.crt_lift(combine_decrypt(params, ct.c0, quiet, 3)).tolist()
             == base.tolist())
 
 
@@ -612,10 +615,10 @@ def test_threshold_bfv_exact_small_sweep():
             cts.append(encrypt(params, pk, bfv_plaintext(params, vals),
                                rng.child(f"e{i}")))
         agg = add(cts[0], cts[1])
-        partials = [partial_decrypt(params, sh, agg, sess.smudge,
+        partials = [partial_decrypt(params, sh, agg.c1, sess.smudge,
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
-        d = combine_decrypt(params, agg, partials, 2)
+        d = combine_decrypt(params, agg.c0, partials, 2)
         got = bfv_round(params, d).tolist()
         for j in range(n):
             expect = (msgs[0][j] + msgs[1][j]) % t
@@ -644,10 +647,10 @@ def test_threshold_ckks_accuracy_small_sweep():
         acc = cts[0]
         for ct in cts[1:]:
             acc = add(acc, ct)
-        partials = [partial_decrypt(params, sh, acc, sess.smudge,
+        partials = [partial_decrypt(params, sh, acc.c1, sess.smudge,
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
-        d = combine_decrypt(params, acc, partials, parties)
+        d = combine_decrypt(params, acc.c0, partials, parties)
         got = ckks_scale_down(params, d)
         for j in range(n):
             truth = sum(Fraction(w[j]) for w in streams) / parties
@@ -688,10 +691,10 @@ def open_switched_session(sess, rng):
     smudging = [rg.sample_smudging(params.ring, b.b_smg,
                                    rng.child(f"s{sh.index}"))
                 for sh in sess.shares]
-    partials = [partial_decrypt(params, sh, acc, sess.smudge, rng, e_smg=e)
+    partials = [partial_decrypt(params, sh, acc.c1, sess.smudge, rng, e_smg=e)
                 for sh, e in zip(sess.shares, smudging)]
     assert all(part.h.params == params.dec_ring for part in partials)
-    d = combine_decrypt(params, acc, partials, parties)
+    d = combine_decrypt(params, acc.c0, partials, parties)
     assert d.params == params.dec_ring
 
     # the full-q opened value, through the test-only ideal key
@@ -747,11 +750,11 @@ def test_combine_decrypt_refuses_full_q_c0():
     assert params.dec_ring != params.ring
     ct = encrypt(params, sess.cpk, bfv_plaintext(params, [1] * 1024),
                  sess.root.child("e"))
-    partials = [partial_decrypt(params, sh, ct, sess.smudge,
+    partials = [partial_decrypt(params, sh, ct.c1, sess.smudge,
                                 sess.root.child(f"p{sh.index}"))
                 for sh in sess.shares]
     with pytest.raises(ParamsMismatchError, match="c0 is on 2 limbs") as info:
-        combine_decrypt(params, ct, partials, 3)
+        combine_decrypt(params, ct.c0, partials, 3)
     assert isinstance(info.value, ProtocolFailure)  # exit 3
-    d = combine_decrypt(params, switch_c0(params, ct), partials, 3)
+    d = combine_decrypt(params, switch_c0(params, ct).c0, partials, 3)
     assert bfv_round(params, d).tolist() == [1] * 1024
