@@ -72,4 +72,4 @@ class KeystreamError(ProtocolFailure):
 
 
 class LengthMismatchError(ProtocolFailure):
-    """An update, or a submission's ciphertext groups, of the wrong length."""
+    """An update, submission, sum or ring batch of the wrong length."""

@@ -4,7 +4,7 @@ One run drives Setup / Input / Evaluation / Output over L clients plus an
 aggregator on synthetic model vectors. Every protocol message crosses the
 byte-counted message bus in its wire format, so serialization is exercised
 end to end: a client hands over the messages it posted, and the
-aggregator checks them all, then adds them into its running sums.
+aggregator checks them all, then adds them into its running sum.
 The aggregator object only ever holds public material; it has no field
 that could carry a secret share. A client is its key share: a round's
 update is synthesized for its client's turn and dropped once encrypted,
@@ -106,8 +106,8 @@ class MessageBus:
 
 
 class Aggregator:
-    """Holds only public data: the parameters, the group layout of a
-    submission, the senders and the running group-wise sum.
+    """Holds only public data: the parameters, the senders and the round's
+    running sum, one ciphertext whose batch axis is the chunk index.
 
     A submission is a client's ciphertext messages, one per chunk in chunk
     order. `receive` decodes and checks every message first, as read-only
@@ -115,25 +115,26 @@ class Aggregator:
     submission that passes all checks is added, chunk by chunk, in place
     into the sum (`aggregator_eval_step`), a fold that cannot fail. So a
     refused submission leaves the sum and the senders as they were, and no
-    message is decoded twice. The sum is allocated once, zeroed, at the
-    first accepted submission. `evaluate` releases the sum only if each of
-    the parties 1..L submitted once; a submission beyond L, or one of the
-    wrong message count, fails at once.
+    message is decoded twice. The sum of `chunks` rows is allocated once,
+    zeroed, with the aggregator. `evaluate` releases the sum only if each
+    of the parties 1..L submitted once; a submission beyond L, or one of
+    the wrong message count, fails at once.
     """
 
-    def __init__(self, parties: int, params: SchemeParams,
-                 groups: list[range]):
+    def __init__(self, parties: int, params: SchemeParams, chunks: int):
         self.parties = parties
         self.params = params
-        self.groups = groups
         self.senders: list[int] = []
-        self.total: list[Ciphertext] | None = None
+        self.total = Ciphertext(c0=rg.zero(params.dec_ring, lead=(chunks,)),
+                                c1=rg.zero(params.ring, lead=(chunks,)),
+                                scheme=params.scheme, adds_consumed=0,
+                                kappa=params.kappa)
 
     def receive(self, sender: int, messages: list[bytes]) -> None:
         senders = self.senders + [sender]
         if len(senders) > self.parties:  # fails before capacity runs out
             check_parties(senders, self.parties, "ciphertext submission")
-        want = self.groups[-1].stop
+        want = len(self.total.c1.residues)
         if len(messages) != want:
             raise LengthMismatchError(
                 f"party {sender} submitted {len(messages)} messages, want "
@@ -141,23 +142,14 @@ class Aggregator:
         cts = [wire.deserialize_ciphertext(blob, self.params)
                for blob in messages]
         spent = max(ct.adds_consumed for ct in cts)
-        if self.total is None:
-            self.total = [self._zero_sum(len(g)) for g in self.groups]
-        else:  # the last check
-            spent = adds_after(self.total[0].adds_consumed, spent,
+        if self.senders:  # the last check; the first is folded into zero
+            spent = adds_after(self.total.adds_consumed, spent,
                                self.params.kappa)
         aggregator_eval_step(self.total, cts)
-        for acc in self.total:
-            acc.adds_consumed = spent
+        self.total.adds_consumed = spent
         self.senders = senders
 
-    def _zero_sum(self, chunks: int) -> Ciphertext:
-        p = self.params
-        return Ciphertext(c0=rg.zero(p.dec_ring, lead=(chunks,)),
-                          c1=rg.zero(p.ring, lead=(chunks,)),
-                          scheme=p.scheme, adds_consumed=0, kappa=p.kappa)
-
-    def evaluate(self) -> list[Ciphertext]:
+    def evaluate(self) -> Ciphertext:
         check_parties(self.senders, self.parties, "ciphertext submission")
         return self.total
 
@@ -283,12 +275,6 @@ def group_layout(model_size: int, ring: rg.RingParams) -> list[range]:
     return [range(lo, min(lo + per, chunks)) for lo in range(0, chunks, per)]
 
 
-def _chunks(batch: Ciphertext) -> list[Ciphertext]:
-    """The entries of a group batch, one ciphertext per chunk, as views."""
-    return [replace(batch, c0=c0, c1=c1)
-            for c0, c1 in zip(rg.unstack(batch.c0), rg.unstack(batch.c1))]
-
-
 def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
                       update: np.ndarray, cpk: PublicKey, root: Xof,
                       round_index: int, bus: MessageBus) -> list[bytes]:
@@ -318,43 +304,47 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
         rngs = [root.child(f"round/{round_index}/client/{index}/enc/{c}")
                 for c in group]
         batch = switch_c0(params, encrypt(params, cpk, pt, rngs))
-        out += [bus.post("ciphertext", f"client{index}",
-                         wire.serialize_ciphertext(ct))
-                for ct in _chunks(batch)]
+        for c0, c1 in zip(rg.unstack(batch.c0), rg.unstack(batch.c1)):
+            blob = wire.serialize_ciphertext(replace(batch, c0=c0, c1=c1))
+            out.append(bus.post("ciphertext", f"client{index}", blob))
     return out
 
 
-def aggregator_eval_step(total: list[Ciphertext],
-                         cts: list[Ciphertext]) -> None:
+def aggregator_eval_step(total: Ciphertext, cts: list[Ciphertext]) -> None:
     """One submission's chunk ciphertexts, in chunk order, added in place
-    into the running group sums: each chunk's c0 and c1 into its row of its
-    group's sum. The caller has checked the rings, count and capacity."""
-    rows = (row for acc in total
-            for row in zip(rg.unstack(acc.c0), rg.unstack(acc.c1)))
-    for (c0, c1), ct in zip(rows, cts):
+    into the running sum: chunk i's c0 and c1 into row i. The caller has
+    checked the rings, count and capacity."""
+    for c0, c1, ct in zip(rg.unstack(total.c0), rg.unstack(total.c1), cts):
         rg.add_into(c0, ct.c0)
         rg.add_into(c1, ct.c1)
 
 
 def output_step(cfg: ProtocolConfig, params: SchemeParams,
-                shares: list[SecretShare], agg_cts: list[Ciphertext],
+                shares: list[SecretShare], total: Ciphertext,
                 report: PlanReport, root: Xof, round_index: int,
                 bus: MessageBus) -> Ratios:
-    """Collective decryption of every chunk, then per-scheme finalization.
+    """Collective decryption of each chunk's row of the round's sum, then
+    per-scheme finalization; a sum of another chunk count is refused first.
 
     Partial decryptions travel and are combined, with the clients' summed
     c0, at the plan's decryption modulus q' (`report.dec_primes`), not at q.
-    Each party decrypts a summed group batch (`group_layout`) as one, with
-    each chunk's smudging drawn from its own stream. Shares go out and are
-    combined one per chunk and party: every party's for a chunk, then the
-    next.
+    A group of rows (`group_layout`) has its c1 transformed once and each
+    party decrypts it as one batch, each chunk's smudging drawn from its own
+    stream. Shares go out and are combined one per chunk and party: every
+    party's for a chunk, then the next.
     """
+    groups = group_layout(cfg.model_size, params.ring)
+    got = {el.residues.shape[:-2] for el in (total.c0, total.c1)}
+    if got != {(groups[-1].stop,)}:
+        raise LengthMismatchError(f"a sum of batch shape {sorted(got)}, want "
+                                  f"({groups[-1].stop},): a row per chunk")
     b = report.bounds
     smudge = SmudgeParams(parties=cfg.parties, b_ct=b.b_ct, b_smg=b.b_smg)
     parts: list[Ratios] = []
-    groups = group_layout(cfg.model_size, params.ring)
-    for group, batch in zip(groups, agg_cts, strict=True):
-        c1 = rg.to_ntt(batch.c1)  # every party multiplies by it: once
+    c0s = rg.unstack(total.c0)
+    for group in groups:
+        rows = slice(group.start, group.stop)  # views of the sum's rows
+        c1 = rg.to_ntt(replace(total.c1, residues=total.c1.residues[rows]))
         blobs = []  # per party, its shares of the group, chunk by chunk
         for share in shares:
             part = partial_decrypt(params, share, c1, smudge, [
@@ -362,7 +352,7 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
                 for c in group])
             blobs.append([wire.serialize_partial_dec(replace(part, h=h))
                           for h in rg.unstack(part.h)])
-        for c0, chunk_blobs in zip(rg.unstack(batch.c0), zip(*blobs)):
+        for c0, chunk_blobs in zip(c0s[rows], zip(*blobs)):
             partials = [wire.deserialize_partial_dec(
                 bus.post("partial_dec", f"client{share.index}", blob),
                 params) for share, blob in zip(shares, chunk_blobs)]
@@ -441,7 +431,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     parties = range(1, cfg.parties + 1)
     for r in range(cfg.rounds):
         agg = Aggregator(cfg.parties, art.params,
-                         group_layout(cfg.model_size, art.params.ring))
+                         -(-cfg.model_size // art.params.ring.n))
         for i in parties:
             update = synthesize_update(cfg, root, i, r)
             t1 = time.perf_counter()

@@ -15,11 +15,12 @@ sampling or switching paths, nor by a lift at q < 2^62.
 Residues may carry leading batch axes, shape (..., limbs, n): the ring
 operations, the transforms, `from_coeffs` and `scale_down` act on every
 entry of a batch at once (`unstack` takes one apart into views, which
-`add_into` can add into in place), and so does `crt_lift`. A sampler
-given B streams draws a batch of B, one entry per stream, each as a call
-on that stream alone would draw it. A
-sampler reads each of its streams front to back (`rng`), in one pass where
-it can, and the stream's next reader continues after the sampler's bytes.
+`add_into` can add into in place), and so does `crt_lift`. Two batches in
+one operation must have one leading shape; an unbatched element meets every
+entry. A sampler given B streams draws a batch of B, one entry per stream,
+each as a call on that stream alone would draw it. A sampler reads each of
+its streams front to back (`rng`), in one pass where it can, and the
+stream's next reader continues after the sampler's bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from math import isqrt, prod
 import numpy as np
 
 from . import ntt
-from .errors import ConfigError, DomainMismatchError, ParamsMismatchError
+from .errors import (ConfigError, DomainMismatchError, LengthMismatchError,
+                     ParamsMismatchError)
 from .rng import Xof
 
 COEFF = "coeff"
@@ -309,11 +311,15 @@ def _garner(primes: tuple[int, ...], rows: np.ndarray):
 # arithmetic
 
 
-def _check_pair(a: RingElement, b: RingElement, *, same_domain: bool) -> None:
+def _check_pair(a: RingElement, b: RingElement, *, same_domain: bool,
+                same_shape: bool = False) -> None:
     if a.params != b.params:
         raise ParamsMismatchError("ring parameters differ")
     if same_domain and a.domain != b.domain:
         raise DomainMismatchError(f"domains differ: {a.domain} vs {b.domain}")
+    lead_a, lead_b = a.residues.shape[:-2], b.residues.shape[:-2]
+    if lead_a != lead_b and (same_shape or (lead_a and lead_b)):
+        raise LengthMismatchError(f"batch shapes differ: {lead_a} vs {lead_b}")
 
 
 def _reduce_once(s: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -330,8 +336,8 @@ def ring_add(a: RingElement, b: RingElement) -> RingElement:
 
 
 def add_into(acc: RingElement, b: RingElement) -> None:
-    """acc += b in R_q, in place: acc's residues are written, not replaced."""
-    _check_pair(acc, b, same_domain=True)
+    """acc += b in place, b of acc's shape: acc's residues are written."""
+    _check_pair(acc, b, same_domain=True, same_shape=True)
     np.add(acc.residues, b.residues, out=acc.residues)
     _reduce_once(acc.residues, prime_column(acc.params.primes))
 

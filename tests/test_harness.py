@@ -77,38 +77,32 @@ def submit(cfg, art, root, index, bus):
                              root, 0, bus)
 
 
-def decoded(cfg, art, messages):
-    """A submission's messages decoded into its group batches, copied:
-    the group sums of this one submission."""
-    out = []
-    for g in group_layout(cfg.model_size, art.params.ring):
-        cts = [wire.deserialize_ciphertext(blob, art.params)
-               for blob in messages[g.start : g.stop]]
-        out.append(dataclasses.replace(
-            cts[0], c0=stack([ct.c0 for ct in cts]),
-            c1=stack([ct.c1 for ct in cts]),
-            adds_consumed=max(ct.adds_consumed for ct in cts)))
-    return out
+def decoded(art, messages):
+    """A submission's messages decoded into one batch indexed by chunk,
+    copied: the sum of this one submission."""
+    cts = [wire.deserialize_ciphertext(blob, art.params) for blob in messages]
+    return dataclasses.replace(
+        cts[0], c0=stack([ct.c0 for ct in cts]),
+        c1=stack([ct.c1 for ct in cts]),
+        adds_consumed=max(ct.adds_consumed for ct in cts))
 
 
-def summed(*lists):
-    """Group batches added group by group with `schemes.add`, the
-    reference the aggregator's in-place fold is checked against."""
-    return [functools.reduce(add, group) for group in zip(*lists)]
+def summed(*sums):
+    """Chunk-indexed sums added with `schemes.add`, the reference the
+    aggregator's in-place fold is checked against."""
+    return functools.reduce(add, sums)
 
 
 def same_sums(got, want):
-    """Group batches equal residue for residue, and in adds_consumed."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a.c0.residues, b.c0.residues)
-        assert np.array_equal(a.c1.residues, b.c1.residues)
-        assert a.adds_consumed == b.adds_consumed
+    """Chunk-indexed sums equal residue for residue, and in adds_consumed."""
+    assert np.array_equal(got.c0.residues, want.c0.residues)
+    assert np.array_equal(got.c1.residues, want.c1.residues)
+    assert got.adds_consumed == want.adds_consumed
 
 
 def aggregator(cfg, art, parties=None):
     return Aggregator(cfg.parties if parties is None else parties, art.params,
-                      group_layout(cfg.model_size, art.params.ring))
+                      -(-cfg.model_size // art.params.ring.n))
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +179,17 @@ def test_input_step_chunk_shapes_and_zero_vector():
     bus = MessageBus()
     root = Xof.from_seed(cfg.root_seed)
     zeros = np.zeros(cfg.model_size)
-    cts = decoded(cfg, art, client_input_step(cfg, art.params, 1, zeros,
-                                              art.cpk, root, 0, bus))
+    batch = decoded(art, client_input_step(cfg, art.params, 1, zeros, art.cpk,
+                                           root, 0, bus))
     # 4096 / 1024 chunks, in one group: c1 at q's 2 limbs, c0 at q' (1 limb)
-    assert len(cts) == 1 == len(group_layout(4 * 1024, art.params.ring))
-    assert cts[0].c1.residues.shape == (4, 2, 1024)
-    assert cts[0].c0.residues.shape == (4, 1, 1024)
+    assert len(group_layout(4 * 1024, art.params.ring)) == 1
+    assert batch.c1.residues.shape == (4, 2, 1024)
+    assert batch.c0.residues.shape == (4, 1, 1024)
     assert sum(m.kind == "ciphertext" for m in bus.records) == 4
     # a zero vector opens to zero through the full threshold path
-    other = decoded(cfg, art, client_input_step(cfg, art.params, 2, zeros,
-                                                art.cpk, root, 0, bus))
-    opened = output_step(cfg, art.params, art.shares, summed(cts, other),
+    other = decoded(art, client_input_step(cfg, art.params, 2, zeros, art.cpk,
+                                           root, 0, bus))
+    opened = output_step(cfg, art.params, art.shares, summed(batch, other),
                          art.report, root, 0, bus)
     assert list(opened) == [Fraction(0)] * cfg.model_size
 
@@ -219,11 +213,11 @@ def test_eval_step_identity_and_mismatch():
     bus = MessageBus()
     root = Xof.from_seed(99)
     subs = [submit(cfg, art, root, sh.index, bus) for sh in art.shares]
-    lists = [decoded(cfg, art, msgs) for msgs in subs]
+    sums = [decoded(art, msgs) for msgs in subs]
     # a single submission: identity
     solo = aggregator(cfg, art, 1)
     solo.receive(1, subs[0])
-    same_sums(solo.evaluate(), lists[0])
+    same_sums(solo.evaluate(), sums[0])
     with pytest.raises(ShareSetError):
         aggregator(cfg, art, 2).evaluate()
 
@@ -236,19 +230,18 @@ def test_aggregator_folds_submissions_as_they_arrive():
     agg = aggregator(cfg, art)
     with pytest.raises(ShareSetError):
         agg.evaluate()
-    lists = []
+    sums = []
     for sh in art.shares:
         messages = submit(cfg, art, root, sh.index, bus)
-        lists.append(decoded(cfg, art, messages))
+        sums.append(decoded(art, messages))
         agg.receive(sh.index, messages)
     # no per-client store
-    assert vars(agg).keys() == {"parties", "params", "groups", "senders",
-                                "total"}
-    want = summed(*lists)
+    assert vars(agg).keys() == {"parties", "params", "senders", "total"}
+    want = summed(*sums)
     got = agg.evaluate()
-    # both chunks in one group batch, each summed over the 3 clients
-    assert [ct.adds_consumed for ct in got] == [2]
-    assert got[0].c1.residues.shape == (2, 2, 1024)
+    # one row per chunk, each summed over the 3 clients
+    assert got.adds_consumed == 2
+    assert got.c1.residues.shape == (2, 2, 1024)
     same_sums(got, want)
 
 
@@ -257,11 +250,11 @@ def test_aggregation_order_does_not_change_opened_value():
     art = run_setup(cfg)
     bus = MessageBus()
     root = Xof.from_seed(5)
-    lists = [decoded(cfg, art, submit(cfg, art, root, sh.index, bus))
-             for sh in art.shares]
-    fwd = output_step(cfg, art.params, art.shares, summed(*lists),
+    sums = [decoded(art, submit(cfg, art, root, sh.index, bus))
+            for sh in art.shares]
+    fwd = output_step(cfg, art.params, art.shares, summed(*sums),
                       art.report, root.child("d1"), 0, bus)
-    rev = output_step(cfg, art.params, art.shares, summed(*reversed(lists)),
+    rev = output_step(cfg, art.params, art.shares, summed(*reversed(sums)),
                       art.report, root.child("d2"), 0, bus)
     assert fwd == rev
 
@@ -300,7 +293,7 @@ def test_aggregator_takes_each_party_exactly_once():
 
 
 def test_double_submission_raises_before_output_step():
-    # client 1's groups received twice and client 3's never: the sum opens
+    # client 1's chunks received twice and client 3's never: the sum opens
     # far off the cleartext average, so evaluate must refuse to release it
     cfg = make_cfg(parties=3, model_size=1024)
     art = run_setup(cfg)
@@ -319,12 +312,12 @@ def test_double_submission_raises_before_output_step():
 
 
 def test_rejected_submission_does_not_count_as_received():
-    # party 2's groups do not match party 1's: its submission fails, so the
+    # party 2's chunks do not match party 1's: its submission fails, so the
     # parties 1 and 3 that were folded must not pass the party-set check
     cfg = make_cfg(parties=3, model_size=2048)
     art = run_setup(cfg)
     subs = submissions(cfg, art)
-    misshaped = subs[2][:1]  # one chunk's message where the group has two
+    misshaped = subs[2][:1]  # one chunk's message where the round has two
     agg = aggregator(cfg, art)
     agg.receive(1, subs[1])
     with pytest.raises(LengthMismatchError):
@@ -335,21 +328,20 @@ def test_rejected_submission_does_not_count_as_received():
 
 
 def test_a_misshaped_first_submission_does_not_set_the_shapes():
-    # party 1 sends one chunk where its group has two: it is refused by name
-    # against the shapes the aggregator was given, and the well-formed
+    # party 1 sends one chunk where the round has two: it is refused by name
+    # against the chunk count the aggregator was given, and the well-formed
     # submissions of parties 2 and 3 still fold in
     cfg = make_cfg(parties=3, model_size=2048)
     art = run_setup(cfg)
     subs = submissions(cfg, art)
-    shapes = [((2, 1, 1024), (2, 2, 1024))]  # c0 at q', c1 at q
-    assert group_layout(cfg.model_size, art.params.ring) == [range(0, 2)]
-    assert [(ct.c0.residues.shape, ct.c1.residues.shape)
-            for ct in decoded(cfg, art, subs[1])] == shapes
-    short = subs[1][:1]  # one chunk's message where the group has two
+    ct = decoded(art, subs[1])  # c0 at q', c1 at q
+    assert (ct.c0.residues.shape, ct.c1.residues.shape) == ((2, 1, 1024),
+                                                            (2, 2, 1024))
+    short = subs[1][:1]  # one chunk's message where the round has two
     agg = aggregator(cfg, art)
     with pytest.raises(LengthMismatchError, match="party 1 submitted"):
         agg.receive(1, short)
-    assert agg.senders == [] and agg.total is None
+    assert agg.senders == [] and is_zero(agg.total)
     agg.receive(2, subs[2])
     agg.receive(3, subs[3])
     assert agg.senders == [2, 3]
@@ -357,30 +349,28 @@ def test_a_misshaped_first_submission_does_not_set_the_shapes():
         agg.evaluate()
 
 
+def is_zero(total):
+    """A sum as the aggregator allocates it: all zero, no addition spent."""
+    return (not total.c0.residues.any() and not total.c1.residues.any()
+            and total.adds_consumed == 0)
+
+
 @functools.lru_cache(maxsize=None)
-def three_groups():
-    """A 3-party round of 3 chunks in 3 groups (`BATCH_BYTES` = 0): the
-    config, the setup, the group layout, every party's messages and what
-    the round must open to."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "BATCH_BYTES", 0)  # one chunk per group
-        cfg = make_cfg(parties=3, model_size=3072)
-        art = run_setup(cfg)
-        groups = group_layout(cfg.model_size, art.params.ring)
-    assert len(groups) == 3
+def three_chunks():
+    """A 3-party round of 3 chunks: the config, the setup, every party's
+    messages and what the round must open to."""
+    cfg = make_cfg(parties=3, model_size=3072)
+    art = run_setup(cfg)
     root = Xof.from_seed(cfg.root_seed)
     oracle = cleartext_oracle(cfg, [synthesize_update(cfg, root, i, 0)
                                     for i in (1, 2, 3)])
-    return cfg, art, groups, submissions(cfg, art), oracle
+    return cfg, art, submissions(cfg, art), oracle
 
 
-def open_three_groups(cfg, art, agg):
-    """`output_step` on an aggregator of `three_groups`, under the same
-    layout, as a round opens its sums."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "BATCH_BYTES", 0)
-        return output_step(cfg, art.params, art.shares, agg.evaluate(),
-                           art.report, Xof.from_seed(1), 0, MessageBus())
+def open_round(cfg, art, total):
+    """What a round's sum opens to, as `output_step` opens it."""
+    return output_step(cfg, art.params, art.shares, total, art.report,
+                       Xof.from_seed(1), 0, MessageBus())
 
 
 def tampered(params, blob, fault, draw):
@@ -422,12 +412,11 @@ def tampered_last(art, messages, how):
                                         ("adds", CapacityError)])
 def test_a_late_bad_message_leaves_the_sums_bit_for_bit(how, error):
     # party 2's last message is bad, after parties 1 and 3 were folded in:
-    # its first two groups are not added either, so the sums are those of
+    # its first two chunks are not added either, so the sums are those of
     # parties 1 and 3 alone, and party 2 can submit again; the round opens
     # exactly
-    cfg, art, groups, subs, oracle = three_groups()
-    agg, others = (Aggregator(cfg.parties, art.params, groups)
-                   for _ in range(2))
+    cfg, art, subs, oracle = three_chunks()
+    agg, others = (aggregator(cfg, art) for _ in range(2))
     for i in (1, 3):
         agg.receive(i, subs[i])
         others.receive(i, subs[i])
@@ -435,13 +424,13 @@ def test_a_late_bad_message_leaves_the_sums_bit_for_bit(how, error):
         agg.receive(2, tampered_last(art, subs[2], how))
     assert agg.senders == [1, 3]
     same_sums(agg.total, others.total)
-    # a bad message in the first submission sets no sum
-    first = Aggregator(cfg.parties, art.params, groups)
+    # a bad message in the first submission leaves the sum zero
+    first = aggregator(cfg, art)
     with pytest.raises(WireFormatError):
         first.receive(2, tampered_last(art, subs[2], "residue"))
-    assert first.senders == [] and first.total is None
+    assert first.senders == [] and is_zero(first.total)
     agg.receive(2, subs[2])
-    assert open_three_groups(cfg, art, agg).max_abs_diff(oracle) == 0
+    assert open_round(cfg, art, agg.evaluate()).max_abs_diff(oracle) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -452,7 +441,7 @@ def test_a_refused_submission_leaves_the_sums_bit_for_bit(data):
     # message is checked before any is added, so the refusal leaves the
     # senders and the sums (the same arrays, bit for bit) as they were, and
     # party 2 can submit again; the round then opens exactly
-    cfg, art, groups, subs, oracle = three_groups()
+    cfg, art, subs, oracle = three_chunks()
     late = data.draw(st.booleans(), label="late")
     at = data.draw(st.sampled_from([0, 1, 2]), label="message")
     fault = data.draw(st.sampled_from(["residue", "adds", "truncated",
@@ -468,32 +457,30 @@ def test_a_refused_submission_leaves_the_sums_bit_for_bit(data):
         bad[at] = tampered(art.params, bad[at], fault, data.draw)
     error = CapacityError if fault == "adds" and late else WireFormatError
     earlier = [1, 3] if late else []
-    agg = Aggregator(cfg.parties, art.params, groups)
+    agg = aggregator(cfg, art)
     for i in earlier:
         agg.receive(i, subs[i])
     sums = agg.total
-    held = None if sums is None else [
-        (ct, ct.c0.residues, ct.c1.residues, ct.c0.residues.copy(),
-         ct.c1.residues.copy(), ct.adds_consumed) for ct in sums]
+    c0, c1 = sums.c0.residues, sums.c1.residues
+    c0_was, c1_was, adds = c0.copy(), c1.copy(), sums.adds_consumed
     with pytest.raises(ProtocolFailure) as info:
         agg.receive(2, bad)
     assert type(info.value) is error
     assert agg.senders == earlier
     assert agg.total is sums
-    for (ct, c0, c1, c0_was, c1_was, adds), now in zip(held or [], sums or []):
-        assert now is ct and ct.c0.residues is c0 and ct.c1.residues is c1
-        assert np.array_equal(c0, c0_was) and np.array_equal(c1, c1_was)
-        assert ct.adds_consumed == adds
+    assert sums.c0.residues is c0 and sums.c1.residues is c1
+    assert np.array_equal(c0, c0_was) and np.array_equal(c1, c1_was)
+    assert sums.adds_consumed == adds
     for i in [2] + ([] if late else [1, 3]):
         agg.receive(i, subs[i])
-    assert open_three_groups(cfg, art, agg).max_abs_diff(oracle) == 0
+    assert open_round(cfg, art, agg.evaluate()).max_abs_diff(oracle) == 0
 
 
 def test_receive_folds_in_place(monkeypatch):
-    # the group sums are allocated at the first accepted receive and
-    # written in place from then to evaluate; every message is decoded
-    # once, and (weak references) no decoded ciphertext outlives its receive
-    cfg, art, groups, subs, _ = three_groups()
+    # the sum is allocated with the aggregator and written in place from
+    # then to evaluate; every message is decoded once, and (weak
+    # references) no decoded ciphertext outlives its receive
+    cfg, art, subs, _ = three_chunks()
     assert all(type(m) is bytes for msgs in subs.values() for m in msgs)
     decode = wire.deserialize_ciphertext
     decoded_from, received = [], []
@@ -505,23 +492,68 @@ def test_receive_folds_in_place(monkeypatch):
         return ct
 
     monkeypatch.setattr(wire, "deserialize_ciphertext", watched_decode)
-    agg = Aggregator(cfg.parties, art.params, groups)
-
-    def arrays():
-        return [el.residues for ct in agg.total for el in (ct.c0, ct.c1)]
-
-    first = None
+    agg = aggregator(cfg, art)
+    first = agg.total.c0.residues, agg.total.c1.residues
+    assert first[0].shape == (3, 1, 1024) and first[1].shape == (3, 2, 1024)
     for i in (1, 2, 3):
         agg.receive(i, subs[i])
         assert all(ref() is None for ref in received)
-        first = first or arrays()
-        assert len(arrays()) == 6
-        assert all(a is b for a, b in zip(arrays(), first))
-    assert all(a is b for a, b in zip(
-        [el.residues for ct in agg.evaluate() for el in (ct.c0, ct.c1)],
-        first))
+        assert agg.total.c0.residues is first[0]
+        assert agg.total.c1.residues is first[1]
+    total = agg.evaluate()
+    assert total.c0.residues is first[0] and total.c1.residues is first[1]
     assert list(map(id, decoded_from)) == [id(m) for i in (1, 2, 3)
                                            for m in subs[i]]
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_output_step_refuses_a_sum_of_the_wrong_chunk_count(rows):
+    # a sum one row short of the round's 3 chunks, or one row long, is
+    # refused before any party decrypts: no share is posted; a longer sum's
+    # extra row is not dropped, nor is a shorter one opened
+    cfg, art, subs, _ = three_chunks()
+    agg = aggregator(cfg, art)
+    for i in (1, 2, 3):
+        agg.receive(i, subs[i])
+    total = agg.evaluate()
+    pick = [0, 1, 2, 0][:rows]
+    wrong = dataclasses.replace(
+        total, c0=dataclasses.replace(total.c0,
+                                      residues=total.c0.residues[pick]),
+        c1=dataclasses.replace(total.c1, residues=total.c1.residues[pick]))
+    bus = MessageBus()
+    with pytest.raises(LengthMismatchError, match=r"a row per chunk") as info:
+        output_step(cfg, art.params, art.shares, wrong, art.report,
+                    Xof.from_seed(1), 0, bus)
+    assert isinstance(info.value, ProtocolFailure)  # exit 3
+    assert bus.records == []
+
+
+def test_the_sums_do_not_depend_on_the_group_layout(monkeypatch):
+    # 18 chunks: 16 + 2 per group, or one by one. Submissions made under
+    # either layout fold into the same (18, limbs, n) sums, and each sum
+    # opens to the same average under either layout, the exact one
+    cfg = make_cfg(parties=2, model_size=17 * 1024 + 5)
+    art = run_setup(cfg)
+    root = Xof.from_seed(cfg.root_seed)
+    oracle = cleartext_oracle(cfg, [synthesize_update(cfg, root, i, 0)
+                                    for i in (1, 2)])
+    layouts = {harness.BATCH_BYTES: 2, 0: 18}  # groups under each cap
+    sums = []
+    for cap, groups in layouts.items():
+        monkeypatch.setattr(harness, "BATCH_BYTES", cap)
+        assert len(group_layout(cfg.model_size, art.params.ring)) == groups
+        agg = aggregator(cfg, art)
+        for i, messages in submissions(cfg, art).items():
+            agg.receive(i, messages)
+        sums.append(agg.evaluate())
+    assert sums[0].c0.residues.shape == (18, 1, 1024)
+    assert sums[0].c1.residues.shape == (18, 2, 1024)
+    same_sums(sums[0], sums[1])
+    for cap in layouts:
+        monkeypatch.setattr(harness, "BATCH_BYTES", cap)
+        for total in sums:
+            assert open_round(cfg, art, total) == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +561,7 @@ def test_receive_folds_in_place(monkeypatch):
 
 
 def test_updates_and_sums_live_only_as_long_as_their_step(monkeypatch):
-    # weak references to every update synthesized and to every summed group
+    # weak references to every update synthesized and to every round's sum
     # the output step opens: an update is gone once the next one is made,
     # for a client's turn or for the oracle, so at most one is alive at a
     # time; no sum is alive at the oracle; and the opened average reaches
@@ -548,9 +580,9 @@ def test_updates_and_sums_live_only_as_long_as_their_step(monkeypatch):
             updates.append(weakref.ref(update))
             return update
 
-        def watched_output(cfg, params, shares, agg_cts, *rest):
-            sums.extend(weakref.ref(ct) for ct in agg_cts)
-            opened.append(open_step(cfg, params, shares, agg_cts, *rest))
+        def watched_output(cfg, params, shares, total, *rest):
+            sums.append(weakref.ref(total))
+            opened.append(open_step(cfg, params, shares, total, *rest))
             return opened[-1]
 
         def watched_oracle(cfg, round_updates):
@@ -573,7 +605,7 @@ def test_updates_and_sums_live_only_as_long_as_their_step(monkeypatch):
         transcript = run_protocol(cfg)
         assert (transcript.max_error == 0) == (scheme == "mbfv")
         assert checked == [3, 3]  # the oracle synthesized each update once
-        assert len(sums) == 2  # one group per round
+        assert len(sums) == 2  # one sum per round
         # 2L syntheses per round: one for the client's turn, one for the
         # oracle, which folds an MCKKS sum to a finer place in the same pass
         assert synthesized == [0] * 6 + [1] * 6

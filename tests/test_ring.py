@@ -14,6 +14,7 @@ from thagg.errors import (
     ConfigError,
     DomainMismatchError,
     KeystreamError,
+    LengthMismatchError,
     ParamsMismatchError,
 )
 from thagg.ring import (
@@ -198,6 +199,9 @@ def test_batched_ring_ops_match_schoolbook_and_single_calls(n):
     for g, x in zip(unstack(ring_mul(to_ntt(stack(a)), key)), a):
         want = ring_mul_schoolbook(x, b[0]).residues
         assert np.array_equal(g.residues, want)
+    # and one element added to every entry of a batch
+    for g, x in zip(unstack(ring_add(stack(a), b[0])), a):
+        assert np.array_equal(g.residues, ring_add(x, b[0]).residues)
     for op, args in ((ring_add, (a, b)), (ring_sub, (a, b)), (ring_neg, (a,))):
         batched = unstack(op(*(stack(els) for els in args)))
         for g, *els in zip(batched, *args):
@@ -219,6 +223,30 @@ def test_add_into_matches_ring_add_in_place():
         add_into(a, to_ntt(c))
     with pytest.raises(ParamsMismatchError):
         add_into(a, rand_element(params_for(8, count=1), 6))
+    # an element into a batch would be added to every entry, and a batch
+    # into an entry or into a batch of another size cannot fit: each is
+    # refused by name, the accumulator left as it was
+    three = stack([a, b, c])
+    for acc, other in ((three, c), (a, three), (batch, three), (three, batch)):
+        was = acc.residues.copy()
+        with pytest.raises(LengthMismatchError, match="batch shapes"):
+            add_into(acc, other)
+        assert np.array_equal(acc.residues, was)
+
+
+def test_batches_of_different_shapes_do_not_broadcast():
+    # (1, k, n) against (3, k, n) and (2, k, n) against (3, k, n) are
+    # refused by name (exit 3), whichever comes first, in either domain
+    params = params_for(8, count=2)
+    els = [rand_element(params, seed) for seed in range(3)]
+    three = stack(els)
+    for lead in (1, 2):
+        other = stack(els[:lead])
+        for op, x, y in ((ring_add, other, three), (ring_add, three, other),
+                         (ring_mul, other, three), (ring_mul, three, other),
+                         (ring_mul, to_ntt(other), to_ntt(three))):
+            with pytest.raises(LengthMismatchError, match="batch shapes"):
+                op(x, y)
 
 
 def test_ntt_domain_flags_and_roundtrip():
