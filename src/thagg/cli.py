@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import parse_config, with_parties
 from .errors import ConfigRejection, ProtocolFailure
-from .harness import PHASE_LABELS, PHASES, run_protocol
+from .harness import PHASE_LABELS, run_protocol
 from .planner import grid_to_csv, interval_approx_check, plan, region_grid
 
 
@@ -128,9 +128,9 @@ def cmd_bench(args) -> int:
             if best is None or timings["total"] < best["total"]:
                 best = timings
         count = run_cfg.parties
-        rows.append([count] + [f"{best[k]:.6f}" for k in PHASES])
+        rows.append([count] + [f"{best[k]:.6f}" for k in PHASE_LABELS])
         sys.stderr.write(f"parties={count}: total {best['total']:.3f} s\n")
-    header = ["parties"] + [PHASE_LABELS[k] for k in PHASES]
+    header = ["parties"] + list(PHASE_LABELS.values())
     text = io.StringIO()
     out = csv.writer(text, lineterminator="\n")
     out.writerow(header)

@@ -30,7 +30,7 @@ import numpy as np
 from . import ring as rg
 from . import wire
 from .config import ProtocolConfig, config_text
-from .errors import LengthMismatchError, ProtocolFailure
+from .errors import CapacityError, LengthMismatchError, ProtocolFailure
 from .exact import (Ratios, binary_places, scaled_round_array,
                     scaled_round_ints, slices)
 from .planner import MBFV, PlanReport, plan
@@ -41,7 +41,6 @@ from .schemes import (
     Ciphertext,
     PublicKey,
     SchemeParams,
-    adds_after,
     bfv_round,
     ckks_scale_down,
     decode_fixed,
@@ -72,9 +71,7 @@ from .threshold import (
 # more (0.30 ms).
 BATCH_BYTES = 128 << 10
 
-PHASES = ("collective_keygen", "encryption", "aggregation",
-          "collective_decryption", "total")
-
+# the timed phases, in report order, and their labels
 PHASE_LABELS = {
     "collective_keygen": "Col. Key Gen.",
     "encryption": "Encryption",
@@ -109,16 +106,19 @@ class Aggregator:
     """Holds only public data: the parameters, the senders and the round's
     running sum, one ciphertext whose batch axis is the chunk index.
 
-    A submission is a client's ciphertext messages, one per chunk in chunk
-    order. `receive` decodes and checks every message first, as read-only
-    views into the messages, and then the capacity left in the sum; only a
-    submission that passes all checks is added, chunk by chunk, in place
-    into the sum (`aggregator_eval_step`), a fold that cannot fail. So a
-    refused submission leaves the sum and the senders as they were, and no
-    message is decoded twice. The sum of `chunks` rows is allocated once,
-    zeroed, with the aggregator. `evaluate` releases the sum only if each
-    of the parties 1..L submitted once; a submission beyond L, or one of
-    the wrong message count, fails at once.
+    A submission is a client's fresh ciphertext messages, one per chunk in
+    chunk order. `receive` decodes and checks every message first, as
+    read-only views into the messages; only a submission that passes all
+    checks is added, chunk by chunk, in place into the sum
+    (`aggregator_eval_step`), a fold that cannot fail. So a refused
+    submission leaves the sum and the senders as they were, and no message
+    is decoded twice. The sum of `chunks` rows is allocated once, zeroed,
+    with the aggregator, and has consumed one addition less than it has
+    senders. `evaluate` releases the sum only if each of the parties 1..L
+    submitted once. A submission beyond L, one of the wrong message count,
+    or one with a message that is not fresh (adds_consumed other than 0:
+    the plan sizes the noise for a sum of L fresh ciphertexts) fails at
+    once with its typed error.
     """
 
     def __init__(self, parties: int, params: SchemeParams, chunks: int):
@@ -127,12 +127,11 @@ class Aggregator:
         self.senders: list[int] = []
         self.total = Ciphertext(c0=rg.zero(params.dec_ring, lead=(chunks,)),
                                 c1=rg.zero(params.ring, lead=(chunks,)),
-                                scheme=params.scheme, adds_consumed=0,
-                                kappa=params.kappa)
+                                adds_consumed=0)
 
     def receive(self, sender: int, messages: list[bytes]) -> None:
         senders = self.senders + [sender]
-        if len(senders) > self.parties:  # fails before capacity runs out
+        if len(senders) > self.parties:  # fails at once, not at evaluate
             check_parties(senders, self.parties, "ciphertext submission")
         want = len(self.total.c1.residues)
         if len(messages) != want:
@@ -141,12 +140,11 @@ class Aggregator:
                 f"{want}")
         cts = [wire.deserialize_ciphertext(blob, self.params)
                for blob in messages]
-        spent = max(ct.adds_consumed for ct in cts)
-        if self.senders:  # the last check; the first is folded into zero
-            spent = adds_after(self.total.adds_consumed, spent,
-                               self.params.kappa)
+        if any(ct.adds_consumed for ct in cts):
+            raise CapacityError(f"party {sender} submitted a sum; a round "
+                                "adds one fresh ciphertext per party")
         aggregator_eval_step(self.total, cts)
-        self.total.adds_consumed = spent
+        self.total.adds_consumed = len(senders) - 1
         self.senders = senders
 
     def evaluate(self) -> Ciphertext:
@@ -210,10 +208,8 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
     def timings_text(self) -> str:
-        lines = []
-        for key in PHASES:
-            lines.append(f"{PHASE_LABELS[key]}: {self.timings[key]:.3f} s")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{label}: {self.timings[key]:.3f} s\n"
+                       for key, label in PHASE_LABELS.items())
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,8 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
                 for c in group]
         batch = switch_c0(params, encrypt(params, cpk, pt, rngs))
         for c0, c1 in zip(rg.unstack(batch.c0), rg.unstack(batch.c1)):
-            blob = wire.serialize_ciphertext(replace(batch, c0=c0, c1=c1))
+            blob = wire.serialize_ciphertext(replace(batch, c0=c0, c1=c1),
+                                             params)
             out.append(bus.post("ciphertext", f"client{index}", blob))
     return out
 
@@ -313,7 +310,7 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
 def aggregator_eval_step(total: Ciphertext, cts: list[Ciphertext]) -> None:
     """One submission's chunk ciphertexts, in chunk order, added in place
     into the running sum: chunk i's c0 and c1 into row i. The caller has
-    checked the rings, count and capacity."""
+    checked the rings, count and freshness."""
     for c0, c1, ct in zip(rg.unstack(total.c0), rg.unstack(total.c1), cts):
         rg.add_into(c0, ct.c0)
         rg.add_into(c1, ct.c1)

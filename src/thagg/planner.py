@@ -6,7 +6,9 @@ modulus for both scheme variants:
 
     b_fresh     = (2n+1) B             fresh single-key ciphertext noise
     b_fresh_mp  = B (2nL+1)            fresh noise under the collective key
-    b_ct        = L B (2nL+1)          after aggregating L inputs
+    b_ct        = L B (2nL+1)          a sum of L fresh ciphertexts, one
+                                       a party (`harness.Aggregator`
+                                       refuses any other submission)
     b_smg       = 2^ceil(lam/2) b_ct   per-party smudging bound
     b_ct_mp     = b_ct + L b_smg + L/2 what collective decryption must absorb
 

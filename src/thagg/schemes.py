@@ -3,8 +3,11 @@
 Only additions are supported homomorphically; both schemes share the
 public-key and encryption shape, sampling encryption randomness u from the
 ternary distribution. No slot packing: plaintext coefficients carry values
-directly. The encoders turn float64 arrays, and only those, into a
-`Plaintext`: one RNS element, built with exact vector steps. The
+directly. The encoders turn float64 arrays, and only those, into the
+message: one coefficient-domain RNS element, built with exact vector
+steps. `SchemeParams` alone holds the scheme and the addition capacity
+kappa; a ciphertext carries only its elements and the additions it has
+consumed, and `add` checks those against the parameters' kappa. The
 decryption tails work on the exact centered integers of the CRT lift
 (`ring.crt_lift`); nothing in the decrypt path touches floats. Each takes
 an element of its own parameters' ring or decryption ring, and no other.
@@ -54,7 +57,9 @@ class SchemeParams:
     scheme: str
     ring: rg.RingParams
     noise: rg.NoiseSpec
-    kappa: int                # homomorphic addition capacity
+    # addition capacity: the fresh ciphertexts a sum may hold, less one.
+    # A protocol run sets kappa = L, one fresh ciphertext per party.
+    kappa: int
     delta: int                # BFV: floor(q/t); CKKS: scale kappa * 2^k
     # the ring partial decryptions are rounded to, sent in and combined in:
     # the first limbs of `ring` (`ring.scale_down`), or all of them
@@ -71,29 +76,17 @@ class PublicKey:
 
 
 @dataclass
-class Plaintext:
-    """The plaintext coefficients as one coefficient-domain RNS element.
-
-    BFV: centered integers mod t. CKKS: round(delta * value). A batch from
-    the encoders has an element of shape (B, limbs, n).
-    """
-
-    scheme: str
-    element: rg.RingElement
-
-
-@dataclass
 class Ciphertext:
     # c0 at q, or at the decryption modulus q' once a client switched it
     # for collective decryption (`threshold.switch_c0`); c1 always at q.
     # Both may carry a batch axis, (B, limbs, n): one ciphertext per entry.
     # A client encrypts a group of chunks this way (`harness.group_layout`),
     # the round's sum holds one row per chunk, and a message carries one.
+    # The scheme and kappa are the parameters' (`SchemeParams`); a fresh
+    # ciphertext has consumed no addition, a sum of k of them k - 1.
     c0: rg.RingElement
     c1: rg.RingElement
-    scheme: str
     adds_consumed: int
-    kappa: int
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +176,9 @@ def _largest(values: np.ndarray, n: int) -> Fraction:
 
 
 def encode_fixed(values: np.ndarray, scale_bits: int,
-                 params: SchemeParams) -> Plaintext:
-    """Quantize reals onto the grid 2^-scale_bits as BFV plaintext integers.
+                 params: SchemeParams) -> rg.RingElement:
+    """Quantize reals onto the grid 2^-scale_bits as BFV plaintext integers:
+    the message, centered integers mod t.
 
     Rejects inputs that could wrap mod t once kappa clients' contributions
     are aggregated. Values whose scaled magnitude does not fit int64 go
@@ -200,10 +194,10 @@ def encode_fixed(values: np.ndarray, scale_bits: int,
             f"{width} * 2^{scale_bits} * |{float(biggest):.4g}| >= t/2; "
             "lower scale_bits or raise t")
     if two_p * biggest < 1 << 62:  # the range scaled_round_array needs
-        return Plaintext(BFV, rg.from_coeffs(
-            params.ring, scaled_round_array(values, scale_bits)))
+        return rg.from_coeffs(params.ring,
+                              scaled_round_array(values, scale_bits))
     res = scaled_round_residues(values, scale_bits, params.ring.primes)
-    return Plaintext(BFV, rg.RingElement(params.ring, res, rg.COEFF))
+    return rg.RingElement(params.ring, res, rg.COEFF)
 
 
 def decode_fixed(coeffs: np.ndarray, scale_bits: int, parties: int) -> Ratios:
@@ -212,7 +206,7 @@ def decode_fixed(coeffs: np.ndarray, scale_bits: int, parties: int) -> Ratios:
     return Ratios(coeffs, (1 << scale_bits) * parties)
 
 
-def encode_real(values: np.ndarray, params: SchemeParams) -> Plaintext:
+def encode_real(values: np.ndarray, params: SchemeParams) -> rg.RingElement:
     """CKKS encoding of one of kappa updates: integer coefficients
     round(delta/kappa * v), at the exact shift log2(delta/kappa).
 
@@ -229,30 +223,27 @@ def encode_real(values: np.ndarray, params: SchemeParams) -> Plaintext:
             "message space setup sized q for")
     shift = (params.delta // params.kappa).bit_length() - 1
     res = scaled_round_residues(values, shift, params.ring.primes)
-    return Plaintext(CKKS, rg.RingElement(params.ring, res, rg.COEFF))
+    return rg.RingElement(params.ring, res, rg.COEFF)
 
 
 # ---------------------------------------------------------------------------
 # encrypt / add / decryption tails
 
 
-def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext,
+def encrypt(params: SchemeParams, pk: PublicKey, msg: rg.RingElement,
             rng: Xof | Sequence[Xof] | None, *,
             u: rg.RingElement | None = None,
             e0: rg.RingElement | None = None,
             e1: rg.RingElement | None = None) -> Ciphertext:
     """ct = (delta*m + u*p0 + e0, u*p1 + e1); keyword hooks inject randomness.
 
-    A batch of plaintexts with a batch of u, e0 and e1 (each of shape
-    (B, limbs, n), one entry per ciphertext) gives a batch of ciphertexts:
-    one forward transform, two inverse transforms and the sums for all of
-    them. rng is a stream, or one per batch entry; each is read for u, then
-    e0, then e1, and only for a hook not given.
+    msg is an encoder's output: m for BFV, scaled by delta here, and the
+    already scaled value for CKKS. A batch of messages with a batch of u,
+    e0 and e1 (each of shape (B, limbs, n), one entry per ciphertext) gives
+    a batch of ciphertexts: one forward transform, two inverse transforms
+    and the sums for all of them. rng is a stream, or one per batch entry;
+    each is read for u, then e0, then e1, and only for a hook not given.
     """
-    if pt.scheme != params.scheme:
-        raise PlaintextRangeError(
-            f"plaintext is {pt.scheme}, params are {params.scheme}")
-    msg = pt.element
     if params.scheme == BFV:
         msg = rg.mul_scalar(msg, params.delta)
     if u is None:
@@ -264,26 +255,18 @@ def encrypt(params: SchemeParams, pk: PublicKey, pt: Plaintext,
     u_ntt = rg.to_ntt(u)
     c0 = rg.ring_add(rg.ring_add(msg, e0), rg.ring_mul(u_ntt, pk.p0))
     c1 = rg.ring_add(e1, rg.ring_mul(u_ntt, pk.p1))
-    return Ciphertext(c0=c0, c1=c1, scheme=params.scheme,
-                      adds_consumed=0, kappa=params.kappa)
+    return Ciphertext(c0=c0, c1=c1, adds_consumed=0)
 
 
-def adds_after(consumed: int, other: int, kappa: int) -> int:
-    """adds_consumed of the sum of ciphertexts that consumed `consumed` and
-    `other` additions: one more than both, or CapacityError above kappa."""
-    spent = consumed + other + 1
-    if spent > kappa:
-        raise CapacityError(f"{spent} additions exceed capacity kappa={kappa}")
-    return spent
-
-
-def add(ct: Ciphertext, other: Ciphertext) -> Ciphertext:
-    if ct.scheme != other.scheme:
-        raise PlaintextRangeError("cannot add ciphertexts of different schemes")
-    spent = adds_after(ct.adds_consumed, other.adds_consumed, ct.kappa)
+def add(params: SchemeParams, ct: Ciphertext, other: Ciphertext) -> Ciphertext:
+    """The sum of two ciphertexts under `params`: it has consumed one
+    addition more than both, or CapacityError above params.kappa."""
+    spent = ct.adds_consumed + other.adds_consumed + 1
+    if spent > params.kappa:
+        raise CapacityError(
+            f"{spent} additions exceed capacity kappa={params.kappa}")
     return Ciphertext(c0=rg.ring_add(ct.c0, other.c0),
-                      c1=rg.ring_add(ct.c1, other.c1),
-                      scheme=ct.scheme, adds_consumed=spent, kappa=ct.kappa)
+                      c1=rg.ring_add(ct.c1, other.c1), adds_consumed=spent)
 
 
 def _check_decode_ring(params: SchemeParams, d: rg.RingElement) -> None:

@@ -19,6 +19,11 @@ u32 residues are exact because `RingParams.create` admits only primes
 below 2^MAX_PRIME_BITS = 2^30; a decoder returns read-only views of them.
 Versions 1 (u64 residues) and 2 (c0 at the full q) are not read.
 
+The ciphertext encoder takes the scheme tag and both rings from the
+sender's `SchemeParams`, as the decoder takes them from the receiver's: a
+c0 off `params.dec_ring` or a c1 off `params.ring` raises
+`ParamsMismatchError`.
+
 All integers are little-endian. Elements are serialized in the coefficient
 domain; an NTT-domain element (a stored key) raises `DomainMismatchError`,
 and a batch of elements (residues of shape (B, limbs, n)) raises
@@ -106,14 +111,14 @@ def _read_residues(rd: _Reader, ring: rg.RingParams) -> rg.RingElement:
     return rg.RingElement(ring, raw, rg.COEFF)
 
 
-def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    ring, dec = ct.c1.params, ct.c0.params
-    k_dec = len(dec.primes)
-    if dec.n != ring.n or dec.primes != ring.primes[:k_dec]:
-        raise ParamsMismatchError("c0's primes are not a prefix of c1's")
+def serialize_ciphertext(ct: Ciphertext, params: SchemeParams) -> bytes:
+    if ct.c0.params != params.dec_ring or ct.c1.params != params.ring:
+        raise ParamsMismatchError(
+            "c0 is not on the decryption ring or c1 not on the ring")
     return b"".join((
-        MAGIC, struct.pack("<HB", VERSION, SCHEME_TAGS[ct.scheme]),
-        _element_header(ring), struct.pack("<B", k_dec),
+        MAGIC, struct.pack("<HB", VERSION, SCHEME_TAGS[params.scheme]),
+        _element_header(params.ring),
+        struct.pack("<B", len(params.dec_ring.primes)),
         _residue_block(ct.c0), _residue_block(ct.c1),
         struct.pack("<I", ct.adds_consumed)))
 
@@ -146,8 +151,7 @@ def deserialize_ciphertext(blob: bytes, expected: SchemeParams) -> Ciphertext:
     if adds > expected.kappa:
         raise WireFormatError(
             f"adds_consumed {adds} exceeds capacity kappa={expected.kappa}")
-    return Ciphertext(c0=c0, c1=c1, scheme=scheme, adds_consumed=adds,
-                      kappa=expected.kappa)
+    return Ciphertext(c0=c0, c1=c1, adds_consumed=adds)
 
 
 def _serialize_share(kind: int, index: int, el: rg.RingElement) -> bytes:

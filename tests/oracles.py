@@ -49,9 +49,7 @@ from thagg.rng import Xof
 from thagg.planner import MCKKS_SMALLER, RegionGrid
 from thagg.schemes import (
     BFV,
-    CKKS,
     Ciphertext,
-    Plaintext,
     PublicKey,
     SchemeParams,
     bfv_round,
@@ -305,8 +303,8 @@ def pubkeygen(params: SchemeParams, sk: SecretKey, rng: Xof, *,
     return PublicKey(p0=rg.to_ntt(p0), p1=p1)
 
 
-def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
-    """Integers (Python or numpy) as a BFV plaintext; anything else, a float
+def bfv_plaintext(params: SchemeParams, values) -> rg.RingElement:
+    """Integers (Python or numpy) as a BFV message; anything else, a float
     included, raises TypeError rather than being truncated."""
     t, n = params.t, params.ring.n
     items = values.tolist() if isinstance(values, np.ndarray) else list(values)
@@ -319,7 +317,7 @@ def bfv_plaintext(params: SchemeParams, values) -> Plaintext:
     if outside.any():
         v = int(vals[outside.argmax()])
         raise PlaintextRangeError(f"value {v} outside (-t/2, t/2] for t={t}")
-    return Plaintext(BFV, from_ints(params.ring, vals.tolist()))
+    return from_ints(params.ring, vals.tolist())
 
 
 def bfv_round_rational(t: int, q: int, lifted: np.ndarray) -> np.ndarray:
@@ -338,22 +336,18 @@ def decryption_phase(params: SchemeParams, sk: SecretKey,
 
 
 def dec_bfv(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> np.ndarray:
-    if ct.scheme != BFV or params.scheme != BFV:
-        raise PlaintextRangeError("dec_bfv needs a BFV ciphertext")
     return bfv_round(params, decryption_phase(params, sk, ct))
 
 
 def dec_ckks(params: SchemeParams, sk: SecretKey, ct: Ciphertext) -> Ratios:
-    if ct.scheme != CKKS or params.scheme != CKKS:
-        raise PlaintextRangeError("dec_ckks needs a CKKS ciphertext")
     return ckks_scale_down(params, decryption_phase(params, sk, ct))
 
 
 def noise_of(params: SchemeParams, sk: SecretKey, ct: Ciphertext,
-             reference_pt: Plaintext) -> int:
+             reference: rg.RingElement) -> int:
     """Infinity norm of [c0 + c1*s - delta*m]_q; reads the secret key."""
     lifted = rg.crt_lift(decryption_phase(params, sk, ct)).tolist()
-    target = rg.crt_lift(reference_pt.element).tolist()
+    target = rg.crt_lift(reference).tolist()
     if params.scheme == BFV:
         target = [params.delta * v for v in target]
     q, half = params.ring.q, half_q(params.ring)

@@ -346,7 +346,7 @@ def test_c9c_aggregation_time_linear_in_parties():
         pt = bfv_plaintext(params, [1] * params.ring.n)
         ct = encrypt(params, pk, pt, root.child("e"))
         chunks = 400
-        messages = [wire.serialize_ciphertext(ct)] * chunks
+        messages = [wire.serialize_ciphertext(ct, params)] * chunks
         sizes = [2, 4, 8, 16]
         best = dict.fromkeys(sizes, float("inf"))
         # best of 7, the sizes interleaved so that a slow spell of the

@@ -337,8 +337,8 @@ def test_encode_fixed_matches_scalar_path(xs, p):
     want = ref_encode(xs, 1 << p)
     # the values fit int64 and the element is their int64 decomposition
     ref = rg.from_coeffs(params.ring, np.array(want, dtype=np.int64))
-    assert np.array_equal(pt.element.residues, ref.residues)
-    assert rg.crt_lift(pt.element).tolist() == want == [
+    assert np.array_equal(pt.residues, ref.residues)
+    assert rg.crt_lift(pt).tolist() == want == [
         scaled_round(x, p) for x in xs]
 
 
@@ -353,7 +353,7 @@ def test_encode_fixed_beyond_int64_matches_reference(xs, p):
     assume(max(abs(x) for x in xs) * 2.0**p < 2.0**98)
     pt = encode_fixed(np.array(xs), p, params)
     want = ref_encode(xs, 1 << p)
-    assert rg.crt_lift(pt.element).tolist() == want
+    assert rg.crt_lift(pt).tolist() == want
     ref = rg.mul_scalar(from_ints(params.ring, want), params.delta)
     assert np.array_equal(message_element(params, pt).residues, ref.residues)
 
@@ -368,10 +368,10 @@ def test_encode_real_matches_scalar_path(xs, kappa):
     assert step * kappa == params.delta and step & (step - 1) == 0
     pt = encode_real(np.array(xs), params)
     want = ref_encode(xs, Fraction(params.delta, kappa))
-    assert rg.crt_lift(pt.element).tolist() == want == [
+    assert rg.crt_lift(pt).tolist() == want == [
         scaled_round(x, step.bit_length() - 1) for x in xs]
     ref = from_ints(params.ring, want)
-    assert np.array_equal(pt.element.residues, ref.residues)
+    assert np.array_equal(pt.residues, ref.residues)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -408,7 +408,7 @@ def test_encode_real_rejects_wraparound():
     four = setup(CKKS, 64, sigma="3.2", eps_inv=2**10,
                  primes=primes_for(64, 60), kappa=4)
     pt = encode_real(np.array([1.0, -1.0] + [0.0] * 62), four)
-    assert rg.crt_lift(pt.element)[:3].tolist() == [
+    assert rg.crt_lift(pt)[:3].tolist() == [
         four.delta // 4, -four.delta // 4, 0]
     for too_big in (math.nextafter(1.0, 2.0), -math.nextafter(1.0, 2.0)):
         with pytest.raises(EncodingOverflowError):
@@ -1177,16 +1177,16 @@ def test_encoder_residue_paths_at_their_widest(xs, p, kappa):
     bfv = bfv_params(t=2**100, log2_q=240)
     pt = encode_fixed(np.array(xs), p, bfv)
     want = ref_encode(xs, 1 << p)
-    assert rg.crt_lift(pt.element).tolist() == want
-    assert np.array_equal(pt.element.residues,
+    assert rg.crt_lift(pt).tolist() == want
+    assert np.array_equal(pt.residues,
                           from_ints(bfv.ring, want).residues)
     ckks = ckks_params(kappa)
     step = ckks.delta // kappa
     vals = [x if abs(x) != 0.5 else -1.0 / step for x in xs]
     pt = encode_real(np.array(vals), ckks)
     want = ref_encode(vals, Fraction(step))
-    assert rg.crt_lift(pt.element).tolist() == want
-    assert np.array_equal(pt.element.residues,
+    assert rg.crt_lift(pt).tolist() == want
+    assert np.array_equal(pt.residues,
                           from_ints(ckks.ring, want).residues)
 
 
@@ -1220,10 +1220,10 @@ def test_ring_operations_samplers_transforms_and_decoders_are_uint32():
             ring, rg.NoiseSpec.create(0, 1), rng),
         "sample_smudging": rg.sample_smudging(ring, 2**40, rng),
         "sample_smudging, b 0": rg.sample_smudging(ring, 0, rng),
-        "encode_fixed": encode_fixed(np.zeros(n), 8, params).element,
+        "encode_fixed": encode_fixed(np.zeros(n), 8, params),
         "encode_fixed, residues": encode_fixed(np.ones(n), 70, bfv_params(
-            t=2**100, log2_q=240)).element,
-        "encode_real": encode_real(np.zeros(n), ckks_params()).element,
+            t=2**100, log2_q=240)),
+        "encode_real": encode_real(np.zeros(n), ckks_params()),
     }
     for name, el in made.items():
         assert el.residues.dtype == np.uint32, name
@@ -1233,9 +1233,8 @@ def test_ring_operations_samplers_transforms_and_decoders_are_uint32():
                                                   plan))):
         assert arr.dtype == np.uint32, name
 
-    ct = Ciphertext(c0=a, c1=b, scheme=BFV, adds_consumed=0,
-                    kappa=params.kappa)
-    blobs = [wire.serialize_ciphertext(ct),
+    ct = Ciphertext(c0=a, c1=b, adds_consumed=0)
+    blobs = [wire.serialize_ciphertext(ct, params),
              wire.serialize_pk_share(PkShare(index=1, p0=a)),
              wire.serialize_partial_dec(PartialDecryption(index=2, h=b))]
     got = wire.deserialize_ciphertext(blobs[0], params)

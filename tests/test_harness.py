@@ -87,10 +87,10 @@ def decoded(art, messages):
         adds_consumed=max(ct.adds_consumed for ct in cts))
 
 
-def summed(*sums):
+def summed(params, *sums):
     """Chunk-indexed sums added with `schemes.add`, the reference the
     aggregator's in-place fold is checked against."""
-    return functools.reduce(add, sums)
+    return functools.reduce(functools.partial(add, params), sums)
 
 
 def same_sums(got, want):
@@ -189,8 +189,9 @@ def test_input_step_chunk_shapes_and_zero_vector():
     # a zero vector opens to zero through the full threshold path
     other = decoded(art, client_input_step(cfg, art.params, 2, zeros, art.cpk,
                                            root, 0, bus))
-    opened = output_step(cfg, art.params, art.shares, summed(batch, other),
-                         art.report, root, 0, bus)
+    opened = output_step(cfg, art.params, art.shares,
+                         summed(art.params, batch, other), art.report, root,
+                         0, bus)
     assert list(opened) == [Fraction(0)] * cfg.model_size
 
 
@@ -237,7 +238,7 @@ def test_aggregator_folds_submissions_as_they_arrive():
         agg.receive(sh.index, messages)
     # no per-client store
     assert vars(agg).keys() == {"parties", "params", "senders", "total"}
-    want = summed(*sums)
+    want = summed(art.params, *sums)
     got = agg.evaluate()
     # one row per chunk, each summed over the 3 clients
     assert got.adds_consumed == 2
@@ -252,10 +253,11 @@ def test_aggregation_order_does_not_change_opened_value():
     root = Xof.from_seed(5)
     sums = [decoded(art, submit(cfg, art, root, sh.index, bus))
             for sh in art.shares]
-    fwd = output_step(cfg, art.params, art.shares, summed(*sums),
+    fwd = output_step(cfg, art.params, art.shares, summed(art.params, *sums),
                       art.report, root.child("d1"), 0, bus)
-    rev = output_step(cfg, art.params, art.shares, summed(*reversed(sums)),
-                      art.report, root.child("d2"), 0, bus)
+    rev = output_step(cfg, art.params, art.shares,
+                      summed(art.params, *reversed(sums)), art.report,
+                      root.child("d2"), 0, bus)
     assert fwd == rev
 
 
@@ -279,8 +281,7 @@ def test_aggregator_takes_each_party_exactly_once():
                 agg.receive(i, subs[min(i, 3)])
             agg.evaluate()
         assert isinstance(info.value, ProtocolFailure)  # exit 3
-    # a submission beyond L fails as it arrives, before kappa = L additions
-    # run out
+    # a submission beyond L fails as it arrives
     agg = aggregator(cfg, art)
     for _ in range(3):
         agg.receive(1, subs[1])
@@ -395,16 +396,22 @@ def tampered(params, blob, fault, draw):
     return blob[:4] + version.to_bytes(2, "little") + blob[6:]
 
 
+def with_adds(blob, adds):
+    """A ciphertext message whose trailing adds_consumed field reads `adds`."""
+    return blob[:-4] + adds.to_bytes(4, "little")
+
+
 def tampered_last(art, messages, how):
     """The submission with its last message made unusable: its last c1
     residue (on the last prime) set to that prime, or adds_consumed set to
-    kappa, which the wire takes but no fold has room for."""
+    1, a sum of two, which the wire takes but a round of fresh ciphertexts
+    refuses."""
     last = messages[-1]
     if how == "residue":
         p = art.params.ring.primes[-1]
         last = last[:-8] + p.to_bytes(4, "little") + last[-4:]
     else:
-        last = last[:-4] + art.params.kappa.to_bytes(4, "little")
+        last = with_adds(last, 1)
     return messages[:-1] + [last]
 
 
@@ -414,7 +421,8 @@ def test_a_late_bad_message_leaves_the_sums_bit_for_bit(how, error):
     # party 2's last message is bad, after parties 1 and 3 were folded in:
     # its first two chunks are not added either, so the sums are those of
     # parties 1 and 3 alone, and party 2 can submit again; the round opens
-    # exactly
+    # exactly. A claim of one addition is refused as well, though kappa = 3
+    # would hold it: the plan covers a sum of one fresh ciphertext a party
     cfg, art, subs, oracle = three_chunks()
     agg, others = (aggregator(cfg, art) for _ in range(2))
     for i in (1, 3):
@@ -426,8 +434,8 @@ def test_a_late_bad_message_leaves_the_sums_bit_for_bit(how, error):
     same_sums(agg.total, others.total)
     # a bad message in the first submission leaves the sum zero
     first = aggregator(cfg, art)
-    with pytest.raises(WireFormatError):
-        first.receive(2, tampered_last(art, subs[2], "residue"))
+    with pytest.raises(error):
+        first.receive(2, tampered_last(art, subs[2], how))
     assert first.senders == [] and is_zero(first.total)
     agg.receive(2, subs[2])
     assert open_round(cfg, art, agg.evaluate()).max_abs_diff(oracle) == 0
@@ -440,22 +448,24 @@ def test_a_refused_submission_leaves_the_sums_bit_for_bit(data):
     # parties 1 and 3, has one bad message (first, middle or last). Every
     # message is checked before any is added, so the refusal leaves the
     # senders and the sums (the same arrays, bit for bit) as they were, and
-    # party 2 can submit again; the round then opens exactly
+    # party 2 can submit again; the round then opens exactly. A message
+    # that claims additions is not fresh: the aggregator refuses up to
+    # kappa, the wire above it
     cfg, art, subs, oracle = three_chunks()
     late = data.draw(st.booleans(), label="late")
     at = data.draw(st.sampled_from([0, 1, 2]), label="message")
     fault = data.draw(st.sampled_from(["residue", "adds", "truncated",
                                        "version"]), label="fault")
     bad = list(subs[2])
+    error = WireFormatError
     if fault == "adds":
-        # what the sum has no room for: kappa after other submissions; a
-        # first one may have consumed kappa, so kappa + 1, which the wire
-        # refuses
-        adds = art.params.kappa + (not late)
-        bad[at] = bad[at][:-4] + adds.to_bytes(4, "little")
+        kappa = art.params.kappa
+        adds = data.draw(st.sampled_from([1, kappa, kappa + 1]), label="adds")
+        bad[at] = with_adds(bad[at], adds)
+        if adds <= kappa:
+            error = CapacityError
     else:
         bad[at] = tampered(art.params, bad[at], fault, data.draw)
-    error = CapacityError if fault == "adds" and late else WireFormatError
     earlier = [1, 3] if late else []
     agg = aggregator(cfg, art)
     for i in earlier:
@@ -909,20 +919,19 @@ def test_group_encryption_draws_each_chunk_from_its_own_stream(scheme,
     root = Xof.from_seed(cfg.root_seed)
     batches = []
 
-    def kept(params, pk, pt, rng, **hooks):
-        batches.append((pt, encrypt(params, pk, pt, rng, **hooks)))
+    def kept(params, pk, msg, rng, **hooks):
+        batches.append((msg, encrypt(params, pk, msg, rng, **hooks)))
         return batches[-1][1]
 
     monkeypatch.setattr(harness, "encrypt", kept)
     submit(cfg, art, root, 2, MessageBus())
-    ((pt, batch),) = batches  # 2500 values: 3 chunks, in one group
+    ((msg, batch),) = batches  # 2500 values: 3 chunks, in one group
     assert batch.c0.residues.shape[0] == 3
-    for c, (el, c0, c1) in enumerate(zip(unstack(pt.element),
+    for c, (el, c0, c1) in enumerate(zip(unstack(msg),
                                          unstack(batch.c0),
                                          unstack(batch.c1))):
         stream = root.child(f"round/0/client/2/enc/{c}")
-        want = encrypt(art.params, art.cpk,
-                       dataclasses.replace(pt, element=el), stream)
+        want = encrypt(art.params, art.cpk, el, stream)
         assert np.array_equal(c0.residues, want.c0.residues)
         assert np.array_equal(c1.residues, want.c1.residues)
 
@@ -994,7 +1003,7 @@ def share_len(k, n):
 
 def test_ciphertext_wire_roundtrip():
     art, ct = _session_ct()
-    blob = wire.serialize_ciphertext(ct)
+    blob = wire.serialize_ciphertext(ct, art.params)
     assert blob[:4] == b"THAG"
     assert int.from_bytes(blob[4:6], "little") == wire.VERSION == 3
     back = wire.deserialize_ciphertext(blob, art.params)
@@ -1009,22 +1018,23 @@ def test_ciphertext_wire_roundtrip():
 
 
 def full_q_ct(art, ct):
-    """A client's ciphertext with c0 left at the full q."""
-    return dataclasses.replace(
-        ct, c0=sample_uniform(art.params.ring, Xof.from_seed("c0")))
+    """A client's ciphertext with c0 left at the full q, and the parameters
+    that decrypt on every limb, under which it is encoded."""
+    return (dataclasses.replace(
+        ct, c0=sample_uniform(art.params.ring, Xof.from_seed("c0"))),
+        dataclasses.replace(art.params, dec_ring=art.params.ring))
 
 
 def test_wire_v3_rejects_v2_full_q_c0_and_wrong_k_dec():
     art, ct = _session_ct()
     params, ring = art.params, art.params.ring
     k, n = len(ring.primes), ring.n
-    full = full_q_ct(art, ct)
-    blob = wire.serialize_ciphertext(full)
+    full, unswitched = full_q_ct(art, ct)
+    blob = wire.serialize_ciphertext(full, unswitched)
     assert len(blob) == ct_len(k, n)
     with pytest.raises(WireFormatError, match="c0 sent at the full q"):
         wire.deserialize_ciphertext(blob, params)
     # a receiver that decrypts on every limb takes it
-    unswitched = dataclasses.replace(params, dec_ring=ring)
     back = wire.deserialize_ciphertext(blob, unswitched)
     assert np.array_equal(back.c0.residues, full.c0.residues)
     # version 2: no k' byte, c0 at the full q
@@ -1035,7 +1045,7 @@ def test_wire_v3_rejects_v2_full_q_c0_and_wrong_k_dec():
         with pytest.raises(WireFormatError, match="unsupported version 2"):
             wire.deserialize_ciphertext(v2, receiver)
     # k' that is neither the receiver's dec_limbs nor k
-    switched = wire.serialize_ciphertext(ct)
+    switched = wire.serialize_ciphertext(ct, params)
     at = 12 + 8 * k  # the k' byte
     assert switched[at] == len(params.dec_ring.primes) == 1
     for k_dec in (0, 3, 255):
@@ -1047,12 +1057,14 @@ def test_wire_v3_rejects_v2_full_q_c0_and_wrong_k_dec():
     # truncated inside the c0 block
     with pytest.raises(WireFormatError, match="truncated"):
         wire.deserialize_ciphertext(switched[: at + 1 + 4 * n - 4], params)
-    # the header can only state c0 on leading primes of c1's ring
+    # the encoder takes both rings from its parameters: a c0 off q' (at
+    # the full q, or on another prime) or a c1 off q is refused
     tail = RingParams.create(n, ring.primes[1:])
-    off_prefix = dataclasses.replace(
-        ct, c0=sample_uniform(tail, Xof.from_seed("tail")))
-    with pytest.raises(ParamsMismatchError, match="prefix"):
-        wire.serialize_ciphertext(off_prefix)
+    off_q = sample_uniform(tail, Xof.from_seed("tail"))
+    for c0, c1 in [(full.c0, ct.c1), (off_q, ct.c1), (ct.c0, ct.c0)]:
+        with pytest.raises(ParamsMismatchError, match="not on"):
+            wire.serialize_ciphertext(
+                dataclasses.replace(ct, c0=c0, c1=c1), params)
 
 
 def test_full_q_c0_maps_to_exit_3(tmp_path, monkeypatch):
@@ -1061,7 +1073,7 @@ def test_full_q_c0_maps_to_exit_3(tmp_path, monkeypatch):
 
     def send_full_q_c0(cfg):
         art, ct = _session_ct()
-        blob = wire.serialize_ciphertext(full_q_ct(art, ct))
+        blob = wire.serialize_ciphertext(*full_q_ct(art, ct))
         wire.deserialize_ciphertext(blob, art.params)
 
     monkeypatch.setattr("thagg.cli.run_protocol", send_full_q_c0)
@@ -1070,7 +1082,7 @@ def test_full_q_c0_maps_to_exit_3(tmp_path, monkeypatch):
 
 def test_wire_rejects_tampering():
     art, ct = _session_ct()
-    blob = wire.serialize_ciphertext(ct)
+    blob = wire.serialize_ciphertext(ct, art.params)
     with pytest.raises(WireFormatError):
         wire.deserialize_ciphertext(b"XXXX" + blob[4:], art.params)
     with pytest.raises(WireFormatError):
@@ -1147,10 +1159,9 @@ def wire_messages():
     ring = WIRE_PARAMS.ring
     rng = Xof.from_seed("wire")
     el = lambda: sample_uniform(ring, rng)
-    ct = Ciphertext(c0=el(), c1=el(), scheme=BFV, adds_consumed=2,
-                    kappa=WIRE_PARAMS.kappa)
+    ct = Ciphertext(c0=el(), c1=el(), adds_consumed=2)
     return {
-        "ciphertext": (wire.serialize_ciphertext(ct),
+        "ciphertext": (wire.serialize_ciphertext(ct, WIRE_PARAMS),
                        wire.deserialize_ciphertext),
         "pk_share": (wire.serialize_pk_share(PkShare(index=2, p0=el())),
                      wire.deserialize_pk_share),
@@ -1172,8 +1183,7 @@ def test_wire_v3_message_lengths():
 
 WIRE_ENCODERS = {
     "ciphertext": lambda c0, c1: wire.serialize_ciphertext(
-        Ciphertext(c0=c0, c1=c1, scheme=BFV, adds_consumed=0,
-                   kappa=WIRE_PARAMS.kappa)),
+        Ciphertext(c0=c0, c1=c1, adds_consumed=0), WIRE_PARAMS),
     "pk_share": lambda _, el: wire.serialize_pk_share(PkShare(index=1, p0=el)),
     "partial_dec": lambda _, el: wire.serialize_partial_dec(
         PartialDecryption(index=1, h=el)),
@@ -1285,7 +1295,8 @@ def test_wire_decoders_survive_mutation(data):
     else:
         assert out.index >= 1
     # an accepted message is canonical: header, lengths and fields intact
-    encode = {"ciphertext": wire.serialize_ciphertext,
+    encode = {"ciphertext": lambda ct: wire.serialize_ciphertext(
+                  ct, WIRE_PARAMS),
               "pk_share": wire.serialize_pk_share,
               "partial_dec": wire.serialize_partial_dec}[kind]
     assert encode(out) == bad

@@ -1,5 +1,6 @@
 """Single-key BFV/CKKS: setup validation, round-trips, noise accounting."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thagg import ring as rg
+from thagg import schemes
 from thagg.errors import (
     BoundViolationError,
     CapacityError,
@@ -22,6 +24,7 @@ from thagg.rng import Xof
 from thagg.schemes import (
     BFV,
     CKKS,
+    Ciphertext,
     add,
     bfv_round,
     ckks_scale_down,
@@ -287,7 +290,7 @@ def test_bfv_roundtrip():
         pt = bfv_plaintext(params, vals)
         ct = encrypt(params, pk, pt, rng.child(f"e{i}"))
         assert (dec_bfv(params, sk, ct).tolist()
-                == rg.crt_lift(pt.element).tolist())
+                == rg.crt_lift(pt).tolist())
 
 
 def test_bfv_noiseless_ciphertext_decrypts_exactly():
@@ -295,10 +298,7 @@ def test_bfv_noiseless_ciphertext_decrypts_exactly():
     sk, _ = keypair(params)
     vals = [5, -3] + [0] * (params.ring.n - 2)
     msg = rg.mul_scalar(from_ints(params.ring, vals), params.delta)
-    from thagg.schemes import Ciphertext
-
-    ct = Ciphertext(c0=msg, c1=rg.zero(params.ring), scheme=BFV,
-                    adds_consumed=0, kappa=params.kappa)
+    ct = Ciphertext(c0=msg, c1=rg.zero(params.ring), adds_consumed=0)
     assert dec_bfv(params, sk, ct).tolist() == vals
 
 
@@ -307,12 +307,10 @@ def test_planted_noise_boundary_is_tight():
     params = small_bfv()
     sk, _ = keypair(params)
     q, t, n = params.ring.q, params.t, params.ring.n
-    from thagg.schemes import Ciphertext
 
     def dec_first(e):
         c0 = from_ints(params.ring, [e] + [0] * (n - 1))
-        ct = Ciphertext(c0=c0, c1=rg.zero(params.ring), scheme=BFV,
-                        adds_consumed=0, kappa=params.kappa)
+        ct = Ciphertext(c0=c0, c1=rg.zero(params.ring), adds_consumed=0)
         return dec_bfv(params, sk, ct).tolist()[0]
 
     below = q // (2 * t)          # t*e/q < 1/2 -> still decrypts to 0
@@ -332,7 +330,7 @@ def test_bfv_exhaustive_tiny_plaintext_space():
             pt = bfv_plaintext(params, [m, 0, 0, 0])
             ct = encrypt(params, pk, pt, rng.child(str(m)))
             assert (dec_bfv(params, sk, ct).tolist()
-                    == rg.crt_lift(pt.element).tolist())
+                    == rg.crt_lift(pt).tolist())
 
 
 def test_ckks_noiseless_roundtrip_and_fresh_error():
@@ -417,7 +415,7 @@ def test_add_identity_at_plaintext_level():
     ct = encrypt(params, pk, bfv_plaintext(params, vals), rng.child("a"))
     zero_ct = encrypt(params, pk, bfv_plaintext(params, [0] * params.ring.n),
                       rng.child("b"))
-    assert dec_bfv(params, sk, add(ct, zero_ct)).tolist() == vals
+    assert dec_bfv(params, sk, add(params, ct, zero_ct)).tolist() == vals
 
 
 def test_sum_of_eight_decrypts_to_mod_t_sum():
@@ -434,7 +432,7 @@ def test_sum_of_eight_decrypts_to_mod_t_sum():
                            rng.child(f"e{i}")))
     acc = cts[0]
     for ct in cts[1:]:
-        acc = add(acc, ct)
+        acc = add(params, acc, ct)
     got = dec_bfv(params, sk, acc).tolist()
     for j in range(n):
         expect = sum(m[j] for m in msgs) % t
@@ -452,12 +450,10 @@ def test_noise_subadditivity():
                                   for _ in range(n)])
            for _ in range(2)]
     cts = [encrypt(params, pk, pt, rng.child(str(i))) for i, pt in enumerate(pts)]
-    summed = add(cts[0], cts[1])
+    summed = add(params, cts[0], cts[1])
     # reference is the integer sum: the homomorphic identity lives above the
     # mod-t reduction, so no range check applies here
-    from thagg.schemes import Plaintext
-
-    sum_pt = Plaintext(BFV, rg.ring_add(pts[0].element, pts[1].element))
+    sum_pt = rg.ring_add(pts[0], pts[1])
     lhs = noise_of(params, sk, summed, sum_pt)
     rhs = sum(noise_of(params, sk, ct, pt)
               for ct, pt in zip(cts, pts))
@@ -471,9 +467,15 @@ def test_capacity_enforced():
     zpt = bfv_plaintext(params, [0] * params.ring.n)
     a = encrypt(params, pk, zpt, rng.child("a"))
     b = encrypt(params, pk, zpt, rng.child("b"))
-    ab = add(a, b)  # one addition: allowed
+    ab = add(params, a, b)  # one addition: allowed
     with pytest.raises(CapacityError):
-        add(ab, a)
+        add(params, ab, a)
+    # kappa and the scheme are the parameters' alone: a ciphertext carries
+    # its elements and the additions it consumed, and nothing else
+    assert [f.name for f in dataclasses.fields(Ciphertext)] == [
+        "c0", "c1", "adds_consumed"]
+    assert not hasattr(schemes, "adds_after")
+    assert not hasattr(schemes, "Plaintext")
 
 
 def test_exact_correctness_up_to_capacity():
@@ -492,7 +494,7 @@ def test_exact_correctness_up_to_capacity():
                                rng.child(f"{trial}/{i}")))
         acc = cts[0]
         for ct in cts[1:]:
-            acc = add(acc, ct)
+            acc = add(params, acc, ct)
         assert acc.adds_consumed == kappa
         got = dec_bfv(params, sk, acc).tolist()
         for j in range(n):
@@ -509,10 +511,10 @@ def test_exact_correctness_up_to_capacity():
 def test_encode_fixed_zero_and_dyadic():
     params = small_bfv(n=64, t=2**12, log2_q=28)
     zpt = encode_fixed(np.zeros(64), 10, params)
-    assert rg.crt_lift(zpt.element).tolist() == [0] * 64
+    assert rg.crt_lift(zpt).tolist() == [0] * 64
     pt = encode_fixed(np.full(64, 0.5), 10, params)
-    assert rg.crt_lift(pt.element).tolist() == [512] * 64
-    back = decode_fixed(rg.crt_lift(pt.element), 10, 1)
+    assert rg.crt_lift(pt).tolist() == [512] * 64
+    back = decode_fixed(rg.crt_lift(pt), 10, 1)
     assert list(back) == [Fraction(1, 2)] * 64
 
 
@@ -523,7 +525,7 @@ def test_encode_fixed_quantization_error_bound():
                   for _ in range(64)])
     p = 9
     pt = encode_fixed(w, p, params)
-    back = decode_fixed(rg.crt_lift(pt.element), p, 1)
+    back = decode_fixed(rg.crt_lift(pt), p, 1)
     for x, v in zip(w, back):
         assert abs(Fraction(x) - v) <= Fraction(1, 2 ** (p + 1))
 
@@ -566,9 +568,9 @@ def test_bfv_plaintext_rejects_non_integers():
         with pytest.raises(TypeError):
             bfv_plaintext(params, bad)
     ints = [2, -3, np.int64(128), 2**70 % 5] + [0] * 12
-    assert (rg.crt_lift(bfv_plaintext(params, ints).element).tolist()
+    assert (rg.crt_lift(bfv_plaintext(params, ints)).tolist()
             == [2, -3, 128, 4] + [0] * 12)
-    assert (rg.crt_lift(bfv_plaintext(params, np.arange(16)).element).tolist()
+    assert (rg.crt_lift(bfv_plaintext(params, np.arange(16))).tolist()
             == list(range(16)))
 
 
@@ -591,5 +593,5 @@ def test_noise_probe_examples():
     cts = [encrypt(params, pk, zpt, rng.child(f"s{i}")) for i in range(L)]
     acc = cts[0]
     for ct in cts[1:]:
-        acc = add(acc, ct)
+        acc = add(params, acc, ct)
     assert noise_of(params, sk, acc, zpt) <= L * fresh_limit

@@ -501,7 +501,7 @@ def test_opened_noise_within_aggregate_bound():
                            sess.root.child(f"enc/{i}")))
     acc = cts[0]
     for ct in cts[1:]:
-        acc = add(acc, ct)
+        acc = add(params, acc, ct)
     d, _ = open_ciphertext(sess, acc)
     q, half = params.ring.q, half_q(params.ring)
     worst = 0
@@ -614,7 +614,7 @@ def test_threshold_bfv_exact_small_sweep():
             msgs.append(vals)
             cts.append(encrypt(params, pk, bfv_plaintext(params, vals),
                                rng.child(f"e{i}")))
-        agg = add(cts[0], cts[1])
+        agg = add(params, cts[0], cts[1])
         partials = [partial_decrypt(params, sh, agg.c1, sess.smudge,
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
@@ -646,7 +646,7 @@ def test_threshold_ckks_accuracy_small_sweep():
             cts.append(encrypt(params, pk, pt, rng.child(f"e{i}")))
         acc = cts[0]
         for ct in cts[1:]:
-            acc = add(acc, ct)
+            acc = add(params, acc, ct)
         partials = [partial_decrypt(params, sh, acc.c1, sess.smudge,
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
@@ -686,8 +686,8 @@ def open_switched_session(sess, rng):
         sent = switch_c0(params, ct)
         assert sent.c0.params == params.dec_ring
         assert sent.c1 is ct.c1
-        acc = sent if acc is None else add(acc, sent)
-        full_acc = ct if full_acc is None else add(full_acc, ct)
+        acc = sent if acc is None else add(params, acc, sent)
+        full_acc = ct if full_acc is None else add(params, full_acc, ct)
     smudging = [rg.sample_smudging(params.ring, b.b_smg,
                                    rng.child(f"s{sh.index}"))
                 for sh in sess.shares]
@@ -702,7 +702,7 @@ def open_switched_session(sess, rng):
     full = rg.crt_lift(
         decryption_phase(params, ideal, full_acc)).astype(object)
     full = full + sum(rg.crt_lift(e).astype(object) for e in smudging)
-    message = sum(rg.crt_lift(pt.element).astype(object) for pt in pts)
+    message = sum(rg.crt_lift(pt).astype(object) for pt in pts)
     if params.scheme == BFV:
         message = message * params.delta
     opened = rg.crt_lift(d).astype(object) * drop  # d' read back at q
