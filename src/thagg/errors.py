@@ -38,10 +38,6 @@ class PlaintextRangeError(ProtocolFailure):
     """Plaintext value outside the scheme's message space."""
 
 
-class CapacityError(ProtocolFailure):
-    """Homomorphic addition budget exhausted."""
-
-
 class EncodingOverflowError(ConfigRejection):
     """Fixed-point encoding would wrap around the plaintext modulus."""
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import ring as rg
 from . import wire
 from .config import ProtocolConfig, config_text
-from .errors import CapacityError, LengthMismatchError, ProtocolFailure
+from .errors import LengthMismatchError, ProtocolFailure
 from .exact import (Ratios, binary_places, scaled_round_array,
                     scaled_round_ints, slices)
 from .planner import MBFV, PlanReport, plan
@@ -51,7 +51,6 @@ from .schemes import (
 )
 from .threshold import (
     SecretShare,
-    SmudgeParams,
     check_parties,
     combine_decrypt,
     combine_pk,
@@ -106,19 +105,17 @@ class Aggregator:
     """Holds only public data: the parameters, the senders and the round's
     running sum, one ciphertext whose batch axis is the chunk index.
 
-    A submission is a client's fresh ciphertext messages, one per chunk in
-    chunk order. `receive` decodes and checks every message first, as
-    read-only views into the messages; only a submission that passes all
-    checks is added, chunk by chunk, in place into the sum
-    (`aggregator_eval_step`), a fold that cannot fail. So a refused
-    submission leaves the sum and the senders as they were, and no message
-    is decoded twice. The sum of `chunks` rows is allocated once, zeroed,
-    with the aggregator, and has consumed one addition less than it has
-    senders. `evaluate` releases the sum only if each of the parties 1..L
-    submitted once. A submission beyond L, one of the wrong message count,
-    or one with a message that is not fresh (adds_consumed other than 0:
-    the plan sizes the noise for a sum of L fresh ciphertexts) fails at
-    once with its typed error.
+    A submission is a client's ciphertext messages, one per chunk in chunk
+    order. `receive` decodes and checks every message first, as read-only
+    views into the messages; only a submission that passes all checks is
+    added, chunk by chunk, in place into the sum (`aggregator_eval_step`),
+    a fold that cannot fail. So a refused submission leaves the sum and the
+    senders as they were, and no message is decoded twice. The sum of
+    `chunks` rows is allocated once, zeroed, with the aggregator.
+    `evaluate` releases the sum only if each of the parties 1..L submitted
+    once: the round's capacity rule, since the plan sizes the noise for a
+    sum of one fresh ciphertext a party. A submission beyond L or one of
+    the wrong message count fails at once with its typed error.
     """
 
     def __init__(self, parties: int, params: SchemeParams, chunks: int):
@@ -126,8 +123,7 @@ class Aggregator:
         self.params = params
         self.senders: list[int] = []
         self.total = Ciphertext(c0=rg.zero(params.dec_ring, lead=(chunks,)),
-                                c1=rg.zero(params.ring, lead=(chunks,)),
-                                adds_consumed=0)
+                                c1=rg.zero(params.ring, lead=(chunks,)))
 
     def receive(self, sender: int, messages: list[bytes]) -> None:
         senders = self.senders + [sender]
@@ -140,11 +136,7 @@ class Aggregator:
                 f"{want}")
         cts = [wire.deserialize_ciphertext(blob, self.params)
                for blob in messages]
-        if any(ct.adds_consumed for ct in cts):
-            raise CapacityError(f"party {sender} submitted a sum; a round "
-                                "adds one fresh ciphertext per party")
         aggregator_eval_step(self.total, cts)
-        self.total.adds_consumed = len(senders) - 1
         self.senders = senders
 
     def evaluate(self) -> Ciphertext:
@@ -221,7 +213,7 @@ def derive_scheme_params(cfg: ProtocolConfig) -> tuple[PlanReport, SchemeParams]
                   enforce_security=cfg.enforce_security)
     i = cfg.plan_inputs
     common = dict(sigma=i.sigma, bound=i.bound, primes=report.primes,
-                  kappa=i.parties, mp_noise_bound=report.bounds.b_ct_mp,
+                  kappa=i.parties, bounds=report.bounds,
                   dec_limbs=len(report.dec_primes))
     if cfg.scheme == MBFV:
         params = setup(BFV, i.n, t=1 << i.t_bits, **common)
@@ -301,7 +293,7 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
                 for c in group]
         batch = switch_c0(params, encrypt(params, cpk, pt, rngs))
         for c0, c1 in zip(rg.unstack(batch.c0), rg.unstack(batch.c1)):
-            blob = wire.serialize_ciphertext(replace(batch, c0=c0, c1=c1),
+            blob = wire.serialize_ciphertext(Ciphertext(c0=c0, c1=c1),
                                              params)
             out.append(bus.post("ciphertext", f"client{index}", blob))
     return out
@@ -310,33 +302,31 @@ def client_input_step(cfg: ProtocolConfig, params: SchemeParams, index: int,
 def aggregator_eval_step(total: Ciphertext, cts: list[Ciphertext]) -> None:
     """One submission's chunk ciphertexts, in chunk order, added in place
     into the running sum: chunk i's c0 and c1 into row i. The caller has
-    checked the rings, count and freshness."""
+    checked the rings and the count."""
     for c0, c1, ct in zip(rg.unstack(total.c0), rg.unstack(total.c1), cts):
         rg.add_into(c0, ct.c0)
         rg.add_into(c1, ct.c1)
 
 
 def output_step(cfg: ProtocolConfig, params: SchemeParams,
-                shares: list[SecretShare], total: Ciphertext,
-                report: PlanReport, root: Xof, round_index: int,
-                bus: MessageBus) -> Ratios:
+                shares: list[SecretShare], total: Ciphertext, root: Xof,
+                round_index: int, bus: MessageBus) -> Ratios:
     """Collective decryption of each chunk's row of the round's sum, then
     per-scheme finalization; a sum of another chunk count is refused first.
 
     Partial decryptions travel and are combined, with the clients' summed
-    c0, at the plan's decryption modulus q' (`report.dec_primes`), not at q.
-    A group of rows (`group_layout`) has its c1 transformed once and each
-    party decrypts it as one batch, each chunk's smudging drawn from its own
-    stream. Shares go out and are combined one per chunk and party: every
-    party's for a chunk, then the next.
+    c0, at the decryption modulus q' (`params.dec_ring`), not at q. A group
+    of rows (`group_layout`) has its c1 transformed once and each party
+    decrypts it as one batch, each chunk's smudging drawn from its own
+    stream at the plan's b_smg (`params.bounds`). Shares go out and are
+    combined one per chunk and party: every party's for a chunk, then the
+    next.
     """
     groups = group_layout(cfg.model_size, params.ring)
     got = {el.residues.shape[:-2] for el in (total.c0, total.c1)}
     if got != {(groups[-1].stop,)}:
         raise LengthMismatchError(f"a sum of batch shape {sorted(got)}, want "
                                   f"({groups[-1].stop},): a row per chunk")
-    b = report.bounds
-    smudge = SmudgeParams(parties=cfg.parties, b_ct=b.b_ct, b_smg=b.b_smg)
     parts: list[Ratios] = []
     c0s = rg.unstack(total.c0)
     for group in groups:
@@ -344,7 +334,7 @@ def output_step(cfg: ProtocolConfig, params: SchemeParams,
         c1 = rg.to_ntt(replace(total.c1, residues=total.c1.residues[rows]))
         blobs = []  # per party, its shares of the group, chunk by chunk
         for share in shares:
-            part = partial_decrypt(params, share, c1, smudge, [
+            part = partial_decrypt(params, share, c1, [
                 root.child(f"round/{round_index}/client/{share.index}/pdec/{c}")
                 for c in group])
             blobs.append([wire.serialize_partial_dec(replace(part, h=h))
@@ -398,14 +388,14 @@ def cleartext_oracle(cfg: ProtocolConfig,
     return Ratios(total, (1 << p) * L)
 
 
-def _check_error(cfg: ProtocolConfig, art: SetupArtifacts, error: Fraction,
+def _check_error(cfg: ProtocolConfig, params: SchemeParams, error: Fraction,
                  round_index: int) -> None:
     """Raise ProtocolFailure unless a round's opened average meets the plan:
     MBFV exactly, MCKKS within b_ct_mp/delta."""
     if cfg.scheme == MBFV:
         ok, want = error == 0, "0"
     else:
-        bound = art.report.bounds.b_ct_mp / art.params.delta
+        bound = params.bounds.b_ct_mp / params.delta
         ok, want = error < bound, f"below b_ct_mp/delta = {float(bound):.6e}"
     if not ok:
         raise ProtocolFailure(f"round {round_index}: max_error "
@@ -442,14 +432,14 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         summed = agg.evaluate()
 
         t3 = time.perf_counter()
-        aggregate = output_step(cfg, art.params, art.shares, summed,
-                                art.report, root, r, bus)
+        aggregate = output_step(cfg, art.params, art.shares, summed, root,
+                                r, bus)
         t_dec += time.perf_counter() - t3
         del agg, summed  # opened: the check needs only the updates
 
         error = aggregate.max_abs_diff(cleartext_oracle(
             cfg, (synthesize_update(cfg, root, i, r) for i in parties)))
-        _check_error(cfg, art, error, r)
+        _check_error(cfg, art.params, error, r)
         max_error = max(max_error, error)
 
     timings = {

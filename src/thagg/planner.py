@@ -7,8 +7,8 @@ modulus for both scheme variants:
     b_fresh     = (2n+1) B             fresh single-key ciphertext noise
     b_fresh_mp  = B (2nL+1)            fresh noise under the collective key
     b_ct        = L B (2nL+1)          a sum of L fresh ciphertexts, one
-                                       a party (`harness.Aggregator`
-                                       refuses any other submission)
+                                       from each party 1..L
+                                       (`threshold.check_parties`)
     b_smg       = 2^ceil(lam/2) b_ct   per-party smudging bound
     b_ct_mp     = b_ct + L b_smg + L/2 what collective decryption must absorb
 
@@ -22,11 +22,12 @@ Minimum-q conditions:  MBFV  q > 2 t b_ct_mp + t^2
                        MCKKS q > 2 (delta + b_ct_mp)
 
 These are the only statement of the decode condition (`qmin_mbfv_bound`,
-`qmin_mckks_bound`): `schemes.setup` and the smudging check of
-`threshold.partial_decrypt` evaluate the same two functions. An MCKKS
-aggregate is at most delta = L * 2^k: each of the L clients encodes an
-update of magnitude at most 1 at the exact shift 2^k (`scale_from_eps`,
-`schemes.encode_real`), and nothing divides by L.
+`qmin_mckks_bound`), and `schemes.setup` evaluates them once; it also
+checks that b_ct_mp holds the L smudging terms, so no partial decryption
+checks the fit again. An MCKKS aggregate is at most delta = L * 2^k: each
+of the L clients encodes an update of magnitude at most 1 at the exact
+shift 2^k (`scale_from_eps`, `schemes.encode_real`), and nothing divides
+by L.
 
 Collective decryption then runs at q' = the product of the fewest leading
 primes of q whose rounding still passes the same conditions at the same q.

@@ -5,9 +5,9 @@ public-key and encryption shape, sampling encryption randomness u from the
 ternary distribution. No slot packing: plaintext coefficients carry values
 directly. The encoders turn float64 arrays, and only those, into the
 message: one coefficient-domain RNS element, built with exact vector
-steps. `SchemeParams` alone holds the scheme and the addition capacity
-kappa; a ciphertext carries only its elements and the additions it has
-consumed, and `add` checks those against the parameters' kappa. The
+steps. `SchemeParams` alone holds the scheme, the addition capacity kappa
+and the plan's noise budget (`planner.MpBounds`), which `setup` checks
+once; a ciphertext is only its two elements, and `add` sums them. The
 decryption tails work on the exact centered integers of the CRT lift
 (`ring.crt_lift`); nothing in the decrypt path touches floats. Each takes
 an element of its own parameters' ring or decryption ring, and no other.
@@ -30,10 +30,10 @@ import numpy as np
 from . import ring as rg
 from .errors import (
     BoundViolationError,
-    CapacityError,
     EncodingOverflowError,
     ParamsMismatchError,
     PlaintextRangeError,
+    SmudgeBoundError,
 )
 from .exact import (
     Ratios,
@@ -42,8 +42,8 @@ from .exact import (
     scaled_round_array,
     scaled_round_residues,
 )
-from .planner import (fresh_bound, qmin_mbfv_bound, qmin_mckks_bound,
-                      scale_from_eps)
+from .planner import (MpBounds, fresh_bound, qmin_mbfv_bound,
+                      qmin_mckks_bound, scale_from_eps)
 from .rng import Xof
 
 BFV = "bfv"
@@ -65,6 +65,10 @@ class SchemeParams:
     # the first limbs of `ring` (`ring.scale_down`), or all of them
     dec_ring: rg.RingParams
     t: int | None = None      # BFV plaintext modulus, a power of two
+    # the plan's noise budget: a round's sum (b_ct), the smudging each of
+    # kappa partial decryptions adds (b_smg), and what decryption absorbs
+    # (b_ct_mp); None outside a protocol run, where nothing is smudged
+    bounds: MpBounds | None = None
 
 
 # Keys are stored in the NTT domain only: every use of a key is a ring
@@ -75,18 +79,16 @@ class PublicKey:
     p1: rg.RingElement
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ciphertext:
     # c0 at q, or at the decryption modulus q' once a client switched it
     # for collective decryption (`threshold.switch_c0`); c1 always at q.
     # Both may carry a batch axis, (B, limbs, n): one ciphertext per entry.
     # A client encrypts a group of chunks this way (`harness.group_layout`),
     # the round's sum holds one row per chunk, and a message carries one.
-    # The scheme and kappa are the parameters' (`SchemeParams`); a fresh
-    # ciphertext has consumed no addition, a sum of k of them k - 1.
+    # The scheme and kappa are the parameters' (`SchemeParams`).
     c0: rg.RingElement
     c1: rg.RingElement
-    adds_consumed: int
 
 
 # ---------------------------------------------------------------------------
@@ -110,29 +112,41 @@ def decode_qmin(params: SchemeParams, b) -> Fraction:
 
 def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
           eps_inv: int | None = None, primes, kappa: int = 1,
-          mp_noise_bound=None, dec_limbs: int | None = None) -> SchemeParams:
+          bounds: MpBounds | None = None,
+          dec_limbs: int | None = None) -> SchemeParams:
     """Validate a parameter set and pin the RNS basis.
 
     Correctness preconditions are enforced exactly, each as q above the
     planner's minimum q for a noise bound (`decode_qmin`): the fresh
-    ciphertext bound, the kappa-addition capacity bound, and (when the
-    planner supplies it) the multiparty aggregate-noise bound, which also
-    sets the CKKS scale (`planner.scale_from_eps`). `dec_limbs` keeps that
-    many leading primes for collective decryption; the planner's bound must
-    already carry the rounding it costs (`planner.switch_noise`).
+    ciphertext bound, the kappa-addition capacity bound, and, given the
+    plan's `bounds`, the multiparty aggregate bound b_ct_mp, which also
+    sets the CKKS scale (`planner.scale_from_eps`). Those bounds must hold
+    kappa smudging terms, b_ct + kappa * b_smg <= b_ct_mp, or
+    SmudgeBoundError: since qmin rises with the bound, every collective
+    decryption of kappa parties then opens below q, and no partial
+    decryption checks it again. `dec_limbs` keeps that many leading primes
+    for collective decryption; b_ct_mp must already carry the rounding it
+    costs (`planner.switch_noise`).
     """
     if scheme not in (BFV, CKKS):
         raise ValueError(f"unknown scheme {scheme!r}")
     noise = rg.NoiseSpec.create(frac(sigma), None if bound is None else frac(bound))
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
+    if bounds is not None:
+        over = bounds.b_ct + kappa * bounds.b_smg - bounds.b_ct_mp
+        if over > 0:
+            raise SmudgeBoundError(
+                f"b_ct + {kappa}*b_smg exceeds b_ct_mp by "
+                f"2^{frac_log2(over):.2f}: the plan's budget does not hold "
+                f"the smudging of {kappa} partial decryptions")
     ring_params = rg.RingParams.create(n, tuple(primes))
     dec_ring = rg.leading_ring(
         ring_params, len(ring_params.primes) if dec_limbs is None else dec_limbs)
     q = ring_params.q
     fresh = fresh_bound(n, noise.bound)
     capacity = (kappa + 1) * fresh
-    mp = None if mp_noise_bound is None else frac(mp_noise_bound)
+    mp = None if bounds is None else bounds.b_ct_mp
 
     if scheme == BFV:
         if t is None or t < 2 or t & (t - 1):
@@ -146,7 +160,8 @@ def setup(scheme: str, n: int, *, sigma, bound=None, t: int | None = None,
         t, delta = None, scale_from_eps(
             eps_inv, capacity if mp is None else mp, kappa)
     params = SchemeParams(scheme=scheme, ring=ring_params, noise=noise,
-                          kappa=kappa, delta=delta, t=t, dec_ring=dec_ring)
+                          kappa=kappa, delta=delta, t=t, dec_ring=dec_ring,
+                          bounds=bounds)
     checks = [("fresh decryptability (kappa=1)", fresh),
               (f"addition capacity (kappa={kappa})", capacity)]
     if mp is not None:
@@ -255,18 +270,15 @@ def encrypt(params: SchemeParams, pk: PublicKey, msg: rg.RingElement,
     u_ntt = rg.to_ntt(u)
     c0 = rg.ring_add(rg.ring_add(msg, e0), rg.ring_mul(u_ntt, pk.p0))
     c1 = rg.ring_add(e1, rg.ring_mul(u_ntt, pk.p1))
-    return Ciphertext(c0=c0, c1=c1, adds_consumed=0)
+    return Ciphertext(c0=c0, c1=c1)
 
 
 def add(params: SchemeParams, ct: Ciphertext, other: Ciphertext) -> Ciphertext:
-    """The sum of two ciphertexts under `params`: it has consumed one
-    addition more than both, or CapacityError above params.kappa."""
-    spent = ct.adds_consumed + other.adds_consumed + 1
-    if spent > params.kappa:
-        raise CapacityError(
-            f"{spent} additions exceed capacity kappa={params.kappa}")
+    """The sum of two ciphertexts under `params`, component by component.
+    The noise budget covers a sum of kappa fresh ciphertexts; a round sums
+    one from each party (`threshold.check_parties`)."""
     return Ciphertext(c0=rg.ring_add(ct.c0, other.c0),
-                      c1=rg.ring_add(ct.c1, other.c1), adds_consumed=spent)
+                      c1=rg.ring_add(ct.c1, other.c1))
 
 
 def _check_decode_ring(params: SchemeParams, d: rg.RingElement) -> None:

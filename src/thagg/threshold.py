@@ -3,8 +3,9 @@ collective public key under a common reference polynomial, and two-phase
 collective decryption with smudging noise.
 
 The ideal key sum(sk_i) never exists in one place; every partial decryption
-adds noise drawn uniformly from [-b_smg, b_smg] at the full modulus q, sized
-so the combined term stays below the planner's aggregate bound. The
+adds noise drawn uniformly from [-b_smg, b_smg] at the full modulus q, with
+b_smg the plan's (`SchemeParams.bounds`), whose aggregate bound b_ct_mp
+`schemes.setup` already checked holds all L smudging terms. The
 smudged share is then rounded from q to the decryption modulus q' of
 `SchemeParams.dec_ring` (modulus switching, `ring.scale_down`): public
 post-processing of an already smudged value, so it costs no security, and
@@ -24,13 +25,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import ring as rg
 from .errors import ParamsMismatchError, ShareSetError, SmudgeBoundError
-from .exact import frac_log2
 from .rng import Xof
-from .schemes import Ciphertext, PublicKey, SchemeParams, decode_qmin
+from .schemes import Ciphertext, PublicKey, SchemeParams
 
 CRS_SEED_BYTES = 32
 
@@ -51,16 +50,6 @@ class PkShare:
 class PartialDecryption:
     index: int
     h: rg.RingElement
-
-
-@dataclass(frozen=True)
-class SmudgeParams:
-    """Per-party smudging bound b_smg (`planner.smudge_bound`) for `parties`
-    partial decryptions of a ciphertext with noise at most b_ct."""
-
-    parties: int
-    b_ct: Fraction
-    b_smg: Fraction
 
 
 def crs_expand(seed: bytes, params: rg.RingParams) -> rg.RingElement:
@@ -116,39 +105,26 @@ def switch_c0(params: SchemeParams, ct: Ciphertext) -> Ciphertext:
 
 
 def partial_decrypt(params: SchemeParams, share: SecretShare,
-                    c1: rg.RingElement, smudge: SmudgeParams,
-                    rng: Xof | Sequence[Xof] | None, *,
+                    c1: rg.RingElement, rng: Xof | Sequence[Xof] | None, *,
                     e_smg: rg.RingElement | None = None) -> PartialDecryption:
     """h_i = round((sk_i * c1 + e_smg,i) * q'/q) for the summed c1 at q, in
     either domain, with e_smg,i uniform on [-b_smg, b_smg]; in q' (dec_ring).
 
-    e_smg is drawn from rng, a stream or one per batch entry, unless given.
-    A batch of summed c1s (shape (B, limbs, n)) with a batch of smudging
-    noise, one entry per c1, gives a batch of shares in one product, one
-    inverse transform and one addition.
-
-    Rejects configurations where the combined smudging of all parties cannot
-    fit under the modulus; that means the planner and the runtime disagree
-    about q.
+    e_smg is drawn from rng, a stream or one per batch entry, unless given,
+    at the plan's b_smg (`params.bounds`): parameters set up without the
+    plan's bounds raise SmudgeBoundError. A batch of summed c1s (shape
+    (B, limbs, n)) with a batch of smudging noise, one entry per c1, gives
+    a batch of shares in one product, one inverse transform and one
+    addition.
     """
-    _check_smudge_fits(params, smudge)
     if e_smg is None:
-        e_smg = rg.sample_smudging(params.ring, smudge.b_smg, rng)
+        if params.bounds is None:
+            raise SmudgeBoundError("no smudging bound: set the parameters "
+                                   "up with the plan's bounds")
+        e_smg = rg.sample_smudging(params.ring, params.bounds.b_smg, rng)
     h = rg.ring_add(rg.ring_mul(share.s, c1), e_smg)
     return PartialDecryption(index=share.index,
                              h=rg.scale_down(h, params.dec_ring))
-
-
-def _check_smudge_fits(params: SchemeParams, smudge: SmudgeParams) -> None:
-    # the opened value carries one smudging term per party on top of the
-    # ciphertext noise
-    total = smudge.b_ct + smudge.parties * smudge.b_smg
-    need = decode_qmin(params, total)
-    if not params.ring.q > need:
-        raise SmudgeBoundError(
-            f"b_ct + {smudge.parties}*b_smg does not fit under q (needs "
-            f"q > 2^{frac_log2(need):.2f}, q = 2^{frac_log2(params.ring.q):.2f}"
-            "); q was not sized for this smudging level")
 
 
 def combine_decrypt(params: SchemeParams, c0: rg.RingElement,

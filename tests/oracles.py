@@ -26,7 +26,7 @@ Each oracle takes its own route to its answer:
   Gaussian the table sampler replaced, kept as a moment reference.
 
 `primes_for` picks a prime basis by bit length for tests that size q by
-hand.
+hand, and `budget` gives them plan bounds to set up with.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from thagg.exact import Ratios, int_array
 from thagg.ntt import select_primes
 from thagg.ring import COEFF, RingElement, _check_pair, _plan, _reduce_once
 from thagg.rng import Xof
-from thagg.planner import MCKKS_SMALLER, RegionGrid
+from thagg.planner import MCKKS_SMALLER, MpBounds, RegionGrid
 from thagg.schemes import (
     BFV,
     Ciphertext,
@@ -66,6 +66,14 @@ def primes_for(n: int, bits: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # ChaCha20 (RFC 8439, section 2.3)
+
+
+def budget(b_ct, b_smg, b_ct_mp) -> MpBounds:
+    """Plan bounds with the three terms `schemes.setup` reads (the fresh
+    ones are 0): a round's sum, the smudging per party, and the aggregate."""
+    return MpBounds(b_fresh=Fraction(0), b_fresh_mp=Fraction(0),
+                    b_ct=Fraction(b_ct), b_smg=Fraction(b_smg),
+                    b_ct_mp=Fraction(b_ct_mp))
 
 
 def _rotl32(x: int, k: int) -> int:

@@ -125,7 +125,7 @@ def test_c3_single_key_roundtrips():
         report = plan(inputs, MBFV, enforce_security=True)
         params = setup(BFV, 2048, sigma="3.2", bound="19.2", t=256,
                        primes=report.primes, kappa=1,
-                       mp_noise_bound=report.bounds.b_ct_mp)
+                       bounds=report.bounds)
         root = Xof.from_seed("acceptance-c3")
         sk = seckeygen(params, root.child("sk"))
         pk = pubkeygen(params, sk, root.child("pk"))
@@ -305,7 +305,7 @@ print(json.dumps({
 }))
 """
 
-C9B_PEAK_MIB = 250
+C9B_PEAK_MIB = 200
 
 
 @pytest.mark.slow
@@ -339,7 +339,7 @@ def test_c9c_aggregation_time_linear_in_parties():
         report = plan(inputs, MBFV, enforce_security=False)
         params = setup(BFV, 1024, sigma="3.2", bound="19.2", t=1 << 14,
                        primes=report.primes, kappa=16,
-                       mp_noise_bound=report.bounds.b_ct_mp)
+                       bounds=report.bounds)
         root = Xof.from_seed("acceptance-c9c")
         sk = seckeygen(params, root.child("sk"))
         pk = pubkeygen(params, sk, root.child("pk"))

@@ -1233,7 +1233,7 @@ def test_ring_operations_samplers_transforms_and_decoders_are_uint32():
                                                   plan))):
         assert arr.dtype == np.uint32, name
 
-    ct = Ciphertext(c0=a, c1=b, adds_consumed=0)
+    ct = Ciphertext(c0=a, c1=b)
     blobs = [wire.serialize_ciphertext(ct, params),
              wire.serialize_pk_share(PkShare(index=1, p0=a)),
              wire.serialize_partial_dec(PartialDecryption(index=2, h=b))]
@@ -1245,7 +1245,10 @@ def test_ring_operations_samplers_transforms_and_decoders_are_uint32():
     for blob, el, want in decoded:
         assert el.residues.dtype == np.uint32
         assert np.array_equal(el.residues, want.residues)
-        # a view into the message, not a copy, and read-only
+        # a view into the message, not a copy, read-only, and starting on
+        # a multiple of 8 bytes into it
+        start = np.frombuffer(blob, np.uint8).ctypes.data
         assert np.shares_memory(el.residues, np.frombuffer(blob, np.uint8))
+        assert (el.residues.ctypes.data - start) % 8 == 0
         with pytest.raises(ValueError, match="read-only"):
             el.residues[0, 0] = 0

@@ -5,6 +5,16 @@ The files under tests/data were written by `thagg run` on the configs there
 transcript and aggregate bytes as the code changes underneath. `mbfv_bigt`
 has t = 2^70 and 66 fixed-point bits, so its encoded values, its BFV
 rounding and its cleartext oracle all leave int64.
+
+A change that moves them on purpose regenerates each pair with one run,
+from the repository root, for NAME in mbfv, mckks and mbfv_bigt and any
+scratch directory OUT:
+
+    PYTHONPATH=src python -m thagg run -c tests/data/golden_NAME.ini -o OUT
+    cp OUT/transcript.txt tests/data/golden_NAME_transcript.txt
+    cp OUT/aggregate.npy tests/data/golden_NAME_aggregate.npy
+
+and lists the lines that moved.
 """
 
 from pathlib import Path

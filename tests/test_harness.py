@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import struct
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from thagg import cli, harness, ntt
 from thagg.config import ProtocolConfig, parse_config
 from thagg.errors import (
-    CapacityError,
     ConfigError,
     NoPrimesFoundError,
     DomainMismatchError,
@@ -50,7 +50,6 @@ from thagg.threshold import (
     PartialDecryption,
     PkShare,
     SecretShare,
-    SmudgeParams,
     partial_decrypt,
 )
 from thagg import wire
@@ -81,10 +80,8 @@ def decoded(art, messages):
     """A submission's messages decoded into one batch indexed by chunk,
     copied: the sum of this one submission."""
     cts = [wire.deserialize_ciphertext(blob, art.params) for blob in messages]
-    return dataclasses.replace(
-        cts[0], c0=stack([ct.c0 for ct in cts]),
-        c1=stack([ct.c1 for ct in cts]),
-        adds_consumed=max(ct.adds_consumed for ct in cts))
+    return Ciphertext(c0=stack([ct.c0 for ct in cts]),
+                      c1=stack([ct.c1 for ct in cts]))
 
 
 def summed(params, *sums):
@@ -94,10 +91,9 @@ def summed(params, *sums):
 
 
 def same_sums(got, want):
-    """Chunk-indexed sums equal residue for residue, and in adds_consumed."""
+    """Chunk-indexed sums equal residue for residue."""
     assert np.array_equal(got.c0.residues, want.c0.residues)
     assert np.array_equal(got.c1.residues, want.c1.residues)
-    assert got.adds_consumed == want.adds_consumed
 
 
 def aggregator(cfg, art, parties=None):
@@ -190,8 +186,7 @@ def test_input_step_chunk_shapes_and_zero_vector():
     other = decoded(art, client_input_step(cfg, art.params, 2, zeros, art.cpk,
                                            root, 0, bus))
     opened = output_step(cfg, art.params, art.shares,
-                         summed(art.params, batch, other), art.report, root,
-                         0, bus)
+                         summed(art.params, batch, other), root, 0, bus)
     assert list(opened) == [Fraction(0)] * cfg.model_size
 
 
@@ -241,7 +236,6 @@ def test_aggregator_folds_submissions_as_they_arrive():
     want = summed(art.params, *sums)
     got = agg.evaluate()
     # one row per chunk, each summed over the 3 clients
-    assert got.adds_consumed == 2
     assert got.c1.residues.shape == (2, 2, 1024)
     same_sums(got, want)
 
@@ -254,10 +248,10 @@ def test_aggregation_order_does_not_change_opened_value():
     sums = [decoded(art, submit(cfg, art, root, sh.index, bus))
             for sh in art.shares]
     fwd = output_step(cfg, art.params, art.shares, summed(art.params, *sums),
-                      art.report, root.child("d1"), 0, bus)
+                      root.child("d1"), 0, bus)
     rev = output_step(cfg, art.params, art.shares,
-                      summed(art.params, *reversed(sums)), art.report,
-                      root.child("d2"), 0, bus)
+                      summed(art.params, *reversed(sums)), root.child("d2"),
+                      0, bus)
     assert fwd == rev
 
 
@@ -304,7 +298,7 @@ def test_double_submission_raises_before_output_step():
         agg.receive(i, subs[i])
     with pytest.raises(ShareSetError, match=r"submission .* got \[1, 1, 2\]"):
         agg.evaluate()
-    opened = output_step(cfg, art.params, art.shares, agg.total, art.report,
+    opened = output_step(cfg, art.params, art.shares, agg.total,
                          Xof.from_seed(1), 0, MessageBus())
     root = Xof.from_seed(cfg.root_seed)
     oracle = cleartext_oracle(cfg, [synthesize_update(cfg, root, i, 0)
@@ -351,9 +345,8 @@ def test_a_misshaped_first_submission_does_not_set_the_shapes():
 
 
 def is_zero(total):
-    """A sum as the aggregator allocates it: all zero, no addition spent."""
-    return (not total.c0.residues.any() and not total.c1.residues.any()
-            and total.adds_consumed == 0)
+    """A sum as the aggregator allocates it: all zero."""
+    return not total.c0.residues.any() and not total.c1.residues.any()
 
 
 @functools.lru_cache(maxsize=None)
@@ -370,25 +363,28 @@ def three_chunks():
 
 def open_round(cfg, art, total):
     """What a round's sum opens to, as `output_step` opens it."""
-    return output_step(cfg, art.params, art.shares, total, art.report,
-                       Xof.from_seed(1), 0, MessageBus())
+    return output_step(cfg, art.params, art.shares, total, Xof.from_seed(1),
+                       0, MessageBus())
 
 
 def tampered(params, blob, fault, draw):
     """A ciphertext message made unusable: a residue on a drawn limb of c0
-    or c1 set to its prime, its last byte cut off, or its version field
-    changed."""
+    or c1 set to its prime, a pad byte of its head set, its last byte cut
+    off, or its version field changed."""
     if fault == "residue":
         ring, k_dec = params.ring, len(params.dec_ring.primes)
         in_c1 = draw(st.booleans(), label="in c1")
         limb = draw(st.integers(0, len((ring if in_c1 else params.dec_ring)
                                        .primes) - 1), label="limb")
         coeff = draw(st.integers(0, ring.n - 1), label="coefficient")
-        # after the 13 + 8k header bytes, c0 on k' limbs, then c1
-        at = 13 + 8 * len(ring.primes) + 4 * (
+        # after the 16 + 8k header bytes, c0 on k' limbs, then c1
+        at = 16 + 8 * len(ring.primes) + 4 * (
             ring.n * (k_dec * in_c1 + limb) + coeff)
         return (blob[:at] + ring.primes[limb].to_bytes(4, "little")
                 + blob[at + 4:])
+    if fault == "pad":
+        return with_pad(blob, draw(st.integers(0, 2), label="pad byte"),
+                        draw(st.integers(1, 255), label="value"))
     if fault == "truncated":
         return blob[:-1]
     version = draw(st.integers(0, 0xFFFF).filter(lambda v: v != wire.VERSION),
@@ -396,33 +392,33 @@ def tampered(params, blob, fault, draw):
     return blob[:4] + version.to_bytes(2, "little") + blob[6:]
 
 
-def with_adds(blob, adds):
-    """A ciphertext message whose trailing adds_consumed field reads `adds`."""
-    return blob[:-4] + adds.to_bytes(4, "little")
+def with_pad(blob, i, value):
+    """A ciphertext message whose pad byte i (of the three in its head)
+    reads `value`."""
+    at = 9 + i  # after magic, version, tag, k and k'
+    return blob[:at] + bytes([value]) + blob[at + 1 :]
 
 
 def tampered_last(art, messages, how):
     """The submission with its last message made unusable: its last c1
-    residue (on the last prime) set to that prime, or adds_consumed set to
-    1, a sum of two, which the wire takes but a round of fresh ciphertexts
-    refuses."""
+    residue (on the last prime) set to that prime, or the last pad byte of
+    its head set to 1."""
     last = messages[-1]
     if how == "residue":
         p = art.params.ring.primes[-1]
-        last = last[:-8] + p.to_bytes(4, "little") + last[-4:]
+        last = last[:-4] + p.to_bytes(4, "little")
     else:
-        last = with_adds(last, 1)
+        last = with_pad(last, 2, 1)
     return messages[:-1] + [last]
 
 
 @pytest.mark.parametrize("how, error", [("residue", WireFormatError),
-                                        ("adds", CapacityError)])
+                                        ("pad", WireFormatError)])
 def test_a_late_bad_message_leaves_the_sums_bit_for_bit(how, error):
     # party 2's last message is bad, after parties 1 and 3 were folded in:
     # its first two chunks are not added either, so the sums are those of
     # parties 1 and 3 alone, and party 2 can submit again; the round opens
-    # exactly. A claim of one addition is refused as well, though kappa = 3
-    # would hold it: the plan covers a sum of one fresh ciphertext a party
+    # exactly
     cfg, art, subs, oracle = three_chunks()
     agg, others = (aggregator(cfg, art) for _ in range(2))
     for i in (1, 3):
@@ -448,39 +444,28 @@ def test_a_refused_submission_leaves_the_sums_bit_for_bit(data):
     # parties 1 and 3, has one bad message (first, middle or last). Every
     # message is checked before any is added, so the refusal leaves the
     # senders and the sums (the same arrays, bit for bit) as they were, and
-    # party 2 can submit again; the round then opens exactly. A message
-    # that claims additions is not fresh: the aggregator refuses up to
-    # kappa, the wire above it
+    # party 2 can submit again; the round then opens exactly
     cfg, art, subs, oracle = three_chunks()
     late = data.draw(st.booleans(), label="late")
     at = data.draw(st.sampled_from([0, 1, 2]), label="message")
-    fault = data.draw(st.sampled_from(["residue", "adds", "truncated",
+    fault = data.draw(st.sampled_from(["residue", "pad", "truncated",
                                        "version"]), label="fault")
     bad = list(subs[2])
-    error = WireFormatError
-    if fault == "adds":
-        kappa = art.params.kappa
-        adds = data.draw(st.sampled_from([1, kappa, kappa + 1]), label="adds")
-        bad[at] = with_adds(bad[at], adds)
-        if adds <= kappa:
-            error = CapacityError
-    else:
-        bad[at] = tampered(art.params, bad[at], fault, data.draw)
+    bad[at] = tampered(art.params, bad[at], fault, data.draw)
     earlier = [1, 3] if late else []
     agg = aggregator(cfg, art)
     for i in earlier:
         agg.receive(i, subs[i])
     sums = agg.total
     c0, c1 = sums.c0.residues, sums.c1.residues
-    c0_was, c1_was, adds = c0.copy(), c1.copy(), sums.adds_consumed
+    c0_was, c1_was = c0.copy(), c1.copy()
     with pytest.raises(ProtocolFailure) as info:
         agg.receive(2, bad)
-    assert type(info.value) is error
+    assert type(info.value) is WireFormatError
     assert agg.senders == earlier
     assert agg.total is sums
     assert sums.c0.residues is c0 and sums.c1.residues is c1
     assert np.array_equal(c0, c0_was) and np.array_equal(c1, c1_was)
-    assert sums.adds_consumed == adds
     for i in [2] + ([] if late else [1, 3]):
         agg.receive(i, subs[i])
     assert open_round(cfg, art, agg.evaluate()).max_abs_diff(oracle) == 0
@@ -533,8 +518,8 @@ def test_output_step_refuses_a_sum_of_the_wrong_chunk_count(rows):
         c1=dataclasses.replace(total.c1, residues=total.c1.residues[pick]))
     bus = MessageBus()
     with pytest.raises(LengthMismatchError, match=r"a row per chunk") as info:
-        output_step(cfg, art.params, art.shares, wrong, art.report,
-                    Xof.from_seed(1), 0, bus)
+        output_step(cfg, art.params, art.shares, wrong, Xof.from_seed(1), 0,
+                    bus)
     assert isinstance(info.value, ProtocolFailure)  # exit 3
     assert bus.records == []
 
@@ -603,10 +588,10 @@ def test_updates_and_sums_live_only_as_long_as_their_step(monkeypatch):
             checked.append(len(updates) - made)
             return result
 
-        def watched_check(cfg, art, error, round_index):
+        def watched_check(cfg, params, error, round_index):
             assert opened[-1].numerators.dtype == np.int64
             assert (opened[-1].factor > 1) == (scheme == "mckks")
-            return check(cfg, art, error, round_index)
+            return check(cfg, params, error, round_index)
 
         monkeypatch.setattr(harness, "synthesize_update", counted)
         monkeypatch.setattr(harness, "output_step", watched_output)
@@ -849,9 +834,9 @@ def test_error_check_edges():
         art = run_setup(cfg)
         bound = (tiny if scheme == "mbfv"
                  else art.report.bounds.b_ct_mp / art.params.delta)
-        harness._check_error(cfg, art, bound - tiny, 0)
+        harness._check_error(cfg, art.params, bound - tiny, 0)
         with pytest.raises(ProtocolFailure, match="round 4: max_error"):
-            harness._check_error(cfg, art, bound, 4)
+            harness._check_error(cfg, art.params, bound, 4)
 
 
 def test_scale_below_one_plans_at_delta_1_and_opens_within_its_bound(
@@ -994,7 +979,7 @@ def _session_ct():
 def ct_len(k, n, k_dec=None):
     """Ciphertext bytes: c1 on k primes, c0 on k_dec (default all k)."""
     k_dec = k if k_dec is None else k_dec
-    return 17 + 8 * k + 4 * (k + k_dec) * n
+    return 16 + 8 * k + 4 * (k + k_dec) * n
 
 
 def share_len(k, n):
@@ -1005,16 +990,15 @@ def test_ciphertext_wire_roundtrip():
     art, ct = _session_ct()
     blob = wire.serialize_ciphertext(ct, art.params)
     assert blob[:4] == b"THAG"
-    assert int.from_bytes(blob[4:6], "little") == wire.VERSION == 3
+    assert int.from_bytes(blob[4:6], "little") == wire.VERSION == 4
     back = wire.deserialize_ciphertext(blob, art.params)
     assert np.array_equal(back.c0.residues, ct.c0.residues)
     assert np.array_equal(back.c1.residues, ct.c1.residues)
-    assert back.adds_consumed == ct.adds_consumed
     # the client sent c0 at q' (1 of 2 limbs), c1 at q
     assert back.c0.params == art.params.dec_ring != art.params.ring
     assert back.c1.params == art.params.ring
     k, n = len(art.params.ring.primes), art.params.ring.n
-    assert len(blob) == ct_len(k, n, 1) == 33 + 12 * n
+    assert len(blob) == ct_len(k, n, 1) == 32 + 12 * n
 
 
 def full_q_ct(art, ct):
@@ -1038,15 +1022,14 @@ def test_wire_v3_rejects_v2_full_q_c0_and_wrong_k_dec():
     back = wire.deserialize_ciphertext(blob, unswitched)
     assert np.array_equal(back.c0.residues, full.c0.residues)
     # version 2: no k' byte, c0 at the full q
-    v2 = b"".join((blob[:4], (2).to_bytes(2, "little"), blob[6 : 12 + 8 * k],
-                   blob[13 + 8 * k :]))
+    v2 = old_ct_blob(2, full, unswitched)
     assert len(v2) == 16 + 8 * k + 8 * k * n
     for receiver in (params, unswitched):
         with pytest.raises(WireFormatError, match="unsupported version 2"):
             wire.deserialize_ciphertext(v2, receiver)
     # k' that is neither the receiver's dec_limbs nor k
     switched = wire.serialize_ciphertext(ct, params)
-    at = 12 + 8 * k  # the k' byte
+    at = 8  # the k' byte
     assert switched[at] == len(params.dec_ring.primes) == 1
     for k_dec in (0, 3, 255):
         bad = switched[:at] + bytes([k_dec]) + switched[at + 1 :]
@@ -1056,7 +1039,8 @@ def test_wire_v3_rejects_v2_full_q_c0_and_wrong_k_dec():
         wire.deserialize_ciphertext(switched, unswitched)
     # truncated inside the c0 block
     with pytest.raises(WireFormatError, match="truncated"):
-        wire.deserialize_ciphertext(switched[: at + 1 + 4 * n - 4], params)
+        wire.deserialize_ciphertext(switched[: 16 + 8 * k + 4 * n - 4],
+                                    params)
     # the encoder takes both rings from its parameters: a c0 off q' (at
     # the full q, or on another prime) or a c1 off q is refused
     tail = RingParams.create(n, ring.primes[1:])
@@ -1114,10 +1098,7 @@ def test_switched_partial_dec_length_and_full_q_share_rejected():
     ring, dec = params.ring, params.dec_ring
     assert len(dec.primes) == 1 < len(ring.primes) == 2
     assert dec.primes == ring.primes[:1]
-    b = art.report.bounds
-    smudge = SmudgeParams(parties=2, b_ct=b.b_ct, b_smg=b.b_smg)
-    part = partial_decrypt(params, art.shares[0], ct.c1, smudge,
-                           Xof.from_seed("pd"))
+    part = partial_decrypt(params, art.shares[0], ct.c1, Xof.from_seed("pd"))
     blob = wire.serialize_partial_dec(part)
     assert len(blob) == share_len(1, ring.n) == 8 + 8 + 4 * ring.n
     back = wire.deserialize_partial_dec(blob, params)
@@ -1159,7 +1140,7 @@ def wire_messages():
     ring = WIRE_PARAMS.ring
     rng = Xof.from_seed("wire")
     el = lambda: sample_uniform(ring, rng)
-    ct = Ciphertext(c0=el(), c1=el(), adds_consumed=2)
+    ct = Ciphertext(c0=el(), c1=el())
     return {
         "ciphertext": (wire.serialize_ciphertext(ct, WIRE_PARAMS),
                        wire.deserialize_ciphertext),
@@ -1173,17 +1154,59 @@ def wire_messages():
 WIRE_MESSAGES = wire_messages()
 
 
-def test_wire_v3_message_lengths():
+def test_wire_v4_message_lengths():
     k, n = len(WIRE_PARAMS.ring.primes), WIRE_PARAMS.ring.n
-    assert k == 2
+    k_dec = len(WIRE_PARAMS.dec_ring.primes)
+    assert k == k_dec == 2
     for kind, (blob, _) in WIRE_MESSAGES.items():
-        want = ct_len(k, n) if kind == "ciphertext" else share_len(k, n)
+        want = (16 + 8 * k + 4 * (k + k_dec) * n if kind == "ciphertext"
+                else 8 + 8 * k + 4 * k * n)
         assert len(blob) == want, kind
+
+
+def old_ct_blob(version, ct, params):
+    """`ct` as a version 2 or 3 ciphertext message: magic, version u16,
+    tag u8, n u32, k u8, the primes, then (version 3) k' u8, c0, c1 and a
+    trailing u32 addition count. Version 2 has no k' byte and c0 at q."""
+    ring = params.ring
+    k_dec = b"" if version == 2 else struct.pack(
+        "<B", len(params.dec_ring.primes))
+    return b"".join((
+        b"THAG", struct.pack("<HBIB", version, wire.SCHEME_TAGS[params.scheme],
+                             ring.n, len(ring.primes)),
+        struct.pack(f"<{len(ring.primes)}Q", *ring.primes), k_dec,
+        ct.c0.residues.astype("<u4").tobytes(),
+        ct.c1.residues.astype("<u4").tobytes(), struct.pack("<I", 0)))
+
+
+def test_wire_v4_rejects_nonzero_padding_v3_and_a_cut_head():
+    blob, _ = WIRE_MESSAGES["ciphertext"]
+    ct = wire.deserialize_ciphertext(blob, WIRE_PARAMS)
+    k, n = len(WIRE_PARAMS.ring.primes), WIRE_PARAMS.ring.n
+    assert blob[9:12] == bytes(3)
+    for i in range(3):
+        for value in (1, 255):
+            with pytest.raises(WireFormatError, match="nonzero padding"):
+                wire.deserialize_ciphertext(with_pad(blob, i, value),
+                                            WIRE_PARAMS)
+    # the same ciphertext in version 3, 13 + 8k head bytes and a trailer,
+    # is refused by its version, and read as version 4 by its padding
+    v3 = old_ct_blob(3, ct, WIRE_PARAMS)
+    assert len(v3) == len(blob) + 1 == 17 + 8 * k + 4 * 2 * k * n
+    with pytest.raises(WireFormatError, match="unsupported version 3"):
+        wire.deserialize_ciphertext(v3, WIRE_PARAMS)
+    relabelled = v3[:4] + (4).to_bytes(2, "little") + v3[6:]
+    with pytest.raises(WireFormatError, match="nonzero padding"):
+        wire.deserialize_ciphertext(relabelled, WIRE_PARAMS)
+    # a head cut anywhere short of its primes
+    for cut in range(16 + 8 * k):
+        with pytest.raises(WireFormatError, match="truncated"):
+            wire.deserialize_ciphertext(blob[:cut], WIRE_PARAMS)
 
 
 WIRE_ENCODERS = {
     "ciphertext": lambda c0, c1: wire.serialize_ciphertext(
-        Ciphertext(c0=c0, c1=c1, adds_consumed=0), WIRE_PARAMS),
+        Ciphertext(c0=c0, c1=c1), WIRE_PARAMS),
     "pk_share": lambda _, el: wire.serialize_pk_share(PkShare(index=1, p0=el)),
     "partial_dec": lambda _, el: wire.serialize_partial_dec(
         PartialDecryption(index=1, h=el)),
@@ -1211,11 +1234,9 @@ def test_wire_encoders_reject_a_batch(kind):
 def v1_blob(kind):
     """The message in version 1: u64 residues, version field 1."""
     blob, _ = WIRE_MESSAGES[kind]
-    head = 8 if kind == "ciphertext" else 3  # bytes before n, plus k'
-    head += 5 + 8 * len(WIRE_PARAMS.ring.primes)
-    tail = 4 if kind == "ciphertext" else 0
-    body = np.frombuffer(blob[head : len(blob) - tail], dtype="<u4")
-    out = blob[:head] + body.astype("<u8").tobytes() + blob[len(blob) - tail :]
+    head = (16 if kind == "ciphertext" else 8) + 8 * len(WIRE_PARAMS.ring.primes)
+    body = np.frombuffer(blob[head:], dtype="<u4")
+    out = blob[:head] + body.astype("<u8").tobytes()
     if kind == "ciphertext":
         out = out[:4] + (1).to_bytes(2, "little") + out[6:]
     return out
@@ -1228,13 +1249,7 @@ def test_wire_rejects_version_1(kind):
         decode(v1_blob(kind), WIRE_PARAMS)
 
 
-def test_wire_rejects_adds_above_kappa_and_party_zero():
-    ct_blob, _ = WIRE_MESSAGES["ciphertext"]
-    at_kappa = ct_blob[:-4] + (3).to_bytes(4, "little")
-    assert wire.deserialize_ciphertext(at_kappa, WIRE_PARAMS).adds_consumed == 3
-    with pytest.raises(WireFormatError, match="kappa"):
-        wire.deserialize_ciphertext(ct_blob[:-4] + (4).to_bytes(4, "little"),
-                                    WIRE_PARAMS)
+def test_wire_rejects_party_zero():
     for kind in ("pk_share", "partial_dec"):
         blob, decode = WIRE_MESSAGES[kind]
         with pytest.raises(WireFormatError, match="index 0"):
@@ -1252,11 +1267,10 @@ def test_wire_rejects_residue_at_its_prime():
 
 def mutations(size):
     """A single-byte overwrite, a truncation, or appended bytes. Overwrites
-    hit the header (29 bytes for a ciphertext, 24 for a share: the n, count
-    and prime fields, and a ciphertext's k') and a ciphertext's trailing
-    adds_consumed as often as the residues."""
-    pos = st.one_of(st.integers(0, 28), st.integers(size - 4, size - 1),
-                    st.integers(0, size - 1))
+    hit the header (32 bytes for a ciphertext, 24 for a share: the n, count
+    and prime fields, and a ciphertext's k' and padding) as often as the
+    residues."""
+    pos = st.one_of(st.integers(0, 31), st.integers(0, size - 1))
     return st.one_of(
         st.tuples(st.just("set"), pos, st.integers(0, 255)),
         st.tuples(st.just("cut"), st.integers(0, size - 1), st.just(0)),
@@ -1290,9 +1304,7 @@ def test_wire_decoders_survive_mutation(data):
         assert el.params == ring and el.residues.shape == (2, ring.n)
         assert (el.residues < np.array(ring.primes)[:, None]).all()
         assert (el.residues >= 0).all()
-    if kind == "ciphertext":
-        assert 0 <= out.adds_consumed <= WIRE_PARAMS.kappa
-    else:
+    if kind != "ciphertext":
         assert out.index >= 1
     # an accepted message is canonical: header, lengths and fields intact
     encode = {"ciphertext": lambda ct: wire.serialize_ciphertext(
@@ -1434,6 +1446,8 @@ def test_every_plan_passes_setup(scheme, n, parties, lam, bits):
     report, params = derive_scheme_params(cfg)
     assert params.ring.primes == report.primes
     assert params.dec_ring.primes == report.dec_primes
+    # one run's noise budget: the plan's bounds, for kappa = L parties
+    assert params.bounds is report.bounds and params.kappa == parties
     if scheme == "mckks":
         assert params.delta == report.delta_ckks
 

@@ -13,7 +13,6 @@ from thagg import ring as rg
 from thagg import schemes
 from thagg.errors import (
     BoundViolationError,
-    CapacityError,
     ConfigError,
     EncodingOverflowError,
     ParamsMismatchError,
@@ -37,6 +36,7 @@ from thagg.schemes import (
 
 from oracles import (
     bfv_plaintext,
+    budget,
     dec_bfv,
     dec_ckks,
     from_ints,
@@ -197,7 +197,7 @@ def test_setup_verdict_matches_old_room_inequalities(case):
     try:
         params = setup(scheme, n, sigma="0.5", bound=bound, t=t,
                        eps_inv=eps_inv, primes=primes, kappa=kappa,
-                       mp_noise_bound=mp)
+                       bounds=None if mp is None else budget(0, 0, mp))
     except BoundViolationError as exc:
         assert want is None, exc
         assert "short by" in str(exc)
@@ -298,7 +298,7 @@ def test_bfv_noiseless_ciphertext_decrypts_exactly():
     sk, _ = keypair(params)
     vals = [5, -3] + [0] * (params.ring.n - 2)
     msg = rg.mul_scalar(from_ints(params.ring, vals), params.delta)
-    ct = Ciphertext(c0=msg, c1=rg.zero(params.ring), adds_consumed=0)
+    ct = Ciphertext(c0=msg, c1=rg.zero(params.ring))
     assert dec_bfv(params, sk, ct).tolist() == vals
 
 
@@ -310,7 +310,7 @@ def test_planted_noise_boundary_is_tight():
 
     def dec_first(e):
         c0 = from_ints(params.ring, [e] + [0] * (n - 1))
-        ct = Ciphertext(c0=c0, c1=rg.zero(params.ring), adds_consumed=0)
+        ct = Ciphertext(c0=c0, c1=rg.zero(params.ring))
         return dec_bfv(params, sk, ct).tolist()[0]
 
     below = q // (2 * t)          # t*e/q < 1/2 -> still decrypts to 0
@@ -460,20 +460,16 @@ def test_noise_subadditivity():
     assert lhs <= rhs
 
 
-def test_capacity_enforced():
-    params = small_bfv(kappa=1)
-    sk, pk = keypair(params, seed="cap")
-    rng = Xof.from_seed("cap-enc")
-    zpt = bfv_plaintext(params, [0] * params.ring.n)
-    a = encrypt(params, pk, zpt, rng.child("a"))
-    b = encrypt(params, pk, zpt, rng.child("b"))
-    ab = add(params, a, b)  # one addition: allowed
-    with pytest.raises(CapacityError):
-        add(params, ab, a)
-    # kappa and the scheme are the parameters' alone: a ciphertext carries
-    # its elements and the additions it consumed, and nothing else
-    assert [f.name for f in dataclasses.fields(Ciphertext)] == [
-        "c0", "c1", "adds_consumed"]
+def test_a_ciphertext_is_its_two_elements():
+    # the scheme, kappa and the noise budget are the parameters' alone; a
+    # ciphertext carries no addition count, and nothing changes it in place
+    params = small_bfv()
+    _, pk = keypair(params, seed="two")
+    ct = encrypt(params, pk, bfv_plaintext(params, [0] * params.ring.n),
+                 Xof.from_seed("two-enc"))
+    assert [f.name for f in dataclasses.fields(Ciphertext)] == ["c0", "c1"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ct.c0 = ct.c1
     assert not hasattr(schemes, "adds_after")
     assert not hasattr(schemes, "Plaintext")
 
@@ -495,7 +491,6 @@ def test_exact_correctness_up_to_capacity():
         acc = cts[0]
         for ct in cts[1:]:
             acc = add(params, acc, ct)
-        assert acc.adds_consumed == kappa
         got = dec_bfv(params, sk, acc).tolist()
         for j in range(n):
             expect = sum(m[j] for m in msgs) % t

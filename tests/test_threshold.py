@@ -6,11 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thagg import ring as rg
 from thagg.errors import (
+    BoundViolationError,
     ParamsMismatchError,
     PlaintextRangeError,
     ProtocolFailure,
@@ -25,7 +26,6 @@ from thagg.schemes import (
     BFV,
     CKKS,
     PublicKey,
-    SchemeParams,
     add,
     bfv_round,
     ckks_scale_down,
@@ -35,8 +35,6 @@ from thagg.schemes import (
 )
 from thagg.threshold import (
     SecretShare,
-    SmudgeParams,
-    _check_smudge_fits,
     check_parties,
     combine_decrypt,
     combine_pk,
@@ -50,6 +48,7 @@ from thagg.threshold import (
 from oracles import (
     SecretKey,
     bfv_plaintext,
+    budget,
     dec_bfv,
     decryption_phase,
     from_ints,
@@ -79,12 +78,11 @@ def mk_session(scheme, n, parties, lam, *, t_bits=8, eps_inv_bits=10,
     if scheme == MBFV:
         params = setup(BFV, n, sigma="3.2", bound="19.2", t=1 << t_bits,
                        primes=report.primes, kappa=parties,
-                       mp_noise_bound=report.bounds.b_ct_mp,
-                       dec_limbs=dec_limbs)
+                       bounds=report.bounds, dec_limbs=dec_limbs)
     else:
         params = setup(CKKS, n, sigma="3.2", bound="19.2",
                        eps_inv=1 << eps_inv_bits, primes=report.primes,
-                       kappa=parties, mp_noise_bound=report.bounds.b_ct_mp,
+                       kappa=parties, bounds=report.bounds,
                        dec_limbs=dec_limbs)
     root = Xof.from_seed(seed)
     crs = crs_expand(root.child("crs").read(32), params.ring)
@@ -93,20 +91,14 @@ def mk_session(scheme, n, parties, lam, *, t_bits=8, eps_inv_bits=10,
     pkshares = [pk_share(params, sh, crs, root.child(f"pkshare/{sh.index}"))
                 for sh in shares]
     cpk = combine_pk(params, pkshares, crs, parties)
-    b = report.bounds
-    smudge = SmudgeParams(parties=parties, b_ct=b.b_ct, b_smg=b.b_smg)
     return SimpleNamespace(params=params, report=report, root=root, crs=crs,
                            shares=shares, pkshares=pkshares, cpk=cpk,
-                           smudge=smudge, parties=parties)
-
-
-def no_smudging(sess):
-    return replace(sess.smudge, b_ct=Fraction(0), b_smg=Fraction(0))
+                           parties=parties)
 
 
 def open_ciphertext(sess, ct, label="dec"):
     partials = [
-        partial_decrypt(sess.params, sh, ct.c1, sess.smudge,
+        partial_decrypt(sess.params, sh, ct.c1,
                         sess.root.child(f"{label}/{sh.index}"))
         for sh in sess.shares
     ]
@@ -279,11 +271,9 @@ def test_ntt_keys_match_their_coefficient_copies(seed, scheme):
     c1_ntt = rg.to_ntt(ct.c1)  # as output_step uses it
     for sh in sess.shares:
         label = f"pdec/{sh.index}"
-        got = partial_decrypt(params, sh, c1_ntt, sess.smudge,
-                              rng.child(label))
+        got = partial_decrypt(params, sh, c1_ntt, rng.child(label))
         copy = SecretShare(index=sh.index, s=from_ntt(sh.s))
-        want = partial_decrypt(params, copy, ct.c1, sess.smudge,
-                               rng.child(label))
+        want = partial_decrypt(params, copy, ct.c1, rng.child(label))
         assert np.array_equal(got.h.residues, want.h.residues)
 
 
@@ -313,8 +303,8 @@ def test_partial_decrypt_zero_hook():
     zero_share = SecretShare(index=1, s=rg.zero(params.ring))
     pt = bfv_plaintext(params, [0] * params.ring.n)
     ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
-    h = partial_decrypt(params, zero_share, ct.c1, no_smudging(sess),
-                        Xof.from_seed("z"))
+    h = partial_decrypt(params, zero_share, ct.c1, None,
+                        e_smg=rg.zero(params.ring))
     assert not h.h.residues.any()
 
 
@@ -340,14 +330,12 @@ def test_unsmudged_share_gives_away_the_key_share():
                               rg.NTT)
         return rg.crt_lift(from_ntt(quot))
 
-    bare = partial_decrypt(params, share, ct.c1, sess.smudge, None,
-                           e_smg=rg.zero(ring))
+    bare = partial_decrypt(params, share, ct.c1, None, e_smg=rg.zero(ring))
     s = divide_out_c1(bare.h)
     assert set(s.tolist()) == {-1, 0, 1}
     assert np.array_equal(s, rg.crt_lift(from_ntt(share.s)))
-    assert sess.smudge.b_smg > 1
-    smudged = partial_decrypt(params, share, ct.c1, sess.smudge,
-                              sess.root.child("pd"))
+    assert params.bounds.b_smg > 1
+    smudged = partial_decrypt(params, share, ct.c1, sess.root.child("pd"))
     assert np.abs(divide_out_c1(smudged.h)).max() > 1
 
 
@@ -359,14 +347,15 @@ def test_smudging_width_of_a_share(switched):
     # most 2^-n (each |e_j| < b_smg/2 with probability 1/2)
     sess = mk_session(MBFV, 1024, 3, 16, seed=f"width-{switched}",
                       switched=switched)
-    params, share, b_smg = sess.params, sess.shares[0], sess.smudge.b_smg
+    params, share = sess.params, sess.shares[0]
+    b_smg = params.bounds.b_smg
     drop = params.ring.q // params.dec_ring.q
     assert (drop > 1) == switched
     ct = encrypt(params, sess.cpk, bfv_plaintext(params, [1] * 1024),
                  sess.root.child("e"))
     e = rg.sample_smudging(params.ring, b_smg, sess.root.child("smg"))
-    h = partial_decrypt(params, share, ct.c1, sess.smudge, None, e_smg=e).h
-    h0 = partial_decrypt(params, share, ct.c1, sess.smudge, None,
+    h = partial_decrypt(params, share, ct.c1, None, e_smg=e).h
+    h0 = partial_decrypt(params, share, ct.c1, None,
                          e_smg=rg.zero(params.ring)).h
     diff = rg.crt_lift(ring_sub(h, h0)).tolist()
     if not switched:
@@ -378,83 +367,115 @@ def test_smudging_width_of_a_share(switched):
 
 
 def test_partial_decrypt_rejects_oversized_smudging():
+    # an oversized b_smg never reaches a partial decryption: setup refuses
+    # plan bounds whose b_ct_mp does not hold it, and bounds that do hold
+    # it need a larger q; parameters without the plan's bounds have no
+    # smudging level to draw at, and only a given e_smg decrypts with them
     sess = mk_session(MBFV, 64, 2, 0)
-    params = sess.params
-    pt = bfv_plaintext(params, [0] * params.ring.n)
-    ct = encrypt(params, sess.cpk, pt, sess.root.child("e"))
-    huge = replace(sess.smudge, b_smg=smudge_bound(4 * params.ring.log2_q,
-                                                   sess.smudge.b_ct))
-    with pytest.raises(SmudgeBoundError):
-        partial_decrypt(params, sess.shares[0], ct.c1, huge,
-                        Xof.from_seed("s"))
+    params, b = sess.params, sess.report.bounds
+    huge = replace(b, b_smg=smudge_bound(4 * params.ring.log2_q, b.b_ct))
+    again = dict(sigma="3.2", bound="19.2", t=params.t,
+                 primes=params.ring.primes, kappa=2)
+    assert setup(BFV, 64, **again, bounds=b) == params
+    with pytest.raises(SmudgeBoundError, match=r"2\*b_smg exceeds b_ct_mp"):
+        setup(BFV, 64, **again, bounds=huge)
+    held = replace(huge, b_ct_mp=huge.b_ct + 2 * huge.b_smg)
+    with pytest.raises(BoundViolationError, match="multiparty aggregate"):
+        setup(BFV, 64, **again, bounds=held)
+    ct = encrypt(params, sess.cpk, bfv_plaintext(params, [0] * 64),
+                 sess.root.child("e"))
+    bare = replace(params, bounds=None)
+    with pytest.raises(SmudgeBoundError, match="no smudging bound"):
+        partial_decrypt(bare, sess.shares[0], ct.c1, Xof.from_seed("s"))
+    quiet = partial_decrypt(bare, sess.shares[0], ct.c1, None,
+                            e_smg=rg.zero(params.ring))
+    assert quiet.h.params == params.dec_ring
 
 
-def test_partial_decrypt_counts_parties_not_kappa():
-    # kappa = 1, four shares, b_smg = 3/5 of the room under q: one smudging
-    # term fits, four do not, so the check must count the parties
-    params = setup(BFV, 64, sigma="3.2", t=256,
-                   primes=primes_for(64, 40), kappa=1)
-    root = Xof.from_seed("four-shares")
-    crs = crs_expand(root.child("crs").read(32), params.ring)
-    shares = [gen_share(params, i, root.child(f"share/{i}"))
-              for i in range(1, 5)]
-    cpk = combine_pk(params, [pk_share(params, sh, crs, root.child(f"pk/{i}"))
-                              for i, sh in enumerate(shares, 1)], crs, 4)
-    ct = encrypt(params, cpk, bfv_plaintext(params, [0] * 64),
-                 root.child("e"))
-    room = Fraction(params.ring.q, 2 * params.t) - Fraction(params.t, 2)
-    smudge = SmudgeParams(parties=4, b_ct=Fraction(0), b_smg=room * 3 / 5)
-    for sh in shares:
-        with pytest.raises(SmudgeBoundError, match="4\\*b_smg"):
-            partial_decrypt(params, sh, ct.c1, smudge, root.child("p"))
-    alone = replace(smudge, parties=1)
-    partial_decrypt(params, shares[0], ct.c1, alone, root.child("p"))
+def test_setup_counts_kappa_smudging_terms():
+    # b_ct_mp holds one smudging term on top of b_ct but not four: a run of
+    # one party passes and one of four (kappa = L) is refused, so setup
+    # counts a term per partial decryption; the parameters keep the bounds
+    bounds = budget(b_ct=10, b_smg=100, b_ct_mp=300)
+    solo = setup(BFV, 64, sigma="3.2", t=256, primes=primes_for(64, 40),
+                 kappa=1, bounds=bounds)
+    assert solo.bounds is bounds
+    for kappa in (3, 4):
+        with pytest.raises(SmudgeBoundError, match=f"{kappa}\\*b_smg"):
+            setup(BFV, 64, sigma="3.2", t=256, primes=primes_for(64, 40),
+                  kappa=kappa, bounds=bounds)
+    setup(BFV, 64, sigma="3.2", t=256, primes=primes_for(64, 40), kappa=2,
+          bounds=bounds)  # 10 + 2 * 100 <= 300
 
 
 def test_smudge_message_takes_values_beyond_the_float_range():
-    # t = 2^1100: the decode bound 2 t b + t^2 is far beyond a float
-    ring = setup(BFV, 16, sigma="3.2", t=256, primes=primes_for(16, 40)).ring
-    params = SchemeParams(scheme=BFV, ring=ring,
-                          noise=rg.NoiseSpec.create("3.2"), kappa=1,
-                          delta=1, t=2**1100, dec_ring=ring)
-    smudge = SmudgeParams(parties=2, b_ct=Fraction(0), b_smg=Fraction(1))
-    with pytest.raises(SmudgeBoundError, match=r"2\*b_smg .*q > 2\^2200\.00"):
-        _check_smudge_fits(params, smudge)
+    # b_smg = 2^1100: two smudging terms are far beyond a float, and the
+    # message states them in log2
+    with pytest.raises(SmudgeBoundError,
+                       match=r"2\*b_smg exceeds b_ct_mp by 2\^1101\.00"):
+        setup(BFV, 16, sigma="3.2", t=256, primes=primes_for(16, 40),
+              kappa=2, bounds=budget(0, 2**1100, 1))
 
 
 SMUDGE_PRIMES = sorted({prime_below(1 << bits, 16) for bits in range(8, 30)})
 
 
+def old_room(scheme, q, t, delta):
+    """The per-scheme room the per-call smudging check used to state
+    itself, kept as the reference: a bound b decodes iff b < room."""
+    if scheme == BFV:
+        return Fraction(q, 2 * t) - Fraction(t, 2)
+    return Fraction(q, 2) - delta
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_smudge_check_matches_old_room_inequality(data):
-    # reference: the per-scheme room the check used to state itself
+    # setup's two checks, b_ct + kappa * b_smg <= b_ct_mp and b_ct_mp under
+    # the room, take exactly the plans the old per-call check took: a plan
+    # whose kappa smudging terms overflow b_ct_mp is a SmudgeBoundError, any
+    # other is accepted iff every bound setup checks is below the room, and
+    # an accepted one fits the old inequality b_ct + kappa * b_smg < room
     scheme = data.draw(st.sampled_from([BFV, CKKS]))
     primes = tuple(data.draw(st.lists(st.sampled_from(SMUDGE_PRIMES),
                                       min_size=1, max_size=3, unique=True)))
-    ring = rg.RingParams.create(16, primes)
-    q = ring.q
+    q = rg.RingParams.create(16, primes).q
+    kappa = data.draw(st.integers(1, 16), label="kappa")
     if scheme == BFV:
-        t = data.draw(st.integers(2, 1 << data.draw(st.integers(1, 40))))
-        delta = q // t
-        room = Fraction(q, 2 * t) - Fraction(t, 2)
+        t, eps_inv = 1 << data.draw(st.integers(1, 40)), None
+        scale = old_room(BFV, q, t, None)
     else:
-        t = None
-        delta = 1 << data.draw(st.integers(0, q.bit_length()))
-        room = Fraction(q, 2) - delta
-    params = SchemeParams(scheme=scheme, ring=ring,
-                          noise=rg.NoiseSpec.create("3.2"), kappa=1,
-                          delta=delta, t=t, dec_ring=ring)
-    parties = data.draw(st.integers(1, 16))
-    scale = room if room > 0 else Fraction(q)
+        t, eps_inv = None, 1 << data.draw(st.integers(0, 20))
+        scale = Fraction(q, 2) / (eps_inv + 1)
+    scale = scale if scale > 0 else Fraction(q)
     b_ct = scale * Fraction(data.draw(st.integers(0, 64)), 64)
-    b_smg = scale * Fraction(data.draw(st.integers(0, 64)), 64 * parties)
-    smudge = SmudgeParams(parties=parties, b_ct=b_ct, b_smg=b_smg)
-    if b_ct + parties * b_smg < room:
-        _check_smudge_fits(params, smudge)
-    else:
-        with pytest.raises(SmudgeBoundError, match=f"{parties}\\*b_smg"):
-            _check_smudge_fits(params, smudge)
+    b_smg = scale * Fraction(data.draw(st.integers(0, 64)), 64 * kappa)
+    smudged = b_ct + kappa * b_smg
+    b_ct_mp = smudged + scale * Fraction(data.draw(st.integers(-4, 4)), 64)
+    assume(b_ct_mp > 0)
+    if scheme == BFV:
+        delta = q // t
+    else:  # kappa * 2^k, the least at or above b_ct_mp * eps_inv
+        delta = kappa
+        while delta < b_ct_mp * eps_inv:
+            delta *= 2
+    room = old_room(scheme, q, t, delta)
+    fresh = (2 * 16 + 1) * Fraction("19.2")
+    fits = max((kappa + 1) * fresh, b_ct_mp) < room
+    try:
+        params = setup(scheme, 16, sigma="3.2", t=t, eps_inv=eps_inv,
+                       primes=primes, kappa=kappa,
+                       bounds=budget(b_ct, b_smg, b_ct_mp))
+    except SmudgeBoundError as exc:
+        assert smudged > b_ct_mp, exc
+        assert f"{kappa}*b_smg" in str(exc)
+        return
+    except BoundViolationError as exc:
+        assert smudged <= b_ct_mp and not fits, exc
+        return
+    assert smudged <= b_ct_mp and fits
+    assert params.delta == delta
+    assert smudged < room
 
 
 def test_combine_decrypt_single_party_no_smudging_matches_single_key():
@@ -463,8 +484,8 @@ def test_combine_decrypt_single_party_no_smudging_matches_single_key():
     vals = [3] + [0] * (params.ring.n - 1)
     ct = encrypt(params, sess.cpk, bfv_plaintext(params, vals),
                  sess.root.child("e"))
-    part = partial_decrypt(params, sess.shares[0], ct.c1, no_smudging(sess),
-                           Xof.from_seed("p"), e_smg=rg.zero(params.ring))
+    part = partial_decrypt(params, sess.shares[0], ct.c1, None,
+                           e_smg=rg.zero(params.ring))
     d = combine_decrypt(params, ct.c0, [part], 1)
     single = decryption_phase(params, SecretKey(sess.shares[0].s), ct)
     assert rg.crt_lift(d).tolist() == rg.crt_lift(single).tolist()
@@ -543,8 +564,8 @@ def test_ideal_functionality_equivalence():
         diff = (x - y - s) % q
         assert diff == 0
 
-    quiet = [partial_decrypt(params, sh, ct.c1, no_smudging(sess),
-                             Xof.from_seed("q"), e_smg=rg.zero(params.ring))
+    quiet = [partial_decrypt(params, sh, ct.c1, None,
+                             e_smg=rg.zero(params.ring))
              for sh in sess.shares]
     assert (rg.crt_lift(combine_decrypt(params, ct.c0, quiet, 3)).tolist()
             == base.tolist())
@@ -615,7 +636,7 @@ def test_threshold_bfv_exact_small_sweep():
             cts.append(encrypt(params, pk, bfv_plaintext(params, vals),
                                rng.child(f"e{i}")))
         agg = add(params, cts[0], cts[1])
-        partials = [partial_decrypt(params, sh, agg.c1, sess.smudge,
+        partials = [partial_decrypt(params, sh, agg.c1,
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
         d = combine_decrypt(params, agg.c0, partials, 2)
@@ -647,7 +668,7 @@ def test_threshold_ckks_accuracy_small_sweep():
         acc = cts[0]
         for ct in cts[1:]:
             acc = add(params, acc, ct)
-        partials = [partial_decrypt(params, sh, acc.c1, sess.smudge,
+        partials = [partial_decrypt(params, sh, acc.c1,
                                     rng.child(f"p{sh.index}"))
                     for sh in sess.shares]
         d = combine_decrypt(params, acc.c0, partials, parties)
@@ -691,7 +712,7 @@ def open_switched_session(sess, rng):
     smudging = [rg.sample_smudging(params.ring, b.b_smg,
                                    rng.child(f"s{sh.index}"))
                 for sh in sess.shares]
-    partials = [partial_decrypt(params, sh, acc.c1, sess.smudge, rng, e_smg=e)
+    partials = [partial_decrypt(params, sh, acc.c1, rng, e_smg=e)
                 for sh, e in zip(sess.shares, smudging)]
     assert all(part.h.params == params.dec_ring for part in partials)
     d = combine_decrypt(params, acc.c0, partials, parties)
@@ -750,7 +771,7 @@ def test_combine_decrypt_refuses_full_q_c0():
     assert params.dec_ring != params.ring
     ct = encrypt(params, sess.cpk, bfv_plaintext(params, [1] * 1024),
                  sess.root.child("e"))
-    partials = [partial_decrypt(params, sh, ct.c1, sess.smudge,
+    partials = [partial_decrypt(params, sh, ct.c1,
                                 sess.root.child(f"p{sh.index}"))
                 for sh in sess.shares]
     with pytest.raises(ParamsMismatchError, match="c0 is on 2 limbs") as info:
